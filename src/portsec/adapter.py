@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from . import envelope
+from . import envelope, records
 from .envelope import (
     AuthDecryptFailure,
     CryptoSuite,
@@ -103,21 +103,8 @@ class ValidationReport:
 def report_to_wire(report: ValidationReport) -> bytes:
     """`VERDICT+...'` then one `FINDING+code+subject+detail'` per line.
     The decrypted view never leaves the adapter."""
-    from .model import _escape_token
-
-    lines = [b"VERDICT+" + report.verdict.encode() + b"'"]
-    for f in report.findings:
-        lines.append(
-            b"+".join(
-                [
-                    b"FINDING",
-                    f.code.value.encode(),
-                    _escape_token(f.subject),
-                    _escape_token(f.detail),
-                ]
-            )
-            + b"'"
-        )
+    lines = [records.encode("VERDICT", report.verdict)]
+    lines += [records.encode("FINDING", f.code.value, f.subject, f.detail) for f in report.findings]
     return b"\n".join(lines) + b"\n"
 
 
@@ -169,9 +156,9 @@ def _field_digest(value: FieldValue, suite: CryptoSuite) -> bytes:
     return value.digest
 
 
-def _views_for(sig: AttributeSignature, msg: Message, suite: CryptoSuite):
+def _views(msg: Message, attrs: Iterable[str]):
     views = []
-    for attr in sig.attrs:
+    for attr in attrs:
         v = msg.get(attr)
         views.append((attr, PlainView(v.text) if isinstance(v, Plain) else DigestView(v.digest)))
     return views
@@ -208,6 +195,35 @@ def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, by
     }
 
 
+def _plan_and_sign(
+    state: AdapterState,
+    msg: Message,
+    receiver: Role,
+    downstream: Iterable[Role],
+    sign_attrs: Sequence[str],
+) -> tuple[tuple[tuple[str, FieldValue], ...], AttributeSignature | None]:
+    """Re-plan the plaintext fields of ``msg`` for ``receiver`` (plain,
+    hash-only or sealed for downstream readers; other fields pass through)
+    and sign ``sign_attrs`` over their current values, if any."""
+    plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
+    plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
+    own = None
+    if sign_attrs:
+        own = envelope.multi_sign_views(state.key_pair, _views(msg, sign_attrs), suite=state.suite)
+
+    out_fields: list[tuple[str, FieldValue]] = []
+    for name, value in msg.fields:
+        if isinstance(value, Plain):
+            decision = plan.decision(name)
+            if decision.kind is PlanKind.HASH_ONLY:
+                value = HashOnly(value_digest(value.text, state.suite))
+            elif decision.kind is PlanKind.SEALED:
+                recipients = _role_identities(state, decision.readers)
+                value = seal_field(value.text, recipients, state.suite)
+        out_fields.append((name, value))
+    return tuple(out_fields), own
+
+
 def secure_outbound(
     state: AdapterState,
     msg: Message,
@@ -239,44 +255,17 @@ def secure_outbound(
         if entry is None:
             raise CarriedSignatureInvalid(f"unknown signer {sig.signer}")
         if not verify_multi_sig(
-            entry[0].public_key, sig, _views_for(sig, msg, state.suite), suite=state.suite
+            entry[0].public_key, sig, _views(msg, sig.attrs), suite=state.suite
         ):
             raise CarriedSignatureInvalid(
                 f"signature by {sig.signer} does not match current values"
             )
 
-    plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
-    plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
-
-    own: AttributeSignature | None = None
     to_sign = [a for a in msg.attribute_names() if a in authored or a in co_attest]
-    if to_sign:
-        own = envelope.multi_sign_views(
-            state.key_pair,
-            [
-                (a, PlainView(v.text) if isinstance(v := msg.get(a), Plain) else DigestView(v.digest))
-                for a in to_sign
-            ],
-            suite=state.suite,
-        )
-
-    out_fields: list[tuple[str, FieldValue]] = []
-    for name, value in msg.fields:
-        if not isinstance(value, Plain):
-            out_fields.append((name, value))
-            continue
-        decision = plan.decision(name)
-        if decision.kind is PlanKind.PLAIN:
-            out_fields.append((name, value))
-        elif decision.kind is PlanKind.HASH_ONLY:
-            out_fields.append((name, HashOnly(value_digest(value.text, state.suite))))
-        else:
-            recipients = _role_identities(state, decision.readers)
-            out_fields.append((name, seal_field(value.text, recipients, state.suite)))
-
+    out_fields, own = _plan_and_sign(state, msg, receiver, downstream, to_sign)
     signatures = tuple(carried) + ((own,) if own else ())
     sm = SecuredMessage(
-        Message(msg.msg_type, msg.instance_id, tuple(out_fields)), signatures, state.identity
+        Message(msg.msg_type, msg.instance_id, out_fields), signatures, state.identity
     )
     _store_signatures(state, sm, received_from=state.identity)
     return sm
@@ -290,9 +279,10 @@ def validate_inbound(
     """Run all validation phases and report every finding.
 
     Order: sender chain, per-signature verification (with signer chains
-    from the directory), write-coverage, linkage, representation
-    compliance, nonce check, decryption of readable sealed fields, store
-    append. See module docstring for the reject semantics.
+    from the directory; a failing signature on file under another run is
+    a linkage mismatch), write-coverage, representation compliance, nonce
+    check, decryption of readable sealed fields, store append. See module
+    docstring for the reject semantics.
     """
     findings: list[Finding] = []
     msg = sm.message
@@ -346,7 +336,7 @@ def validate_inbound(
             )
             continue
         if verify_multi_sig(
-            cert.public_key, sig, _views_for(sig, msg, state.suite), suite=state.suite
+            cert.public_key, sig, _views(msg, sig.attrs), suite=state.suite
         ):
             verified.append((sig, cert.role))
         else:
@@ -376,19 +366,7 @@ def validate_inbound(
                 f"no verified signature from {sorted(r.value for r in writers)}",
             )
 
-    # (d) linkage across verified signatures: shared attributes must agree.
-    # All views above came from the same field values, so disagreement can
-    # only surface via store evidence (handled in phase b) -- this re-check
-    # guards the invariant directly.
-    by_attr: dict[str, set[bytes]] = {}
-    for sig, _ in verified:
-        for attr in sig.attrs:
-            by_attr.setdefault(attr, set()).add(_field_digest(msg.get(attr), state.suite))
-    for attr, digests in by_attr.items():
-        if len(digests) > 1:  # pragma: no cover - unreachable by construction
-            reject(FindingCode.LINKAGE_MISMATCH, attr, "covering signatures disagree")
-
-    # (e) representation compliance
+    # (d) representation compliance
     def may_read(a: str) -> bool:
         return state.matrix.check(state.role, a, Action.READ)
 
@@ -413,7 +391,7 @@ def validate_inbound(
                     f"wrapped key offered to {state.role.value} without read permission",
                 )
 
-    # (f) nonce check on the booking number
+    # (e) nonce check on the booking number
     booking_digest: bytes | None = None
     if msg.has(BOOKING_ATTR):
         booking_digest = _field_digest(msg.get(BOOKING_ATTR), state.suite)
@@ -428,7 +406,7 @@ def validate_inbound(
                 )
             )
 
-    # (g) decrypt readable sealed fields
+    # (f) decrypt readable sealed fields
     decrypted: dict[str, str] = {}
     for name, value in msg.fields:
         if isinstance(value, Plain) and may_read(name):
@@ -439,7 +417,7 @@ def validate_inbound(
             except (AuthDecryptFailure, envelope.DigestMismatch) as exc:
                 reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
 
-    # (h) file everything
+    # (g) file everything
     _store_signatures(state, sm, received_from=sm.sender)
 
     verdict = "REJECT" if any(f.severity is Severity.REJECT for f in findings) else "ACCEPT"
@@ -502,50 +480,19 @@ def forward(
     if not report.accepted:
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
-    plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
-    plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
-
-    out_fields: list[tuple[str, FieldValue]] = []
-    for name, value in msg.fields:
-        if not isinstance(value, Plain):
-            out_fields.append((name, value))
-            continue
-        decision = plan.decision(name)
-        if decision.kind is PlanKind.PLAIN:
-            out_fields.append((name, value))
-        elif decision.kind is PlanKind.HASH_ONLY:
-            out_fields.append((name, HashOnly(value_digest(value.text, state.suite))))
-        else:
-            out_fields.append(
-                (name, seal_field(value.text, _role_identities(state, decision.readers), state.suite))
-            )
-
     authored = list(authored)
     for attr in authored:
         if not state.matrix.check(state.role, attr, Action.WRITE):
             raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
-    signatures = list(sm.signatures)
-    if authored:
-        own = envelope.multi_sign_views(
-            state.key_pair,
-            [
-                (a, PlainView(v.text) if isinstance(v := msg.get(a), Plain) else DigestView(v.digest))
-                for a in authored
-            ],
-            suite=state.suite,
-        )
-        signatures.append(own)
-
+    out_fields, own = _plan_and_sign(state, msg, receiver, downstream, authored)
     out = SecuredMessage(
-        Message(new_msg_type or msg.msg_type, msg.instance_id, tuple(out_fields)),
-        tuple(signatures),
+        Message(new_msg_type or msg.msg_type, msg.instance_id, out_fields),
+        sm.signatures + ((own,) if own else ()),
         state.identity,
     )
-    if authored:
+    if own:
         _store_signatures(
-            state,
-            SecuredMessage(out.message, (signatures[-1],), state.identity),
-            received_from=state.identity,
+            state, SecuredMessage(out.message, (own,), state.identity), received_from=state.identity
         )
     return out
 

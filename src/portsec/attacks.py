@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from . import envelope
+from . import envelope, records
 from .adapter import FindingCode, Severity
 from .audit import audit_views
 from .envelope import DigestView, PlainView, value_digest
@@ -26,17 +26,7 @@ from .ledger import (
     submit,
     verify_exported,
 )
-from .model import (
-    HashOnly,
-    ParseError,
-    Plain,
-    Sealed,
-    SecuredMessage,
-    _escape_token,
-    _split_elements,
-    _split_segments,
-    _unescape_token,
-)
+from .model import HashOnly, ParseError, Plain, Sealed, SecuredMessage
 from .sim import Simulation, make_script, run_scenario
 from .transcript import Transcript, ValidatedEvent
 
@@ -336,11 +326,12 @@ def _flip_block_byte(data: bytes, block: int) -> bytes:
 def _rewrite_txn_token(data: bytes, cnt: str) -> bytes:
     """Rewrite the container number inside the CREATE transaction line,
     modeling an on-chain field edit."""
-    needle = b"TXN+CREATE+" + _escape_token(cnt)
+    forged_cnt = cnt[:-1] + ("X" if cnt[-1] != "X" else "Y")
+    needle = records.encode("TXN", "CREATE", cnt)[:-1]
+    forged = records.encode("TXN", "CREATE", forged_cnt)[:-1]
     if needle not in data:
         raise TargetUnresolved("chain has no CREATE transaction to edit")
-    forged = _escape_token(cnt[:-1] + ("X" if cnt[-1] != "X" else "Y"))
-    return data.replace(needle, b"TXN+CREATE+" + forged, 1)
+    return data.replace(needle, forged, 1)
 
 
 # --- mode comparison ----------------------------------------------------------
@@ -393,78 +384,60 @@ def compare_modes(fixtures: FixtureSet) -> ComparisonReport:
     return report
 
 
+def _outcome(report: DetectionReport) -> tuple[str, str, str]:
+    return "DETECTED" if report.detected else "MISSED", report.detected_by, report.finding
+
+
 def comparison_to_wire(report: ComparisonReport) -> bytes:
-    lines = [b"CMP+1+" + report.verdict.encode() + b"'"]
-    for (scenario, mode), verdict in sorted(report.honest.items()):
-        lines.append(
-            b"+".join([b"HON", scenario.encode(), mode.encode(), verdict.encode()]) + b"'"
-        )
-    for r in report.rows:
-        lines.append(
-            b"+".join(
-                [
-                    b"ATK", r.kind.value.encode(), r.scenario.encode(),
-                    b"p2p", b"DETECTED" if r.p2p.detected else b"MISSED",
-                    _escape_token(r.p2p.detected_by), _escape_token(r.p2p.finding),
-                    b"ledger", b"DETECTED" if r.ledger.detected else b"MISSED",
-                    _escape_token(r.ledger.detected_by), _escape_token(r.ledger.finding),
-                ]
-            )
-            + b"'"
-        )
+    lines = [records.encode("CMP", "1", report.verdict)]
+    lines += [
+        records.encode("HON", scenario, mode, verdict)
+        for (scenario, mode), verdict in sorted(report.honest.items())
+    ]
+    lines += [
+        records.encode("ATK", r.kind.value, r.scenario,
+                       "p2p", *_outcome(r.p2p), "ledger", *_outcome(r.ledger))
+        for r in report.rows
+    ]
     for mode in sorted(report.exposure):
         for ident in sorted(report.exposure[mode]):
             attrs = ",".join(sorted(report.exposure[mode][ident]))
-            lines.append(
-                b"+".join(
-                    [b"EXP", mode.encode(), _escape_token(ident), _escape_token(attrs)]
-                )
-                + b"'"
-            )
+            lines.append(records.encode("EXP", mode, ident, attrs))
     return b"\n".join(lines) + b"\n"
 
 
 # --- attack spec files --------------------------------------------------------
 
 
+_SPEC_FIELDS = ("step", "attribute", "payload", "block", "sig_of")
+
+
 def attack_to_wire(spec: AttackSpec) -> bytes:
-    parts = [b"ATK", spec.kind.value.encode()]
-    for key, val in (
-        ("step", spec.step), ("attribute", spec.attribute), ("payload", spec.payload),
-        ("block", str(spec.block) if spec.block >= 0 else ""), ("sig_of", spec.sig_of),
-    ):
+    pairs = []
+    for key in _SPEC_FIELDS:
+        val = getattr(spec, key)
+        if key == "block":
+            val = str(val) if val >= 0 else ""
         if val:
-            parts += [key.encode(), _escape_token(val)]
-    return b"+".join(parts) + b"'"
+            pairs += [key, val]
+    return records.encode("ATK", spec.kind.value, *pairs)
 
 
 def attack_from_wire(data: bytes) -> AttackSpec:
-    segments = _split_segments(data.strip())
-    if len(segments) != 1:
-        raise ParseError("expected exactly one ATK segment", 0)
-    off, seg = segments[0]
-    elems = _split_elements(seg, off)
-    if elems[0][1] != b"ATK" or len(elems) < 2 or len(elems) % 2 != 0:
-        raise ParseError("malformed ATK segment", off)
+    recs = list(records.decode_lines(data))
+    if len(recs) != 1:
+        raise ParseError("expected exactly one ATK record", recs[1].offset if recs else 0)
+    rec = recs[0]
+    if rec.tag != b"ATK" or len(rec) % 2 != 0:
+        raise ParseError("malformed ATK record", rec.offset)
     try:
-        kind = AttackKind(_unescape_token(elems[1][1], 0))
+        kind = AttackKind(rec.text(1))
     except ValueError:
-        raise ParseError("unknown attack kind", elems[1][0]) from None
-    fields: dict[str, str] = {}
-    for i in range(2, len(elems), 2):
-        fields[_unescape_token(elems[i][1], 0)] = _unescape_token(elems[i + 1][1], 0)
-    unknown = set(fields) - {"step", "attribute", "payload", "block", "sig_of"}
-    if unknown:
-        raise ParseError(f"unknown ATK fields {sorted(unknown)}", off)
-    try:
-        block = int(fields.get("block", "-1"))
-    except ValueError:
-        raise ParseError("ATK block must be an integer", off) from None
-    return AttackSpec(
-        kind,
-        step=fields.get("step", ""),
-        attribute=fields.get("attribute", ""),
-        payload=fields.get("payload", ""),
-        block=block,
-        sig_of=fields.get("sig_of", ""),
-    )
+        raise ParseError("unknown attack kind", rec.offsets[1]) from None
+    fields: dict[str, object] = {}
+    for i in range(2, len(rec), 2):
+        key = rec.text(i)
+        if key not in _SPEC_FIELDS:
+            raise ParseError(f"unknown ATK field {key!r}", rec.offsets[i])
+        fields[key] = rec.int(i + 1) if key == "block" else rec.text(i + 1)
+    return AttackSpec(kind, **fields)

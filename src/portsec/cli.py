@@ -22,8 +22,8 @@ from .attacks import (
 from .audit import audit_views
 from .fixtures import FixtureError, FixtureSet, fixtures_from_bytes
 from .ledger import parse_chain, verify_exported
-from .model import ParseError
-from .policy import Action, PolicyError, Role, check, load_policy
+from .model import ModelError, ParseError
+from .policy import Action, PolicyError, Role, load_policy
 from .sim import ScenarioError, run_scenario
 from .transcript import transcript_from_wire, transcript_to_wire
 
@@ -96,10 +96,9 @@ def cmd_attack(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        transcript = transcript_from_wire(_read(args.transcript))
-    except ParseError as exc:
+        result = audit_views(transcript_from_wire(_read(args.transcript)))
+    except ModelError as exc:
         return _fail(f"bad transcript {args.transcript}: {exc}")
-    result = audit_views(transcript)
     for identity in sorted(result.exposure):
         exposed = ",".join(sorted(result.exposure[identity])) or "-"
         excess = ",".join(sorted(result.excess.get(identity, ()))) or "-"
@@ -142,7 +141,7 @@ def cmd_policy_check(args) -> int:
         return _fail(f"unknown role {args.role!r}")
     if args.attr not in matrix.attributes:
         return _fail(f"policy has no attribute {args.attr!r}")
-    allowed = check(matrix, role, args.attr, Action(args.action.upper()))
+    allowed = matrix.check(role, args.attr, Action(args.action.upper()))
     print(f"POLICY {role.value} {args.attr} {args.action} "
           + ("ALLOW" if allowed else "DENY"))
     return 0 if allowed else 1

@@ -13,11 +13,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import records
 from .adapter import AdapterState
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
-from .model import ParseError, _b64, _b64_strict, _escape_token, _split_elements, _split_segments, _unescape_token
-from .pki import CA_ROLE, CaState, Certificate, cert_from_wire, cert_to_wire, create_root, create_subordinate
+from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
 from .policy import AccessMatrix, Role, default_matrix
+from .records import ParseError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ledger import EndorsementPolicy, LedgerNet
@@ -170,29 +171,12 @@ def fixtures_to_bytes(fx: FixtureSet) -> bytes:
     for text in (fx.run_tag, *fx.values.values(), *fx.values):
         if "\n" in text or "\r" in text:
             raise FixtureError(f"newline in fixture token {text!r}")
-    lines = [
-        b"FIX+" + FIXTURE_VERSION.encode() + b"+" + _escape_token(fx.suite_id) + b"'",
-        b"RUN+" + _escape_token(fx.run_tag) + b"'",
-    ]
-    for name, parent in fx.cas:
-        lines.append(
-            b"CA+" + _escape_token(name) + b"+" + _escape_token(parent or "-") + b"'"
-        )
-    for a in fx.actors:
-        lines.append(
-            b"+".join(
-                [b"ACTOR", _escape_token(a.identity), _escape_token(a.role), _escape_token(a.org)]
-            )
-            + b"'"
-        )
-    for ident in sorted(fx.keys):
-        lines.append(b"KEY+" + _escape_token(ident) + b"+" + _b64(fx.keys[ident]) + b"'")
-    for ident in sorted(fx.certs):
-        lines.append(cert_to_wire(fx.certs[ident]))
-    for attr in sorted(fx.values):
-        lines.append(
-            b"VAL+" + _escape_token(attr) + b"+" + _escape_token(fx.values[attr]) + b"'"
-        )
+    lines = [records.encode("FIX", FIXTURE_VERSION, fx.suite_id), records.encode("RUN", fx.run_tag)]
+    lines += [records.encode("CA", name, parent or "-") for name, parent in fx.cas]
+    lines += [records.encode("ACTOR", a.identity, a.role, a.org) for a in fx.actors]
+    lines += [records.encode("KEY", ident, fx.keys[ident]) for ident in sorted(fx.keys)]
+    lines += [cert_to_wire(fx.certs[ident]) for ident in sorted(fx.certs)]
+    lines += [records.encode("VAL", attr, fx.values[attr]) for attr in sorted(fx.values)]
     return b"\n".join(lines) + b"\n"
 
 
@@ -204,39 +188,34 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
     certs: dict[str, Certificate] = {}
     values: dict[str, str] = {}
 
-    for raw_line in data.splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        segs = _split_segments(line)
-        if len(segs) != 1:
-            raise ParseError("one record per line expected", 0)
-        off, seg = segs[0]
-        elems = _split_elements(seg, off)
-        tag = elems[0][1]
+    for rec in records.decode_lines(data):
+        tag = rec.tag
         if tag == b"FIX":
-            if len(elems) != 3 or _unescape_token(elems[1][1], 0) != FIXTURE_VERSION:
-                raise ParseError("unsupported fixture header", off)
-            suite_id = _unescape_token(elems[2][1], 0)
+            rec.need(3)
+            if rec.text(1) != FIXTURE_VERSION:
+                raise ParseError("unsupported fixture header", rec.offset)
+            suite_id = rec.text(2)
         elif tag == b"RUN":
-            run_tag = _unescape_token(elems[1][1], 0)
+            rec.need(2)
+            run_tag = rec.text(1)
         elif tag == b"CA":
-            name = _unescape_token(elems[1][1], 0)
-            parent = _unescape_token(elems[2][1], 0)
-            cas.append((name, None if parent == "-" else parent))
+            rec.need(3)
+            parent = rec.text(2)
+            cas.append((rec.text(1), None if parent == "-" else parent))
         elif tag == b"ACTOR":
-            actors.append(
-                ActorRecord(*(_unescape_token(e[1], e[0]) for e in elems[1:4]))
-            )
+            rec.need(4)
+            actors.append(ActorRecord(rec.text(1), rec.text(2), rec.text(3)))
         elif tag == b"KEY":
-            keys[_unescape_token(elems[1][1], 0)] = _b64_strict(elems[2][1], elems[2][0])
+            rec.need(3)
+            keys[rec.text(1)] = rec.b64(2)
         elif tag == b"CERT":
-            cert = cert_from_wire(line)
+            cert = cert_from_record(rec)
             certs[cert.subject] = cert
         elif tag == b"VAL":
-            values[_unescape_token(elems[1][1], 0)] = _unescape_token(elems[2][1], elems[2][0])
+            rec.need(3)
+            values[rec.text(1)] = rec.text(2)
         else:
-            raise ParseError(f"unknown fixture record {tag!r}", off)
+            raise ParseError(f"unknown fixture record {tag!r}", rec.offset)
 
     if suite_id is None or run_tag is None:
         raise ParseError("fixture file lacks FIX/RUN header", 0)

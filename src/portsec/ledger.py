@@ -16,10 +16,11 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
+from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
-from .model import ParseError, _b64, _b64_strict, _escape_token, _split_elements, _split_segments, _unescape_token
-from .pki import CaState, Certificate, cert_from_wire, cert_to_wire, validate_chain
+from .pki import CaState, Certificate, cert_from_record, cert_to_wire, validate_chain
 from .policy import Role
+from .records import ParseError
 
 GENESIS_PREV = bytes(32)
 CHAIN_VERSION = "1"
@@ -125,17 +126,12 @@ class Transaction:
     endorsements: tuple[tuple[str, bytes], ...] = ()  # (endorser identity, sig)
 
     def body_bytes(self) -> bytes:
-        """Canonical signed portion: everything except signatures."""
-        parts = [
-            b"TXB",
-            _escape_token(self.invoker.subject),
-            b"%d" % self.invoker.serial,
-            self.action.value.encode(),
-            _escape_token(self.cnt_no),
-        ]
-        for k, v in self.args:
-            parts += [_escape_token(k), _escape_token(v)]
-        return b"+".join(parts)
+        """Canonical signed portion: everything except signatures, as a
+        ``TXB`` record without its terminator."""
+        return records.encode(
+            "TXB", self.invoker.subject, f"{self.invoker.serial}", self.action.value,
+            self.cnt_no, *(e for kv in self.args for e in kv),
+        )[:-1]
 
     def arg(self, key: str) -> str | None:
         for k, v in self.args:
@@ -463,29 +459,18 @@ def query(net: LedgerNet, reader_chain: Sequence[Certificate], cnt_no: str) -> C
 
 
 def _txn_line(tx: Transaction) -> bytes:
-    parts = [
-        b"TXN",
-        tx.action.value.encode(),
-        _escape_token(tx.cnt_no),
-        _escape_token(tx.invoker.subject),
-        b"%d" % tx.invoker.serial,
-        _b64(tx.invoker_signature),
-        b"%03d" % len(tx.args),
-    ]
-    for k, v in tx.args:
-        parts += [_escape_token(k), _escape_token(v)]
-    parts.append(b"%03d" % len(tx.endorsements))
-    for ident, sig in tx.endorsements:
-        parts += [_escape_token(ident), _b64(sig)]
-    return b"+".join(parts) + b"'"
-
-
-def _block_header(block: Block) -> bytes:
-    return b"BLK+%d+" % block.index + _b64(block.prev_hash)
+    return records.encode(
+        "TXN", tx.action.value, tx.cnt_no, tx.invoker.subject, f"{tx.invoker.serial}",
+        tx.invoker_signature,
+        f"{len(tx.args):03d}", *(e for kv in tx.args for e in kv),
+        f"{len(tx.endorsements):03d}", *(e for pair in tx.endorsements for e in pair),
+    )
 
 
 def _block_body(index: int, prev_hash: bytes, transactions: tuple[Transaction, ...]) -> bytes:
-    lines = [b"BLK+%d+" % index + _b64(prev_hash)]
+    """The orderer-signed form: the block header without its signature or
+    terminator, then one TXN line per transaction."""
+    lines = [records.encode("BLK", f"{index}", prev_hash)[:-1]]
     lines += [_txn_line(t) for t in transactions]
     return b"\n".join(lines)
 
@@ -493,7 +478,7 @@ def _block_body(index: int, prev_hash: bytes, transactions: tuple[Transaction, .
 def block_bytes(block: Block) -> bytes:
     """Canonical serialized form: header (with orderer signature) plus one
     TXN line per transaction. prev_hash links digest these bytes."""
-    lines = [_block_header(block) + b"+" + _b64(block.orderer_signature) + b"'"]
+    lines = [records.encode("BLK", f"{block.index}", block.prev_hash, block.orderer_signature)]
     lines += [_txn_line(t) for t in block.transactions]
     return b"\n".join(lines) + b"\n"
 
@@ -507,18 +492,12 @@ def export_chain(net: LedgerNet) -> bytes:
     """Offline-verifiable dump: header, baseline state, every referenced
     certificate (so signatures check without the live net), then blocks."""
     lines = [
-        b"LEDGER+" + CHAIN_VERSION.encode() + b"+" + _escape_token(net.suite.suite_id) + b"'",
-        b"ANCHOR+" + _escape_token(net.orderer_identity) + b"+" + _b64(net.chain[0].prev_hash) + b"'",
+        records.encode("LEDGER", CHAIN_VERSION, net.suite.suite_id),
+        records.encode("ANCHOR", net.orderer_identity, net.chain[0].prev_hash),
     ]
     for cnt_no in sorted(net.baseline_state):
         a = net.baseline_state[cnt_no]
-        lines.append(
-            b"+".join(
-                [b"BASE", _escape_token(a.cnt_no), a.state.value.encode(),
-                 _escape_token(a.shipping_line), _escape_token(a.terminal)]
-            )
-            + b"'"
-        )
+        lines.append(records.encode("BASE", a.cnt_no, a.state.value, a.shipping_line, a.terminal))
     referenced = {net.orderer_identity}
     for block in net.chain:
         for tx in block.transactions:
@@ -572,53 +551,38 @@ def parse_chain(data: bytes) -> ExportedChain:
             blocks.append(Block(current[0], current[1], tuple(txns), current[2]))
         current, txns = None, []
 
-    for line in data.splitlines():
-        if not line:
-            continue
-        segs = _split_segments(line)
-        if len(segs) != 1:
-            raise ParseError("one record per line expected", 0)
-        off, seg = segs[0]
-        elems = _split_elements(seg, off)
-        tag = elems[0][1]
+    for rec in records.decode_lines(data):
+        tag = rec.tag
         if tag == b"LEDGER":
-            if len(elems) != 3 or elems[1][1] != CHAIN_VERSION.encode():
-                raise ParseError("unsupported chain header", off)
-            suite_id = _unescape_token(elems[2][1], 0)
+            rec.need(3)
+            if rec.text(1) != CHAIN_VERSION:
+                raise ParseError("unsupported chain header", rec.offset)
+            suite_id = rec.text(2)
         elif tag == b"ANCHOR":
-            if len(elems) != 3:
-                raise ParseError("malformed ANCHOR", off)
-            orderer = _unescape_token(elems[1][1], 0)
-            baseline_prev = _b64_strict(elems[2][1], elems[2][0])
+            rec.need(3)
+            orderer = rec.text(1)
+            baseline_prev = rec.b64(2)
         elif tag == b"BASE":
-            if len(elems) != 5:
-                raise ParseError("malformed BASE", off)
-            cnt = _unescape_token(elems[1][1], 0)
+            rec.need(5)
+            cnt = rec.text(1)
             try:
-                st = LifecycleState(_unescape_token(elems[2][1], 0))
+                st = LifecycleState(rec.text(2))
             except ValueError:
-                raise ParseError("unknown lifecycle state", elems[2][0]) from None
-            baseline[cnt] = ContainerAsset(
-                cnt, st, _unescape_token(elems[3][1], 0), _unescape_token(elems[4][1], 0)
-            )
+                raise ParseError("unknown lifecycle state", rec.offsets[2]) from None
+            baseline[cnt] = ContainerAsset(cnt, st, rec.text(3), rec.text(4))
         elif tag == b"CERT":
-            cert = cert_from_wire(line)
+            cert = cert_from_record(rec)
             certs[cert.subject] = cert
         elif tag == b"BLK":
             flush()
-            if len(elems) != 4 or not elems[1][1].isdigit():
-                raise ParseError("malformed BLK", off)
-            current = (
-                int(elems[1][1]),
-                _b64_strict(elems[2][1], elems[2][0]),
-                _b64_strict(elems[3][1], elems[3][0]),
-            )
+            rec.need(4)
+            current = (rec.int(1), rec.b64(2), rec.b64(3))
         elif tag == b"TXN":
             if current is None:
-                raise ParseError("TXN before any BLK", off)
-            txns.append(_parse_txn(elems, off, certs))
+                raise ParseError("TXN before any BLK", rec.offset)
+            txns.append(_parse_txn(rec, certs))
         else:
-            raise ParseError(f"unknown chain record {tag!r}", off)
+            raise ParseError(f"unknown chain record {tag!r}", rec.offset)
     flush()
 
     if suite_id is None or orderer is None:
@@ -626,49 +590,25 @@ def parse_chain(data: bytes) -> ExportedChain:
     return ExportedChain(suite_id, orderer, baseline_prev, baseline, certs, tuple(blocks))
 
 
-def _parse_txn(elems, off: int, certs: Mapping[str, Certificate]) -> Transaction:
-    if len(elems) < 7:
-        raise ParseError("malformed TXN", off)
+def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transaction:
     try:
-        action = LedgerAction(_unescape_token(elems[1][1], 0))
+        action = LedgerAction(rec.text(1))
     except ValueError:
-        raise ParseError("unknown ledger action", elems[1][0]) from None
-    cnt_no = _unescape_token(elems[2][1], 0)
-    subject = _unescape_token(elems[3][1], 0)
-    if not elems[4][1].isdigit():
-        raise ParseError("invoker serial must be an integer", elems[4][0])
-    serial = int(elems[4][1])
-    invoker_sig = _b64_strict(elems[5][1], elems[5][0])
-    if not elems[6][1].isdigit():
-        raise ParseError("argument count must be an integer", elems[6][0])
-    argc = int(elems[6][1])
-    pos = 7
-    if len(elems) < pos + 2 * argc + 1:
-        raise ParseError("argument list truncated", off)
-    args = tuple(
-        (_unescape_token(elems[pos + 2 * i][1], 0), _unescape_token(elems[pos + 2 * i + 1][1], 0))
-        for i in range(argc)
-    )
-    pos += 2 * argc
-    if not elems[pos][1].isdigit():
-        raise ParseError("endorsement count must be an integer", elems[pos][0])
-    endc = int(elems[pos][1])
-    pos += 1
-    if len(elems) != pos + 2 * endc:
-        raise ParseError("endorsement list length mismatch", off)
+        raise ParseError("unknown ledger action", rec.offsets[1]) from None
+    subject = rec.text(3)
+    serial = rec.int(4)
+    args_end = 7 + 2 * rec.int(6)
+    rec.need(args_end + 1 + 2 * rec.int(args_end))
+    args = tuple((rec.text(i), rec.text(i + 1)) for i in range(7, args_end, 2))
     endorsements = tuple(
-        (
-            _unescape_token(elems[pos + 2 * i][1], 0),
-            _b64_strict(elems[pos + 2 * i + 1][1], elems[pos + 2 * i + 1][0]),
-        )
-        for i in range(endc)
+        (rec.text(i), rec.b64(i + 1)) for i in range(args_end + 1, len(rec), 2)
     )
     invoker = certs.get(subject)
     if invoker is None:
-        raise ParseError(f"transaction invoker {subject} has no certificate record", off)
+        raise ParseError(f"transaction invoker {subject} has no certificate record", rec.offset)
     if invoker.serial != serial:
-        raise ParseError(f"certificate serial mismatch for {subject}", off)
-    return Transaction(invoker, action, cnt_no, args, invoker_sig, endorsements)
+        raise ParseError(f"certificate serial mismatch for {subject}", rec.offset)
+    return Transaction(invoker, action, rec.text(2), args, rec.b64(5), endorsements)
 
 
 def verify_exported(
@@ -753,11 +693,7 @@ def rollover(net: LedgerNet) -> LedgerNet:
     becomes the new baseline."""
     state_digest = net.suite.digest(
         b"".join(
-            b"+".join(
-                [_escape_token(a.cnt_no), a.state.value.encode(),
-                 _escape_token(a.shipping_line), _escape_token(a.terminal)]
-            )
-            + b"'"
+            records.encode(a.cnt_no, a.state.value, a.shipping_line, a.terminal)
             for a in (net.world_state[k] for k in sorted(net.world_state))
         )
     )

@@ -8,21 +8,18 @@ carried in one of three representations:
   * ``Sealed``   -- digest + authenticated ciphertext + one wrapped symmetric
                     key per authorized reader.
 
-The wire format is a flat segment encoding in the spirit of EDIFACT:
-segments end with ``'``, elements are separated by ``+``, and ``?`` is the
-release character escaping ``+ ' ?`` inside unencoded tokens. Binary
-payloads (digests, ciphertexts, keys, signatures) are base64 with the
-URL-safe alphabet so they never collide with the separator characters.
-Base64 elements must be canonical: a decoded payload must re-encode to the
-exact element text, otherwise the input is rejected.
+The wire format is one line of ``records``: ``MSG``, one ``ATT`` per
+field, one ``SIG`` per signature, then ``SND``. Binary payloads (digests,
+ciphertexts, keys, signatures) travel as canonical base64 elements.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from . import records
+from .records import ModelError, ParseError
 
 CORE_ATTRIBUTES = ("B_NO", "BL_NO", "CNT_C", "CNT_W", "CSG_DATA", "CNT_NO")
 EXTENSION_ATTRIBUTES = ("DG", "CNT_LOC", "ATB_NO", "CLR")
@@ -39,18 +36,6 @@ MESSAGE_TYPES = (
 )
 
 _ATTR_NAME_RE = re.compile(r"^[A-Z0-9_]+$")
-
-
-class ModelError(Exception):
-    """Base class for message-model errors."""
-
-
-class ParseError(ModelError):
-    """Malformed flat input. ``offset`` is the byte offset of the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
-        self.offset = offset
 
 
 class DuplicateAttribute(ModelError):
@@ -196,190 +181,58 @@ class SecuredMessage:
 
 # --- flat segment wire format ---------------------------------------------
 
-_ESCAPABLE = {ord("+"), ord("'"), ord("?")}
 
-
-def _escape_token(token: str) -> bytes:
-    out = bytearray()
-    for b in token.encode("utf-8"):
-        if b in _ESCAPABLE:
-            out.append(ord("?"))
-        out.append(b)
-    return bytes(out)
-
-
-def _b64(data: bytes) -> bytes:
-    return base64.urlsafe_b64encode(data)
-
-
-def _b64_strict(element: bytes, offset: int) -> bytes:
-    """Decode canonical URL-safe base64; reject anything that won't re-encode
-    to the identical text (catches padding-bit and alphabet corruption)."""
-    try:
-        decoded = base64.b64decode(element, altchars=b"-_", validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise ParseError(f"invalid base64 element: {exc}", offset) from None
-    if base64.urlsafe_b64encode(decoded) != element:
-        raise ParseError("non-canonical base64 element", offset)
-    return decoded
-
-
-def _split_segments(data: bytes) -> list[tuple[int, bytes]]:
-    """Split on unescaped ``'``; returns (start offset, raw segment) pairs."""
-    segments = []
-    start = 0
-    i = 0
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if b == ord("?"):
-            if i + 1 >= n:
-                raise ParseError("dangling release character", i)
-            i += 2
-            continue
-        if b == ord("'"):
-            segments.append((start, data[start:i]))
-            start = i + 1
-        i += 1
-    if start != n:
-        raise ParseError("unterminated final segment", n)
-    return segments
-
-
-def _split_elements(segment: bytes, offset: int) -> list[tuple[int, bytes]]:
-    """Split a raw segment on unescaped ``+``; offsets are absolute."""
-    elements = []
-    start = 0
-    i = 0
-    n = len(segment)
-    while i < n:
-        b = segment[i]
-        if b == ord("?"):
-            i += 2
-            continue
-        if b == ord("+"):
-            elements.append((offset + start, segment[start:i]))
-            start = i + 1
-        i += 1
-    elements.append((offset + start, segment[start:]))
-    return elements
-
-
-def _unescape_token(raw: bytes, offset: int) -> str:
-    out = bytearray()
-    i = 0
-    n = len(raw)
-    while i < n:
-        b = raw[i]
-        if b == ord("?"):
-            if i + 1 >= n:
-                raise ParseError("dangling release character", offset + i)
-            nxt = raw[i + 1]
-            if nxt not in _ESCAPABLE:
-                raise ParseError("release character before non-special byte", offset + i)
-            out.append(nxt)
-            i += 2
-        elif b in _ESCAPABLE:
-            raise ParseError("unescaped special character in token", offset + i)
-        else:
-            out.append(b)
-            i += 1
-    try:
-        return out.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"token is not valid UTF-8: {exc}", offset) from None
-
-
-def _field_segment(name: str, value: FieldValue) -> bytes:
-    parts = [b"ATT", _escape_token(name)]
+def _field_record(name: str, value: FieldValue) -> bytes:
     if isinstance(value, Plain):
-        parts += [b"P", _b64(canonical_bytes(value.text))]
-    elif isinstance(value, HashOnly):
-        parts += [b"H", _b64(value.digest)]
-    elif isinstance(value, Sealed):
-        parts += [b"S", _b64(value.digest), _b64(value.ciphertext)]
-        readers = sorted(value.wrapped_keys)
-        parts.append(b"%03d" % len(readers))
-        for reader in readers:
-            parts += [_escape_token(reader), _b64(value.wrapped_keys[reader])]
-    else:  # pragma: no cover - union is closed
-        raise TypeError(f"unknown field value {value!r}")
-    return b"+".join(parts) + b"'"
+        return records.encode("ATT", name, "P", canonical_bytes(value.text))
+    if isinstance(value, HashOnly):
+        return records.encode("ATT", name, "H", value.digest)
+    readers = sorted(value.wrapped_keys)
+    keys = [e for r in readers for e in (r, value.wrapped_keys[r])]
+    return records.encode(
+        "ATT", name, "S", value.digest, value.ciphertext, f"{len(readers):03d}", *keys
+    )
 
 
 def to_flat(sm: SecuredMessage) -> bytes:
     """Serialize to the flat segment format. Deterministic: wrapped-key maps
     are emitted in sorted reader order."""
-    out = [
-        b"+".join(
-            [b"MSG", _escape_token(sm.message.msg_type), _escape_token(sm.message.instance_id)]
-        )
-        + b"'"
-    ]
-    for name, value in sm.message.fields:
-        out.append(_field_segment(name, value))
-    for s in sm.signatures:
-        out.append(
-            b"+".join(
-                [b"SIG", _escape_token(s.signer), _escape_token(",".join(s.attrs)), _b64(s.sig)]
-            )
-            + b"'"
-        )
-    out.append(b"+".join([b"SND", _escape_token(sm.sender)]) + b"'")
+    out = [records.encode("MSG", sm.message.msg_type, sm.message.instance_id)]
+    out += [_field_record(name, value) for name, value in sm.message.fields]
+    out += [records.encode("SIG", s.signer, ",".join(s.attrs), s.sig) for s in sm.signatures]
+    out.append(records.encode("SND", sm.sender))
     return b"".join(out)
 
 
-def _parse_att(elements: list[tuple[int, bytes]], seg_offset: int) -> tuple[str, FieldValue]:
-    if len(elements) < 3:
-        raise ParseError("ATT segment needs attribute name and representation", seg_offset)
-    name = _unescape_token(*_swap(elements[1]))
+def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
+    name = rec.text(1)
     try:
         validate_attribute_name(name)
     except InvariantViolation as exc:
-        raise ParseError(str(exc), elements[1][0]) from None
-    repr_code = elements[2][1]
-    payload = elements[3:]
-    if repr_code == b"P":
-        if len(payload) != 1:
-            raise ParseError("Plain field takes exactly one payload element", seg_offset)
-        raw = _b64_strict(payload[0][1], payload[0][0])
+        raise ParseError(str(exc), rec.offsets[1]) from None
+    code = rec.text(2)
+    if code == "P":
+        rec.need(4)
         try:
-            text = raw.decode("utf-8")
+            return name, Plain(rec.b64(3).decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise ParseError(f"plain payload is not UTF-8: {exc}", payload[0][0]) from None
-        return name, Plain(text)
-    if repr_code == b"H":
-        if len(payload) != 1:
-            raise ParseError("HashOnly field takes exactly one digest element", seg_offset)
-        return name, HashOnly(_b64_strict(payload[0][1], payload[0][0]))
-    if repr_code == b"S":
-        if len(payload) < 3:
-            raise ParseError("Sealed field needs digest, ciphertext and count", seg_offset)
-        digest = _b64_strict(payload[0][1], payload[0][0])
-        ciphertext = _b64_strict(payload[1][1], payload[1][0])
-        count_off, count_raw = payload[2]
-        if not count_raw.isdigit():
-            raise ParseError("wrapped-key count must be decimal digits", count_off)
-        count = int(count_raw)
-        pairs = payload[3:]
+            raise ParseError(f"plain payload is not UTF-8: {exc}", rec.offsets[3]) from None
+    if code == "H":
+        rec.need(4)
+        return name, HashOnly(rec.b64(3))
+    if code == "S":
+        count = rec.int(5)
         if count < 1:
-            raise ParseError("Sealed field needs at least one wrapped key", count_off)
-        if len(pairs) != 2 * count:
-            raise ParseError(
-                f"expected {count} wrapped-key pairs, found {len(pairs) // 2}", count_off
-            )
+            raise ParseError("Sealed field needs at least one wrapped key", rec.offsets[5])
+        rec.need(6 + 2 * count)
         wrapped: dict[str, bytes] = {}
-        for i in range(count):
-            reader = _unescape_token(*_swap(pairs[2 * i]))
+        for i in range(6, len(rec), 2):
+            reader = rec.text(i)
             if reader in wrapped:
-                raise ParseError(f"duplicate wrapped-key reader {reader}", pairs[2 * i][0])
-            wrapped[reader] = _b64_strict(pairs[2 * i + 1][1], pairs[2 * i + 1][0])
-        return name, Sealed(digest, ciphertext, wrapped)
-    raise ParseError(f"unknown field representation {repr_code!r}", elements[2][0])
-
-
-def _swap(pair: tuple[int, bytes]) -> tuple[bytes, int]:
-    return pair[1], pair[0]
+                raise ParseError(f"duplicate wrapped-key reader {reader}", rec.offsets[i])
+            wrapped[reader] = rec.b64(i + 1)
+        return name, Sealed(rec.b64(3), rec.b64(4), wrapped)
+    raise ParseError(f"unknown field representation {code!r}", rec.offsets[2])
 
 
 def from_flat(data: bytes) -> SecuredMessage:
@@ -388,60 +241,47 @@ def from_flat(data: bytes) -> SecuredMessage:
     Raises ParseError (with byte offset), DuplicateAttribute, or
     UnknownSegmentTag.
     """
-    segments = _split_segments(data)
-    if not segments:
+    recs = records.decode(data)
+    if not recs:
         raise ParseError("empty input", 0)
 
-    first_off, first = segments[0]
-    first_elems = _split_elements(first, first_off)
-    if first_elems[0][1] != b"MSG":
-        if first_elems[0][1] not in (b"ATT", b"SIG", b"SND"):
-            raise UnknownSegmentTag(
-                f"unknown segment tag {first_elems[0][1]!r} at byte {first_off}"
-            )
-        raise ParseError("first segment must be MSG", first_off)
-    if len(first_elems) != 3:
-        raise ParseError("MSG segment takes message type and instance id", first_off)
-    msg_type = _unescape_token(*_swap(first_elems[1]))
-    instance_id = _unescape_token(*_swap(first_elems[2]))
+    first = recs[0]
+    if first.tag != b"MSG":
+        if first.tag not in (b"ATT", b"SIG", b"SND"):
+            raise UnknownSegmentTag(f"unknown segment tag {first.tag!r} at byte {first.offset}")
+        raise ParseError("first segment must be MSG", first.offset)
+    first.need(3)
+    msg_type, instance_id = first.text(1), first.text(2)
 
     fields: list[tuple[str, FieldValue]] = []
     seen: set[str] = set()
     signatures: list[AttributeSignature] = []
     sender: str | None = None
 
-    for seg_off, segment in segments[1:]:
-        elems = _split_elements(segment, seg_off)
-        tag = elems[0][1]
+    for rec in recs[1:]:
+        tag = rec.tag
         if tag == b"ATT":
-            name, value = _parse_att(elems, seg_off)
+            name, value = _parse_att(rec)
             if name in seen:
                 raise DuplicateAttribute(f"duplicate attribute {name}")
             seen.add(name)
             fields.append((name, value))
         elif tag == b"SIG":
-            if len(elems) != 4:
-                raise ParseError("SIG segment takes signer, attribute csv, signature", seg_off)
-            signer = _unescape_token(*_swap(elems[1]))
-            csv = _unescape_token(*_swap(elems[2]))
-            attrs = tuple(csv.split(","))
-            sig = _b64_strict(elems[3][1], elems[3][0])
+            rec.need(4)
+            attrs = tuple(rec.text(2).split(","))
             try:
-                signatures.append(AttributeSignature(signer, attrs, sig))
-            except (InvariantViolation, DuplicateAttribute) as exc:
-                if isinstance(exc, DuplicateAttribute):
-                    raise
-                raise ParseError(str(exc), seg_off) from None
+                signatures.append(AttributeSignature(rec.text(1), attrs, rec.b64(3)))
+            except InvariantViolation as exc:
+                raise ParseError(str(exc), rec.offset) from None
         elif tag == b"SND":
-            if len(elems) != 2:
-                raise ParseError("SND segment takes one sender element", seg_off)
+            rec.need(2)
             if sender is not None:
-                raise ParseError("duplicate SND segment", seg_off)
-            sender = _unescape_token(*_swap(elems[1]))
+                raise ParseError("duplicate SND segment", rec.offset)
+            sender = rec.text(1)
         elif tag == b"MSG":
-            raise ParseError("duplicate MSG segment", seg_off)
+            raise ParseError("duplicate MSG segment", rec.offset)
         else:
-            raise UnknownSegmentTag(f"unknown segment tag {tag!r} at byte {seg_off}")
+            raise UnknownSegmentTag(f"unknown segment tag {tag!r} at byte {rec.offset}")
 
     if sender is None:
         raise ParseError("missing SND segment", len(data))

@@ -13,8 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
-from .model import ParseError, _b64, _b64_strict, _escape_token, _split_elements, _split_segments, _unescape_token
+from .records import ParseError
 
 #: Role token carried by certificate-authority certificates.
 CA_ROLE = "CA"
@@ -54,8 +55,9 @@ class Certificate:
     signature: bytes
 
     def body_bytes(self) -> bytes:
-        """Canonical signed portion: the wire record minus the signature."""
-        return _cert_elements(self, with_sig=False)
+        """Canonical signed portion: the wire record minus the signature
+        and the terminator."""
+        return records.encode(*_cert_fields(self))[:-1]
 
     def covers(self, at: int) -> bool:
         return self.not_before <= at <= self.not_after
@@ -124,21 +126,11 @@ class CaState:
         self.revoked.add(serial)
 
 
-def _cert_elements(cert: Certificate, with_sig: bool) -> bytes:
-    parts = [
-        b"CERT",
-        b"%d" % cert.serial,
-        _escape_token(cert.subject),
-        _escape_token(cert.org),
-        _escape_token(cert.role),
-        _escape_token(cert.issuer),
-        b"%d" % cert.not_before,
-        b"%d" % cert.not_after,
-        _b64(cert.public_key),
-    ]
-    if with_sig:
-        parts.append(_b64(cert.signature))
-    return b"+".join(parts)
+def _cert_fields(cert: Certificate) -> tuple:
+    return (
+        "CERT", f"{cert.serial}", cert.subject, cert.org, cert.role, cert.issuer,
+        f"{cert.not_before}", f"{cert.not_after}", cert.public_key,
+    )
 
 
 def _signed_cert(suite: CryptoSuite, signer: KeyPair, **fields) -> Certificate:
@@ -149,32 +141,31 @@ def _signed_cert(suite: CryptoSuite, signer: KeyPair, **fields) -> Certificate:
 
 def cert_to_wire(cert: Certificate) -> bytes:
     """`CERT+serial+subject+org+role+issuer+nb+na+pubkey+sig'`"""
-    return _cert_elements(cert, with_sig=True) + b"'"
+    return records.encode(*_cert_fields(cert), cert.signature)
+
+
+def cert_from_record(rec: records.Record) -> Certificate:
+    if rec.tag != b"CERT":
+        raise ParseError("expected a CERT record", rec.offset)
+    rec.need(10)
+    return Certificate(
+        serial=rec.int(1),
+        subject=rec.text(2),
+        org=rec.text(3),
+        role=rec.text(4),
+        issuer=rec.text(5),
+        not_before=rec.int(6),
+        not_after=rec.int(7),
+        public_key=rec.b64(8),
+        signature=rec.b64(9),
+    )
 
 
 def cert_from_wire(data: bytes) -> Certificate:
-    segments = _split_segments(data)
-    if len(segments) != 1:
-        raise ParseError("expected exactly one CERT segment", 0)
-    off, seg = segments[0]
-    elems = _split_elements(seg, off)
-    if elems[0][1] != b"CERT" or len(elems) != 10:
-        raise ParseError("malformed CERT segment", off)
-    texts = [_unescape_token(e[1], e[0]) for e in elems[1:9]]
-    for idx in (0, 5, 6):
-        if not texts[idx].lstrip("-").isdigit():
-            raise ParseError(f"expected integer, got {texts[idx]!r}", elems[idx + 1][0])
-    return Certificate(
-        serial=int(texts[0]),
-        subject=texts[1],
-        org=texts[2],
-        role=texts[3],
-        issuer=texts[4],
-        not_before=int(texts[5]),
-        not_after=int(texts[6]),
-        public_key=_b64_strict(elems[8][1], elems[8][0]),
-        signature=_b64_strict(elems[9][1], elems[9][0]),
-    )
+    recs = records.decode(data)
+    if len(recs) != 1:
+        raise ParseError("expected exactly one CERT record", recs[1].offset if recs else 0)
+    return cert_from_record(recs[0])
 
 
 def create_root(

@@ -6,8 +6,7 @@ therefore which representation an attribute takes on the wire); write
 permissions drive integrity (whose signature can vouch for an attribute).
 
 A protection plan answers, for a concrete send: which attributes travel
-PLAIN, which are SEALED and for whom, which are reduced to HASH_ONLY, and
-which roles' signatures must cover each attribute.
+PLAIN, which are SEALED and for whom, and which are reduced to HASH_ONLY.
 """
 
 from __future__ import annotations
@@ -125,37 +124,15 @@ class AccessMatrix:
 
 @dataclass(frozen=True)
 class ProtectionPlan:
-    """Per-attribute wire decisions plus the signature duties they imply.
-
-    ``carried_signature_requirements`` lists one (role, reason) pair per
-    eligible writer per attribute: any one of the listed roles satisfies
-    the write-coverage duty its reason names.
-    """
+    """Per-attribute wire decisions for one send."""
 
     decisions: tuple[tuple[str, Decision], ...]
-    required_writer_roles: tuple[tuple[str, frozenset[Role]], ...]
-    carried_signature_requirements: frozenset[tuple[Role, str]]
 
     def decision(self, attribute: str) -> Decision:
         for name, d in self.decisions:
             if name == attribute:
                 return d
         raise KeyError(attribute)
-
-    def writers(self, attribute: str) -> frozenset[Role]:
-        for name, ws in self.required_writer_roles:
-            if name == attribute:
-                return ws
-        raise KeyError(attribute)
-
-    def serialize(self) -> bytes:
-        """Deterministic line form, one PLAN segment per attribute."""
-        lines = []
-        for name, d in self.decisions:
-            readers = ",".join(sorted(r.value for r in d.readers))
-            writers = ",".join(sorted(r.value for r in self.writers(name)))
-            lines.append(f"PLAN+{name}+{d.kind.value}+{readers}+{writers}'")
-        return "\n".join(lines).encode("utf-8") + b"\n"
 
 
 def load_policy(document: bytes | str) -> AccessMatrix:
@@ -214,18 +191,6 @@ def load_policy(document: bytes | str) -> AccessMatrix:
     return matrix
 
 
-def check(matrix: AccessMatrix, role: Role, attribute: str, action: Action) -> bool:
-    return matrix.check(role, attribute, action)
-
-
-def writers_of(matrix: AccessMatrix, attribute: str) -> frozenset[Role]:
-    return matrix.writers_of(attribute)
-
-
-def readers_of(matrix: AccessMatrix, attribute: str) -> frozenset[Role]:
-    return matrix.readers_of(attribute)
-
-
 def protection_plan(
     matrix: AccessMatrix,
     sender: Role,
@@ -242,8 +207,6 @@ def protection_plan(
     """
     downstream = frozenset(Role(r) for r in downstream_readers)
     decisions: list[tuple[str, Decision]] = []
-    writers: list[tuple[str, frozenset[Role]]] = []
-    duties: set[tuple[Role, str]] = set()
     for attr in attributes:
         if matrix.check(receiver, attr, Action.READ):
             d = Decision(PlanKind.PLAIN)
@@ -259,10 +222,7 @@ def protection_plan(
                 f"{Role(sender).value} may not read {attr} but would send it {d.kind.value}"
             )
         decisions.append((attr, d))
-        ws = matrix.writers_of(attr)
-        writers.append((attr, ws))
-        duties.update((w, f"write-coverage:{attr}") for w in ws)
-    return ProtectionPlan(tuple(decisions), tuple(writers), frozenset(duties))
+    return ProtectionPlan(tuple(decisions))
 
 
 DEFAULT_POLICY_TEXT = """\

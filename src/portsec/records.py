@@ -1,0 +1,176 @@
+"""The record grammar shared by every portsec wire and file format.
+
+A record is ``TAG+elem+elem'`` in the EDIFACT style (ISO 9735): ``+``
+separates elements, ``'`` ends the record, and ``?`` is the release
+character that escapes ``+ ' ?`` inside a text element. Binary elements
+travel as URL-safe base64, whose alphabet never collides with the
+separators, and must be canonical: a decoded payload must re-encode to the
+exact element text.
+
+The message wire is one line of records (``decode``); the file formats hold
+one record per line (``decode_lines``). Decoding is lazy: a ``Record``
+keeps its raw elements and unescapes or base64-decodes one only when asked.
+Every decoding error is a ``ParseError`` carrying the byte offset of the
+problem, counted from the start of the input.
+"""
+
+from __future__ import annotations
+
+import base64
+import binascii
+import re
+from typing import Iterator
+
+# One scan finds every release pair (or a dangling release) and separator.
+_SCAN = re.compile(rb"\?[\s\S]?|['+]")
+_RELEASED = re.compile(rb"\?([\s\S])")
+_ESCAPES = str.maketrans({c: "?" + c for c in "+'?"})
+_LINE = re.compile(rb"[^\r\n]+")
+_RELEASE, _PLUS = ord("?"), ord("+")
+
+
+class ModelError(Exception):
+    """Base class for message-model and record errors."""
+
+
+class ParseError(ModelError):
+    """Malformed input. ``offset`` is the byte offset of the problem."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at byte {offset})")
+        self.offset = offset
+
+
+def encode(tag: str, *elems: str | bytes) -> bytes:
+    """``TAG+elem+…'``: text (the tag included) is escaped, bytes become
+    canonical base64. Numbers are passed as their text."""
+    parts = []
+    for e in (tag, *elems):
+        if isinstance(e, bytes):
+            parts.append(base64.urlsafe_b64encode(e))
+        elif "?" in e or "+" in e or "'" in e:
+            parts.append(e.translate(_ESCAPES).encode())
+        else:
+            parts.append(e.encode())
+    return b"+".join(parts) + b"'"
+
+
+class Record:
+    """One decoded record: raw elements, tag first, with their offsets."""
+
+    __slots__ = ("elems", "offsets", "released")
+
+    def __init__(self, elems: list[bytes], offsets: list[int], released: set[int]):
+        self.elems = elems
+        self.offsets = offsets
+        self.released = released  # indices of elements holding a release pair
+
+    @property
+    def tag(self) -> bytes:
+        return self.elems[0]
+
+    @property
+    def offset(self) -> int:
+        return self.offsets[0]
+
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def _name(self) -> str:
+        return self.tag.decode("utf-8", "replace")
+
+    def need(self, n: int) -> None:
+        """Require exactly ``n`` elements, the tag included."""
+        if len(self.elems) != n:
+            raise ParseError(
+                f"{self._name()} record takes {n - 1} elements, found {len(self.elems) - 1}",
+                self.offset,
+            )
+
+    def _raw(self, i: int) -> bytes:
+        if i >= len(self.elems):
+            end = self.offsets[-1] + len(self.elems[-1])
+            raise ParseError(f"{self._name()} record has no element {i}", end)
+        return self.elems[i]
+
+    def text(self, i: int) -> str:
+        raw, offset = self._raw(i), self.offsets[i]
+        if i in self.released:
+            for m in _RELEASED.finditer(raw):
+                if m.group(1) not in b"+'?":
+                    raise ParseError(
+                        "release character before non-special byte", offset + m.start()
+                    )
+            raw = _RELEASED.sub(rb"\1", raw)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"token is not valid UTF-8: {exc}", offset) from None
+
+    def b64(self, i: int) -> bytes:
+        raw, offset = self._raw(i), self.offsets[i]
+        try:
+            decoded = base64.b64decode(raw, altchars=b"-_", validate=True)
+        except (binascii.Error, ValueError) as exc:
+            raise ParseError(f"invalid base64 element: {exc}", offset) from None
+        if base64.urlsafe_b64encode(decoded) != raw:
+            raise ParseError("non-canonical base64 element", offset)
+        return decoded
+
+    def int(self, i: int) -> int:
+        """A non-negative decimal integer."""
+        raw = self._raw(i)
+        try:
+            if raw.isdigit():
+                return int(raw)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+        raise ParseError(f"expected a decimal integer, got {raw[:20]!r}", self.offsets[i])
+
+
+def _scan(data: bytes, start: int, end: int) -> list[Record]:
+    """Split ``data[start:end]`` into records; offsets are absolute."""
+    records = []
+    elems: list[bytes] = []
+    offsets = [start]
+    released: set[int] = set()
+    for m in _SCAN.finditer(data, start, end):
+        at = m.start()
+        sep = data[at]
+        if sep == _RELEASE:
+            if m.end() - at == 1:
+                raise ParseError("dangling release character", at)
+            released.add(len(elems))
+            continue
+        elems.append(data[start:at])
+        start = at + 1
+        if sep == _PLUS:
+            offsets.append(start)
+        else:
+            records.append(Record(elems, offsets, released))
+            elems, offsets, released = [], [start], set()
+    if elems or start != end:
+        raise ParseError("unterminated final segment", end)
+    return records
+
+
+def decode(data: bytes) -> list[Record]:
+    """All records of a one-line message wire, in order."""
+    return _scan(data, 0, len(data))
+
+
+def decode_lines(data: bytes) -> Iterator[Record]:
+    """One record per non-blank line of a file; surrounding whitespace on a
+    line is ignored."""
+    for m in _LINE.finditer(data):
+        start, end = m.span()
+        while start < end and data[start] in b" \t\v\f":
+            start += 1
+        while end > start and data[end - 1] in b" \t\v\f":
+            end -= 1
+        if start == end:
+            continue
+        found = _scan(data, start, end)
+        if len(found) != 1:
+            raise ParseError("one record per line expected", found[1].offset)
+        yield found[0]

@@ -11,22 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import records
 from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE, CryptoSuite
-from .model import (
-    Message,
-    ParseError,
-    Sealed,
-    SecuredMessage,
-    _b64,
-    _b64_strict,
-    _escape_token,
-    _split_elements,
-    _split_segments,
-    _unescape_token,
-    from_flat,
-    to_flat,
-)
+from .model import Message, ParseError, Sealed, SecuredMessage, from_flat, to_flat
 
 TRANSCRIPT_VERSION = "1"
 
@@ -138,55 +126,18 @@ class Transcript:
 
 
 def transcript_to_wire(t: Transcript) -> bytes:
-    lines = [
-        b"+".join(
-            [b"TRS", TRANSCRIPT_VERSION.encode(), _escape_token(t.scenario),
-             _escape_token(t.mode), t.verdict.encode()]
-        )
-        + b"'"
-    ]
-    for ident in sorted(t.actors):
-        lines.append(
-            b"ACT+" + _escape_token(ident) + b"+" + _escape_token(t.actors[ident]) + b"'"
-        )
+    lines = [records.encode("TRS", TRANSCRIPT_VERSION, t.scenario, t.mode, t.verdict)]
+    lines += [records.encode("ACT", ident, t.actors[ident]) for ident in sorted(t.actors)]
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            lines.append(
-                b"+".join(
-                    [b"EVT", b"SENT", _escape_token(ev.step), _escape_token(ev.sender),
-                     _escape_token(ev.receiver), _escape_token(ev.msg_type),
-                     _escape_token(ev.instance_id), _b64(ev.flat)]
-                )
-                + b"'"
-            )
+            elems = ("SENT", ev.step, ev.sender, ev.receiver, ev.msg_type, ev.instance_id, ev.flat)
         elif isinstance(ev, ValidatedEvent):
-            report = _b64(ev.report_wire) if ev.report_wire else b""
-            lines.append(
-                b"+".join(
-                    [b"EVT", b"VALIDATED", _escape_token(ev.actor),
-                     _escape_token(ev.msg_type), _escape_token(ev.instance_id),
-                     ev.verdict.encode(), report]
-                )
-                + b"'"
-            )
+            elems = ("VALIDATED", ev.actor, ev.msg_type, ev.instance_id, ev.verdict, ev.report_wire)
         elif isinstance(ev, LedgerEvent):
-            lines.append(
-                b"+".join(
-                    [b"EVT", b"LEDGER", _escape_token(ev.action), _escape_token(ev.cnt_no),
-                     _escape_token(ev.invoker), _escape_token(ev.outcome),
-                     _escape_token(ev.detail)]
-                )
-                + b"'"
-            )
+            elems = ("LEDGER", ev.action, ev.cnt_no, ev.invoker, ev.outcome, ev.detail)
         else:
-            lines.append(
-                b"+".join(
-                    [b"EVT", b"AUDIT", _escape_token(ev.actor),
-                     _escape_token(",".join(ev.attributes)),
-                     b"FLAG" if ev.flagged else b"OK"]
-                )
-                + b"'"
-            )
+            elems = ("AUDIT", ev.actor, ",".join(ev.attributes), "FLAG" if ev.flagged else "OK")
+        lines.append(records.encode("EVT", *elems))
     return b"\n".join(lines) + b"\n"
 
 
@@ -194,50 +145,45 @@ def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire."""
     t: Transcript | None = None
-    for line in data.splitlines():
-        if not line:
-            continue
-        segs = _split_segments(line)
-        if len(segs) != 1:
-            raise ParseError("one transcript record per line expected", 0)
-        off, seg = segs[0]
-        elems = _split_elements(seg, off)
-        tag = elems[0][1]
+    for rec in records.decode_lines(data):
+        tag = rec.tag
         if tag == b"TRS":
-            if len(elems) != 5 or elems[1][1] != TRANSCRIPT_VERSION.encode():
-                raise ParseError("unsupported transcript header", off)
-            t = Transcript(_unescape_token(elems[2][1], 0), _unescape_token(elems[3][1], 0))
+            rec.need(5)
+            if rec.text(1) != TRANSCRIPT_VERSION:
+                raise ParseError("unsupported transcript header", rec.offset)
+            t = Transcript(rec.text(2), rec.text(3))
+        elif tag not in (b"ACT", b"EVT"):
+            raise ParseError(f"unknown transcript record {tag!r}", rec.offset)
+        elif t is None:
+            raise ParseError("record before transcript header", rec.offset)
         elif tag == b"ACT":
-            if t is None or len(elems) != 3:
-                raise ParseError("malformed ACT record", off)
-            t.actors[_unescape_token(elems[1][1], 0)] = _unescape_token(elems[2][1], 0)
-        elif tag == b"EVT":
-            if t is None:
-                raise ParseError("event before transcript header", off)
-            kind = elems[1][1]
-            texts = [_unescape_token(e[1], e[0]) for e in elems[2:]]
-            if kind == b"SENT" and len(elems) == 8:
-                t.events.append(
-                    SentEvent(*texts[:5], flat=_b64_strict(elems[7][1], elems[7][0]))
-                )
-            elif kind == b"VALIDATED" and len(elems) == 7:
-                wire = _b64_strict(elems[6][1], elems[6][0]) if elems[6][1] else b""
-                t.events.append(
-                    ValidatedEvent(texts[0], texts[1], texts[2], texts[3],
-                                   report_wire=wire)
-                )
-            elif kind == b"LEDGER" and len(elems) == 7:
-                t.events.append(LedgerEvent(*texts))
-            elif kind == b"AUDIT" and len(elems) == 5:
-                attrs = tuple(a for a in texts[1].split(",") if a)
-                t.events.append(AuditEvent(texts[0], attrs, texts[2] == "FLAG"))
-            else:
-                raise ParseError(f"malformed event {kind!r}", off)
+            rec.need(3)
+            t.actors[rec.text(1)] = rec.text(2)
         else:
-            raise ParseError(f"unknown transcript record {tag!r}", off)
+            t.events.append(_event(rec))
     if t is None:
         raise ParseError("empty transcript", 0)
     return t
+
+
+def _event(rec: records.Record) -> Event:
+    kind = rec.text(1)
+    if kind == "SENT":
+        rec.need(8)
+        return SentEvent(*(rec.text(i) for i in range(2, 7)), flat=rec.b64(7))
+    if kind == "VALIDATED":
+        rec.need(7)
+        return ValidatedEvent(
+            rec.text(2), rec.text(3), rec.text(4), rec.text(5), report_wire=rec.b64(6)
+        )
+    if kind == "LEDGER":
+        rec.need(7)
+        return LedgerEvent(*(rec.text(i) for i in range(2, 7)))
+    if kind == "AUDIT":
+        rec.need(5)
+        attrs = tuple(a for a in rec.text(3).split(",") if a)
+        return AuditEvent(rec.text(2), attrs, rec.text(4) == "FLAG")
+    raise ParseError(f"unknown event kind {kind!r}", rec.offsets[1])
 
 
 def _mask_randomness(sm: SecuredMessage) -> SecuredMessage:

@@ -141,3 +141,33 @@ def test_file_errors_exit_two(cli_files, capsys):
               "--role", "PIRATE", "--attr", "CNT_C", "--action", "read"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+_CA_WITHOUT_PARENT = b"FIX+1+x'\nCA+x'\n"
+_EVENT_WITHOUT_KIND = b"TRS+1+export+p2p+PASS'\nEVT'\n"
+# SENT event whose flat is base64 of MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
+_SENT_UNKNOWN_TAG = (
+    b"TRS+1+export+p2p+PASS'\nEVT+SENT+s+a+b+ICU+R+TVNHK0lDVStSJ1paWit4J1NORCt0Jw=='\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["run", "--scenario", "export", "--mode", "p2p", "--fixtures"], _CA_WITHOUT_PARENT),
+        (["compare", "--fixtures"], _CA_WITHOUT_PARENT),
+        (["attack", "--scenario", "export", "--spec", "unused.atk", "--fixtures"],
+         _CA_WITHOUT_PARENT),
+        (["audit", "--transcript"], _EVENT_WITHOUT_KIND),
+        (["audit", "--transcript"], _SENT_UNKNOWN_TAG),
+    ],
+    ids=["run-fixture-arity", "compare-fixture-arity", "attack-fixture-arity",
+         "audit-event-arity", "audit-unknown-tag-in-flat"],
+)
+def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as err:
+        main([*argv, str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,103 @@
+"""Every decoder of the record formats fails closed, at the real offset.
+
+Any byte string either parses or raises a ``ModelError``; nothing else
+(``IndexError``, ``ValueError``, ...) may escape. Error offsets count from
+the start of the input, not from the start of the offending line.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from portsec.attacks import attack_from_wire, attack_to_wire, battery
+from portsec.fixtures import fixtures_from_bytes, fixtures_to_bytes
+from portsec.ledger import export_chain, parse_chain
+from portsec.model import ModelError, ParseError, from_flat
+from portsec.pki import cert_from_wire, cert_to_wire
+from portsec.transcript import transcript_from_wire, transcript_to_wire
+
+
+@pytest.fixture(scope="session")
+def honest(base_fixtures, honest_sims):
+    """decoder name -> (decoder, one honest encoding)."""
+    p2p = honest_sims[("export", "p2p")]
+    return {
+        "from_flat": (from_flat, p2p.transcript.sent_events()[1].flat),
+        "cert_from_wire": (cert_from_wire, cert_to_wire(base_fixtures.certs["pcs-op"])),
+        "parse_chain": (parse_chain, export_chain(honest_sims[("import", "ledger")].net)),
+        "fixtures_from_bytes": (fixtures_from_bytes, fixtures_to_bytes(base_fixtures)),
+        "transcript_from_wire": (transcript_from_wire, transcript_to_wire(p2p.transcript)),
+        "attack_from_wire": (attack_from_wire, attack_to_wire(battery("export")[0])),
+    }
+
+
+_RECORD = re.compile(rb"(?:[^'?]|\?[\s\S])*'\n?")
+_special_or_any = st.one_of(st.sampled_from(list(b"+'?\n -0A=")), st.integers(0, 255))
+
+
+def _corrupt(data, honest_bytes: bytes) -> bytes:
+    how = data.draw(st.sampled_from(("bytes", "truncation", "mutation", "respliced")))
+    if how == "bytes":
+        return data.draw(st.binary(max_size=120))
+    if how == "truncation":
+        return honest_bytes[: data.draw(st.integers(0, len(honest_bytes)))]
+    if how == "mutation":
+        i = data.draw(st.integers(0, len(honest_bytes) - 1))
+        return honest_bytes[:i] + bytes([data.draw(_special_or_any)]) + honest_bytes[i + 1:]
+    # Keep one record's tag, rebuild its elements from tokens of the file:
+    # reaches every record parser with the wrong arity or element kinds.
+    recs = _RECORD.findall(honest_bytes)
+    k = data.draw(st.integers(0, len(recs) - 1))
+    pool = sorted(set(re.split(rb"[+'\n]", honest_bytes)) - {b""})[:300]
+    elems = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    tag = recs[k].split(b"+", 1)[0].rstrip(b"'\n")
+    line = b"+".join([tag, *elems]) + b"'" + (b"\n" if recs[k].endswith(b"\n") else b"")
+    return b"".join(recs[:k]) + line + b"".join(recs[k + 1:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_decoders_fail_closed(honest, data):
+    name = data.draw(st.sampled_from(sorted(honest)), label="decoder")
+    decode, honest_bytes = honest[name]
+    blob = _corrupt(data, honest_bytes)
+    try:
+        decode(blob)
+    except ModelError:
+        pass
+
+
+def test_fixture_record_arity_is_checked():
+    with pytest.raises(ParseError) as e:
+        fixtures_from_bytes(b"FIX+1+x'\nRUN+a+b'\n")
+    assert e.value.offset == 9
+
+
+_CHAIN_HEAD = b"LEDGER+1+s'\nANCHOR+o+AA=='\nBLK+0+AA==+AA=='\n"
+
+
+@pytest.mark.parametrize(
+    "decode, data, offset, at",
+    [
+        # sealed field whose wrapped-key count is not a number
+        (from_flat, b"MSG+ICU+RUN1'ATT+B_NO+S+AA==+AA==+x'SND+t'", 34, b"x'"),
+        # not-before is not an integer
+        (cert_from_wire, b"CERT+1+a+b+c+d+x+2+AA==+AA=='", 15, b"x+2"),
+        # TXN whose invoker has no certificate record: the TXN's own offset
+        (parse_chain, _CHAIN_HEAD + b"TXN+CREATE+c+ghost+1+AA==+000+000'\n", 44, b"TXN+"),
+        # release character before an ordinary byte on the second line
+        (fixtures_from_bytes, b"FIX+1+x'\nRUN+abc?d'\n", 16, b"?d"),
+        # event record without its kind: the end of the tag
+        (transcript_from_wire, b"TRS+1+export+p2p+PASS'\nEVT'\n", 26, b"'\n"),
+        # block is not an integer, after a blank first line
+        (attack_from_wire, b"\nATK+TAMPER_FIELD+block+soon'\n", 24, b"soon"),
+    ],
+    ids=["flat", "cert", "chain", "fixtures", "transcript", "attack"],
+)
+def test_error_offsets_are_file_offsets(decode, data, offset, at):
+    assert data[offset:offset + len(at)] == at
+    with pytest.raises(ParseError) as e:
+        decode(data)
+    assert e.value.offset == offset
