@@ -13,9 +13,9 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from . import envelope, records
-from .adapter import FindingCode, Severity
+from .adapter import FindingCode, Severity, _views
 from .audit import audit_views
-from .envelope import DigestView, PlainView, value_digest
+from .envelope import value_digest
 from .fixtures import FixtureSet, build_world
 from .ledger import (
     LedgerAction,
@@ -120,11 +120,7 @@ def substitute_signer(sm: SecuredMessage, old_signer: str, key_pair, identity, s
     for s in sm.signatures:
         if s.signer == old_signer and not hit:
             hit = True
-            views = []
-            for a in s.attrs:
-                v = sm.message.get(a)
-                views.append((a, PlainView(v.text) if isinstance(v, Plain) else DigestView(v.digest)))
-            s = envelope.multi_sign_views(key_pair, views, suite=suite)
+            s = envelope.multi_sign_views(key_pair, _views(sm.message, s.attrs), suite=suite)
             s = replace(s, signer=identity)
         sigs.append(s)
     if not hit:
@@ -311,7 +307,7 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
 
 def _flip_block_byte(data: bytes, block: int) -> bytes:
     """Flip one byte inside the prev-hash element of the given block."""
-    marker = b"BLK+%d+" % block
+    marker = records.encode("BLK", f"{block}", "")[:-1]
     start = 0
     for line in data.split(b"\n"):
         if line.startswith(marker):

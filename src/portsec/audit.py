@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Plain, Sealed, from_flat
+from .model import Plain, Sealed
 from .policy import AccessMatrix, Action, Role, default_matrix
 from .transcript import LedgerEvent, SentEvent, Transcript
 
@@ -49,7 +49,7 @@ def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> A
 
     for ev in transcript.events:
         if isinstance(ev, SentEvent):
-            sm = from_flat(ev.flat)
+            sm = ev.secured()
             s_exp, s_han = touch(ev.sender)
             r_exp, r_han = touch(ev.receiver)
             for name, value in sm.message.fields:

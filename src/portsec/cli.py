@@ -81,7 +81,7 @@ def cmd_attack(args) -> int:
 
     try:
         transcript, report = inject_attack(fixtures, args.scenario, spec, args.mode)
-    except (ScenarioError, TargetUnresolved) as exc:
+    except (ScenarioError, FixtureError, TargetUnresolved) as exc:
         return _fail(f"{exc}")
     status = "DETECTED" if report.detected else "UNDETECTED"
     print(f"ATTACK {report.kind.value} {report.scenario} {report.mode} {status}")
@@ -110,7 +110,10 @@ def cmd_audit(args) -> int:
 
 def cmd_compare(args) -> int:
     fixtures = _load_fixtures(args.fixtures)
-    report = compare_modes(fixtures)
+    try:
+        report = compare_modes(fixtures)
+    except (ScenarioError, FixtureError) as exc:
+        return _fail(f"{exc}")
     sys.stdout.write(comparison_to_wire(report).decode("utf-8"))
     return 0 if report.verdict == "PASS" else 1
 

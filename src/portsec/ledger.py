@@ -203,6 +203,29 @@ class ChainVerification:
         return self.valid
 
 
+@dataclass(frozen=True)
+class _Verified:
+    """What the last valid ``verify_chain`` of a live net checked."""
+
+    head: bytes  # export head: the LEDGER, ANCHOR, BASE and CERT lines
+    blocks: tuple[Block, ...]
+    last_digest: bytes  # digest of the last checked block's bytes
+    state: dict[str, ContainerAsset]  # gate replay state after that block
+    policy: EndorsementPolicy
+    suite: CryptoSuite
+
+    def covers_prefix_of(self, net: "LedgerNet", head: bytes) -> bool:
+        """Still true of ``net``: same head bytes, policy and suite
+        objects, and the chain starts with the very blocks checked."""
+        return (
+            head == self.head
+            and net.endorsement_policy is self.policy
+            and net.suite is self.suite
+            and len(net.chain) >= len(self.blocks)
+            and all(a is b for a, b in zip(net.chain, self.blocks))
+        )
+
+
 @dataclass
 class LedgerNet:
     """One logical copy of the shared ledger. Single-writer access assumed."""
@@ -219,6 +242,7 @@ class LedgerNet:
     baseline_state: dict[str, ContainerAsset] = field(default_factory=dict)
     chain: list[Block] = field(default_factory=list)
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
+    _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def create_net(
@@ -491,6 +515,15 @@ def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tupl
 def export_chain(net: LedgerNet) -> bytes:
     """Offline-verifiable dump: header, baseline state, every referenced
     certificate (so signatures check without the live net), then blocks."""
+    return _export_head(net) + _blocks_bytes(net.chain)
+
+
+def _blocks_bytes(blocks: Iterable[Block]) -> bytes:
+    return b"".join(block_bytes(b) for b in blocks)
+
+
+def _export_head(net: LedgerNet) -> bytes:
+    """The export's LEDGER, ANCHOR, BASE and CERT lines."""
     lines = [
         records.encode("LEDGER", CHAIN_VERSION, net.suite.suite_id),
         records.encode("ANCHOR", net.orderer_identity, net.chain[0].prev_hash),
@@ -509,8 +542,7 @@ def export_chain(net: LedgerNet) -> bytes:
             if cert.subject not in emitted:
                 emitted.add(cert.subject)
                 lines.append(cert_to_wire(cert))
-    body = b"\n".join(lines) + b"\n"
-    return body + b"".join(block_bytes(b) for b in net.chain)
+    return b"\n".join(lines) + b"\n"
 
 
 def _cert_with_issuers(net: LedgerNet, ident: str) -> list[Certificate]:
@@ -618,7 +650,17 @@ def verify_exported(
 ) -> ChainVerification:
     """Full offline audit: certificate integrity, hash links, orderer and
     transaction signatures, endorsement quotas, and gate-respecting replay."""
-    policy = endorsement_policy or EndorsementPolicy.default()
+    bad_head = _check_head(exported, suite)
+    if bad_head is not None:
+        return bad_head
+    return _verify_blocks(
+        exported, 0, exported.baseline_prev, dict(exported.baseline_state),
+        endorsement_policy or EndorsementPolicy.default(), suite,
+    )
+
+
+def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerification | None:
+    """The checks that precede the blocks; None when all pass."""
     if exported.suite_id != suite.suite_id:
         return ChainVerification(False, None, f"suite mismatch: {exported.suite_id}")
 
@@ -631,19 +673,32 @@ def verify_exported(
         ):
             return ChainVerification(False, None, f"{cert.subject}: certificate signature broken")
 
-    orderer_cert = exported.certs.get(exported.orderer_identity)
-    if orderer_cert is None:
+    if exported.orderer_identity not in exported.certs:
         return ChainVerification(False, None, "orderer certificate missing")
 
     if not exported.blocks:
         return ChainVerification(False, None, "empty chain")
-    state = dict(exported.baseline_state)
-    for pos, block in enumerate(exported.blocks):
+    return None
+
+
+def _verify_blocks(
+    exported: ExportedChain,
+    start: int,
+    prev: bytes,
+    state: dict[str, ContainerAsset],
+    policy: EndorsementPolicy,
+    suite: CryptoSuite,
+) -> ChainVerification:
+    """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
+    ...; the first must link to ``prev``. Each transaction is replayed into
+    ``state`` through the gates."""
+    orderer_cert = exported.certs[exported.orderer_identity]
+    for pos, block in enumerate(exported.blocks, start):
         idx = block.index
         if idx != pos:
             return ChainVerification(False, idx, "non-consecutive block index")
-        expected_prev = exported.baseline_prev if pos == 0 else suite.digest(
-            block_bytes(exported.blocks[pos - 1])
+        expected_prev = prev if pos == start else suite.digest(
+            block_bytes(exported.blocks[pos - start - 1])
         )
         if block.prev_hash != expected_prev:
             return ChainVerification(False, idx, "previous-hash link broken")
@@ -673,17 +728,33 @@ def verify_exported(
 
 
 def verify_chain(net: LedgerNet) -> ChainVerification:
-    """Audit the live net and confirm the world state is the replay."""
-    exported = parse_chain(export_chain(net))
-    res = verify_exported(exported, net.endorsement_policy, net.suite)
+    """Audit the live net and confirm the world state is the gate replay.
+
+    The checks are those of ``verify_exported`` on the net's export, but
+    while the record of the last valid call still covers a prefix of the
+    chain (``_Verified.covers_prefix_of``) only the blocks after it are
+    exported, parsed and checked, starting from the recorded state.
+    """
+    head = _export_head(net)
+    seen = net._verified
+    if seen is not None and seen.covers_prefix_of(net, head):
+        start, prev, state = len(seen.blocks), seen.last_digest, dict(seen.state)
+        exported = parse_chain(head + _blocks_bytes(net.chain[start:]))
+    else:
+        exported = parse_chain(head + _blocks_bytes(net.chain))
+        bad_head = _check_head(exported, net.suite)
+        if bad_head is not None:
+            return bad_head
+        start, prev, state = 0, exported.baseline_prev, dict(exported.baseline_state)
+    res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
     if not res.valid:
         return res
-    state = dict(net.baseline_state)
-    for block in net.chain:
-        for tx in block.transactions:
-            _apply(tx, state)
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
+    net._verified = _Verified(
+        head, tuple(net.chain), net.suite.digest(block_bytes(net.chain[-1])), state,
+        net.endorsement_policy, net.suite,
+    )
     return ChainVerification(True)
 
 

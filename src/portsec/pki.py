@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from . import records
@@ -204,6 +205,13 @@ def create_subordinate(
     return CaState(kp, cert, suite=suite, parent=parent.name)
 
 
+@lru_cache(maxsize=1024)
+def _link_signed(cert: Certificate, issuer_public_key: bytes, suite: CryptoSuite) -> bool:
+    """Does ``cert``'s signature verify under its issuer's key? Keyed on the
+    whole certificate, signature included, so any edited field misses."""
+    return suite.verify(issuer_public_key, suite.digest(cert.body_bytes()), cert.signature)
+
+
 def validate_chain(
     leaf: Certificate,
     chain: list[Certificate],
@@ -217,7 +225,8 @@ def validate_chain(
     Valid iff every link's signature verifies under its issuer's key, the
     top certificate is the given trust anchor, no link's serial sits in its
     issuer's revocation list, and ``at`` lies within every validity window.
-    Checks run in that order and report the first failure.
+    Checks run in that order and report the first failure. Only the link
+    signature checks are memoised; the rest runs on every call.
     """
     links = [leaf, *chain]
     if links[-1] != trust_anchor:
@@ -236,8 +245,7 @@ def validate_chain(
                 FailureReason.BROKEN_SIGNATURE,
                 f"{cert.subject} issued by {cert.issuer}, not {parent.subject}",
             )
-        payload = suite.digest(cert.body_bytes())
-        if not suite.verify(parent.public_key, payload, cert.signature):
+        if not _link_signed(cert, parent.public_key, suite):
             return ChainResult(
                 False, FailureReason.BROKEN_SIGNATURE, f"signature on {cert.subject}"
             )

@@ -299,8 +299,9 @@ class Simulation:
     ) -> tuple[ValidationReport, SecuredMessage]:
         if self.interceptor is not None:
             sm = self.interceptor(step_name, sm)
-        self.transcript.sent(step_name, sender, receiver, sm)
-        received = from_flat(to_flat(sm))  # a real wire round trip every hop
+        flat = to_flat(sm)
+        received = from_flat(flat)  # a real wire round trip every hop
+        self.transcript.sent(step_name, sender, receiver, flat, received)
         report = validate_inbound(
             self.world.adapter(receiver), received, self.world.chain_of(received.sender)
         )

@@ -27,6 +27,12 @@ class SentEvent:
     msg_type: str
     instance_id: str
     flat: bytes
+    #: the decoded ``flat``, kept by live runs so readers skip the decode;
+    #: never on the wire
+    message: SecuredMessage | None = field(default=None, compare=False, repr=False)
+
+    def secured(self) -> SecuredMessage:
+        return self.message if self.message is not None else from_flat(self.flat)
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,11 @@ class Transcript:
     actors: dict[str, str] = field(default_factory=dict)  # identity -> role token
     events: list[Event] = field(default_factory=list)
 
-    def sent(self, step, sender, receiver, sm: SecuredMessage) -> SentEvent:
+    def sent(self, step, sender, receiver, flat: bytes, received: SecuredMessage) -> SentEvent:
+        """Record one hop: its wire bytes and their decoded form."""
         ev = SentEvent(
-            step, sender, receiver, sm.message.msg_type, sm.message.instance_id, to_flat(sm)
+            step, sender, receiver, received.message.msg_type, received.message.instance_id,
+            flat, received,
         )
         self.events.append(ev)
         return ev
@@ -207,7 +215,7 @@ def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> byt
     acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            masked = to_flat(_mask_randomness(from_flat(ev.flat)))
+            masked = to_flat(_mask_randomness(ev.secured()))
             acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
         elif isinstance(ev, ValidatedEvent):
             acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())

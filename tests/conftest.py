@@ -3,7 +3,26 @@ adapter states (stores, nonce maps, CA registries) per test."""
 
 import pytest
 
+from portsec.envelope import CryptoSuite
 from portsec.fixtures import build_world, generate_fixtures
+
+
+class CountingSuite(CryptoSuite):
+    """The default primitives, counting RSA signature verifications."""
+
+    def __init__(self):
+        self.verifies = 0
+
+    def verify(self, public, payload, sig):
+        self.verifies += 1
+        return super().verify(public, payload, sig)
+
+
+@pytest.fixture(scope="session")
+def counting_suite():
+    """Factory: each call gives a fresh suite, so memoised results keyed on
+    the suite start empty."""
+    return CountingSuite
 
 
 @pytest.fixture(scope="session")

@@ -145,6 +145,8 @@ def test_file_errors_exit_two(cli_files, capsys):
 
 _CA_WITHOUT_PARENT = b"FIX+1+x'\nCA+x'\n"
 _EVENT_WITHOUT_KIND = b"TRS+1+export+p2p+PASS'\nEVT'\n"
+# parses, but names no scenario actor and pins an unknown suite
+_THIN_FIXTURE = b"FIX+1+x'\nRUN+a'\n"
 # SENT event whose flat is base64 of MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
 _SENT_UNKNOWN_TAG = (
     b"TRS+1+export+p2p+PASS'\nEVT+SENT+s+a+b+ICU+R+TVNHK0lDVStSJ1paWit4J1NORCt0Jw=='\n"
@@ -156,18 +158,28 @@ _SENT_UNKNOWN_TAG = (
     [
         (["run", "--scenario", "export", "--mode", "p2p", "--fixtures"], _CA_WITHOUT_PARENT),
         (["compare", "--fixtures"], _CA_WITHOUT_PARENT),
-        (["attack", "--scenario", "export", "--spec", "unused.atk", "--fixtures"],
+        (["attack", "--scenario", "export", "--spec", "spec.atk", "--fixtures"],
          _CA_WITHOUT_PARENT),
         (["audit", "--transcript"], _EVENT_WITHOUT_KIND),
         (["audit", "--transcript"], _SENT_UNKNOWN_TAG),
+        (["compare", "--fixtures"], _THIN_FIXTURE),
+        (["attack", "--scenario", "export", "--spec", "spec.atk", "--fixtures"],
+         _THIN_FIXTURE),
     ],
     ids=["run-fixture-arity", "compare-fixture-arity", "attack-fixture-arity",
-         "audit-event-arity", "audit-unknown-tag-in-flat"],
+         "audit-event-arity", "audit-unknown-tag-in-flat", "compare-thin-fixture",
+         "attack-thin-fixture"],
 )
-def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
+def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.atk").write_bytes(
+        attack_to_wire(AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W")) + b"\n"
+    )
     path = tmp_path / "input"
     path.write_bytes(content)
     with pytest.raises(SystemExit) as err:
         main([*argv, str(path)])
     assert err.value.code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error: ")
+    assert "cannot read" not in err_text

@@ -1,8 +1,10 @@
 """Ledger net: chaincode gates, endorsement, chain integrity, replay."""
 
+from dataclasses import replace
+
 import pytest
 
-from portsec.fixtures import build_net
+from portsec.fixtures import build_net, build_world
 from portsec.ledger import (
     GENESIS_PREV,
     ChainInvalidCert,
@@ -426,3 +428,78 @@ def test_commit_error_types_are_ledger_errors():
                 DuplicateEndorsement, InsufficientEndorsements, StaleTransaction,
                 NotVisible):
         assert issubclass(exc, LedgerError)
+
+
+# --- the live verified-prefix watermark ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def counting_world(base_fixtures, counting_suite):
+    return build_world(base_fixtures, suite=counting_suite())
+
+
+@pytest.fixture
+def counted(counting_world):
+    """A world and net under a counting suite, one lifecycle committed and
+    verified, so the net holds a watermark over its five blocks."""
+    world = counting_world
+    net = build_net(world)
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    return world, net
+
+
+def _block_verifies(blocks):
+    """Signature checks one block needs: the orderer's, then per
+    transaction the invoker's and one per endorsement."""
+    return sum(1 + sum(1 + len(tx.endorsements) for tx in b.transactions) for b in blocks)
+
+
+def _verifies_during(suite, call):
+    before = suite.verifies
+    res = call()
+    return res, suite.verifies - before
+
+
+def test_watermark_checks_only_new_blocks(counted):
+    world, net = counted
+    checked = len(net.chain)
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+    assert res.valid, res.reason
+    assert verifies == _block_verifies(net.chain[checked:]) == 12
+
+
+def test_watermark_sees_a_replaced_checked_block(counted):
+    _, net = counted
+    old = net.chain[2]
+    net.chain[2] = replace(old, orderer_signature=bytes([old.orderer_signature[0] ^ 1])
+                           + old.orderer_signature[1:])
+    res = verify_chain(net)
+    assert not res.valid
+    assert res.first_bad_block == 2
+
+
+def test_watermark_still_compares_world_state(counted):
+    _, net = counted
+    net.world_state[CNT] = ContainerAsset(CNT, LifecycleState.CREATED, "SL1", "T1")
+    res = verify_chain(net)
+    assert not res.valid
+    assert "world state" in res.reason
+
+
+def test_watermark_with_no_new_block(counted):
+    world, net = counted
+    res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+    assert res.valid, res.reason
+    assert verifies == 0
+
+
+def test_offline_verify_ignores_the_watermark(counted):
+    world, net = counted
+    exported = parse_chain(export_chain(net))
+    res, verifies = _verifies_during(
+        world.suite, lambda: verify_exported(exported, suite=world.suite)
+    )
+    assert res.valid, res.reason
+    assert verifies == len(exported.certs) + _block_verifies(net.chain)

@@ -162,3 +162,49 @@ def test_wire_rejects_truncation(pki):
     wire = cert_to_wire(pki["clerk"])
     with pytest.raises(ParseError):
         cert_from_wire(wire[:-10])
+
+
+# --- memoised link signatures: only the signature checks are reused ----------
+
+
+@pytest.fixture
+def cached_chain(counting_suite):
+    """A fresh three-link PKI under its own counting suite, whose chain has
+    validated once (so every link signature sits in the memo)."""
+    suite = counting_suite()
+    root = create_root("MemoRoot", validity=(0, 1000), suite=suite)
+    ca = create_subordinate(root, "Memo-CA", validity=(0, 500), suite=suite)
+    kp = suite.generate_keypair("memo-clerk")
+    leaf = ca.issue("memo-clerk", "SL1", "SHIPPING_LINE", suite.public_bytes(kp.public), (0, 400))
+    registry = {c.name: c for c in (root, ca)}
+
+    def check(cert=leaf, at=100):
+        return validate_chain(cert, [ca.cert], root.cert, at=at, ca_registry=registry,
+                              suite=suite)
+
+    assert check().valid
+    return {"check": check, "leaf": leaf, "ca": ca, "suite": suite}
+
+
+def test_cached_chain_sees_revocation(cached_chain):
+    cached_chain["ca"].revoke(cached_chain["leaf"].serial)
+    assert cached_chain["check"]().reason is FailureReason.REVOKED
+
+
+def test_cached_chain_sees_expiry(cached_chain):
+    assert cached_chain["check"](at=401).reason is FailureReason.EXPIRED
+
+
+def test_cached_chain_rejects_edited_leaf(cached_chain):
+    # the genuine signature, but over a body with another role
+    forged = dataclasses.replace(cached_chain["leaf"], role="TERMINAL")
+    res = cached_chain["check"](forged)
+    assert not res.valid
+    assert res.reason is FailureReason.BROKEN_SIGNATURE
+
+
+def test_second_validation_does_no_rsa_verify(cached_chain):
+    suite = cached_chain["suite"]
+    assert suite.verifies == 3  # leaf, CA and root links
+    assert cached_chain["check"]().valid
+    assert suite.verifies == 3

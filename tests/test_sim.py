@@ -282,3 +282,39 @@ def test_stop_on_reject_halts_the_run(base_fixtures):
     assert [r.actor for r in rejected] == ["t1-op"]
     # nothing was forwarded past the rejected hop
     assert all(e.step != "arrival_icu" for e in sim.transcript.sent_events())
+
+
+def test_live_transcript_reads_like_its_wire_form(honest_sims):
+    # live SENT events carry the decoded message; readers must not be able
+    # to tell them from a reloaded transcript, which decodes the flat
+    for key, sim in honest_sims.items():
+        reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
+        assert all(ev.message is None for ev in reloaded.sent_events())
+        assert audit_views(sim.transcript) == audit_views(reloaded), key
+        assert determinism_digest(sim.transcript) == determinism_digest(reloaded), key
+
+
+def test_one_encode_and_one_decode_per_hop(base_fixtures, monkeypatch):
+    from portsec import model, sim as sim_module, transcript
+
+    calls = {"to_flat": 0, "from_flat": 0}
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (sim_module, transcript):
+            monkeypatch.setattr(module, name, wrapper)
+    for scenario in ("export", "import"):
+        for key in calls:
+            calls[key] = 0
+        hops = len(run_scenario(base_fixtures, scenario, "p2p").transcript.sent_events())
+        assert hops > 0
+        assert calls == {"to_flat": hops, "from_flat": hops}, scenario
