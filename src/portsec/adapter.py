@@ -140,14 +140,9 @@ class AdapterState:
     ca_registry: Mapping[str, CaState]
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
     clock: int = 0
-    nonce_reuse_rejects: bool = False
     suite: CryptoSuite = DEFAULT_SUITE
     signature_store: list[StoreRecord] = field(default_factory=list)
     seen_booking_numbers: dict[bytes, str] = field(default_factory=dict)
-
-    @property
-    def leaf_cert(self) -> Certificate:
-        return self.cert_chain[0]
 
 
 def _field_digest(value: FieldValue, suite: CryptoSuite) -> bytes:
@@ -397,14 +392,10 @@ def validate_inbound(
         booking_digest = _field_digest(msg.get(BOOKING_ATTR), state.suite)
         prior = state.seen_booking_numbers.get(booking_digest)
         if prior is not None and prior != msg.instance_id:
-            findings.append(
-                Finding(
-                    FindingCode.NONCE_REUSE,
-                    BOOKING_ATTR,
-                    f"booking number already used by run {prior}",
-                    Severity.REJECT if state.nonce_reuse_rejects else Severity.WARNING,
-                )
-            )
+            findings.append(Finding(
+                FindingCode.NONCE_REUSE, BOOKING_ATTR,
+                f"booking number already used by run {prior}", Severity.WARNING,
+            ))
 
     # (f) decrypt readable sealed fields
     decrypted: dict[str, str] = {}

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import records
 from .adapter import AdapterState
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
+from .ledger import ORDERER_ROLE, EndorsementPolicy, LedgerNet, create_net
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
 from .policy import AccessMatrix, Role, default_matrix
 from .records import ParseError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ledger import EndorsementPolicy, LedgerNet
 
 FIXTURE_VERSION = "1"
 
@@ -29,9 +25,6 @@ FIXTURE_VERSION = "1"
 ROOT_VALIDITY = (0, 1_000_000)
 CA_VALIDITY = (0, 500_000)
 LEAF_VALIDITY = (0, 400_000)
-
-#: Role token for the ledger's ordering service identity.
-ORDERER_ROLE = "ORDERER"
 
 DEFAULT_VALUES = {
     "B_NO": "BKG-7401",
@@ -113,13 +106,6 @@ class FixtureSet:
             run_tag=run_tag or self.run_tag,
             values={**self.values, **overrides},
         )
-
-    def organizations(self) -> tuple[tuple[str, str], ...]:
-        """Deduplicated (org, role) pairs, fixture order."""
-        seen: dict[str, str] = {}
-        for a in self.actors:
-            seen.setdefault(a.org, a.role)
-        return tuple(seen.items())
 
 
 def generate_fixtures(
@@ -222,14 +208,6 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
     return FixtureSet(suite_id, run_tag, tuple(cas), tuple(actors), keys, certs, values)
 
 
-def save_fixtures(fx: FixtureSet, path: str | Path) -> None:
-    Path(path).write_bytes(fixtures_to_bytes(fx))
-
-
-def load_fixtures(path: str | Path) -> FixtureSet:
-    return fixtures_from_bytes(Path(path).read_bytes())
-
-
 # --- world construction ------------------------------------------------------
 
 
@@ -256,9 +234,6 @@ class World:
     def adapter(self, identity: str) -> AdapterState:
         return self.adapters[identity]
 
-    def adapter_by_role(self, role: Role) -> AdapterState:
-        return self.adapters[self.fixtures.by_role(role.value).identity]
-
     def chain_of(self, identity: str) -> tuple[Certificate, ...]:
         """Leaf-first chain up to and including the root."""
         chain = [self.directory_cert(identity)]
@@ -272,16 +247,11 @@ class World:
         except KeyError:
             raise FixtureIncomplete(f"no certificate for {identity}") from None
 
-    def set_clocks(self, at: int) -> None:
-        for a in self.adapters.values():
-            a.clock = at
-
 
 def build_world(
     fx: FixtureSet,
     matrix: AccessMatrix | None = None,
     suite: CryptoSuite = DEFAULT_SUITE,
-    nonce_reuse_rejects: bool = False,
 ) -> World:
     """Reconstruct CA states, the certificate directory, and one adapter
     per actor from a fixture set."""
@@ -330,7 +300,6 @@ def build_world(
             trust_anchor=root_anchor,
             ca_registry=ca_registry,
             directory=directory,
-            nonce_reuse_rejects=nonce_reuse_rejects,
             suite=suite,
         )
     return world
@@ -338,11 +307,8 @@ def build_world(
 
 def build_net(world: World, endorsement_policy: EndorsementPolicy | None = None) -> LedgerNet:
     """Ledger net over the same PKI and directory as the adapter mesh."""
-    from .ledger import create_net
-
     orderer = world.fixtures.by_role(ORDERER_ROLE)
     return create_net(
-        organizations=world.fixtures.organizations(),
         orderer_identity=orderer.identity,
         orderer_key=world.key_pairs[orderer.identity],
         directory=world.directory,

@@ -25,6 +25,9 @@ from .records import ParseError
 GENESIS_PREV = bytes(32)
 CHAIN_VERSION = "1"
 
+#: Role token of the ordering service identity, the only block signer.
+ORDERER_ROLE = "ORDERER"
+
 
 class LifecycleState(str, enum.Enum):
     CREATED = "CREATED"
@@ -199,9 +202,6 @@ class ChainVerification:
     first_bad_block: int | None = None
     reason: str = ""
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.valid
-
 
 @dataclass(frozen=True)
 class _Verified:
@@ -230,7 +230,6 @@ class _Verified:
 class LedgerNet:
     """One logical copy of the shared ledger. Single-writer access assumed."""
 
-    organizations: tuple[tuple[str, str], ...]  # (org name, role token)
     endorsement_policy: EndorsementPolicy
     orderer_identity: str
     orderer_key: KeyPair
@@ -246,7 +245,6 @@ class LedgerNet:
 
 
 def create_net(
-    organizations: Iterable[tuple[str, str]],
     orderer_identity: str,
     orderer_key: KeyPair,
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]],
@@ -255,11 +253,10 @@ def create_net(
     endorsement_policy: EndorsementPolicy | None = None,
     suite: CryptoSuite = DEFAULT_SUITE,
     baseline_state: Mapping[str, ContainerAsset] | None = None,
-    genesis_prev: bytes = GENESIS_PREV,
 ) -> LedgerNet:
-    """New net with an empty, orderer-signed genesis block."""
+    """New net with an empty, orderer-signed genesis block that links to
+    the digest of the baseline state."""
     net = LedgerNet(
-        organizations=tuple(organizations),
         endorsement_policy=endorsement_policy or EndorsementPolicy.default(),
         orderer_identity=orderer_identity,
         orderer_key=orderer_key,
@@ -270,7 +267,9 @@ def create_net(
         baseline_state=dict(baseline_state or {}),
     )
     net.world_state = dict(net.baseline_state)
-    genesis = _sign_block(net, index=0, prev_hash=genesis_prev, transactions=())
+    genesis = _sign_block(
+        net, index=0, prev_hash=_state_digest(net.baseline_state, suite), transactions=()
+    )
     net.chain.append(genesis)
     return net
 
@@ -334,6 +333,38 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
     return asset
 
 
+def _endorsement_gate(
+    tx: Transaction,
+    cert: Certificate,
+    asset_before: ContainerAsset | None,
+    endorsed_by: Sequence[str],
+    policy: EndorsementPolicy,
+) -> None:
+    """Endorsement eligibility, judging from certificate facts, the asset
+    the transaction touches (None for CREATE) and the identities that
+    already endorsed it, so replay can reuse it. Raises the denial."""
+    if cert.subject == tx.invoker.subject:
+        raise IneligibleEndorser("invoker cannot endorse its own transaction")
+    if cert.subject in endorsed_by:
+        raise DuplicateEndorsement(cert.subject)
+    try:
+        role = Role(cert.role)
+    except ValueError:
+        raise IneligibleEndorser(f"{cert.role} is not an endorsing role") from None
+    eligible = policy.eligible[tx.action]
+    if role not in eligible:
+        raise IneligibleEndorser(
+            f"{tx.action.value} accepts {sorted(r.value for r in eligible)}, got {role.value}"
+        )
+    if role is Role.TERMINAL:
+        expected = asset_before.terminal if asset_before else tx.arg("terminal")
+        if cert.org != expected:
+            raise IneligibleEndorser(f"terminal {cert.org} is not the designated {expected}")
+    if role is Role.SHIPPING_LINE and asset_before is not None:
+        if cert.org != asset_before.shipping_line:
+            raise IneligibleEndorser(f"shipping line {cert.org} does not own {tx.cnt_no}")
+
+
 def _apply(tx: Transaction, state: dict[str, ContainerAsset]) -> None:
     if tx.action is LedgerAction.CREATE:
         # Creator binding: owner comes from the certificate, never the args.
@@ -374,32 +405,10 @@ def endorse(
     cert = endorser_chain[0]
     _check_cert(net, endorser_chain, f"endorser {cert.subject}")
     tx = pending.tx
-    if cert.subject == tx.invoker.subject:
-        raise IneligibleEndorser("invoker cannot endorse its own transaction")
-    if any(ident == cert.subject for ident, _ in pending.endorsements):
-        raise DuplicateEndorsement(cert.subject)
-
-    try:
-        role = Role(cert.role)
-    except ValueError:
-        raise IneligibleEndorser(f"{cert.role} is not an endorsing role") from None
-    eligible = net.endorsement_policy.eligible[tx.action]
-    if role not in eligible:
-        raise IneligibleEndorser(
-            f"{tx.action.value} accepts {sorted(r.value for r in eligible)}, got {role.value}"
-        )
-    if role is Role.TERMINAL:
-        expected = tx.arg("terminal") if tx.action is LedgerAction.CREATE else (
-            pending.asset_before.terminal if pending.asset_before else None
-        )
-        if cert.org != expected:
-            raise IneligibleEndorser(f"terminal {cert.org} is not the designated {expected}")
-    if role is Role.SHIPPING_LINE and pending.asset_before is not None:
-        if cert.org != pending.asset_before.shipping_line:
-            raise IneligibleEndorser(
-                f"shipping line {cert.org} does not own {tx.cnt_no}"
-            )
-
+    _endorsement_gate(
+        tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements],
+        net.endorsement_policy,
+    )
     payload = net.suite.digest(tx.body_bytes() + tx.invoker_signature)
     pending.endorsements.append((cert.subject, net.suite.sign(endorser_key.private, payload)))
     return pending
@@ -561,7 +570,6 @@ def _cert_with_issuers(net: LedgerNet, ident: str) -> list[Certificate]:
 class ExportedChain:
     suite_id: str
     orderer_identity: str
-    baseline_prev: bytes
     baseline_state: dict[str, ContainerAsset]
     certs: dict[str, Certificate]
     blocks: tuple[Block, ...]
@@ -570,7 +578,6 @@ class ExportedChain:
 def parse_chain(data: bytes) -> ExportedChain:
     """Strict parse of an exported chain; any malformed line raises."""
     suite_id = orderer = None
-    baseline_prev = b""
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
     blocks: list[Block] = []
@@ -593,7 +600,7 @@ def parse_chain(data: bytes) -> ExportedChain:
         elif tag == b"ANCHOR":
             rec.need(3)
             orderer = rec.text(1)
-            baseline_prev = rec.b64(2)
+            rec.b64(2)  # the genesis link, which verification derives from BASE
         elif tag == b"BASE":
             rec.need(5)
             cnt = rec.text(1)
@@ -619,7 +626,7 @@ def parse_chain(data: bytes) -> ExportedChain:
 
     if suite_id is None or orderer is None:
         raise ParseError("chain lacks LEDGER/ANCHOR header", 0)
-    return ExportedChain(suite_id, orderer, baseline_prev, baseline, certs, tuple(blocks))
+    return ExportedChain(suite_id, orderer, baseline, certs, tuple(blocks))
 
 
 def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transaction:
@@ -648,14 +655,16 @@ def verify_exported(
     endorsement_policy: EndorsementPolicy | None = None,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> ChainVerification:
-    """Full offline audit: certificate integrity, hash links, orderer and
-    transaction signatures, endorsement quotas, and gate-respecting replay."""
+    """Full offline audit: certificate integrity, the orderer's role, hash
+    links from the baseline digest on, orderer and transaction signatures,
+    endorsement quotas, and replay through the chaincode and endorsement
+    gates."""
     bad_head = _check_head(exported, suite)
     if bad_head is not None:
         return bad_head
     return _verify_blocks(
-        exported, 0, exported.baseline_prev, dict(exported.baseline_state),
-        endorsement_policy or EndorsementPolicy.default(), suite,
+        exported, 0, _state_digest(exported.baseline_state, suite),
+        dict(exported.baseline_state), endorsement_policy or EndorsementPolicy.default(), suite,
     )
 
 
@@ -673,8 +682,11 @@ def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerificatio
         ):
             return ChainVerification(False, None, f"{cert.subject}: certificate signature broken")
 
-    if exported.orderer_identity not in exported.certs:
+    orderer = exported.certs.get(exported.orderer_identity)
+    if orderer is None:
         return ChainVerification(False, None, "orderer certificate missing")
+    if orderer.role != ORDERER_ROLE:
+        return ChainVerification(False, None, f"{orderer.subject} is not an orderer")
 
     if not exported.blocks:
         return ChainVerification(False, None, "empty chain")
@@ -691,7 +703,8 @@ def _verify_blocks(
 ) -> ChainVerification:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
     ...; the first must link to ``prev``. Each transaction is replayed into
-    ``state`` through the gates."""
+    ``state`` through the chaincode gate, then each endorsement through the
+    endorsement gate."""
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
@@ -720,9 +733,16 @@ def _verify_blocks(
                 if not suite.verify(cert.public_key, end_payload, sig):
                     return ChainVerification(False, idx, f"endorsement by {ident} broken")
             try:
-                _gate(tx, state)
+                asset = _gate(tx, state)
             except LedgerError as exc:
                 return ChainVerification(False, idx, f"replay gate failure: {exc}")
+            endorsed_by: list[str] = []
+            try:
+                for ident, _ in tx.endorsements:
+                    _endorsement_gate(tx, exported.certs[ident], asset, endorsed_by, policy)
+                    endorsed_by.append(ident)
+            except LedgerError as exc:
+                return ChainVerification(False, idx, f"endorsement gate failure: {exc}")
             _apply(tx, state)
     return ChainVerification(True)
 
@@ -745,7 +765,8 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
         bad_head = _check_head(exported, net.suite)
         if bad_head is not None:
             return bad_head
-        start, prev, state = 0, exported.baseline_prev, dict(exported.baseline_state)
+        baseline = exported.baseline_state
+        start, prev, state = 0, _state_digest(baseline, net.suite), dict(baseline)
     res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
     if not res.valid:
         return res
@@ -758,18 +779,24 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     return ChainVerification(True)
 
 
-def rollover(net: LedgerNet) -> LedgerNet:
-    """Start a successor chain whose genesis commits to the predecessor:
-    the new genesis prev_hash is the digest of the old world state, which
-    becomes the new baseline."""
-    state_digest = net.suite.digest(
+def _state_digest(state: Mapping[str, ContainerAsset], suite: CryptoSuite) -> bytes:
+    """The genesis link of a chain over ``state``: ``GENESIS_PREV`` for an
+    empty state, else the digest of its assets in container order."""
+    if not state:
+        return GENESIS_PREV
+    return suite.digest(
         b"".join(
             records.encode(a.cnt_no, a.state.value, a.shipping_line, a.terminal)
-            for a in (net.world_state[k] for k in sorted(net.world_state))
+            for a in (state[k] for k in sorted(state))
         )
     )
+
+
+def rollover(net: LedgerNet) -> LedgerNet:
+    """Start a successor chain whose genesis commits to the predecessor:
+    the old world state becomes the new baseline, so the new genesis links
+    to its digest."""
     return create_net(
-        net.organizations,
         net.orderer_identity,
         net.orderer_key,
         net.directory,
@@ -778,5 +805,4 @@ def rollover(net: LedgerNet) -> LedgerNet:
         net.endorsement_policy,
         net.suite,
         baseline_state=net.world_state,
-        genesis_prev=state_digest,
     )

@@ -70,9 +70,6 @@ class ChainResult:
     reason: FailureReason | None = None
     detail: str = ""
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.valid
-
 
 @dataclass
 class CaState:

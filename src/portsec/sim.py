@@ -20,7 +20,6 @@ from .ledger import LedgerAction, LedgerError, LedgerNet, build_transaction, com
 from .ledger import query as ledger_query
 from .ledger import submit, verify_chain
 from .model import MESSAGE_TYPES, Message, Plain, SecuredMessage, from_flat, to_flat
-from .pki import Certificate
 from .policy import Role
 from .transcript import Transcript
 
@@ -36,7 +35,6 @@ class ActorInstance:
     identity: str
     role: Role
     adapter: AdapterState
-    credentials: tuple[Certificate, ...]
     mailbox: list[SecuredMessage] = field(default_factory=list)
 
 
@@ -202,13 +200,10 @@ class Simulation:
         script: ScenarioScript,
         world: World | None = None,
         interceptor: Interceptor | None = None,
-        nonce_reuse_rejects: bool = False,
     ):
         self.script = script
         self.fixtures = script.fixtures
-        self.world = world or build_world(
-            script.fixtures, nonce_reuse_rejects=nonce_reuse_rejects
-        )
+        self.world = world or build_world(script.fixtures)
         self.interceptor = interceptor
         #: attack runs halt at the first rejection; later steps would
         #: forward a message that never validated
@@ -220,7 +215,7 @@ class Simulation:
             actors={a.identity: a.role for a in script.fixtures.actors},
         )
         self.actors = {
-            ident: ActorInstance(ident, ad.role, ad, self.world.chain_of(ident))
+            ident: ActorInstance(ident, ad.role, ad)
             for ident, ad in self.world.adapters.items()
         }
         #: step name -> SecuredMessage as it left the sender (pre-attack)
@@ -383,15 +378,6 @@ def run_scenario(
     mode: str,
     world: World | None = None,
     interceptor: Interceptor | None = None,
-    nonce_reuse_rejects: bool = False,
 ) -> Simulation:
     script = make_script(fixtures, scenario, mode)
-    return Simulation(script, world, interceptor, nonce_reuse_rejects).run()
-
-
-def run_export(fixtures: FixtureSet, mode: str = "p2p", **kw) -> Transcript:
-    return run_scenario(fixtures, "export", mode, **kw).transcript
-
-
-def run_import(fixtures: FixtureSet, mode: str = "p2p", **kw) -> Transcript:
-    return run_scenario(fixtures, "import", mode, **kw).transcript
+    return Simulation(script, world, interceptor).run()

@@ -263,7 +263,6 @@ def _seeded_net(world, state):
         baseline = {CNT: ContainerAsset(CNT, state, "SL1", "T1")}
     orderer = world.fixtures.by_role("ORDERER")
     return create_net(
-        organizations=world.fixtures.organizations(),
         orderer_identity=orderer.identity,
         orderer_key=world.key_pairs[orderer.identity],
         directory=world.directory,

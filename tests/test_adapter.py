@@ -242,16 +242,6 @@ def test_nonce_reuse_warning(world):
     assert "RUN-A" in reuse[0].detail
 
 
-def test_nonce_reuse_escalation(base_fixtures):
-    from portsec.fixtures import build_world
-
-    world = build_world(base_fixtures, nonce_reuse_rejects=True)
-    pcs = world.adapter("pcs-op")
-    assert validate_inbound(pcs, make_iftmcs(world, "RUN-A"), world.chain_of("sl1-clerk")).accepted
-    report = validate_inbound(pcs, make_iftmcs(world, "RUN-B"), world.chain_of("sl1-clerk"))
-    assert not report.accepted
-
-
 def test_revoked_sender_chain(world):
     sm = make_iftmcs(world)
     world.ca_registry["SL1-CA"].revoke(world.directory_cert("sl1-clerk").serial)

@@ -4,7 +4,8 @@ import pytest
 
 from portsec.attacks import AttackKind, AttackSpec, attack_to_wire
 from portsec.cli import main
-from portsec.fixtures import fixtures_to_bytes
+from portsec.fixtures import build_net, build_world, fixtures_to_bytes
+from portsec.ledger import LedgerAction, build_transaction, commit, export_chain, submit
 from portsec.policy import DEFAULT_POLICY_TEXT
 from portsec.transcript import transcript_from_wire
 
@@ -101,6 +102,25 @@ def test_ledger_verify_flags_tampering(cli_files, tmp_path, capsys):
     capsys.readouterr()
     assert main(["ledger-verify", "--chain", str(bad)]) == 1
     assert "CHAIN INVALID" in capsys.readouterr().out
+
+
+def test_ledger_verify_flags_self_endorsement(base_fixtures, tmp_path, capsys):
+    world = build_world(base_fixtures)
+    net = build_net(world)
+    key = world.key_pairs["sl1-clerk"]
+    tx, presented = build_transaction(LedgerAction.CREATE, "COSU1234567", (("terminal", "T1"),),
+                                      world.chain_of("sl1-clerk"), key)
+    pending = submit(net, tx, presented)
+    payload = world.suite.digest(tx.body_bytes() + tx.invoker_signature)
+    pending.endorsements.append(("sl1-clerk", world.suite.sign(key.private, payload)))
+    assert commit(net, [pending]).block is not None
+    chain = tmp_path / "self.chain"
+    chain.write_bytes(export_chain(net))
+    assert main(["ledger-verify", "--chain", str(chain)]) == 1
+    assert capsys.readouterr().out == (
+        "CHAIN INVALID block 1 endorsement gate failure: "
+        "invoker cannot endorse its own transaction\n"
+    )
 
 
 def test_compare_prints_report(cli_files, capsys):

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+from portsec import records
 from portsec.fixtures import build_net, build_world
 from portsec.ledger import (
     GENESIS_PREV,
+    ORDERER_ROLE,
     ChainInvalidCert,
     ContainerAsset,
     DuplicateContainer,
@@ -82,7 +84,6 @@ def seeded_net(world, state):
         baseline[CNT] = ContainerAsset(CNT, state, "SL1", "T1")
     orderer = "orderer-1"
     return create_net(
-        world.fixtures.organizations(),
         orderer,
         world.key_pairs[orderer],
         world.directory,
@@ -234,6 +235,45 @@ def test_endorsement_rules(world, net):
     res = commit(net, [pending])
     assert res.block is not None
     assert net.world_state[CNT].state is LifecycleState.CREATED
+
+
+def forge_endorsement(world, pending, identity):
+    """Append ``identity``'s genuine endorsement signature past ``endorse()``."""
+    tx, key = pending.tx, world.key_pairs[identity]
+    payload = world.suite.digest(tx.body_bytes() + tx.invoker_signature)
+    pending.endorsements.append((identity, world.suite.sign(key.private, payload)))
+
+
+INELIGIBLE = {
+    # case: (action, invoker, endorser, denial, block)
+    "self": (LedgerAction.CREATE, "sl1-clerk", "sl1-clerk", IneligibleEndorser, 1),
+    "duplicate": (LedgerAction.CREATE, "sl1-clerk", "t1-op", DuplicateEndorsement, 1),
+    "wrong-role": (LedgerAction.CREATE, "sl1-clerk", "pcs-op", IneligibleEndorser, 1),
+    "wrong-terminal": (LedgerAction.CREATE, "sl1-clerk", "t2-op", IneligibleEndorser, 1),
+    "wrong-owner": (LedgerAction.ACKNOWLEDGE_DELIVERY, "t1-op", "sl2-clerk", IneligibleEndorser, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(INELIGIBLE))
+def test_ineligible_endorsement_fails_verification(world, net, case):
+    """An endorsement that ``endorse()`` refuses, appended past it, commits
+    (commit counts endorsements only) and then fails both verifiers."""
+    action, invoker, endorser, denial, block = INELIGIBLE[case]
+    create_args = (("terminal", "T1"),)
+    if action is not LedgerAction.CREATE:
+        run_step(world, net, "sl1-clerk", LedgerAction.CREATE, "t1-op", CNT, create_args)
+    pending = submit_by(world, net, invoker, action, CNT,
+                        create_args if action is LedgerAction.CREATE else ())
+    if case == "duplicate":
+        endorse_by(world, net, pending, endorser)
+    with pytest.raises(denial) as refused:
+        endorse_by(world, net, pending, endorser)
+    forge_endorsement(world, pending, endorser)
+    assert commit(net, [pending]).block.index == block
+
+    reason = f"endorsement gate failure: {refused.value}"
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
 
 
 def test_invoker_cannot_self_endorse(world, net):
@@ -420,6 +460,46 @@ def test_rollover_baseline_round_trips(world, net):
     parsed = parse_chain(export_chain(fresh))
     assert parsed.baseline_state[CNT] == fresh.world_state[CNT]
     assert verify_exported(parsed).valid
+
+
+def test_forged_baseline_breaks_the_genesis_link(world, net):
+    full_lifecycle(world, net)
+    fresh = rollover(net)
+    data = export_chain(fresh)
+    cut = data.index(b"\nCERT+") + 1
+    res = verify_exported(parse_chain(
+        data[:cut] + records.encode("BASE", "C9", "CLEARED", "SL1", "T1") + b"\n" + data[cut:]
+    ))
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 0, "previous-hash link broken")
+
+    # the live net, with the asset slipped into its baseline and world state
+    forged = ContainerAsset("C9", LifecycleState.CLEARED, "SL1", "T1")
+    fresh.baseline_state["C9"] = fresh.world_state["C9"] = forged
+    res = verify_chain(fresh)
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 0, "previous-hash link broken")
+
+
+def test_anchor_hash_is_not_trusted(world, net):
+    """Verification derives the genesis link from the BASE records, so a
+    rewritten ANCHOR hash element does not break an honest chain."""
+    full_lifecycle(world, net)
+    data = export_chain(rollover(net))
+    start = data.index(b"\nANCHOR+") + 1
+    end = data.index(b"\n", start)
+    anchor = records.encode("ANCHOR", "orderer-1", bytes(32))
+    assert verify_exported(parse_chain(data[:start] + anchor + data[end:])).valid
+
+
+def test_orderer_must_hold_the_orderer_role(world):
+    assert world.fixtures.actor("orderer-1").role == ORDERER_ROLE
+    net = create_net(
+        "sl1-clerk", world.key_pairs["sl1-clerk"], world.directory, world.root_anchor,
+        world.ca_registry,
+    )
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (
+            False, None, "sl1-clerk is not an orderer"
+        )
 
 
 def test_commit_error_types_are_ledger_errors():
