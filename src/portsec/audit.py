@@ -49,10 +49,9 @@ def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> A
 
     for ev in transcript.events:
         if isinstance(ev, SentEvent):
-            sm = ev.secured()
             s_exp, s_han = touch(ev.sender)
             r_exp, r_han = touch(ev.receiver)
-            for name, value in sm.message.fields:
+            for name, value in ev.message.message.fields:
                 s_han.add(name)
                 r_han.add(name)
                 if isinstance(value, Plain):

@@ -500,24 +500,24 @@ def _txn_line(tx: Transaction) -> bytes:
     )
 
 
-def _block_body(index: int, prev_hash: bytes, transactions: tuple[Transaction, ...]) -> bytes:
+def _block_body(index: int, prev_hash: bytes, txn_lines: list[bytes]) -> bytes:
     """The orderer-signed form: the block header without its signature or
-    terminator, then one TXN line per transaction."""
-    lines = [records.encode("BLK", f"{index}", prev_hash)[:-1]]
-    lines += [_txn_line(t) for t in transactions]
-    return b"\n".join(lines)
+    terminator, then the block's TXN lines."""
+    return b"\n".join([records.encode("BLK", f"{index}", prev_hash)[:-1], *txn_lines])
 
 
-def block_bytes(block: Block) -> bytes:
+def block_bytes(block: Block, txn_lines: list[bytes] | None = None) -> bytes:
     """Canonical serialized form: header (with orderer signature) plus one
-    TXN line per transaction. prev_hash links digest these bytes."""
-    lines = [records.encode("BLK", f"{block.index}", block.prev_hash, block.orderer_signature)]
-    lines += [_txn_line(t) for t in block.transactions]
-    return b"\n".join(lines) + b"\n"
+    TXN line per transaction, given as ``txn_lines`` when the caller has
+    them. prev_hash links digest these bytes."""
+    if txn_lines is None:
+        txn_lines = [_txn_line(t) for t in block.transactions]
+    header = records.encode("BLK", f"{block.index}", block.prev_hash, block.orderer_signature)
+    return b"\n".join([header, *txn_lines]) + b"\n"
 
 
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
-    payload = net.suite.digest(_block_body(index, prev_hash, transactions))
+    payload = net.suite.digest(_block_body(index, prev_hash, [_txn_line(t) for t in transactions]))
     return Block(index, prev_hash, transactions, net.suite.sign(net.orderer_key.private, payload))
 
 
@@ -662,10 +662,11 @@ def verify_exported(
     bad_head = _check_head(exported, suite)
     if bad_head is not None:
         return bad_head
-    return _verify_blocks(
+    res = _verify_blocks(
         exported, 0, _state_digest(exported.baseline_state, suite),
         dict(exported.baseline_state), endorsement_policy or EndorsementPolicy.default(), suite,
     )
+    return res if isinstance(res, ChainVerification) else ChainVerification(True)
 
 
 def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerification | None:
@@ -700,32 +701,30 @@ def _verify_blocks(
     state: dict[str, ContainerAsset],
     policy: EndorsementPolicy,
     suite: CryptoSuite,
-) -> ChainVerification:
+) -> ChainVerification | bytes:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
     ...; the first must link to ``prev``. Each transaction is replayed into
     ``state`` through the chaincode gate, then each endorsement through the
-    endorsement gate."""
+    endorsement gate. Returns the failure, or when every block checks, the
+    digest of the last one, which the next block must link to."""
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
         if idx != pos:
             return ChainVerification(False, idx, "non-consecutive block index")
-        expected_prev = prev if pos == start else suite.digest(
-            block_bytes(exported.blocks[pos - start - 1])
-        )
-        if block.prev_hash != expected_prev:
+        if block.prev_hash != prev:
             return ChainVerification(False, idx, "previous-hash link broken")
-        payload = suite.digest(_block_body(idx, block.prev_hash, block.transactions))
+        txn_lines = [_txn_line(tx) for tx in block.transactions]
+        payload = suite.digest(_block_body(idx, block.prev_hash, txn_lines))
         if not suite.verify(orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
-            if not suite.verify(
-                tx.invoker.public_key, suite.digest(tx.body_bytes()), tx.invoker_signature
-            ):
+            body = tx.body_bytes()
+            if not suite.verify(tx.invoker.public_key, suite.digest(body), tx.invoker_signature):
                 return ChainVerification(False, idx, f"invoker signature broken on {tx.cnt_no}")
             if len(tx.endorsements) < policy.required[tx.action]:
                 return ChainVerification(False, idx, f"under-endorsed {tx.action.value}")
-            end_payload = suite.digest(tx.body_bytes() + tx.invoker_signature)
+            end_payload = suite.digest(body + tx.invoker_signature)
             for ident, sig in tx.endorsements:
                 cert = exported.certs.get(ident)
                 if cert is None:
@@ -744,7 +743,8 @@ def _verify_blocks(
             except LedgerError as exc:
                 return ChainVerification(False, idx, f"endorsement gate failure: {exc}")
             _apply(tx, state)
-    return ChainVerification(True)
+        prev = suite.digest(block_bytes(block, txn_lines))
+    return prev
 
 
 def verify_chain(net: LedgerNet) -> ChainVerification:
@@ -768,13 +768,12 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
         baseline = exported.baseline_state
         start, prev, state = 0, _state_digest(baseline, net.suite), dict(baseline)
     res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
-    if not res.valid:
+    if isinstance(res, ChainVerification):
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
     net._verified = _Verified(
-        head, tuple(net.chain), net.suite.digest(block_bytes(net.chain[-1])), state,
-        net.endorsement_policy, net.suite,
+        head, tuple(net.chain), res, state, net.endorsement_policy, net.suite
     )
     return ChainVerification(True)
 

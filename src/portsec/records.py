@@ -8,15 +8,16 @@ separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
 The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``). Decoding is lazy: a ``Record``
-keeps its raw elements and unescapes or base64-decodes one only when asked.
-Every decoding error is a ``ParseError`` carrying the byte offset of the
-problem, counted from the start of the input.
+one record per line (``decode_lines``). A span without a release character
+is split with ``bytes.split``; only a span holding ``?`` takes the regex
+scan. Decoding is lazy: a ``Record`` keeps its raw elements and unescapes
+or base64-decodes one only when asked. Every decoding error is a
+``ParseError`` carrying the byte offset of the problem, counted from the
+start of the input.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import re
 from typing import Iterator
@@ -27,6 +28,9 @@ _RELEASED = re.compile(rb"\?([\s\S])")
 _ESCAPES = str.maketrans({c: "?" + c for c in "+'?"})
 _LINE = re.compile(rb"[^\r\n]+")
 _RELEASE, _PLUS = ord("?"), ord("+")
+# URL-safe base64 through the standard codec: swap the two alphabet bytes.
+_FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
+_TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
 
 
 class ModelError(Exception):
@@ -47,12 +51,16 @@ def encode(tag: str, *elems: str | bytes) -> bytes:
     parts = []
     for e in (tag, *elems):
         if isinstance(e, bytes):
-            parts.append(base64.urlsafe_b64encode(e))
+            parts.append(_b64encode(e))
         elif "?" in e or "+" in e or "'" in e:
             parts.append(e.translate(_ESCAPES).encode())
         else:
             parts.append(e.encode())
     return b"+".join(parts) + b"'"
+
+
+def _b64encode(data: bytes) -> bytes:
+    return binascii.b2a_base64(data, newline=False).translate(_TO_URLSAFE)
 
 
 class Record:
@@ -110,10 +118,10 @@ class Record:
     def b64(self, i: int) -> bytes:
         raw, offset = self._raw(i), self.offsets[i]
         try:
-            decoded = base64.b64decode(raw, altchars=b"-_", validate=True)
-        except (binascii.Error, ValueError) as exc:
+            decoded = binascii.a2b_base64(raw.translate(_FROM_URLSAFE), strict_mode=True)
+        except binascii.Error as exc:
             raise ParseError(f"invalid base64 element: {exc}", offset) from None
-        if base64.urlsafe_b64encode(decoded) != raw:
+        if _b64encode(decoded) != raw:
             raise ParseError("non-canonical base64 element", offset)
         return decoded
 
@@ -130,6 +138,25 @@ class Record:
 
 def _scan(data: bytes, start: int, end: int) -> list[Record]:
     """Split ``data[start:end]`` into records; offsets are absolute."""
+    if data.find(b"?", start, end) >= 0:
+        return _scan_released(data, start, end)
+    *parts, tail = data[start:end].split(b"'")
+    if tail:
+        raise ParseError("unterminated final segment", end)
+    records = []
+    for part in parts:
+        elems = part.split(b"+")
+        offsets = []
+        for elem in elems:
+            offsets.append(start)
+            start += len(elem) + 1
+        records.append(Record(elems, offsets, set()))
+    return records
+
+
+def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
+    """``_scan`` for a span holding release characters: one regex scan
+    that also records which elements hold a release pair."""
     records = []
     elems: list[bytes] = []
     offsets = [start]

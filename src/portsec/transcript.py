@@ -1,7 +1,10 @@
 """Run transcripts: the ordered evidence trail of a scenario run.
 
 A transcript records every message sent (full wire bytes), every
-validation verdict, every ledger action, and the closing audit rows.
+validation verdict, every ledger action, and the closing audit rows. Each
+sent message is held both as its wire bytes and decoded: live runs keep the
+message they delivered, and a stored transcript decodes each one once, at
+load.
 Replaying a script over the same fixtures reproduces the transcript
 byte-for-byte except for sealing randomness (fresh symmetric keys and
 their wrappings), which the determinism digest masks out.
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from . import records
 from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE, CryptoSuite
-from .model import Message, ParseError, Sealed, SecuredMessage, from_flat, to_flat
+from .model import Message, ModelError, ParseError, Sealed, SecuredMessage, from_flat, to_flat
 
 TRANSCRIPT_VERSION = "1"
 
@@ -27,12 +30,8 @@ class SentEvent:
     msg_type: str
     instance_id: str
     flat: bytes
-    #: the decoded ``flat``, kept by live runs so readers skip the decode;
-    #: never on the wire
-    message: SecuredMessage | None = field(default=None, compare=False, repr=False)
-
-    def secured(self) -> SecuredMessage:
-        return self.message if self.message is not None else from_flat(self.flat)
+    #: the decoded ``flat``; never on the wire
+    message: SecuredMessage = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def _event(rec: records.Record) -> Event:
     kind = rec.text(1)
     if kind == "SENT":
         rec.need(8)
-        return SentEvent(*(rec.text(i) for i in range(2, 7)), flat=rec.b64(7))
+        return _sent_event(rec)
     if kind == "VALIDATED":
         rec.need(7)
         return ValidatedEvent(
@@ -192,6 +191,22 @@ def _event(rec: records.Record) -> Event:
         attrs = tuple(a for a in rec.text(3).split(",") if a)
         return AuditEvent(rec.text(2), attrs, rec.text(4) == "FLAG")
     raise ParseError(f"unknown event kind {kind!r}", rec.offsets[1])
+
+
+def _sent_event(rec: records.Record) -> SentEvent:
+    """Decode the SENT record's flat; its type and instance must be the
+    record's own."""
+    step, sender, receiver, msg_type, instance_id = (rec.text(i) for i in range(2, 7))
+    flat = rec.b64(7)
+    try:
+        sm = from_flat(flat)
+    except ModelError as exc:
+        raise ParseError(f"bad SENT flat: {exc}", rec.offsets[7]) from None
+    if sm.message.msg_type != msg_type:
+        raise ParseError("SENT type differs from its flat's", rec.offsets[5])
+    if sm.message.instance_id != instance_id:
+        raise ParseError("SENT instance differs from its flat's", rec.offsets[6])
+    return SentEvent(step, sender, receiver, msg_type, instance_id, flat, sm)
 
 
 def _mask_randomness(sm: SecuredMessage) -> SecuredMessage:
@@ -215,7 +230,7 @@ def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> byt
     acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            masked = to_flat(_mask_randomness(ev.secured()))
+            masked = to_flat(_mask_randomness(ev.message))
             acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
         elif isinstance(ev, ValidatedEvent):
             acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())

@@ -16,6 +16,7 @@ from portsec.fixtures import fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import export_chain, parse_chain
 from portsec.model import ModelError, ParseError, from_flat
 from portsec.pki import cert_from_wire, cert_to_wire
+from portsec.records import encode
 from portsec.transcript import transcript_from_wire, transcript_to_wire
 
 
@@ -78,6 +79,17 @@ def test_fixture_record_arity_is_checked():
 _CHAIN_HEAD = b"LEDGER+1+s'\nANCHOR+o+AA=='\nBLK+0+AA==+AA=='\n"
 
 
+def _sent(msg_type: str, flat: bytes) -> bytes:
+    """A transcript with one SENT event for run R1 carrying ``flat``."""
+    event = encode("EVT", "SENT", "booking", "a", "b", msg_type, "R1", flat)
+    return b"TRS+1+export+p2p+PASS'\n" + event + b"\n"
+
+
+# the embedded flat lacks its SND record; its base64 starts "TVNH" ("MSG")
+_SENT_NO_SENDER = _sent("IFTMCS", b"MSG+IFTMCS+R1'")
+_SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
+
+
 @pytest.mark.parametrize(
     "decode, data, offset, at",
     [
@@ -93,8 +105,12 @@ _CHAIN_HEAD = b"LEDGER+1+s'\nANCHOR+o+AA=='\nBLK+0+AA==+AA=='\n"
         (transcript_from_wire, b"TRS+1+export+p2p+PASS'\nEVT'\n", 26, b"'\n"),
         # block is not an integer, after a blank first line
         (attack_from_wire, b"\nATK+TAMPER_FIELD+block+soon'\n", 24, b"soon"),
+        # a SENT event's flat that does not parse: the flat element's offset
+        (transcript_from_wire, _SENT_NO_SENDER, 54, b"TVNH"),
+        # a SENT event naming another type than its flat: the type element
+        (transcript_from_wire, _SENT_FORGED_TYPE, 44, b"IFTSTA+"),
     ],
-    ids=["flat", "cert", "chain", "fixtures", "transcript", "attack"],
+    ids=["flat", "cert", "chain", "fixtures", "transcript", "attack", "sent-flat", "sent-type"],
 )
 def test_error_offsets_are_file_offsets(decode, data, offset, at):
     assert data[offset:offset + len(at)] == at

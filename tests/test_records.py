@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from portsec import records
+from portsec.model import AttributeSignature, Message, Plain, SecuredMessage, from_flat, to_flat
 from portsec.records import ParseError, decode, decode_lines, encode
 
 
@@ -55,3 +57,64 @@ def test_accessor_errors_carry_element_offsets(call, offset):
     with pytest.raises(ParseError) as e:
         call(rec)
     assert e.value.offset == offset
+
+
+def _scanned(scan, data: bytes, start: int, end: int):
+    try:
+        return [(r.elems, r.offsets, r.released) for r in scan(data, start, end)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+_no_release = st.one_of(
+    st.sampled_from([b"+", b"'", b"ab"]), st.binary(max_size=3).map(lambda b: b.replace(b"?", b""))
+)
+
+
+@given(st.binary(max_size=4), st.lists(_no_release, max_size=12), st.binary(max_size=4))
+def test_split_scan_matches_the_regex_scan(prefix, parts, suffix):
+    # offsets are absolute, so the release-free span sits inside other bytes
+    body = b"".join(parts)
+    data = prefix + body + suffix
+    start, end = len(prefix), len(prefix) + len(body)
+    assert _scanned(records._scan, data, start, end) == _scanned(
+        records._scan_released, data, start, end
+    )
+
+
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (b"A+b", "unterminated final segment", 3),
+        (b"A+b'C", "unterminated final segment", 5),
+        (b"A+b?", "dangling release character", 3),
+    ],
+)
+def test_scan_errors(data, message, offset):
+    with pytest.raises(ParseError, match=message) as e:
+        decode(data)
+    assert e.value.offset == offset
+
+
+def test_empty_input_has_no_records():
+    assert decode(b"") == []
+
+
+def test_release_characters_take_the_regex_scan(monkeypatch):
+    calls = []
+    scan_released = records._scan_released
+
+    def counted(data, start, end):
+        calls.append((start, end))
+        return scan_released(data, start, end)
+
+    monkeypatch.setattr(records, "_scan_released", counted)
+    sm = SecuredMessage(
+        Message("IFTMCS", "RUN'1+a?", (("CNT_NO", Plain("C1")),)),
+        (AttributeSignature("sl1-clerk", ("CNT_NO",), b"sig"),),
+        "sl1+clerk",
+    )
+    flat = to_flat(sm)
+    assert b"?" in flat
+    assert from_flat(flat) == sm
+    assert calls == [(0, len(flat))]

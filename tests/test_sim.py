@@ -285,11 +285,12 @@ def test_stop_on_reject_halts_the_run(base_fixtures):
 
 
 def test_live_transcript_reads_like_its_wire_form(honest_sims):
-    # live SENT events carry the decoded message; readers must not be able
-    # to tell them from a reloaded transcript, which decodes the flat
+    # live SENT events carry the decoded message; a reloaded transcript
+    # decodes each flat at load, and readers must not tell the two apart
     for key, sim in honest_sims.items():
         reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
-        assert all(ev.message is None for ev in reloaded.sent_events())
+        for live, again in zip(sim.transcript.sent_events(), reloaded.sent_events(), strict=True):
+            assert again.message == live.message, (key, live.step)
         assert audit_views(sim.transcript) == audit_views(reloaded), key
         assert determinism_digest(sim.transcript) == determinism_digest(reloaded), key
 

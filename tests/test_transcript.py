@@ -2,6 +2,8 @@
 
 import pytest
 
+from portsec import transcript
+from portsec.audit import audit_views
 from portsec.model import ParseError
 from portsec.sim import run_scenario
 from portsec.transcript import (
@@ -60,3 +62,35 @@ def test_digest_sees_plaintext_changes(base_fixtures):
     other = base_fixtures.with_values(CNT_W="99 kg")
     b = run_scenario(other, "export", "p2p").transcript
     assert determinism_digest(a) != determinism_digest(b)
+
+
+def test_reload_decodes_each_message_once(honest_sims, monkeypatch):
+    calls = []
+    from_flat = transcript.from_flat
+
+    def counted(flat):
+        calls.append(flat)
+        return from_flat(flat)
+
+    monkeypatch.setattr(transcript, "from_flat", counted)
+    for key, sim in honest_sims.items():
+        calls.clear()
+        reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
+        audit_views(reloaded)
+        determinism_digest(reloaded)
+        assert calls == [ev.flat for ev in reloaded.sent_events()], key
+
+
+@pytest.mark.parametrize(
+    "forged, message, element",
+    [(b"+IFTSTA+OTHER-RUN", "SENT type differs", 1), (b"+IFTMCS+OTHER-RUN", "SENT instance", 8)],
+    ids=["type", "instance"],
+)
+def test_forged_sent_record_is_rejected(honest_sims, forged, message, element):
+    # the first SENT record names another type or run than its own flat holds
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    at = wire.index(b"+IFTMCS+", wire.index(b"EVT+SENT+"))
+    run_end = wire.index(b"+", at + len(b"+IFTMCS+"))
+    with pytest.raises(ParseError, match=message) as e:
+        transcript_from_wire(wire[:at] + forged + wire[run_end:])
+    assert e.value.offset == at + element
