@@ -118,7 +118,7 @@ class Record:
     def b64(self, i: int) -> bytes:
         raw, offset = self._raw(i), self.offsets[i]
         try:
-            decoded = binascii.a2b_base64(raw.translate(_FROM_URLSAFE), strict_mode=True)
+            decoded = binascii.a2b_base64(raw.translate(_FROM_URLSAFE))
         except binascii.Error as exc:
             raise ParseError(f"invalid base64 element: {exc}", offset) from None
         if _b64encode(decoded) != raw:

@@ -1,5 +1,8 @@
 """The shared record grammar: escaping, base64 elements and accessors."""
 
+import base64
+import binascii
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +60,30 @@ def test_accessor_errors_carry_element_offsets(call, offset):
     with pytest.raises(ParseError) as e:
         call(rec)
     assert e.value.offset == offset
+
+
+def _reference_b64(raw: bytes):
+    """The stdlib's validating URL-safe decode plus the canonical check."""
+    try:
+        decoded = base64.b64decode(raw, altchars=b"-_", validate=True)
+    except (binascii.Error, ValueError):
+        return None
+    return decoded if base64.urlsafe_b64encode(decoded) == raw else None
+
+
+@given(st.one_of(
+    st.binary(max_size=12).map(base64.urlsafe_b64encode),
+    st.text("AQgw-_/+=#? ", max_size=12).map(str.encode),
+    st.binary(max_size=12),
+))
+def test_b64_accepts_exactly_the_canonical_urlsafe_encodings(raw):
+    rec = records.Record([b"T", raw], [0, 2], set())
+    try:
+        got = rec.b64(1)
+    except ParseError as exc:
+        assert exc.offset == 2
+        got = None
+    assert got == _reference_b64(raw)
 
 
 def _scanned(scan, data: bytes, start: int, end: int):
