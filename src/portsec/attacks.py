@@ -369,7 +369,7 @@ def compare_modes(fixtures: FixtureSet) -> ComparisonReport:
         for mode in ("p2p", "ledger"):
             sim = run_scenario(fixtures, scenario, mode)
             report.honest[(scenario, mode)] = sim.transcript.verdict
-            result = audit_views(sim.transcript)
+            result = audit_views(sim.transcript, sim.world.matrix)
             bucket = report.exposure.setdefault(mode, {})
             for ident, attrs in result.exposure.items():
                 bucket[ident] = bucket.get(ident, frozenset()) | attrs

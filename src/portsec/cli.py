@@ -56,7 +56,7 @@ def cmd_run(args) -> int:
     fixtures = _load_fixtures(args.fixtures)
     try:
         sim = run_scenario(fixtures, args.scenario, args.mode)
-    except ScenarioError as exc:
+    except (ScenarioError, FixtureError) as exc:
         return _fail(f"{exc}")
     for entry in sim.transcript.step_outline():
         print(" ".join(entry))

@@ -181,7 +181,14 @@ class CryptoSuite:
         )
 
     def load_private(self, der: bytes) -> rsa.RSAPrivateKey:
-        return serialization.load_der_private_key(der, password=None)
+        """Raises ValueError unless ``der`` is an unencrypted PKCS#8 RSA key."""
+        try:
+            key = serialization.load_der_private_key(der, password=None)
+        except (TypeError, UnsupportedAlgorithm) as exc:
+            raise ValueError(str(exc)) from None
+        if not isinstance(key, rsa.RSAPrivateKey):
+            raise ValueError(f"{type(key).__name__} is not an RSA key")
+        return key
 
 
 DEFAULT_SUITE = CryptoSuite()

@@ -212,10 +212,28 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
 
 
 @lru_cache(maxsize=128)
-def _load_private_cached(suite: CryptoSuite, der: bytes):
+def _load_private_cached(suite: CryptoSuite, der: bytes, owner: str):
     # Key objects are immutable; reloading the same fixture DER per world
     # rebuild would redo an expensive consistency check every time.
-    return suite.load_private(der)
+    try:
+        return suite.load_private(der)
+    except ValueError as exc:
+        raise FixtureError(f"private key of {owner} does not load: {exc}") from None
+
+
+@dataclass(frozen=True)
+class _CaKeyPair:
+    """A CA's key pair whose private key loads, through the same checks as
+    an actor's, when the CA first signs. CAs sign only when they issue a
+    certificate, and no scenario run does, so worlds skip those loads."""
+
+    der: bytes = field(repr=False)
+    owner: str
+    suite: CryptoSuite
+
+    @property
+    def private(self):
+        return _load_private_cached(self.suite, self.der, self.owner)
 
 
 @dataclass
@@ -228,7 +246,7 @@ class World:
     root_anchor: Certificate
     ca_registry: dict[str, CaState]
     directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]]
-    key_pairs: dict[str, KeyPair]
+    key_pairs: dict[str, KeyPair]  # actors only; a CA's key sits in its CaState
     adapters: dict[str, AdapterState] = field(default_factory=dict)
 
     def adapter(self, identity: str) -> AdapterState:
@@ -260,19 +278,20 @@ def build_world(
     matrix = matrix or default_matrix()
 
     key_pairs: dict[str, KeyPair] = {}
-    for ident, der in fx.keys.items():
-        private = _load_private_cached(suite, der)
-        key_pairs[ident] = KeyPair(private.public_key(), private, ident)
+    for a in fx.actors:
+        if a.identity not in fx.certs or a.identity not in fx.keys:
+            raise FixtureIncomplete(f"actor {a.identity} lacks key or certificate")
+        private = _load_private_cached(suite, fx.keys[a.identity], a.identity)
+        key_pairs[a.identity] = KeyPair(private.public_key(), private, a.identity)
 
     ca_registry: dict[str, CaState] = {}
     for name, parent in fx.cas:
         cert = fx.certs.get(name)
-        if cert is None or name not in key_pairs:
+        if cert is None or name not in fx.keys:
             raise FixtureIncomplete(f"CA {name} lacks key or certificate")
         issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        ca_registry[name] = CaState(
-            key_pairs[name], cert, issued=issued, parent=parent, suite=suite
-        )
+        ca_registry[name] = CaState(_CaKeyPair(fx.keys[name], name, suite), cert,
+                                    issued=issued, parent=parent, suite=suite)
 
     root_anchor = fx.certs.get(ROOT_CA)
     if root_anchor is None:
@@ -281,8 +300,6 @@ def build_world(
     directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]] = {}
     world = World(fx, suite, matrix, root_anchor, ca_registry, directory, key_pairs)
     for a in fx.actors:
-        if a.identity not in fx.certs or a.identity not in key_pairs:
-            raise FixtureIncomplete(f"actor {a.identity} lacks key or certificate")
         full = world.chain_of(a.identity)
         directory[a.identity] = (full[0], full[1:])
 

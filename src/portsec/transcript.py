@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import records
 from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE, CryptoSuite
-from .model import Message, ModelError, ParseError, Sealed, SecuredMessage, from_flat, to_flat
+from .model import ModelError, ParseError, SecuredMessage, from_flat
 
 TRANSCRIPT_VERSION = "1"
 
@@ -209,19 +209,19 @@ def _sent_event(rec: records.Record) -> SentEvent:
     return SentEvent(step, sender, receiver, msg_type, instance_id, flat, sm)
 
 
-def _mask_randomness(sm: SecuredMessage) -> SecuredMessage:
-    """Blank the bytes that legitimately differ between replays: sealed
-    ciphertexts and wrapped keys. Digests and reader lists stay."""
-    fields = []
-    for name, value in sm.message.fields:
-        if isinstance(value, Sealed):
-            value = Sealed(value.digest, b"", {r: b"" for r in value.wrapped_keys})
-        fields.append((name, value))
-    return SecuredMessage(
-        Message(sm.message.msg_type, sm.message.instance_id, tuple(fields)),
-        sm.signatures,
-        sm.sender,
-    )
+def _masked_flat(flat: bytes) -> bytes:
+    """``flat`` with the bytes that legitimately differ between replays
+    blanked in place: each sealed field's ciphertext and wrapped keys.
+    Digests and reader lists stay."""
+    out = []
+    for rec in records.decode(flat):
+        elems = rec.elems
+        if elems[0] == b"ATT" and elems[2] == b"S":
+            # ATT+name+S+digest+ciphertext+count+reader+key+reader+key...
+            elems = [*elems[:4], b"", *elems[5:]]
+            elems[7::2] = [b""] * len(elems[7::2])
+        out.append(b"+".join(elems))
+    return b"'".join(out) + b"'"
 
 
 def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
@@ -230,7 +230,7 @@ def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> byt
     acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            masked = to_flat(_mask_randomness(ev.message))
+            masked = _masked_flat(ev.flat)
             acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
         elif isinstance(ev, ValidatedEvent):
             acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())

@@ -1,7 +1,14 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import portsec
 from portsec.attacks import AttackKind, AttackSpec, attack_to_wire
 from portsec.cli import main
 from portsec.fixtures import build_net, build_world, fixtures_to_bytes
@@ -203,3 +210,40 @@ def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv, content)
     err_text = capsys.readouterr().err
     assert err_text.startswith("error: ")
     assert "cannot read" not in err_text
+
+
+def _ec_key() -> bytes:
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    return ec.generate_private_key(ec.SECP256R1()).private_bytes(
+        serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+
+
+@pytest.mark.parametrize(
+    "command, actor_key",
+    [
+        (["run", "--scenario", "export", "--mode", "p2p"], None),
+        (["run", "--scenario", "export", "--mode", "p2p"], b"not a PKCS#8 key"),
+        (["compare"], b"not a PKCS#8 key"),
+        (["run", "--scenario", "export", "--mode", "p2p"], "ec"),
+    ],
+    ids=["run-missing-key", "run-not-pkcs8", "compare-not-pkcs8", "run-ec-key"],
+)
+def test_bad_actor_key_exits_two(base_fixtures, tmp_path, command, actor_key):
+    # a fresh interpreter, so an uncaught exception shows as a traceback
+    keys = {k: v for k, v in base_fixtures.keys.items() if k != "sl1-clerk"}
+    if actor_key is not None:
+        keys["sl1-clerk"] = _ec_key() if actor_key == "ec" else actor_key
+    path = tmp_path / "fixtures.psf"
+    path.write_bytes(fixtures_to_bytes(dataclasses.replace(base_fixtures, keys=keys)))
+    src = str(Path(portsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "portsec", *command, "--fixtures", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "sl1-clerk" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -312,7 +312,8 @@ def test_one_encode_and_one_decode_per_hop(base_fixtures, monkeypatch):
     for name in calls:
         wrapper = counted(name)
         for module in (sim_module, transcript):
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):  # transcript decodes, but never encodes
+                monkeypatch.setattr(module, name, wrapper)
     for scenario in ("export", "import"):
         for key in calls:
             calls[key] = 0

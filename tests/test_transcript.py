@@ -1,14 +1,20 @@
 """Transcript wire format: strictness and randomness masking."""
 
+import random
+
 import pytest
 
 from portsec import transcript
 from portsec.audit import audit_views
-from portsec.model import ParseError
+from portsec.envelope import DEFAULT_SUITE
+from portsec.model import Message, ParseError, Sealed, SecuredMessage, to_flat
 from portsec.sim import run_scenario
 from portsec.transcript import (
     AuditEvent,
+    LedgerEvent,
+    SentEvent,
     Transcript,
+    ValidatedEvent,
     determinism_digest,
     transcript_from_wire,
     transcript_to_wire,
@@ -62,6 +68,57 @@ def test_digest_sees_plaintext_changes(base_fixtures):
     other = base_fixtures.with_values(CNT_W="99 kg")
     b = run_scenario(other, "export", "p2p").transcript
     assert determinism_digest(a) != determinism_digest(b)
+
+
+def _reference_digest(t):
+    """``determinism_digest`` as first written: each SENT message decoded,
+    its sealed ciphertexts and wrapped keys blanked, and encoded again."""
+    acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
+    for ev in t.events:
+        if isinstance(ev, SentEvent):
+            sm = ev.message
+            fields = tuple(
+                (name, Sealed(v.digest, b"", {r: b"" for r in v.wrapped_keys})
+                 if isinstance(v, Sealed) else v)
+                for name, v in sm.message.fields
+            )
+            masked = to_flat(SecuredMessage(
+                Message(sm.message.msg_type, sm.message.instance_id, fields),
+                sm.signatures, sm.sender,
+            ))
+            acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
+        elif isinstance(ev, ValidatedEvent):
+            acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())
+        elif isinstance(ev, LedgerEvent):
+            acc.append(f"LEDGER|{ev.action}|{ev.cnt_no}|{ev.invoker}|{ev.outcome}".encode())
+        else:
+            acc.append(
+                ("AUDIT|%s|%s|%d" % (ev.actor, ",".join(ev.attributes), ev.flagged)).encode()
+            )
+    return DEFAULT_SUITE.digest(b"\x1e".join(acc))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_digest_masks_the_flat_as_the_reference_masks_the_message(base_fixtures, seed):
+    rng = random.Random(seed)
+    sealed = 0
+    for scenario in ("export", "import"):
+        for dg in ("false", "true"):
+            fx = base_fixtures.with_values(
+                # '+' in the run tag puts release characters into every flat
+                run_tag=f"S{seed}+{scenario}-{dg}",
+                B_NO=f"BKG-{rng.randint(0, 999999):06d}",
+                CNT_C=f"{rng.randint(10, 900)} crates lot {rng.random()}",
+                CNT_W=f"{rng.randint(900, 30480)} kg",
+                DG=dg,
+            )
+            live = run_scenario(fx, scenario, "p2p").transcript
+            reloaded = transcript_from_wire(transcript_to_wire(live))
+            for t in (live, reloaded):
+                assert determinism_digest(t) == _reference_digest(t), (scenario, dg)
+            sealed += sum(isinstance(v, Sealed) for ev in live.sent_events()
+                          for _, v in ev.message.message.fields)
+    assert sealed > 0
 
 
 def test_reload_decodes_each_message_once(honest_sims, monkeypatch):
