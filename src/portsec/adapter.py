@@ -134,7 +134,6 @@ class AdapterState:
     identity: str
     role: Role
     key_pair: KeyPair
-    cert_chain: tuple[Certificate, ...]  # leaf first, up to (excluding) anchor
     matrix: AccessMatrix
     trust_anchor: Certificate
     ca_registry: Mapping[str, CaState]
@@ -190,6 +189,12 @@ def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, by
     }
 
 
+def _check_write(state: AdapterState, authored: Iterable[str]) -> None:
+    for attr in authored:
+        if not state.matrix.check(state.role, attr, Action.WRITE):
+            raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
+
+
 def _plan_and_sign(
     state: AdapterState,
     msg: Message,
@@ -241,9 +246,7 @@ def secure_outbound(
     """
     authored = list(authored)
     co_attest = [a for a in co_attest if a not in authored]
-    for attr in authored:
-        if not state.matrix.check(state.role, attr, Action.WRITE):
-            raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
+    _check_write(state, authored)
 
     for sig in carried:
         entry = state.directory.get(sig.signer)
@@ -472,9 +475,7 @@ def forward(
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
     authored = list(authored)
-    for attr in authored:
-        if not state.matrix.check(state.role, attr, Action.WRITE):
-            raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
+    _check_write(state, authored)
     out_fields, own = _plan_and_sign(state, msg, receiver, downstream, authored)
     out = SecuredMessage(
         Message(new_msg_type or msg.msg_type, msg.instance_id, out_fields),

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 from . import envelope, records
 from .adapter import FindingCode, Severity, _views
-from .audit import audit_views
 from .envelope import value_digest
 from .fixtures import FixtureSet, build_world
 from .ledger import (
@@ -28,7 +27,7 @@ from .ledger import (
 )
 from .model import HashOnly, ParseError, Plain, Sealed, SecuredMessage
 from .sim import Simulation, make_script, run_scenario
-from .transcript import Transcript, ValidatedEvent
+from .transcript import AuditEvent, Transcript, ValidatedEvent
 
 
 class AttackKind(str, enum.Enum):
@@ -37,6 +36,7 @@ class AttackKind(str, enum.Enum):
     NONCE_REUSE = "NONCE_REUSE"
     UNAUTHORIZED_AUTHOR = "UNAUTHORIZED_AUTHOR"
     LEDGER_TAMPER = "LEDGER_TAMPER"
+    ATTR_SWAP = "ATTR_SWAP"
 
 
 class TargetUnresolved(Exception):
@@ -47,8 +47,8 @@ class TargetUnresolved(Exception):
 class AttackSpec:
     kind: AttackKind
     step: str = ""  # message step to strike, or "" for the scenario default
-    attribute: str = ""  # TAMPER_FIELD target
-    payload: str = ""  # replacement text / insider identity
+    attribute: str = ""  # TAMPER_FIELD target / first ATTR_SWAP attribute
+    payload: str = ""  # replacement text / insider identity / second ATTR_SWAP attribute
     block: int = -1  # LEDGER_TAMPER block index
     sig_of: str = ""  # TAMPER_FIELD: flip this signer's signature instead
 
@@ -78,6 +78,7 @@ def battery(scenario: str) -> tuple[AttackSpec, ...]:
         AttackSpec(AttackKind.NONCE_REUSE),
         AttackSpec(AttackKind.UNAUTHORIZED_AUTHOR, step=step, payload="t2-op"),
         AttackSpec(AttackKind.LEDGER_TAMPER, block=1),
+        AttackSpec(AttackKind.ATTR_SWAP, step=step),
     )
 
 
@@ -128,6 +129,24 @@ def substitute_signer(sm: SecuredMessage, old_signer: str, key_pair, identity, s
     return SecuredMessage(sm.message, tuple(sigs), sm.sender)
 
 
+def swap_attributes(sm: SecuredMessage, first: str, second: str) -> SecuredMessage:
+    """Swap the values of two attributes and relabel every signature that
+    covers both to match, so each still covers the same digests in the
+    same order: only a signature that binds names sees the swap."""
+    try:
+        a, b = sm.message.get(first), sm.message.get(second)
+    except KeyError as exc:
+        raise TargetUnresolved(f"message has no attribute {exc}") from None
+    swap = {first: second, second: first}
+    sigs = tuple(
+        replace(s, attrs=tuple(swap.get(n, n) for n in s.attrs))
+        if first in s.attrs and second in s.attrs else s
+        for s in sm.signatures
+    )
+    msg = sm.message.replace_field(first, b).replace_field(second, a)
+    return SecuredMessage(msg, sigs, sm.sender)
+
+
 def _first_rejection(transcript: Transcript) -> tuple[str, str, str] | None:
     for ev in transcript.events:
         if isinstance(ev, ValidatedEvent) and ev.verdict == "REJECT" and ev.report:
@@ -165,10 +184,16 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
         again = fixtures.with_values(run_tag=fixtures.run_tag + "-replay")
         sim = run_scenario(again, scenario, "p2p", world=world)
         hit = _warning(sim.transcript, FindingCode.NONCE_REUSE)
+        return sim.transcript, _p2p_report(kind, scenario, hit)
+
+    if kind is AttackKind.LEDGER_TAMPER:
+        sim = run_scenario(fixtures, scenario, "p2p", world=world)
         return sim.transcript, DetectionReport(
-            kind, scenario, "p2p", hit is not None, *(hit or ("", "", ""))
+            kind, scenario, "p2p", False, finding="NO_CHAIN",
+            localized="no chain exists in p2p mode",
         )
 
+    # the remaining kinds mutate the message at ``step`` in transit
     if kind is AttackKind.REPLAY_SPLICE:
         origin = fixtures.with_values(
             run_tag=fixtures.run_tag + "-origin",
@@ -181,65 +206,43 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
             s for s in first.outbound["booking"].signatures if s.signer == "importer-1"
         )
 
-        def splice(name, sm):
-            if name != step:
-                return sm
+        def mutate(sm):
             sigs = tuple(stolen if s.signer == "importer-1" else s for s in sm.signatures)
             return SecuredMessage(sm.message, sigs, sm.sender)
-
-        sim = _attacked_run(fixtures, scenario, world, splice, step)
-        hit = _first_rejection(sim.transcript)
-        return sim.transcript, DetectionReport(
-            kind, scenario, "p2p", hit is not None, *(hit or ("", "", ""))
-        )
-
-    if kind is AttackKind.TAMPER_FIELD:
-        def tamper(name, sm):
-            if name != step:
-                return sm
-            if spec.sig_of:
-                return flip_signature(sm, spec.sig_of)
+    elif kind is AttackKind.TAMPER_FIELD and spec.sig_of:
+        def mutate(sm):
+            return flip_signature(sm, spec.sig_of)
+    elif kind is AttackKind.TAMPER_FIELD:
+        def mutate(sm):
             return mutate_field(sm, spec.attribute, spec.payload, world.suite)
-
-        sim = _attacked_run(fixtures, scenario, world, tamper, step)
-        hit = _first_rejection(sim.transcript)
-        return sim.transcript, DetectionReport(
-            kind, scenario, "p2p", hit is not None, *(hit or ("", "", ""))
-        )
-
-    if kind is AttackKind.UNAUTHORIZED_AUTHOR:
+    elif kind is AttackKind.UNAUTHORIZED_AUTHOR:
         insider = spec.payload or "t2-op"
         if insider not in world.key_pairs:
             raise TargetUnresolved(f"no insider keys for {insider}")
 
-        def forge(name, sm):
-            if name != step:
-                return sm
+        def mutate(sm):
             return substitute_signer(
                 sm, "importer-1", world.key_pairs[insider], insider, world.suite
             )
+    elif kind is AttackKind.ATTR_SWAP:
+        def mutate(sm):
+            return swap_attributes(sm, spec.attribute or "CNT_C", spec.payload or "CSG_DATA")
+    else:
+        raise TargetUnresolved(f"unsupported attack kind {kind}")
 
-        sim = _attacked_run(fixtures, scenario, world, forge, step)
-        hit = _first_rejection(sim.transcript)
-        return sim.transcript, DetectionReport(
-            kind, scenario, "p2p", hit is not None, *(hit or ("", "", ""))
-        )
-
-    if kind is AttackKind.LEDGER_TAMPER:
-        sim = run_scenario(fixtures, scenario, "p2p", world=world)
-        return sim.transcript, DetectionReport(
-            kind, scenario, "p2p", False, finding="NO_CHAIN",
-            localized="no chain exists in p2p mode",
-        )
-
-    raise TargetUnresolved(f"unsupported attack kind {kind}")
+    sim = _attacked_run(fixtures, scenario, world, mutate, step)
+    return sim.transcript, _p2p_report(kind, scenario, _first_rejection(sim.transcript))
 
 
-def _attacked_run(fixtures, scenario, world, interceptor, step) -> Simulation:
+def _p2p_report(kind, scenario, hit: tuple[str, str, str] | None) -> DetectionReport:
+    return DetectionReport(kind, scenario, "p2p", hit is not None, *(hit or ("", "", "")))
+
+
+def _attacked_run(fixtures, scenario, world, mutate, step) -> Simulation:
     script = make_script(fixtures, scenario, "p2p")
     if all(s.name != step for s in script.steps):
         raise TargetUnresolved(f"scenario {scenario} has no step {step}")
-    sim = Simulation(script, world, interceptor)
+    sim = Simulation(script, world, lambda name, sm: mutate(sm) if name == step else sm)
     sim.stop_on_reject = True
     return sim.run()
 
@@ -283,6 +286,12 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
         # wrong role invokes CREATE
         insider = spec.payload or "customs-officer"
         return transcript, denial("CREATE", insider, insider, args=(("terminal", "T1"),))
+
+    if kind is AttackKind.ATTR_SWAP:
+        return transcript, DetectionReport(
+            kind, scenario, "ledger", False, finding="NO_ATTRIBUTES",
+            localized="ledger transactions carry no attributes",
+        )
 
     if kind in (AttackKind.LEDGER_TAMPER, AttackKind.TAMPER_FIELD):
         data = export_chain(net)
@@ -369,10 +378,10 @@ def compare_modes(fixtures: FixtureSet) -> ComparisonReport:
         for mode in ("p2p", "ledger"):
             sim = run_scenario(fixtures, scenario, mode)
             report.honest[(scenario, mode)] = sim.transcript.verdict
-            result = audit_views(sim.transcript, sim.world.matrix)
             bucket = report.exposure.setdefault(mode, {})
-            for ident, attrs in result.exposure.items():
-                bucket[ident] = bucket.get(ident, frozenset()) | attrs
+            for ev in sim.transcript.events:
+                if isinstance(ev, AuditEvent):
+                    bucket[ev.actor] = bucket.get(ev.actor, frozenset()).union(ev.attributes)
         for spec in battery(scenario):
             _, p2p = inject_attack(fixtures, scenario, spec, "p2p")
             _, led = inject_attack(fixtures, scenario, spec, "ledger")

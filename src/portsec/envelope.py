@@ -1,11 +1,13 @@
 """Digests, attribute-level multi-signatures, and field sealing.
 
 The signature scheme protects the values v1..vk of an attribute list
-n1..nk: each value is hashed, the fixed-length hashes are concatenated, the
-concatenation is hashed again, and that double hash is signed with the
-signer's private key. A verifier therefore needs, per attribute, either the
-value or its digest -- which is what lets intermediaries check signatures
-over data they are not allowed to read.
+n1..nk: each value is hashed, the fixed-length hashes are concatenated
+behind the hash of the comma-joined name list, the concatenation is hashed
+again, and that double hash is signed with the signer's private key. A
+verifier therefore needs, per attribute, either the value or its digest --
+which is what lets intermediaries check signatures over data they are not
+allowed to read. Binding the names means a signature cannot be relabelled
+to vouch for the same values under other attributes.
 
 Sealing pairs a value's digest with its encryption under a fresh symmetric
 key, wrapped once per authorized reader's public key.
@@ -116,7 +118,7 @@ class CryptoSuite:
     """The deployment's primitive selection: one hash, one signature scheme,
     one key wrap, one authenticated cipher."""
 
-    suite_id = "SHA256-RSA2048-PKCS1V15-OAEP-AESGCM"
+    suite_id = "SHA256-RSA2048-PKCS1V15-OAEP-AESGCM-NAMEBOUND"
     digest_length = 32
     symmetric_key_length = 32
     _nonce_length = 12
@@ -215,34 +217,19 @@ def signing_payload(
     names: Sequence[str],
     value_digests: Sequence[bytes],
     *,
-    bind_names: bool = False,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> bytes:
-    """The double hash: digest of the raw concatenation of the per-value
-    digests. Digests are fixed-length, so no separators are needed.
-
-    With ``bind_names`` the digest of the comma-joined name list is
-    prepended to the concatenation, closing the name-binding gap; default
-    is the bare value formula.
-    """
-    parts = list(value_digests)
-    if bind_names:
-        parts.insert(0, suite.digest(canonical_bytes(",".join(names))))
-    return suite.digest(b"".join(parts))
+    """The name-bound double hash H(H(",".join(names)) || d1 || ... || dk).
+    Digests are fixed-length and names cannot hold a comma, so no other
+    separators are needed."""
+    names_digest = suite.digest(canonical_bytes(",".join(names)))
+    return suite.digest(names_digest + b"".join(value_digests))
 
 
-def multi_sign(
-    key_pair: KeyPair,
-    fields: Sequence[tuple[str, str]],
-    *,
-    bind_names: bool = False,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> AttributeSignature:
-    """Sign the values of an ordered attribute list with one signature."""
-    return multi_sign_views(
-        key_pair,
-        [(n, PlainView(v)) for n, v in fields],
-        bind_names=bind_names,
+def _views_payload(views: Sequence[tuple[str, View]], suite: CryptoSuite) -> bytes:
+    return signing_payload(
+        [n for n, _ in views],
+        [value_digest(v.text, suite) if isinstance(v, PlainView) else v.digest for _, v in views],
         suite=suite,
     )
 
@@ -251,23 +238,19 @@ def multi_sign_views(
     key_pair: KeyPair,
     views: Sequence[tuple[str, View]],
     *,
-    bind_names: bool = False,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> AttributeSignature:
-    """Like multi_sign, but some values may be known only by digest
-    (a signer can vouch for linkage to a value it cannot read)."""
+    """Sign an ordered attribute list with one signature. Some values may
+    be known only by digest (a signer can vouch for linkage to a value it
+    cannot read)."""
     if not views:
         raise EmptyFieldList("nothing to sign")
-    names = [n for n, _ in views]
+    names = tuple(n for n, _ in views)
     if len(set(names)) != len(names):
-        raise DuplicateSignedAttribute(f"duplicate attributes in {names}")
-    payload = signing_payload(
-        names,
-        [value_digest(v.text, suite) if isinstance(v, PlainView) else v.digest for _, v in views],
-        bind_names=bind_names,
-        suite=suite,
+        raise DuplicateSignedAttribute(f"duplicate attributes in {list(names)}")
+    return AttributeSignature(
+        key_pair.owner, names, suite.sign(key_pair.private, _views_payload(views, suite))
     )
-    return AttributeSignature(key_pair.owner, tuple(names), suite.sign(key_pair.private, payload))
 
 
 def verify_multi_sig(
@@ -275,7 +258,6 @@ def verify_multi_sig(
     sig: AttributeSignature,
     views: Sequence[tuple[str, View]],
     *,
-    bind_names: bool = False,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> bool:
     """Check a signature given, per covered attribute, either the plaintext
@@ -284,11 +266,7 @@ def verify_multi_sig(
         raise AttrListMismatch(
             f"views cover {[n for n, _ in views]}, signature covers {list(sig.attrs)}"
         )
-    digests = [
-        value_digest(v.text, suite) if isinstance(v, PlainView) else v.digest for _, v in views
-    ]
-    payload = signing_payload(sig.attrs, digests, bind_names=bind_names, suite=suite)
-    return suite.verify(public, payload, sig.sig)
+    return suite.verify(public, _views_payload(views, suite), sig.sig)
 
 
 def seal_field(

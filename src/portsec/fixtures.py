@@ -282,7 +282,10 @@ def build_world(
         if a.identity not in fx.certs or a.identity not in fx.keys:
             raise FixtureIncomplete(f"actor {a.identity} lacks key or certificate")
         private = _load_private_cached(suite, fx.keys[a.identity], a.identity)
-        key_pairs[a.identity] = KeyPair(private.public_key(), private, a.identity)
+        public = private.public_key()
+        if suite.public_bytes(public) != fx.certs[a.identity].public_key:
+            raise FixtureError(f"private key of {a.identity} does not match its certificate")
+        key_pairs[a.identity] = KeyPair(public, private, a.identity)
 
     ca_registry: dict[str, CaState] = {}
     for name, parent in fx.cas:
@@ -312,7 +315,6 @@ def build_world(
             identity=a.identity,
             role=role,
             key_pair=key_pairs[a.identity],
-            cert_chain=world.chain_of(a.identity),
             matrix=matrix,
             trust_anchor=root_anchor,
             ca_registry=ca_registry,

@@ -106,8 +106,9 @@ FieldValue = Plain | HashOnly | Sealed
 class AttributeSignature:
     """One signer's signature over the double hash of an attribute list.
 
-    ``sig`` covers digest(digest(v1) || ... || digest(vk)) for the values of
-    ``attrs`` in order; the attribute names themselves ride along as metadata.
+    ``sig`` covers digest(digest(n1,...,nk) || digest(v1) || ... || digest(vk))
+    for the names of ``attrs`` and their values in order, so relabelling or
+    permuting ``attrs`` breaks the signature.
     """
 
     signer: str

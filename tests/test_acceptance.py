@@ -18,7 +18,7 @@ from portsec.audit import audit_views, read_column
 from portsec.envelope import (
     DigestView,
     PlainView,
-    multi_sign,
+    multi_sign_views,
     value_digest,
     verify_multi_sig,
 )
@@ -136,7 +136,7 @@ def test_c03_representation_equivalence(world):
     combos = 0
     for k in (1, 2, 3, 4):
         fields = values[:k]
-        sig = multi_sign(key, fields, suite=world.suite)
+        sig = multi_sign_views(key, [(n, PlainView(v)) for n, v in fields], suite=world.suite)
         for mask in range(2 ** k):
             views = [
                 (n, PlainView(v)) if mask & (1 << i)

@@ -180,10 +180,10 @@ def test_write_coverage_gap(world):
 def test_unauthorized_author_is_a_coverage_gap(world):
     """A terminal clerk hand-rolls a consignment update: the signature is
     cryptographically fine but no writer-role covers CNT_C."""
-    from portsec.envelope import multi_sign
+    from portsec.envelope import PlainView, multi_sign_views
 
     t1 = world.adapter("t1-op")
-    sig = multi_sign(t1.key_pair, [("CNT_C", "808 cartons")])
+    sig = multi_sign_views(t1.key_pair, [("CNT_C", PlainView("808 cartons"))])
     sm = SecuredMessage(
         Message("IFTMCS", "RUN-X", (("CNT_C", Plain("808 cartons")),)), (sig,), "t1-op"
     )

@@ -106,13 +106,33 @@ def test_ledger_tamper_has_no_p2p_witness(base_fixtures):
 
 
 @pytest.mark.parametrize("scenario", ["export", "import"])
-@pytest.mark.parametrize("kind", list(AttackKind))
+def test_attr_swap_rejected_at_next_hop(base_fixtures, scenario):
+    # the swapped values keep their digest order once importer-1's attrs
+    # are permuted to match, so only the signed names give the swap away
+    spec = by_kind(scenario)[AttackKind.ATTR_SWAP]
+    transcript, report = inject_attack(base_fixtures, scenario, spec, "p2p")
+    assert report.detected
+    assert report.detected_by == FIRST_VALIDATOR[scenario]
+    assert report.finding == "SignatureInvalid"
+    assert "CSG_DATA,CNT_C" in report.localized
+    assert transcript.verdict == "FAIL"
+
+
+@pytest.mark.parametrize("scenario", ["export", "import"])
+@pytest.mark.parametrize("kind", list(LEDGER_FINDINGS))
 def test_ledger_mode_detects_every_kind(base_fixtures, scenario, kind):
     spec = by_kind(scenario)[kind]
     _, report = inject_attack(base_fixtures, scenario, spec, "ledger")
     assert report.detected
     assert report.finding == LEDGER_FINDINGS[kind]
     assert report.detected_by in ("chaincode", "ledger-verify")
+
+
+def test_attr_swap_does_not_apply_to_the_ledger(base_fixtures):
+    spec = by_kind("export")[AttackKind.ATTR_SWAP]
+    _, report = inject_attack(base_fixtures, "export", spec, "ledger")
+    assert not report.detected
+    assert report.finding == "NO_ATTRIBUTES"
 
 
 def test_attack_against_unknown_step_is_refused(base_fixtures):
@@ -128,9 +148,10 @@ def test_comparison_report(comparison):
     for kind in AttackKind:
         assert comparison.detected_somewhere(kind), kind
     rows = {(r.scenario, r.kind): r for r in comparison.rows}
-    assert len(rows) == 10
+    assert len(rows) == 12
     for scenario in ("export", "import"):
         assert rows[(scenario, AttackKind.TAMPER_FIELD)].p2p.detected
+        assert rows[(scenario, AttackKind.ATTR_SWAP)].p2p.detected
         assert rows[(scenario, AttackKind.LEDGER_TAMPER)].ledger.detected
         assert not rows[(scenario, AttackKind.LEDGER_TAMPER)].p2p.detected
 

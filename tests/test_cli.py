@@ -25,6 +25,7 @@ def cli_files(base_fixtures, tmp_path_factory):
         "policy": root / "policy.txt",
         "tamper": root / "tamper.atk",
         "ledger_tamper": root / "ledger_tamper.atk",
+        "attr_swap": root / "attr_swap.atk",
         "root": root,
     }
     paths["fixtures"].write_bytes(fixtures_to_bytes(base_fixtures))
@@ -36,6 +37,7 @@ def cli_files(base_fixtures, tmp_path_factory):
     paths["ledger_tamper"].write_bytes(
         attack_to_wire(AttackSpec(AttackKind.LEDGER_TAMPER, block=1)) + b"\n"
     )
+    paths["attr_swap"].write_bytes(attack_to_wire(AttackSpec(AttackKind.ATTR_SWAP)) + b"\n")
     return paths
 
 
@@ -90,6 +92,16 @@ def test_attack_detected_exits_zero(cli_files, capsys):
     assert "FINDING SignatureInvalid" in printed
 
 
+def test_attr_swap_attack_detected_exits_zero(cli_files, capsys):
+    code = main(["attack", "--scenario", "import", "--mode", "p2p",
+                 "--fixtures", str(cli_files["fixtures"]),
+                 "--spec", str(cli_files["attr_swap"])])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "ATTACK ATTR_SWAP import p2p DETECTED" in printed
+    assert "FINDING SignatureInvalid" in printed
+
+
 def test_undetectable_attack_exits_nonzero(cli_files, capsys):
     code = main(["attack", "--scenario", "export", "--mode", "p2p",
                  "--fixtures", str(cli_files["fixtures"]),
@@ -136,6 +148,8 @@ def test_compare_prints_report(cli_files, capsys):
     assert code == 0
     assert printed.startswith("CMP+1+PASS'")
     assert "ATK+LEDGER_TAMPER" in printed
+    for scenario in ("export", "import"):
+        assert f"ATK+ATTR_SWAP+{scenario}+p2p+DETECTED+" in printed
 
 
 @pytest.mark.parametrize(
@@ -233,17 +247,34 @@ def _ec_key() -> bytes:
     ids=["run-missing-key", "run-not-pkcs8", "compare-not-pkcs8", "run-ec-key"],
 )
 def test_bad_actor_key_exits_two(base_fixtures, tmp_path, command, actor_key):
-    # a fresh interpreter, so an uncaught exception shows as a traceback
     keys = {k: v for k, v in base_fixtures.keys.items() if k != "sl1-clerk"}
     if actor_key is not None:
         keys["sl1-clerk"] = _ec_key() if actor_key == "ec" else actor_key
-    path = tmp_path / "fixtures.psf"
-    path.write_bytes(fixtures_to_bytes(dataclasses.replace(base_fixtures, keys=keys)))
-    src = str(Path(portsec.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "portsec", *command, "--fixtures", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = _run_fresh(command, tmp_path, dataclasses.replace(base_fixtures, keys=keys))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and "sl1-clerk" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode", ["p2p", "ledger"])
+def test_swapped_actor_keys_exit_two(base_fixtures, tmp_path, mode):
+    # each key loads, but neither matches the key its actor's certificate binds
+    keys = dict(base_fixtures.keys)
+    keys["sl1-clerk"], keys["importer-1"] = keys["importer-1"], keys["sl1-clerk"]
+    done = _run_fresh(["run", "--scenario", "export", "--mode", mode], tmp_path,
+                      dataclasses.replace(base_fixtures, keys=keys))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "does not match its certificate" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _run_fresh(command, tmp_path, fixtures):
+    """Run the CLI on ``fixtures`` in a fresh interpreter, so an uncaught
+    exception shows as a traceback."""
+    path = tmp_path / "fixtures.psf"
+    path.write_bytes(fixtures_to_bytes(fixtures))
+    src = str(Path(portsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "portsec", *command, "--fixtures", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)

@@ -5,6 +5,7 @@ digests for the covered attributes reaches the same verdict, and any
 single-value change flips the verdict to False.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -23,7 +24,7 @@ from portsec.envelope import (
     NoWrappedKeyForHolder,
     PlainView,
     digest,
-    multi_sign,
+    multi_sign_views,
     open_field,
     seal_field,
     signing_payload,
@@ -54,25 +55,28 @@ def test_sha256_known_vector():
 
 
 def test_double_hash_formula():
-    """digest(digest("A") || digest("B")), frozen independently."""
+    """digest(digest("N1,N2") || digest("A") || digest("B")), recomputed
+    with hashlib and frozen."""
     payload = signing_payload(
         ["N1", "N2"], [value_digest("A"), value_digest("B")]
     )
+
+    def h(data):
+        return hashlib.sha256(data).digest()
+
+    assert payload == h(h(b"N1,N2") + h(b"A") + h(b"B"))
     assert payload.hex() == (
-        "63956f0ce48edc48a0d528cb0b5d58e4d625afb14d63ca1bb9950eb657d61f40"
+        "6c61c04e2f42f246a96ec61a542ae69dad50f30007eb03e3c9af6dd8c5b3154f"
     )
     assert value_digest("A").hex() == (
         "559aead08264d5795d3909718cdd05abd49572e84fe55590eef31a88a08fdffd"
     )
 
 
-def test_payload_ignores_names_by_default():
-    a = signing_payload(["X"], [value_digest("v")])
-    b = signing_payload(["Y"], [value_digest("v")])
-    assert a == b
-    a2 = signing_payload(["X"], [value_digest("v")], bind_names=True)
-    b2 = signing_payload(["Y"], [value_digest("v")], bind_names=True)
-    assert a2 != b2
+def test_payload_binds_names():
+    digests = [value_digest("u"), value_digest("w")]
+    assert signing_payload(["X"], digests[:1]) != signing_payload(["Y"], digests[:1])
+    assert signing_payload(["X", "Y"], digests) != signing_payload(["Y", "X"], digests)
 
 
 # --- signing ----------------------------------------------------------------
@@ -80,16 +84,20 @@ def test_payload_ignores_names_by_default():
 FIELDS = [("B_NO", "BK-77120"), ("CNT_C", "400 cartons machine parts"), ("CNT_W", "18400")]
 
 
+def sign_plain(key_pair, fields):
+    return multi_sign_views(key_pair, [(n, PlainView(v)) for n, v in fields])
+
+
 def test_sign_rejects_degenerate_input(keys):
     with pytest.raises(EmptyFieldList):
-        multi_sign(keys["alice"], [])
+        sign_plain(keys["alice"], [])
     with pytest.raises(DuplicateSignedAttribute):
-        multi_sign(keys["alice"], [("B_NO", "a"), ("B_NO", "b")])
+        sign_plain(keys["alice"], [("B_NO", "a"), ("B_NO", "b")])
 
 
 def test_signatures_are_deterministic(keys):
-    s1 = multi_sign(keys["alice"], FIELDS)
-    s2 = multi_sign(keys["alice"], FIELDS)
+    s1 = sign_plain(keys["alice"], FIELDS)
+    s2 = sign_plain(keys["alice"], FIELDS)
     assert s1.sig == s2.sig
     assert s1.attrs == ("B_NO", "CNT_C", "CNT_W")
     assert s1.signer == "alice"
@@ -97,7 +105,7 @@ def test_signatures_are_deterministic(keys):
 
 def test_verify_all_view_combinations(keys):
     """Every plaintext/digest mix across 3 attributes verifies: 8 combos."""
-    sig = multi_sign(keys["alice"], FIELDS)
+    sig = sign_plain(keys["alice"], FIELDS)
     pub = keys["alice"].public
     for mask in itertools.product((0, 1), repeat=3):
         views = [
@@ -108,7 +116,7 @@ def test_verify_all_view_combinations(keys):
 
 
 def test_verify_rejects_any_single_value_change(keys):
-    sig = multi_sign(keys["alice"], FIELDS)
+    sig = sign_plain(keys["alice"], FIELDS)
     pub = keys["alice"].public
     for i in range(len(FIELDS)):
         views = [
@@ -124,45 +132,44 @@ def test_verify_rejects_any_single_value_change(keys):
 
 
 def test_verify_is_order_sensitive(keys):
-    sig = multi_sign(keys["alice"], [("B_NO", "u"), ("BL_NO", "w")])
+    sig = sign_plain(keys["alice"], [("B_NO", "u"), ("BL_NO", "w")])
     swapped = AttributeSignature(sig.signer, ("BL_NO", "B_NO"), sig.sig)
     views = [("BL_NO", PlainView("w")), ("B_NO", PlainView("u"))]
     assert not verify_multi_sig(keys["alice"].public, swapped, views)
 
 
 def test_verify_rejects_wrong_key(keys):
-    sig = multi_sign(keys["alice"], FIELDS)
+    sig = sign_plain(keys["alice"], FIELDS)
     views = [(n, PlainView(v)) for n, v in FIELDS]
     assert not verify_multi_sig(keys["bob"].public, sig, views)
 
 
 def test_verify_demands_matching_view_list(keys):
-    sig = multi_sign(keys["alice"], FIELDS)
+    sig = sign_plain(keys["alice"], FIELDS)
     with pytest.raises(AttrListMismatch):
         verify_multi_sig(keys["alice"].public, sig, [("B_NO", PlainView("BK-77120"))])
 
 
 def test_verify_accepts_der_public_key(keys):
-    sig = multi_sign(keys["alice"], FIELDS)
+    sig = sign_plain(keys["alice"], FIELDS)
     der = DEFAULT_SUITE.public_bytes(keys["alice"].public)
     assert verify_multi_sig(der, sig, [(n, PlainView(v)) for n, v in FIELDS])
 
 
-def test_renaming_gap_without_name_binding(keys):
-    """Without bind_names the attribute list is unauthenticated metadata;
-    with it, a relabelled signature no longer verifies."""
-    sig = multi_sign(keys["alice"], [("CNT_W", "18400")])
+def test_relabelled_or_permuted_signature_fails(keys):
+    """The attribute names are signed: a signature cannot be moved to
+    other attributes, nor permuted to follow two swapped values, even
+    though the value digests reach the verifier in the signed order."""
+    pub = keys["alice"].public
+    sig = sign_plain(keys["alice"], [("CNT_W", "18400")])
+    assert verify_multi_sig(pub, sig, [("CNT_W", PlainView("18400"))])
     relabelled = AttributeSignature(sig.signer, ("CNT_C",), sig.sig)
-    assert verify_multi_sig(keys["alice"].public, relabelled, [("CNT_C", PlainView("18400"))])
+    assert not verify_multi_sig(pub, relabelled, [("CNT_C", PlainView("18400"))])
 
-    bound = multi_sign(keys["alice"], [("CNT_W", "18400")], bind_names=True)
-    rebound = AttributeSignature(bound.signer, ("CNT_C",), bound.sig)
-    assert verify_multi_sig(
-        keys["alice"].public, bound, [("CNT_W", PlainView("18400"))], bind_names=True
-    )
-    assert not verify_multi_sig(
-        keys["alice"].public, rebound, [("CNT_C", PlainView("18400"))], bind_names=True
-    )
+    sig = sign_plain(keys["alice"], [("CNT_C", "400 cartons"), ("CSG_DATA", "consignee ACME")])
+    permuted = AttributeSignature(sig.signer, ("CSG_DATA", "CNT_C"), sig.sig)
+    swapped = [("CSG_DATA", PlainView("400 cartons")), ("CNT_C", PlainView("consignee ACME"))]
+    assert not verify_multi_sig(pub, permuted, swapped)
 
 
 # --- sealing ----------------------------------------------------------------
@@ -237,7 +244,7 @@ _value = st.text(min_size=0, max_size=60)
     st.data(),
 )
 def test_sign_verify_property(keys, fields, data):
-    sig = multi_sign(keys["alice"], fields)
+    sig = sign_plain(keys["alice"], fields)
     views = [
         (n, PlainView(v) if data.draw(st.booleans()) else DigestView(value_digest(v)))
         for n, v in fields
