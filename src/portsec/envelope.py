@@ -15,6 +15,8 @@ key, wrapped once per authorized reader's public key.
 All primitives sit behind a CryptoSuite so a deployment can swap them; the
 default fixes SHA-256, RSA-2048 with PKCS#1 v1.5 over the 32-byte payload
 (deterministic signatures), RSA-OAEP-SHA256 key wrap, and AES-256-GCM.
+Every signer in the package signs through ``sign``, which reuses the
+signature already made for the same suite, key and payload.
 """
 
 from __future__ import annotations
@@ -195,6 +197,23 @@ class CryptoSuite:
 
 DEFAULT_SUITE = CryptoSuite()
 
+#: Entries in the signing memo. A ``compare_modes`` pass makes 26 distinct
+#: signatures, and a long-lived world repeats a signature within the same
+#: booking; a run that never repeats one churns at most this many ~0.5 KB
+#: entries.
+SIGN_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=SIGN_MEMO_SIZE)
+def sign(suite: CryptoSuite, private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
+    """The package's one signing path. A PKCS#1 v1.5 signature depends only
+    on the key and the payload, so a repeated pair returns the bytes
+    ``suite.sign`` made the first time. The entry holds the key object
+    itself, so its identity cannot pass to another key while cached.
+    ``suite.sign`` stays the raw primitive: counting it counts real RSA
+    signatures."""
+    return suite.sign(private, payload)
+
 
 def digest(data: bytes, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
     return suite.digest(data)
@@ -222,8 +241,13 @@ def signing_payload(
     """The name-bound double hash H(H(",".join(names)) || d1 || ... || dk).
     Digests are fixed-length and names cannot hold a comma, so no other
     separators are needed."""
-    names_digest = suite.digest(canonical_bytes(",".join(names)))
-    return suite.digest(names_digest + b"".join(value_digests))
+    return suite.digest(_names_digest(suite, tuple(names)) + b"".join(value_digests))
+
+
+@lru_cache(maxsize=64)
+def _names_digest(suite: CryptoSuite, names: tuple[str, ...]) -> bytes:
+    # a run signs and checks the same few attribute lists over and over
+    return suite.digest(canonical_bytes(",".join(names)))
 
 
 def _views_payload(views: Sequence[tuple[str, View]], suite: CryptoSuite) -> bytes:
@@ -249,7 +273,7 @@ def multi_sign_views(
     if len(set(names)) != len(names):
         raise DuplicateSignedAttribute(f"duplicate attributes in {list(names)}")
     return AttributeSignature(
-        key_pair.owner, names, suite.sign(key_pair.private, _views_payload(views, suite))
+        key_pair.owner, names, sign(suite, key_pair.private, _views_payload(views, suite))
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
+from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, validate_chain
 from .policy import Role
 from .records import ParseError
@@ -284,7 +284,7 @@ def build_transaction(
 ) -> tuple[Transaction, tuple[Certificate, ...]]:
     """Signed transaction plus the chain to present at submission."""
     tx = Transaction(invoker_chain[0], LedgerAction(action), cnt_no, tuple(args), b"")
-    sig = suite.sign(key_pair.private, suite.digest(tx.body_bytes()))
+    sig = sign(suite, key_pair.private, suite.digest(tx.body_bytes()))
     return replace(tx, invoker_signature=sig), tuple(invoker_chain)
 
 
@@ -410,7 +410,7 @@ def endorse(
         net.endorsement_policy,
     )
     payload = net.suite.digest(tx.body_bytes() + tx.invoker_signature)
-    pending.endorsements.append((cert.subject, net.suite.sign(endorser_key.private, payload)))
+    pending.endorsements.append((cert.subject, sign(net.suite, endorser_key.private, payload)))
     return pending
 
 
@@ -518,7 +518,7 @@ def block_bytes(block: Block, txn_lines: list[bytes] | None = None) -> bytes:
 
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
     payload = net.suite.digest(_block_body(index, prev_hash, [_txn_line(t) for t in transactions]))
-    return Block(index, prev_hash, transactions, net.suite.sign(net.orderer_key.private, payload))
+    return Block(index, prev_hash, transactions, sign(net.suite, net.orderer_key.private, payload))
 
 
 def export_chain(net: LedgerNet) -> bytes:

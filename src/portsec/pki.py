@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
+from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
 from .records import ParseError
 
 #: Role token carried by certificate-authority certificates.
@@ -133,7 +133,7 @@ def _cert_fields(cert: Certificate) -> tuple:
 
 def _signed_cert(suite: CryptoSuite, signer: KeyPair, **fields) -> Certificate:
     unsigned = Certificate(signature=b"", **fields)
-    sig = suite.sign(signer.private, suite.digest(unsigned.body_bytes()))
+    sig = sign(suite, signer.private, suite.digest(unsigned.body_bytes()))
     return Certificate(signature=sig, **fields)
 
 

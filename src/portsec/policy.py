@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .model import CORE_ATTRIBUTES, InvariantViolation, validate_attribute_name
@@ -90,7 +92,8 @@ class Decision:
 
 @dataclass(frozen=True)
 class AccessMatrix:
-    """Immutable permission table over roles x attributes."""
+    """Immutable permission table over roles x attributes; ``entries`` is a
+    read-only view, so worlds can share one matrix."""
 
     entries: Mapping[tuple[Role, str], Permission]
     attributes: tuple[str, ...]
@@ -184,7 +187,7 @@ def load_policy(document: bytes | str) -> AccessMatrix:
         for role in Role
         for attr in attributes
     }
-    matrix = AccessMatrix(entries, tuple(attributes))
+    matrix = AccessMatrix(MappingProxyType(entries), tuple(attributes))
     for attr in attributes:
         if not matrix.writers_of(attr):
             raise NoWriterForAttribute(f"no role holds RW on {attr}")
@@ -304,5 +307,7 @@ PORT_AUTHORITY  CLR       -
 """
 
 
+@cache
 def default_matrix() -> AccessMatrix:
+    """The default policy, parsed once per process and shared read-only."""
     return load_policy(DEFAULT_POLICY_TEXT)

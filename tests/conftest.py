@@ -8,10 +8,21 @@ from portsec.fixtures import build_world, generate_fixtures
 
 
 class CountingSuite(CryptoSuite):
-    """The default primitives, counting RSA signature verifications."""
+    """The default primitives, counting RSA signatures, RSA signature
+    verifications and digests."""
 
     def __init__(self):
+        self.signs = 0
         self.verifies = 0
+        self.digests = 0
+
+    def sign(self, private, payload):
+        self.signs += 1
+        return super().sign(private, payload)
+
+    def digest(self, data):
+        self.digests += 1
+        return super().digest(data)
 
     def verify(self, public, payload, sig):
         self.verifies += 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from portsec.envelope import (
     DEFAULT_SUITE,
+    SIGN_MEMO_SIZE,
     AttrListMismatch,
     AuthDecryptFailure,
     DigestMismatch,
@@ -27,6 +28,7 @@ from portsec.envelope import (
     multi_sign_views,
     open_field,
     seal_field,
+    sign,
     signing_payload,
     value_digest,
     verify_multi_sig,
@@ -79,6 +81,16 @@ def test_payload_binds_names():
     assert signing_payload(["X", "Y"], digests) != signing_payload(["Y", "X"], digests)
 
 
+def test_names_digest_is_hashed_once_per_list(counting_suite):
+    suite = counting_suite()
+    digests = [value_digest("u"), value_digest("w")]
+    first = signing_payload(["X", "Y"], digests, suite=suite)
+    assert suite.digests == 2
+    assert signing_payload(("X", "Y"), digests, suite=suite) == first
+    assert suite.digests == 3
+    assert first == signing_payload(["X", "Y"], digests)
+
+
 # --- signing ----------------------------------------------------------------
 
 FIELDS = [("B_NO", "BK-77120"), ("CNT_C", "400 cartons machine parts"), ("CNT_W", "18400")]
@@ -86,6 +98,42 @@ FIELDS = [("B_NO", "BK-77120"), ("CNT_C", "400 cartons machine parts"), ("CNT_W"
 
 def sign_plain(key_pair, fields):
     return multi_sign_views(key_pair, [(n, PlainView(v)) for n, v in fields])
+
+
+def test_memoised_signature_equals_a_fresh_one(keys):
+    payload = digest(b"memo")
+    private = keys["alice"].private
+    assert sign(DEFAULT_SUITE, private, payload) == DEFAULT_SUITE.sign(private, payload)
+
+
+def test_repeat_signature_signs_once(keys, counting_suite):
+    suite = counting_suite()
+    payload = digest(b"once")
+    first = sign(suite, keys["alice"].private, payload)
+    assert sign(suite, keys["alice"].private, payload) == first
+    assert suite.signs == 1
+
+
+def test_new_payload_key_or_suite_signs_again(keys, counting_suite):
+    suite, other = counting_suite(), counting_suite()
+    alice, bob = keys["alice"].private, keys["bob"].private
+    one, two = digest(b"one"), digest(b"two")
+    sign(suite, alice, one)
+    assert sign(suite, alice, two) != sign(suite, bob, one)
+    assert suite.signs == 3
+    assert sign(other, alice, one) == sign(suite, alice, one)
+    assert (suite.signs, other.signs) == (3, 1)
+
+
+def test_signing_memo_is_bounded(keys, counting_suite):
+    suite = counting_suite()
+    payloads = [digest(b"%d" % i) for i in range(SIGN_MEMO_SIZE + 1)]
+    for payload in payloads:
+        sign(suite, keys["alice"].private, payload)
+    assert sign.cache_info().maxsize == SIGN_MEMO_SIZE
+    assert sign.cache_info().currsize <= SIGN_MEMO_SIZE
+    sign(suite, keys["alice"].private, payloads[0])  # evicted, so signed again
+    assert suite.signs == SIGN_MEMO_SIZE + 2
 
 
 def test_sign_rejects_degenerate_input(keys):

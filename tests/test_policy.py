@@ -147,6 +147,13 @@ DEFAULT_CORE_ONLY = (
 )
 
 
+def test_default_matrix_is_parsed_once_and_read_only(matrix):
+    assert default_matrix() is matrix
+    with pytest.raises(TypeError):
+        matrix.entries[(Role.PCS, "CNT_C")] = Permission.READ_WRITE
+    assert load_policy(DEFAULT_CORE_ONLY) is not load_policy(DEFAULT_CORE_ONLY)
+
+
 def test_comments_and_blanks_ignored():
     doc = "# header\n\n" + DEFAULT_CORE_ONLY.replace(
         "IMPORTER B_NO R", "IMPORTER B_NO R # trailing note"

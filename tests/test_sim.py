@@ -3,6 +3,8 @@ and the confidentiality audit over wire evidence."""
 
 import pytest
 
+from portsec import envelope, ledger, pki
+from portsec.attacks import compare_modes, comparison_to_wire
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
 from portsec.fixtures import build_world
 from portsec.model import HashOnly, from_flat
@@ -110,6 +112,33 @@ def test_runs_are_deterministic(base_fixtures, honest_sims):
         assert determinism_digest(again.transcript) == determinism_digest(
             sim.transcript
         ), (scenario, mode)
+
+
+def _signed_outputs(fx):
+    """Every honest run's determinism digest, both exported ledger chains
+    and the mode comparison."""
+    p2p = [
+        run_scenario(f, scenario, "p2p")
+        for f in (fx, fx.with_values(DG="true"))
+        for scenario in ("export", "import")
+    ]
+    nets = [run_scenario(fx, scenario, "ledger") for scenario in ("export", "import")]
+    return (
+        [determinism_digest(sim.transcript) for sim in p2p + nets],
+        [ledger.export_chain(sim.net) for sim in nets],
+        comparison_to_wire(compare_modes(fx)),
+    )
+
+
+def test_signing_memo_leaves_every_byte_unchanged(base_fixtures, monkeypatch):
+    with monkeypatch.context() as m:
+        for module in (envelope, ledger, pki):
+            m.setattr(module, "sign", lambda suite, private, payload: suite.sign(private, payload))
+        unmemoised = _signed_outputs(base_fixtures)
+    envelope.sign.cache_clear()
+    cold = _signed_outputs(base_fixtures)
+    warm = _signed_outputs(base_fixtures)
+    assert unmemoised == cold == warm
 
 
 def test_transcript_wire_round_trip(honest_sims):
