@@ -16,7 +16,9 @@ All primitives sit behind a CryptoSuite so a deployment can swap them; the
 default fixes SHA-256, RSA-2048 with PKCS#1 v1.5 over the 32-byte payload
 (deterministic signatures), RSA-OAEP-SHA256 key wrap, and AES-256-GCM.
 Every signer in the package signs through ``sign``, which reuses the
-signature already made for the same suite, key and payload.
+signature already made for the same suite, key and payload; every
+multi-signature check goes through ``verify``, which reuses the answer
+already given for the same suite, key, payload and signature.
 """
 
 from __future__ import annotations
@@ -215,6 +217,22 @@ def sign(suite: CryptoSuite, private: rsa.RSAPrivateKey, payload: bytes) -> byte
     return suite.sign(private, payload)
 
 
+#: Entries in the verify memo. A p2p booking checks ~5 distinct
+#: signatures, each many times over, and a ``compare_modes`` pass ~26.
+VERIFY_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=VERIFY_MEMO_SIZE)
+def verify(suite: CryptoSuite, public: bytes, payload: bytes, sig: bytes) -> bool:
+    """The multi-signature check path: ``suite.verify`` over DER key
+    bytes, answered once per distinct (suite, key, payload, signature).
+    RSA verification is a pure function of these four, so a cached answer
+    is the answer a fresh check would give; any other byte is another
+    entry. ``suite.verify`` stays the raw primitive: counting it counts
+    real RSA verifications."""
+    return suite.verify(public, payload, sig)
+
+
 def digest(data: bytes, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
     return suite.digest(data)
 
@@ -285,12 +303,16 @@ def verify_multi_sig(
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> bool:
     """Check a signature given, per covered attribute, either the plaintext
-    or its digest. The view list must match ``sig.attrs`` exactly."""
+    or its digest. The view list must match ``sig.attrs`` exactly.
+    ``public`` is a key object or its DER bytes; both reach the same
+    ``verify`` entry."""
     if tuple(n for n, _ in views) != sig.attrs:
         raise AttrListMismatch(
             f"views cover {[n for n, _ in views]}, signature covers {list(sig.attrs)}"
         )
-    return suite.verify(public, _views_payload(views, suite), sig.sig)
+    if not isinstance(public, bytes):
+        public = suite.public_bytes(public)
+    return verify(suite, public, _views_payload(views, suite), sig.sig)
 
 
 def seal_field(

@@ -93,10 +93,28 @@ class Decision:
 @dataclass(frozen=True)
 class AccessMatrix:
     """Immutable permission table over roles x attributes; ``entries`` is a
-    read-only view, so worlds can share one matrix."""
+    read-only view, so worlds can share one matrix. Every query is a lookup
+    in tables derived from ``entries`` once, at construction."""
 
     entries: Mapping[tuple[Role, str], Permission]
     attributes: tuple[str, ...]
+
+    def __post_init__(self):
+        allowed = {}
+        for (role, attr), p in self.entries.items():
+            allowed[(role, attr, Action.READ)] = p is not Permission.NONE
+            allowed[(role, attr, Action.WRITE)] = p is Permission.READ_WRITE
+
+        def holders(action: Action, attr: str) -> frozenset[Role]:
+            return frozenset(r for r in Role if allowed[(r, attr, action)])
+
+        tables = {
+            "_allowed": allowed,
+            "_writers": {a: holders(Action.WRITE, a) for a in self.attributes},
+            "_readers": {a: holders(Action.READ, a) for a in self.attributes},
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, MappingProxyType(table))
 
     def permission(self, role: Role, attribute: str) -> Permission:
         try:
@@ -105,24 +123,24 @@ class AccessMatrix:
             raise UnknownEntry(f"no entry for ({role}, {attribute})") from None
 
     def check(self, role: Role, attribute: str, action: Action) -> bool:
-        p = self.permission(role, attribute)
-        if Action(action) is Action.READ:
-            return p in (Permission.READ, Permission.READ_WRITE)
-        return p is Permission.READ_WRITE
+        try:
+            return self._allowed[(role, attribute, action)]
+        except (KeyError, TypeError):
+            pass
+        self.permission(role, attribute)  # UnknownEntry for an unknown cell
+        return self._allowed[(Role(role), attribute, Action(action))]
 
     def writers_of(self, attribute: str) -> frozenset[Role]:
-        if attribute not in self.attributes:
-            raise UnknownEntry(f"unknown attribute {attribute}")
-        return frozenset(
-            r for r in Role if self.entries[(r, attribute)] is Permission.READ_WRITE
-        )
+        try:
+            return self._writers[attribute]
+        except KeyError:
+            raise UnknownEntry(f"unknown attribute {attribute}") from None
 
     def readers_of(self, attribute: str) -> frozenset[Role]:
-        if attribute not in self.attributes:
-            raise UnknownEntry(f"unknown attribute {attribute}")
-        return frozenset(
-            r for r in Role if self.entries[(r, attribute)] is not Permission.NONE
-        )
+        try:
+            return self._readers[attribute]
+        except KeyError:
+            raise UnknownEntry(f"unknown attribute {attribute}") from None
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ from portsec.fixtures import build_world, generate_fixtures
 
 class CountingSuite(CryptoSuite):
     """The default primitives, counting RSA signatures, RSA signature
-    verifications and digests."""
+    verifications, OAEP key wraps and unwraps, and digests."""
 
     def __init__(self):
         self.signs = 0
         self.verifies = 0
+        self.wraps = 0
+        self.unwraps = 0
         self.digests = 0
 
     def sign(self, private, payload):
@@ -27,6 +29,14 @@ class CountingSuite(CryptoSuite):
     def verify(self, public, payload, sig):
         self.verifies += 1
         return super().verify(public, payload, sig)
+
+    def wrap_key(self, public, key_material):
+        self.wraps += 1
+        return super().wrap_key(public, key_material)
+
+    def unwrap_key(self, private, wrapped):
+        self.unwraps += 1
+        return super().unwrap_key(private, wrapped)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from portsec.envelope import (
     DEFAULT_SUITE,
     SIGN_MEMO_SIZE,
+    VERIFY_MEMO_SIZE,
     AttrListMismatch,
     AuthDecryptFailure,
     DigestMismatch,
@@ -31,6 +32,7 @@ from portsec.envelope import (
     sign,
     signing_payload,
     value_digest,
+    verify,
     verify_multi_sig,
 )
 from portsec.model import AttributeSignature, Sealed
@@ -218,6 +220,83 @@ def test_relabelled_or_permuted_signature_fails(keys):
     permuted = AttributeSignature(sig.signer, ("CSG_DATA", "CNT_C"), sig.sig)
     swapped = [("CSG_DATA", PlainView("400 cartons")), ("CNT_C", PlainView("consignee ACME"))]
     assert not verify_multi_sig(pub, permuted, swapped)
+
+
+# --- the verify memo --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def signed(keys):
+    """(DER public key, payload, signature) of one valid alice signature."""
+    payload = digest(b"checked")
+    der = DEFAULT_SUITE.public_bytes(keys["alice"].public)
+    return der, payload, DEFAULT_SUITE.sign(keys["alice"].private, payload)
+
+
+def test_memoised_check_equals_a_fresh_one(signed, counting_suite):
+    suite = counting_suite()
+    der, payload, sig = signed
+    cases = [(payload, sig, True), (digest(b"tampered"), sig, False), (payload, b"garbage", False)]
+    for p, s, expected in cases:
+        assert verify(suite, der, p, s) is expected
+        assert verify(suite, der, p, s) is DEFAULT_SUITE.verify(der, p, s)
+    assert suite.verifies == len(cases)
+
+
+def test_repeat_check_verifies_once(signed, counting_suite):
+    suite = counting_suite()
+    assert verify(suite, *signed)
+    assert verify(suite, *signed)
+    assert suite.verifies == 1
+
+
+def test_new_payload_key_signature_or_suite_verifies_again(keys, signed, counting_suite):
+    suite, other = counting_suite(), counting_suite()
+    der, payload, sig = signed
+    bob = DEFAULT_SUITE.public_bytes(keys["bob"].public)
+    verify(suite, der, payload, sig)
+    assert not verify(suite, der, digest(b"other"), sig)
+    assert not verify(suite, bob, payload, sig)
+    assert not verify(suite, der, payload, sig[:-1] + b"\0")
+    assert verify(other, der, payload, sig)
+    assert (suite.verifies, other.verifies) == (4, 1)
+
+
+def test_cached_true_never_passes_a_flipped_signature_or_another_key(keys, signed, counting_suite):
+    suite = counting_suite()
+    der, payload, sig = signed
+    assert verify(suite, der, payload, sig)
+    for i in range(len(sig)):
+        flipped = sig[:i] + bytes([sig[i] ^ 0x01]) + sig[i + 1 :]
+        assert not verify(suite, der, payload, flipped), i
+    assert not verify(suite, DEFAULT_SUITE.public_bytes(keys["bob"].public), payload, sig)
+    assert verify(suite, der, payload, sig)
+
+
+def test_verify_memo_is_bounded(signed, counting_suite):
+    suite = counting_suite()
+    der, _, sig = signed
+    payloads = [digest(b"%d" % i) for i in range(VERIFY_MEMO_SIZE + 1)]
+    for payload in payloads:
+        verify(suite, der, payload, sig)
+    assert verify.cache_info().maxsize == VERIFY_MEMO_SIZE
+    assert verify.cache_info().currsize <= VERIFY_MEMO_SIZE
+    verify(suite, der, payloads[0], sig)  # evicted, so checked again
+    assert suite.verifies == VERIFY_MEMO_SIZE + 2
+
+
+def test_key_object_and_its_der_bytes_share_one_check(keys, counting_suite):
+    suite = counting_suite()
+    sig = sign_plain(keys["alice"], FIELDS)
+    views = [(n, PlainView(v)) for n, v in FIELDS]
+    der = suite.public_bytes(keys["alice"].public)
+    assert verify_multi_sig(keys["alice"].public, sig, views, suite=suite)
+    assert verify_multi_sig(der, sig, views, suite=suite)
+    assert suite.verifies == 1
+    bad = [(n, PlainView(v + "!")) for n, v in FIELDS]
+    assert not verify_multi_sig(keys["alice"].public, sig, bad, suite=suite)
+    assert not verify_multi_sig(der, sig, bad, suite=suite)
+    assert suite.verifies == 2
 
 
 # --- sealing ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from portsec.audit import read_column
 from portsec.model import CORE_ATTRIBUTES
 from portsec.policy import (
     Action,
@@ -89,6 +90,44 @@ def test_check_writers_consistency(matrix):
             assert (role in matrix.writers_of(attr)) == matrix.check(
                 role, attr, Action.WRITE
             )
+
+
+@pytest.mark.parametrize("doc", ["default", "extension"])
+def test_lookup_tables_agree_with_permission(doc):
+    """check, writers_of and readers_of answer from tables built once;
+    each, and the read column built from them, must match the cell
+    ``permission`` returns, for role members and role strings alike."""
+    matrix = default_matrix() if doc == "default" else load_policy(
+        DEFAULT_CORE_ONLY + "PCS NEW_FLAG R\nCUSTOMS NEW_FLAG RW\n"
+    )
+    for role in Role:
+        for attr in matrix.attributes:
+            p = matrix.permission(role, attr)
+            may = {
+                Action.READ: p in (Permission.READ, Permission.READ_WRITE),
+                Action.WRITE: p is Permission.READ_WRITE,
+            }
+            for action, expected in may.items():
+                assert matrix.check(role, attr, action) is expected, (role, attr, action)
+                assert matrix.check(role.value, attr, action.value) is expected
+            assert (role in matrix.writers_of(attr)) is may[Action.WRITE]
+            assert (role in matrix.readers_of(attr)) is may[Action.READ]
+            assert (attr in read_column(matrix, role)) is may[Action.READ]
+            assert (attr in read_column(matrix, role.value)) is may[Action.READ]
+
+
+def test_lookups_refuse_unknown_entries(matrix):
+    for query in (
+        lambda: matrix.check("NOBODY", "B_NO", Action.READ),
+        lambda: matrix.check(Role.PCS, "NOPE", "READ"),
+        lambda: matrix.check(["PCS"], "B_NO", Action.READ),
+        lambda: matrix.readers_of("NOPE"),
+        lambda: read_column(matrix, "NOBODY"),
+    ):
+        with pytest.raises(UnknownEntry):
+            query()
+    with pytest.raises(ValueError):
+        matrix.check(Role.PCS, "B_NO", "DELETE")
 
 
 # --- document parsing -------------------------------------------------------

@@ -4,7 +4,7 @@ and the confidentiality audit over wire evidence."""
 import pytest
 
 from portsec import envelope, ledger, pki
-from portsec.attacks import compare_modes, comparison_to_wire
+from portsec.attacks import battery, compare_modes, comparison_to_wire, inject_attack
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
 from portsec.fixtures import build_world
 from portsec.model import HashOnly, from_flat
@@ -18,6 +18,7 @@ from portsec.sim import (
 )
 from portsec.transcript import (
     SentEvent,
+    ValidatedEvent,
     determinism_digest,
     transcript_from_wire,
     transcript_to_wire,
@@ -114,19 +115,31 @@ def test_runs_are_deterministic(base_fixtures, honest_sims):
         ), (scenario, mode)
 
 
-def _signed_outputs(fx):
-    """Every honest run's determinism digest, both exported ledger chains
-    and the mode comparison."""
+def _memoised_outputs(fx):
+    """Every honest run's determinism digest, both exported ledger chains,
+    the mode comparison, and every validation report of the four honest
+    p2p runs and of the p2p attack battery."""
     p2p = [
         run_scenario(f, scenario, "p2p")
         for f in (fx, fx.with_values(DG="true"))
         for scenario in ("export", "import")
     ]
     nets = [run_scenario(fx, scenario, "ledger") for scenario in ("export", "import")]
+    attacked = [
+        inject_attack(fx, scenario, spec, "p2p")[0]
+        for scenario in ("export", "import")
+        for spec in battery(scenario)
+    ]
     return (
         [determinism_digest(sim.transcript) for sim in p2p + nets],
         [ledger.export_chain(sim.net) for sim in nets],
         comparison_to_wire(compare_modes(fx)),
+        [
+            (ev.actor, ev.report.verdict, ev.report.findings, ev.report.verified_signers)
+            for t in [sim.transcript for sim in p2p] + attacked
+            for ev in t.events
+            if isinstance(ev, ValidatedEvent)
+        ],
     )
 
 
@@ -134,11 +147,55 @@ def test_signing_memo_leaves_every_byte_unchanged(base_fixtures, monkeypatch):
     with monkeypatch.context() as m:
         for module in (envelope, ledger, pki):
             m.setattr(module, "sign", lambda suite, private, payload: suite.sign(private, payload))
-        unmemoised = _signed_outputs(base_fixtures)
+        unmemoised = _memoised_outputs(base_fixtures)
     envelope.sign.cache_clear()
-    cold = _signed_outputs(base_fixtures)
-    warm = _signed_outputs(base_fixtures)
+    cold = _memoised_outputs(base_fixtures)
+    warm = _memoised_outputs(base_fixtures)
     assert unmemoised == cold == warm
+
+
+def test_verify_memo_leaves_every_report_unchanged(base_fixtures, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(envelope, "verify", lambda suite, public, payload, sig: suite.verify(public, payload, sig))
+        unmemoised = _memoised_outputs(base_fixtures)
+    envelope.verify.cache_clear()
+    cold = _memoised_outputs(base_fixtures)
+    warm = _memoised_outputs(base_fixtures)
+    assert unmemoised == cold == warm
+    assert any(findings for _, _, findings, _ in unmemoised[-1])
+
+
+def _fresh_booking(fx, tag):
+    """The same world's next booking: every value but the routing flag
+    differs, so none of its signatures has been made or checked yet."""
+    return fx.with_values(
+        run_tag=tag, **{k: f"{v} {tag}" for k, v in fx.values.items() if k != "DG"}
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario, carried, wraps, unwraps", [("export", 5, 6, 4), ("import", 4, 2, 2)]
+)
+def test_crypto_counts_of_one_booking_on_a_warm_world(
+    base_fixtures, counting_suite, scenario, carried, wraps, unwraps
+):
+    """Each signature a booking carries is made once and checked once,
+    however many hops re-check it; a second RSA check of the same bytes
+    fails here."""
+    suite = counting_suite()
+    world = build_world(base_fixtures, suite=suite)
+    run_scenario(_fresh_booking(base_fixtures, "B1"), scenario, "p2p", world=world)
+    suite.signs = suite.verifies = suite.wraps = suite.unwraps = 0
+    sim = run_scenario(_fresh_booking(base_fixtures, "B2"), scenario, "p2p", world=world)
+    assert sim.transcript.verdict == "PASS"
+    signatures = {
+        (sig.signer, sig.sig)
+        for ev in sim.transcript.sent_events()
+        for sig in ev.message.signatures
+    }
+    assert len(signatures) == carried
+    assert (suite.signs, suite.verifies) == (carried, carried)
+    assert (suite.wraps, suite.unwraps) == (wraps, unwraps)
 
 
 def test_transcript_wire_round_trip(honest_sims):
