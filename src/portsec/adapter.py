@@ -40,7 +40,7 @@ from .model import (
     Sealed,
     SecuredMessage,
 )
-from .pki import CaState, Certificate, validate_chain
+from .pki import CaState, Certificate, ChainResult, validate_chain
 from .policy import AccessMatrix, Action, PlanKind, Role, protection_plan
 
 BOOKING_ATTR = "B_NO"
@@ -95,9 +95,6 @@ class ValidationReport:
     @property
     def accepted(self) -> bool:
         return self.verdict == "ACCEPT"
-
-    def codes(self) -> set[FindingCode]:
-        return {f.code for f in self.findings}
 
 
 def report_to_wire(report: ValidationReport) -> bytes:
@@ -276,9 +273,10 @@ def validate_inbound(
 ) -> ValidationReport:
     """Run all validation phases and report every finding.
 
-    Order: sender chain, per-signature verification (with signer chains
-    from the directory; a failing signature on file under another run is
-    a linkage mismatch), write-coverage, representation compliance, nonce
+    Order: sender chain, per-signature verification (the sender's chain as
+    presented, other signers' from the directory, each validated once per
+    message; a failing signature on file under another run is a linkage
+    mismatch), write-coverage, representation compliance, nonce
     check, decryption of readable sealed fields, store append. See module
     docstring for the reject semantics.
     """
@@ -288,19 +286,29 @@ def validate_inbound(
     def reject(code: FindingCode, subject: str, detail: str):
         findings.append(Finding(code, subject, detail, Severity.REJECT))
 
+    # Each signer's chain is validated once per message: the sender's as
+    # presented, every other signer's from the directory.
+    chains: dict[str, tuple[Certificate, ChainResult]] = {}
+
+    def signer_chain(signer: str) -> tuple[Certificate, ChainResult] | None:
+        if signer not in chains:
+            if signer == sm.sender and sender_cert_chain:
+                cert, chain = sender_cert_chain[0], sender_cert_chain[1:]
+            elif signer in state.directory:
+                cert, chain = state.directory[signer]
+            else:
+                return None
+            chains[signer] = cert, validate_chain(
+                cert, list(chain), state.trust_anchor, at=state.clock,
+                ca_registry=state.ca_registry, suite=state.suite,
+            )
+        return chains[signer]
+
     # (a) sender chain
     if not sender_cert_chain:
         reject(FindingCode.CHAIN_INVALID, sm.sender, "no certificate chain presented")
     else:
-        leaf = sender_cert_chain[0]
-        res = validate_chain(
-            leaf,
-            list(sender_cert_chain[1:]),
-            state.trust_anchor,
-            at=state.clock,
-            ca_registry=state.ca_registry,
-            suite=state.suite,
-        )
+        leaf, res = signer_chain(sm.sender)
         if not res.valid:
             reject(
                 FindingCode.CHAIN_INVALID, sm.sender, f"{res.reason.value}: {res.detail}"
@@ -315,17 +323,11 @@ def validate_inbound(
     # (b) signatures
     verified: list[tuple[AttributeSignature, str]] = []  # (sig, signer role)
     for sig in sm.signatures:
-        if sig.signer == sm.sender and sender_cert_chain:
-            cert, chain = sender_cert_chain[0], tuple(sender_cert_chain[1:])
-        elif sig.signer in state.directory:
-            cert, chain = state.directory[sig.signer]
-        else:
+        resolved = signer_chain(sig.signer)
+        if resolved is None:
             reject(FindingCode.CHAIN_INVALID, sig.signer, "signer not in directory")
             continue
-        res = validate_chain(
-            cert, list(chain), state.trust_anchor, at=state.clock,
-            ca_registry=state.ca_registry, suite=state.suite,
-        )
+        cert, res = resolved
         if not res.valid:
             reject(
                 FindingCode.CHAIN_INVALID,
@@ -487,8 +489,3 @@ def forward(
             state, SecuredMessage(out.message, (own,), state.identity), received_from=state.identity
         )
     return out
-
-
-def query_signature_store(state: AdapterState, instance_id: str) -> list[StoreRecord]:
-    """All records for one run, in receipt order."""
-    return [rec for rec in state.signature_store if rec.instance_id == instance_id]

@@ -417,17 +417,6 @@ def comparison_to_wire(report: ComparisonReport) -> bytes:
 _SPEC_FIELDS = ("step", "attribute", "payload", "block", "sig_of")
 
 
-def attack_to_wire(spec: AttackSpec) -> bytes:
-    pairs = []
-    for key in _SPEC_FIELDS:
-        val = getattr(spec, key)
-        if key == "block":
-            val = str(val) if val >= 0 else ""
-        if val:
-            pairs += [key, val]
-    return records.encode("ATK", spec.kind.value, *pairs)
-
-
 def attack_from_wire(data: bytes) -> AttackSpec:
     recs = list(records.decode_lines(data))
     if len(recs) != 1:

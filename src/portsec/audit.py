@@ -23,7 +23,6 @@ LEDGER_ATTRS = frozenset({"CNT_NO"})
 class AuditResult:
     exposure: dict[str, frozenset[str]]  # identity -> attrs seen in plaintext
     handled: dict[str, frozenset[str]]  # identity -> attrs that transited it
-    entitled: dict[str, frozenset[str]]  # identity -> read column (policy roles)
     excess: dict[str, frozenset[str]]  # identity -> exposure beyond the column
 
     def flagged(self) -> list[str]:
@@ -64,22 +63,17 @@ def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> A
             exp |= LEDGER_ATTRS
             han |= LEDGER_ATTRS
 
-    entitled: dict[str, frozenset[str]] = {}
     excess: dict[str, frozenset[str]] = {}
     for identity, exposed in exposure.items():
         try:
             role = Role(transcript.actors.get(identity, ""))
         except ValueError:
-            entitled[identity] = frozenset()
             excess[identity] = frozenset()
             continue
-        column = read_column(matrix, role)
-        entitled[identity] = column
-        excess[identity] = frozenset(exposed - column)
+        excess[identity] = frozenset(exposed - read_column(matrix, role))
 
     return AuditResult(
         exposure={i: frozenset(v) for i, v in exposure.items()},
         handled={i: frozenset(v) for i, v in handled.items()},
-        entitled=entitled,
         excess=excess,
     )

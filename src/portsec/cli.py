@@ -1,9 +1,10 @@
 """Command line front end.
 
-Every subcommand exits 0 when the run met its expected outcome: an honest
-run validates end to end, an injected attack is detected, a chain file
-verifies, an audit finds no excess exposure, a policy lookup allows the
-action. Anything else exits 1; usage and file errors exit 2.
+Every subcommand exits 0 when the run met its expected outcome: a fixture
+file is written, an honest run validates end to end, an injected attack
+is detected, a chain file verifies, an audit finds no excess exposure, a
+policy lookup allows the action. Anything else exits 1; usage and file
+errors exit 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from .attacks import (
     inject_attack,
 )
 from .audit import audit_views
-from .fixtures import FixtureError, FixtureSet, fixtures_from_bytes
+from .fixtures import (
+    FixtureError,
+    FixtureSet,
+    fixtures_from_bytes,
+    fixtures_to_bytes,
+    generate_fixtures,
+)
 from .ledger import parse_chain, verify_exported
 from .model import ModelError, ParseError
 from .policy import Action, PolicyError, Role, load_policy
@@ -49,7 +56,18 @@ def _load_fixtures(path: str) -> FixtureSet:
 
 def _write_out(path: str | None, data: bytes) -> None:
     if path:
-        Path(path).write_bytes(data)
+        try:
+            Path(path).write_bytes(data)
+        except OSError as exc:
+            _fail(f"cannot write {path}: {exc.strerror}")
+
+
+def cmd_fixtures(args) -> int:
+    fixtures = generate_fixtures()
+    _write_out(args.out, fixtures_to_bytes(fixtures))
+    print(f"FIXTURES {args.out} run {fixtures.run_tag} actors {len(fixtures.actors)} "
+          f"values {len(fixtures.values)}")
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -157,6 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
         "container ledger, exercised by scripted port scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    fixtures = sub.add_parser(
+        "fixtures", help="generate fresh keys, certificates and field values")
+    fixtures.add_argument("--out", required=True, metavar="FILE")
+    fixtures.set_defaults(func=cmd_fixtures)
 
     run = sub.add_parser("run", help="run an honest scenario")
     run.add_argument("--scenario", required=True, choices=("export", "import"))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -70,10 +69,6 @@ class DigestMismatch(EnvelopeError):
     """Decrypted plaintext does not match the carried digest."""
 
 
-class EntropyUnavailable(EnvelopeError):
-    pass
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """One asymmetric key pair per identity, used both to sign and to
@@ -82,12 +77,6 @@ class KeyPair:
     public: rsa.RSAPublicKey
     private: rsa.RSAPrivateKey
     owner: str
-
-
-@dataclass(frozen=True)
-class SymmetricKey:
-    bytes: bytes
-    id: str
 
 
 @dataclass(frozen=True)
@@ -233,21 +222,9 @@ def verify(suite: CryptoSuite, public: bytes, payload: bytes, sig: bytes) -> boo
     return suite.verify(public, payload, sig)
 
 
-def digest(data: bytes, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
-    return suite.digest(data)
-
-
 def value_digest(text: str, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
     """Digest of a field value's canonical bytes."""
     return suite.digest(canonical_bytes(text))
-
-
-def fresh_symmetric_key(suite: CryptoSuite = DEFAULT_SUITE) -> SymmetricKey:
-    try:
-        material = os.urandom(suite.symmetric_key_length)
-    except OSError as exc:  # pragma: no cover - no entropy source in practice
-        raise EntropyUnavailable(str(exc)) from None
-    return SymmetricKey(material, secrets.token_hex(16))
 
 
 def signing_payload(
@@ -325,11 +302,11 @@ def seal_field(
     reader_list = list(readers.items()) if isinstance(readers, Mapping) else list(readers)
     if not reader_list:
         raise EmptyReaderSet("sealing requires at least one reader")
-    key = fresh_symmetric_key(suite)
+    key = os.urandom(suite.symmetric_key_length)
     return Sealed(
         digest=value_digest(value, suite),
-        ciphertext=suite.encrypt(key.bytes, canonical_bytes(value)),
-        wrapped_keys={identity: suite.wrap_key(public, key.bytes) for identity, public in reader_list},
+        ciphertext=suite.encrypt(key, canonical_bytes(value)),
+        wrapped_keys={identity: suite.wrap_key(public, key) for identity, public in reader_list},
     )
 
 

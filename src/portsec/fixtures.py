@@ -84,12 +84,6 @@ class FixtureSet:
     def dangerous_goods(self) -> bool:
         return self.values.get("DG", "false") == "true"
 
-    def actor(self, identity: str) -> ActorRecord:
-        for a in self.actors:
-            if a.identity == identity:
-                return a
-        raise FixtureIncomplete(f"no actor {identity}")
-
     def by_role(self, role: str) -> ActorRecord:
         """The first actor holding a role; scenario scripts address the
         primary organization of each role."""

@@ -417,7 +417,6 @@ def endorse(
 @dataclass(frozen=True)
 class CommitResult:
     block: Block | None
-    committed: tuple[Transaction, ...]
     rejected: tuple[tuple[PendingTransaction, LedgerError], ...]
 
 
@@ -450,7 +449,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
         good.append(tx)
 
     if not good:
-        return CommitResult(None, (), tuple(bad))
+        return CommitResult(None, tuple(bad))
 
     block = _sign_block(
         net,
@@ -460,7 +459,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     )
     net.chain.append(block)
     net.world_state = provisional
-    return CommitResult(block, tuple(good), tuple(bad))
+    return CommitResult(block, tuple(bad))
 
 
 def query(net: LedgerNet, reader_chain: Sequence[Certificate], cnt_no: str) -> ContainerAsset:

@@ -22,7 +22,6 @@ from . import records
 from .records import ModelError, ParseError
 
 CORE_ATTRIBUTES = ("B_NO", "BL_NO", "CNT_C", "CNT_W", "CSG_DATA", "CNT_NO")
-EXTENSION_ATTRIBUTES = ("DG", "CNT_LOC", "ATB_NO", "CLR")
 
 MESSAGE_TYPES = (
     "IFTMCS",

@@ -159,13 +159,6 @@ def cert_from_record(rec: records.Record) -> Certificate:
     )
 
 
-def cert_from_wire(data: bytes) -> Certificate:
-    recs = records.decode(data)
-    if len(recs) != 1:
-        raise ParseError("expected exactly one CERT record", recs[1].offset if recs else 0)
-    return cert_from_record(recs[0])
-
-
 def create_root(
     name: str,
     validity: tuple[int, int] = (0, 1_000_000),

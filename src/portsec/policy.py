@@ -163,7 +163,12 @@ def load_policy(document: bytes | str) -> AccessMatrix:
     core roles must be given explicitly for every core attribute, and every
     attribute must end up with at least one writer.
     """
-    text = document.decode("utf-8") if isinstance(document, bytes) else document
+    try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
+    except UnicodeDecodeError as exc:
+        # the bad bytes end the prefix as U+FFFD, which breaks no line
+        line_no = len(document[: exc.end].decode("utf-8", "replace").splitlines())
+        raise PolicyParseError(f"not UTF-8: {exc.reason}", line_no) from None
     given: dict[tuple[Role, str], Permission] = {}
     attributes: list[str] = list(CORE_ATTRIBUTES)
 
@@ -232,11 +237,7 @@ def protection_plan(
         if matrix.check(receiver, attr, Action.READ):
             d = Decision(PlanKind.PLAIN)
         else:
-            readers = frozenset(
-                r
-                for r in downstream
-                if r is not Role(receiver) and matrix.check(r, attr, Action.READ)
-            )
+            readers = downstream & matrix.readers_of(attr) - {Role(receiver)}
             d = Decision(PlanKind.SEALED, readers) if readers else Decision(PlanKind.HASH_ONLY)
         if d.kind is not PlanKind.HASH_ONLY and not matrix.check(sender, attr, Action.READ):
             raise SenderCannotRead(

@@ -10,10 +10,10 @@ the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .adapter import AdapterState, ValidationReport, forward, secure_outbound, validate_inbound
+from .adapter import ValidationReport, forward, secure_outbound, validate_inbound
 from .audit import audit_views
 from .fixtures import FixtureIncomplete, FixtureSet, World, build_net, build_world
 from .ledger import LedgerAction, LedgerError, LedgerNet, build_transaction, commit, endorse
@@ -28,14 +28,6 @@ Interceptor = Callable[[str, SecuredMessage], SecuredMessage]
 
 class ScenarioError(Exception):
     pass
-
-
-@dataclass
-class ActorInstance:
-    identity: str
-    role: Role
-    adapter: AdapterState
-    mailbox: list[SecuredMessage] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -214,10 +206,6 @@ class Simulation:
             script.name, script.mode,
             actors={a.identity: a.role for a in script.fixtures.actors},
         )
-        self.actors = {
-            ident: ActorInstance(ident, ad.role, ad)
-            for ident, ad in self.world.adapters.items()
-        }
         #: step name -> SecuredMessage as it left the sender (pre-attack)
         self.outbound: dict[str, SecuredMessage] = {}
         #: step name -> (report, message) at the receiver
@@ -246,18 +234,18 @@ class Simulation:
 
     def _message_step(self, step: Step) -> None:
         sender = self.world.adapter(step.sender)
+        receiver_role = self.world.adapter(step.receiver).role
         if step.forward_of:
             report, received = self.inbound[step.source]
             sm = forward(
-                sender, report, received, self.actors[step.receiver].role,
-                step.downstream, new_msg_type=step.msg_type,
+                sender, report, received, receiver_role, step.downstream, new_msg_type=step.msg_type,
             )
         else:
             sm = secure_outbound(
                 sender,
                 self._compose(step),
                 self._carried(step),
-                self.actors[step.receiver].role,
+                receiver_role,
                 step.downstream,
                 authored=step.authored,
                 co_attest=step.co_attest,
@@ -301,7 +289,6 @@ class Simulation:
             self.world.adapter(receiver), received, self.world.chain_of(received.sender)
         )
         self.transcript.validated(receiver, received, report)
-        self.actors[receiver].mailbox.append(received)
         self.inbound[step_name] = (report, received)
         if self.stop_on_reject and not report.accepted:
             self.halted = True

@@ -49,7 +49,7 @@ class LedgerEvent:
     action: str
     cnt_no: str
     invoker: str
-    outcome: str  # COMMITTED | PENDING | VISIBLE | denial class name
+    outcome: str  # COMMITTED | VISIBLE | VALID | INVALID | denial class name
     detail: str = ""
 
 
@@ -63,7 +63,7 @@ class AuditEvent:
 Event = SentEvent | ValidatedEvent | LedgerEvent | AuditEvent
 
 #: Ledger outcomes that do not count against the run verdict.
-BENIGN_OUTCOMES = {"COMMITTED", "PENDING", "VISIBLE", "VALID"}
+BENIGN_OUTCOMES = {"COMMITTED", "VISIBLE", "VALID"}
 
 
 @dataclass
@@ -107,17 +107,8 @@ class Transcript:
                 return "FAIL"
         return "PASS"
 
-    def rejects(self) -> list[ValidatedEvent]:
-        return [
-            ev for ev in self.events
-            if isinstance(ev, ValidatedEvent) and ev.verdict != "ACCEPT"
-        ]
-
     def sent_events(self) -> list[SentEvent]:
         return [ev for ev in self.events if isinstance(ev, SentEvent)]
-
-    def ledger_events(self) -> list[LedgerEvent]:
-        return [ev for ev in self.events if isinstance(ev, LedgerEvent)]
 
     def step_outline(self) -> list[tuple[str, ...]]:
         """Compact shape of the run, for golden-sequence comparison."""

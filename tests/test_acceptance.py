@@ -52,13 +52,21 @@ from portsec.model import AttributeSignature
 from portsec.pki import create_root, create_subordinate
 from portsec.policy import Role, default_matrix
 from portsec.sim import run_scenario
-from portsec.transcript import determinism_digest
+from portsec.transcript import LedgerEvent, ValidatedEvent, determinism_digest
 
 CNT = "COSU1234567"
 
 
 def _ok(n: int, text: str) -> None:
     print(f"ACCEPTANCE {n:02d} PASS: {text}")
+
+
+def _rejects(t) -> list[ValidatedEvent]:
+    return [e for e in t.events if isinstance(e, ValidatedEvent) and e.verdict != "ACCEPT"]
+
+
+def _codes(report) -> set[FindingCode]:
+    return {f.code for f in report.findings}
 
 
 # --- 1. honest runs -----------------------------------------------------------
@@ -75,14 +83,14 @@ IMPORT_LEDGER = ("CREATE", "ACKNOWLEDGE_DELIVERY", "QUERY", "CLEAR", "VERIFY")
 def test_c01_honest_runs_match_goldens(base_fixtures, honest_sims):
     for (scenario, mode), sim in honest_sims.items():
         t = sim.transcript
-        assert t.verdict == "PASS" and not t.rejects(), (scenario, mode)
+        assert t.verdict == "PASS" and not _rejects(t), (scenario, mode)
         again = run_scenario(base_fixtures, scenario, mode)
         assert determinism_digest(again.transcript) == determinism_digest(t)
     sent = lambda key: tuple(e.step for e in honest_sims[key].transcript.sent_events())
     assert sent(("export", "p2p")) == EXPORT_SENT
     assert sent(("import", "p2p")) == IMPORT_SENT
     actions = lambda key: tuple(
-        e.action for e in honest_sims[key].transcript.ledger_events()
+        e.action for e in honest_sims[key].transcript.events if isinstance(e, LedgerEvent)
     )
     assert actions(("export", "ledger")) == EXPORT_LEDGER
     assert actions(("import", "ledger")) == IMPORT_LEDGER
@@ -392,7 +400,7 @@ def test_c10_pki_gates_both_modes(base_fixtures):
     )
     foreign_chain = (foreign_leaf, foreign_ca.cert, foreign_root.cert)
     report = validate_inbound(world.adapters["t1-op"], sm, foreign_chain)
-    assert not report.accepted and FindingCode.CHAIN_INVALID in report.codes()
+    assert not report.accepted and FindingCode.CHAIN_INVALID in _codes(report)
 
     net = build_net(world)
     tx, _ = build_transaction(
@@ -410,7 +418,7 @@ def test_c10_pki_gates_both_modes(base_fixtures):
     report = validate_inbound(
         world.adapters["t1-op"], sm, world.chain_of("sl1-clerk")
     )
-    assert not report.accepted and FindingCode.CHAIN_INVALID in report.codes()
+    assert not report.accepted and FindingCode.CHAIN_INVALID in _codes(report)
     try:
         submit(net, tx, world.chain_of("sl1-clerk"))
         raise AssertionError("revoked invoker accepted")

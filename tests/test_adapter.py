@@ -9,12 +9,11 @@ from portsec.adapter import (
     NotValidated,
     WritePermissionDenied,
     forward,
-    query_signature_store,
     report_to_wire,
     secure_outbound,
     validate_inbound,
 )
-from portsec.envelope import value_digest
+from portsec.envelope import PlainView, multi_sign_views, value_digest
 from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
 from portsec.policy import Role
 
@@ -26,6 +25,10 @@ VALUES = {
     "CSG_DATA": "consignee ACME Imports, notify NordFreight GmbH",
     "CNT_NO": "COSU1234567",
 }
+
+
+def _codes(report) -> set[FindingCode]:
+    return {f.code for f in report.findings}
 
 
 def importer_signature(world, run_id, values=VALUES):
@@ -151,7 +154,7 @@ def test_in_transit_tamper_detected(world):
     )
     report = validate_inbound(pcs, tampered, world.chain_of("sl1-clerk"))
     assert not report.accepted
-    assert FindingCode.SIGNATURE_INVALID in report.codes()
+    assert FindingCode.SIGNATURE_INVALID in _codes(report)
 
 
 def test_signature_byte_flip_detected(world):
@@ -162,7 +165,7 @@ def test_signature_byte_flip_detected(world):
     pcs = world.adapter("pcs-op")
     report = validate_inbound(pcs, tampered, world.chain_of("sl1-clerk"))
     assert not report.accepted
-    assert FindingCode.SIGNATURE_INVALID in report.codes()
+    assert FindingCode.SIGNATURE_INVALID in _codes(report)
 
 
 def test_write_coverage_gap(world):
@@ -180,8 +183,6 @@ def test_write_coverage_gap(world):
 def test_unauthorized_author_is_a_coverage_gap(world):
     """A terminal clerk hand-rolls a consignment update: the signature is
     cryptographically fine but no writer-role covers CNT_C."""
-    from portsec.envelope import PlainView, multi_sign_views
-
     t1 = world.adapter("t1-op")
     sig = multi_sign_views(t1.key_pair, [("CNT_C", PlainView("808 cartons"))])
     sm = SecuredMessage(
@@ -205,7 +206,7 @@ def test_representation_violation_plaintext_overshare(world):
     pcs = world.adapter("pcs-op")
     report = validate_inbound(pcs, leaky, world.chain_of("sl1-clerk"))
     assert not report.accepted
-    assert FindingCode.REPRESENTATION_VIOLATION in report.codes()
+    assert FindingCode.REPRESENTATION_VIOLATION in _codes(report)
     assert "CNT_C" not in report.decrypted_view  # never surfaced to the actor
 
 
@@ -227,7 +228,7 @@ def test_sealed_ciphertext_tamper_found_at_opener(world):
     customs = world.adapter("customs-officer")
     rep = validate_inbound(customs, fwd, world.chain_of("pcs-op"))
     assert not rep.accepted
-    assert FindingCode.DIGEST_MISMATCH in rep.codes()
+    assert FindingCode.DIGEST_MISMATCH in _codes(rep)
 
 
 def test_nonce_reuse_warning(world):
@@ -252,6 +253,36 @@ def test_revoked_sender_chain(world):
     assert chain_findings and "Revoked" in chain_findings[0].detail
 
 
+def test_each_signer_chain_validated_once_per_message(world, monkeypatch):
+    """Two signatures by one revoked directory signer: one chain walk for
+    that signer, still one finding per signature."""
+    import portsec.adapter
+
+    imp = world.adapter("importer-1")
+    msg = Message("IFTMCS", "RUN-1", tuple((a, Plain(VALUES[a])) for a in ("B_NO", "CNT_C")))
+    signatures = tuple(
+        multi_sign_views(imp.key_pair, [(a, PlainView(VALUES[a])) for a in attrs])
+        for attrs in (("B_NO", "CNT_C"), ("CNT_C",))
+    )
+    sm = SecuredMessage(msg, signatures, "sl1-clerk")
+    world.ca_registry["IMP1-CA"].revoke(world.directory_cert("importer-1").serial)
+
+    walks = []
+    validate = portsec.adapter.validate_chain
+
+    def counting(leaf, *args, **kwargs):
+        walks.append(leaf.subject)
+        return validate(leaf, *args, **kwargs)
+
+    monkeypatch.setattr(portsec.adapter, "validate_chain", counting)
+    report = validate_inbound(world.adapter("pcs-op"), sm, world.chain_of("sl1-clerk"))
+    assert sorted(walks) == ["importer-1", "sl1-clerk"]
+    revoked = [f for f in report.findings
+               if f.code is FindingCode.CHAIN_INVALID and f.subject == "importer-1"]
+    assert len(revoked) == 2
+    assert all(f.detail.startswith("signer chain Revoked: importer-1") for f in revoked)
+
+
 def test_replay_splice_flagged_as_linkage_mismatch(world):
     """Importer signature from run 1 stitched into run 2's message: the
     booking numbers disagree, and the store knows where the original went."""
@@ -270,7 +301,7 @@ def test_replay_splice_flagged_as_linkage_mismatch(world):
     assert linkage[0].subject == "B_NO"
     assert "SPL-R1" in linkage[0].detail
     # The forensic trail: the original signature is on file under run 1.
-    run1_records = query_signature_store(pcs, "SPL-R1")
+    run1_records = [r for r in pcs.signature_store if r.instance_id == "SPL-R1"]
     assert any(r.signature.sig == run1.signatures[0].sig for r in run1_records)
 
 
@@ -282,7 +313,7 @@ def test_store_appends_even_on_reject(world):
     )
     before = len(pcs.signature_store)
     validate_inbound(pcs, tampered, world.chain_of("sl1-clerk"))
-    after = query_signature_store(pcs, sm.message.instance_id)
+    after = [r for r in pcs.signature_store if r.instance_id == sm.message.instance_id]
     assert len(pcs.signature_store) == before + len(sm.signatures)
     assert len(after) == len(sm.signatures)
 

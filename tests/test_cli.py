@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import portsec
-from portsec.attacks import AttackKind, AttackSpec, attack_to_wire
 from portsec.cli import main
-from portsec.fixtures import build_net, build_world, fixtures_to_bytes
+from portsec.fixtures import build_net, build_world, fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import LedgerAction, build_transaction, commit, export_chain, submit
 from portsec.policy import DEFAULT_POLICY_TEXT
 from portsec.transcript import transcript_from_wire
@@ -30,14 +29,9 @@ def cli_files(base_fixtures, tmp_path_factory):
     }
     paths["fixtures"].write_bytes(fixtures_to_bytes(base_fixtures))
     paths["policy"].write_text(DEFAULT_POLICY_TEXT)
-    paths["tamper"].write_bytes(
-        attack_to_wire(AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W",
-                                  payload="1 kg")) + b"\n"
-    )
-    paths["ledger_tamper"].write_bytes(
-        attack_to_wire(AttackSpec(AttackKind.LEDGER_TAMPER, block=1)) + b"\n"
-    )
-    paths["attr_swap"].write_bytes(attack_to_wire(AttackSpec(AttackKind.ATTR_SWAP)) + b"\n")
+    paths["tamper"].write_bytes(b"ATK+TAMPER_FIELD+attribute+CNT_W+payload+1 kg'\n")
+    paths["ledger_tamper"].write_bytes(b"ATK+LEDGER_TAMPER+block+1'\n")
+    paths["attr_swap"].write_bytes(b"ATK+ATTR_SWAP'\n")
     return paths
 
 
@@ -181,13 +175,18 @@ def test_file_errors_exit_two(cli_files, capsys):
         main(["policy-check", "--policy", str(cli_files["policy"]),
               "--role", "PIRATE", "--attr", "CNT_C", "--action", "read"])
     assert err.value.code == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "export", "--mode", "p2p",
+              "--fixtures", str(cli_files["fixtures"]), "--out", "/no/such/dir/run.trs"])
+    assert err.value.code == 2
+    assert "cannot write /no/such/dir/run.trs" in capsys.readouterr().err
 
 
 _CA_WITHOUT_PARENT = b"FIX+1+x'\nCA+x'\n"
 _EVENT_WITHOUT_KIND = b"TRS+1+export+p2p+PASS'\nEVT'\n"
 # parses, but names no scenario actor and pins an unknown suite
 _THIN_FIXTURE = b"FIX+1+x'\nRUN+a'\n"
+_POLICY_NOT_UTF8 = b"# roles\nIMPORTER B_NO \xff\xfe R\n"
 # SENT event whose flat is base64 of MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
 _SENT_UNKNOWN_TAG = (
     b"TRS+1+export+p2p+PASS'\nEVT+SENT+s+a+b+ICU+R+TVNHK0lDVStSJ1paWit4J1NORCt0Jw=='\n"
@@ -206,16 +205,16 @@ _SENT_UNKNOWN_TAG = (
         (["compare", "--fixtures"], _THIN_FIXTURE),
         (["attack", "--scenario", "export", "--spec", "spec.atk", "--fixtures"],
          _THIN_FIXTURE),
+        (["policy-check", "--role", "IMPORTER", "--attr", "B_NO", "--action", "read",
+          "--policy"], _POLICY_NOT_UTF8),
     ],
     ids=["run-fixture-arity", "compare-fixture-arity", "attack-fixture-arity",
          "audit-event-arity", "audit-unknown-tag-in-flat", "compare-thin-fixture",
-         "attack-thin-fixture"],
+         "attack-thin-fixture", "policy-not-utf8"],
 )
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.atk").write_bytes(
-        attack_to_wire(AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W")) + b"\n"
-    )
+    (tmp_path / "spec.atk").write_bytes(b"ATK+TAMPER_FIELD+attribute+CNT_W'\n")
     path = tmp_path / "input"
     path.write_bytes(content)
     with pytest.raises(SystemExit) as err:
@@ -224,6 +223,8 @@ def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv, content)
     err_text = capsys.readouterr().err
     assert err_text.startswith("error: ")
     assert "cannot read" not in err_text
+    if content == _POLICY_NOT_UTF8:
+        assert "line 2: not UTF-8" in err_text
 
 
 def _ec_key() -> bytes:
@@ -268,13 +269,30 @@ def test_swapped_actor_keys_exit_two(base_fixtures, tmp_path, mode):
     assert "Traceback" not in done.stderr
 
 
+def test_fixtures_subcommand_writes_a_runnable_file(tmp_path, capsys):
+    path = tmp_path / "fresh.psf"
+    done = _fresh(["fixtures", "--out", str(path)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"FIXTURES {path} ")
+    fixtures = fixtures_from_bytes(path.read_bytes())
+    assert fixtures.run_tag == "R1" and not fixtures.dangerous_goods
+    code = main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+    assert code == 0
+    assert "VERDICT PASS" in capsys.readouterr().out
+
+
 def _run_fresh(command, tmp_path, fixtures):
-    """Run the CLI on ``fixtures`` in a fresh interpreter, so an uncaught
-    exception shows as a traceback."""
+    """Run the CLI on ``fixtures`` in a fresh interpreter."""
     path = tmp_path / "fixtures.psf"
     path.write_bytes(fixtures_to_bytes(fixtures))
+    return _fresh([*command, "--fixtures", str(path)])
+
+
+def _fresh(argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows
+    as a traceback."""
     src = str(Path(portsec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "portsec", *command, "--fixtures", str(path)],
+    return subprocess.run([sys.executable, "-m", "portsec", *argv],
                           capture_output=True, text=True, env=env, timeout=120)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec.attacks import attack_from_wire, attack_to_wire, battery
+from portsec.attacks import attack_from_wire
 from portsec.fixtures import fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import export_chain, parse_chain
 from portsec.model import ModelError, ParseError, from_flat
-from portsec.pki import cert_from_wire, cert_to_wire
+from portsec.pki import cert_to_wire
 from portsec.records import encode
 from portsec.transcript import transcript_from_wire, transcript_to_wire
 
@@ -26,11 +26,13 @@ def honest(base_fixtures, honest_sims):
     p2p = honest_sims[("export", "p2p")]
     return {
         "from_flat": (from_flat, p2p.transcript.sent_events()[1].flat),
-        "cert_from_wire": (cert_from_wire, cert_to_wire(base_fixtures.certs["pcs-op"])),
+        # a certificate alone: the CERT record parser behind both file loaders
+        "certificate": (fixtures_from_bytes, cert_to_wire(base_fixtures.certs["pcs-op"])),
         "parse_chain": (parse_chain, export_chain(honest_sims[("import", "ledger")].net)),
         "fixtures_from_bytes": (fixtures_from_bytes, fixtures_to_bytes(base_fixtures)),
         "transcript_from_wire": (transcript_from_wire, transcript_to_wire(p2p.transcript)),
-        "attack_from_wire": (attack_from_wire, attack_to_wire(battery("export")[0])),
+        "attack_from_wire": (
+            attack_from_wire, b"ATK+TAMPER_FIELD+step+delivery+attribute+CNT_W+payload+1 kg'"),
     }
 
 
@@ -96,7 +98,7 @@ _SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
         # sealed field whose wrapped-key count is not a number
         (from_flat, b"MSG+ICU+RUN1'ATT+B_NO+S+AA==+AA==+x'SND+t'", 34, b"x'"),
         # not-before is not an integer
-        (cert_from_wire, b"CERT+1+a+b+c+d+x+2+AA==+AA=='", 15, b"x+2"),
+        (fixtures_from_bytes, b"CERT+1+a+b+c+d+x+2+AA==+AA=='", 15, b"x+2"),
         # TXN whose invoker has no certificate record: the TXN's own offset
         (parse_chain, _CHAIN_HEAD + b"TXN+CREATE+c+ghost+1+AA==+000+000'\n", 44, b"TXN+"),
         # release character before an ordinary byte on the second line

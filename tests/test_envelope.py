@@ -25,7 +25,6 @@ from portsec.envelope import (
     EmptyReaderSet,
     NoWrappedKeyForHolder,
     PlainView,
-    digest,
     multi_sign_views,
     open_field,
     seal_field,
@@ -36,6 +35,8 @@ from portsec.envelope import (
     verify_multi_sig,
 )
 from portsec.model import AttributeSignature, Sealed
+
+digest = DEFAULT_SUITE.digest
 
 
 @pytest.fixture(scope="module")

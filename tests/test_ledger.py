@@ -491,7 +491,7 @@ def test_anchor_hash_is_not_trusted(world, net):
 
 
 def test_orderer_must_hold_the_orderer_role(world):
-    assert world.fixtures.actor("orderer-1").role == ORDERER_ROLE
+    assert {a.identity: a.role for a in world.fixtures.actors}["orderer-1"] == ORDERER_ROLE
     net = create_net(
         "sl1-clerk", world.key_pairs["sl1-clerk"], world.directory, world.root_anchor,
         world.ca_registry,

@@ -4,13 +4,14 @@ import dataclasses
 
 import pytest
 
+from portsec import records
 from portsec.envelope import DEFAULT_SUITE
 from portsec.pki import (
     CA_ROLE,
     FailureReason,
     UnknownSerial,
     ValidityOutsideIssuer,
-    cert_from_wire,
+    cert_from_record,
     cert_to_wire,
     create_root,
     create_subordinate,
@@ -149,11 +150,16 @@ def test_serials_unique(pki):
     assert set(t_ca.issued) >= {a.serial, b.serial}
 
 
+def _cert_from_wire(wire: bytes):
+    (rec,) = records.decode(wire)
+    return cert_from_record(rec)
+
+
 def test_wire_round_trip(pki):
     for cert in (pki["root"].cert, pki["sl_ca"].cert, pki["clerk"]):
         wire = cert_to_wire(cert)
         assert wire.startswith(b"CERT+") and wire.endswith(b"'")
-        assert cert_from_wire(wire) == cert
+        assert _cert_from_wire(wire) == cert
 
 
 def test_wire_rejects_truncation(pki):
@@ -161,7 +167,7 @@ def test_wire_rejects_truncation(pki):
 
     wire = cert_to_wire(pki["clerk"])
     with pytest.raises(ParseError):
-        cert_from_wire(wire[:-10])
+        _cert_from_wire(wire[:-10])
 
 
 # --- memoised link signatures: only the signature checks are reused ----------
