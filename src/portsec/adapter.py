@@ -23,12 +23,10 @@ from .envelope import (
     AuthDecryptFailure,
     CryptoSuite,
     DEFAULT_SUITE,
-    DigestView,
     KeyPair,
-    PlainView,
+    field_digests,
     open_field,
     seal_field,
-    value_digest,
     verify_multi_sig,
 )
 from .model import (
@@ -90,7 +88,6 @@ class ValidationReport:
     verdict: str  # "ACCEPT" | "REJECT"
     findings: tuple[Finding, ...]
     decrypted_view: Mapping[str, str]
-    verified_signers: tuple[tuple[str, str], ...]  # (identity, role)
 
     @property
     def accepted(self) -> bool:
@@ -115,13 +112,7 @@ class StoreRecord:
     signature: AttributeSignature
     received_from: str
     at: int
-    attr_digests: tuple[tuple[str, bytes], ...]
-
-    def digest_of(self, attr: str) -> bytes | None:
-        for name, d in self.attr_digests:
-            if name == attr:
-                return d
-        return None
+    attr_digests: Mapping[str, bytes]
 
 
 @dataclass
@@ -141,26 +132,11 @@ class AdapterState:
     seen_booking_numbers: dict[bytes, str] = field(default_factory=dict)
 
 
-def _field_digest(value: FieldValue, suite: CryptoSuite) -> bytes:
-    if isinstance(value, Plain):
-        return value_digest(value.text, suite)
-    return value.digest
-
-
-def _views(msg: Message, attrs: Iterable[str]):
-    views = []
-    for attr in attrs:
-        v = msg.get(attr)
-        views.append((attr, PlainView(v.text) if isinstance(v, Plain) else DigestView(v.digest)))
-    return views
-
-
-def _sig_digests(sig: AttributeSignature, msg: Message, suite: CryptoSuite):
-    return tuple((a, _field_digest(msg.get(a), suite)) for a in sig.attrs)
-
-
 def _store_signatures(
-    state: AdapterState, sm: SecuredMessage, received_from: str
+    state: AdapterState,
+    sm: SecuredMessage,
+    digests: Mapping[str, bytes],
+    received_from: str,
 ) -> None:
     for sig in sm.signatures:
         state.signature_store.append(
@@ -170,7 +146,7 @@ def _store_signatures(
                 signature=sig,
                 received_from=received_from,
                 at=state.clock,
-                attr_digests=_sig_digests(sig, sm.message, state.suite),
+                attr_digests={a: digests[a] for a in sig.attrs},
             )
         )
 
@@ -195,25 +171,26 @@ def _check_write(state: AdapterState, authored: Iterable[str]) -> None:
 def _plan_and_sign(
     state: AdapterState,
     msg: Message,
+    digests: Mapping[str, bytes],
     receiver: Role,
     downstream: Iterable[Role],
     sign_attrs: Sequence[str],
 ) -> tuple[tuple[tuple[str, FieldValue], ...], AttributeSignature | None]:
     """Re-plan the plaintext fields of ``msg`` for ``receiver`` (plain,
     hash-only or sealed for downstream readers; other fields pass through)
-    and sign ``sign_attrs`` over their current values, if any."""
+    and sign ``sign_attrs`` over their digests, if any."""
     plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
     plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
     own = None
     if sign_attrs:
-        own = envelope.multi_sign_views(state.key_pair, _views(msg, sign_attrs), suite=state.suite)
+        own = envelope.multi_sign(state.key_pair, sign_attrs, digests, suite=state.suite)
 
     out_fields: list[tuple[str, FieldValue]] = []
     for name, value in msg.fields:
         if isinstance(value, Plain):
             decision = plan.decision(name)
             if decision.kind is PlanKind.HASH_ONLY:
-                value = HashOnly(value_digest(value.text, state.suite))
+                value = HashOnly(digests[name])
             elif decision.kind is PlanKind.SEALED:
                 recipients = _role_identities(state, decision.readers)
                 value = seal_field(value.text, recipients, state.suite)
@@ -244,25 +221,24 @@ def secure_outbound(
     authored = list(authored)
     co_attest = [a for a in co_attest if a not in authored]
     _check_write(state, authored)
+    digests = field_digests(msg, state.suite)
 
     for sig in carried:
         entry = state.directory.get(sig.signer)
         if entry is None:
             raise CarriedSignatureInvalid(f"unknown signer {sig.signer}")
-        if not verify_multi_sig(
-            entry[0].public_key, sig, _views(msg, sig.attrs), suite=state.suite
-        ):
+        if not verify_multi_sig(entry[0].public_key, sig, digests, suite=state.suite):
             raise CarriedSignatureInvalid(
                 f"signature by {sig.signer} does not match current values"
             )
 
     to_sign = [a for a in msg.attribute_names() if a in authored or a in co_attest]
-    out_fields, own = _plan_and_sign(state, msg, receiver, downstream, to_sign)
+    out_fields, own = _plan_and_sign(state, msg, digests, receiver, downstream, to_sign)
     signatures = tuple(carried) + ((own,) if own else ())
     sm = SecuredMessage(
         Message(msg.msg_type, msg.instance_id, out_fields), signatures, state.identity
     )
-    _store_signatures(state, sm, received_from=state.identity)
+    _store_signatures(state, sm, digests, received_from=state.identity)
     return sm
 
 
@@ -282,6 +258,7 @@ def validate_inbound(
     """
     findings: list[Finding] = []
     msg = sm.message
+    digests = field_digests(msg, state.suite)
 
     def reject(code: FindingCode, subject: str, detail: str):
         findings.append(Finding(code, subject, detail, Severity.REJECT))
@@ -335,12 +312,10 @@ def validate_inbound(
                 f"signer chain {res.reason.value}: {res.detail}",
             )
             continue
-        if verify_multi_sig(
-            cert.public_key, sig, _views(msg, sig.attrs), suite=state.suite
-        ):
+        if verify_multi_sig(cert.public_key, sig, digests, suite=state.suite):
             verified.append((sig, cert.role))
         else:
-            upgraded = _linkage_evidence(state, sig, msg)
+            upgraded = _linkage_evidence(state, sig, msg.instance_id, digests)
             if upgraded:
                 for attr, detail in upgraded:
                     reject(FindingCode.LINKAGE_MISMATCH, attr, detail)
@@ -352,18 +327,13 @@ def validate_inbound(
                 )
 
     # (c) write-coverage
-    verified_roles = [
-        (sig, Role(role))
-        for sig, role in verified
-        if any(role == r.value for r in Role)
-    ]
     for attr in msg.attribute_names():
-        writers = state.matrix.writers_of(attr)
-        if not any(attr in sig.attrs and role in writers for sig, role in verified_roles):
+        writers = {r.value for r in state.matrix.writers_of(attr)}
+        if not any(attr in sig.attrs and role in writers for sig, role in verified):
             reject(
                 FindingCode.WRITE_COVERAGE_GAP,
                 attr,
-                f"no verified signature from {sorted(r.value for r in writers)}",
+                f"no verified signature from {sorted(writers)}",
             )
 
     # (d) representation compliance
@@ -394,7 +364,7 @@ def validate_inbound(
     # (e) nonce check on the booking number
     booking_digest: bytes | None = None
     if msg.has(BOOKING_ATTR):
-        booking_digest = _field_digest(msg.get(BOOKING_ATTR), state.suite)
+        booking_digest = digests[BOOKING_ATTR]
         prior = state.seen_booking_numbers.get(booking_digest)
         if prior is not None and prior != msg.instance_id:
             findings.append(Finding(
@@ -414,21 +384,19 @@ def validate_inbound(
                 reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
 
     # (g) file everything
-    _store_signatures(state, sm, received_from=sm.sender)
+    _store_signatures(state, sm, digests, received_from=sm.sender)
 
     verdict = "REJECT" if any(f.severity is Severity.REJECT for f in findings) else "ACCEPT"
     if verdict == "ACCEPT" and booking_digest is not None:
         state.seen_booking_numbers.setdefault(booking_digest, msg.instance_id)
-    return ValidationReport(
-        verdict,
-        tuple(findings),
-        decrypted,
-        tuple((sig.signer, role) for sig, role in verified),
-    )
+    return ValidationReport(verdict, tuple(findings), decrypted)
 
 
 def _linkage_evidence(
-    state: AdapterState, sig: AttributeSignature, msg: Message
+    state: AdapterState,
+    sig: AttributeSignature,
+    instance_id: str,
+    digests: Mapping[str, bytes],
 ) -> list[tuple[str, str]]:
     """A failed signature whose exact bytes are on file under another run,
     with different digests for shared attributes, is a splice, not noise.
@@ -437,14 +405,11 @@ def _linkage_evidence(
     for rec in state.signature_store:
         if rec.signature.sig != sig.sig or rec.signature.signer != sig.signer:
             continue
-        if rec.instance_id == msg.instance_id:
+        if rec.instance_id == instance_id:
             continue
         for attr in sig.attrs:
-            stored = rec.digest_of(attr)
-            if stored is None or not msg.has(attr):
-                continue
-            current = _field_digest(msg.get(attr), state.suite)
-            if stored != current:
+            stored = rec.attr_digests.get(attr)
+            if stored is not None and stored != digests[attr]:
                 hits.append(
                     (
                         attr,
@@ -478,7 +443,8 @@ def forward(
     msg = sm.message
     authored = list(authored)
     _check_write(state, authored)
-    out_fields, own = _plan_and_sign(state, msg, receiver, downstream, authored)
+    digests = field_digests(msg, state.suite)
+    out_fields, own = _plan_and_sign(state, msg, digests, receiver, downstream, authored)
     out = SecuredMessage(
         Message(new_msg_type or msg.msg_type, msg.instance_id, out_fields),
         sm.signatures + ((own,) if own else ()),
@@ -486,6 +452,7 @@ def forward(
     )
     if own:
         _store_signatures(
-            state, SecuredMessage(out.message, (own,), state.identity), received_from=state.identity
+            state, SecuredMessage(out.message, (own,), state.identity), digests,
+            received_from=state.identity,
         )
     return out

@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from . import envelope, records
-from .adapter import FindingCode, Severity, _views
-from .envelope import value_digest
+from . import records
+from .adapter import FindingCode, Severity
+from .envelope import field_digests, multi_sign, value_digest
 from .fixtures import FixtureSet, build_world
 from .ledger import (
     LedgerAction,
@@ -118,11 +118,11 @@ def substitute_signer(sm: SecuredMessage, old_signer: str, key_pair, identity, s
     leaving the values untouched: pure authorship fraud."""
     sigs = []
     hit = False
+    digests = field_digests(sm.message, suite)
     for s in sm.signatures:
         if s.signer == old_signer and not hit:
             hit = True
-            s = envelope.multi_sign_views(key_pair, _views(sm.message, s.attrs), suite=suite)
-            s = replace(s, signer=identity)
+            s = replace(multi_sign(key_pair, s.attrs, digests, suite=suite), signer=identity)
         sigs.append(s)
     if not hit:
         raise TargetUnresolved(f"no signature by {old_signer}")
@@ -242,9 +242,7 @@ def _attacked_run(fixtures, scenario, world, mutate, step) -> Simulation:
     script = make_script(fixtures, scenario, "p2p")
     if all(s.name != step for s in script.steps):
         raise TargetUnresolved(f"scenario {scenario} has no step {step}")
-    sim = Simulation(script, world, lambda name, sm: mutate(sm) if name == step else sm)
-    sim.stop_on_reject = True
-    return sim.run()
+    return Simulation(script, world, lambda name, sm: mutate(sm) if name == step else sm).run()
 
 
 def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -34,23 +34,11 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa, utils
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .model import AttributeSignature, Sealed, canonical_bytes
+from .model import AttributeSignature, Message, Plain, Sealed, canonical_bytes
 
 
 class EnvelopeError(Exception):
     """Base class for signature/sealing errors."""
-
-
-class EmptyFieldList(EnvelopeError):
-    pass
-
-
-class DuplicateSignedAttribute(EnvelopeError):
-    pass
-
-
-class AttrListMismatch(EnvelopeError):
-    pass
 
 
 class EmptyReaderSet(EnvelopeError):
@@ -78,22 +66,6 @@ class KeyPair:
     private: rsa.RSAPrivateKey
     owner: str
 
-
-@dataclass(frozen=True)
-class PlainView:
-    """Verifier knows the attribute's plaintext."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class DigestView:
-    """Verifier knows only the attribute's digest."""
-
-    digest: bytes
-
-
-View = PlainView | DigestView
 
 _OAEP = padding.OAEP(
     mgf=padding.MGF1(hashes.SHA256()), algorithm=hashes.SHA256(), label=None
@@ -245,51 +217,46 @@ def _names_digest(suite: CryptoSuite, names: tuple[str, ...]) -> bytes:
     return suite.digest(canonical_bytes(",".join(names)))
 
 
-def _views_payload(views: Sequence[tuple[str, View]], suite: CryptoSuite) -> bytes:
-    return signing_payload(
-        [n for n, _ in views],
-        [value_digest(v.text, suite) if isinstance(v, PlainView) else v.digest for _, v in views],
-        suite=suite,
-    )
+def field_digests(msg: Message, suite: CryptoSuite = DEFAULT_SUITE) -> dict[str, bytes]:
+    """Each field's digest: ``value_digest`` of a plain value's text, or the
+    digest a hash-only or sealed value carries. A field's digest is the same
+    in every representation, so signing and every check read this one map."""
+    return {
+        name: value_digest(v.text, suite) if isinstance(v, Plain) else v.digest
+        for name, v in msg.fields
+    }
 
 
-def multi_sign_views(
+def multi_sign(
     key_pair: KeyPair,
-    views: Sequence[tuple[str, View]],
+    attrs: Sequence[str],
+    digests: Mapping[str, bytes],
     *,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> AttributeSignature:
-    """Sign an ordered attribute list with one signature. Some values may
-    be known only by digest (a signer can vouch for linkage to a value it
-    cannot read)."""
-    if not views:
-        raise EmptyFieldList("nothing to sign")
-    names = tuple(n for n, _ in views)
-    if len(set(names)) != len(names):
-        raise DuplicateSignedAttribute(f"duplicate attributes in {list(names)}")
-    return AttributeSignature(
-        key_pair.owner, names, sign(suite, key_pair.private, _views_payload(views, suite))
-    )
+    """Sign an ordered attribute list with one signature over the values'
+    digests (a signer can vouch for linkage to a value it cannot read).
+    The unsigned signature is built first, so an empty or duplicate list
+    fails the model's checks before any RSA signature is made."""
+    unsigned = AttributeSignature(key_pair.owner, tuple(attrs), b"")
+    payload = signing_payload(unsigned.attrs, [digests[a] for a in unsigned.attrs], suite=suite)
+    return replace(unsigned, sig=sign(suite, key_pair.private, payload))
 
 
 def verify_multi_sig(
     public,
     sig: AttributeSignature,
-    views: Sequence[tuple[str, View]],
+    digests: Mapping[str, bytes],
     *,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> bool:
-    """Check a signature given, per covered attribute, either the plaintext
-    or its digest. The view list must match ``sig.attrs`` exactly.
+    """Check a signature against the digests of the attributes it covers.
     ``public`` is a key object or its DER bytes; both reach the same
     ``verify`` entry."""
-    if tuple(n for n, _ in views) != sig.attrs:
-        raise AttrListMismatch(
-            f"views cover {[n for n, _ in views]}, signature covers {list(sig.attrs)}"
-        )
     if not isinstance(public, bytes):
         public = suite.public_bytes(public)
-    return verify(suite, public, _views_payload(views, suite), sig.sig)
+    payload = signing_payload(sig.attrs, [digests[a] for a in sig.attrs], suite=suite)
+    return verify(suite, public, payload, sig.sig)
 
 
 def seal_field(
@@ -320,7 +287,11 @@ def open_field(
     if holder not in sealed.wrapped_keys:
         raise NoWrappedKeyForHolder(f"no wrapped key for {holder}")
     key = suite.unwrap_key(private, sealed.wrapped_keys[holder])
-    plaintext = suite.decrypt(key, sealed.ciphertext)
-    if suite.digest(plaintext) != sealed.digest:
+    try:
+        text = suite.decrypt(key, sealed.ciphertext).decode("utf-8")
+    except UnicodeDecodeError:
+        # no value's canonical bytes decode this way
+        raise DigestMismatch("plaintext is not UTF-8") from None
+    if value_digest(text, suite) != sealed.digest:
         raise DigestMismatch("plaintext digest does not match sealed digest")
-    return plaintext.decode("utf-8")
+    return text

@@ -197,9 +197,8 @@ class Simulation:
         self.fixtures = script.fixtures
         self.world = world or build_world(script.fixtures)
         self.interceptor = interceptor
-        #: attack runs halt at the first rejection; later steps would
-        #: forward a message that never validated
-        self.stop_on_reject = False
+        #: a run halts at its first rejection; later steps would forward
+        #: a message that never validated
         self.halted = False
         self.net: LedgerNet | None = build_net(self.world) if script.mode == "ledger" else None
         self.transcript = Transcript(
@@ -290,7 +289,7 @@ class Simulation:
         )
         self.transcript.validated(receiver, received, report)
         self.inbound[step_name] = (report, received)
-        if self.stop_on_reject and not report.accepted:
+        if not report.accepted:
             self.halted = True
         return report, received
 

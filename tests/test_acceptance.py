@@ -10,18 +10,11 @@ from portsec.adapter import FindingCode, secure_outbound, validate_inbound
 from portsec.attacks import (
     AttackKind,
     battery,
-    flip_signature,
     inject_attack,
     mutate_field,
 )
 from portsec.audit import audit_views, read_column
-from portsec.envelope import (
-    DigestView,
-    PlainView,
-    multi_sign_views,
-    value_digest,
-    verify_multi_sig,
-)
+from portsec.envelope import field_digests, multi_sign, value_digest, verify_multi_sig
 from portsec.fixtures import CA_VALIDITY, LEAF_VALIDITY, ROOT_VALIDITY, build_world
 from portsec.ledger import (
     ContainerAsset,
@@ -142,21 +135,26 @@ def test_c03_representation_equivalence(world):
     key = world.key_pairs["sl1-clerk"]
     public = key.public
     combos = 0
+
+    def digests(fields, mask=-1):
+        """Field digests of a message carrying field i in plaintext when
+        bit i of ``mask`` is set, else hash-only."""
+        msg = Message("IFTMCS", "R1", tuple(
+            (n, Plain(v)) if mask & (1 << i) else (n, HashOnly(value_digest(v, world.suite)))
+            for i, (n, v) in enumerate(fields)
+        ))
+        return field_digests(msg, world.suite)
+
     for k in (1, 2, 3, 4):
         fields = values[:k]
-        sig = multi_sign_views(key, [(n, PlainView(v)) for n, v in fields], suite=world.suite)
+        sig = multi_sign(key, [n for n, _ in fields], digests(fields), suite=world.suite)
         for mask in range(2 ** k):
-            views = [
-                (n, PlainView(v)) if mask & (1 << i)
-                else (n, DigestView(value_digest(v, world.suite)))
-                for i, (n, v) in enumerate(fields)
-            ]
-            assert verify_multi_sig(public, sig, views, suite=world.suite)
+            assert verify_multi_sig(public, sig, digests(fields, mask), suite=world.suite)
             combos += 1
-        wrong = [(n, PlainView(v + "!")) for n, v in fields]
+        wrong = digests([(n, v + "!") for n, v in fields])
         assert not verify_multi_sig(public, sig, wrong, suite=world.suite)
     assert combos == 30
-    _ok(3, "30/30 plaintext/digest view combinations verify; forgeries do not")
+    _ok(3, "30/30 plaintext/hash-only field combinations verify; forgeries do not")
 
 
 # --- 4. splice rejection ------------------------------------------------------

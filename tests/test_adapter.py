@@ -13,9 +13,10 @@ from portsec.adapter import (
     secure_outbound,
     validate_inbound,
 )
-from portsec.envelope import PlainView, multi_sign_views, value_digest
+from portsec.envelope import DEFAULT_SUITE, field_digests, multi_sign, value_digest
 from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
 from portsec.policy import Role
+from portsec.sim import run_scenario
 
 VALUES = {
     "B_NO": "BKG-7401",
@@ -88,8 +89,7 @@ def test_pcs_accepts_and_sees_only_its_columns(world):
     report = validate_inbound(pcs, sm, world.chain_of("sl1-clerk"))
     assert report.accepted, report.findings
     assert set(report.decrypted_view) == {"B_NO", "BL_NO", "CNT_W", "CNT_NO"}
-    assert ("importer-1", "IMPORTER") in report.verified_signers
-    assert ("sl1-clerk", "SHIPPING_LINE") in report.verified_signers
+    assert not _codes(report) & {FindingCode.SIGNATURE_INVALID, FindingCode.CHAIN_INVALID}
 
 
 def test_forward_to_customs(world):
@@ -184,10 +184,9 @@ def test_unauthorized_author_is_a_coverage_gap(world):
     """A terminal clerk hand-rolls a consignment update: the signature is
     cryptographically fine but no writer-role covers CNT_C."""
     t1 = world.adapter("t1-op")
-    sig = multi_sign_views(t1.key_pair, [("CNT_C", PlainView("808 cartons"))])
-    sm = SecuredMessage(
-        Message("IFTMCS", "RUN-X", (("CNT_C", Plain("808 cartons")),)), (sig,), "t1-op"
-    )
+    msg = Message("IFTMCS", "RUN-X", (("CNT_C", Plain("808 cartons")),))
+    sig = multi_sign(t1.key_pair, ["CNT_C"], field_digests(msg))
+    sm = SecuredMessage(msg, (sig,), "t1-op")
     customs = world.adapter("customs-officer")
     report = validate_inbound(customs, sm, world.chain_of("t1-op"))
     assert not report.accepted
@@ -231,6 +230,35 @@ def test_sealed_ciphertext_tamper_found_at_opener(world):
     assert FindingCode.DIGEST_MISMATCH in _codes(rep)
 
 
+def test_sealed_plaintext_that_is_not_utf8_is_a_finding(base_fixtures, world):
+    """An on-path attacker holding only customs' public key seals bytes no
+    value encodes to, under their own digest: the hop rejects, it does
+    not raise."""
+    raw, key = b"\xff\xfe not utf-8", bytes(32)
+    customs = world.directory_cert("customs-officer").public_key
+    forged = Sealed(
+        DEFAULT_SUITE.digest(raw), DEFAULT_SUITE.encrypt(key, raw),
+        {"customs-officer": DEFAULT_SUITE.wrap_key(customs, key)},
+    )
+
+    def attack(step, sm):
+        if step != "export_declaration":
+            return sm
+        return SecuredMessage(sm.message.replace_field("CNT_C", forged), sm.signatures, sm.sender)
+
+    sim = run_scenario(base_fixtures, "export", "p2p", world=world, interceptor=attack)
+    report, _ = sim.inbound["export_declaration"]
+    assert [(f.code, f.subject) for f in report.findings] == [
+        (FindingCode.SIGNATURE_INVALID, "importer-1"),
+        (FindingCode.WRITE_COVERAGE_GAP, "DG"),
+        (FindingCode.WRITE_COVERAGE_GAP, "CNT_C"),
+        (FindingCode.WRITE_COVERAGE_GAP, "CSG_DATA"),
+        (FindingCode.DIGEST_MISMATCH, "CNT_C"),
+    ]
+    assert report.findings[-1].detail == "plaintext is not UTF-8"
+    assert "clearance" not in sim.outbound  # the run halts at the rejection
+
+
 def test_nonce_reuse_warning(world):
     pcs = world.adapter("pcs-op")
     first = make_iftmcs(world, run_id="RUN-A")
@@ -261,7 +289,7 @@ def test_each_signer_chain_validated_once_per_message(world, monkeypatch):
     imp = world.adapter("importer-1")
     msg = Message("IFTMCS", "RUN-1", tuple((a, Plain(VALUES[a])) for a in ("B_NO", "CNT_C")))
     signatures = tuple(
-        multi_sign_views(imp.key_pair, [(a, PlainView(VALUES[a])) for a in attrs])
+        multi_sign(imp.key_pair, attrs, field_digests(msg))
         for attrs in (("B_NO", "CNT_C"), ("CNT_C",))
     )
     sm = SecuredMessage(msg, signatures, "sl1-clerk")

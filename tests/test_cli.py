@@ -57,6 +57,19 @@ def test_run_ledger_writes_verifiable_chain(cli_files, tmp_path, capsys):
     assert "CHAIN VALID" in capsys.readouterr().out
 
 
+def test_run_halts_at_its_first_rejection(base_fixtures, tmp_path, capsys):
+    # a later not_after breaks the CA's signature on t1-op's certificate
+    cert = base_fixtures.certs["t1-op"]
+    certs = {**base_fixtures.certs, "t1-op": dataclasses.replace(cert, not_after=cert.not_after + 1)}
+    path = tmp_path / "fixtures.psf"
+    path.write_bytes(fixtures_to_bytes(dataclasses.replace(base_fixtures, certs=certs)))
+    code = main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "VALIDATED pcs-op ICU REJECT", "VERDICT FAIL",
+    ]
+
+
 def test_chain_out_needs_ledger_mode(cli_files, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "export", "--mode", "p2p",

@@ -1,8 +1,8 @@
 """Signature scheme and field sealing.
 
-Key property under test: a verifier holding any mix of plaintexts and
-digests for the covered attributes reaches the same verdict, and any
-single-value change flips the verdict to False.
+Key property under test: a verifier holding any mix of plaintext and
+hash-only fields for the covered attributes reaches the same verdict, and
+any single-value change flips the verdict to False.
 """
 
 import hashlib
@@ -16,16 +16,12 @@ from portsec.envelope import (
     DEFAULT_SUITE,
     SIGN_MEMO_SIZE,
     VERIFY_MEMO_SIZE,
-    AttrListMismatch,
     AuthDecryptFailure,
     DigestMismatch,
-    DigestView,
-    DuplicateSignedAttribute,
-    EmptyFieldList,
     EmptyReaderSet,
     NoWrappedKeyForHolder,
-    PlainView,
-    multi_sign_views,
+    field_digests,
+    multi_sign,
     open_field,
     seal_field,
     sign,
@@ -34,7 +30,15 @@ from portsec.envelope import (
     verify,
     verify_multi_sig,
 )
-from portsec.model import AttributeSignature, Sealed
+from portsec.model import (
+    AttributeSignature,
+    DuplicateAttribute,
+    HashOnly,
+    InvariantViolation,
+    Message,
+    Plain,
+    Sealed,
+)
 
 digest = DEFAULT_SUITE.digest
 
@@ -99,8 +103,26 @@ def test_names_digest_is_hashed_once_per_list(counting_suite):
 FIELDS = [("B_NO", "BK-77120"), ("CNT_C", "400 cartons machine parts"), ("CNT_W", "18400")]
 
 
+def digests_of(fields, hashed=()):
+    """``field_digests`` of a message carrying ``fields`` in plaintext,
+    except the names in ``hashed``, which travel hash-only."""
+    msg = Message("IFTMCS", "R1", tuple(
+        (n, HashOnly(value_digest(v)) if n in hashed else Plain(v)) for n, v in fields
+    ))
+    return field_digests(msg)
+
+
 def sign_plain(key_pair, fields):
-    return multi_sign_views(key_pair, [(n, PlainView(v)) for n, v in fields])
+    return multi_sign(key_pair, [n for n, _ in fields], digests_of(fields))
+
+
+def test_a_field_has_one_digest_in_every_representation(keys):
+    text = "400 cartons machine parts"
+    sealed = seal_field(text, {"bob": keys["bob"].public})
+    msg = Message("IFTMCS", "R1", (
+        ("CNT_C", Plain(text)), ("CNT_W", HashOnly(value_digest(text))), ("CSG_DATA", sealed),
+    ))
+    assert field_digests(msg) == dict.fromkeys(("CNT_C", "CNT_W", "CSG_DATA"), value_digest(text))
 
 
 def test_memoised_signature_equals_a_fresh_one(keys):
@@ -139,11 +161,16 @@ def test_signing_memo_is_bounded(keys, counting_suite):
     assert suite.signs == SIGN_MEMO_SIZE + 2
 
 
-def test_sign_rejects_degenerate_input(keys):
-    with pytest.raises(EmptyFieldList):
-        sign_plain(keys["alice"], [])
-    with pytest.raises(DuplicateSignedAttribute):
-        sign_plain(keys["alice"], [("B_NO", "a"), ("B_NO", "b")])
+def test_sign_rejects_degenerate_input(keys, counting_suite):
+    """An empty or duplicate list fails the model's checks before any RSA
+    signature is made."""
+    suite = counting_suite()
+    digests = {"B_NO": value_digest("a")}
+    with pytest.raises(InvariantViolation):
+        multi_sign(keys["alice"], [], digests, suite=suite)
+    with pytest.raises(DuplicateAttribute):
+        multi_sign(keys["alice"], ["B_NO", "B_NO"], digests, suite=suite)
+    assert suite.signs == 0
 
 
 def test_signatures_are_deterministic(keys):
@@ -155,56 +182,40 @@ def test_signatures_are_deterministic(keys):
 
 
 def test_verify_all_view_combinations(keys):
-    """Every plaintext/digest mix across 3 attributes verifies: 8 combos."""
+    """Every plaintext/hash-only mix across 3 attributes verifies: 8 combos."""
     sig = sign_plain(keys["alice"], FIELDS)
     pub = keys["alice"].public
     for mask in itertools.product((0, 1), repeat=3):
-        views = [
-            (n, PlainView(v) if bit else DigestView(value_digest(v)))
-            for (n, v), bit in zip(FIELDS, mask)
-        ]
-        assert verify_multi_sig(pub, sig, views), mask
+        hashed = [n for (n, _), bit in zip(FIELDS, mask) if bit]
+        assert verify_multi_sig(pub, sig, digests_of(FIELDS, hashed)), mask
 
 
 def test_verify_rejects_any_single_value_change(keys):
     sig = sign_plain(keys["alice"], FIELDS)
     pub = keys["alice"].public
+    names = [n for n, _ in FIELDS]
     for i in range(len(FIELDS)):
-        views = [
-            (n, PlainView(v + "!") if j == i else PlainView(v))
-            for j, (n, v) in enumerate(FIELDS)
-        ]
-        assert not verify_multi_sig(pub, sig, views)
-        views = [
-            (n, DigestView(value_digest(v + "!")) if j == i else DigestView(value_digest(v)))
-            for j, (n, v) in enumerate(FIELDS)
-        ]
-        assert not verify_multi_sig(pub, sig, views)
+        changed = [(n, v + "!" if j == i else v) for j, (n, v) in enumerate(FIELDS)]
+        assert not verify_multi_sig(pub, sig, digests_of(changed))
+        assert not verify_multi_sig(pub, sig, digests_of(changed, hashed=names))
 
 
 def test_verify_is_order_sensitive(keys):
     sig = sign_plain(keys["alice"], [("B_NO", "u"), ("BL_NO", "w")])
     swapped = AttributeSignature(sig.signer, ("BL_NO", "B_NO"), sig.sig)
-    views = [("BL_NO", PlainView("w")), ("B_NO", PlainView("u"))]
-    assert not verify_multi_sig(keys["alice"].public, swapped, views)
+    digests = digests_of([("B_NO", "u"), ("BL_NO", "w")])
+    assert not verify_multi_sig(keys["alice"].public, swapped, digests)
 
 
 def test_verify_rejects_wrong_key(keys):
     sig = sign_plain(keys["alice"], FIELDS)
-    views = [(n, PlainView(v)) for n, v in FIELDS]
-    assert not verify_multi_sig(keys["bob"].public, sig, views)
-
-
-def test_verify_demands_matching_view_list(keys):
-    sig = sign_plain(keys["alice"], FIELDS)
-    with pytest.raises(AttrListMismatch):
-        verify_multi_sig(keys["alice"].public, sig, [("B_NO", PlainView("BK-77120"))])
+    assert not verify_multi_sig(keys["bob"].public, sig, digests_of(FIELDS))
 
 
 def test_verify_accepts_der_public_key(keys):
     sig = sign_plain(keys["alice"], FIELDS)
     der = DEFAULT_SUITE.public_bytes(keys["alice"].public)
-    assert verify_multi_sig(der, sig, [(n, PlainView(v)) for n, v in FIELDS])
+    assert verify_multi_sig(der, sig, digests_of(FIELDS))
 
 
 def test_relabelled_or_permuted_signature_fails(keys):
@@ -213,13 +224,13 @@ def test_relabelled_or_permuted_signature_fails(keys):
     though the value digests reach the verifier in the signed order."""
     pub = keys["alice"].public
     sig = sign_plain(keys["alice"], [("CNT_W", "18400")])
-    assert verify_multi_sig(pub, sig, [("CNT_W", PlainView("18400"))])
+    assert verify_multi_sig(pub, sig, digests_of([("CNT_W", "18400")]))
     relabelled = AttributeSignature(sig.signer, ("CNT_C",), sig.sig)
-    assert not verify_multi_sig(pub, relabelled, [("CNT_C", PlainView("18400"))])
+    assert not verify_multi_sig(pub, relabelled, digests_of([("CNT_C", "18400")]))
 
     sig = sign_plain(keys["alice"], [("CNT_C", "400 cartons"), ("CSG_DATA", "consignee ACME")])
     permuted = AttributeSignature(sig.signer, ("CSG_DATA", "CNT_C"), sig.sig)
-    swapped = [("CSG_DATA", PlainView("400 cartons")), ("CNT_C", PlainView("consignee ACME"))]
+    swapped = digests_of([("CNT_C", "consignee ACME"), ("CSG_DATA", "400 cartons")])
     assert not verify_multi_sig(pub, permuted, swapped)
 
 
@@ -289,12 +300,12 @@ def test_verify_memo_is_bounded(signed, counting_suite):
 def test_key_object_and_its_der_bytes_share_one_check(keys, counting_suite):
     suite = counting_suite()
     sig = sign_plain(keys["alice"], FIELDS)
-    views = [(n, PlainView(v)) for n, v in FIELDS]
+    digests = digests_of(FIELDS)
     der = suite.public_bytes(keys["alice"].public)
-    assert verify_multi_sig(keys["alice"].public, sig, views, suite=suite)
-    assert verify_multi_sig(der, sig, views, suite=suite)
+    assert verify_multi_sig(keys["alice"].public, sig, digests, suite=suite)
+    assert verify_multi_sig(der, sig, digests, suite=suite)
     assert suite.verifies == 1
-    bad = [(n, PlainView(v + "!")) for n, v in FIELDS]
+    bad = digests_of([(n, v + "!") for n, v in FIELDS])
     assert not verify_multi_sig(keys["alice"].public, sig, bad, suite=suite)
     assert not verify_multi_sig(der, sig, bad, suite=suite)
     assert suite.verifies == 2
@@ -348,6 +359,17 @@ def test_open_detects_digest_substitution(keys):
         open_field(forged, "alice", keys["alice"].private)
 
 
+def test_open_refuses_a_plaintext_that_is_not_utf8(keys):
+    """Its digest matches, but no value's canonical bytes are these."""
+    raw, key = b"\xff\xfe not utf-8", bytes(32)
+    forged = Sealed(
+        digest(raw), DEFAULT_SUITE.encrypt(key, raw),
+        {"alice": DEFAULT_SUITE.wrap_key(keys["alice"].public, key)},
+    )
+    with pytest.raises(DigestMismatch, match="not UTF-8"):
+        open_field(forged, "alice", keys["alice"].private)
+
+
 def test_sealing_uses_fresh_keys(keys):
     a = seal_field("same text", {"alice": keys["alice"].public})
     b = seal_field("same text", {"alice": keys["alice"].public})
@@ -373,11 +395,8 @@ _value = st.text(min_size=0, max_size=60)
 )
 def test_sign_verify_property(keys, fields, data):
     sig = sign_plain(keys["alice"], fields)
-    views = [
-        (n, PlainView(v) if data.draw(st.booleans()) else DigestView(value_digest(v)))
-        for n, v in fields
-    ]
-    assert verify_multi_sig(keys["alice"].public, sig, views)
+    hashed = [n for n, _ in fields if data.draw(st.booleans())]
+    assert verify_multi_sig(keys["alice"].public, sig, digests_of(fields, hashed))
 
 
 @settings(max_examples=25, deadline=None)

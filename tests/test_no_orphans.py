@@ -9,6 +9,11 @@ tests call is code no workflow reaches.
 A word scan is blind to names that are common words (``digest``,
 ``actor``) and to state that is written but never read; those need a
 reader's eye. It catches the rest as soon as the last caller goes.
+
+Two import checks ride along, read from the syntax tree: no module in
+``src/portsec`` imports another module's ``_private`` name, and no module
+in ``src/portsec`` or ``tests`` imports a name it never uses. Tests may
+import private names.
 """
 
 import ast
@@ -18,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "portsec").glob("*.py"))
 SEARCHED = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 #: Names kept without a caller, each with its reason.
 ALLOWED = {
@@ -69,3 +75,49 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_only_orphans():
     # an entry whose name gained a caller has no reason left to stay
     assert set(ALLOWED) - _orphans() == set()
+
+
+def _imports(tree):
+    """(module, imported name, bound name) for every import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.module or "", alias.name, alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, "", alias.asname or alias.name.split(".")[0]
+
+
+def _used_names(tree) -> set[str]:
+    """Every name the module reads, string annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            annotations += [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def test_no_module_imports_a_private_name():
+    private = [
+        f"{path.name}: {module}.{name}"
+        for path in SOURCES
+        for module, name, _ in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert private == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in SOURCES + TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [f"{path.name}: {bound}" for _, _, bound in _imports(tree) if bound not in used]
+    assert unused == []

@@ -139,7 +139,7 @@ def _memoised_outputs(fx):
         [ledger.export_chain(sim.net) for sim in nets],
         comparison_to_wire(compare_modes(fx)),
         [
-            (ev.actor, ev.report.verdict, ev.report.findings, ev.report.verified_signers)
+            (ev.actor, ev.report.verdict, ev.report.findings)
             for t in [sim.transcript for sim in p2p] + attacked
             for ev in t.events
             if isinstance(ev, ValidatedEvent)
@@ -166,7 +166,7 @@ def test_verify_memo_leaves_every_report_unchanged(base_fixtures, monkeypatch):
     cold = _memoised_outputs(base_fixtures)
     warm = _memoised_outputs(base_fixtures)
     assert unmemoised == cold == warm
-    assert any(findings for _, _, findings, _ in unmemoised[-1])
+    assert any(findings for _, _, findings in unmemoised[-1])
 
 
 def _fresh_booking(fx, tag):
@@ -364,9 +364,7 @@ def test_stop_on_reject_halts_the_run(base_fixtures):
         return sm
 
     script = make_script(base_fixtures, "export", "p2p")
-    sim = Simulation(script, world=world, interceptor=intercept)
-    sim.stop_on_reject = True
-    sim.run()
+    sim = Simulation(script, world=world, interceptor=intercept).run()
     assert sim.halted
     assert sim.transcript.verdict == "FAIL"
     rejected = [ev for ev in _validated(sim.transcript) if ev.verdict != "ACCEPT"]
