@@ -193,7 +193,7 @@ def _plan_and_sign(
                 value = HashOnly(digests[name])
             elif decision.kind is PlanKind.SEALED:
                 recipients = _role_identities(state, decision.readers)
-                value = seal_field(value.text, recipients, state.suite)
+                value = seal_field(value.text, digests[name], recipients, state.suite)
         out_fields.append((name, value))
     return tuple(out_fields), own
 

@@ -261,17 +261,19 @@ def verify_multi_sig(
 
 def seal_field(
     value: str,
+    digest: bytes,
     readers: Mapping[str, object] | Iterable[tuple[str, object]],
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> Sealed:
     """Encrypt a value under a fresh symmetric key, wrapping the key for
-    every reader, and pair the ciphertext with the value's digest."""
+    every reader, and pair the ciphertext with ``digest``, the value's
+    ``value_digest``, which the caller has already computed."""
     reader_list = list(readers.items()) if isinstance(readers, Mapping) else list(readers)
     if not reader_list:
         raise EmptyReaderSet("sealing requires at least one reader")
     key = os.urandom(suite.symmetric_key_length)
     return Sealed(
-        digest=value_digest(value, suite),
+        digest=digest,
         ciphertext=suite.encrypt(key, canonical_bytes(value)),
         wrapped_keys={identity: suite.wrap_key(public, key) for identity, public in reader_list},
     )

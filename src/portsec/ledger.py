@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
@@ -208,6 +208,7 @@ class _Verified:
     """What the last valid ``verify_chain`` of a live net checked."""
 
     head: bytes  # export head: the LEDGER, ANCHOR, BASE and CERT lines
+    parsed: ExportedChain  # ``head`` parsed, with no blocks
     blocks: tuple[Block, ...]
     last_digest: bytes  # digest of the last checked block's bytes
     state: dict[str, ContainerAsset]  # gate replay state after that block
@@ -300,7 +301,12 @@ def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
 def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsset | None:
     """Chaincode decision point, judging from certificate facts and current
     state alone (so replay can reuse it). Returns the asset the action
-    touches (None for CREATE) or raises the matching denial."""
+    touches (None for CREATE) or raises the matching denial.
+
+    No text may hold a line break: the chain file keeps one record per
+    line, and an exported chain must parse back to the blocks committed."""
+    if any("\r" in t or "\n" in t for t in (tx.cnt_no, *(e for kv in tx.args for e in kv))):
+        raise MalformedTransaction("transaction text may not hold a line break")
     try:
         role = Role(tx.invoker.role)
     except ValueError:
@@ -426,6 +432,9 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     Each pending needs its endorsement quota; the gates re-run against the
     provisional state so earlier transactions in the batch are visible
     (a second CLEAR of the same container is stale, not double-applied).
+    Each endorsement, in order, passes the endorsement gate again and its
+    signature is checked against the endorser's directory certificate,
+    so no endorsement that verification rejects reaches a block.
     Rejected transactions are reported, not raised, so a partly good batch
     still commits.
     """
@@ -441,9 +450,14 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
             )
             continue
         try:
-            _gate(tx, provisional)
+            asset = _gate(tx, provisional)
         except LedgerError as exc:
             bad.append((pending, StaleTransaction(f"re-validation failed: {exc}")))
+            continue
+        try:
+            _check_endorsements(net, tx, asset)
+        except LedgerError as exc:
+            bad.append((pending, exc))
             continue
         _apply(tx, provisional)
         good.append(tx)
@@ -460,6 +474,23 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     net.chain.append(block)
     net.world_state = provisional
     return CommitResult(block, tuple(bad))
+
+
+def _check_endorsements(net: LedgerNet, tx: Transaction, asset: ContainerAsset | None) -> None:
+    """The endorsement rules of ``_verify_blocks`` at commit: each
+    endorsement in order through the endorsement gate, then its signature
+    against the endorser's directory certificate. Raises the denial."""
+    payload = net.suite.digest(tx.body_bytes() + tx.invoker_signature)
+    endorsed_by: list[str] = []
+    for ident, sig in tx.endorsements:
+        entry = net.directory.get(ident)
+        if entry is None:
+            raise IneligibleEndorser(f"endorser {ident} has no certificate on file")
+        cert = entry[0]
+        _endorsement_gate(tx, cert, asset, endorsed_by, net.endorsement_policy)
+        if not net.suite.verify(cert.public_key, payload, sig):
+            raise ChainInvalidCert(f"endorsement by {ident} does not verify")
+        endorsed_by.append(ident)
 
 
 def query(net: LedgerNet, reader_chain: Sequence[Certificate], cnt_no: str) -> ContainerAsset:
@@ -523,11 +554,7 @@ def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tupl
 def export_chain(net: LedgerNet) -> bytes:
     """Offline-verifiable dump: header, baseline state, every referenced
     certificate (so signatures check without the live net), then blocks."""
-    return _export_head(net) + _blocks_bytes(net.chain)
-
-
-def _blocks_bytes(blocks: Iterable[Block]) -> bytes:
-    return b"".join(block_bytes(b) for b in blocks)
+    return _export_head(net) + b"".join(block_bytes(b) for b in net.chain)
 
 
 def _export_head(net: LedgerNet) -> bytes:
@@ -702,10 +729,11 @@ def _verify_blocks(
     suite: CryptoSuite,
 ) -> ChainVerification | bytes:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
-    ...; the first must link to ``prev``. Each transaction is replayed into
-    ``state`` through the chaincode gate, then each endorsement through the
-    endorsement gate. Returns the failure, or when every block checks, the
-    digest of the last one, which the next block must link to."""
+    ...; the first must link to ``prev``. Each transaction's invoker must be
+    the certificate record of its subject, and each transaction is replayed
+    into ``state`` through the chaincode gate, then each endorsement through
+    the endorsement gate. Returns the failure, or when every block checks,
+    the digest of the last one, which the next block must link to."""
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
@@ -718,6 +746,10 @@ def _verify_blocks(
         if not suite.verify(orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
+            if exported.certs.get(tx.invoker.subject) != tx.invoker:
+                return ChainVerification(
+                    False, idx, f"invoker {tx.invoker.subject} differs from its certificate record"
+                )
             body = tx.body_bytes()
             if not suite.verify(tx.invoker.public_key, suite.digest(body), tx.invoker_signature):
                 return ChainVerification(False, idx, f"invoker signature broken on {tx.cnt_no}")
@@ -749,18 +781,27 @@ def _verify_blocks(
 def verify_chain(net: LedgerNet) -> ChainVerification:
     """Audit the live net and confirm the world state is the gate replay.
 
-    The checks are those of ``verify_exported`` on the net's export, but
-    while the record of the last valid call still covers a prefix of the
-    chain (``_Verified.covers_prefix_of``) only the blocks after it are
-    exported, parsed and checked, starting from the recorded state.
+    The checks are those of ``verify_exported`` on the net's export: the
+    export head (LEDGER, ANCHOR, BASE and CERT lines) is parsed, and the
+    net's own blocks are checked against it by ``_verify_blocks``, without
+    being encoded and parsed back. That equals checking the export because
+    an export parses back to the very blocks committed
+    (``parse_chain(export_chain(net)).blocks == tuple(net.chain)``: ``_gate``
+    refuses text the file cannot carry), and ``_verify_blocks`` binds each
+    invoker to the head's certificate record as parsing does. While the
+    record of the last valid call still covers a prefix of the chain
+    (``_Verified.covers_prefix_of``), its parsed head is reused and only
+    the blocks after it are checked, starting from the recorded state.
     """
     head = _export_head(net)
     seen = net._verified
     if seen is not None and seen.covers_prefix_of(net, head):
+        parsed = seen.parsed
         start, prev, state = len(seen.blocks), seen.last_digest, dict(seen.state)
-        exported = parse_chain(head + _blocks_bytes(net.chain[start:]))
+        exported = replace(parsed, blocks=tuple(net.chain[start:]))
     else:
-        exported = parse_chain(head + _blocks_bytes(net.chain))
+        parsed = parse_chain(head)
+        exported = replace(parsed, blocks=tuple(net.chain))
         bad_head = _check_head(exported, net.suite)
         if bad_head is not None:
             return bad_head
@@ -772,7 +813,7 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
     net._verified = _Verified(
-        head, tuple(net.chain), res, state, net.endorsement_policy, net.suite
+        head, parsed, tuple(net.chain), res, state, net.endorsement_policy, net.suite
     )
     return ChainVerification(True)
 

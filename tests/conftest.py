@@ -1,10 +1,20 @@
 """Shared desk-scale world: one key/cert generation per session, fresh
 adapter states (stores, nonce maps, CA registries) per test."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from portsec.envelope import CryptoSuite
 from portsec.fixtures import build_world, generate_fixtures
+
+# Property tests draw the same examples on every run (a seed derived from
+# each test), so a tier-1 result repeats. HYPOTHESIS_PROFILE=deep draws
+# fresh random examples, more of them where a test does not fix its count.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class CountingSuite(CryptoSuite):

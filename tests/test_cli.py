@@ -11,7 +11,16 @@ import pytest
 import portsec
 from portsec.cli import main
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes, fixtures_to_bytes
-from portsec.ledger import LedgerAction, build_transaction, commit, export_chain, submit
+from portsec.ledger import (
+    IneligibleEndorser,
+    LedgerAction,
+    _sign_block,
+    block_bytes,
+    build_transaction,
+    commit,
+    export_chain,
+    submit,
+)
 from portsec.policy import DEFAULT_POLICY_TEXT
 from portsec.transcript import transcript_from_wire
 
@@ -139,7 +148,11 @@ def test_ledger_verify_flags_self_endorsement(base_fixtures, tmp_path, capsys):
     pending = submit(net, tx, presented)
     payload = world.suite.digest(tx.body_bytes() + tx.invoker_signature)
     pending.endorsements.append(("sl1-clerk", world.suite.sign(key.private, payload)))
-    assert commit(net, [pending]).block is not None
+    res = commit(net, [pending])
+    assert res.block is None and isinstance(res.rejected[0][1], IneligibleEndorser)
+    # ordered by hand, as ``commit`` signs a block but without its checks
+    prev = world.suite.digest(block_bytes(net.chain[-1]))
+    net.chain.append(_sign_block(net, 1, prev, (pending.endorsed(),)))
     chain = tmp_path / "self.chain"
     chain.write_bytes(export_chain(net))
     assert main(["ledger-verify", "--chain", str(chain)]) == 1

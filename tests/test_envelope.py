@@ -118,7 +118,7 @@ def sign_plain(key_pair, fields):
 
 def test_a_field_has_one_digest_in_every_representation(keys):
     text = "400 cartons machine parts"
-    sealed = seal_field(text, {"bob": keys["bob"].public})
+    sealed = seal_field(text, value_digest(text), {"bob": keys["bob"].public})
     msg = Message("IFTMCS", "R1", (
         ("CNT_C", Plain(text)), ("CNT_W", HashOnly(value_digest(text))), ("CSG_DATA", sealed),
     ))
@@ -315,8 +315,9 @@ def test_key_object_and_its_der_bytes_share_one_check(keys, counting_suite):
 
 
 def test_seal_open_round_trip(keys):
+    text = "400 cartons machine parts"
     sealed = seal_field(
-        "400 cartons machine parts",
+        text, value_digest(text),
         {"alice": keys["alice"].public, "bob": keys["bob"].public},
     )
     assert set(sealed.wrapped_keys) == {"alice", "bob"}
@@ -327,23 +328,23 @@ def test_seal_open_round_trip(keys):
 
 def test_seal_requires_readers():
     with pytest.raises(EmptyReaderSet):
-        seal_field("x", {})
+        seal_field("x", value_digest("x"), {})
 
 
 def test_open_without_wrapped_key(keys):
-    sealed = seal_field("secret", {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
     with pytest.raises(NoWrappedKeyForHolder):
         open_field(sealed, "bob", keys["bob"].private)
 
 
 def test_open_with_wrong_private_key(keys):
-    sealed = seal_field("secret", {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
     with pytest.raises(AuthDecryptFailure):
         open_field(sealed, "alice", keys["bob"].private)
 
 
 def test_open_tampered_ciphertext(keys):
-    sealed = seal_field("secret", {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
     ct = bytearray(sealed.ciphertext)
     ct[-1] ^= 0x01
     broken = Sealed(sealed.digest, bytes(ct), sealed.wrapped_keys)
@@ -353,7 +354,7 @@ def test_open_tampered_ciphertext(keys):
 
 def test_open_detects_digest_substitution(keys):
     """Ciphertext decrypts fine but the carried digest names another value."""
-    sealed = seal_field("secret", {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
     forged = Sealed(value_digest("other"), sealed.ciphertext, sealed.wrapped_keys)
     with pytest.raises(DigestMismatch):
         open_field(forged, "alice", keys["alice"].private)
@@ -371,8 +372,8 @@ def test_open_refuses_a_plaintext_that_is_not_utf8(keys):
 
 
 def test_sealing_uses_fresh_keys(keys):
-    a = seal_field("same text", {"alice": keys["alice"].public})
-    b = seal_field("same text", {"alice": keys["alice"].public})
+    a = seal_field("same text", value_digest("same text"), {"alice": keys["alice"].public})
+    b = seal_field("same text", value_digest("same text"), {"alice": keys["alice"].public})
     assert a.digest == b.digest
     assert a.ciphertext != b.ciphertext
     assert a.wrapped_keys["alice"] != b.wrapped_keys["alice"]
@@ -402,5 +403,5 @@ def test_sign_verify_property(keys, fields, data):
 @settings(max_examples=25, deadline=None)
 @given(_value)
 def test_seal_open_property(keys, text):
-    sealed = seal_field(text, {"bob": keys["bob"].public})
+    sealed = seal_field(text, value_digest(text), {"bob": keys["bob"].public})
     assert open_field(sealed, "bob", keys["bob"].private) == text

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portsec import records
 from portsec.fixtures import build_net, build_world
@@ -20,11 +22,15 @@ from portsec.ledger import (
     LedgerError,
     LifecycleDenied,
     LifecycleState,
+    MalformedTransaction,
     NotVisible,
+    PendingTransaction,
     RoleDenied,
     StaleTransaction,
     TenancyDenied,
     UnknownContainer,
+    _sign_block,
+    block_bytes,
     build_transaction,
     commit,
     create_net,
@@ -244,6 +250,18 @@ def forge_endorsement(world, pending, identity):
     pending.endorsements.append((identity, world.suite.sign(key.private, payload)))
 
 
+def _flip(data):
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+def order_by_hand(net, *transactions):
+    """Append a block of ``transactions`` signed with the orderer key as
+    ``commit`` signs one, but without ``commit``'s checks: a forged chain."""
+    prev = net.suite.digest(block_bytes(net.chain[-1]))
+    net.chain.append(_sign_block(net, len(net.chain), prev, transactions))
+    return net.chain[-1]
+
+
 INELIGIBLE = {
     # case: (action, invoker, endorser, denial, block)
     "self": (LedgerAction.CREATE, "sl1-clerk", "sl1-clerk", IneligibleEndorser, 1),
@@ -256,8 +274,9 @@ INELIGIBLE = {
 
 @pytest.mark.parametrize("case", list(INELIGIBLE))
 def test_ineligible_endorsement_fails_verification(world, net, case):
-    """An endorsement that ``endorse()`` refuses, appended past it, commits
-    (commit counts endorsements only) and then fails both verifiers."""
+    """An endorsement that ``endorse()`` refuses, appended past it, is
+    refused by ``commit`` too; ordered into a block by hand, it fails both
+    verifiers."""
     action, invoker, endorser, denial, block = INELIGIBLE[case]
     create_args = (("terminal", "T1"),)
     if action is not LedgerAction.CREATE:
@@ -269,11 +288,64 @@ def test_ineligible_endorsement_fails_verification(world, net, case):
     with pytest.raises(denial) as refused:
         endorse_by(world, net, pending, endorser)
     forge_endorsement(world, pending, endorser)
-    assert commit(net, [pending]).block.index == block
+    res = commit(net, [pending])
+    assert res.block is None
+    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [(denial, str(refused.value))]
+    assert order_by_hand(net, pending.endorsed()).index == block
 
     reason = f"endorsement gate failure: {refused.value}"
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
+
+
+def test_commit_checks_endorsement_signatures(world, net):
+    pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    endorse_by(world, net, pending, "t1-op")
+    ident, sig = pending.endorsements[0]
+    pending.endorsements[0] = (ident, _flip(sig))
+    res = commit(net, [pending])
+    assert res.block is None and isinstance(res.rejected[0][1], ChainInvalidCert)
+    assert len(net.chain) == 1
+
+
+def test_live_verify_binds_each_invoker_to_its_certificate_record(world, net):
+    """A transaction whose invoker certificate is not the directory's (here
+    relabelled into a ledger role) fails the live check at its block, as
+    the export, which binds the invoker by subject, fails offline."""
+    forged = replace(world.chain_of("customs-officer")[0], role="SHIPPING_LINE")
+    tx, _ = build_transaction(LedgerAction.CREATE, CNT, (("terminal", "T1"),), (forged,),
+                              world.key_pairs["customs-officer"])
+    pending = endorse_by(world, net, PendingTransaction(tx, None), "t1-op")  # past submit
+    order_by_hand(net, pending.endorsed())
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, 1, "invoker customs-officer differs from its certificate record"
+    )
+    res = verify_exported(parse_chain(export_chain(net)))
+    assert (res.valid, res.first_bad_block) == (False, 1)
+
+
+def test_line_break_text_is_refused(world, net):
+    """The chain file keeps one record per line, so text holding a line
+    break is refused at submit, at commit and in replay: it never reaches
+    a chain whose export cannot be parsed."""
+    terminal = (("terminal", "T1"),)
+    for cnt_no, args in (("CNT\n1", terminal), ("CNT\r1", terminal),
+                         (CNT, (("terminal", "T1\n"),)), (CNT, (*terminal, ("no\rte", "x")))):
+        with pytest.raises(MalformedTransaction):
+            submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, cnt_no, args)
+
+    tx, _ = make_tx(world, "sl1-clerk", LedgerAction.CREATE, "CNT\n1", terminal)
+    pending = endorse_by(world, net, PendingTransaction(tx, None), "t1-op")  # past submit
+    res = commit(net, [pending])
+    assert res.block is None and isinstance(res.rejected[0][1], StaleTransaction)
+    order_by_hand(net, pending.endorsed())
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, 1, "replay gate failure: transaction text may not hold a line break"
+    )
+    with pytest.raises(records.ParseError):
+        parse_chain(export_chain(net))
 
 
 def test_invoker_cannot_self_endorse(world, net):
@@ -583,3 +655,133 @@ def test_offline_verify_ignores_the_watermark(counted):
     )
     assert res.valid, res.reason
     assert verifies == len(exported.certs) + _block_verifies(net.chain)
+
+
+# --- differential: the live verifier against the offline one -------------------
+
+#: Text for container numbers and notes: the record separators and release
+#: character, non-ASCII letters, and line breaks, which submit refuses.
+_text = st.text(alphabet="AZ09 +'?é€中", max_size=6) | st.text(alphabet="A+é\n\r", max_size=3)
+_op = st.one_of(
+    st.tuples(st.just("new"), _text, _text),  # CREATE with this number and note
+    st.tuples(st.just("next"), st.integers(0, 7)),  # advance a container not yet loaded
+)
+
+#: Honest lifecycle step per container state: action, invoker, endorser.
+NEXT_STEP = {
+    None: (LedgerAction.CREATE, "sl1-clerk", "t1-op"),
+    LifecycleState.CREATED: (LedgerAction.ACKNOWLEDGE_DELIVERY, "t1-op", "pcs-op"),
+    LifecycleState.DELIVERED: (LedgerAction.CLEAR, "pcs-op", "t1-op"),
+    LifecycleState.CLEARED: (LedgerAction.LOAD, "t1-op", "pcs-op"),
+}
+
+
+@pytest.fixture(scope="module")
+def shared_world(base_fixtures):
+    return build_world(base_fixtures)
+
+
+def _pending_for(world, net, op, created):
+    """Submit and endorse ``op``'s next step, or None when it has none."""
+    if op[0] == "new":
+        cnt_no, args = op[1], (("terminal", "T1"), ("note", op[2]))
+        if any(c in cnt_no + op[2] for c in "\r\n"):
+            with pytest.raises(MalformedTransaction):
+                submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, cnt_no, args)
+            return None
+        if cnt_no in net.world_state:
+            return None
+    else:
+        moving = [c for c in created if net.world_state[c].state is not LifecycleState.LOADED]
+        if not moving:
+            return None
+        cnt_no, args = moving[op[1] % len(moving)], ()
+    asset = net.world_state.get(cnt_no)
+    action, invoker, endorser = NEXT_STEP[asset.state if asset else None]
+    return endorse_by(world, net, submit_by(world, net, invoker, action, cnt_no, args), endorser)
+
+
+def _verdicts(net, chain, k, states):
+    """(valid, first bad block, reason) of a cold ``verify_chain``, of a
+    warm one whose last valid call covered ``chain[:k]``, and of
+    ``verify_exported`` on the export, for ``net`` holding ``chain``."""
+    cold = verify_chain(replace(net, chain=list(chain)))
+    warm_net = replace(net, chain=list(chain[:k]), world_state=states[k])
+    assert verify_chain(warm_net).valid
+    warm_net.chain[k:] = chain[k:]
+    warm_net.world_state = net.world_state
+    warm = verify_chain(warm_net)
+    exported = parse_chain(export_chain(replace(net, chain=list(chain))))
+    offline = verify_exported(exported, net.endorsement_policy, net.suite)
+    return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, offline)]
+
+
+def _edits(chain, picks):
+    """One ``replace`` edit per kind, each of a block chosen by ``picks``:
+    (block index, edited block)."""
+    def pick(candidates, n):
+        return candidates[picks[n] % len(candidates)]
+
+    later = range(1, len(chain))
+    i = pick(later, 0)
+    yield i, replace(chain[i], prev_hash=_flip(chain[i].prev_hash))
+    i = pick(later, 1)
+    yield i, replace(chain[i], orderer_signature=_flip(chain[i].orderer_signature))
+    i = pick([j for j in later if chain[j].transactions[0].args], 2)
+    tx, *rest = chain[i].transactions
+    (key, value), *more = tx.args
+    yield i, replace(chain[i], transactions=(
+        replace(tx, args=((key, value + "?"), *more)), *rest
+    ))
+    i = pick(later, 3)
+    tx, *rest = chain[i].transactions
+    (ident, sig), *more = tx.endorsements
+    yield i, replace(chain[i], transactions=(
+        replace(tx, endorsements=((ident, _flip(sig)), *more)), *rest
+    ))
+
+
+@settings(max_examples=20)
+@given(
+    batches=st.lists(st.lists(_op, min_size=1, max_size=2), min_size=1, max_size=5),
+    picks=st.lists(st.integers(0, 999), min_size=5, max_size=5),
+)
+def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
+    """Seeded submit/endorse/commit sequences over awkward container text:
+    the export parses back to the committed blocks, no committed block is
+    rejected, and the cold live, warm live and offline verifiers give the
+    same verdict on the chain and on each single-field edit of it."""
+    world = shared_world
+    net = build_net(world)
+    states = {1: {}}  # world state by chain length
+    for state, (action, invoker, endorser) in NEXT_STEP.items():
+        # one whole lifecycle first, so the head names every identity used
+        args = (("terminal", "T1"),) if state is None else ()
+        run_step(world, net, invoker, action, endorser, CNT, args)
+        states[len(net.chain)] = dict(net.world_state)
+    created = [CNT]
+    assert verify_chain(net).valid
+    for batch in batches:
+        pendings = [p for p in (_pending_for(world, net, op, created) for op in batch) if p]
+        if not pendings:
+            continue
+        res = commit(net, pendings)
+        # only a second step on one container in the same batch is refused
+        touched = {p.tx.cnt_no for p in pendings}
+        assert len(res.rejected) == len(pendings) - len(touched)
+        assert all(isinstance(exc, StaleTransaction) for _, exc in res.rejected)
+        created += [tx.cnt_no for tx in res.block.transactions if tx.cnt_no not in created]
+        states[len(net.chain)] = dict(net.world_state)
+        verified = verify_chain(net)
+        assert verified.valid, verified.reason
+
+    assert parse_chain(export_chain(net)).blocks == tuple(net.chain)
+    marks = sorted(states)
+    k = marks[picks[4] % len(marks)]
+    assert _verdicts(net, net.chain, k, states) == [(True, None, "")] * 3
+    for i, block in _edits(net.chain, picks):
+        edited = [*net.chain[:i], block, *net.chain[i + 1:]]
+        k = max(m for m in marks if m <= i)
+        verdicts = _verdicts(net, edited, k, states)
+        assert verdicts[0] == verdicts[1] == verdicts[2], verdicts
+        assert not verdicts[0][0]

@@ -3,8 +3,7 @@ and the confidentiality audit over wire evidence."""
 
 import pytest
 
-from portsec import envelope, ledger, pki
-from portsec.attacks import battery, compare_modes, comparison_to_wire, inject_attack
+from portsec import adapter, envelope, ledger, pki
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
 from portsec.fixtures import build_world
 from portsec.model import HashOnly, from_flat
@@ -23,6 +22,7 @@ from portsec.transcript import (
     transcript_from_wire,
     transcript_to_wire,
 )
+from test_golden import _load_manifest, artefacts
 
 COMMERCIAL = {"CNT_C", "CSG_DATA"}
 
@@ -119,54 +119,29 @@ def test_runs_are_deterministic(base_fixtures, honest_sims):
         ), (scenario, mode)
 
 
-def _memoised_outputs(fx):
-    """Every honest run's determinism digest, both exported ledger chains,
-    the mode comparison, and every validation report of the four honest
-    p2p runs and of the p2p attack battery."""
-    p2p = [
-        run_scenario(f, scenario, "p2p")
-        for f in (fx, fx.with_values(DG="true"))
-        for scenario in ("export", "import")
-    ]
-    nets = [run_scenario(fx, scenario, "ledger") for scenario in ("export", "import")]
-    attacked = [
-        inject_attack(fx, scenario, spec, "p2p")[0]
-        for scenario in ("export", "import")
-        for spec in battery(scenario)
-    ]
-    return (
-        [determinism_digest(sim.transcript) for sim in p2p + nets],
-        [ledger.export_chain(sim.net) for sim in nets],
-        comparison_to_wire(compare_modes(fx)),
-        [
-            (ev.actor, ev.report.verdict, ev.report.findings)
-            for t in [sim.transcript for sim in p2p] + attacked
-            for ev in t.events
-            if isinstance(ev, ValidatedEvent)
-        ],
-    )
+def test_signing_memo_leaves_every_byte_unchanged(monkeypatch):
+    """With every signer on the raw primitive, each golden artefact (honest
+    digests, exported chains, ``compare`` output, every report) is the
+    manifest's, which the memoised code reproduces too."""
+    for module in (envelope, ledger, pki):
+        monkeypatch.setattr(
+            module, "sign", lambda suite, private, payload: suite.sign(private, payload)
+        )
+    assert artefacts() == _load_manifest()
 
 
-def test_signing_memo_leaves_every_byte_unchanged(base_fixtures, monkeypatch):
-    with monkeypatch.context() as m:
-        for module in (envelope, ledger, pki):
-            m.setattr(module, "sign", lambda suite, private, payload: suite.sign(private, payload))
-        unmemoised = _memoised_outputs(base_fixtures)
-    envelope.sign.cache_clear()
-    cold = _memoised_outputs(base_fixtures)
-    warm = _memoised_outputs(base_fixtures)
-    assert unmemoised == cold == warm
+def test_verify_memo_leaves_every_report_unchanged(monkeypatch):
+    """The same with every multi-signature check on the raw primitive; some
+    of those checks fail, so the attack reports depend on them."""
+    answers = []
 
+    def raw_verify(suite, public, payload, sig):
+        answers.append(suite.verify(public, payload, sig))
+        return answers[-1]
 
-def test_verify_memo_leaves_every_report_unchanged(base_fixtures, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(envelope, "verify", lambda suite, public, payload, sig: suite.verify(public, payload, sig))
-        unmemoised = _memoised_outputs(base_fixtures)
-    envelope.verify.cache_clear()
-    cold = _memoised_outputs(base_fixtures)
-    warm = _memoised_outputs(base_fixtures)
-    assert unmemoised == cold == warm
-    assert any(findings for _, _, findings in unmemoised[-1])
+    monkeypatch.setattr(envelope, "verify", raw_verify)
+    assert artefacts() == _load_manifest()
+    assert False in answers
 
 
 def _fresh_booking(fx, tag):
@@ -181,15 +156,25 @@ def _fresh_booking(fx, tag):
     "scenario, carried, wraps, unwraps", [("export", 5, 6, 4), ("import", 4, 2, 2)]
 )
 def test_crypto_counts_of_one_booking_on_a_warm_world(
-    base_fixtures, counting_suite, scenario, carried, wraps, unwraps
+    base_fixtures, counting_suite, monkeypatch, scenario, carried, wraps, unwraps
 ):
     """Each signature a booking carries is made once and checked once,
     however many hops re-check it; a second RSA check of the same bytes
-    fails here."""
+    fails here. Sealing reuses the field digests signing computed, so it
+    makes no SHA-256 call of its own."""
     suite = counting_suite()
     world = build_world(base_fixtures, suite=suite)
     run_scenario(_fresh_booking(base_fixtures, "B1"), scenario, "p2p", world=world)
     suite.signs = suite.verifies = suite.wraps = suite.unwraps = 0
+    sealing_digests = []
+
+    def counted_seal(*args):
+        before = suite.digests
+        sealed = envelope.seal_field(*args)
+        sealing_digests.append(suite.digests - before)
+        return sealed
+
+    monkeypatch.setattr(adapter, "seal_field", counted_seal)
     sim = run_scenario(_fresh_booking(base_fixtures, "B2"), scenario, "p2p", world=world)
     assert sim.transcript.verdict == "PASS"
     signatures = {
@@ -200,6 +185,7 @@ def test_crypto_counts_of_one_booking_on_a_warm_world(
     assert len(signatures) == carried
     assert (suite.signs, suite.verifies) == (carried, carried)
     assert (suite.wraps, suite.unwraps) == (wraps, unwraps)
+    assert sealing_digests and not any(sealing_digests)
 
 
 def test_transcript_wire_round_trip(honest_sims):
