@@ -314,16 +314,13 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
 
 def _flip_block_byte(data: bytes, block: int) -> bytes:
     """Flip one byte inside the prev-hash element of the given block."""
-    marker = records.encode("BLK", f"{block}", "")[:-1]
-    start = 0
-    for line in data.split(b"\n"):
-        if line.startswith(marker):
-            pos = start + len(marker) + 3
-            out = bytearray(data)
-            out[pos] ^= 0x02
-            return bytes(out)
-        start += len(line) + 1
-    raise TargetUnresolved(f"chain has no block {block}")
+    marker = b"\n" + records.encode("BLK", f"{block}", "")[:-1]  # a BLK line is never first
+    at = data.find(marker)
+    if at < 0:
+        raise TargetUnresolved(f"chain has no block {block}")
+    out = bytearray(data)
+    out[at + len(marker) + 3] ^= 0x02
+    return bytes(out)
 
 
 def _rewrite_txn_token(data: bytes, cnt: str) -> bytes:

@@ -3,14 +3,16 @@
 Exposure is measured from wire evidence alone: an attribute counts as
 seen in plaintext by whoever sent or received it as a Plain field, or
 received it sealed with a key wrapped for them. Hash-only values never
-count. The audit then holds each actor's exposure against its read
-column; anything beyond the column is flagged.
+count. The audit then holds each actor's exposure against the read column
+of its role token; anything beyond the column is flagged, so an actor whose
+token names no role has an empty column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ledger import ORDERER_ROLE
 from .model import Plain, Sealed
 from .policy import AccessMatrix, Action, Role, default_matrix
 from .transcript import LedgerEvent, SentEvent, Transcript
@@ -65,12 +67,12 @@ def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> A
 
     excess: dict[str, frozenset[str]] = {}
     for identity, exposed in exposure.items():
+        token = transcript.actors.get(identity)
         try:
-            role = Role(transcript.actors.get(identity, ""))
-        except ValueError:
-            excess[identity] = frozenset()
-            continue
-        excess[identity] = frozenset(exposed - read_column(matrix, role))
+            column = LEDGER_ATTRS if token == ORDERER_ROLE else read_column(matrix, Role(token))
+        except ValueError:  # a token naming no policy role reads nothing: fail closed
+            column = frozenset()
+        excess[identity] = frozenset(exposed - column)
 
     return AuditResult(
         exposure={i: frozenset(v) for i, v in exposure.items()},

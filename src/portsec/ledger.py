@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
@@ -207,20 +207,19 @@ class ChainVerification:
 class _Verified:
     """What the last valid ``verify_chain`` of a live net checked."""
 
-    head: bytes  # export head: the LEDGER, ANCHOR, BASE and CERT lines
-    parsed: ExportedChain  # ``head`` parsed, with no blocks
+    head: ExportedChain  # the head checked, with no blocks
+    referenced: frozenset[str]  # invokers and endorsers of ``blocks``
     blocks: tuple[Block, ...]
     last_digest: bytes  # digest of the last checked block's bytes
     state: dict[str, ContainerAsset]  # gate replay state after that block
     policy: EndorsementPolicy
     suite: CryptoSuite
 
-    def covers_prefix_of(self, net: "LedgerNet", head: bytes) -> bool:
-        """Still true of ``net``: same head bytes, policy and suite
-        objects, and the chain starts with the very blocks checked."""
+    def covers_prefix_of(self, net: "LedgerNet") -> bool:
+        """Still true of ``net``: same policy and suite objects, and the
+        chain starts with the very blocks checked."""
         return (
-            head == self.head
-            and net.endorsement_policy is self.policy
+            net.endorsement_policy is self.policy
             and net.suite is self.suite
             and len(net.chain) >= len(self.blocks)
             and all(a is b for a, b in zip(net.chain, self.blocks))
@@ -257,6 +256,10 @@ def create_net(
 ) -> LedgerNet:
     """New net with an empty, orderer-signed genesis block that links to
     the digest of the baseline state."""
+    baseline = dict(baseline_state or {})
+    for key, a in baseline.items():
+        if key != a.cnt_no or _holds_line_break((a.cnt_no, a.shipping_line, a.terminal)):
+            raise MalformedTransaction(f"the chain file cannot carry baseline entry {key!r}")
     net = LedgerNet(
         endorsement_policy=endorsement_policy or EndorsementPolicy.default(),
         orderer_identity=orderer_identity,
@@ -265,7 +268,7 @@ def create_net(
         trust_anchor=trust_anchor,
         ca_registry=ca_registry,
         suite=suite,
-        baseline_state=dict(baseline_state or {}),
+        baseline_state=baseline,
     )
     net.world_state = dict(net.baseline_state)
     genesis = _sign_block(
@@ -301,11 +304,8 @@ def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
 def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsset | None:
     """Chaincode decision point, judging from certificate facts and current
     state alone (so replay can reuse it). Returns the asset the action
-    touches (None for CREATE) or raises the matching denial.
-
-    No text may hold a line break: the chain file keeps one record per
-    line, and an exported chain must parse back to the blocks committed."""
-    if any("\r" in t or "\n" in t for t in (tx.cnt_no, *(e for kv in tx.args for e in kv))):
+    touches (None for CREATE) or raises the matching denial."""
+    if _holds_line_break((tx.cnt_no, *(e for kv in tx.args for e in kv))):
         raise MalformedTransaction("transaction text may not hold a line break")
     try:
         role = Role(tx.invoker.role)
@@ -337,6 +337,12 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
             f"{tx.action.value} requires state {required.value}, asset is {asset.state.value}"
         )
     return asset
+
+
+def _holds_line_break(texts: Iterable[str]) -> bool:
+    """The chain file keeps one record per line, so no text it carries may
+    hold a line break: an export must parse back to the net it came from."""
+    return any("\r" in t or "\n" in t for t in texts)
 
 
 def _endorsement_gate(
@@ -566,30 +572,34 @@ def _export_head(net: LedgerNet) -> bytes:
     for cnt_no in sorted(net.baseline_state):
         a = net.baseline_state[cnt_no]
         lines.append(records.encode("BASE", a.cnt_no, a.state.value, a.shipping_line, a.terminal))
-    referenced = {net.orderer_identity}
-    for block in net.chain:
-        for tx in block.transactions:
-            referenced.add(tx.invoker.subject)
-            referenced.update(ident for ident, _ in tx.endorsements)
-    emitted: set[str] = set()
-    for ident in sorted(referenced):
-        for cert in _cert_with_issuers(net, ident):
-            if cert.subject not in emitted:
-                emitted.add(cert.subject)
-                lines.append(cert_to_wire(cert))
+    certs = _head_certs(net, _referenced(net.chain))
+    lines += [cert_to_wire(cert) for cert in certs.values()]
     return b"\n".join(lines) + b"\n"
 
 
-def _cert_with_issuers(net: LedgerNet, ident: str) -> list[Certificate]:
-    entry = net.directory.get(ident)
-    if entry is None:
-        raise LedgerError(f"no certificate on file for {ident}")
-    cert, chain = entry
-    out = [cert, *chain]
-    if out[-1].issuer == out[-1].subject:
-        return out
-    # Directory chains may exclude the anchor; the export must not.
-    return out + [net.trust_anchor]
+def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) -> frozenset[str]:
+    """``known`` and the invokers and endorsers of ``blocks``."""
+    return known.union(
+        ident for block in blocks for tx in block.transactions
+        for ident in (tx.invoker.subject, *(e for e, _ in tx.endorsements))
+    )
+
+
+def _head_certs(net: LedgerNet, referenced: Iterable[str]) -> dict[str, Certificate]:
+    """The certificates a head holds, by subject: the orderer's and each
+    referenced identity's, with its issuers up to the anchor, in identity
+    order, the first one per subject."""
+    certs: dict[str, Certificate] = {}
+    for ident in sorted({net.orderer_identity, *referenced}):
+        entry = net.directory.get(ident)
+        if entry is None:
+            raise LedgerError(f"no certificate on file for {ident}")
+        links = [entry[0], *entry[1]]
+        if links[-1].issuer != links[-1].subject:  # a directory chain may leave out the anchor
+            links.append(net.trust_anchor)
+        for cert in links:
+            certs.setdefault(cert.subject, cert)
+    return certs
 
 
 @dataclass(frozen=True)
@@ -606,15 +616,7 @@ def parse_chain(data: bytes) -> ExportedChain:
     suite_id = orderer = None
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
-    blocks: list[Block] = []
-    current: tuple[int, bytes, bytes] | None = None  # index, prev, orderer sig
-    txns: list[Transaction] = []
-
-    def flush():
-        nonlocal current, txns
-        if current is not None:
-            blocks.append(Block(current[0], current[1], tuple(txns), current[2]))
-        current, txns = None, []
+    blocks: list[tuple[tuple[int, bytes, bytes], list[Transaction]]] = []  # header, TXNs
 
     for rec in records.decode_lines(data):
         tag = rec.tag
@@ -639,20 +641,20 @@ def parse_chain(data: bytes) -> ExportedChain:
             cert = cert_from_record(rec)
             certs[cert.subject] = cert
         elif tag == b"BLK":
-            flush()
             rec.need(4)
-            current = (rec.int(1), rec.b64(2), rec.b64(3))
+            blocks.append(((rec.int(1), rec.b64(2), rec.b64(3)), []))
         elif tag == b"TXN":
-            if current is None:
+            if not blocks:
                 raise ParseError("TXN before any BLK", rec.offset)
-            txns.append(_parse_txn(rec, certs))
+            blocks[-1][1].append(_parse_txn(rec, certs))
         else:
             raise ParseError(f"unknown chain record {tag!r}", rec.offset)
-    flush()
 
     if suite_id is None or orderer is None:
         raise ParseError("chain lacks LEDGER/ANCHOR header", 0)
-    return ExportedChain(suite_id, orderer, baseline, certs, tuple(blocks))
+    return ExportedChain(suite_id, orderer, baseline, certs, tuple(
+        Block(index, prev, tuple(txns), sig) for (index, prev, sig), txns in blocks
+    ))
 
 
 def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transaction:
@@ -701,12 +703,13 @@ def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerificatio
         return ChainVerification(False, None, f"suite mismatch: {exported.suite_id}")
 
     for cert in exported.certs.values():
+        ints = (cert.serial, cert.not_before, cert.not_after)
+        if _holds_line_break((cert.subject, cert.org, cert.role, cert.issuer)) or min(ints) < 0:
+            return ChainVerification(False, None, f"{cert.subject!r}: not a chain file record")
         issuer = exported.certs.get(cert.issuer)
         if issuer is None:
             return ChainVerification(False, None, f"{cert.subject}: issuer {cert.issuer} missing")
-        if not suite.verify(
-            issuer.public_key, suite.digest(cert.body_bytes()), cert.signature
-        ):
+        if not suite.verify(issuer.public_key, suite.digest(cert.body_bytes()), cert.signature):
             return ChainVerification(False, None, f"{cert.subject}: certificate signature broken")
 
     orderer = exported.certs.get(exported.orderer_identity)
@@ -781,39 +784,39 @@ def _verify_blocks(
 def verify_chain(net: LedgerNet) -> ChainVerification:
     """Audit the live net and confirm the world state is the gate replay.
 
-    The checks are those of ``verify_exported`` on the net's export: the
-    export head (LEDGER, ANCHOR, BASE and CERT lines) is parsed, and the
-    net's own blocks are checked against it by ``_verify_blocks``, without
-    being encoded and parsed back. That equals checking the export because
-    an export parses back to the very blocks committed
-    (``parse_chain(export_chain(net)).blocks == tuple(net.chain)``: ``_gate``
-    refuses text the file cannot carry), and ``_verify_blocks`` binds each
-    invoker to the head's certificate record as parsing does. While the
-    record of the last valid call still covers a prefix of the chain
-    (``_Verified.covers_prefix_of``), its parsed head is reused and only
-    the blocks after it are checked, starting from the recorded state.
+    The checks of ``verify_exported`` on the net's own objects, nothing
+    encoded or parsed back: a head (suite id, orderer, baseline and the
+    certificates ``_head_certs`` picks for the export), then the blocks.
+    The export parses back to exactly these: ``_gate``, ``create_net`` and
+    ``_check_head`` refuse what the file cannot carry. While the last valid
+    call's record covers a prefix of the chain and the head, rebuilt with
+    the new blocks' identities, equals its head by value, only the new
+    blocks are checked.
     """
-    head = _export_head(net)
     seen = net._verified
-    if seen is not None and seen.covers_prefix_of(net, head):
-        parsed = seen.parsed
-        start, prev, state = len(seen.blocks), seen.last_digest, dict(seen.state)
-        exported = replace(parsed, blocks=tuple(net.chain[start:]))
+    covered = seen is not None and seen.covers_prefix_of(net)
+    start = len(seen.blocks) if covered else 0
+    referenced = _referenced(net.chain[start:], seen.referenced if covered else frozenset())
+    head = ExportedChain(
+        net.suite.suite_id, net.orderer_identity, dict(net.baseline_state),
+        _head_certs(net, referenced), (),
+    )
+    if covered and head == seen.head:
+        exported = replace(head, blocks=tuple(net.chain[start:]))
+        prev, state = seen.last_digest, dict(seen.state)
     else:
-        parsed = parse_chain(head)
-        exported = replace(parsed, blocks=tuple(net.chain))
+        start, exported = 0, replace(head, blocks=tuple(net.chain))
         bad_head = _check_head(exported, net.suite)
         if bad_head is not None:
             return bad_head
-        baseline = exported.baseline_state
-        start, prev, state = 0, _state_digest(baseline, net.suite), dict(baseline)
+        prev, state = _state_digest(head.baseline_state, net.suite), dict(head.baseline_state)
     res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
     if isinstance(res, ChainVerification):
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
     net._verified = _Verified(
-        head, parsed, tuple(net.chain), res, state, net.endorsement_policy, net.suite
+        head, referenced, tuple(net.chain), res, state, net.endorsement_policy, net.suite
     )
     return ChainVerification(True)
 

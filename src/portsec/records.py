@@ -8,12 +8,12 @@ separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
 The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``). A span without a release character
-is split with ``bytes.split``; only a span holding ``?`` takes the regex
-scan. Decoding is lazy: a ``Record`` keeps its raw elements and unescapes
-or base64-decodes one only when asked. Every decoding error is a
-``ParseError`` carrying the byte offset of the problem, counted from the
-start of the input.
+one record per line (``decode_lines``, split by ``bytes.splitlines``). A
+span without a release character is split with ``bytes.split``; only a span
+holding ``?`` takes the regex scan. Decoding is lazy: a ``Record`` keeps its
+raw elements and unescapes or base64-decodes one only when asked. Every
+decoding error is a ``ParseError`` carrying the byte offset of the problem,
+counted from the start of the input.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterator
 _SCAN = re.compile(rb"\?[\s\S]?|['+]")
 _RELEASED = re.compile(rb"\?([\s\S])")
 _ESCAPES = str.maketrans({c: "?" + c for c in "+'?"})
-_LINE = re.compile(rb"[^\r\n]+")
+_BLANK = b" \t\v\f\r\n"  # stripped around a line, its break included
 _RELEASE, _PLUS = ord("?"), ord("+")
 # URL-safe base64 through the standard codec: swap the two alphabet bytes.
 _FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
@@ -188,16 +188,14 @@ def decode(data: bytes) -> list[Record]:
 
 def decode_lines(data: bytes) -> Iterator[Record]:
     """One record per non-blank line of a file; surrounding whitespace on a
-    line is ignored."""
-    for m in _LINE.finditer(data):
-        start, end = m.span()
-        while start < end and data[start] in b" \t\v\f":
-            start += 1
-        while end > start and data[end - 1] in b" \t\v\f":
-            end -= 1
-        if start == end:
-            continue
-        found = _scan(data, start, end)
-        if len(found) != 1:
-            raise ParseError("one record per line expected", found[1].offset)
-        yield found[0]
+    line is ignored. A line ends at CR, LF or CR LF."""
+    end = 0
+    for line in data.splitlines(keepends=True):
+        start, end = end, end + len(line)
+        body = line.strip(_BLANK)
+        if body:
+            start += len(line) - len(line.lstrip(_BLANK))
+            found = _scan(data, start, start + len(body))
+            if len(found) != 1:
+                raise ParseError("one record per line expected", found[1].offset)
+            yield found[0]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec import records
-from portsec.fixtures import build_net, build_world
+from portsec import ledger, records
+from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.ledger import (
     GENESIS_PREV,
     ORDERER_ROLE,
@@ -43,6 +43,8 @@ from portsec.ledger import (
     verify_chain,
     verify_exported,
 )
+from portsec.sim import run_scenario
+from test_golden import FIXTURES
 
 CNT = "COSU1234567"
 
@@ -657,6 +659,106 @@ def test_offline_verify_ignores_the_watermark(counted):
     assert verifies == len(exported.certs) + _block_verifies(net.chain)
 
 
+# --- the live head, built from the net's own objects ---------------------------
+
+
+def test_object_head_equals_the_parsed_export_head():
+    """The head ``verify_chain`` builds is the head ``verify_exported``
+    checks: the export parsed back, without its blocks."""
+    fixtures = fixtures_from_bytes(FIXTURES.read_bytes())
+    for scenario in ("export", "import"):
+        net = run_scenario(fixtures, scenario, "ledger").net
+        for checked in (net, rollover(net)):  # the successor has a baseline
+            assert verify_chain(checked).valid
+            parsed = parse_chain(export_chain(checked))
+            assert checked._verified.head == replace(parsed, blocks=()), scenario
+
+
+def test_live_verify_neither_encodes_nor_parses_the_head(counted, monkeypatch):
+    world, net = counted
+
+    def refuse(*_):
+        raise AssertionError("verify_chain encoded or parsed its head")
+
+    for name in ("parse_chain", "_export_head", "cert_to_wire"):
+        monkeypatch.setattr(ledger, name, refuse)
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    assert verify_chain(net).valid  # warm
+    net._verified = None
+    assert verify_chain(net).valid  # cold
+
+
+def test_warm_call_compares_the_head_by_value(counted):
+    world, net = counted
+    entry = net.directory["t1-op"]
+    net.directory["t1-op"] = (replace(entry[0]), entry[1])  # an equal, new object
+    try:
+        res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+    finally:
+        net.directory["t1-op"] = entry
+    assert res.valid, res.reason
+    assert verifies == 0
+
+
+def test_warm_call_sees_an_in_place_directory_swap(world, net):
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    old, chain = net.directory["sl1-clerk"]
+    reissued = world.ca_registry[old.issuer].issue(
+        old.subject, old.org, old.role, old.public_key, (old.not_before, old.not_after)
+    )
+    net.directory["sl1-clerk"] = (reissued, chain)
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, 1, "invoker sl1-clerk differs from its certificate record"
+    )
+
+
+def test_warm_call_sees_an_in_place_baseline_edit(world, net):
+    full_lifecycle(world, net)
+    successor = rollover(net)
+    assert verify_chain(successor).valid
+    successor.baseline_state[CNT] = replace(successor.baseline_state[CNT], terminal="T2")
+    res = verify_chain(successor)
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 0, "previous-hash link broken")
+
+
+@pytest.mark.parametrize("edit", [{"org": "T1\n"}, {"role": "C\rA"}, {"not_before": -1}],
+                         ids=["line-break", "carriage-return", "negative"])
+def test_head_refuses_a_certificate_the_file_cannot_carry(world, net, edit):
+    """A CA certificate, genuinely signed, that the chain file cannot carry:
+    the export does not parse, and the live verifier says so instead of
+    passing a head no file can hold."""
+    full_lifecycle(world, net)
+    leaf, (ca, root) = net.directory["t1-op"]
+    unsigned = replace(ca, **edit)
+    root_key = world.ca_registry[root.subject].key_pair.private
+    forged = replace(unsigned, signature=world.suite.sign(
+        root_key, world.suite.digest(unsigned.body_bytes())
+    ))
+    net.directory["t1-op"] = (leaf, (forged, root))
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, None, f"{forged.subject!r}: not a chain file record"
+    )
+    with pytest.raises(records.ParseError):
+        parse_chain(export_chain(net))
+
+
+@pytest.mark.parametrize("key, asset", [
+    (CNT, ContainerAsset(CNT, LifecycleState.CREATED, "SL1", "T1\n")),
+    (CNT, ContainerAsset(CNT, LifecycleState.CREATED, "SL\r1", "T1")),
+    ("CNT\n1", ContainerAsset("CNT\n1", LifecycleState.CREATED, "SL1", "T1")),
+    ("OTHER", ContainerAsset(CNT, LifecycleState.CREATED, "SL1", "T1")),
+], ids=["terminal", "shipping-line", "container", "key"])
+def test_create_net_refuses_a_baseline_the_file_cannot_carry(world, key, asset):
+    """The export keys each BASE record by its container number and keeps
+    one record per line, so any other baseline would not parse back."""
+    with pytest.raises(MalformedTransaction, match="cannot carry baseline entry"):
+        create_net("orderer-1", world.key_pairs["orderer-1"], world.directory,
+                   world.root_anchor, world.ca_registry, baseline_state={key: asset})
+
+
 # --- differential: the live verifier against the offline one -------------------
 
 #: Text for container numbers and notes: the record separators and release
@@ -775,7 +877,9 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
         verified = verify_chain(net)
         assert verified.valid, verified.reason
 
-    assert parse_chain(export_chain(net)).blocks == tuple(net.chain)
+    parsed = parse_chain(export_chain(net))
+    assert parsed.blocks == tuple(net.chain)
+    assert replace(parsed, blocks=()) == net._verified.head
     marks = sorted(states)
     k = marks[picks[4] % len(marks)]
     assert _verdicts(net, net.chain, k, states) == [(True, None, "")] * 3

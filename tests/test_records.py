@@ -2,6 +2,7 @@
 
 import base64
 import binascii
+import re
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,42 @@ def test_lines_skip_blanks_and_count_from_file_start():
     assert [r.tag for r in recs] == [b"A", b"B"]
     assert recs[1].offsets == [12, 14, 16]
     assert recs[1].int(2) == 7
+
+
+_LINE = re.compile(rb"[^\r\n]+")
+
+
+def _regex_decode_lines(data: bytes):
+    """The line split ``decode_lines`` replaced, kept as its oracle: a
+    regex over runs of bytes that are not CR or LF."""
+    for m in _LINE.finditer(data):
+        start, end = m.span()
+        while start < end and data[start] in b" \t\v\f":
+            start += 1
+        while end > start and data[end - 1] in b" \t\v\f":
+            end -= 1
+        if start == end:
+            continue
+        found = records._scan(data, start, end)
+        if len(found) != 1:
+            raise ParseError("one record per line expected", found[1].offset)
+        yield found[0]
+
+
+def _lines_decoded(decode_lines, data: bytes):
+    """Every record up to the first error, then the error's text and offset."""
+    out = []
+    try:
+        for r in decode_lines(data):
+            out.append((r.elems, r.offsets, r.released))
+    except ParseError as exc:
+        out.append((str(exc), exc.offset))
+    return out
+
+
+@given(st.lists(st.sampled_from([*b"AB+'?\r\n \t\v\f\x1c\x85xy"]), max_size=40).map(bytes))
+def test_line_split_matches_the_regex_split(data):
+    assert _lines_decoded(decode_lines, data) == _lines_decoded(_regex_decode_lines, data)
 
 
 def test_one_record_per_line():

@@ -275,6 +275,23 @@ def test_ledger_mode_exposes_container_number_only(honest_sims):
         views = audit_views(honest_sims[(scenario, "ledger")].transcript)
         for identity, attrs in views.exposure.items():
             assert attrs <= LEDGER_ATTRS, (scenario, identity)
+        assert views.exposure["orderer-1"] == LEDGER_ATTRS
+        assert not views.flagged(), scenario
+
+
+@pytest.mark.parametrize("label", ["NOBODY", "ORDERER", ""])
+def test_audit_fails_closed_on_a_relabelled_actor(honest_sims, label):
+    """Relabelling an actor's ACT record to a token that names no policy
+    role (or to the orderer's) flags everything it saw beyond that
+    column, instead of auditing the transcript clean."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    relabelled = wire.replace(b"\nACT+pcs-op+PCS'\n", f"\nACT+pcs-op+{label}'\n".encode())
+    assert relabelled != wire
+    views = audit_views(transcript_from_wire(relabelled))
+    exposed = views.exposure["pcs-op"]
+    assert len(exposed) == 6
+    assert views.excess["pcs-op"] == exposed - (LEDGER_ATTRS if label == "ORDERER" else set())
+    assert views.flagged() == ["pcs-op"]
 
 
 def test_mailboxes_preserve_arrival_order(honest_sims):
