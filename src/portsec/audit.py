@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .ledger import ORDERER_ROLE
 from .model import Plain, Sealed
-from .policy import AccessMatrix, Action, Role, default_matrix
+from .policy import AccessMatrix, Role, default_matrix
 from .transcript import LedgerEvent, SentEvent, Transcript
 
 #: The only attribute a ledger participant learns from the chain itself.
@@ -35,9 +35,7 @@ class AuditResult:
 
 
 def read_column(matrix: AccessMatrix, role: Role) -> frozenset[str]:
-    return frozenset(
-        a for a in matrix.attributes if matrix.check(role, a, Action.READ)
-    )
+    return matrix.read_column(role)
 
 
 def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> AuditResult:

@@ -128,13 +128,15 @@ class Transaction:
     invoker_signature: bytes
     endorsements: tuple[tuple[str, bytes], ...] = ()  # (endorser identity, sig)
 
+    def __post_init__(self):  # replace() runs it again, so the body never outlives its fields
+        body = records.encode("TXB", self.invoker.subject, f"{self.invoker.serial}",
+                              self.action.value, self.cnt_no, *(e for kv in self.args for e in kv))
+        object.__setattr__(self, "_body", body[:-1])
+
     def body_bytes(self) -> bytes:
         """Canonical signed portion: everything except signatures, as a
-        ``TXB`` record without its terminator."""
-        return records.encode(
-            "TXB", self.invoker.subject, f"{self.invoker.serial}", self.action.value,
-            self.cnt_no, *(e for kv in self.args for e in kv),
-        )[:-1]
+        ``TXB`` record without its terminator, encoded once per object."""
+        return self._body
 
     def arg(self, key: str) -> str | None:
         for k, v in self.args:
@@ -149,6 +151,7 @@ class Block:
     prev_hash: bytes
     transactions: tuple[Transaction, ...]
     orderer_signature: bytes
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -210,7 +213,6 @@ class _Verified:
     head: ExportedChain  # the head checked, with no blocks
     referenced: frozenset[str]  # invokers and endorsers of ``blocks``
     blocks: tuple[Block, ...]
-    last_digest: bytes  # digest of the last checked block's bytes
     state: dict[str, ContainerAsset]  # gate replay state after that block
     policy: EndorsementPolicy
     suite: CryptoSuite
@@ -474,7 +476,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     block = _sign_block(
         net,
         index=len(net.chain),
-        prev_hash=net.suite.digest(block_bytes(net.chain[-1])),
+        prev_hash=_digests(net.chain[-1], net.suite)[1],
         transactions=tuple(good),
     )
     net.chain.append(block)
@@ -536,25 +538,33 @@ def _txn_line(tx: Transaction) -> bytes:
     )
 
 
-def _block_body(index: int, prev_hash: bytes, txn_lines: list[bytes]) -> bytes:
-    """The orderer-signed form: the block header without its signature or
-    terminator, then the block's TXN lines."""
-    return b"\n".join([records.encode("BLK", f"{index}", prev_hash)[:-1], *txn_lines])
-
-
-def block_bytes(block: Block, txn_lines: list[bytes] | None = None) -> bytes:
+def block_bytes(block: Block) -> bytes:
     """Canonical serialized form: header (with orderer signature) plus one
-    TXN line per transaction, given as ``txn_lines`` when the caller has
-    them. prev_hash links digest these bytes."""
-    if txn_lines is None:
-        txn_lines = [_txn_line(t) for t in block.transactions]
+    TXN line per transaction. prev_hash links digest these bytes."""
     header = records.encode("BLK", f"{block.index}", block.prev_hash, block.orderer_signature)
-    return b"\n".join([header, *txn_lines]) + b"\n"
+    return b"\n".join([header, *(_txn_line(t) for t in block.transactions)]) + b"\n"
 
 
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
-    payload = net.suite.digest(_block_body(index, prev_hash, [_txn_line(t) for t in transactions]))
-    return Block(index, prev_hash, transactions, sign(net.suite, net.orderer_key.private, payload))
+    """A block the orderer signed, remembering its two ``_digests``."""
+    suite, tail = net.suite, b"".join(b"\n" + _txn_line(t) for t in transactions)
+    payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
+    block = Block(index, prev_hash, transactions, sign(suite, net.orderer_key.private, payload))
+    header = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature)
+    object.__setattr__(block, "_memo", (suite, payload, suite.digest(header + tail + b"\n")))
+    return block
+
+
+def _digests(block: Block, suite: CryptoSuite) -> tuple[bytes, bytes]:
+    """(digest the orderer signs: the BLK line up to its signature, then the TXN
+    lines; link digest of ``block_bytes``) under ``suite``, as the block remembers
+    them; one built by ``replace``, or remembered under another suite, is hashed again."""
+    if block._memo is None or block._memo[0] is not suite:
+        data = block_bytes(block)
+        cut = data.index(b"\n")  # the signature ends the BLK line; base64 holds no "+"
+        payload = suite.digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
+        object.__setattr__(block, "_memo", (suite, payload, suite.digest(data)))
+    return block._memo[1:]
 
 
 def export_chain(net: LedgerNet) -> bytes:
@@ -612,7 +622,7 @@ class ExportedChain:
 
 
 def parse_chain(data: bytes) -> ExportedChain:
-    """Strict parse of an exported chain; any malformed line raises."""
+    """Strict parse of an exported chain; a malformed line or a non-canonical integer raises."""
     suite_id = orderer = None
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
@@ -642,7 +652,7 @@ def parse_chain(data: bytes) -> ExportedChain:
             certs[cert.subject] = cert
         elif tag == b"BLK":
             rec.need(4)
-            blocks.append(((rec.int(1), rec.b64(2), rec.b64(3)), []))
+            blocks.append(((rec.int(1, 1), rec.b64(2), rec.b64(3)), []))
         elif tag == b"TXN":
             if not blocks:
                 raise ParseError("TXN before any BLK", rec.offset)
@@ -663,9 +673,9 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
     except ValueError:
         raise ParseError("unknown ledger action", rec.offsets[1]) from None
     subject = rec.text(3)
-    serial = rec.int(4)
-    args_end = 7 + 2 * rec.int(6)
-    rec.need(args_end + 1 + 2 * rec.int(args_end))
+    serial = rec.int(4, 1)
+    args_end = 7 + 2 * rec.int(6, 3)
+    rec.need(args_end + 1 + 2 * rec.int(args_end, 3))
     args = tuple((rec.text(i), rec.text(i + 1)) for i in range(7, args_end, 2))
     endorsements = tuple(
         (rec.text(i), rec.b64(i + 1)) for i in range(args_end + 1, len(rec), 2)
@@ -690,11 +700,10 @@ def verify_exported(
     bad_head = _check_head(exported, suite)
     if bad_head is not None:
         return bad_head
-    res = _verify_blocks(
+    return _verify_blocks(
         exported, 0, _state_digest(exported.baseline_state, suite),
         dict(exported.baseline_state), endorsement_policy or EndorsementPolicy.default(), suite,
-    )
-    return res if isinstance(res, ChainVerification) else ChainVerification(True)
+    ) or ChainVerification(True)
 
 
 def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerification | None:
@@ -730,13 +739,13 @@ def _verify_blocks(
     state: dict[str, ContainerAsset],
     policy: EndorsementPolicy,
     suite: CryptoSuite,
-) -> ChainVerification | bytes:
+) -> ChainVerification | None:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
     ...; the first must link to ``prev``. Each transaction's invoker must be
     the certificate record of its subject, and each transaction is replayed
     into ``state`` through the chaincode gate, then each endorsement through
-    the endorsement gate. Returns the failure, or when every block checks,
-    the digest of the last one, which the next block must link to."""
+    the endorsement gate. Returns the failure, or None when every block
+    checks. Each block's digests are the ones it remembers (``_digests``)."""
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
@@ -744,8 +753,7 @@ def _verify_blocks(
             return ChainVerification(False, idx, "non-consecutive block index")
         if block.prev_hash != prev:
             return ChainVerification(False, idx, "previous-hash link broken")
-        txn_lines = [_txn_line(tx) for tx in block.transactions]
-        payload = suite.digest(_block_body(idx, block.prev_hash, txn_lines))
+        payload, link = _digests(block, suite)
         if not suite.verify(orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
@@ -777,8 +785,8 @@ def _verify_blocks(
             except LedgerError as exc:
                 return ChainVerification(False, idx, f"endorsement gate failure: {exc}")
             _apply(tx, state)
-        prev = suite.digest(block_bytes(block, txn_lines))
-    return prev
+        prev = link
+    return None
 
 
 def verify_chain(net: LedgerNet) -> ChainVerification:
@@ -803,7 +811,7 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     )
     if covered and head == seen.head:
         exported = replace(head, blocks=tuple(net.chain[start:]))
-        prev, state = seen.last_digest, dict(seen.state)
+        prev, state = _digests(seen.blocks[-1], net.suite)[1], dict(seen.state)
     else:
         start, exported = 0, replace(head, blocks=tuple(net.chain))
         bad_head = _check_head(exported, net.suite)
@@ -811,12 +819,12 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
             return bad_head
         prev, state = _state_digest(head.baseline_state, net.suite), dict(head.baseline_state)
     res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
-    if isinstance(res, ChainVerification):
+    if res is not None:
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
     net._verified = _Verified(
-        head, referenced, tuple(net.chain), res, state, net.endorsement_policy, net.suite
+        head, referenced, tuple(net.chain), state, net.endorsement_policy, net.suite
     )
     return ChainVerification(True)
 

@@ -112,6 +112,8 @@ class AccessMatrix:
             "_allowed": allowed,
             "_writers": {a: holders(Action.WRITE, a) for a in self.attributes},
             "_readers": {a: holders(Action.READ, a) for a in self.attributes},
+            "_columns": {r: frozenset(a for a in self.attributes if allowed[(r, a, Action.READ)])
+                         for r in Role},
         }
         for name, table in tables.items():
             object.__setattr__(self, name, MappingProxyType(table))
@@ -141,6 +143,12 @@ class AccessMatrix:
             return self._readers[attribute]
         except KeyError:
             raise UnknownEntry(f"unknown attribute {attribute}") from None
+
+    def read_column(self, role: Role) -> frozenset[str]:
+        try:
+            return self._columns[Role(role)]
+        except ValueError:
+            raise UnknownEntry(f"unknown role {role}") from None
 
 
 @dataclass(frozen=True)

@@ -125,15 +125,19 @@ class Record:
             raise ParseError("non-canonical base64 element", offset)
         return decoded
 
-    def int(self, i: int) -> int:
-        """A non-negative decimal integer."""
+    def int(self, i: int, width: int = 0) -> int:
+        """A non-negative decimal integer; given a ``width``, only as written
+        zero-padded to ``width`` digits, with no other leading zero."""
         raw = self._raw(i)
         try:
-            if raw.isdigit():
-                return int(raw)
+            value = int(raw) if raw.isdigit() else None
         except ValueError:  # beyond the interpreter's digit limit
-            pass
-        raise ParseError(f"expected a decimal integer, got {raw[:20]!r}", self.offsets[i])
+            value = None
+        if value is None:
+            raise ParseError(f"expected a decimal integer, got {raw[:20]!r}", self.offsets[i])
+        if width and raw != b"%0*d" % (width, value):
+            raise ParseError(f"non-canonical integer {raw[:20]!r}", self.offsets[i])
+        return value
 
 
 def _scan(data: bytes, start: int, end: int) -> list[Record]:

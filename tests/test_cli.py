@@ -162,6 +162,60 @@ def test_ledger_verify_flags_self_endorsement(base_fixtures, tmp_path, capsys):
     )
 
 
+@pytest.fixture(scope="module")
+def export_chain_bytes(cli_files):
+    chain = cli_files["root"] / "export.chain"
+    assert main(["run", "--scenario", "export", "--mode", "ledger",
+                 "--fixtures", str(cli_files["fixtures"]), "--chain-out", str(chain)]) == 0
+    return chain.read_bytes()
+
+
+def _edit_first_txn(raw: bytes, i: int, edit) -> bytes:
+    """``raw`` with element ``i`` of its first TXN line passed through ``edit``."""
+    start = raw.index(b"\nTXN+") + 1
+    end = raw.index(b"\n", start)
+    elems = raw[start:end].split(b"+")
+    elems[i] = edit(elems[i])
+    return raw[:start] + b"+".join(elems) + raw[end:]
+
+
+def _unpadded(elem: bytes) -> bytes:
+    return b"%d" % int(elem)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.replace(b"\nBLK+2+", b"\nBLK+002+"),
+    lambda raw: _edit_first_txn(raw, 4, lambda serial: b"0" + serial),
+    lambda raw: _edit_first_txn(raw, 6, _unpadded),  # the argument count
+    lambda raw: _edit_first_txn(raw, 9, _unpadded),  # the endorsement count
+], ids=["padded block index", "padded serial", "unpadded argument count",
+        "unpadded endorsement count"])
+def test_ledger_verify_refuses_non_canonical_integers(export_chain_bytes, tmp_path, capsys,
+                                                     edit):
+    """A chain file has one byte form per block, so an integer the exporter
+    would write otherwise is refused before any block is checked."""
+    edited = edit(export_chain_bytes)
+    assert edited != export_chain_bytes
+    chain = tmp_path / "edited.chain"
+    chain.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["ledger-verify", "--chain", str(chain)]) == 1
+    assert capsys.readouterr().out.startswith("CHAIN INVALID parse non-canonical integer ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.replace(b"\n", b"\r\n"),
+    lambda raw: b"".join(b" \t" + line for line in raw.splitlines(keepends=True)),
+], ids=["CRLF", "indented"])
+def test_ledger_verify_tolerates_line_ends_and_indentation(export_chain_bytes, tmp_path,
+                                                          capsys, edit):
+    chain = tmp_path / "copy.chain"
+    chain.write_bytes(edit(export_chain_bytes))
+    capsys.readouterr()
+    assert main(["ledger-verify", "--chain", str(chain)]) == 0
+    assert capsys.readouterr().out == "CHAIN VALID blocks 5\n"
+
+
 def test_compare_prints_report(cli_files, capsys):
     code = main(["compare", "--fixtures", str(cli_files["fixtures"])])
     printed = capsys.readouterr().out

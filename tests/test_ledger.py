@@ -759,6 +759,101 @@ def test_create_net_refuses_a_baseline_the_file_cannot_carry(world, key, asset):
                    world.root_anchor, world.ca_registry, baseline_state={key: asset})
 
 
+# --- each block encoded once -----------------------------------------------------
+
+
+@pytest.fixture
+def txn_lines(monkeypatch):
+    """The transactions ``ledger._txn_line`` encodes, in call order."""
+    calls = []
+    encode = ledger._txn_line
+
+    def counted(tx):
+        calls.append(tx)
+        return encode(tx)
+
+    monkeypatch.setattr(ledger, "_txn_line", counted)
+    return calls
+
+
+def test_commit_encodes_each_new_transaction_once(world, net, txn_lines):
+    full_lifecycle(world, net)
+    assert txn_lines == [b.transactions[0] for b in net.chain[1:]]
+    txn_lines.clear()
+    pendings = []
+    for cnt_no in ("MSCU7654321", "MAEU1111111"):
+        pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, cnt_no,
+                            (("terminal", "T1"),))
+        pendings.append(endorse_by(world, net, pending, "t1-op"))
+    block = commit(net, pendings).block
+    assert txn_lines == list(block.transactions)
+
+
+def test_live_verifier_encodes_no_block(world, net, txn_lines):
+    """A cold and a warm live verify read the digests commit remembered."""
+    full_lifecycle(world, net)
+    txn_lines.clear()
+    assert verify_chain(net).valid  # cold
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    txn_lines.clear()
+    assert verify_chain(net).valid  # warm, over four new blocks
+    assert txn_lines == []
+
+
+def test_offline_verifier_encodes_each_parsed_block_once(world, net, txn_lines):
+    """A parsed block is encoded on its first verify and remembers its
+    digests from then on."""
+    full_lifecycle(world, net)
+    parsed = parse_chain(export_chain(net))
+    txn_lines.clear()
+    assert verify_exported(parsed).valid
+    assert txn_lines == [tx for b in parsed.blocks for tx in b.transactions]
+    txn_lines.clear()
+    assert verify_exported(parsed).valid
+    assert txn_lines == []
+
+
+def _content_edit(block):
+    tx, *rest = block.transactions
+    return replace(block, transactions=(replace(tx, cnt_no=tx.cnt_no + "X"), *rest))
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda b: replace(b, prev_hash=_flip(b.prev_hash)), "previous-hash link broken"),
+    (lambda b: replace(b, orderer_signature=_flip(b.orderer_signature)),
+     "orderer signature broken"),
+    (_content_edit, "orderer signature broken"),
+], ids=["prev_hash", "orderer_signature", "transactions"])
+def test_a_replaced_block_forgets_its_digests(world, net, edit, reason):
+    """``replace`` builds a block without the digests of the one it copies,
+    so both verifiers check the forgery's own bytes, whether the original
+    was committed or parsed and verified."""
+    full_lifecycle(world, net)
+    parsed = parse_chain(export_chain(net))
+    assert verify_exported(parsed).valid  # the parsed blocks now remember their digests
+    for blocks in (net.chain, parsed.blocks):
+        edited = [*blocks[:2], edit(blocks[2]), *blocks[3:]]
+        live = verify_chain(replace(net, chain=edited))
+        offline = verify_exported(replace(parsed, blocks=tuple(edited)))
+        for res in (live, offline):
+            assert (res.valid, res.first_bad_block, res.reason) == (False, 2, reason)
+
+
+def test_a_second_suite_recomputes_the_digests(world, net, txn_lines, counting_suite):
+    """Digests remembered under one suite object are not trusted under
+    another; recomputed from a parsed block's canonical encoding, they
+    equal the ones commit hashed from the lines it signed."""
+    full_lifecycle(world, net)
+    parsed = parse_chain(export_chain(net))
+    assert verify_exported(parsed).valid
+    txn_lines.clear()
+    other = counting_suite()
+    assert verify_exported(parsed, suite=other).valid
+    assert txn_lines == [tx for b in parsed.blocks for tx in b.transactions]
+    committed = [ledger._digests(b, net.suite) for b in net.chain]
+    assert [ledger._digests(b, other) for b in parsed.blocks] == committed
+
+
 # --- differential: the live verifier against the offline one -------------------
 
 #: Text for container numbers and notes: the record separators and release

@@ -94,9 +94,9 @@ def test_check_writers_consistency(matrix):
 
 @pytest.mark.parametrize("doc", ["default", "extension"])
 def test_lookup_tables_agree_with_permission(doc):
-    """check, writers_of and readers_of answer from tables built once;
-    each, and the read column built from them, must match the cell
-    ``permission`` returns, for role members and role strings alike."""
+    """check, writers_of, readers_of and read_column answer from tables
+    built once; each must match the cell ``permission`` returns, for role
+    members and role strings alike."""
     matrix = default_matrix() if doc == "default" else load_policy(
         DEFAULT_CORE_ONLY + "PCS NEW_FLAG R\nCUSTOMS NEW_FLAG RW\n"
     )
@@ -114,6 +114,7 @@ def test_lookup_tables_agree_with_permission(doc):
             assert (role in matrix.readers_of(attr)) is may[Action.READ]
             assert (attr in read_column(matrix, role)) is may[Action.READ]
             assert (attr in read_column(matrix, role.value)) is may[Action.READ]
+        assert read_column(matrix, role) is read_column(matrix, role.value)  # a lookup
 
 
 def test_lookups_refuse_unknown_entries(matrix):
