@@ -21,11 +21,14 @@ from typing import Iterable, Mapping, Sequence
 from . import envelope, records
 from .envelope import (
     AuthDecryptFailure,
+    ContentKey,
     CryptoSuite,
     DEFAULT_SUITE,
     KeyPair,
+    content_key,
     field_digests,
     open_field,
+    remember_key,
     seal_field,
     verify_multi_sig,
 )
@@ -130,6 +133,9 @@ class AdapterState:
     suite: CryptoSuite = DEFAULT_SUITE
     signature_store: list[StoreRecord] = field(default_factory=list)
     seen_booking_numbers: dict[bytes, str] = field(default_factory=dict)
+    # wrapped blob -> content key, for the blobs that wrap a key for this
+    # actor's key pair (envelope.remember_key bounds it)
+    content_keys: dict[bytes, bytes] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _store_signatures(
@@ -178,13 +184,15 @@ def _plan_and_sign(
 ) -> tuple[tuple[tuple[str, FieldValue], ...], AttributeSignature | None]:
     """Re-plan the plaintext fields of ``msg`` for ``receiver`` (plain,
     hash-only or sealed for downstream readers; other fields pass through)
-    and sign ``sign_attrs`` over their digests, if any."""
+    and sign ``sign_attrs`` over their digests, if any. The fields sealed
+    for one set of reader identities share one fresh content key."""
     plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
     plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
     own = None
     if sign_attrs:
         own = envelope.multi_sign(state.key_pair, sign_attrs, digests, suite=state.suite)
 
+    keys: dict[frozenset[str], ContentKey] = {}
     out_fields: list[tuple[str, FieldValue]] = []
     for name, value in msg.fields:
         if isinstance(value, Plain):
@@ -193,7 +201,12 @@ def _plan_and_sign(
                 value = HashOnly(digests[name])
             elif decision.kind is PlanKind.SEALED:
                 recipients = _role_identities(state, decision.readers)
-                value = seal_field(value.text, digests[name], recipients, state.suite)
+                group = frozenset(recipients)
+                if group not in keys:
+                    keys[group] = key = content_key(recipients, state.suite)
+                    if state.identity in key.wrapped_keys:
+                        remember_key(state.content_keys, key.wrapped_keys[state.identity], key.key)
+                value = seal_field(value.text, digests[name], keys[group], state.suite)
         out_fields.append((name, value))
     return tuple(out_fields), own
 
@@ -379,7 +392,9 @@ def validate_inbound(
             decrypted[name] = value.text
         elif isinstance(value, Sealed) and may_read(name) and state.identity in value.wrapped_keys:
             try:
-                decrypted[name] = open_field(value, state.identity, state.key_pair.private, state.suite)
+                decrypted[name] = open_field(
+                    value, state.identity, state.key_pair.private, state.content_keys, state.suite
+                )
             except (AuthDecryptFailure, envelope.DigestMismatch) as exc:
                 reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
 

@@ -9,8 +9,15 @@ which is what lets intermediaries check signatures over data they are not
 allowed to read. Binding the names means a signature cannot be relabelled
 to vouch for the same values under other attributes.
 
-Sealing pairs a value's digest with its encryption under a fresh symmetric
-key, wrapped once per authorized reader's public key.
+Sealing pairs a value's digest with its encryption under a content key,
+fresh per message and reader set and wrapped once per reader's public key
+(one content-encryption key and one RecipientInfo per recipient, as in CMS
+EnvelopedData, RFC 5652 §6). Every field of the set carries the same
+wrapped blobs and its own nonce and ciphertext, so the wire form is the
+one a key per field gives. An actor keeps the keys it wrapped for itself
+or unwrapped in a bounded table keyed on the exact wrapped bytes; opening
+a field skips the RSA-OAEP unwrap on a hit and still decrypts and checks
+the digest.
 
 All primitives sit behind a CryptoSuite so a deployment can swap them; the
 default fixes SHA-256, RSA-2048 with PKCS#1 v1.5 over the 32-byte payload
@@ -25,9 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
@@ -259,23 +266,52 @@ def verify_multi_sig(
     return verify(suite, public, payload, sig.sig)
 
 
+#: Entries in an actor's content-key table. A p2p booking files one key
+#: with each actor that reads a sealed field, and the key is reused only
+#: within that booking, so a long-lived world churns at most this many
+#: ~0.4 KB entries per actor.
+KEY_TABLE_SIZE = 64
+
+
+@dataclass(frozen=True)
+class ContentKey:
+    """A content key and its wraps, one per reader identity."""
+
+    key: bytes = field(repr=False)
+    wrapped_keys: Mapping[str, bytes]
+
+
+def content_key(readers: Mapping[str, object], suite: CryptoSuite = DEFAULT_SUITE) -> ContentKey:
+    """A fresh content key, wrapped once for every reader's public key."""
+    if not readers:
+        raise EmptyReaderSet("sealing requires at least one reader")
+    key = os.urandom(suite.symmetric_key_length)
+    return ContentKey(key, {ident: suite.wrap_key(public, key) for ident, public in readers.items()})
+
+
+def remember_key(table: dict[bytes, bytes], wrapped: bytes, key: bytes) -> None:
+    """File ``key`` in an actor's table under the exact blob that wraps it
+    for that actor; past ``KEY_TABLE_SIZE`` entries the oldest leaves. An
+    entry is what unwrapping the blob with the actor's private key gives,
+    so the table belongs to one key pair."""
+    table[wrapped] = key
+    if len(table) > KEY_TABLE_SIZE:
+        del table[next(iter(table))]
+
+
 def seal_field(
     value: str,
     digest: bytes,
-    readers: Mapping[str, object] | Iterable[tuple[str, object]],
+    key: ContentKey,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> Sealed:
-    """Encrypt a value under a fresh symmetric key, wrapping the key for
-    every reader, and pair the ciphertext with ``digest``, the value's
+    """Encrypt a value under ``key`` with a fresh nonce, carry the key's
+    wraps, and pair the ciphertext with ``digest``, the value's
     ``value_digest``, which the caller has already computed."""
-    reader_list = list(readers.items()) if isinstance(readers, Mapping) else list(readers)
-    if not reader_list:
-        raise EmptyReaderSet("sealing requires at least one reader")
-    key = os.urandom(suite.symmetric_key_length)
     return Sealed(
         digest=digest,
-        ciphertext=suite.encrypt(key, canonical_bytes(value)),
-        wrapped_keys={identity: suite.wrap_key(public, key) for identity, public in reader_list},
+        ciphertext=suite.encrypt(key.key, canonical_bytes(value)),
+        wrapped_keys=dict(key.wrapped_keys),
     )
 
 
@@ -283,12 +319,20 @@ def open_field(
     sealed: Sealed,
     holder: str,
     private: rsa.RSAPrivateKey,
+    keys: dict[bytes, bytes],
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> str:
-    """Unwrap, decrypt, and check the plaintext against the carried digest."""
+    """Unwrap, decrypt, and check the plaintext against the carried digest.
+    ``keys`` is the holder's content-key table: a wrapped blob it holds
+    byte for byte skips the unwrap, and a blob unwrapped here is filed in
+    it. Decryption and the digest check run on every call."""
     if holder not in sealed.wrapped_keys:
         raise NoWrappedKeyForHolder(f"no wrapped key for {holder}")
-    key = suite.unwrap_key(private, sealed.wrapped_keys[holder])
+    wrapped = sealed.wrapped_keys[holder]
+    key = keys.get(wrapped)
+    if key is None:
+        key = suite.unwrap_key(private, wrapped)
+        remember_key(keys, wrapped, key)
     try:
         text = suite.decrypt(key, sealed.ciphertext).decode("utf-8")
     except UnicodeDecodeError:

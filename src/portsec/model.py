@@ -83,10 +83,13 @@ class HashOnly:
 
 @dataclass(frozen=True)
 class Sealed:
-    """Digest plus ciphertext under a fresh symmetric key, wrapped per reader.
+    """Digest plus ciphertext under a content key fresh per message and
+    reader set, wrapped per reader.
 
-    ``wrapped_keys`` maps a reader identity to the symmetric key wrapped
-    with that reader's public key. At least one entry is required.
+    ``wrapped_keys`` maps a reader identity to the content key wrapped
+    with that reader's public key; the fields of one message sealed for
+    the same readers carry the same wrapped keys. At least one entry is
+    required.
     """
 
     digest: bytes

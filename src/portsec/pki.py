@@ -147,13 +147,13 @@ def cert_from_record(rec: records.Record) -> Certificate:
         raise ParseError("expected a CERT record", rec.offset)
     rec.need(10)
     return Certificate(
-        serial=rec.int(1),
+        serial=rec.int(1, 1),
         subject=rec.text(2),
         org=rec.text(3),
         role=rec.text(4),
         issuer=rec.text(5),
-        not_before=rec.int(6),
-        not_after=rec.int(7),
+        not_before=rec.int(6, 1),
+        not_after=rec.int(7, 1),
         public_key=rec.b64(8),
         signature=rec.b64(9),
     )

@@ -13,7 +13,14 @@ from portsec.adapter import (
     secure_outbound,
     validate_inbound,
 )
-from portsec.envelope import DEFAULT_SUITE, field_digests, multi_sign, value_digest
+from portsec.envelope import (
+    DEFAULT_SUITE,
+    KEY_TABLE_SIZE,
+    field_digests,
+    multi_sign,
+    value_digest,
+)
+from portsec.fixtures import build_world
 from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
 from portsec.policy import Role
 from portsec.sim import run_scenario
@@ -353,3 +360,165 @@ def test_report_wire_form(world):
     wire = report_to_wire(report)
     assert wire.startswith(b"VERDICT+ACCEPT'")
     assert b"FINDING" not in wire  # honest run: no findings at all
+
+
+# --- one content key per message and reader set -----------------------------
+
+
+def _unwrap(world, who, sealed):
+    """The content key under ``sealed``, unwrapped outside any count."""
+    return DEFAULT_SUITE.unwrap_key(world.adapter(who).key_pair.private, sealed.wrapped_keys[who])
+
+
+def test_one_content_key_per_message_and_reader_set(world):
+    """To the port authority, with customs and the importer downstream:
+    B_NO is sealed for the importer alone, CNT_C and CSG_DATA for both.
+    Those two share one key and its wraps, each with its own nonce; the
+    importer-only group and every group of a second message get keys of
+    their own."""
+    sl = world.adapter("sl1-clerk")
+    msg = Message(
+        "IFTMCS", "RUN-1", tuple((a, Plain(VALUES[a])) for a in ("B_NO", "CNT_C", "CSG_DATA"))
+    )
+    keys = []
+    for _ in range(2):
+        sm = secure_outbound(sl, msg, [], Role.PORT_AUTHORITY,
+                             downstream={Role.CUSTOMS, Role.IMPORTER}, authored=["B_NO"])
+        b_no, cnt_c, csg = (sm.message.get(a) for a in ("B_NO", "CNT_C", "CSG_DATA"))
+        assert set(b_no.wrapped_keys) == {"importer-1"}
+        assert set(cnt_c.wrapped_keys) == {"customs-officer", "importer-1"}
+        assert csg.wrapped_keys == cnt_c.wrapped_keys
+        assert cnt_c.ciphertext[:12] != csg.ciphertext[:12]
+        assert _unwrap(world, "customs-officer", cnt_c) == _unwrap(world, "importer-1", cnt_c)
+        keys += [_unwrap(world, "importer-1", b_no), _unwrap(world, "importer-1", cnt_c)]
+    assert len(set(keys)) == 4
+
+
+def _export_unwraps(base_fixtures, counting_suite, monkeypatch, edit=None, at="arrival_codeco"):
+    """One export booking on a fresh world; ``edit(world, sm)`` may change
+    the message delivered at step ``at``. At arrival_codeco t1-op forwards
+    to sl1-clerk the CNT_C and CSG_DATA that sl1-clerk sealed at delivery.
+    Returns the run and the (step, actor) of every RSA-OAEP unwrap."""
+    suite = counting_suite()
+    world = build_world(base_fixtures, suite=suite)
+    owners = {state.key_pair.private: who for who, state in world.adapters.items()}
+    unwraps, step = [], [None]
+    unwrap = suite.unwrap_key
+
+    def recording(private, wrapped):
+        unwraps.append((step[0], owners[private]))
+        return unwrap(private, wrapped)
+
+    def intercept(name, sm):
+        step[0] = name
+        return edit(world, sm) if edit and name == at else sm
+
+    monkeypatch.setattr(suite, "unwrap_key", recording)
+    return run_scenario(base_fixtures, "export", "p2p", world=world, interceptor=intercept), unwraps
+
+
+def _findings(sim, step):
+    report, _ = sim.inbound[step]
+    return report.verdict, [(f.code, f.subject, f.detail) for f in report.findings]
+
+
+def test_each_reader_unwraps_a_content_key_at_most_once(base_fixtures, counting_suite, monkeypatch):
+    """sl1-clerk opens at arrival_codeco the fields it sealed at delivery
+    from its own table; customs, which holds only the wrap, unwraps once
+    for both fields of the group."""
+    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch)
+    assert sim.transcript.verdict == "PASS"
+    assert unwraps == [("export_declaration", "customs-officer")]
+    sealed = sim.outbound["delivery"].message.get("CNT_C")
+    assert sim.world.adapter("sl1-clerk").content_keys[sealed.wrapped_keys["sl1-clerk"]] == (
+        sim.world.adapter("customs-officer").content_keys[sealed.wrapped_keys["customs-officer"]]
+    )
+
+
+def test_a_table_hit_still_decrypts_and_checks(base_fixtures, counting_suite, monkeypatch):
+    def flip(world, sm):
+        sealed = sm.message.get("CNT_C")
+        ct = sealed.ciphertext[:-1] + bytes([sealed.ciphertext[-1] ^ 1])
+        return SecuredMessage(
+            sm.message.replace_field("CNT_C", Sealed(sealed.digest, ct, sealed.wrapped_keys)),
+            sm.signatures, sm.sender,
+        )
+
+    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch, flip)
+    assert _findings(sim, "arrival_codeco") == (
+        "REJECT", [(FindingCode.DIGEST_MISMATCH, "CNT_C", "authentication tag mismatch")]
+    )
+    assert unwraps == []
+
+
+@pytest.mark.parametrize("same_key", [True, False], ids=["same key", "other key"])
+def test_another_valid_blob_is_unwrapped_as_without_the_table(
+    base_fixtures, counting_suite, monkeypatch, same_key
+):
+    """CNT_C's wrapped key for sl1-clerk is replaced by a fresh wrap of the
+    same content key, or of another key. The new bytes miss the table and
+    are unwrapped; the report equals the one sl1-clerk gives with an empty
+    table, which unwraps both fields."""
+    def rewrap(clear_table):
+        def edit(world, sm):
+            sl = world.adapter("sl1-clerk")
+            sealed = sm.message.get("CNT_C")
+            key = _unwrap(world, "sl1-clerk", sealed) if same_key else bytes(32)
+            blob = DEFAULT_SUITE.wrap_key(sl.key_pair.public, key)
+            if clear_table:
+                sl.content_keys.clear()
+            wrapped = dict(sealed.wrapped_keys, **{"sl1-clerk": blob})
+            return SecuredMessage(
+                sm.message.replace_field("CNT_C", Sealed(sealed.digest, sealed.ciphertext, wrapped)),
+                sm.signatures, sm.sender,
+            )
+        return edit
+
+    runs = [_export_unwraps(base_fixtures, counting_suite, monkeypatch, rewrap(clear))
+            for clear in (False, True)]
+    at_hop = [[u for u in unwraps if u[0] == "arrival_codeco"] for _, unwraps in runs]
+    assert at_hop == [[("arrival_codeco", "sl1-clerk")], [("arrival_codeco", "sl1-clerk")] * 2]
+    (warm, _), (cold, _) = runs
+    assert _findings(warm, "arrival_codeco") == _findings(cold, "arrival_codeco")
+    assert _findings(warm, "arrival_codeco")[0] == ("ACCEPT" if same_key else "REJECT")
+
+
+def test_a_key_in_another_actors_table_opens_nothing(base_fixtures, counting_suite, monkeypatch):
+    """sl1-clerk's blob for CNT_C, which its table holds, is put under
+    customs' name at export_declaration: customs unwraps it with its own
+    key, which fails, as it would with no table at all."""
+    def swap(world, sm):
+        sealed = sm.message.get("CNT_C")
+        wrapped = dict(sealed.wrapped_keys, **{"customs-officer": sealed.wrapped_keys["sl1-clerk"]})
+        assert wrapped["customs-officer"] in world.adapter("sl1-clerk").content_keys
+        return SecuredMessage(
+            sm.message.replace_field("CNT_C", Sealed(sealed.digest, sealed.ciphertext, wrapped)),
+            sm.signatures, sm.sender,
+        )
+
+    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch, swap,
+                                   at="export_declaration")
+    verdict, findings = _findings(sim, "export_declaration")
+    assert verdict == "REJECT"
+    assert [(code, subject) for code, subject, _ in findings] == [
+        (FindingCode.DIGEST_MISMATCH, "CNT_C")
+    ]
+    assert findings[0][2].startswith("key unwrap failed")
+    assert unwraps == [("export_declaration", "customs-officer")] * 2
+
+
+def test_key_table_stays_at_its_bound(base_fixtures, world):
+    """100 bookings on one world: every table holds at most
+    ``KEY_TABLE_SIZE`` keys, the oldest leaving first."""
+    first = last = None
+    for n in range(100):
+        fx = base_fixtures.with_values(run_tag=f"K{n}", B_NO=f"BKG-{n}")
+        sim = run_scenario(fx, "export", "p2p", world=world)
+        assert sim.transcript.verdict == "PASS"
+        last = sim.outbound["delivery"].message.get("CNT_C").wrapped_keys["sl1-clerk"]
+        first = first or last
+    sizes = {who: len(state.content_keys) for who, state in world.adapters.items()}
+    assert sizes["sl1-clerk"] == sizes["customs-officer"] == KEY_TABLE_SIZE
+    assert max(sizes.values()) == KEY_TABLE_SIZE
+    table = world.adapter("sl1-clerk").content_keys
+    assert last in table and first not in table

@@ -170,9 +170,9 @@ def export_chain_bytes(cli_files):
     return chain.read_bytes()
 
 
-def _edit_first_txn(raw: bytes, i: int, edit) -> bytes:
-    """``raw`` with element ``i`` of its first TXN line passed through ``edit``."""
-    start = raw.index(b"\nTXN+") + 1
+def _edit_first(raw: bytes, tag: bytes, i: int, edit) -> bytes:
+    """``raw`` with element ``i`` of its first ``tag`` line passed through ``edit``."""
+    start = raw.index(b"\n" + tag + b"+") + 1
     end = raw.index(b"\n", start)
     elems = raw[start:end].split(b"+")
     elems[i] = edit(elems[i])
@@ -185,15 +185,20 @@ def _unpadded(elem: bytes) -> bytes:
 
 @pytest.mark.parametrize("edit", [
     lambda raw: raw.replace(b"\nBLK+2+", b"\nBLK+002+"),
-    lambda raw: _edit_first_txn(raw, 4, lambda serial: b"0" + serial),
-    lambda raw: _edit_first_txn(raw, 6, _unpadded),  # the argument count
-    lambda raw: _edit_first_txn(raw, 9, _unpadded),  # the endorsement count
+    lambda raw: _edit_first(raw, b"TXN", 4, lambda serial: b"0" + serial),
+    lambda raw: _edit_first(raw, b"TXN", 6, _unpadded),  # the argument count
+    lambda raw: _edit_first(raw, b"TXN", 9, _unpadded),  # the endorsement count
+    lambda raw: _edit_first(raw, b"CERT", 1, lambda serial: b"000" + serial),
+    lambda raw: _edit_first(raw, b"CERT", 6, lambda at: b"0" + at),  # not before
+    lambda raw: _edit_first(raw, b"CERT", 7, lambda at: b"0" + at),  # not after
 ], ids=["padded block index", "padded serial", "unpadded argument count",
-        "unpadded endorsement count"])
+        "unpadded endorsement count", "padded certificate serial", "padded not-before",
+        "padded not-after"])
 def test_ledger_verify_refuses_non_canonical_integers(export_chain_bytes, tmp_path, capsys,
                                                      edit):
-    """A chain file has one byte form per block, so an integer the exporter
-    would write otherwise is refused before any block is checked."""
+    """A chain file has one byte form per block and per certificate, so an
+    integer the exporter would write otherwise is refused before any block
+    is checked."""
     edited = edit(export_chain_bytes)
     assert edited != export_chain_bytes
     chain = tmp_path / "edited.chain"

@@ -99,6 +99,8 @@ _SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
         (from_flat, b"MSG+ICU+RUN1'ATT+B_NO+S+AA==+AA==+x'SND+t'", 34, b"x'"),
         # not-before is not an integer
         (fixtures_from_bytes, b"CERT+1+a+b+c+d+x+2+AA==+AA=='", 15, b"x+2"),
+        # a zero-padded serial: a certificate has one byte form
+        (fixtures_from_bytes, b"CERT+01+a+b+c+d+1+2+AA==+AA=='", 5, b"01+"),
         # TXN whose invoker has no certificate record: the TXN's own offset
         (parse_chain, _CHAIN_HEAD + b"TXN+CREATE+c+ghost+1+AA==+000+000'\n", 44, b"TXN+"),
         # release character before an ordinary byte on the second line
@@ -112,7 +114,7 @@ _SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
         # a SENT event naming another type than its flat: the type element
         (transcript_from_wire, _SENT_FORGED_TYPE, 44, b"IFTSTA+"),
     ],
-    ids=["flat", "cert", "chain", "fixtures", "transcript", "attack", "sent-flat", "sent-type"],
+    ids=["flat", "cert", "cert-serial", "chain", "fixtures", "transcript", "attack", "sent-flat", "sent-type"],
 )
 def test_error_offsets_are_file_offsets(decode, data, offset, at):
     assert data[offset:offset + len(at)] == at

@@ -20,6 +20,7 @@ from portsec.envelope import (
     DigestMismatch,
     EmptyReaderSet,
     NoWrappedKeyForHolder,
+    content_key,
     field_digests,
     multi_sign,
     open_field,
@@ -118,7 +119,7 @@ def sign_plain(key_pair, fields):
 
 def test_a_field_has_one_digest_in_every_representation(keys):
     text = "400 cartons machine parts"
-    sealed = seal_field(text, value_digest(text), {"bob": keys["bob"].public})
+    sealed = seal_field(text, value_digest(text), content_key({"bob": keys["bob"].public}))
     msg = Message("IFTMCS", "R1", (
         ("CNT_C", Plain(text)), ("CNT_W", HashOnly(value_digest(text))), ("CSG_DATA", sealed),
     ))
@@ -269,7 +270,7 @@ def test_new_payload_key_signature_or_suite_verifies_again(keys, signed, countin
     verify(suite, der, payload, sig)
     assert not verify(suite, der, digest(b"other"), sig)
     assert not verify(suite, bob, payload, sig)
-    assert not verify(suite, der, payload, sig[:-1] + b"\0")
+    assert not verify(suite, der, payload, sig[:-1] + bytes([sig[-1] ^ 1]))
     assert verify(other, der, payload, sig)
     assert (suite.verifies, other.verifies) == (4, 1)
 
@@ -318,46 +319,46 @@ def test_seal_open_round_trip(keys):
     text = "400 cartons machine parts"
     sealed = seal_field(
         text, value_digest(text),
-        {"alice": keys["alice"].public, "bob": keys["bob"].public},
+        content_key({"alice": keys["alice"].public, "bob": keys["bob"].public}),
     )
     assert set(sealed.wrapped_keys) == {"alice", "bob"}
     assert sealed.digest == value_digest("400 cartons machine parts")
     for who in ("alice", "bob"):
-        assert open_field(sealed, who, keys[who].private) == "400 cartons machine parts"
+        assert open_field(sealed, who, keys[who].private, {}) == "400 cartons machine parts"
 
 
 def test_seal_requires_readers():
     with pytest.raises(EmptyReaderSet):
-        seal_field("x", value_digest("x"), {})
+        seal_field("x", value_digest("x"), content_key({}))
 
 
 def test_open_without_wrapped_key(keys):
-    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), content_key({"alice": keys["alice"].public}))
     with pytest.raises(NoWrappedKeyForHolder):
-        open_field(sealed, "bob", keys["bob"].private)
+        open_field(sealed, "bob", keys["bob"].private, {})
 
 
 def test_open_with_wrong_private_key(keys):
-    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), content_key({"alice": keys["alice"].public}))
     with pytest.raises(AuthDecryptFailure):
-        open_field(sealed, "alice", keys["bob"].private)
+        open_field(sealed, "alice", keys["bob"].private, {})
 
 
 def test_open_tampered_ciphertext(keys):
-    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), content_key({"alice": keys["alice"].public}))
     ct = bytearray(sealed.ciphertext)
     ct[-1] ^= 0x01
     broken = Sealed(sealed.digest, bytes(ct), sealed.wrapped_keys)
     with pytest.raises(AuthDecryptFailure):
-        open_field(broken, "alice", keys["alice"].private)
+        open_field(broken, "alice", keys["alice"].private, {})
 
 
 def test_open_detects_digest_substitution(keys):
     """Ciphertext decrypts fine but the carried digest names another value."""
-    sealed = seal_field("secret", value_digest("secret"), {"alice": keys["alice"].public})
+    sealed = seal_field("secret", value_digest("secret"), content_key({"alice": keys["alice"].public}))
     forged = Sealed(value_digest("other"), sealed.ciphertext, sealed.wrapped_keys)
     with pytest.raises(DigestMismatch):
-        open_field(forged, "alice", keys["alice"].private)
+        open_field(forged, "alice", keys["alice"].private, {})
 
 
 def test_open_refuses_a_plaintext_that_is_not_utf8(keys):
@@ -368,15 +369,40 @@ def test_open_refuses_a_plaintext_that_is_not_utf8(keys):
         {"alice": DEFAULT_SUITE.wrap_key(keys["alice"].public, key)},
     )
     with pytest.raises(DigestMismatch, match="not UTF-8"):
-        open_field(forged, "alice", keys["alice"].private)
+        open_field(forged, "alice", keys["alice"].private, {})
 
 
 def test_sealing_uses_fresh_keys(keys):
-    a = seal_field("same text", value_digest("same text"), {"alice": keys["alice"].public})
-    b = seal_field("same text", value_digest("same text"), {"alice": keys["alice"].public})
+    a = seal_field("same text", value_digest("same text"), content_key({"alice": keys["alice"].public}))
+    b = seal_field("same text", value_digest("same text"), content_key({"alice": keys["alice"].public}))
     assert a.digest == b.digest
     assert a.ciphertext != b.ciphertext
     assert a.wrapped_keys["alice"] != b.wrapped_keys["alice"]
+
+
+def test_ciphertexts_swapped_within_one_content_key_fail_the_digest_check(keys):
+    """Two fields sealed under one key decrypt each other's ciphertext, so
+    the carried digest, not the tag, catches the swap."""
+    key = content_key({"alice": keys["alice"].public})
+    a, b = (seal_field(t, value_digest(t), key) for t in ("first", "second"))
+    assert a.wrapped_keys == b.wrapped_keys
+    with pytest.raises(DigestMismatch):
+        open_field(Sealed(a.digest, b.ciphertext, a.wrapped_keys), "alice", keys["alice"].private, {})
+
+
+def test_a_key_table_answers_only_its_exact_blob(keys, counting_suite):
+    suite = counting_suite()
+    sealed = seal_field("secret", value_digest("secret"),
+                        content_key({"alice": keys["alice"].public}, suite), suite)
+    table = {}
+    for _ in range(2):
+        assert open_field(sealed, "alice", keys["alice"].private, table, suite) == "secret"
+    assert suite.unwraps == 1 and len(table) == 1
+    blob = sealed.wrapped_keys["alice"]
+    flipped = Sealed(sealed.digest, sealed.ciphertext, {"alice": blob[:-1] + bytes([blob[-1] ^ 1])})
+    with pytest.raises(AuthDecryptFailure):
+        open_field(flipped, "alice", keys["alice"].private, table, suite)
+    assert suite.unwraps == 2 and len(table) == 1
 
 
 # --- properties -------------------------------------------------------------
@@ -403,5 +429,5 @@ def test_sign_verify_property(keys, fields, data):
 @settings(max_examples=25, deadline=None)
 @given(_value)
 def test_seal_open_property(keys, text):
-    sealed = seal_field(text, value_digest(text), {"bob": keys["bob"].public})
-    assert open_field(sealed, "bob", keys["bob"].private) == text
+    sealed = seal_field(text, value_digest(text), content_key({"bob": keys["bob"].public}))
+    assert open_field(sealed, "bob", keys["bob"].private, {}) == text

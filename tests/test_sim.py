@@ -153,7 +153,7 @@ def _fresh_booking(fx, tag):
 
 
 @pytest.mark.parametrize(
-    "scenario, carried, wraps, unwraps", [("export", 5, 6, 4), ("import", 4, 2, 2)]
+    "scenario, carried, wraps, unwraps", [("export", 5, 3, 1), ("import", 4, 1, 1)]
 )
 def test_crypto_counts_of_one_booking_on_a_warm_world(
     base_fixtures, counting_suite, monkeypatch, scenario, carried, wraps, unwraps
