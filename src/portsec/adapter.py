@@ -7,9 +7,9 @@ certificate chain, every signature, write-coverage, linkage, and
 representation compliance, decrypts what its actor may read, and files all
 signatures in an append-only store kept for forensics.
 
-Validation never raises: every problem becomes a finding, and the verdict
-is REJECT exactly when a reject-class finding is present. Phases run to
-completion so a report localizes all problems at once.
+Validation never raises on a message: every problem becomes a finding,
+and the verdict is REJECT exactly when a reject-class finding is present.
+Phases run to completion so a report localizes all problems at once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .envelope import (
     ContentKey,
     CryptoSuite,
     DEFAULT_SUITE,
-    KeyPair,
+    Signer,
     content_key,
     field_digests,
     open_field,
@@ -124,7 +124,7 @@ class AdapterState:
 
     identity: str
     role: Role
-    key_pair: KeyPair
+    key_pair: Signer
     matrix: AccessMatrix
     trust_anchor: Certificate
     ca_registry: Mapping[str, CaState]
@@ -267,7 +267,9 @@ def validate_inbound(
     message; a failing signature on file under another run is a linkage
     mismatch), write-coverage, representation compliance, nonce
     check, decryption of readable sealed fields, store append. See module
-    docstring for the reject semantics.
+    docstring for the reject semantics. A receiver whose own private key
+    fails to load at its first unwrap raises FixtureError: that is a set-up
+    error, not a finding.
     """
     findings: list[Finding] = []
     msg = sm.message

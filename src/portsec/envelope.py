@@ -34,7 +34,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
@@ -72,6 +72,17 @@ class KeyPair:
     public: rsa.RSAPublicKey
     private: rsa.RSAPrivateKey
     owner: str
+
+
+class Signer(Protocol):
+    """What signing and unwrapping read of a key pair: a ``KeyPair``, or a
+    fixture world's key pair, whose private key loads on first use."""
+
+    @property
+    def owner(self) -> str: ...
+
+    @property
+    def private(self) -> rsa.RSAPrivateKey: ...
 
 
 _OAEP = padding.OAEP(
@@ -235,7 +246,7 @@ def field_digests(msg: Message, suite: CryptoSuite = DEFAULT_SUITE) -> dict[str,
 
 
 def multi_sign(
-    key_pair: KeyPair,
+    key_pair: Signer,
     attrs: Sequence[str],
     digests: Mapping[str, bytes],
     *,

@@ -4,6 +4,14 @@ A fixture set pins every input a scenario run needs, including private
 keys, so repeated runs are reproducible: signatures are deterministic
 given fixed keys, leaving sealing randomness as the only varying bytes.
 Fixture files are line-oriented UTF-8 in the flat segment style.
+
+Building a world checks that every actor and CA has a KEY and a CERT
+record, but loads no private key. An owner's key loads when the owner
+first signs or unwraps: it must be a valid RSA key, and it must match the
+public key in the owner's certificate, or that use raises FixtureError.
+Each key is loaded and checked once per process, so a run pays only for
+the keys of the actors that act in it, and a bad key of an owner that
+never acts is never reported.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from functools import lru_cache
 
 from . import records
 from .adapter import AdapterState
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair
+from .envelope import DEFAULT_SUITE, CryptoSuite
 from .ledger import ORDERER_ROLE, EndorsementPolicy, LedgerNet, create_net
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
 from .policy import AccessMatrix, Role, default_matrix
@@ -206,28 +214,33 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
 
 
 @lru_cache(maxsize=128)
-def _load_private_cached(suite: CryptoSuite, der: bytes, owner: str):
-    # Key objects are immutable; reloading the same fixture DER per world
-    # rebuild would redo an expensive consistency check every time.
+def _load_private_cached(suite: CryptoSuite, der: bytes, public_key: bytes, owner: str):
+    # Loading validates the key (~70 ms for RSA-2048), and key objects are
+    # immutable: a process loads and checks each fixture key once, however
+    # many worlds share it and however often its owner signs.
     try:
-        return suite.load_private(der)
+        private = suite.load_private(der)
     except ValueError as exc:
         raise FixtureError(f"private key of {owner} does not load: {exc}") from None
+    if suite.public_bytes(private.public_key()) != public_key:
+        raise FixtureError(f"private key of {owner} does not match its certificate")
+    return private
 
 
 @dataclass(frozen=True)
-class _CaKeyPair:
-    """A CA's key pair whose private key loads, through the same checks as
-    an actor's, when the CA first signs. CAs sign only when they issue a
-    certificate, and no scenario run does, so worlds skip those loads."""
+class FixtureKeyPair:
+    """An actor's or a CA's key pair from a fixture set. ``private`` loads
+    the key, and checks it against ``public_key`` from the owner's
+    certificate, when the owner first signs or unwraps."""
 
-    der: bytes = field(repr=False)
     owner: str
+    der: bytes = field(repr=False)
+    public_key: bytes = field(repr=False)
     suite: CryptoSuite
 
     @property
     def private(self):
-        return _load_private_cached(self.suite, self.der, self.owner)
+        return _load_private_cached(self.suite, self.der, self.public_key, self.owner)
 
 
 @dataclass
@@ -240,7 +253,7 @@ class World:
     root_anchor: Certificate
     ca_registry: dict[str, CaState]
     directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]]
-    key_pairs: dict[str, KeyPair]  # actors only; a CA's key sits in its CaState
+    key_pairs: dict[str, FixtureKeyPair]  # actors only; a CA's key sits in its CaState
     adapters: dict[str, AdapterState] = field(default_factory=dict)
 
     def adapter(self, identity: str) -> AdapterState:
@@ -266,28 +279,22 @@ def build_world(
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> World:
     """Reconstruct CA states, the certificate directory, and one adapter
-    per actor from a fixture set."""
+    per actor from a fixture set. Every actor and CA needs a KEY and a
+    CERT record; no private key loads until its owner first uses it."""
     if fx.suite_id != suite.suite_id:
         raise FixtureIncomplete(f"fixtures pin suite {fx.suite_id}, runtime has {suite.suite_id}")
     matrix = matrix or default_matrix()
 
-    key_pairs: dict[str, KeyPair] = {}
-    for a in fx.actors:
-        if a.identity not in fx.certs or a.identity not in fx.keys:
-            raise FixtureIncomplete(f"actor {a.identity} lacks key or certificate")
-        private = _load_private_cached(suite, fx.keys[a.identity], a.identity)
-        public = private.public_key()
-        if suite.public_bytes(public) != fx.certs[a.identity].public_key:
-            raise FixtureError(f"private key of {a.identity} does not match its certificate")
-        key_pairs[a.identity] = KeyPair(public, private, a.identity)
+    def key_pair(owner: str, kind: str) -> FixtureKeyPair:
+        if owner not in fx.certs or owner not in fx.keys:
+            raise FixtureIncomplete(f"{kind} {owner} lacks key or certificate")
+        return FixtureKeyPair(owner, fx.keys[owner], fx.certs[owner].public_key, suite)
 
+    key_pairs = {a.identity: key_pair(a.identity, "actor") for a in fx.actors}
     ca_registry: dict[str, CaState] = {}
     for name, parent in fx.cas:
-        cert = fx.certs.get(name)
-        if cert is None or name not in fx.keys:
-            raise FixtureIncomplete(f"CA {name} lacks key or certificate")
         issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        ca_registry[name] = CaState(_CaKeyPair(fx.keys[name], name, suite), cert,
+        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name],
                                     issued=issued, parent=parent, suite=suite)
 
     root_anchor = fx.certs.get(ROOT_CA)

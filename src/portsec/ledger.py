@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
+from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, validate_chain
 from .policy import Role
 from .records import ParseError
@@ -234,7 +234,7 @@ class LedgerNet:
 
     endorsement_policy: EndorsementPolicy
     orderer_identity: str
-    orderer_key: KeyPair
+    orderer_key: Signer
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
     trust_anchor: Certificate
     ca_registry: Mapping[str, CaState]
@@ -248,7 +248,7 @@ class LedgerNet:
 
 def create_net(
     orderer_identity: str,
-    orderer_key: KeyPair,
+    orderer_key: Signer,
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]],
     trust_anchor: Certificate,
     ca_registry: Mapping[str, CaState],
@@ -285,7 +285,7 @@ def build_transaction(
     cnt_no: str,
     args: Sequence[tuple[str, str]],
     invoker_chain: Sequence[Certificate],
-    key_pair: KeyPair,
+    key_pair: Signer,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> tuple[Transaction, tuple[Certificate, ...]]:
     """Signed transaction plus the chain to present at submission."""
@@ -413,7 +413,7 @@ def endorse(
     net: LedgerNet,
     pending: PendingTransaction,
     endorser_chain: Sequence[Certificate],
-    endorser_key: KeyPair,
+    endorser_key: Signer,
 ) -> PendingTransaction:
     """Append one endorsement if the endorser is eligible for the action."""
     cert = endorser_chain[0]

@@ -224,22 +224,24 @@ def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
         rec.need(4)
         return name, HashOnly(rec.b64(3))
     if code == "S":
-        count = rec.int(5)
+        count = rec.int(5, 3)
         if count < 1:
             raise ParseError("Sealed field needs at least one wrapped key", rec.offsets[5])
         rec.need(6 + 2 * count)
+        # one wire form per field: readers strictly ascending, as to_flat writes them
         wrapped: dict[str, bytes] = {}
         for i in range(6, len(rec), 2):
             reader = rec.text(i)
-            if reader in wrapped:
-                raise ParseError(f"duplicate wrapped-key reader {reader}", rec.offsets[i])
+            if wrapped and reader <= next(reversed(wrapped)):
+                raise ParseError(f"wrapped-key reader {reader} out of order", rec.offsets[i])
             wrapped[reader] = rec.b64(i + 1)
         return name, Sealed(rec.b64(3), rec.b64(4), wrapped)
     raise ParseError(f"unknown field representation {code!r}", rec.offsets[2])
 
 
 def from_flat(data: bytes) -> SecuredMessage:
-    """Parse the flat segment format back into a SecuredMessage.
+    """Parse the flat segment format back into a SecuredMessage. Only the
+    bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``.
 
     Raises ParseError (with byte offset), DuplicateAttribute, or
     UnknownSegmentTag.
@@ -263,6 +265,9 @@ def from_flat(data: bytes) -> SecuredMessage:
 
     for rec in recs[1:]:
         tag = rec.tag
+        # one wire form per message: fields, then signatures, then the sender
+        if sender is not None or (tag == b"ATT" and signatures):
+            raise ParseError(f"{tag.decode('ascii', 'replace')} segment out of order", rec.offset)
         if tag == b"ATT":
             name, value = _parse_att(rec)
             if name in seen:
@@ -278,8 +283,6 @@ def from_flat(data: bytes) -> SecuredMessage:
                 raise ParseError(str(exc), rec.offset) from None
         elif tag == b"SND":
             rec.need(2)
-            if sender is not None:
-                raise ParseError("duplicate SND segment", rec.offset)
             sender = rec.text(1)
         elif tag == b"MSG":
             raise ParseError("duplicate MSG segment", rec.offset)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, sign
+from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, Signer, sign
 from .records import ParseError
 
 #: Role token carried by certificate-authority certificates.
@@ -76,7 +76,7 @@ class CaState:
     """One certificate authority: its key pair, own certificate, and the
     lists of issued and revoked serials. Single-writer access assumed."""
 
-    key_pair: KeyPair
+    key_pair: Signer
     cert: Certificate
     issued: list[int] = field(default_factory=list)
     revoked: set[int] = field(default_factory=set)
@@ -131,7 +131,7 @@ def _cert_fields(cert: Certificate) -> tuple:
     )
 
 
-def _signed_cert(suite: CryptoSuite, signer: KeyPair, **fields) -> Certificate:
+def _signed_cert(suite: CryptoSuite, signer: Signer, **fields) -> Certificate:
     unsigned = Certificate(signature=b"", **fields)
     sig = sign(suite, signer.private, suite.digest(unsigned.body_bytes()))
     return Certificate(signature=sig, **fields)

@@ -133,7 +133,7 @@ def test_c03_representation_equivalence(world):
     values = [("B_NO", "BKG-7401"), ("CNT_W", "18400 kg"),
               ("CNT_C", "400 cartons"), ("CSG_DATA", "consignee ACME")]
     key = world.key_pairs["sl1-clerk"]
-    public = key.public
+    public = key.public_key
     combos = 0
 
     def digests(fields, mask=-1):
@@ -394,7 +394,7 @@ def test_c10_pki_gates_both_modes(base_fixtures):
     foreign_ca = create_subordinate(foreign_root, "Foreign-SL-CA", CA_VALIDITY, world.suite)
     foreign_leaf = foreign_ca.issue(
         "sl1-clerk", "SL1", Role.SHIPPING_LINE.value,
-        world.suite.public_bytes(world.key_pairs["sl1-clerk"].public), LEAF_VALIDITY,
+        world.key_pairs["sl1-clerk"].public_key, LEAF_VALIDITY,
     )
     foreign_chain = (foreign_leaf, foreign_ca.cert, foreign_root.cert)
     report = validate_inbound(world.adapters["t1-op"], sm, foreign_chain)

@@ -464,7 +464,7 @@ def test_another_valid_blob_is_unwrapped_as_without_the_table(
             sl = world.adapter("sl1-clerk")
             sealed = sm.message.get("CNT_C")
             key = _unwrap(world, "sl1-clerk", sealed) if same_key else bytes(32)
-            blob = DEFAULT_SUITE.wrap_key(sl.key_pair.public, key)
+            blob = DEFAULT_SUITE.wrap_key(sl.key_pair.public_key, key)
             if clear_table:
                 sl.content_keys.clear()
             wrapped = dict(sealed.wrapped_keys, **{"sl1-clerk": blob})

@@ -354,6 +354,15 @@ def test_swapped_actor_keys_exit_two(base_fixtures, tmp_path, mode):
     assert "Traceback" not in done.stderr
 
 
+def test_bad_key_first_used_in_validation_exits_two(base_fixtures, tmp_path):
+    # customs-officer signs nothing in an export; it first unwraps a field
+    fx = dataclasses.replace(base_fixtures, keys={**base_fixtures.keys, "customs-officer": b"\0"})
+    done = _run_fresh(["run", "--scenario", "export", "--mode", "p2p"], tmp_path, fx)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: private key of customs-officer does not load")
+    assert "Traceback" not in done.stderr
+
+
 def test_fixtures_subcommand_writes_a_runnable_file(tmp_path, capsys):
     path = tmp_path / "fresh.psf"
     done = _fresh(["fixtures", "--out", str(path)])

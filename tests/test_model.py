@@ -5,11 +5,14 @@ offsets counted on the raw wire strings.
 """
 
 import base64
+import functools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portsec.fixtures import fixtures_from_bytes
 from portsec.model import (
     CORE_ATTRIBUTES,
     AttributeSignature,
@@ -21,12 +24,14 @@ from portsec.model import (
     Plain,
     Sealed,
     SecuredMessage,
+    ModelError,
     UnknownSegmentTag,
     canonical_bytes,
     from_flat,
     to_flat,
     validate_attribute_name,
 )
+from portsec.sim import run_scenario
 
 
 def b64(raw: bytes) -> bytes:
@@ -279,3 +284,103 @@ def test_round_trip(sm):
     parsed = from_flat(wire)
     assert parsed == sm
     assert to_flat(parsed) == wire
+
+
+# --- one wire form per message ----------------------------------------------
+
+_SEALED_HEAD = b"MSG+ICU+RUN1'ATT+B_NO+S+AA==+AA==+"
+
+
+def test_sealed_reader_count_is_three_digits():
+    ok = from_flat(_SEALED_HEAD + b"001+t+AA=='SND+t'")
+    assert ok.message.get("B_NO").wrapped_keys == {"t": b"\0"}
+    for count in (b"1", b"01", b"0001"):
+        with pytest.raises(ParseError, match="non-canonical integer") as e:
+            from_flat(_SEALED_HEAD + count + b"+t+AA=='SND+t'")
+        assert e.value.offset == len(_SEALED_HEAD)
+
+
+@pytest.mark.parametrize("readers, bad", [(b"u+AA==+t", b"t"), (b"t+AA==+t", b"t")],
+                         ids=["descending", "repeated"])
+def test_sealed_readers_must_ascend(readers, bad):
+    wire = _SEALED_HEAD + b"002+" + readers + b"+AA=='SND+t'"
+    with pytest.raises(ParseError, match="out of order") as e:
+        from_flat(wire)
+    assert e.value.offset == len(_SEALED_HEAD) + len(b"002+") + len(readers) - len(bad)
+
+
+@pytest.mark.parametrize(
+    "wire, at",
+    [
+        (b"MSG+ICU+RUN1'SIG+t+B_NO+AA=='ATT+B_NO+H+AA=='SND+t'", b"ATT"),
+        (b"MSG+ICU+RUN1'ATT+B_NO+H+AA=='SND+t'SIG+t+B_NO+AA=='", b"SIG"),
+        (b"MSG+ICU+RUN1'SND+t'ATT+B_NO+H+AA=='", b"ATT"),
+    ],
+    ids=["att-after-sig", "sig-after-snd", "att-after-snd"],
+)
+def test_segments_come_in_wire_order(wire, at):
+    with pytest.raises(ParseError, match="out of order") as e:
+        from_flat(wire)
+    assert e.value.offset == wire.index(b"'" + at) + 1
+
+
+@functools.cache
+def _golden_flats() -> list[bytes]:
+    """Every message the honest p2p runs send over the committed world."""
+    data = Path(__file__).resolve().parent / "data" / "golden.psf"
+    fx = fixtures_from_bytes(data.read_bytes())
+    flats = [
+        ev.flat
+        for scenario in ("export", "import")
+        for ev in run_scenario(fx, scenario, "p2p").transcript.sent_events()
+    ]
+    assert flats and not any(b"?" in f for f in flats)  # no release characters
+    return flats
+
+
+_any_byte = st.one_of(st.sampled_from(list(b"+'0123")), st.integers(0, 255))
+
+
+def _mutate(data, flat: bytes) -> bytes:
+    """One byte edit, or one edit of the record structure: two records or
+    two elements swapped, a sealed field's reader count written at another
+    width, or two of its readers swapped or given one name."""
+    how = data.draw(st.sampled_from(
+        ("byte", "insert", "delete", "records", "elements", "count", "readers")))
+    if how in ("byte", "insert", "delete"):
+        i = data.draw(st.integers(0, len(flat) - 1))
+        new = b"" if how == "delete" else bytes([data.draw(_any_byte)])
+        return flat[:i] + new + flat[i + (how != "insert"):]
+    recs = [r.split(b"+") for r in flat.split(b"'")[:-1]]
+    if how in ("records", "elements"):
+        k = data.draw(st.integers(0, len(recs) - 1))
+        seq, low = (recs, 0) if how == "records" else (recs[k], 1)
+        i, j = (data.draw(st.integers(low, max(low, len(seq) - 1))) for _ in range(2))
+        if max(i, j) < len(seq):
+            seq[i], seq[j] = seq[j], seq[i]
+    else:
+        sealed = [r for r in recs if r[0] == b"ATT" and r[2] == b"S"]
+        if not sealed:
+            return flat
+        rec = data.draw(st.sampled_from(sealed))
+        if how == "count":
+            rec[5] = rec[5].lstrip(b"0").zfill(data.draw(st.integers(1, 4)))
+        else:
+            i, j = (6 + 2 * data.draw(st.integers(0, int(rec[5]) - 1)) for _ in range(2))
+            if data.draw(st.booleans()):
+                rec[i:i + 2], rec[j:j + 2] = rec[j:j + 2], rec[i:i + 2]
+            else:
+                rec[i] = rec[j]
+    return b"".join(b"+".join(r) + b"'" for r in recs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_flat_that_decodes_has_one_wire_form(data):
+    flat = _golden_flats()[data.draw(st.integers(0, len(_golden_flats()) - 1), label="flat")]
+    mutated = _mutate(data, flat)
+    try:
+        parsed = from_flat(mutated)
+    except ModelError:
+        return
+    assert to_flat(parsed) == mutated
