@@ -175,33 +175,44 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
     keys: dict[str, bytes] = {}
     certs: dict[str, Certificate] = {}
     values: dict[str, str] = {}
+    seen: set[tuple[bytes, str]] = set()
 
     for rec in records.decode_lines(data):
         tag = rec.tag
         if tag == b"FIX":
             rec.need(3)
+            records.once(seen, rec)
             if rec.text(1) != FIXTURE_VERSION:
                 raise ParseError("unsupported fixture header", rec.offset)
             suite_id = rec.text(2)
         elif tag == b"RUN":
             rec.need(2)
+            records.once(seen, rec)
             run_tag = rec.text(1)
         elif tag == b"CA":
             rec.need(3)
-            parent = rec.text(2)
-            cas.append((rec.text(1), None if parent == "-" else parent))
+            name, parent = rec.text(1), rec.text(2)
+            records.once(seen, rec, name)
+            cas.append((name, None if parent == "-" else parent))
         elif tag == b"ACTOR":
             rec.need(4)
-            actors.append(ActorRecord(rec.text(1), rec.text(2), rec.text(3)))
+            actor = ActorRecord(rec.text(1), rec.text(2), rec.text(3))
+            records.once(seen, rec, actor.identity)
+            actors.append(actor)
         elif tag == b"KEY":
             rec.need(3)
-            keys[rec.text(1)] = rec.b64(2)
+            owner = rec.text(1)
+            records.once(seen, rec, owner)
+            keys[owner] = rec.b64(2)
         elif tag == b"CERT":
             cert = cert_from_record(rec)
+            records.once(seen, rec, cert.subject)
             certs[cert.subject] = cert
         elif tag == b"VAL":
             rec.need(3)
-            values[rec.text(1)] = rec.text(2)
+            attr = rec.text(1)
+            records.once(seen, rec, attr)
+            values[attr] = rec.text(2)
         else:
             raise ParseError(f"unknown fixture record {tag!r}", rec.offset)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
@@ -127,6 +127,7 @@ class Transaction:
     args: tuple[tuple[str, str], ...]
     invoker_signature: bytes
     endorsements: tuple[tuple[str, bytes], ...] = ()  # (endorser identity, sig)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):  # replace() runs it again, so the body never outlives its fields
         body = records.encode("TXB", self.invoker.subject, f"{self.invoker.serial}",
@@ -163,7 +164,9 @@ class PendingTransaction:
     endorsements: list[tuple[str, bytes]] = field(default_factory=list)
 
     def endorsed(self) -> Transaction:
-        return replace(self.tx, endorsements=tuple(self.endorsements))
+        tx = replace(self.tx, endorsements=tuple(self.endorsements))
+        object.__setattr__(tx, "_memo", self.tx._memo)  # no digest covers the endorsements
+        return tx
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,10 @@ class LedgerNet:
     chain: list[Block] = field(default_factory=list)
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
+    #: (suite, key DER, payload, signature) of each invoker and endorsement
+    #: signature check that passed at ``submit`` or ``commit`` since the last
+    #: valid ``verify_chain``, which reads it instead of checking again
+    _passed: set[tuple] = field(default_factory=set, init=False, repr=False, compare=False)
 
 
 def create_net(
@@ -289,9 +296,27 @@ def build_transaction(
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> tuple[Transaction, tuple[Certificate, ...]]:
     """Signed transaction plus the chain to present at submission."""
-    tx = Transaction(invoker_chain[0], LedgerAction(action), cnt_no, tuple(args), b"")
-    sig = sign(suite, key_pair.private, suite.digest(tx.body_bytes()))
-    return replace(tx, invoker_signature=sig), tuple(invoker_chain)
+    unsigned = Transaction(invoker_chain[0], LedgerAction(action), cnt_no, tuple(args), b"")
+    body_digest = suite.digest(unsigned.body_bytes())
+    tx = replace(unsigned, invoker_signature=sign(suite, key_pair.private, body_digest))
+    _tx_digests(tx, suite, body_digest)
+    return tx, tuple(invoker_chain)
+
+
+def _tx_digests(
+    tx: Transaction, suite: CryptoSuite, body_digest: bytes | None = None
+) -> tuple[bytes, bytes]:
+    """(digest the invoker signs: the body; payload each endorser signs: the
+    body, then the invoker signature) under ``suite``, as the transaction
+    remembers them. ``body_digest`` is the body's digest under ``suite``
+    when the caller already has it. One built by ``replace``, or remembered
+    under another suite, is hashed again."""
+    if tx._memo is None or tx._memo[0] is not suite:
+        body = tx.body_bytes()
+        object.__setattr__(tx, "_memo", (
+            suite, body_digest or suite.digest(body), suite.digest(body + tx.invoker_signature)
+        ))
+    return tx._memo[1:]
 
 
 def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
@@ -401,8 +426,8 @@ def submit(
     _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
     if invoker_chain[0] != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
-    if not net.suite.verify(
-        tx.invoker.public_key, net.suite.digest(tx.body_bytes()), tx.invoker_signature
+    if not _verify_recorded(
+        net, tx.invoker.public_key, _tx_digests(tx, net.suite)[0], tx.invoker_signature
     ):
         raise ChainInvalidCert(f"invoker signature by {tx.invoker.subject} does not verify")
     asset = _gate(tx, net.world_state)
@@ -423,7 +448,7 @@ def endorse(
         tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements],
         net.endorsement_policy,
     )
-    payload = net.suite.digest(tx.body_bytes() + tx.invoker_signature)
+    payload = _tx_digests(tx, net.suite)[1]
     pending.endorsements.append((cert.subject, sign(net.suite, endorser_key.private, payload)))
     return pending
 
@@ -488,7 +513,7 @@ def _check_endorsements(net: LedgerNet, tx: Transaction, asset: ContainerAsset |
     """The endorsement rules of ``_verify_blocks`` at commit: each
     endorsement in order through the endorsement gate, then its signature
     against the endorser's directory certificate. Raises the denial."""
-    payload = net.suite.digest(tx.body_bytes() + tx.invoker_signature)
+    payload = _tx_digests(tx, net.suite)[1]
     endorsed_by: list[str] = []
     for ident, sig in tx.endorsements:
         entry = net.directory.get(ident)
@@ -496,9 +521,17 @@ def _check_endorsements(net: LedgerNet, tx: Transaction, asset: ContainerAsset |
             raise IneligibleEndorser(f"endorser {ident} has no certificate on file")
         cert = entry[0]
         _endorsement_gate(tx, cert, asset, endorsed_by, net.endorsement_policy)
-        if not net.suite.verify(cert.public_key, payload, sig):
+        if not _verify_recorded(net, cert.public_key, payload, sig):
             raise ChainInvalidCert(f"endorsement by {ident} does not verify")
         endorsed_by.append(ident)
+
+
+def _verify_recorded(net: LedgerNet, public: bytes, payload: bytes, sig: bytes) -> bool:
+    """``net.suite.verify``; a check that passes goes into the net's record."""
+    if not net.suite.verify(public, payload, sig):
+        return False
+    net._passed.add((net.suite, public, payload, sig))
+    return True
 
 
 def query(net: LedgerNet, reader_chain: Sequence[Certificate], cnt_no: str) -> ContainerAsset:
@@ -622,26 +655,31 @@ class ExportedChain:
 
 
 def parse_chain(data: bytes) -> ExportedChain:
-    """Strict parse of an exported chain; a malformed line or a non-canonical integer raises."""
+    """Strict parse of an exported chain; a malformed line, a non-canonical
+    integer or a repeated header, BASE container or CERT subject raises."""
     suite_id = orderer = None
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
     blocks: list[tuple[tuple[int, bytes, bytes], list[Transaction]]] = []  # header, TXNs
+    seen: set[tuple[bytes, str]] = set()
 
     for rec in records.decode_lines(data):
         tag = rec.tag
         if tag == b"LEDGER":
             rec.need(3)
+            records.once(seen, rec)
             if rec.text(1) != CHAIN_VERSION:
                 raise ParseError("unsupported chain header", rec.offset)
             suite_id = rec.text(2)
         elif tag == b"ANCHOR":
             rec.need(3)
+            records.once(seen, rec)
             orderer = rec.text(1)
             rec.b64(2)  # the genesis link, which verification derives from BASE
         elif tag == b"BASE":
             rec.need(5)
             cnt = rec.text(1)
+            records.once(seen, rec, cnt)
             try:
                 st = LifecycleState(rec.text(2))
             except ValueError:
@@ -649,6 +687,7 @@ def parse_chain(data: bytes) -> ExportedChain:
             baseline[cnt] = ContainerAsset(cnt, st, rec.text(3), rec.text(4))
         elif tag == b"CERT":
             cert = cert_from_record(rec)
+            records.once(seen, rec, cert.subject)
             certs[cert.subject] = cert
         elif tag == b"BLK":
             rec.need(4)
@@ -739,13 +778,21 @@ def _verify_blocks(
     state: dict[str, ContainerAsset],
     policy: EndorsementPolicy,
     suite: CryptoSuite,
+    passed: Container[tuple] = frozenset(),
 ) -> ChainVerification | None:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
     ...; the first must link to ``prev``. Each transaction's invoker must be
     the certificate record of its subject, and each transaction is replayed
     into ``state`` through the chaincode gate, then each endorsement through
     the endorsement gate. Returns the failure, or None when every block
-    checks. Each block's digests are the ones it remembers (``_digests``)."""
+    checks. Each block's and transaction's digests are the ones it
+    remembers (``_digests``, ``_tx_digests``). An invoker or endorsement
+    check whose (suite, key, payload, signature) is in ``passed`` is not
+    run again."""
+
+    def signed(public: bytes, payload: bytes, sig: bytes) -> bool:
+        return (suite, public, payload, sig) in passed or suite.verify(public, payload, sig)
+
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
@@ -761,17 +808,16 @@ def _verify_blocks(
                 return ChainVerification(
                     False, idx, f"invoker {tx.invoker.subject} differs from its certificate record"
                 )
-            body = tx.body_bytes()
-            if not suite.verify(tx.invoker.public_key, suite.digest(body), tx.invoker_signature):
+            body_digest, end_payload = _tx_digests(tx, suite)
+            if not signed(tx.invoker.public_key, body_digest, tx.invoker_signature):
                 return ChainVerification(False, idx, f"invoker signature broken on {tx.cnt_no}")
             if len(tx.endorsements) < policy.required[tx.action]:
                 return ChainVerification(False, idx, f"under-endorsed {tx.action.value}")
-            end_payload = suite.digest(body + tx.invoker_signature)
             for ident, sig in tx.endorsements:
                 cert = exported.certs.get(ident)
                 if cert is None:
                     return ChainVerification(False, idx, f"endorser {ident} has no certificate")
-                if not suite.verify(cert.public_key, end_payload, sig):
+                if not signed(cert.public_key, end_payload, sig):
                     return ChainVerification(False, idx, f"endorsement by {ident} broken")
             try:
                 asset = _gate(tx, state)
@@ -799,7 +845,11 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     ``_check_head`` refuse what the file cannot carry. While the last valid
     call's record covers a prefix of the chain and the head, rebuilt with
     the new blocks' identities, equals its head by value, only the new
-    blocks are checked.
+    blocks are checked. An invoker or endorsement signature check that
+    this net already passed at ``submit`` or ``commit`` is not run again:
+    the net's record of them is keyed on the suite, key, payload and
+    signature bytes, so any changed byte is checked for real, and it is
+    emptied at each valid call. ``verify_exported`` re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)
@@ -818,7 +868,9 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
         if bad_head is not None:
             return bad_head
         prev, state = _state_digest(head.baseline_state, net.suite), dict(head.baseline_state)
-    res = _verify_blocks(exported, start, prev, state, net.endorsement_policy, net.suite)
+    res = _verify_blocks(
+        exported, start, prev, state, net.endorsement_policy, net.suite, net._passed
+    )
     if res is not None:
         return res
     if state != net.world_state:
@@ -826,6 +878,7 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     net._verified = _Verified(
         head, referenced, tuple(net.chain), state, net.endorsement_policy, net.suite
     )
+    net._passed.clear()  # the watermark now covers every transaction it held
     return ChainVerification(True)
 
 

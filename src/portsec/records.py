@@ -185,6 +185,16 @@ def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
     return records
 
 
+def once(seen: set[tuple[bytes, str]], rec: Record, key: str = "") -> None:
+    """Refuse a second record with ``rec``'s tag and ``key`` (a subject, a
+    container, a name; a header has none): a file holds each entry once, so
+    it has one byte form and no later line replaces an earlier one."""
+    if (rec.tag, key) in seen:
+        raise ParseError(f"repeated {rec._name()} record" + (f" for {key}" if key else ""),
+                         rec.offset)
+    seen.add((rec.tag, key))
+
+
 def decode(data: bytes) -> list[Record]:
     """All records of a one-line message wire, in order."""
     return _scan(data, 0, len(data))

@@ -23,6 +23,7 @@ from portsec.ledger import (
 )
 from portsec.policy import DEFAULT_POLICY_TEXT
 from portsec.transcript import transcript_from_wire
+from test_golden import FIXTURES
 
 
 @pytest.fixture(scope="session")
@@ -219,6 +220,40 @@ def test_ledger_verify_tolerates_line_ends_and_indentation(export_chain_bytes, t
     capsys.readouterr()
     assert main(["ledger-verify", "--chain", str(chain)]) == 0
     assert capsys.readouterr().out == "CHAIN VALID blocks 5\n"
+
+
+def _repeat_first(raw: bytes, tag: bytes) -> bytes:
+    """``raw`` with its first ``tag`` line copied right after it."""
+    lines = raw.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(tag + b"+"))
+    return b"".join([*lines[:i + 1], *lines[i:]])
+
+
+@pytest.mark.parametrize("tag, what", [
+    (b"LEDGER", "LEDGER record"), (b"ANCHOR", "ANCHOR record"), (b"CERT", "CERT record for "),
+])
+def test_ledger_verify_refuses_a_repeated_record(export_chain_bytes, tmp_path, capsys, tag, what):
+    """A chain file holds each header and each certificate once: a copy,
+    even a byte-identical one, is refused before any block is checked."""
+    chain = tmp_path / "repeated.chain"
+    chain.write_bytes(_repeat_first(export_chain_bytes, tag))
+    capsys.readouterr()
+    assert main(["ledger-verify", "--chain", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"CHAIN INVALID parse repeated {what}") and "(at byte " in out
+
+
+@pytest.mark.parametrize("tag", [b"FIX", b"RUN", b"CA", b"ACTOR", b"KEY", b"CERT", b"VAL"])
+def test_a_repeated_fixture_record_exits_two(tmp_path, capsys, tag):
+    """A fixture file holds each header, CA, actor, key, certificate and
+    value once, so no later line replaces or adds to an earlier one."""
+    path = tmp_path / "repeated.psf"
+    path.write_bytes(_repeat_first(FIXTURES.read_bytes(), tag))
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: bad fixture file {path}: repeated {tag.decode()} record")
 
 
 def test_compare_prints_report(cli_files, capsys):

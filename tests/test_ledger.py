@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portsec import ledger, records
+from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.ledger import (
     GENESIS_PREV,
@@ -536,6 +537,14 @@ def test_rollover_baseline_round_trips(world, net):
     assert verify_exported(parsed).valid
 
 
+def test_a_repeated_baseline_container_does_not_parse(world, net):
+    full_lifecycle(world, net)
+    data = export_chain(rollover(net))
+    line = next(line for line in data.splitlines(keepends=True) if line.startswith(b"BASE+"))
+    with pytest.raises(records.ParseError, match=f"repeated BASE record for {CNT}"):
+        parse_chain(data.replace(line, line + line))
+
+
 def test_forged_baseline_breaks_the_genesis_link(world, net):
     full_lifecycle(world, net)
     fresh = rollover(net)
@@ -616,12 +625,14 @@ def _verifies_during(suite, call):
 
 
 def test_watermark_checks_only_new_blocks(counted):
+    """Only the new blocks are checked, and of their signatures only the
+    orderer's: submit and commit already checked the others on this net."""
     world, net = counted
     checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
     assert res.valid, res.reason
-    assert verifies == _block_verifies(net.chain[checked:]) == 12
+    assert verifies == len(net.chain) - checked == 4
 
 
 def test_watermark_sees_a_replaced_checked_block(counted):
@@ -657,6 +668,159 @@ def test_offline_verify_ignores_the_watermark(counted):
     )
     assert res.valid, res.reason
     assert verifies == len(exported.certs) + _block_verifies(net.chain)
+
+
+# --- the net's record of passed signature checks -------------------------------
+
+
+def test_offline_verify_ignores_the_record(counted):
+    """The export of a net whose record holds the new blocks' checks is
+    still checked in full: no record outlives its net."""
+    world, net = counted
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    assert len(net._passed) == 8  # an invoker and an endorsement per new block
+    exported = parse_chain(export_chain(net))
+    res, verifies = _verifies_during(
+        world.suite, lambda: verify_exported(exported, suite=world.suite)
+    )
+    assert res.valid, res.reason
+    assert verifies == len(exported.certs) + _block_verifies(net.chain)
+
+
+def test_a_record_is_read_only_under_its_own_suite(counted, counting_suite):
+    """Checks passed under one suite object are run again under another."""
+    world, net = counted
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    net.suite = counting_suite()
+    res, verifies = _verifies_during(net.suite, lambda: verify_chain(net))
+    assert res.valid, res.reason
+    assert verifies == len(net._verified.head.certs) + _block_verifies(net.chain)
+
+
+def test_only_a_valid_verify_empties_the_record(world, net):
+    full_lifecycle(world, net)
+    assert net._passed
+    state, net.world_state = net.world_state, {}
+    assert not verify_chain(net).valid
+    assert net._passed
+    net.world_state = state
+    assert verify_chain(net).valid
+    assert not net._passed
+
+
+@pytest.fixture
+def checked_signatures(monkeypatch):
+    """The signatures the default suite really checks, in call order."""
+    calls = []
+    check = DEFAULT_SUITE.verify
+
+    def counted(public, payload, sig):
+        calls.append(sig)
+        return check(public, payload, sig)
+
+    monkeypatch.setattr(DEFAULT_SUITE, "verify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("broken", ["invoker", "endorsement"])
+def test_a_failed_check_is_never_recorded(world, net, checked_signatures, broken):
+    """A signature that failed at submit or commit, ordered into a block by
+    hand, is checked again, and fails, on every verify."""
+    tx, chain = make_tx(world, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    if broken == "invoker":
+        tx = replace(tx, invoker_signature=_flip(tx.invoker_signature))
+        with pytest.raises(ChainInvalidCert):
+            submit(net, tx, chain)
+        pending = endorse_by(world, net, PendingTransaction(tx, None), "t1-op")  # past submit
+        bad, reason = tx.invoker_signature, f"invoker signature broken on {CNT}"
+    else:
+        pending = endorse_by(world, net, submit(net, tx, chain), "t1-op")
+        ident, sig = pending.endorsements[0]
+        pending.endorsements[0] = (ident, _flip(sig))
+        assert commit(net, [pending]).block is None
+        bad, reason = _flip(sig), "endorsement by t1-op broken"
+    assert checked_signatures.count(bad) == 1
+    order_by_hand(net, pending.endorsed())
+    for _ in range(2):
+        res = verify_chain(net)
+        assert (res.valid, res.first_bad_block, res.reason) == (False, 1, reason)
+    assert checked_signatures.count(bad) == 3
+
+
+def _reissue_key(world, net, ident, key_of):
+    """Give ``ident``'s directory certificate ``key_of``'s public key, signed
+    by its CA under the same serial."""
+    old, chain = net.directory[ident]
+    unsigned = replace(old, public_key=net.directory[key_of][0].public_key)
+    ca_key = world.ca_registry[old.issuer].key_pair.private
+    net.directory[ident] = (replace(unsigned, signature=world.suite.sign(
+        ca_key, world.suite.digest(unsigned.body_bytes())
+    )), chain)
+
+
+def _edit_last_transaction(edit):
+    """A tamper that re-orders the last block with its transaction edited."""
+    def apply(world, net):
+        last = net.chain.pop()
+        tx, = last.transactions
+        order_by_hand(net, edit(tx))
+    return apply
+
+
+@pytest.mark.parametrize("tamper, block, reason", [
+    (lambda world, net: _reissue_key(world, net, "t1-op", "t2-op"), 1,
+     "endorsement by t1-op broken"),
+    (_edit_last_transaction(lambda tx: replace(
+        tx, invoker_signature=_flip(tx.invoker_signature))), 4,
+     f"invoker signature broken on {CNT}"),
+    (_edit_last_transaction(lambda tx: replace(
+        tx, endorsements=((tx.endorsements[0][0], _flip(tx.endorsements[0][1])),))), 4,
+     "endorsement by pcs-op broken"),
+], ids=["reissued-key", "invoker-signature", "endorsement-signature"])
+def test_the_record_misses_every_changed_byte(world, net, tamper, block, reason):
+    """Each check a committed block needs was recorded at submit and commit;
+    a changed key or signature misses the record and fails at its block,
+    live as offline."""
+    full_lifecycle(world, net)
+    assert len(net._passed) == 8
+    tamper(world, net)
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
+
+
+def test_each_transaction_digest_is_hashed_once(counting_world):
+    """``build_transaction`` hashes the body and the endorsement payload and
+    ``commit`` the block's two digests; submit, endorse, commit and the
+    live verify read them back."""
+    world = counting_world
+    net = build_net(world)
+
+    def step(cnt_no):
+        tx, chain = build_transaction(LedgerAction.CREATE, cnt_no, (("terminal", "T1"),),
+                                      world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"],
+                                      world.suite)
+        pending = endorse_by(world, net, submit(net, tx, chain), "t1-op")
+        assert commit(net, [pending]).block is not None
+
+    step(CNT)  # the certificate links are checked, and remembered, once
+    assert verify_chain(net).valid
+    before = world.suite.digests
+    step("MSCU7654321")
+    assert verify_chain(net).valid
+    assert world.suite.digests - before == 4
+
+
+def test_replace_forgets_the_transaction_digests(world):
+    tx, _ = make_tx(world, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    assert tx._memo is not None
+    edited = replace(tx, cnt_no="MSCU7654321")
+    assert edited._memo is None
+    assert ledger._tx_digests(edited, DEFAULT_SUITE) == (
+        DEFAULT_SUITE.digest(edited.body_bytes()),
+        DEFAULT_SUITE.digest(edited.body_bytes() + edited.invoker_signature),
+    )
+    # no digest covers the endorsements, so an endorsed copy keeps them
+    assert PendingTransaction(tx, None, [("t1-op", b"sig")]).endorsed()._memo is tx._memo
 
 
 # --- the live head, built from the net's own objects ---------------------------
