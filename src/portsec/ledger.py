@@ -248,8 +248,10 @@ class LedgerNet:
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
     #: (suite, key DER, payload, signature) of each invoker and endorsement
-    #: signature check that passed at ``submit`` or ``commit`` since the last
-    #: valid ``verify_chain``, which reads it instead of checking again
+    #: signature check that passed at ``submit`` or ``commit``, and of each
+    #: block signature ``_sign_block`` made, under the signing key's own
+    #: public half, since the last valid ``verify_chain``, which reads it
+    #: instead of checking again
     _passed: set[tuple] = field(default_factory=set, init=False, repr=False, compare=False)
 
 
@@ -579,10 +581,18 @@ def block_bytes(block: Block) -> bytes:
 
 
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
-    """A block the orderer signed, remembering its two ``_digests``."""
+    """A block the orderer signed, remembering its two ``_digests``. The
+    signature goes into the net's record under the signing key's own public
+    half, never a directory key: a PKCS#1 v1.5 signature verifies under the
+    key that made it, so a directory certificate with any other key misses
+    the entry and is checked for real."""
     suite, tail = net.suite, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
-    block = Block(index, prev_hash, transactions, sign(suite, net.orderer_key.private, payload))
+    private = net.orderer_key.private
+    block = Block(index, prev_hash, transactions, sign(suite, private, payload))
+    net._passed.add(
+        (suite, suite.public_bytes(private.public_key()), payload, block.orderer_signature)
+    )
     header = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature)
     object.__setattr__(block, "_memo", (suite, payload, suite.digest(header + tail + b"\n")))
     return block
@@ -786,9 +796,9 @@ def _verify_blocks(
     into ``state`` through the chaincode gate, then each endorsement through
     the endorsement gate. Returns the failure, or None when every block
     checks. Each block's and transaction's digests are the ones it
-    remembers (``_digests``, ``_tx_digests``). An invoker or endorsement
-    check whose (suite, key, payload, signature) is in ``passed`` is not
-    run again."""
+    remembers (``_digests``, ``_tx_digests``). A signature check, the
+    orderer's, an invoker's or an endorsement's, whose (suite, key,
+    payload, signature) is in ``passed`` is not run again."""
 
     def signed(public: bytes, payload: bytes, sig: bytes) -> bool:
         return (suite, public, payload, sig) in passed or suite.verify(public, payload, sig)
@@ -801,7 +811,7 @@ def _verify_blocks(
         if block.prev_hash != prev:
             return ChainVerification(False, idx, "previous-hash link broken")
         payload, link = _digests(block, suite)
-        if not suite.verify(orderer_cert.public_key, payload, block.orderer_signature):
+        if not signed(orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
             if exported.certs.get(tx.invoker.subject) != tx.invoker:
@@ -845,11 +855,14 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     ``_check_head`` refuse what the file cannot carry. While the last valid
     call's record covers a prefix of the chain and the head, rebuilt with
     the new blocks' identities, equals its head by value, only the new
-    blocks are checked. An invoker or endorsement signature check that
-    this net already passed at ``submit`` or ``commit`` is not run again:
-    the net's record of them is keyed on the suite, key, payload and
-    signature bytes, so any changed byte is checked for real, and it is
-    emptied at each valid call. ``verify_exported`` re-checks everything.
+    blocks are checked. A signature this net already checked at ``submit``
+    or ``commit``, or made itself as orderer, is not checked again: the
+    net's record of them is keyed on the suite, key, payload and signature
+    bytes, a block signature on the orderer key's own public half, so any
+    changed byte or a directory certificate with another key is checked
+    for real, and it is emptied at each valid call. A warm call over
+    committed blocks makes no RSA verification. ``verify_exported``
+    re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec import ledger, records
+from portsec import ledger, records, sim
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.ledger import (
@@ -625,14 +625,16 @@ def _verifies_during(suite, call):
 
 
 def test_watermark_checks_only_new_blocks(counted):
-    """Only the new blocks are checked, and of their signatures only the
-    orderer's: submit and commit already checked the others on this net."""
+    """Only the new blocks are checked, and none of their signatures for
+    real: submit and commit checked the invokers' and endorsements' on this
+    net, and commit made the orderer's."""
     world, net = counted
     checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
     assert res.valid, res.reason
-    assert verifies == len(net.chain) - checked == 4
+    assert len(net.chain) - checked == 4
+    assert verifies == 0
 
 
 def test_watermark_sees_a_replaced_checked_block(counted):
@@ -678,7 +680,7 @@ def test_offline_verify_ignores_the_record(counted):
     still checked in full: no record outlives its net."""
     world, net = counted
     full_lifecycle(world, net, cnt_no="MSCU7654321")
-    assert len(net._passed) == 8  # an invoker and an endorsement per new block
+    assert len(net._passed) == 12  # an invoker, an endorsement and an orderer per new block
     exported = parse_chain(export_chain(net))
     res, verifies = _verifies_during(
         world.suite, lambda: verify_exported(exported, suite=world.suite)
@@ -782,10 +784,66 @@ def test_the_record_misses_every_changed_byte(world, net, tamper, block, reason)
     a changed key or signature misses the record and fails at its block,
     live as offline."""
     full_lifecycle(world, net)
-    assert len(net._passed) == 8
+    assert len(net._passed) == 13  # the genesis signature, then three per block
     tamper(world, net)
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
+
+
+@pytest.mark.parametrize("swap", ["orderer-key", "directory-certificate"])
+def test_the_record_holds_no_directory_key(world, swap):
+    """Block signatures enter the record under the key that made them: a
+    net whose orderer key is not the one on the orderer's directory
+    certificate fails at its genesis block, live as offline."""
+    if swap == "orderer-key":
+        net = create_net("orderer-1", world.key_pairs["sl1-clerk"], world.directory,
+                         world.root_anchor, world.ca_registry)
+    else:
+        net = build_net(world)
+        _reissue_key(world, net, "orderer-1", "t1-op")
+    assert net._passed
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (
+            False, 0, "orderer signature broken"
+        )
+
+
+def test_a_block_signed_with_another_key_fails_at_that_block(world, net):
+    """A block that the net signed with another valid key (``t1-op``'s)
+    misses the record, live on a warm net as offline."""
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    orderer_key, net.orderer_key = net.orderer_key, world.key_pairs["t1-op"]
+    try:
+        run_step(world, net, "sl1-clerk", LedgerAction.CREATE, "t1-op", "MSCU7654321",
+                 (("terminal", "T1"),))
+    finally:
+        net.orderer_key = orderer_key
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (
+            False, 5, "orderer signature broken"
+        )
+
+
+@pytest.mark.parametrize("scenario", ["export", "import"])
+def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monkeypatch,
+                                            scenario):
+    """A ledger scenario's one ``verify_chain`` runs cold over blocks the
+    net signed and checked itself: its RSA verifications are the head's
+    certificate signatures, one per certificate."""
+    world = build_world(base_fixtures, suite=counting_suite())
+    calls = []
+
+    def counted(net):
+        res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+        calls.append((res, verifies, len(net._verified.head.certs)))
+        return res
+
+    monkeypatch.setattr(sim, "verify_chain", counted)
+    run_scenario(base_fixtures, scenario, "ledger", world=world)
+    [(res, verifies, certs)] = calls
+    assert res.valid, res.reason
+    assert verifies == certs
 
 
 def test_each_transaction_digest_is_hashed_once(counting_world):
@@ -1077,9 +1135,22 @@ def _verdicts(net, chain, k, states):
     return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, offline)]
 
 
+def _in_place_verdict(net, i, block):
+    """(valid, first bad block, reason) of ``verify_chain`` on ``net``
+    itself, with its record and watermark, while ``net.chain[i]`` is
+    ``block``."""
+    kept, net.chain[i] = net.chain[i], block
+    try:
+        r = verify_chain(net)
+    finally:
+        net.chain[i] = kept
+    return r.valid, r.first_bad_block, r.reason
+
+
 def _edits(chain, picks):
-    """One ``replace`` edit per kind, each of a block chosen by ``picks``:
-    (block index, edited block)."""
+    """One ``replace`` edit per kind, each of a block chosen by ``picks``,
+    then the last block's orderer signature, so that an unverified last
+    batch is always edited: (block index, edited block)."""
     def pick(candidates, n):
         return candidates[picks[n] % len(candidates)]
 
@@ -1100,6 +1171,7 @@ def _edits(chain, picks):
     yield i, replace(chain[i], transactions=(
         replace(tx, endorsements=((ident, _flip(sig)), *more)), *rest
     ))
+    yield len(chain) - 1, replace(chain[-1], orderer_signature=_flip(chain[-1].orderer_signature))
 
 
 @settings(max_examples=20)
@@ -1110,8 +1182,10 @@ def _edits(chain, picks):
 def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     """Seeded submit/endorse/commit sequences over awkward container text:
     the export parses back to the committed blocks, no committed block is
-    rejected, and the cold live, warm live and offline verifiers give the
-    same verdict on the chain and on each single-field edit of it."""
+    rejected, and the cold live, warm live and offline verifiers, and the
+    net's own verifier reading its record of the last, unverified batch,
+    give the same verdict on the chain and on each single-field edit of
+    it."""
     world = shared_world
     net = build_net(world)
     states = {1: {}}  # world state by chain length
@@ -1121,8 +1195,9 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
         run_step(world, net, invoker, action, endorser, CNT, args)
         states[len(net.chain)] = dict(net.world_state)
     created = [CNT]
-    assert verify_chain(net).valid
     for batch in batches:
+        verified = verify_chain(net)  # each batch but the last is verified
+        assert verified.valid, verified.reason
         pendings = [p for p in (_pending_for(world, net, op, created) for op in batch) if p]
         if not pendings:
             continue
@@ -1133,18 +1208,21 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
         assert all(isinstance(exc, StaleTransaction) for _, exc in res.rejected)
         created += [tx.cnt_no for tx in res.block.transactions if tx.cnt_no not in created]
         states[len(net.chain)] = dict(net.world_state)
-        verified = verify_chain(net)
-        assert verified.valid, verified.reason
 
     parsed = parse_chain(export_chain(net))
     assert parsed.blocks == tuple(net.chain)
-    assert replace(parsed, blocks=()) == net._verified.head
+    unverified = net.chain[len(net._verified.blocks):]
     marks = sorted(states)
-    k = marks[picks[4] % len(marks)]
-    assert _verdicts(net, net.chain, k, states) == [(True, None, "")] * 3
     for i, block in _edits(net.chain, picks):
         edited = [*net.chain[:i], block, *net.chain[i + 1:]]
         k = max(m for m in marks if m <= i)
-        verdicts = _verdicts(net, edited, k, states)
-        assert verdicts[0] == verdicts[1] == verdicts[2], verdicts
+        verdicts = [*_verdicts(net, edited, k, states), _in_place_verdict(net, i, block)]
+        assert len(set(verdicts)) == 1, verdicts
         assert not verdicts[0][0]
+    # an invalid verify leaves the record, so each edit above could read it
+    assert len(net._passed) >= _block_verifies(unverified)
+    k = marks[picks[4] % len(marks)]
+    own = verify_chain(net)
+    verdicts = [*_verdicts(net, net.chain, k, states), (own.valid, own.first_bad_block, own.reason)]
+    assert verdicts == [(True, None, "")] * 4
+    assert replace(parsed, blocks=()) == net._verified.head
