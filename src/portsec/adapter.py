@@ -174,24 +174,19 @@ def _check_write(state: AdapterState, authored: Iterable[str]) -> None:
             raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
 
 
-def _plan_and_sign(
+def _replan(
     state: AdapterState,
     msg: Message,
     digests: Mapping[str, bytes],
     receiver: Role,
     downstream: Iterable[Role],
-    sign_attrs: Sequence[str],
-) -> tuple[tuple[tuple[str, FieldValue], ...], AttributeSignature | None]:
+) -> tuple[tuple[str, FieldValue], ...]:
     """Re-plan the plaintext fields of ``msg`` for ``receiver`` (plain,
-    hash-only or sealed for downstream readers; other fields pass through)
-    and sign ``sign_attrs`` over their digests, if any. The fields sealed
-    for one set of reader identities share one fresh content key."""
+    hash-only or sealed for downstream readers; other fields pass through).
+    The fields sealed for one set of reader identities share one fresh
+    content key."""
     plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
     plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
-    own = None
-    if sign_attrs:
-        own = envelope.multi_sign(state.key_pair, sign_attrs, digests, suite=state.suite)
-
     keys: dict[frozenset[str], ContentKey] = {}
     out_fields: list[tuple[str, FieldValue]] = []
     for name, value in msg.fields:
@@ -208,7 +203,7 @@ def _plan_and_sign(
                         remember_key(state.content_keys, key.wrapped_keys[state.identity], key.key)
                 value = seal_field(value.text, digests[name], keys[group], state.suite)
         out_fields.append((name, value))
-    return tuple(out_fields), own
+    return tuple(out_fields)
 
 
 def secure_outbound(
@@ -246,8 +241,10 @@ def secure_outbound(
             )
 
     to_sign = [a for a in msg.attribute_names() if a in authored or a in co_attest]
-    out_fields, own = _plan_and_sign(state, msg, digests, receiver, downstream, to_sign)
-    signatures = tuple(carried) + ((own,) if own else ())
+    signatures = tuple(carried)
+    if to_sign:
+        signatures += (envelope.multi_sign(state.key_pair, to_sign, digests, suite=state.suite),)
+    out_fields = _replan(state, msg, digests, receiver, downstream)
     sm = SecuredMessage(
         Message(msg.msg_type, msg.instance_id, out_fields), signatures, state.identity
     )
@@ -446,30 +443,20 @@ def forward(
     downstream: Iterable[Role] = (),
     *,
     new_msg_type: str | None = None,
-    authored: Iterable[str] = (),
 ) -> SecuredMessage:
     """Re-plan a validated message for the next receiver.
 
     Plaintext fields may downgrade (to hash-only) or be sealed for new
     downstream readers; sealed fields pass through byte-identical so the
-    original sealer stays accountable. All carried signatures are kept. A
-    forwarder signs only attributes it authored here (usually none).
+    original sealer stays accountable. The carried signatures are kept
+    as they are; a forwarder adds no signature of its own.
     """
     if not report.accepted:
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
-    authored = list(authored)
-    _check_write(state, authored)
-    digests = field_digests(msg, state.suite)
-    out_fields, own = _plan_and_sign(state, msg, digests, receiver, downstream, authored)
-    out = SecuredMessage(
+    out_fields = _replan(state, msg, field_digests(msg, state.suite), receiver, downstream)
+    return SecuredMessage(
         Message(new_msg_type or msg.msg_type, msg.instance_id, out_fields),
-        sm.signatures + ((own,) if own else ()),
+        sm.signatures,
         state.identity,
     )
-    if own:
-        _store_signatures(
-            state, SecuredMessage(out.message, (own,), state.identity), digests,
-            received_from=state.identity,
-        )
-    return out

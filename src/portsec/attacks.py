@@ -298,7 +298,7 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
         else:
             mutated = _rewrite_txn_token(data, cnt)
         try:
-            res = verify_exported(parse_chain(mutated), net.endorsement_policy, net.suite)
+            res = verify_exported(parse_chain(mutated), net.suite)
             detected = not res.valid
             where = f"block {res.first_bad_block}: {res.reason}" if detected else ""
         except ParseError as exc:
@@ -428,5 +428,7 @@ def attack_from_wire(data: bytes) -> AttackSpec:
         key = rec.text(i)
         if key not in _SPEC_FIELDS:
             raise ParseError(f"unknown ATK field {key!r}", rec.offsets[i])
+        if key in fields:
+            raise ParseError(f"repeated ATK field {key!r}", rec.offsets[i])
         fields[key] = rec.int(i + 1) if key == "block" else rec.text(i + 1)
     return AttackSpec(kind, **fields)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from . import records
 from .adapter import AdapterState
 from .envelope import DEFAULT_SUITE, CryptoSuite
-from .ledger import ORDERER_ROLE, EndorsementPolicy, LedgerNet, create_net
+from .ledger import ORDERER_ROLE, LedgerNet, create_net
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
 from .policy import AccessMatrix, Role, default_matrix
 from .records import ParseError
@@ -110,21 +110,18 @@ class FixtureSet:
         )
 
 
-def generate_fixtures(
-    run_tag: str = "R1",
-    values: dict[str, str] | None = None,
-    actors: tuple[tuple[str, str, str], ...] = DEFAULT_ACTORS,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> FixtureSet:
+def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
     """Fresh keys and certificates for the default desk-scale world:
-    one root CA, one CA per organization, one clerk per actor."""
+    one root CA, one CA per organization, one clerk per actor, under
+    ``DEFAULT_SUITE`` with ``DEFAULT_VALUES``."""
+    suite = DEFAULT_SUITE
     root = create_root(ROOT_CA, ROOT_VALIDITY, suite)
     cas: list[tuple[str, str | None]] = [(ROOT_CA, None)]
     keys = {ROOT_CA: suite.private_bytes(root.key_pair.private)}
     certs = {ROOT_CA: root.cert}
     ca_states = {ROOT_CA: root}
 
-    records = tuple(ActorRecord(*a) for a in actors)
+    records = tuple(ActorRecord(*a) for a in DEFAULT_ACTORS)
     for org in dict.fromkeys(a.org for a in records):
         ca_name = f"{org}-CA"
         ca = create_subordinate(root, ca_name, CA_VALIDITY, suite)
@@ -147,7 +144,7 @@ def generate_fixtures(
         actors=records,
         keys=keys,
         certs=certs,
-        values=dict(values or DEFAULT_VALUES),
+        values=dict(DEFAULT_VALUES),
     )
 
 
@@ -284,17 +281,13 @@ class World:
             raise FixtureIncomplete(f"no certificate for {identity}") from None
 
 
-def build_world(
-    fx: FixtureSet,
-    matrix: AccessMatrix | None = None,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> World:
+def build_world(fx: FixtureSet, suite: CryptoSuite = DEFAULT_SUITE) -> World:
     """Reconstruct CA states, the certificate directory, and one adapter
     per actor from a fixture set. Every actor and CA needs a KEY and a
     CERT record; no private key loads until its owner first uses it."""
     if fx.suite_id != suite.suite_id:
         raise FixtureIncomplete(f"fixtures pin suite {fx.suite_id}, runtime has {suite.suite_id}")
-    matrix = matrix or default_matrix()
+    matrix = default_matrix()
 
     def key_pair(owner: str, kind: str) -> FixtureKeyPair:
         if owner not in fx.certs or owner not in fx.keys:
@@ -303,10 +296,9 @@ def build_world(
 
     key_pairs = {a.identity: key_pair(a.identity, "actor") for a in fx.actors}
     ca_registry: dict[str, CaState] = {}
-    for name, parent in fx.cas:
+    for name, _ in fx.cas:
         issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name],
-                                    issued=issued, parent=parent, suite=suite)
+        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued, suite=suite)
 
     root_anchor = fx.certs.get(ROOT_CA)
     if root_anchor is None:
@@ -336,7 +328,7 @@ def build_world(
     return world
 
 
-def build_net(world: World, endorsement_policy: EndorsementPolicy | None = None) -> LedgerNet:
+def build_net(world: World) -> LedgerNet:
     """Ledger net over the same PKI and directory as the adapter mesh."""
     orderer = world.fixtures.by_role(ORDERER_ROLE)
     return create_net(
@@ -345,6 +337,5 @@ def build_net(world: World, endorsement_policy: EndorsementPolicy | None = None)
         directory=world.directory,
         trust_anchor=world.root_anchor,
         ca_registry=world.ca_registry,
-        endorsement_policy=endorsement_policy,
         suite=world.suite,
     )

@@ -2,8 +2,8 @@
 
 A single in-process net stands in for the replicated peers: hash-chained
 blocks of signed transactions, chaincode gates (role, multitenancy,
-lifecycle) on submission, configurable endorsement before commit, and a
-world state that is always the deterministic replay of the chain.
+lifecycle) on submission, endorsement before commit, and a world state
+that is always the deterministic replay of the chain.
 
 Confidential consignment attributes are never ledger data; assets carry
 only container number, lifecycle state, owning shipping line, and handling
@@ -56,6 +56,18 @@ TRANSITIONS = {
     LedgerAction.ACKNOWLEDGE_DELIVERY: (LifecycleState.CREATED, LifecycleState.DELIVERED),
     LedgerAction.CLEAR: (LifecycleState.DELIVERED, LifecycleState.CLEARED),
     LedgerAction.LOAD: (LifecycleState.CLEARED, LifecycleState.LOADED),
+}
+
+#: Endorsement rule: each transaction needs this many endorsements, each
+#: from a role eligible for its action. A TERMINAL endorser must be the
+#: asset's (for CREATE, the chosen) terminal, a SHIPPING_LINE endorser the
+#: asset's owner; PCS endorsers are unconstrained.
+ENDORSEMENTS_REQUIRED = 1
+ENDORSER_ROLES = {
+    LedgerAction.CREATE: frozenset({Role.TERMINAL}),
+    LedgerAction.ACKNOWLEDGE_DELIVERY: frozenset({Role.SHIPPING_LINE, Role.PCS}),
+    LedgerAction.CLEAR: frozenset({Role.TERMINAL}),
+    LedgerAction.LOAD: frozenset({Role.PCS}),
 }
 
 
@@ -170,39 +182,6 @@ class PendingTransaction:
 
 
 @dataclass(frozen=True)
-class EndorsementPolicy:
-    """Required endorsement count and eligible roles per action.
-
-    Tenancy-aware: a TERMINAL endorser must be the asset's (or, for CREATE,
-    the chosen) terminal, a SHIPPING_LINE endorser the asset's owner; PCS
-    endorsers are unconstrained. Count 0 models proof-by-authority, where
-    the orderer's mandatory block signature is the only vouching party.
-    """
-
-    required: Mapping[LedgerAction, int]
-    eligible: Mapping[LedgerAction, frozenset[Role]]
-
-    @staticmethod
-    def default() -> "EndorsementPolicy":
-        return EndorsementPolicy(
-            required={a: 1 for a in LedgerAction},
-            eligible={
-                LedgerAction.CREATE: frozenset({Role.TERMINAL}),
-                LedgerAction.ACKNOWLEDGE_DELIVERY: frozenset({Role.SHIPPING_LINE, Role.PCS}),
-                LedgerAction.CLEAR: frozenset({Role.TERMINAL}),
-                LedgerAction.LOAD: frozenset({Role.PCS}),
-            },
-        )
-
-    @staticmethod
-    def authority() -> "EndorsementPolicy":
-        return EndorsementPolicy(
-            required={a: 0 for a in LedgerAction},
-            eligible={a: frozenset() for a in LedgerAction},
-        )
-
-
-@dataclass(frozen=True)
 class ChainVerification:
     valid: bool
     first_bad_block: int | None = None
@@ -217,15 +196,13 @@ class _Verified:
     referenced: frozenset[str]  # invokers and endorsers of ``blocks``
     blocks: tuple[Block, ...]
     state: dict[str, ContainerAsset]  # gate replay state after that block
-    policy: EndorsementPolicy
     suite: CryptoSuite
 
     def covers_prefix_of(self, net: "LedgerNet") -> bool:
-        """Still true of ``net``: same policy and suite objects, and the
-        chain starts with the very blocks checked."""
+        """Still true of ``net``: the same suite object, and the chain
+        starts with the very blocks checked."""
         return (
-            net.endorsement_policy is self.policy
-            and net.suite is self.suite
+            net.suite is self.suite
             and len(net.chain) >= len(self.blocks)
             and all(a is b for a, b in zip(net.chain, self.blocks))
         )
@@ -235,7 +212,6 @@ class _Verified:
 class LedgerNet:
     """One logical copy of the shared ledger. Single-writer access assumed."""
 
-    endorsement_policy: EndorsementPolicy
     orderer_identity: str
     orderer_key: Signer
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
@@ -261,7 +237,6 @@ def create_net(
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]],
     trust_anchor: Certificate,
     ca_registry: Mapping[str, CaState],
-    endorsement_policy: EndorsementPolicy | None = None,
     suite: CryptoSuite = DEFAULT_SUITE,
     baseline_state: Mapping[str, ContainerAsset] | None = None,
 ) -> LedgerNet:
@@ -272,7 +247,6 @@ def create_net(
         if key != a.cnt_no or _holds_line_break((a.cnt_no, a.shipping_line, a.terminal)):
             raise MalformedTransaction(f"the chain file cannot carry baseline entry {key!r}")
     net = LedgerNet(
-        endorsement_policy=endorsement_policy or EndorsementPolicy.default(),
         orderer_identity=orderer_identity,
         orderer_key=orderer_key,
         directory=directory,
@@ -379,7 +353,6 @@ def _endorsement_gate(
     cert: Certificate,
     asset_before: ContainerAsset | None,
     endorsed_by: Sequence[str],
-    policy: EndorsementPolicy,
 ) -> None:
     """Endorsement eligibility, judging from certificate facts, the asset
     the transaction touches (None for CREATE) and the identities that
@@ -392,7 +365,7 @@ def _endorsement_gate(
         role = Role(cert.role)
     except ValueError:
         raise IneligibleEndorser(f"{cert.role} is not an endorsing role") from None
-    eligible = policy.eligible[tx.action]
+    eligible = ENDORSER_ROLES[tx.action]
     if role not in eligible:
         raise IneligibleEndorser(
             f"{tx.action.value} accepts {sorted(r.value for r in eligible)}, got {role.value}"
@@ -446,10 +419,7 @@ def endorse(
     cert = endorser_chain[0]
     _check_cert(net, endorser_chain, f"endorser {cert.subject}")
     tx = pending.tx
-    _endorsement_gate(
-        tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements],
-        net.endorsement_policy,
-    )
+    _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
     payload = _tx_digests(tx, net.suite)[1]
     pending.endorsements.append((cert.subject, sign(net.suite, endorser_key.private, payload)))
     return pending
@@ -478,11 +448,10 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     bad: list[tuple[PendingTransaction, LedgerError]] = []
     for pending in pendings:
         tx = pending.endorsed()
-        needed = net.endorsement_policy.required[tx.action]
-        if len(tx.endorsements) < needed:
-            bad.append(
-                (pending, InsufficientEndorsements(f"{len(tx.endorsements)} of {needed}"))
-            )
+        if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
+            bad.append((pending, InsufficientEndorsements(
+                f"{len(tx.endorsements)} of {ENDORSEMENTS_REQUIRED}"
+            )))
             continue
         try:
             asset = _gate(tx, provisional)
@@ -522,7 +491,7 @@ def _check_endorsements(net: LedgerNet, tx: Transaction, asset: ContainerAsset |
         if entry is None:
             raise IneligibleEndorser(f"endorser {ident} has no certificate on file")
         cert = entry[0]
-        _endorsement_gate(tx, cert, asset, endorsed_by, net.endorsement_policy)
+        _endorsement_gate(tx, cert, asset, endorsed_by)
         if not _verify_recorded(net, cert.public_key, payload, sig):
             raise ChainInvalidCert(f"endorsement by {ident} does not verify")
         endorsed_by.append(ident)
@@ -738,20 +707,18 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
 
 
 def verify_exported(
-    exported: ExportedChain,
-    endorsement_policy: EndorsementPolicy | None = None,
-    suite: CryptoSuite = DEFAULT_SUITE,
+    exported: ExportedChain, suite: CryptoSuite = DEFAULT_SUITE
 ) -> ChainVerification:
     """Full offline audit: certificate integrity, the orderer's role, hash
     links from the baseline digest on, orderer and transaction signatures,
-    endorsement quotas, and replay through the chaincode and endorsement
+    the endorsement count, and replay through the chaincode and endorsement
     gates."""
     bad_head = _check_head(exported, suite)
     if bad_head is not None:
         return bad_head
+    baseline = exported.baseline_state
     return _verify_blocks(
-        exported, 0, _state_digest(exported.baseline_state, suite),
-        dict(exported.baseline_state), endorsement_policy or EndorsementPolicy.default(), suite,
+        exported, 0, _state_digest(baseline, suite), dict(baseline), suite
     ) or ChainVerification(True)
 
 
@@ -786,7 +753,6 @@ def _verify_blocks(
     start: int,
     prev: bytes,
     state: dict[str, ContainerAsset],
-    policy: EndorsementPolicy,
     suite: CryptoSuite,
     passed: Container[tuple] = frozenset(),
 ) -> ChainVerification | None:
@@ -821,7 +787,7 @@ def _verify_blocks(
             body_digest, end_payload = _tx_digests(tx, suite)
             if not signed(tx.invoker.public_key, body_digest, tx.invoker_signature):
                 return ChainVerification(False, idx, f"invoker signature broken on {tx.cnt_no}")
-            if len(tx.endorsements) < policy.required[tx.action]:
+            if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
                 return ChainVerification(False, idx, f"under-endorsed {tx.action.value}")
             for ident, sig in tx.endorsements:
                 cert = exported.certs.get(ident)
@@ -836,7 +802,7 @@ def _verify_blocks(
             endorsed_by: list[str] = []
             try:
                 for ident, _ in tx.endorsements:
-                    _endorsement_gate(tx, exported.certs[ident], asset, endorsed_by, policy)
+                    _endorsement_gate(tx, exported.certs[ident], asset, endorsed_by)
                     endorsed_by.append(ident)
             except LedgerError as exc:
                 return ChainVerification(False, idx, f"endorsement gate failure: {exc}")
@@ -881,16 +847,12 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
         if bad_head is not None:
             return bad_head
         prev, state = _state_digest(head.baseline_state, net.suite), dict(head.baseline_state)
-    res = _verify_blocks(
-        exported, start, prev, state, net.endorsement_policy, net.suite, net._passed
-    )
+    res = _verify_blocks(exported, start, prev, state, net.suite, net._passed)
     if res is not None:
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
-    net._verified = _Verified(
-        head, referenced, tuple(net.chain), state, net.endorsement_policy, net.suite
-    )
+    net._verified = _Verified(head, referenced, tuple(net.chain), state, net.suite)
     net._passed.clear()  # the watermark now covers every transaction it held
     return ChainVerification(True)
 
@@ -918,7 +880,6 @@ def rollover(net: LedgerNet) -> LedgerNet:
         net.directory,
         net.trust_anchor,
         net.ca_registry,
-        net.endorsement_policy,
         net.suite,
         baseline_state=net.world_state,
     )

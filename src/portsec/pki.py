@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, KeyPair, Signer, sign
+from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
 from .records import ParseError
 
 #: Role token carried by certificate-authority certificates.
@@ -80,7 +80,6 @@ class CaState:
     cert: Certificate
     issued: list[int] = field(default_factory=list)
     revoked: set[int] = field(default_factory=set)
-    parent: str | None = None
     suite: CryptoSuite = DEFAULT_SUITE
 
     @property
@@ -163,10 +162,9 @@ def create_root(
     name: str,
     validity: tuple[int, int] = (0, 1_000_000),
     suite: CryptoSuite = DEFAULT_SUITE,
-    key_pair: KeyPair | None = None,
 ) -> CaState:
     """Self-signed trust anchor; its own serial 1 counts as issued."""
-    kp = key_pair or suite.generate_keypair(name)
+    kp = suite.generate_keypair(name)
     cert = _signed_cert(
         suite,
         kp,
@@ -187,12 +185,11 @@ def create_subordinate(
     name: str,
     validity: tuple[int, int],
     suite: CryptoSuite = DEFAULT_SUITE,
-    key_pair: KeyPair | None = None,
 ) -> CaState:
     """Organization-level CA whose certificate is issued by ``parent``."""
-    kp = key_pair or suite.generate_keypair(name)
+    kp = suite.generate_keypair(name)
     cert = parent.issue(name, name, CA_ROLE, suite.public_bytes(kp.public), validity)
-    return CaState(kp, cert, suite=suite, parent=parent.name)
+    return CaState(kp, cert, suite=suite)
 
 
 @lru_cache(maxsize=1024)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import records
 from .adapter import ValidationReport, report_to_wire
-from .envelope import DEFAULT_SUITE, CryptoSuite
+from .envelope import DEFAULT_SUITE
 from .model import ModelError, ParseError, SecuredMessage, from_flat
 
 TRANSCRIPT_VERSION = "1"
@@ -141,12 +141,15 @@ def transcript_to_wire(t: Transcript) -> bytes:
 
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
-    serialized findings; live report objects do not survive the wire."""
+    serialized findings; live report objects do not survive the wire. A
+    repeated TRS header or ACT identity raises."""
     t: Transcript | None = None
+    seen: set[tuple[bytes, str]] = set()
     for rec in records.decode_lines(data):
         tag = rec.tag
         if tag == b"TRS":
             rec.need(5)
+            records.once(seen, rec)
             if rec.text(1) != TRANSCRIPT_VERSION:
                 raise ParseError("unsupported transcript header", rec.offset)
             t = Transcript(rec.text(2), rec.text(3))
@@ -156,7 +159,9 @@ def transcript_from_wire(data: bytes) -> Transcript:
             raise ParseError("record before transcript header", rec.offset)
         elif tag == b"ACT":
             rec.need(3)
-            t.actors[rec.text(1)] = rec.text(2)
+            ident = rec.text(1)
+            records.once(seen, rec, ident)
+            t.actors[ident] = rec.text(2)
         else:
             t.events.append(_event(rec))
     if t is None:
@@ -215,7 +220,7 @@ def _masked_flat(flat: bytes) -> bytes:
     return b"'".join(out) + b"'"
 
 
-def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
+def determinism_digest(t: Transcript) -> bytes:
     """Digest of the transcript with fresh-randomness bytes excluded;
     equal across replays of one script over one fixture set."""
     acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
@@ -233,4 +238,4 @@ def determinism_digest(t: Transcript, suite: CryptoSuite = DEFAULT_SUITE) -> byt
             acc.append(
                 ("AUDIT|%s|%s|%d" % (ev.actor, ",".join(ev.attributes), ev.flagged)).encode()
             )
-    return suite.digest(b"\x1e".join(acc))
+    return DEFAULT_SUITE.digest(b"\x1e".join(acc))

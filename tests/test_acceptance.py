@@ -18,7 +18,6 @@ from portsec.envelope import field_digests, multi_sign, value_digest, verify_mul
 from portsec.fixtures import CA_VALIDITY, LEAF_VALIDITY, ROOT_VALIDITY, build_world
 from portsec.ledger import (
     ContainerAsset,
-    EndorsementPolicy,
     LedgerAction,
     LedgerError,
     LifecycleState,
@@ -274,7 +273,6 @@ def _seeded_net(world, state):
         directory=world.directory,
         trust_anchor=world.root_anchor,
         ca_registry=world.ca_registry,
-        endorsement_policy=EndorsementPolicy.authority(),
         suite=world.suite,
         baseline_state=baseline,
     )

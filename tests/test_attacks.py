@@ -203,3 +203,10 @@ def test_attack_wire_rejects_junk():
         attack_from_wire(b"ATK+MELTDOWN'")
     with pytest.raises(ParseError):
         attack_from_wire(b"ATK+TAMPER_FIELD+block+soon'")
+
+
+def test_attack_wire_refuses_a_repeated_field():
+    """A spec names each field once, so no later value replaces an earlier one."""
+    with pytest.raises(ParseError, match="repeated ATK field 'attribute'") as e:
+        attack_from_wire(b"ATK+TAMPER_FIELD+attribute+CNT_W+attribute+CNT_C'")
+    assert e.value.offset == len(b"ATK+TAMPER_FIELD+attribute+CNT_W+")

@@ -99,6 +99,31 @@ def test_audit_of_honest_transcript_is_clean(cli_files, tmp_path, capsys):
     assert "ACTOR pcs-op" in printed
 
 
+def test_audit_refuses_a_repeated_header(cli_files, tmp_path, capsys):
+    """A copy of the TRS header appended to a stored transcript would
+    start it over with no records; the audit refuses the file instead."""
+    out = tmp_path / "export.trs"
+    main(["run", "--scenario", "export", "--mode", "p2p",
+          "--fixtures", str(cli_files["fixtures"]), "--out", str(out)])
+    raw = out.read_bytes()
+    out.write_bytes(raw + raw.splitlines(keepends=True)[0])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--transcript", str(out)])
+    assert err.value.code == 2
+    assert "repeated TRS record" in capsys.readouterr().err
+
+
+def test_attack_spec_with_a_repeated_field_exits_two(cli_files, tmp_path, capsys):
+    spec = tmp_path / "repeated.atk"
+    spec.write_bytes(b"ATK+TAMPER_FIELD+attribute+CNT_W+attribute+CNT_C'\n")
+    with pytest.raises(SystemExit) as err:
+        main(["attack", "--scenario", "export", "--mode", "p2p",
+              "--fixtures", str(cli_files["fixtures"]), "--spec", str(spec)])
+    assert err.value.code == 2
+    assert "repeated ATK field 'attribute'" in capsys.readouterr().err
+
+
 def test_attack_detected_exits_zero(cli_files, capsys):
     code = main(["attack", "--scenario", "export", "--mode", "p2p",
                  "--fixtures", str(cli_files["fixtures"]),

@@ -16,7 +16,6 @@ from portsec.ledger import (
     ContainerAsset,
     DuplicateContainer,
     DuplicateEndorsement,
-    EndorsementPolicy,
     IneligibleEndorser,
     InsufficientEndorsements,
     LedgerAction,
@@ -369,16 +368,18 @@ def test_acknowledge_endorsers(world):
                 endorse_by(world, net, pending, endorser)
 
 
-def test_authority_mode_skips_endorsement(world):
-    net = build_net(world, EndorsementPolicy.authority())
+def test_an_unendorsed_transaction_fails_commit_and_both_verifiers(world, net):
+    """``commit`` refuses a CREATE that no one endorsed; ordered into a
+    block by hand, it fails both verifiers at that block."""
     pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
     res = commit(net, [pending])
-    assert res.block is not None and not res.rejected
-    assert verify_chain(net).valid
-    # the same chain fails an audit that demands explicit endorsements
-    strict = verify_exported(parse_chain(export_chain(net)), EndorsementPolicy.default())
-    assert not strict.valid
-    assert "under-endorsed" in strict.reason
+    assert res.block is None
+    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [
+        (InsufficientEndorsements, "0 of 1")
+    ]
+    assert order_by_hand(net, pending.endorsed()).index == 1
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, 1, "under-endorsed CREATE")
 
 
 def test_batch_double_spend_is_stale(world):
@@ -1131,7 +1132,7 @@ def _verdicts(net, chain, k, states):
     warm_net.world_state = net.world_state
     warm = verify_chain(warm_net)
     exported = parse_chain(export_chain(replace(net, chain=list(chain))))
-    offline = verify_exported(exported, net.endorsement_policy, net.suite)
+    offline = verify_exported(exported, suite=net.suite)
     return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, offline)]
 
 

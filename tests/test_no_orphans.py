@@ -10,6 +10,13 @@ A word scan is blind to names that are common words (``digest``,
 ``actor``) and to state that is written but never read; those need a
 reader's eye. It catches the rest as soon as the last caller goes.
 
+An option scan reads the syntax tree: every parameter with a default,
+on a top-level function or a public method or constructor in
+``src/portsec``, must be passed by some call in ``src/portsec`` or
+``perfbench``. Dataclass fields are state, not options, and are not
+scanned. Calls are matched by the bare name called, so a call to another
+function of the same name can hide an option that no caller sets.
+
 Two import checks ride along, read from the syntax tree: no module in
 ``src/portsec`` imports another module's ``_private`` name, and no module
 in ``src/portsec`` or ``tests`` imports a name it never uses. Tests may
@@ -30,6 +37,12 @@ ALLOWED = {
     "__version__": "package metadata, read by users and tools, not by code",
     "rollover": "ledger model feature with no CLI or benchmark path yet (ROADMAP items 4, 9)",
     "CaState.revoke": "revocation is a safety check; its path stays with ROADMAP items 4, 9",
+}
+
+#: Options kept without a caller that sets them, each with its reason.
+ALLOWED_OPTIONS = {
+    "main.argv": "console entry point: the installed script passes no argument",
+    "build_world.suite": "the seam where tests put in a counting or second CryptoSuite",
 }
 
 
@@ -75,6 +88,74 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_only_orphans():
     # an entry whose name gained a caller has no reason left to stay
     assert set(ALLOWED) - _orphans() == set()
+
+
+def _options():
+    """(qualified option, name calls use, positional parameters, the
+    option) for every parameter with a default of a top-level function,
+    public method or ``__init__`` in ``src/portsec``. A constructor is
+    called by its class name; a bound method's ``self`` takes no call
+    position."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaults(node.name, node.name, node.args, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name != "__init__" and item.name.startswith("_"):
+                        continue
+                    static = any(getattr(d, "id", "") == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    yield from _defaults(f"{node.name}.{item.name}", called, item.args,
+                                         0 if static else 1)
+
+
+def _defaults(qualified, called, args, skip):
+    positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+    with_default = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    with_default += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    for name in with_default:
+        yield f"{qualified}.{name}", called, positional, name
+
+
+def _passes(call: ast.Call, positional: list[str], name: str) -> bool:
+    """Does ``call`` pass ``name``: by keyword, at its position, or
+    through a ``*`` at or before that position or a ``**``?"""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if name not in positional:
+        return False
+    at = positional.index(name)
+    return any(
+        i == at or (isinstance(arg, ast.Starred) and i <= at) for i, arg in enumerate(call.args)
+    )
+
+
+def _unset_options():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in SEARCHED:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+    return {
+        qualified
+        for qualified, called, positional, name in _options()
+        if not any(_passes(call, positional, name) for call in calls.get(called, ()))
+    }
+
+
+def test_every_option_has_a_caller():
+    unset = sorted(_unset_options() - set(ALLOWED_OPTIONS))
+    assert not unset, f"options no workflow sets: {', '.join(unset)}"
+
+
+def test_option_allowlist_names_only_unset_options():
+    assert set(ALLOWED_OPTIONS) - _unset_options() == set()
 
 
 def _imports(tree):

@@ -47,6 +47,32 @@ def test_empty_input_rejected():
         transcript_from_wire(b"")
 
 
+def _with_copy(wire: bytes, tag: bytes, role: bytes | None = None, at_end: bool = False) -> bytes:
+    """``wire`` with a copy of its first ``tag`` line, right after it or at
+    the end; for an ACT line, ``role`` replaces the copy's role."""
+    lines = wire.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(tag + b"+"))
+    copy = lines[i]
+    if role is not None:
+        copy = copy[:copy.rindex(b"+") + 1] + role + b"'\n"
+    return b"".join([*lines, copy] if at_end else [*lines[:i + 1], copy, *lines[i + 1:]])
+
+
+@pytest.mark.parametrize("tag, role, at_end, what", [
+    (b"TRS", None, True, "repeated TRS record"),
+    (b"ACT", None, False, "repeated ACT record for "),
+    (b"ACT", b"CUSTOMS", False, "repeated ACT record for "),
+], ids=["header-at-end", "actor-copy", "actor-other-role"])
+def test_a_repeated_header_or_actor_is_refused(honest_sims, tag, role, at_end, what):
+    """A stored transcript holds one header and each actor once: a second
+    header would start the transcript over and drop every record before
+    it, and a second ACT line would replace the actor's role."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    assert transcript_from_wire(wire).events
+    with pytest.raises(ParseError, match=what):
+        transcript_from_wire(_with_copy(wire, tag, role, at_end))
+
+
 def test_empty_audit_attribute_list_survives():
     t = Transcript("export", "p2p")
     t.events.append(AuditEvent("pa-officer", (), False))
