@@ -165,6 +165,10 @@ def fixtures_to_bytes(fx: FixtureSet) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+#: The order ``fixtures_to_bytes`` writes records in, which a file keeps.
+_RANKS = {b"FIX": 0, b"RUN": 1, b"CA": 2, b"ACTOR": 3, b"KEY": 4, b"CERT": 5, b"VAL": 6}
+
+
 def fixtures_from_bytes(data: bytes) -> FixtureSet:
     suite_id = run_tag = None
     cas: list[tuple[str, str | None]] = []
@@ -173,6 +177,7 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
     certs: dict[str, Certificate] = {}
     values: dict[str, str] = {}
     seen: set[tuple[bytes, str]] = set()
+    rank = 0
 
     for rec in records.decode_lines(data):
         tag = rec.tag
@@ -212,6 +217,7 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
             values[attr] = rec.text(2)
         else:
             raise ParseError(f"unknown fixture record {tag!r}", rec.offset)
+        rank = records.in_order(_RANKS, rank, rec)
 
     if suite_id is None or run_tag is None:
         raise ParseError("fixture file lacks FIX/RUN header", 0)

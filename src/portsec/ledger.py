@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
@@ -223,8 +223,8 @@ class LedgerNet:
     chain: list[Block] = field(default_factory=list)
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
-    #: (suite, key DER, payload, signature) of each invoker and endorsement
-    #: signature check that passed at ``submit`` or ``commit``, and of each
+    #: (suite, key DER, payload, signature) of each signature check that
+    #: passed at ``submit``, ``commit`` or ``verify_chain``, and of each
     #: block signature ``_sign_block`` made, under the signing key's own
     #: public half, since the last valid ``verify_chain``, which reads it
     #: instead of checking again
@@ -401,8 +401,9 @@ def submit(
     _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
     if invoker_chain[0] != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
-    if not _verify_recorded(
-        net, tx.invoker.public_key, _tx_digests(tx, net.suite)[0], tx.invoker_signature
+    if not _signed(
+        net._passed, net.suite, tx.invoker.public_key, _tx_digests(tx, net.suite)[0],
+        tx.invoker_signature,
     ):
         raise ChainInvalidCert(f"invoker signature by {tx.invoker.subject} does not verify")
     asset = _gate(tx, net.world_state)
@@ -434,36 +435,24 @@ class CommitResult:
 def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResult:
     """Order, re-validate, and append one block.
 
-    Each pending needs its endorsement quota; the gates re-run against the
-    provisional state so earlier transactions in the batch are visible
-    (a second CLEAR of the same container is stale, not double-applied).
-    Each endorsement, in order, passes the endorsement gate again and its
-    signature is checked against the endorser's directory certificate,
-    so no endorsement that verification rejects reaches a block.
-    Rejected transactions are reported, not raised, so a partly good batch
-    still commits.
+    Each pending meets ``_admit`` against the directory's certificates and
+    the provisional state, so earlier transactions in the batch are visible
+    (a second CLEAR of the same container is stale, not double-applied) and
+    no transaction that verification rejects reaches a block. Rejected
+    transactions are reported, not raised, so a partly good batch still
+    commits.
     """
     provisional = dict(net.world_state)
+    certs = {ident: entry[0] for ident, entry in net.directory.items()}
     good: list[Transaction] = []
     bad: list[tuple[PendingTransaction, LedgerError]] = []
     for pending in pendings:
         tx = pending.endorsed()
-        if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
-            bad.append((pending, InsufficientEndorsements(
-                f"{len(tx.endorsements)} of {ENDORSEMENTS_REQUIRED}"
-            )))
-            continue
         try:
-            asset = _gate(tx, provisional)
-        except LedgerError as exc:
-            bad.append((pending, StaleTransaction(f"re-validation failed: {exc}")))
-            continue
-        try:
-            _check_endorsements(net, tx, asset)
+            _admit(tx, provisional, certs, net.suite, net._passed)
         except LedgerError as exc:
             bad.append((pending, exc))
             continue
-        _apply(tx, provisional)
         good.append(tx)
 
     if not good:
@@ -480,28 +469,56 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     return CommitResult(block, tuple(bad))
 
 
-def _check_endorsements(net: LedgerNet, tx: Transaction, asset: ContainerAsset | None) -> None:
-    """The endorsement rules of ``_verify_blocks`` at commit: each
-    endorsement in order through the endorsement gate, then its signature
-    against the endorser's directory certificate. Raises the denial."""
-    payload = _tx_digests(tx, net.suite)[1]
-    endorsed_by: list[str] = []
+def _admit(
+    tx: Transaction,
+    state: dict[str, ContainerAsset],
+    certs: Mapping[str, Certificate],
+    suite: CryptoSuite,
+    passed: set[tuple],
+) -> None:
+    """The rule each transaction meets at ``commit`` and in replay: its
+    invoker is ``certs``' record for its subject and signed it; it has its
+    endorsement quota, each endorser has a record and signed it; it passes
+    ``_gate`` on ``state``, then each endorsement ``_endorsement_gate``.
+    Then it is applied to ``state``. Raises the first denial, its text the
+    verifiers' reason."""
+    invoker = tx.invoker
+    if certs.get(invoker.subject) != invoker:
+        raise ChainInvalidCert(f"invoker {invoker.subject} differs from its certificate record")
+    body_digest, payload = _tx_digests(tx, suite)
+    if not _signed(passed, suite, invoker.public_key, body_digest, tx.invoker_signature):
+        raise ChainInvalidCert(f"invoker signature broken on {tx.cnt_no}")
+    if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
+        raise InsufficientEndorsements(f"under-endorsed {tx.action.value}")
     for ident, sig in tx.endorsements:
-        entry = net.directory.get(ident)
-        if entry is None:
-            raise IneligibleEndorser(f"endorser {ident} has no certificate on file")
-        cert = entry[0]
-        _endorsement_gate(tx, cert, asset, endorsed_by)
-        if not _verify_recorded(net, cert.public_key, payload, sig):
-            raise ChainInvalidCert(f"endorsement by {ident} does not verify")
+        cert = certs.get(ident)
+        if cert is None:
+            raise IneligibleEndorser(f"endorser {ident} has no certificate")
+        if not _signed(passed, suite, cert.public_key, payload, sig):
+            raise ChainInvalidCert(f"endorsement by {ident} broken")
+    try:
+        asset = _gate(tx, state)
+    except LedgerError as exc:
+        raise StaleTransaction(f"replay gate failure: {exc}") from None
+    endorsed_by: list[str] = []
+    for ident, _ in tx.endorsements:
+        try:
+            _endorsement_gate(tx, certs[ident], asset, endorsed_by)
+        except LedgerError as exc:
+            raise type(exc)(f"endorsement gate failure: {exc}") from None
         endorsed_by.append(ident)
+    _apply(tx, state)
 
 
-def _verify_recorded(net: LedgerNet, public: bytes, payload: bytes, sig: bytes) -> bool:
-    """``net.suite.verify``; a check that passes goes into the net's record."""
-    if not net.suite.verify(public, payload, sig):
-        return False
-    net._passed.add((net.suite, public, payload, sig))
+def _signed(passed: set[tuple], suite: CryptoSuite, public: bytes, payload: bytes,
+            sig: bytes) -> bool:
+    """``suite.verify``, not run for a check ``passed`` holds; a check that
+    passes joins ``passed``."""
+    check = (suite, public, payload, sig)
+    if check not in passed:
+        if not suite.verify(public, payload, sig):
+            return False
+        passed.add(check)
     return True
 
 
@@ -608,14 +625,15 @@ def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) ->
 
 
 def _head_certs(net: LedgerNet, referenced: Iterable[str]) -> dict[str, Certificate]:
-    """The certificates a head holds, by subject: the orderer's and each
-    referenced identity's, with its issuers up to the anchor, in identity
-    order, the first one per subject."""
+    """The certificates a head holds, by subject: the directory's for the
+    orderer and each referenced identity, with its issuers up to the
+    anchor, in identity order, the first one per subject. An identity the
+    directory lacks gets none, so verification refuses what names it."""
     certs: dict[str, Certificate] = {}
     for ident in sorted({net.orderer_identity, *referenced}):
         entry = net.directory.get(ident)
         if entry is None:
-            raise LedgerError(f"no certificate on file for {ident}")
+            continue
         links = [entry[0], *entry[1]]
         if links[-1].issuer != links[-1].subject:  # a directory chain may leave out the anchor
             links.append(net.trust_anchor)
@@ -633,14 +651,20 @@ class ExportedChain:
     blocks: tuple[Block, ...]
 
 
+#: The order ``export_chain`` writes records in.
+_RANKS = {b"LEDGER": 0, b"ANCHOR": 1, b"BASE": 2, b"CERT": 3, b"BLK": 4, b"TXN": 4}
+
+
 def parse_chain(data: bytes) -> ExportedChain:
     """Strict parse of an exported chain; a malformed line, a non-canonical
-    integer or a repeated header, BASE container or CERT subject raises."""
+    integer, a repeated header, BASE container or CERT subject, or a record
+    out of the exporter's order raises."""
     suite_id = orderer = None
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
     blocks: list[tuple[tuple[int, bytes, bytes], list[Transaction]]] = []  # header, TXNs
     seen: set[tuple[bytes, str]] = set()
+    rank = 0
 
     for rec in records.decode_lines(data):
         tag = rec.tag
@@ -677,6 +701,7 @@ def parse_chain(data: bytes) -> ExportedChain:
             blocks[-1][1].append(_parse_txn(rec, certs))
         else:
             raise ParseError(f"unknown chain record {tag!r}", rec.offset)
+        rank = records.in_order(_RANKS, rank, rec)
 
     if suite_id is None or orderer is None:
         raise ParseError("chain lacks LEDGER/ANCHOR header", 0)
@@ -710,15 +735,14 @@ def verify_exported(
     exported: ExportedChain, suite: CryptoSuite = DEFAULT_SUITE
 ) -> ChainVerification:
     """Full offline audit: certificate integrity, the orderer's role, hash
-    links from the baseline digest on, orderer and transaction signatures,
-    the endorsement count, and replay through the chaincode and endorsement
-    gates."""
+    links from the baseline digest on, orderer signatures, and each
+    transaction's ``_admit``. It reads no net's record of passed checks."""
     bad_head = _check_head(exported, suite)
     if bad_head is not None:
         return bad_head
     baseline = exported.baseline_state
     return _verify_blocks(
-        exported, 0, _state_digest(baseline, suite), dict(baseline), suite
+        exported, 0, _state_digest(baseline, suite), dict(baseline), suite, set()
     ) or ChainVerification(True)
 
 
@@ -754,21 +778,15 @@ def _verify_blocks(
     prev: bytes,
     state: dict[str, ContainerAsset],
     suite: CryptoSuite,
-    passed: Container[tuple] = frozenset(),
+    passed: set[tuple],
 ) -> ChainVerification | None:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
-    ...; the first must link to ``prev``. Each transaction's invoker must be
-    the certificate record of its subject, and each transaction is replayed
-    into ``state`` through the chaincode gate, then each endorsement through
-    the endorsement gate. Returns the failure, or None when every block
-    checks. Each block's and transaction's digests are the ones it
-    remembers (``_digests``, ``_tx_digests``). A signature check, the
-    orderer's, an invoker's or an endorsement's, whose (suite, key,
-    payload, signature) is in ``passed`` is not run again."""
-
-    def signed(public: bytes, payload: bytes, sig: bytes) -> bool:
-        return (suite, public, payload, sig) in passed or suite.verify(public, payload, sig)
-
+    ...; the first must link to ``prev``, and each transaction must meet
+    ``_admit`` against the head's certificates, replayed into ``state``.
+    Returns the failure, or None when every block checks. Each block's and
+    transaction's digests are the ones it remembers (``_digests``,
+    ``_tx_digests``); signature checks go through ``_signed`` on
+    ``passed``."""
     orderer_cert = exported.certs[exported.orderer_identity]
     for pos, block in enumerate(exported.blocks, start):
         idx = block.index
@@ -777,36 +795,13 @@ def _verify_blocks(
         if block.prev_hash != prev:
             return ChainVerification(False, idx, "previous-hash link broken")
         payload, link = _digests(block, suite)
-        if not signed(orderer_cert.public_key, payload, block.orderer_signature):
+        if not _signed(passed, suite, orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
-            if exported.certs.get(tx.invoker.subject) != tx.invoker:
-                return ChainVerification(
-                    False, idx, f"invoker {tx.invoker.subject} differs from its certificate record"
-                )
-            body_digest, end_payload = _tx_digests(tx, suite)
-            if not signed(tx.invoker.public_key, body_digest, tx.invoker_signature):
-                return ChainVerification(False, idx, f"invoker signature broken on {tx.cnt_no}")
-            if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
-                return ChainVerification(False, idx, f"under-endorsed {tx.action.value}")
-            for ident, sig in tx.endorsements:
-                cert = exported.certs.get(ident)
-                if cert is None:
-                    return ChainVerification(False, idx, f"endorser {ident} has no certificate")
-                if not signed(cert.public_key, end_payload, sig):
-                    return ChainVerification(False, idx, f"endorsement by {ident} broken")
             try:
-                asset = _gate(tx, state)
+                _admit(tx, state, exported.certs, suite, passed)
             except LedgerError as exc:
-                return ChainVerification(False, idx, f"replay gate failure: {exc}")
-            endorsed_by: list[str] = []
-            try:
-                for ident, _ in tx.endorsements:
-                    _endorsement_gate(tx, exported.certs[ident], asset, endorsed_by)
-                    endorsed_by.append(ident)
-            except LedgerError as exc:
-                return ChainVerification(False, idx, f"endorsement gate failure: {exc}")
-            _apply(tx, state)
+                return ChainVerification(False, idx, str(exc))
         prev = link
     return None
 
@@ -814,21 +809,17 @@ def _verify_blocks(
 def verify_chain(net: LedgerNet) -> ChainVerification:
     """Audit the live net and confirm the world state is the gate replay.
 
-    The checks of ``verify_exported`` on the net's own objects, nothing
-    encoded or parsed back: a head (suite id, orderer, baseline and the
-    certificates ``_head_certs`` picks for the export), then the blocks.
-    The export parses back to exactly these: ``_gate``, ``create_net`` and
-    ``_check_head`` refuse what the file cannot carry. While the last valid
-    call's record covers a prefix of the chain and the head, rebuilt with
-    the new blocks' identities, equals its head by value, only the new
-    blocks are checked. A signature this net already checked at ``submit``
-    or ``commit``, or made itself as orderer, is not checked again: the
-    net's record of them is keyed on the suite, key, payload and signature
-    bytes, a block signature on the orderer key's own public half, so any
-    changed byte or a directory certificate with another key is checked
-    for real, and it is emptied at each valid call. A warm call over
-    committed blocks makes no RSA verification. ``verify_exported``
-    re-checks everything.
+    The checks of ``verify_exported`` (per transaction, ``_admit``) on the
+    net's own objects, nothing encoded or parsed back: a head (suite id,
+    orderer, baseline and the certificates ``_head_certs`` picks for the
+    export), then the blocks. The export parses back to exactly these:
+    ``_gate``, ``create_net`` and ``_check_head`` refuse what the file
+    cannot carry. While the last valid call's record covers a prefix of the
+    chain and the head, rebuilt with the new blocks' identities, equals its
+    head by value, only the new blocks are checked. A signature check in
+    the net's record (``LedgerNet._passed``) is not run again; the record
+    is emptied at each valid call. A warm call over committed blocks makes
+    no RSA verification. ``verify_exported`` re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)

@@ -195,6 +195,16 @@ def once(seen: set[tuple[bytes, str]], rec: Record, key: str = "") -> None:
     seen.add((rec.tag, key))
 
 
+def in_order(ranks: dict[bytes, int], last: int, rec: Record) -> int:
+    """The rank ``ranks`` gives ``rec``'s tag, refused when it is below
+    ``last``, the rank of the record before: a file holds its kinds of
+    record in the order its writer puts them, so it has one byte form."""
+    rank = ranks[rec.tag]
+    if rank < last:
+        raise ParseError(f"{rec._name()} record out of order", rec.offset)
+    return rank
+
+
 def decode(data: bytes) -> list[Record]:
     """All records of a one-line message wire, in order."""
     return _scan(data, 0, len(data))

@@ -139,12 +139,18 @@ def transcript_to_wire(t: Transcript) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+#: The order ``transcript_to_wire`` writes records in.
+_RANKS = {b"TRS": 0, b"ACT": 1, b"EVT": 2}
+
+
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
-    repeated TRS header or ACT identity raises."""
+    repeated TRS header or ACT identity, a record out of the writer's
+    order, or a header verdict other than the events' raises."""
     t: Transcript | None = None
     seen: set[tuple[bytes, str]] = set()
+    rank = 0
     for rec in records.decode_lines(data):
         tag = rec.tag
         if tag == b"TRS":
@@ -153,6 +159,7 @@ def transcript_from_wire(data: bytes) -> Transcript:
             if rec.text(1) != TRANSCRIPT_VERSION:
                 raise ParseError("unsupported transcript header", rec.offset)
             t = Transcript(rec.text(2), rec.text(3))
+            header = rec
         elif tag not in (b"ACT", b"EVT"):
             raise ParseError(f"unknown transcript record {tag!r}", rec.offset)
         elif t is None:
@@ -164,8 +171,11 @@ def transcript_from_wire(data: bytes) -> Transcript:
             t.actors[ident] = rec.text(2)
         else:
             t.events.append(_event(rec))
+        rank = records.in_order(_RANKS, rank, rec)
     if t is None:
         raise ParseError("empty transcript", 0)
+    if header.text(4) != t.verdict:
+        raise ParseError(f"TRS verdict differs from its events' {t.verdict}", header.offsets[4])
     return t
 
 

@@ -281,6 +281,69 @@ def test_a_repeated_fixture_record_exits_two(tmp_path, capsys, tag):
     assert err_text.startswith(f"error: bad fixture file {path}: repeated {tag.decode()} record")
 
 
+def _move_last(raw: bytes, tag: bytes) -> bytes:
+    """``raw`` with its ``tag`` lines moved, in order, to the end."""
+    lines = raw.splitlines(keepends=True)
+    moved = [line for line in lines if line.startswith(tag + b"+")]
+    return b"".join([*(line for line in lines if line not in moved), *moved])
+
+
+def _stored_run(cli_files, path, *argv):
+    """Write the transcript of an export p2p ``run``, or another command
+    given as ``argv``, to ``path``."""
+    main([*(argv or ["run"]), "--scenario", "export", "--mode", "p2p",
+          "--fixtures", str(cli_files["fixtures"]), "--out", str(path)])
+    return path.read_bytes()
+
+
+def _audit_refuses(path, capsys, what):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["audit", "--transcript", str(path)])
+    assert err.value.code == 2
+    assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["fixtures", "chain", "transcript"])
+def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_bytes, tmp_path,
+                                                       capsys, kind):
+    """Each file keeps its kinds of record in the order its writer puts
+    them, so it has one byte form: a fixture file with its FIX line last,
+    a chain file with its LEDGER line last and a transcript with its ACT
+    lines last are each refused."""
+    path = tmp_path / f"moved.{kind}"
+    if kind == "fixtures":
+        path.write_bytes(_move_last(FIXTURES.read_bytes(), b"FIX"))
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+        assert err.value.code == 2
+        assert "FIX record out of order" in capsys.readouterr().err
+    elif kind == "chain":
+        path.write_bytes(_move_last(export_chain_bytes, b"LEDGER"))
+        capsys.readouterr()
+        assert main(["ledger-verify", "--chain", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("CHAIN INVALID parse LEDGER record out of order")
+    else:
+        path.write_bytes(_move_last(_stored_run(cli_files, tmp_path / "export.trs"), b"ACT"))
+        _audit_refuses(path, capsys, "ACT record out of order")
+
+
+@pytest.mark.parametrize("attack, verdict, edited", [
+    (False, b"PASS", b"FAIL"),
+    (False, b"PASS", b"whatever"),
+    (True, b"FAIL", b"PASS"),
+], ids=["pass-to-fail", "pass-to-other", "fail-to-pass"])
+def test_audit_refuses_a_header_verdict_its_events_do_not_give(cli_files, tmp_path, capsys,
+                                                               attack, verdict, edited):
+    argv = ["attack", "--spec", str(cli_files["tamper"])] if attack else []
+    raw = _stored_run(cli_files, tmp_path / "run.trs", *argv)
+    header, rest = raw.split(b"\n", 1)
+    assert header.endswith(b"+" + verdict + b"'")
+    path = tmp_path / "edited.trs"
+    path.write_bytes(header[:-len(verdict) - 1] + edited + b"'\n" + rest)
+    _audit_refuses(path, capsys, f"TRS verdict differs from its events' {verdict.decode()}")
+
+
 def test_compare_prints_report(cli_files, capsys):
     code = main(["compare", "--fixtures", str(cli_files["fixtures"])])
     printed = capsys.readouterr().out

@@ -290,41 +290,89 @@ def test_ineligible_endorsement_fails_verification(world, net, case):
     with pytest.raises(denial) as refused:
         endorse_by(world, net, pending, endorser)
     forge_endorsement(world, pending, endorser)
+    reason = f"endorsement gate failure: {refused.value}"
     res = commit(net, [pending])
     assert res.block is None
-    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [(denial, str(refused.value))]
+    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [(denial, reason)]
     assert order_by_hand(net, pending.endorsed()).index == block
 
-    reason = f"endorsement gate failure: {refused.value}"
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
 
 
-def test_commit_checks_endorsement_signatures(world, net):
+def _past_submit(world, net, tx):
+    """``tx`` endorsed by ``t1-op`` without passing ``submit``."""
+    return endorse_by(world, net, PendingTransaction(tx, None), "t1-op")
+
+
+def _endorsed_create(world, net, edit):
+    """SL1's honest CREATE endorsed by ``t1-op``, its endorsements then
+    replaced by ``edit`` of them."""
     pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
     endorse_by(world, net, pending, "t1-op")
-    ident, sig = pending.endorsements[0]
-    pending.endorsements[0] = (ident, _flip(sig))
-    res = commit(net, [pending])
-    assert res.block is None and isinstance(res.rejected[0][1], ChainInvalidCert)
-    assert len(net.chain) == 1
+    pending.endorsements[:] = edit(pending.endorsements)
+    return pending
 
 
-def test_live_verify_binds_each_invoker_to_its_certificate_record(world, net):
-    """A transaction whose invoker certificate is not the directory's (here
-    relabelled into a ledger role) fails the live check at its block, as
-    the export, which binds the invoker by subject, fails offline."""
+def _relabelled_invoker(world, net):
     forged = replace(world.chain_of("customs-officer")[0], role="SHIPPING_LINE")
     tx, _ = build_transaction(LedgerAction.CREATE, CNT, (("terminal", "T1"),), (forged,),
                               world.key_pairs["customs-officer"])
-    pending = endorse_by(world, net, PendingTransaction(tx, None), "t1-op")  # past submit
-    order_by_hand(net, pending.endorsed())
-    res = verify_chain(net)
-    assert (res.valid, res.first_bad_block, res.reason) == (
-        False, 1, "invoker customs-officer differs from its certificate record"
-    )
-    res = verify_exported(parse_chain(export_chain(net)))
-    assert (res.valid, res.first_bad_block) == (False, 1)
+    return _past_submit(world, net, tx)
+
+
+def _flipped_invoker_signature(world, net):
+    tx, _ = make_tx(world, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    return _past_submit(world, net, replace(tx, invoker_signature=_flip(tx.invoker_signature)))
+
+
+def _ineligible_endorsement(world, net):
+    pending = _endorsed_create(world, net, list)
+    forge_endorsement(world, pending, "t2-op")
+    return pending
+
+
+REFUSED_AT_COMMIT = {
+    # case: (pending, denial, reason)
+    "invoker-certificate": (_relabelled_invoker, ChainInvalidCert,
+                            "invoker customs-officer differs from its certificate record"),
+    "invoker-signature": (_flipped_invoker_signature, ChainInvalidCert,
+                          f"invoker signature broken on {CNT}"),
+    "endorsement-signature": (
+        lambda world, net: _endorsed_create(world, net, lambda e: [(e[0][0], _flip(e[0][1]))]),
+        ChainInvalidCert, "endorsement by t1-op broken",
+    ),
+    "no-endorsement": (lambda world, net: _endorsed_create(world, net, lambda e: []),
+                       InsufficientEndorsements, "under-endorsed CREATE"),
+    "ineligible-endorsement": (_ineligible_endorsement, IneligibleEndorser,
+                               "endorsement gate failure: terminal T2 is not the designated T1"),
+    "endorser-without-certificate": (
+        lambda world, net: _endorsed_create(world, net, lambda e: [("nobody", e[0][1])]),
+        IneligibleEndorser, "endorser nobody has no certificate",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_AT_COMMIT))
+def test_commit_never_appends_a_block_its_verifiers_refuse(world, net, case):
+    """``commit`` refuses each pending that replay refuses, with the
+    verifiers' reason. Ordered into a block by hand, it fails both
+    verifiers there, except that the chain file binds each invoker to its
+    subject's certificate record: a relabelled invoker certificate leaves
+    the net as the directory's, and fails offline as what that one may not
+    do."""
+    make, denial, reason = REFUSED_AT_COMMIT[case]
+    pending = make(world, net)
+    res = commit(net, [pending])
+    assert res.block is None and len(net.chain) == 1
+    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [(denial, reason)]
+    assert order_by_hand(net, pending.endorsed()).index == 1
+    live = verify_chain(net)
+    assert (live.valid, live.first_bad_block, live.reason) == (False, 1, reason)
+    if case == "invoker-certificate":
+        reason = "replay gate failure: CREATE requires SHIPPING_LINE, invoker is CUSTOMS"
+    offline = verify_exported(parse_chain(export_chain(net)))
+    assert (offline.valid, offline.first_bad_block, offline.reason) == (False, 1, reason)
 
 
 def test_line_break_text_is_refused(world, net):
@@ -366,20 +414,6 @@ def test_acknowledge_endorsers(world):
         else:
             with pytest.raises(IneligibleEndorser):
                 endorse_by(world, net, pending, endorser)
-
-
-def test_an_unendorsed_transaction_fails_commit_and_both_verifiers(world, net):
-    """``commit`` refuses a CREATE that no one endorsed; ordered into a
-    block by hand, it fails both verifiers at that block."""
-    pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
-    res = commit(net, [pending])
-    assert res.block is None
-    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [
-        (InsufficientEndorsements, "0 of 1")
-    ]
-    assert order_by_hand(net, pending.endorsed()).index == 1
-    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
-        assert (res.valid, res.first_bad_block, res.reason) == (False, 1, "under-endorsed CREATE")
 
 
 def test_batch_double_spend_is_stale(world):
