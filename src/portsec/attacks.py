@@ -413,11 +413,8 @@ _SPEC_FIELDS = ("step", "attribute", "payload", "block", "sig_of")
 
 
 def attack_from_wire(data: bytes) -> AttackSpec:
-    recs = list(records.decode_lines(data))
-    if len(recs) != 1:
-        raise ParseError("expected exactly one ATK record", recs[1].offset if recs else 0)
-    rec = recs[0]
-    if rec.tag != b"ATK" or len(rec) % 2 != 0:
+    (rec,) = records.read_file(data, {b"ATK": (0, 0, 0)}, "attack")
+    if len(rec) % 2 != 0:
         raise ParseError("malformed ATK record", rec.offset)
     try:
         kind = AttackKind(rec.text(1))

@@ -71,6 +71,8 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.chain_out and args.mode != "ledger":
+        return _fail("--chain-out requires --mode ledger")
     fixtures = _load_fixtures(args.fixtures)
     try:
         sim = run_scenario(fixtures, args.scenario, args.mode)
@@ -81,8 +83,6 @@ def cmd_run(args) -> int:
     print(f"VERDICT {sim.transcript.verdict}")
     _write_out(args.out, transcript_to_wire(sim.transcript))
     if args.chain_out:
-        if sim.net is None:
-            return _fail("--chain-out requires --mode ledger")
         from .ledger import export_chain
 
         _write_out(args.chain_out, export_chain(sim.net))
@@ -147,7 +147,8 @@ def cmd_ledger_verify(args) -> int:
     if outcome.valid:
         print(f"CHAIN VALID blocks {len(exported.blocks)}")
         return 0
-    print(f"CHAIN INVALID block {outcome.first_bad_block} {outcome.reason}")
+    where = "head" if outcome.first_bad_block is None else f"block {outcome.first_bad_block}"
+    print(f"CHAIN INVALID {where} {outcome.reason}")
     return 1
 
 

@@ -165,62 +165,39 @@ def fixtures_to_bytes(fx: FixtureSet) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-#: The order ``fixtures_to_bytes`` writes records in, which a file keeps.
-_RANKS = {b"FIX": 0, b"RUN": 1, b"CA": 2, b"ACTOR": 3, b"KEY": 4, b"CERT": 5, b"VAL": 6}
+#: Rank (the order ``fixtures_to_bytes`` writes), count and key of each record.
+_LAYOUT = {b"FIX": (0, 3, 0), b"RUN": (1, 2, 0), b"CA": (2, 3, 1), b"ACTOR": (3, 4, 1),
+           b"KEY": (4, 3, 1), b"CERT": (5, 10, 2), b"VAL": (6, 3, 1)}
 
 
 def fixtures_from_bytes(data: bytes) -> FixtureSet:
-    suite_id = run_tag = None
+    suite_id = run_tag = ""
     cas: list[tuple[str, str | None]] = []
     actors: list[ActorRecord] = []
     keys: dict[str, bytes] = {}
     certs: dict[str, Certificate] = {}
     values: dict[str, str] = {}
-    seen: set[tuple[bytes, str]] = set()
-    rank = 0
 
-    for rec in records.decode_lines(data):
+    for rec in records.read_file(data, _LAYOUT, "fixture"):
         tag = rec.tag
         if tag == b"FIX":
-            rec.need(3)
-            records.once(seen, rec)
             if rec.text(1) != FIXTURE_VERSION:
                 raise ParseError("unsupported fixture header", rec.offset)
             suite_id = rec.text(2)
         elif tag == b"RUN":
-            rec.need(2)
-            records.once(seen, rec)
             run_tag = rec.text(1)
         elif tag == b"CA":
-            rec.need(3)
             name, parent = rec.text(1), rec.text(2)
-            records.once(seen, rec, name)
             cas.append((name, None if parent == "-" else parent))
         elif tag == b"ACTOR":
-            rec.need(4)
-            actor = ActorRecord(rec.text(1), rec.text(2), rec.text(3))
-            records.once(seen, rec, actor.identity)
-            actors.append(actor)
+            actors.append(ActorRecord(rec.text(1), rec.text(2), rec.text(3)))
         elif tag == b"KEY":
-            rec.need(3)
-            owner = rec.text(1)
-            records.once(seen, rec, owner)
-            keys[owner] = rec.b64(2)
+            keys[rec.text(1)] = rec.b64(2)
         elif tag == b"CERT":
             cert = cert_from_record(rec)
-            records.once(seen, rec, cert.subject)
             certs[cert.subject] = cert
-        elif tag == b"VAL":
-            rec.need(3)
-            attr = rec.text(1)
-            records.once(seen, rec, attr)
-            values[attr] = rec.text(2)
         else:
-            raise ParseError(f"unknown fixture record {tag!r}", rec.offset)
-        rank = records.in_order(_RANKS, rank, rec)
-
-    if suite_id is None or run_tag is None:
-        raise ParseError("fixture file lacks FIX/RUN header", 0)
+            values[rec.text(1)] = rec.text(2)
     return FixtureSet(suite_id, run_tag, tuple(cas), tuple(actors), keys, certs, values)
 
 
@@ -276,8 +253,10 @@ class World:
     def chain_of(self, identity: str) -> tuple[Certificate, ...]:
         """Leaf-first chain up to and including the root."""
         chain = [self.directory_cert(identity)]
-        while chain[-1].issuer != chain[-1].subject:
-            chain.append(self.directory_cert(chain[-1].issuer))
+        while (issuer := chain[-1].issuer) != chain[-1].subject:
+            if any(c.subject == issuer for c in chain):
+                raise FixtureError(f"certificate chain of {identity} repeats issuer {issuer}")
+            chain.append(self.directory_cert(issuer))
         return tuple(chain)
 
     def directory_cert(self, identity: str) -> Certificate:

@@ -172,7 +172,8 @@ class PendingTransaction:
     """A gate-checked transaction collecting endorsements before commit."""
 
     tx: Transaction
-    asset_before: ContainerAsset | None  # snapshot for staleness detection
+    # the asset endorse() judges eligibility against; commit re-gates through _admit
+    asset_before: ContainerAsset | None
     endorsements: list[tuple[str, bytes]] = field(default_factory=list)
 
     def endorsed(self) -> Transaction:
@@ -651,38 +652,30 @@ class ExportedChain:
     blocks: tuple[Block, ...]
 
 
-#: The order ``export_chain`` writes records in.
-_RANKS = {b"LEDGER": 0, b"ANCHOR": 1, b"BASE": 2, b"CERT": 3, b"BLK": 4, b"TXN": 4}
+#: Rank (the order ``export_chain`` writes), count and key of each record.
+_LAYOUT = {b"LEDGER": (0, 3, 0), b"ANCHOR": (1, 3, 0), b"BASE": (2, 5, 1),
+           b"CERT": (3, 10, 2), b"BLK": (4, 4, None), b"TXN": (4, 0, None)}
 
 
 def parse_chain(data: bytes) -> ExportedChain:
-    """Strict parse of an exported chain; a malformed line, a non-canonical
-    integer, a repeated header, BASE container or CERT subject, or a record
-    out of the exporter's order raises."""
-    suite_id = orderer = None
+    """Strict parse of an exported chain under ``records.read_file``'s
+    one-byte-form rule; a malformed line or a non-canonical integer raises."""
+    suite_id = orderer = ""
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
     blocks: list[tuple[tuple[int, bytes, bytes], list[Transaction]]] = []  # header, TXNs
-    seen: set[tuple[bytes, str]] = set()
-    rank = 0
 
-    for rec in records.decode_lines(data):
+    for rec in records.read_file(data, _LAYOUT, "chain"):
         tag = rec.tag
         if tag == b"LEDGER":
-            rec.need(3)
-            records.once(seen, rec)
             if rec.text(1) != CHAIN_VERSION:
                 raise ParseError("unsupported chain header", rec.offset)
             suite_id = rec.text(2)
         elif tag == b"ANCHOR":
-            rec.need(3)
-            records.once(seen, rec)
             orderer = rec.text(1)
             rec.b64(2)  # the genesis link, which verification derives from BASE
         elif tag == b"BASE":
-            rec.need(5)
             cnt = rec.text(1)
-            records.once(seen, rec, cnt)
             try:
                 st = LifecycleState(rec.text(2))
             except ValueError:
@@ -690,21 +683,13 @@ def parse_chain(data: bytes) -> ExportedChain:
             baseline[cnt] = ContainerAsset(cnt, st, rec.text(3), rec.text(4))
         elif tag == b"CERT":
             cert = cert_from_record(rec)
-            records.once(seen, rec, cert.subject)
             certs[cert.subject] = cert
         elif tag == b"BLK":
-            rec.need(4)
             blocks.append(((rec.int(1, 1), rec.b64(2), rec.b64(3)), []))
-        elif tag == b"TXN":
-            if not blocks:
-                raise ParseError("TXN before any BLK", rec.offset)
-            blocks[-1][1].append(_parse_txn(rec, certs))
+        elif not blocks:
+            raise ParseError("TXN before any BLK", rec.offset)
         else:
-            raise ParseError(f"unknown chain record {tag!r}", rec.offset)
-        rank = records.in_order(_RANKS, rank, rec)
-
-    if suite_id is None or orderer is None:
-        raise ParseError("chain lacks LEDGER/ANCHOR header", 0)
+            blocks[-1][1].append(_parse_txn(rec, certs))
     return ExportedChain(suite_id, orderer, baseline, certs, tuple(
         Block(index, prev, tuple(txns), sig) for (index, prev, sig), txns in blocks
     ))

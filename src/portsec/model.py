@@ -41,10 +41,6 @@ class DuplicateAttribute(ModelError):
     """The same attribute occurs twice in one message or signature."""
 
 
-class UnknownSegmentTag(ModelError):
-    """A segment starts with a tag other than MSG/ATT/SIG."""
-
-
 class InvariantViolation(ModelError):
     """A constructed object breaks a structural invariant."""
 
@@ -243,8 +239,7 @@ def from_flat(data: bytes) -> SecuredMessage:
     """Parse the flat segment format back into a SecuredMessage. Only the
     bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``.
 
-    Raises ParseError (with byte offset), DuplicateAttribute, or
-    UnknownSegmentTag.
+    Raises ParseError, with the byte offset, and no other error.
     """
     recs = records.decode(data)
     if not recs:
@@ -253,7 +248,7 @@ def from_flat(data: bytes) -> SecuredMessage:
     first = recs[0]
     if first.tag != b"MSG":
         if first.tag not in (b"ATT", b"SIG", b"SND"):
-            raise UnknownSegmentTag(f"unknown segment tag {first.tag!r} at byte {first.offset}")
+            raise ParseError(f"unknown segment tag {first.tag!r}", first.offset)
         raise ParseError("first segment must be MSG", first.offset)
     first.need(3)
     msg_type, instance_id = first.text(1), first.text(2)
@@ -271,7 +266,7 @@ def from_flat(data: bytes) -> SecuredMessage:
         if tag == b"ATT":
             name, value = _parse_att(rec)
             if name in seen:
-                raise DuplicateAttribute(f"duplicate attribute {name}")
+                raise ParseError(f"duplicate attribute {name}", rec.offset)
             seen.add(name)
             fields.append((name, value))
         elif tag == b"SIG":
@@ -279,7 +274,7 @@ def from_flat(data: bytes) -> SecuredMessage:
             attrs = tuple(rec.text(2).split(","))
             try:
                 signatures.append(AttributeSignature(rec.text(1), attrs, rec.b64(3)))
-            except InvariantViolation as exc:
+            except ModelError as exc:
                 raise ParseError(str(exc), rec.offset) from None
         elif tag == b"SND":
             rec.need(2)
@@ -287,11 +282,11 @@ def from_flat(data: bytes) -> SecuredMessage:
         elif tag == b"MSG":
             raise ParseError("duplicate MSG segment", rec.offset)
         else:
-            raise UnknownSegmentTag(f"unknown segment tag {tag!r} at byte {rec.offset}")
+            raise ParseError(f"unknown segment tag {tag!r}", rec.offset)
 
     if sender is None:
         raise ParseError("missing SND segment", len(data))
     try:
         return SecuredMessage(Message(msg_type, instance_id, tuple(fields)), tuple(signatures), sender)
-    except InvariantViolation as exc:
+    except ModelError as exc:
         raise ParseError(str(exc), len(data)) from None

@@ -8,9 +8,10 @@ separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
 The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``, split by ``bytes.splitlines``). A
-span without a release character is split with ``bytes.split``; only a span
-holding ``?`` takes the regex scan. Decoding is lazy: a ``Record`` keeps its
+one record per line (``decode_lines``, split by ``bytes.splitlines``),
+each checked against its format's layout by ``read_file``. A span without
+a release character is split with ``bytes.split``; only a span holding
+``?`` takes the regex scan. Decoding is lazy: a ``Record`` keeps its
 raw elements and unescapes or base64-decodes one only when asked. Every
 decoding error is a ``ParseError`` carrying the byte offset of the problem,
 counted from the start of the input.
@@ -185,26 +186,6 @@ def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
     return records
 
 
-def once(seen: set[tuple[bytes, str]], rec: Record, key: str = "") -> None:
-    """Refuse a second record with ``rec``'s tag and ``key`` (a subject, a
-    container, a name; a header has none): a file holds each entry once, so
-    it has one byte form and no later line replaces an earlier one."""
-    if (rec.tag, key) in seen:
-        raise ParseError(f"repeated {rec._name()} record" + (f" for {key}" if key else ""),
-                         rec.offset)
-    seen.add((rec.tag, key))
-
-
-def in_order(ranks: dict[bytes, int], last: int, rec: Record) -> int:
-    """The rank ``ranks`` gives ``rec``'s tag, refused when it is below
-    ``last``, the rank of the record before: a file holds its kinds of
-    record in the order its writer puts them, so it has one byte form."""
-    rank = ranks[rec.tag]
-    if rank < last:
-        raise ParseError(f"{rec._name()} record out of order", rec.offset)
-    return rank
-
-
 def decode(data: bytes) -> list[Record]:
     """All records of a one-line message wire, in order."""
     return _scan(data, 0, len(data))
@@ -223,3 +204,36 @@ def decode_lines(data: bytes) -> Iterator[Record]:
             if len(found) != 1:
                 raise ParseError("one record per line expected", found[1].offset)
             yield found[0]
+
+
+def read_file(data: bytes, layout: dict[bytes, tuple[int, int, int | None]],
+              what: str) -> Iterator[Record]:
+    """The records of a file, each checked against its format's ``layout``,
+    which maps a tag to its rank, its element count (0: the reader counts)
+    and its key element (0: a header, k: an entry keyed by element k, None:
+    a repeatable record; a keyed record has a fixed count). A file has one
+    byte form: no unknown tag, no wrong count, no repeated header or entry,
+    no record of a lower rank after a higher one, and every header."""
+    seen: set[tuple[bytes, bytes]] = set()
+    last = 0
+    for rec in decode_lines(data):
+        elems = rec.elems
+        spec = layout.get(elems[0])
+        if spec is None:
+            raise ParseError(f"unknown {what} record {elems[0]!r}", rec.offset)
+        rank, count, key = spec
+        if count:
+            rec.need(count)
+        if key is not None:
+            n = len(seen)
+            seen.add((elems[0], elems[key]))
+            if len(seen) == n:
+                raise ParseError(f"repeated {rec._name()} record"
+                                 + (f" for {rec.text(key)}" if key else ""), rec.offset)
+        if rank < last:
+            raise ParseError(f"{rec._name()} record out of order", rec.offset)
+        last = rank
+        yield rec
+    for tag, (_, _, key) in layout.items():
+        if key == 0 and (tag, tag) not in seen:
+            raise ParseError(f"{what} file lacks {tag.decode()} header", 0)

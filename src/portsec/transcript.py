@@ -139,42 +139,26 @@ def transcript_to_wire(t: Transcript) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-#: The order ``transcript_to_wire`` writes records in.
-_RANKS = {b"TRS": 0, b"ACT": 1, b"EVT": 2}
+#: Rank (the order ``transcript_to_wire`` writes), count and key of each record.
+_LAYOUT = {b"TRS": (0, 5, 0), b"ACT": (1, 3, 1), b"EVT": (2, 0, None)}
 
 
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
-    repeated TRS header or ACT identity, a record out of the writer's
-    order, or a header verdict other than the events' raises."""
-    t: Transcript | None = None
-    seen: set[tuple[bytes, str]] = set()
-    rank = 0
-    for rec in records.decode_lines(data):
-        tag = rec.tag
-        if tag == b"TRS":
-            rec.need(5)
-            records.once(seen, rec)
+    file ``records.read_file`` refuses, or a header verdict other than the
+    events', raises."""
+    t = Transcript("", "")
+    for rec in records.read_file(data, _LAYOUT, "transcript"):
+        if rec.tag == b"TRS":
             if rec.text(1) != TRANSCRIPT_VERSION:
                 raise ParseError("unsupported transcript header", rec.offset)
-            t = Transcript(rec.text(2), rec.text(3))
-            header = rec
-        elif tag not in (b"ACT", b"EVT"):
-            raise ParseError(f"unknown transcript record {tag!r}", rec.offset)
-        elif t is None:
-            raise ParseError("record before transcript header", rec.offset)
-        elif tag == b"ACT":
-            rec.need(3)
-            ident = rec.text(1)
-            records.once(seen, rec, ident)
-            t.actors[ident] = rec.text(2)
+            t.scenario, t.mode, header = rec.text(2), rec.text(3), rec
+        elif rec.tag == b"ACT":
+            t.actors[rec.text(1)] = rec.text(2)
         else:
             t.events.append(_event(rec))
-        rank = records.in_order(_RANKS, rank, rec)
-    if t is None:
-        raise ParseError("empty transcript", 0)
-    if header.text(4) != t.verdict:
+    if header.text(4) != t.verdict:  # read_file raised unless a TRS header came
         raise ParseError(f"TRS verdict differs from its events' {t.verdict}", header.offsets[4])
     return t
 

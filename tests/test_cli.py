@@ -80,12 +80,16 @@ def test_run_halts_at_its_first_rejection(base_fixtures, tmp_path, capsys):
     ]
 
 
-def test_chain_out_needs_ledger_mode(cli_files, tmp_path):
+def test_chain_out_needs_ledger_mode(cli_files, tmp_path, capsys):
+    """The flag is refused before the run: nothing is printed or written."""
+    out = tmp_path / "no.trs"
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "export", "--mode", "p2p",
-              "--fixtures", str(cli_files["fixtures"]),
+              "--fixtures", str(cli_files["fixtures"]), "--out", str(out),
               "--chain-out", str(tmp_path / "no.chain")])
     assert err.value.code == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_audit_of_honest_transcript_is_clean(cli_files, tmp_path, capsys):
@@ -194,6 +198,17 @@ def export_chain_bytes(cli_files):
     assert main(["run", "--scenario", "export", "--mode", "ledger",
                  "--fixtures", str(cli_files["fixtures"]), "--chain-out", str(chain)]) == 0
     return chain.read_bytes()
+
+
+def test_ledger_verify_names_a_head_failure(export_chain_bytes, tmp_path, capsys):
+    """A failure before any block (here, another suite) names the head,
+    not a block."""
+    first, rest = export_chain_bytes.split(b"\n", 1)
+    chain = tmp_path / "suite.chain"
+    chain.write_bytes(first.replace(b"NAMEBOUND", b"OTHER") + b"\n" + rest)
+    capsys.readouterr()
+    assert main(["ledger-verify", "--chain", str(chain)]) == 1
+    assert capsys.readouterr().out.startswith("CHAIN INVALID head suite mismatch: ")
 
 
 def _edit_first(raw: bytes, tag: bytes, i: int, edit) -> bytes:

@@ -1,7 +1,7 @@
 """Every decoder of the record formats fails closed, at the real offset.
 
-Any byte string either parses or raises a ``ModelError``; nothing else
-(``IndexError``, ``ValueError``, ...) may escape. Error offsets count from
+Any byte string either parses or raises a ``ParseError``; nothing else
+(another ``ModelError``, ``IndexError``, ``ValueError``, ...) may escape. Error offsets count from
 the start of the input, not from the start of the offending line.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from portsec.attacks import attack_from_wire
 from portsec.fixtures import fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import export_chain, parse_chain
-from portsec.model import ModelError, ParseError, from_flat
+from portsec.model import ParseError, from_flat
 from portsec.pki import cert_to_wire
 from portsec.records import encode
 from portsec.transcript import transcript_from_wire, transcript_to_wire
@@ -68,7 +68,7 @@ def test_decoders_fail_closed(honest, data):
     blob = _corrupt(data, honest_bytes)
     try:
         decode(blob)
-    except ModelError:
+    except ParseError:
         pass
 
 
@@ -90,6 +90,7 @@ def _sent(msg_type: str, flat: bytes) -> bytes:
 # the embedded flat lacks its SND record; its base64 starts "TVNH" ("MSG")
 _SENT_NO_SENDER = _sent("IFTMCS", b"MSG+IFTMCS+R1'")
 _SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
+_ATT = b"ATT+B_NO+H+AA=='"
 
 
 @pytest.mark.parametrize(
@@ -113,8 +114,17 @@ _SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
         (transcript_from_wire, _SENT_NO_SENDER, 54, b"TVNH"),
         # a SENT event naming another type than its flat: the type element
         (transcript_from_wire, _SENT_FORGED_TYPE, 44, b"IFTSTA+"),
+        # what the message model refuses is a ParseError at its segment:
+        # a repeated ATT name, a SIG covering one attribute twice, and an
+        # unknown tag (here empty) first or after the MSG segment
+        (from_flat, b"MSG+ICU+R'" + _ATT + _ATT + b"SND+t'", 26, b"ATT+"),
+        (from_flat, b"MSG+ICU+R'" + _ATT + b"SIG+t+B_NO,B_NO+AA=='SND+t'", 26, b"SIG+"),
+        (from_flat, b"'MSG+ICU+R'SND+t'", 0, b"'MSG"),
+        (from_flat, b"MSG+ICU+R'" + _ATT + b"ZZZ+x'SND+t'", 26, b"ZZZ+"),
     ],
-    ids=["flat", "cert", "cert-serial", "chain", "fixtures", "transcript", "attack", "sent-flat", "sent-type"],
+    ids=["flat", "cert", "cert-serial", "chain", "fixtures", "transcript", "attack", "sent-flat",
+         "sent-type", "flat-repeated-att", "flat-sig-duplicates", "flat-unknown-first",
+         "flat-unknown-mid"],
 )
 def test_error_offsets_are_file_offsets(decode, data, offset, at):
     assert data[offset:offset + len(at)] == at

@@ -135,3 +135,13 @@ def test_a_ca_key_is_checked_against_its_certificate(base_fixtures):
     with pytest.raises(FixtureError, match="private key of SL1-CA does not match its certificate"):
         _issue_temp_clerk(world)
     assert world.ca_registry["SL1-CA"].issued == issued
+
+
+def test_an_issuer_cycle_fails_the_build(base_fixtures):
+    """Two CA certificates naming each other as issuer are refused; a walk
+    up the chain that never reaches a self-signed root would not end."""
+    certs = dict(base_fixtures.certs)
+    certs["SL1-CA"] = replace(certs["SL1-CA"], issuer="PCS1-CA")
+    certs["PCS1-CA"] = replace(certs["PCS1-CA"], issuer="SL1-CA")
+    with pytest.raises(FixtureError, match="repeats issuer"):
+        build_world(replace(base_fixtures, certs=certs))

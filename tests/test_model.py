@@ -25,7 +25,6 @@ from portsec.model import (
     Sealed,
     SecuredMessage,
     ModelError,
-    UnknownSegmentTag,
     canonical_bytes,
     from_flat,
     to_flat,
@@ -160,10 +159,12 @@ def test_parse_unterminated_final_segment():
 
 
 def test_parse_first_segment_not_msg():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as e:
         from_flat(b"ATT+CNT_NO+P+" + b64(b"v") + b"'")
-    with pytest.raises(UnknownSegmentTag):
+    assert e.value.offset == 0
+    with pytest.raises(ParseError, match="unknown segment tag") as e:
         from_flat(b"XXX+1'")
+    assert e.value.offset == 0
 
 
 def test_parse_duplicate_attribute():
@@ -172,13 +173,15 @@ def test_parse_duplicate_attribute():
         b"ATT+CNT_NO+P+" + b64(b"a") + b"'"
         b"ATT+CNT_NO+P+" + b64(b"b") + b"'SND+t'"
     )
-    with pytest.raises(DuplicateAttribute):
+    with pytest.raises(ParseError, match="duplicate attribute CNT_NO") as e:
         from_flat(wire)
+    assert e.value.offset == wire.rindex(b"ATT+")
 
 
 def test_parse_unknown_tag_mid_stream():
-    with pytest.raises(UnknownSegmentTag):
+    with pytest.raises(ParseError, match="unknown segment tag") as e:
         from_flat(b"MSG+ICU+RUN1'ZZZ+x'SND+t'")
+    assert e.value.offset == 13
 
 
 def test_parse_duplicate_msg_segment():

@@ -1,4 +1,5 @@
-"""The shared record grammar: escaping, base64 elements and accessors."""
+"""The shared record grammar: escaping, base64 elements, accessors and the
+file layout check."""
 
 import base64
 import binascii
@@ -182,3 +183,31 @@ def test_release_characters_take_the_regex_scan(monkeypatch):
     assert b"?" in flat
     assert from_flat(flat) == sm
     assert calls == [(0, len(flat))]
+
+
+_LAYOUT = {b"H": (0, 2, 0), b"E": (1, 3, 1), b"R": (2, 0, None)}
+
+
+def test_read_file_yields_a_file_in_its_layout():
+    data = b"H+1'\nE+a+1'\nE+b+1'\nR'\nR+x'\n"
+    assert [r.tag for r in records.read_file(data, _LAYOUT, "test")] == [
+        b"H", b"E", b"E", b"R", b"R"]
+
+
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (b"H+1'\nX'\n", "unknown test record b'X'", 5),
+        (b"H+1+2'\n", "H record takes 1 elements, found 2", 0),
+        (b"H+1'\nR'\nH+1'\n", "repeated H record", 8),
+        (b"H+1'\nE+k+1'\nE+k+2'\n", "repeated E record for k", 12),
+        (b"H+1'\nR'\nE+k+1'\n", "E record out of order", 8),
+        (b"E+k+1'\n", "test file lacks H header", 0),
+    ],
+    ids=["unknown-tag", "count", "repeated-header", "repeated-entry", "order", "no-header"],
+)
+def test_read_file_refusals(data, message, offset):
+    """Each refusal in turn; a repeat is named before the order it breaks."""
+    with pytest.raises(ParseError, match=re.escape(message)) as e:
+        list(records.read_file(data, _LAYOUT, "test"))
+    assert e.value.offset == offset
