@@ -2,10 +2,12 @@
 
 Outbound, an adapter applies the protection plan (plain / sealed / hash
 only per attribute), signs what its actor authored, and attaches carried
-signatures from upstream actors. Inbound, it validates the sender's
-certificate chain, every signature, write-coverage, linkage, and
-representation compliance, decrypts what its actor may read, and files all
-signatures in an append-only store kept for forensics.
+signatures from upstream actors. Inbound, ``validate_inbound`` runs
+``PHASES`` over a ``Hop``: (a) the sender's certificate chain, (b) every
+signature, with linkage, (c) write-coverage, (d) representation
+compliance and (e) the booking-number nonce. None of them needs the
+receiver's private key. It then (f) decrypts what its actor may read and
+(g) files all signatures in an append-only store kept for forensics.
 
 Validation never raises on a message: every problem becomes a finding,
 and the verdict is REJECT exactly when a reject-class finding is present.
@@ -111,7 +113,6 @@ class StoreRecord:
     digests it was checked against: the forensic trail."""
 
     instance_id: str
-    msg_type: str
     signature: AttributeSignature
     received_from: str
     at: int
@@ -148,7 +149,6 @@ def _store_signatures(
         state.signature_store.append(
             StoreRecord(
                 instance_id=sm.message.instance_id,
-                msg_type=sm.message.msg_type,
                 signature=sig,
                 received_from=received_from,
                 at=state.clock,
@@ -252,158 +252,157 @@ def secure_outbound(
     return sm
 
 
+class Hop:
+    """One inbound message as phases (a)-(e) see it: the receiver's state,
+    the message, the chain its sender presented, the field digests, each
+    signer's resolved chain, the verified signatures and the findings."""
+
+    __slots__ = ("state", "sm", "presented", "digests", "chains", "verified", "findings")
+
+    def __init__(self, state: AdapterState, sm: SecuredMessage,
+                 presented: Sequence[Certificate]):
+        self.state, self.sm, self.presented = state, sm, presented
+        self.digests = field_digests(sm.message, state.suite)
+        self.chains: dict[str, tuple[Certificate, ChainResult]] = {}
+        self.verified: list[tuple[AttributeSignature, str]] = []  # (sig, signer role)
+        self.findings: list[Finding] = []
+
+    def reject(self, code: FindingCode, subject: str, detail: str) -> None:
+        self.findings.append(Finding(code, subject, detail, Severity.REJECT))
+
+    def signer_chain(self, signer: str) -> tuple[Certificate, ChainResult] | None:
+        """The signer's certificate and chain result, validated once per
+        message: the sender's as presented, every other signer's from the
+        directory. None for a signer the directory lacks."""
+        if signer not in self.chains:
+            state = self.state
+            if signer == self.sm.sender and self.presented:
+                cert, chain = self.presented[0], self.presented[1:]
+            elif signer in state.directory:
+                cert, chain = state.directory[signer]
+            else:
+                return None
+            self.chains[signer] = cert, validate_chain(
+                cert, list(chain), state.trust_anchor, at=state.clock,
+                ca_registry=state.ca_registry, suite=state.suite,
+            )
+        return self.chains[signer]
+
+
+def _sender_chain(hop: Hop) -> None:
+    """(a) The sender presents a valid chain whose leaf names it."""
+    sender = hop.sm.sender
+    if not hop.presented:
+        hop.reject(FindingCode.CHAIN_INVALID, sender, "no certificate chain presented")
+        return
+    leaf, res = hop.signer_chain(sender)
+    if not res.valid:
+        hop.reject(FindingCode.CHAIN_INVALID, sender, f"{res.reason.value}: {res.detail}")
+    elif leaf.subject != sender:
+        hop.reject(FindingCode.CHAIN_INVALID, sender, f"presented chain names {leaf.subject}")
+
+
+def _signatures(hop: Hop) -> None:
+    """(b) Every signature verifies under its signer's valid chain. A
+    failing signature on file under another run is a linkage mismatch."""
+    state, digests = hop.state, hop.digests
+    for sig in hop.sm.signatures:
+        resolved = hop.signer_chain(sig.signer)
+        if resolved is None:
+            hop.reject(FindingCode.CHAIN_INVALID, sig.signer, "signer not in directory")
+            continue
+        cert, res = resolved
+        if not res.valid:
+            hop.reject(FindingCode.CHAIN_INVALID, sig.signer,
+                       f"signer chain {res.reason.value}: {res.detail}")
+        elif verify_multi_sig(cert.public_key, sig, digests, suite=state.suite):
+            hop.verified.append((sig, cert.role))
+        else:
+            upgraded = _linkage_evidence(state, sig, hop.sm.message.instance_id, digests)
+            for attr, detail in upgraded:
+                hop.reject(FindingCode.LINKAGE_MISMATCH, attr, detail)
+            if not upgraded:
+                hop.reject(FindingCode.SIGNATURE_INVALID, sig.signer,
+                           f"signature over {','.join(sig.attrs)} does not verify")
+
+
+def _write_coverage(hop: Hop) -> None:
+    """(c) Every attribute is under a verified signature of one of its writers."""
+    matrix = hop.state.matrix
+    for attr in hop.sm.message.attribute_names():
+        writers = {r.value for r in matrix.writers_of(attr)}
+        if not any(attr in sig.attrs and role in writers for sig, role in hop.verified):
+            hop.reject(FindingCode.WRITE_COVERAGE_GAP, attr,
+                       f"no verified signature from {sorted(writers)}")
+
+
+def _representation(hop: Hop) -> None:
+    """(d) Plaintext and wrapped keys reach the receiver only where its
+    role may read, and a sealed field it may read carries its key."""
+    state = hop.state
+    for name, value in hop.sm.message.fields:
+        readable = state.matrix.check(state.role, name, Action.READ)
+        if isinstance(value, Plain) and not readable:
+            hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
+                       f"plaintext exposed to {state.role.value} without read permission")
+        elif isinstance(value, Sealed) and readable != (state.identity in value.wrapped_keys):
+            hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
+                       "no wrapped key for an authorized reader" if readable else
+                       f"wrapped key offered to {state.role.value} without read permission")
+
+
+def _nonce(hop: Hop) -> None:
+    """(e) A booking number accepted before under another run is a warning."""
+    prior = hop.state.seen_booking_numbers.get(hop.digests.get(BOOKING_ATTR))
+    if prior is not None and prior != hop.sm.message.instance_id:
+        hop.findings.append(Finding(
+            FindingCode.NONCE_REUSE, BOOKING_ATTR,
+            f"booking number already used by run {prior}", Severity.WARNING,
+        ))
+
+
+#: Phases (a)-(e), in order. None reads the receiver's private key or
+#: writes its state; each appends its findings to the hop.
+PHASES = (_sender_chain, _signatures, _write_coverage, _representation, _nonce)
+
+
 def validate_inbound(
     state: AdapterState,
     sm: SecuredMessage,
     sender_cert_chain: Sequence[Certificate],
 ) -> ValidationReport:
-    """Run all validation phases and report every finding.
-
-    Order: sender chain, per-signature verification (the sender's chain as
-    presented, other signers' from the directory, each validated once per
-    message; a failing signature on file under another run is a linkage
-    mismatch), write-coverage, representation compliance, nonce
-    check, decryption of readable sealed fields, store append. See module
-    docstring for the reject semantics. A receiver whose own private key
-    fails to load at its first unwrap raises FixtureError: that is a set-up
-    error, not a finding.
+    """Run ``PHASES`` over the message, then (f) build the view of the
+    fields this actor may read, decrypting sealed ones (the one step that
+    reads its private key), and (g) file every signature in the store. An
+    ACCEPT books the booking number.
+    See module docstring for the reject semantics. A receiver whose own
+    private key fails to load at its first unwrap raises FixtureError: that
+    is a set-up error, not a finding.
     """
-    findings: list[Finding] = []
-    msg = sm.message
-    digests = field_digests(msg, state.suite)
+    hop = Hop(state, sm, sender_cert_chain)
+    for phase in PHASES:
+        phase(hop)
 
-    def reject(code: FindingCode, subject: str, detail: str):
-        findings.append(Finding(code, subject, detail, Severity.REJECT))
-
-    # Each signer's chain is validated once per message: the sender's as
-    # presented, every other signer's from the directory.
-    chains: dict[str, tuple[Certificate, ChainResult]] = {}
-
-    def signer_chain(signer: str) -> tuple[Certificate, ChainResult] | None:
-        if signer not in chains:
-            if signer == sm.sender and sender_cert_chain:
-                cert, chain = sender_cert_chain[0], sender_cert_chain[1:]
-            elif signer in state.directory:
-                cert, chain = state.directory[signer]
-            else:
-                return None
-            chains[signer] = cert, validate_chain(
-                cert, list(chain), state.trust_anchor, at=state.clock,
-                ca_registry=state.ca_registry, suite=state.suite,
-            )
-        return chains[signer]
-
-    # (a) sender chain
-    if not sender_cert_chain:
-        reject(FindingCode.CHAIN_INVALID, sm.sender, "no certificate chain presented")
-    else:
-        leaf, res = signer_chain(sm.sender)
-        if not res.valid:
-            reject(
-                FindingCode.CHAIN_INVALID, sm.sender, f"{res.reason.value}: {res.detail}"
-            )
-        elif leaf.subject != sm.sender:
-            reject(
-                FindingCode.CHAIN_INVALID,
-                sm.sender,
-                f"presented chain names {leaf.subject}",
-            )
-
-    # (b) signatures
-    verified: list[tuple[AttributeSignature, str]] = []  # (sig, signer role)
-    for sig in sm.signatures:
-        resolved = signer_chain(sig.signer)
-        if resolved is None:
-            reject(FindingCode.CHAIN_INVALID, sig.signer, "signer not in directory")
+    decrypted: dict[str, str] = {}  # (f)
+    for name, value in sm.message.fields:
+        if not state.matrix.check(state.role, name, Action.READ):
             continue
-        cert, res = resolved
-        if not res.valid:
-            reject(
-                FindingCode.CHAIN_INVALID,
-                sig.signer,
-                f"signer chain {res.reason.value}: {res.detail}",
-            )
-            continue
-        if verify_multi_sig(cert.public_key, sig, digests, suite=state.suite):
-            verified.append((sig, cert.role))
-        else:
-            upgraded = _linkage_evidence(state, sig, msg.instance_id, digests)
-            if upgraded:
-                for attr, detail in upgraded:
-                    reject(FindingCode.LINKAGE_MISMATCH, attr, detail)
-            else:
-                reject(
-                    FindingCode.SIGNATURE_INVALID,
-                    sig.signer,
-                    f"signature over {','.join(sig.attrs)} does not verify",
-                )
-
-    # (c) write-coverage
-    for attr in msg.attribute_names():
-        writers = {r.value for r in state.matrix.writers_of(attr)}
-        if not any(attr in sig.attrs and role in writers for sig, role in verified):
-            reject(
-                FindingCode.WRITE_COVERAGE_GAP,
-                attr,
-                f"no verified signature from {sorted(writers)}",
-            )
-
-    # (d) representation compliance
-    def may_read(a: str) -> bool:
-        return state.matrix.check(state.role, a, Action.READ)
-
-    for name, value in msg.fields:
-        if isinstance(value, Plain) and not may_read(name):
-            reject(
-                FindingCode.REPRESENTATION_VIOLATION,
-                name,
-                f"plaintext exposed to {state.role.value} without read permission",
-            )
-        if isinstance(value, Sealed):
-            if may_read(name) and state.identity not in value.wrapped_keys:
-                reject(
-                    FindingCode.REPRESENTATION_VIOLATION,
-                    name,
-                    "no wrapped key for an authorized reader",
-                )
-            if not may_read(name) and state.identity in value.wrapped_keys:
-                reject(
-                    FindingCode.REPRESENTATION_VIOLATION,
-                    name,
-                    f"wrapped key offered to {state.role.value} without read permission",
-                )
-
-    # (e) nonce check on the booking number
-    booking_digest: bytes | None = None
-    if msg.has(BOOKING_ATTR):
-        booking_digest = digests[BOOKING_ATTR]
-        prior = state.seen_booking_numbers.get(booking_digest)
-        if prior is not None and prior != msg.instance_id:
-            findings.append(Finding(
-                FindingCode.NONCE_REUSE, BOOKING_ATTR,
-                f"booking number already used by run {prior}", Severity.WARNING,
-            ))
-
-    # (f) decrypt readable sealed fields
-    decrypted: dict[str, str] = {}
-    for name, value in msg.fields:
-        if isinstance(value, Plain) and may_read(name):
+        if isinstance(value, Plain):
             decrypted[name] = value.text
-        elif isinstance(value, Sealed) and may_read(name) and state.identity in value.wrapped_keys:
+        elif isinstance(value, Sealed) and state.identity in value.wrapped_keys:
             try:
                 decrypted[name] = open_field(
                     value, state.identity, state.key_pair.private, state.content_keys, state.suite
                 )
             except (AuthDecryptFailure, envelope.DigestMismatch) as exc:
-                reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
+                hop.reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
 
-    # (g) file everything
-    _store_signatures(state, sm, digests, received_from=sm.sender)
-
-    verdict = "REJECT" if any(f.severity is Severity.REJECT for f in findings) else "ACCEPT"
-    if verdict == "ACCEPT" and booking_digest is not None:
-        state.seen_booking_numbers.setdefault(booking_digest, msg.instance_id)
-    return ValidationReport(verdict, tuple(findings), decrypted)
+    _store_signatures(state, sm, hop.digests, received_from=sm.sender)  # (g)
+    verdict = "REJECT" if any(f.severity is Severity.REJECT for f in hop.findings) else "ACCEPT"
+    booking = hop.digests.get(BOOKING_ATTR)
+    if verdict == "ACCEPT" and booking is not None:
+        state.seen_booking_numbers.setdefault(booking, sm.message.instance_id)
+    return ValidationReport(verdict, tuple(hop.findings), decrypted)
 
 
 def _linkage_evidence(

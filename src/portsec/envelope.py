@@ -226,13 +226,7 @@ def signing_payload(
     """The name-bound double hash H(H(",".join(names)) || d1 || ... || dk).
     Digests are fixed-length and names cannot hold a comma, so no other
     separators are needed."""
-    return suite.digest(_names_digest(suite, tuple(names)) + b"".join(value_digests))
-
-
-@lru_cache(maxsize=64)
-def _names_digest(suite: CryptoSuite, names: tuple[str, ...]) -> bytes:
-    # a run signs and checks the same few attribute lists over and over
-    return suite.digest(canonical_bytes(",".join(names)))
+    return suite.digest(suite.digest(canonical_bytes(",".join(names))) + b"".join(value_digests))
 
 
 def field_digests(msg: Message, suite: CryptoSuite = DEFAULT_SUITE) -> dict[str, bytes]:

@@ -235,58 +235,34 @@ def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
     raise ParseError(f"unknown field representation {code!r}", rec.offsets[2])
 
 
+_LAYOUT = {b"MSG": (0, 3, 0), b"ATT": (1, 0, 1), b"SIG": (2, 4, None), b"SND": (3, 2, 0)}
+
+
 def from_flat(data: bytes) -> SecuredMessage:
     """Parse the flat segment format back into a SecuredMessage. Only the
-    bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``.
+    bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``:
+    ``records.check`` holds the segments to MSG, ATT (one per name), SIG,
+    then SND.
 
     Raises ParseError, with the byte offset, and no other error.
     """
-    recs = records.decode(data)
-    if not recs:
-        raise ParseError("empty input", 0)
-
-    first = recs[0]
-    if first.tag != b"MSG":
-        if first.tag not in (b"ATT", b"SIG", b"SND"):
-            raise ParseError(f"unknown segment tag {first.tag!r}", first.offset)
-        raise ParseError("first segment must be MSG", first.offset)
-    first.need(3)
-    msg_type, instance_id = first.text(1), first.text(2)
-
     fields: list[tuple[str, FieldValue]] = []
-    seen: set[str] = set()
     signatures: list[AttributeSignature] = []
-    sender: str | None = None
-
-    for rec in recs[1:]:
-        tag = rec.tag
-        # one wire form per message: fields, then signatures, then the sender
-        if sender is not None or (tag == b"ATT" and signatures):
-            raise ParseError(f"{tag.decode('ascii', 'replace')} segment out of order", rec.offset)
+    for rec in records.check(records.decode(data), _LAYOUT, "message"):
+        tag = rec.elems[0]
         if tag == b"ATT":
-            name, value = _parse_att(rec)
-            if name in seen:
-                raise ParseError(f"duplicate attribute {name}", rec.offset)
-            seen.add(name)
-            fields.append((name, value))
+            fields.append(_parse_att(rec))
         elif tag == b"SIG":
-            rec.need(4)
             attrs = tuple(rec.text(2).split(","))
             try:
                 signatures.append(AttributeSignature(rec.text(1), attrs, rec.b64(3)))
             except ModelError as exc:
                 raise ParseError(str(exc), rec.offset) from None
-        elif tag == b"SND":
-            rec.need(2)
-            sender = rec.text(1)
         elif tag == b"MSG":
-            raise ParseError("duplicate MSG segment", rec.offset)
+            msg_type, instance_id = rec.text(1), rec.text(2)
         else:
-            raise ParseError(f"unknown segment tag {tag!r}", rec.offset)
-
-    if sender is None:
-        raise ParseError("missing SND segment", len(data))
-    try:
+            sender = rec.text(1)
+    try:  # records.check raised unless MSG and SND came
         return SecuredMessage(Message(msg_type, instance_id, tuple(fields)), tuple(signatures), sender)
     except ModelError as exc:
         raise ParseError(str(exc), len(data)) from None

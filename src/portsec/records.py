@@ -8,8 +8,9 @@ separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
 The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``, split by ``bytes.splitlines``),
-each checked against its format's layout by ``read_file``. A span without
+one record per line (``decode_lines``, split by ``bytes.splitlines``).
+``check`` holds either to its format's layout, a file through
+``read_file``. A span without
 a release character is split with ``bytes.split``; only a span holding
 ``?`` takes the regex scan. Decoding is lazy: a ``Record`` keeps its
 raw elements and unescapes or base64-decodes one only when asked. Every
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import binascii
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # One scan finds every release pair (or a dangling release) and separator.
 _SCAN = re.compile(rb"\?[\s\S]?|['+]")
@@ -208,28 +209,37 @@ def decode_lines(data: bytes) -> Iterator[Record]:
 
 def read_file(data: bytes, layout: dict[bytes, tuple[int, int, int | None]],
               what: str) -> Iterator[Record]:
-    """The records of a file, each checked against its format's ``layout``,
+    """The records of a file, one per line, each passed by ``check``."""
+    return check(decode_lines(data), layout, what)
+
+
+def check(recs: Iterable[Record], layout: dict[bytes, tuple[int, int, int | None]],
+          what: str) -> Iterator[Record]:
+    """Each record of ``recs``, checked against its format's ``layout``,
     which maps a tag to its rank, its element count (0: the reader counts)
     and its key element (0: a header, k: an entry keyed by element k, None:
-    a repeatable record; a keyed record has a fixed count). A file has one
-    byte form: no unknown tag, no wrong count, no repeated header or entry,
-    no record of a lower rank after a higher one, and every header."""
+    a repeatable record). Input has one byte form: no unknown tag, no
+    wrong count, no repeated header or entry, no record of a lower rank
+    after a higher one, and every header."""
     seen: set[tuple[bytes, bytes]] = set()
     last = 0
-    for rec in decode_lines(data):
+    for rec in recs:
         elems = rec.elems
-        spec = layout.get(elems[0])
+        tag = elems[0]
+        spec = layout.get(tag)
         if spec is None:
-            raise ParseError(f"unknown {what} record {elems[0]!r}", rec.offset)
+            raise ParseError(f"unknown {what} record {tag!r}", rec.offset)
         rank, count, key = spec
         if count:
             rec.need(count)
         if key is not None:
-            n = len(seen)
-            seen.add((elems[0], elems[key]))
-            if len(seen) == n:
+            if key >= len(elems):  # a record the reader counts may lack its key
+                rec._raw(key)  # raises ParseError
+            entry = tag, elems[key]
+            if entry in seen:
                 raise ParseError(f"repeated {rec._name()} record"
                                  + (f" for {rec.text(key)}" if key else ""), rec.offset)
+            seen.add(entry)
         if rank < last:
             raise ParseError(f"{rec._name()} record out of order", rec.offset)
         last = rank

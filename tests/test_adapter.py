@@ -1,11 +1,17 @@
 """Creator/validator behaviour: the import-manifest flow end to end, plus
 every reject path the validator knows."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from portsec import sim as sim_module
 from portsec.adapter import (
+    PHASES,
     CarriedSignatureInvalid,
     FindingCode,
+    Hop,
     NotValidated,
     WritePermissionDenied,
     forward,
@@ -20,7 +26,8 @@ from portsec.envelope import (
     multi_sign,
     value_digest,
 )
-from portsec.fixtures import build_world
+from portsec.attacks import battery, inject_attack
+from portsec.fixtures import build_world, fixtures_from_bytes
 from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
 from portsec.policy import Role
 from portsec.sim import run_scenario
@@ -522,3 +529,55 @@ def test_key_table_stays_at_its_bound(base_fixtures, world):
     assert max(sizes.values()) == KEY_TABLE_SIZE
     table = world.adapter("sl1-clerk").content_keys
     assert last in table and first not in table
+
+
+class _NoPrivateKey:
+    """A key pair whose private half no one may read."""
+
+    def __init__(self, owner):
+        self.owner = owner
+
+    @property
+    def private(self):
+        raise AssertionError(f"a validation phase read {self.owner}'s private key")
+
+
+def test_phases_need_no_private_key_and_are_the_live_rule(monkeypatch):
+    """Before each live hop of the honest p2p runs and the p2p battery over
+    the committed world, ``PHASES`` runs alone on a copy of the receiver
+    with no private key and no content key. It writes nothing to the
+    copy's store or booking map, and finds what the live report finds,
+    less what decryption finds. The export's messages, misrouted to the
+    port authority without a chain, add the findings of phases (a) and
+    (d); so each finding code but decryption's shows up, and no phase can
+    leave the tuple unseen."""
+    live = sim_module.validate_inbound
+    hops = []
+
+    def phases_then_live(state, sm, chain):
+        copy = replace(state, key_pair=_NoPrivateKey(state.identity), content_keys={},
+                       signature_store=list(state.signature_store),
+                       seen_booking_numbers=dict(state.seen_booking_numbers))
+        hop = Hop(copy, sm, chain)
+        for phase in PHASES:
+            phase(hop)
+        assert copy.signature_store == state.signature_store
+        assert copy.seen_booking_numbers == state.seen_booking_numbers
+        report = live(state, sm, chain)
+        hops.append((report, hop.findings))
+        return report
+
+    monkeypatch.setattr(sim_module, "validate_inbound", phases_then_live)
+    fx = fixtures_from_bytes((Path(__file__).resolve().parent / "data" / "golden.psf").read_bytes())
+    export = run_scenario(fx, "export", "p2p")
+    run_scenario(fx, "import", "p2p")
+    for scenario in ("export", "import"):
+        for spec in battery(scenario):
+            inject_attack(fx, scenario, spec, "p2p")
+    for _, sm in export.inbound.values():
+        phases_then_live(export.world.adapter("pa-officer"), sm, ())
+    for report, found in hops:
+        assert found == [f for f in report.findings if f.code is not FindingCode.DIGEST_MISMATCH]
+    assert {report.verdict for report, _ in hops} == {"ACCEPT", "REJECT"}
+    assert {f.code for _, found in hops for f in found} == set(FindingCode) - {
+        FindingCode.DIGEST_MISMATCH}

@@ -121,10 +121,12 @@ _ATT = b"ATT+B_NO+H+AA=='"
         (from_flat, b"MSG+ICU+R'" + _ATT + b"SIG+t+B_NO,B_NO+AA=='SND+t'", 26, b"SIG+"),
         (from_flat, b"'MSG+ICU+R'SND+t'", 0, b"'MSG"),
         (from_flat, b"MSG+ICU+R'" + _ATT + b"ZZZ+x'SND+t'", 26, b"ZZZ+"),
+        # an ATT without the name it is keyed by: the end of its tag
+        (from_flat, b"MSG+ICU+R'ATT'SND+t'", 13, b"'SND"),
     ],
     ids=["flat", "cert", "cert-serial", "chain", "fixtures", "transcript", "attack", "sent-flat",
          "sent-type", "flat-repeated-att", "flat-sig-duplicates", "flat-unknown-first",
-         "flat-unknown-mid"],
+         "flat-unknown-mid", "flat-att-without-name"],
 )
 def test_error_offsets_are_file_offsets(decode, data, offset, at):
     assert data[offset:offset + len(at)] == at
