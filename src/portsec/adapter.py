@@ -191,7 +191,7 @@ def _replan(
     out_fields: list[tuple[str, FieldValue]] = []
     for name, value in msg.fields:
         if isinstance(value, Plain):
-            decision = plan.decision(name)
+            decision = plan[name]
             if decision.kind is PlanKind.HASH_ONLY:
                 value = HashOnly(digests[name])
             elif decision.kind is PlanKind.SEALED:
@@ -439,23 +439,21 @@ def forward(
     report: ValidationReport,
     sm: SecuredMessage,
     receiver: Role,
-    downstream: Iterable[Role] = (),
-    *,
-    new_msg_type: str | None = None,
+    msg_type: str,
 ) -> SecuredMessage:
-    """Re-plan a validated message for the next receiver.
+    """Re-plan a validated message for the next receiver as a ``msg_type``.
 
-    Plaintext fields may downgrade (to hash-only) or be sealed for new
-    downstream readers; sealed fields pass through byte-identical so the
-    original sealer stays accountable. The carried signatures are kept
-    as they are; a forwarder adds no signature of its own.
+    Plaintext fields the receiver may not read downgrade to hash-only;
+    sealed fields pass through byte-identical so the original sealer stays
+    accountable. The carried signatures are kept as they are; a forwarder
+    adds no signature of its own.
     """
     if not report.accepted:
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
-    out_fields = _replan(state, msg, field_digests(msg, state.suite), receiver, downstream)
+    out_fields = _replan(state, msg, field_digests(msg, state.suite), receiver, ())
     return SecuredMessage(
-        Message(new_msg_type or msg.msg_type, msg.instance_id, out_fields),
+        Message(msg_type, msg.instance_id, out_fields),
         sm.signatures,
         state.identity,
     )

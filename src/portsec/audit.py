@@ -24,7 +24,6 @@ LEDGER_ATTRS = frozenset({"CNT_NO"})
 @dataclass(frozen=True)
 class AuditResult:
     exposure: dict[str, frozenset[str]]  # identity -> attrs seen in plaintext
-    handled: dict[str, frozenset[str]]  # identity -> attrs that transited it
     excess: dict[str, frozenset[str]]  # identity -> exposure beyond the column
 
     def flagged(self) -> list[str]:
@@ -41,39 +40,27 @@ def read_column(matrix: AccessMatrix, role: Role) -> frozenset[str]:
 def audit_views(transcript: Transcript, matrix: AccessMatrix | None = None) -> AuditResult:
     matrix = matrix or default_matrix()
     exposure: dict[str, set[str]] = {}
-    handled: dict[str, set[str]] = {}
-
-    def touch(identity: str) -> tuple[set[str], set[str]]:
-        return exposure.setdefault(identity, set()), handled.setdefault(identity, set())
 
     for ev in transcript.events:
         if isinstance(ev, SentEvent):
-            s_exp, s_han = touch(ev.sender)
-            r_exp, r_han = touch(ev.receiver)
+            s_exp = exposure.setdefault(ev.sender, set())
+            r_exp = exposure.setdefault(ev.receiver, set())
             for name, value in ev.message.message.fields:
-                s_han.add(name)
-                r_han.add(name)
                 if isinstance(value, Plain):
                     s_exp.add(name)
                     r_exp.add(name)
                 elif isinstance(value, Sealed) and ev.receiver in value.wrapped_keys:
                     r_exp.add(name)
         elif isinstance(ev, LedgerEvent):
-            exp, han = touch(ev.invoker)
-            exp |= LEDGER_ATTRS
-            han |= LEDGER_ATTRS
+            exposure.setdefault(ev.invoker, set()).update(LEDGER_ATTRS)
 
     excess: dict[str, frozenset[str]] = {}
     for identity, exposed in exposure.items():
         token = transcript.actors.get(identity)
-        try:
-            column = LEDGER_ATTRS if token == ORDERER_ROLE else read_column(matrix, Role(token))
-        except ValueError:  # a token naming no policy role reads nothing: fail closed
-            column = frozenset()
+        column = LEDGER_ATTRS if token == ORDERER_ROLE else read_column(matrix, token)
         excess[identity] = frozenset(exposed - column)
 
     return AuditResult(
         exposure={i: frozenset(v) for i, v in exposure.items()},
-        handled={i: frozenset(v) for i, v in handled.items()},
         excess=excess,
     )

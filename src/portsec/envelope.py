@@ -67,9 +67,9 @@ class DigestMismatch(EnvelopeError):
 @dataclass(frozen=True)
 class KeyPair:
     """One asymmetric key pair per identity, used both to sign and to
-    receive wrapped keys."""
+    receive wrapped keys. ``public`` is the DER form certificates carry."""
 
-    public: rsa.RSAPublicKey
+    public: bytes
     private: rsa.RSAPrivateKey
     owner: str
 
@@ -111,16 +111,16 @@ class CryptoSuite:
 
     def generate_keypair(self, owner: str) -> KeyPair:
         private = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        return KeyPair(private.public_key(), private, owner)
+        return KeyPair(self.public_bytes(private.public_key()), private, owner)
 
     def sign(self, private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
         return private.sign(payload, _PKCS1, _PREHASHED)
 
-    def verify(self, public, payload: bytes, sig: bytes) -> bool:
+    def verify(self, public: bytes, payload: bytes, sig: bytes) -> bool:
         # verification input may be attacker-controlled down to the key
         # bytes (exported chains embed certificates): fail closed
         try:
-            key = _load_public(public) if isinstance(public, bytes) else public
+            key = _load_public(public)
         except (ValueError, UnsupportedAlgorithm):
             return False
         if not isinstance(key, rsa.RSAPublicKey):
@@ -131,9 +131,8 @@ class CryptoSuite:
         except InvalidSignature:
             return False
 
-    def wrap_key(self, public, key_material: bytes) -> bytes:
-        key = _load_public(public) if isinstance(public, bytes) else public
-        return key.encrypt(key_material, _OAEP)
+    def wrap_key(self, public: bytes, key_material: bytes) -> bytes:
+        return _load_public(public).encrypt(key_material, _OAEP)
 
     def unwrap_key(self, private: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
         try:
@@ -256,17 +255,14 @@ def multi_sign(
 
 
 def verify_multi_sig(
-    public,
+    public: bytes,
     sig: AttributeSignature,
     digests: Mapping[str, bytes],
     *,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> bool:
-    """Check a signature against the digests of the attributes it covers.
-    ``public`` is a key object or its DER bytes; both reach the same
-    ``verify`` entry."""
-    if not isinstance(public, bytes):
-        public = suite.public_bytes(public)
+    """Check a signature against the digests of the attributes it covers,
+    under the signer's DER public key."""
     payload = signing_payload(sig.attrs, [digests[a] for a in sig.attrs], suite=suite)
     return verify(suite, public, payload, sig.sig)
 
@@ -286,7 +282,7 @@ class ContentKey:
     wrapped_keys: Mapping[str, bytes]
 
 
-def content_key(readers: Mapping[str, object], suite: CryptoSuite = DEFAULT_SUITE) -> ContentKey:
+def content_key(readers: Mapping[str, bytes], suite: CryptoSuite = DEFAULT_SUITE) -> ContentKey:
     """A fresh content key, wrapped once for every reader's public key."""
     if not readers:
         raise EmptyReaderSet("sealing requires at least one reader")

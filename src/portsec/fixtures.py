@@ -134,7 +134,7 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
         kp = suite.generate_keypair(a.identity)
         keys[a.identity] = suite.private_bytes(kp.private)
         certs[a.identity] = ca_states[f"{a.org}-CA"].issue(
-            a.identity, a.org, a.role, suite.public_bytes(kp.public), LEAF_VALIDITY
+            a.identity, a.org, a.role, kp.public, LEAF_VALIDITY
         )
 
     return FixtureSet(

@@ -172,7 +172,7 @@ def create_root(
         issuer=name,
         not_before=validity[0],
         not_after=validity[1],
-        public_key=suite.public_bytes(kp.public),
+        public_key=kp.public,
     )
     return CaState(kp, cert, issued=[1], suite=suite)
 
@@ -185,7 +185,7 @@ def create_subordinate(
 ) -> CaState:
     """Organization-level CA whose certificate is issued by ``parent``."""
     kp = suite.generate_keypair(name)
-    cert = parent.issue(name, name, CA_ROLE, suite.public_bytes(kp.public), validity)
+    cert = parent.issue(name, name, CA_ROLE, kp.public, validity)
     return CaState(kp, cert, suite=suite)
 
 

@@ -1,9 +1,11 @@
 """Global access-control matrix and per-message protection plans.
 
-The matrix assigns each (role, attribute) pair one of NONE / R / RW. Read
-permissions drive confidentiality (who may see a value in plaintext, and
-therefore which representation an attribute takes on the wire); write
-permissions drive integrity (whose signature can vouch for an attribute).
+The policy document assigns each (role, attribute) pair one of NONE / R /
+RW; the matrix keeps, per attribute, the roles that may read it and the
+roles that may write it. Read permissions drive confidentiality (who may
+see a value in plaintext, and therefore which representation an attribute
+takes on the wire); write permissions drive integrity (whose signature can
+vouch for an attribute).
 
 A protection plan answers, for a concrete send: which attributes travel
 PLAIN, which are SEALED and for whom, and which are reduced to HASH_ONLY.
@@ -62,10 +64,6 @@ class NoWriterForAttribute(PolicyError):
     """No role holds RW on an attribute, so nobody could ever author it."""
 
 
-class UnknownEntry(PolicyError):
-    """Query against a role or attribute the matrix does not know."""
-
-
 class SenderCannotRead(PolicyError):
     """A plan would have the sender transmit plaintext it may not hold."""
 
@@ -90,78 +88,45 @@ class Decision:
             raise InvariantViolation(f"{self.kind.value} decision carries no readers")
 
 
+#: The answer for a name the policy does not hold: nobody.
+_NOBODY = frozenset()
+
+
 @dataclass(frozen=True)
 class AccessMatrix:
-    """Immutable permission table over roles x attributes; ``entries`` is a
-    read-only view, so worlds can share one matrix. Every query is a lookup
-    in tables derived from ``entries`` once, at construction."""
+    """The policy's two facts per attribute: the roles that may read it and
+    the roles that may write it, as read-only mappings, so worlds can share
+    one matrix. Each role's read column is derived from them once. Every
+    query is one lookup, and a role or attribute the policy does not hold
+    is readable and writable by nobody."""
 
-    entries: Mapping[tuple[Role, str], Permission]
-    attributes: tuple[str, ...]
+    readers: Mapping[str, frozenset[Role]]
+    writers: Mapping[str, frozenset[Role]]
 
     def __post_init__(self):
-        allowed = {}
-        for (role, attr), p in self.entries.items():
-            allowed[(role, attr, Action.READ)] = p is not Permission.NONE
-            allowed[(role, attr, Action.WRITE)] = p is Permission.READ_WRITE
+        columns = {r: frozenset(a for a, rs in self.readers.items() if r in rs) for r in Role}
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_holders", {Action.READ: self.readers, Action.WRITE: self.writers})
 
-        def holders(action: Action, attr: str) -> frozenset[Role]:
-            return frozenset(r for r in Role if allowed[(r, attr, action)])
-
-        tables = {
-            "_allowed": allowed,
-            "_writers": {a: holders(Action.WRITE, a) for a in self.attributes},
-            "_readers": {a: holders(Action.READ, a) for a in self.attributes},
-            "_columns": {r: frozenset(a for a in self.attributes if allowed[(r, a, Action.READ)])
-                         for r in Role},
-        }
-        for name, table in tables.items():
-            object.__setattr__(self, name, MappingProxyType(table))
-
-    def permission(self, role: Role, attribute: str) -> Permission:
-        try:
-            return self.entries[(Role(role), attribute)]
-        except (KeyError, ValueError):
-            raise UnknownEntry(f"no entry for ({role}, {attribute})") from None
+    @property
+    def attributes(self) -> tuple[str, ...]:
+        return tuple(self.readers)
 
     def check(self, role: Role, attribute: str, action: Action) -> bool:
         try:
-            return self._allowed[(role, attribute, action)]
-        except (KeyError, TypeError):
-            pass
-        self.permission(role, attribute)  # UnknownEntry for an unknown cell
-        return self._allowed[(Role(role), attribute, Action(action))]
+            holders = self._holders[action]
+        except KeyError:
+            raise ValueError(f"unknown action {action!r}") from None
+        return role in holders.get(attribute, _NOBODY)
 
     def writers_of(self, attribute: str) -> frozenset[Role]:
-        try:
-            return self._writers[attribute]
-        except KeyError:
-            raise UnknownEntry(f"unknown attribute {attribute}") from None
+        return self.writers.get(attribute, _NOBODY)
 
     def readers_of(self, attribute: str) -> frozenset[Role]:
-        try:
-            return self._readers[attribute]
-        except KeyError:
-            raise UnknownEntry(f"unknown attribute {attribute}") from None
+        return self.readers.get(attribute, _NOBODY)
 
     def read_column(self, role: Role) -> frozenset[str]:
-        try:
-            return self._columns[Role(role)]
-        except ValueError:
-            raise UnknownEntry(f"unknown role {role}") from None
-
-
-@dataclass(frozen=True)
-class ProtectionPlan:
-    """Per-attribute wire decisions for one send."""
-
-    decisions: tuple[tuple[str, Decision], ...]
-
-    def decision(self, attribute: str) -> Decision:
-        for name, d in self.decisions:
-            if name == attribute:
-                return d
-        raise KeyError(attribute)
+        return self._columns.get(role, _NOBODY)
 
 
 def load_policy(document: bytes | str) -> AccessMatrix:
@@ -213,16 +178,15 @@ def load_policy(document: bytes | str) -> AccessMatrix:
             if (role, attr) not in given:
                 raise MissingEntry(f"core cell ({role.value}, {attr}) absent")
 
-    entries = {
-        (role, attr): given.get((role, attr), Permission.NONE)
-        for role in Role
-        for attr in attributes
-    }
-    matrix = AccessMatrix(MappingProxyType(entries), tuple(attributes))
-    for attr in attributes:
-        if not matrix.writers_of(attr):
+    def holders(attr: str, *perms: Permission) -> frozenset[Role]:
+        return frozenset(r for r in Role if given.get((r, attr)) in perms)
+
+    readers = {a: holders(a, Permission.READ, Permission.READ_WRITE) for a in attributes}
+    writers = {a: holders(a, Permission.READ_WRITE) for a in attributes}
+    for attr, roles in writers.items():
+        if not roles:
             raise NoWriterForAttribute(f"no role holds RW on {attr}")
-    return matrix
+    return AccessMatrix(MappingProxyType(readers), MappingProxyType(writers))
 
 
 def protection_plan(
@@ -231,16 +195,17 @@ def protection_plan(
     receiver: Role,
     downstream_readers: Iterable[Role],
     attributes: Sequence[str],
-) -> ProtectionPlan:
+) -> dict[str, Decision]:
     """Choose a wire representation per attribute for one send.
 
     PLAIN if the receiver may read; otherwise SEALED for the downstream
     parties that may read; otherwise HASH_ONLY. The sender must itself
     hold read permission on anything it would emit as PLAIN or SEALED,
-    since both require the plaintext in hand.
+    since both require the plaintext in hand. An attribute the policy
+    does not hold is readable by nobody, so it goes HASH_ONLY.
     """
     downstream = frozenset(Role(r) for r in downstream_readers)
-    decisions: list[tuple[str, Decision]] = []
+    decisions: dict[str, Decision] = {}
     for attr in attributes:
         if matrix.check(receiver, attr, Action.READ):
             d = Decision(PlanKind.PLAIN)
@@ -251,8 +216,8 @@ def protection_plan(
             raise SenderCannotRead(
                 f"{Role(sender).value} may not read {attr} but would send it {d.kind.value}"
             )
-        decisions.append((attr, d))
-    return ProtectionPlan(tuple(decisions))
+        decisions[attr] = d
+    return decisions
 
 
 DEFAULT_POLICY_TEXT = """\

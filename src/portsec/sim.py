@@ -36,8 +36,9 @@ class Step:
 
     message   one secured message sender -> receiver; built fresh
               (``fields``/``authored``/``co_attest``, values and carried
-              signatures drawn from ``source``) or re-planned from the
-              sender's validated copy of ``source`` (``forward_of`` True).
+              signatures drawn from ``source``, sealed for ``downstream``)
+              or re-planned from the sender's validated copy of ``source``
+              (``forward_of`` True), which seals nothing new.
     ledger    one transaction: submit, endorse, commit.
     query     one ledger read by ``sender``.
     verify    full chain verification.
@@ -236,9 +237,7 @@ class Simulation:
         receiver_role = self.world.adapter(step.receiver).role
         if step.forward_of:
             report, received = self.inbound[step.source]
-            sm = forward(
-                sender, report, received, receiver_role, step.downstream, new_msg_type=step.msg_type,
-            )
+            sm = forward(sender, report, received, receiver_role, step.msg_type)
         else:
             sm = secure_outbound(
                 sender,

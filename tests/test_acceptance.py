@@ -45,6 +45,7 @@ from portsec.pki import create_root, create_subordinate
 from portsec.policy import Role, default_matrix
 from portsec.sim import run_scenario
 from portsec.transcript import LedgerEvent, ValidatedEvent, determinism_digest
+from test_sim import transit
 
 CNT = "COSU1234567"
 
@@ -177,14 +178,14 @@ def test_c05_confidentiality_audit_equality(honest_sims, base_fixtures):
     union: dict[str, frozenset] = {}
     for scenario in ("export", "import"):
         t = honest_sims[(scenario, "p2p")].transcript
-        views = audit_views(t)
+        views, handled_by = audit_views(t), transit(t)
         assert not views.flagged(), scenario
         for identity, role_token in t.actors.items():
             try:
                 role = Role(role_token)
             except ValueError:
                 continue
-            handled = views.handled.get(identity, frozenset())
+            handled = handled_by.get(identity, frozenset())
             exposed = views.exposure.get(identity, frozenset())
             assert exposed == read_column(matrix, role) & handled, (scenario, identity)
             union[identity] = union.get(identity, frozenset()) | exposed

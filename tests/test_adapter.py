@@ -27,10 +27,13 @@ from portsec.envelope import (
     value_digest,
 )
 from portsec.attacks import battery, inject_attack
+from portsec.audit import audit_views
 from portsec.fixtures import build_world, fixtures_from_bytes
 from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
 from portsec.policy import Role
 from portsec.sim import run_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.psf"
 
 VALUES = {
     "B_NO": "BKG-7401",
@@ -110,7 +113,7 @@ def test_forward_to_customs(world):
     sm = make_iftmcs(world)
     pcs = world.adapter("pcs-op")
     report = validate_inbound(pcs, sm, world.chain_of("sl1-clerk"))
-    fwd = forward(pcs, report, sm, Role.CUSTOMS, new_msg_type="MANIFEST")
+    fwd = forward(pcs, report, sm, Role.CUSTOMS, "MANIFEST")
 
     assert fwd.message.msg_type == "MANIFEST"
     assert fwd.sender == "pcs-op"
@@ -136,7 +139,7 @@ def test_forward_requires_acceptance(world):
     report = validate_inbound(pcs, tampered, world.chain_of("sl1-clerk"))
     assert not report.accepted
     with pytest.raises(NotValidated):
-        forward(pcs, report, tampered, Role.CUSTOMS)
+        forward(pcs, report, tampered, Role.CUSTOMS, "MANIFEST")
 
 
 def test_write_permission_enforced_outbound(world):
@@ -237,7 +240,7 @@ def test_sealed_ciphertext_tamper_found_at_opener(world):
     rep_pcs = validate_inbound(pcs, patched, world.chain_of("sl1-clerk"))
     # PCS cannot open the field; nothing else changed, so it still accepts.
     assert rep_pcs.accepted
-    fwd = forward(pcs, rep_pcs, patched, Role.CUSTOMS, new_msg_type="MANIFEST")
+    fwd = forward(pcs, rep_pcs, patched, Role.CUSTOMS, "MANIFEST")
     customs = world.adapter("customs-officer")
     rep = validate_inbound(customs, fwd, world.chain_of("pcs-op"))
     assert not rep.accepted
@@ -568,7 +571,7 @@ def test_phases_need_no_private_key_and_are_the_live_rule(monkeypatch):
         return report
 
     monkeypatch.setattr(sim_module, "validate_inbound", phases_then_live)
-    fx = fixtures_from_bytes((Path(__file__).resolve().parent / "data" / "golden.psf").read_bytes())
+    fx = fixtures_from_bytes(GOLDEN.read_bytes())
     export = run_scenario(fx, "export", "p2p")
     run_scenario(fx, "import", "p2p")
     for scenario in ("export", "import"):
@@ -581,3 +584,31 @@ def test_phases_need_no_private_key_and_are_the_live_rule(monkeypatch):
     assert {report.verdict for report, _ in hops} == {"ACCEPT", "REJECT"}
     assert {f.code for _, found in hops for f in found} == set(FindingCode) - {
         FindingCode.DIGEST_MISMATCH}
+
+
+@pytest.mark.parametrize("value", [Plain("x"), HashOnly(bytes(32))], ids=["plain", "hash-only"])
+def test_an_attribute_the_policy_does_not_hold_is_a_finding(value):
+    """The export's delivery reaches t1-op with one more field, ZZZ, which
+    the policy does not name. Nobody may write it, so no signature covers
+    it; nobody may read it, so its plaintext is a representation
+    violation. The hop rejects and nothing raises; the audit flags the
+    plaintext for t1-op."""
+    def append(step, sm):
+        if step != "delivery":
+            return sm
+        msg = sm.message
+        fields = msg.fields + (("ZZZ", value),)
+        return SecuredMessage(Message(msg.msg_type, msg.instance_id, fields), sm.signatures,
+                              sm.sender)
+
+    sim = run_scenario(fixtures_from_bytes(GOLDEN.read_bytes()), "export", "p2p",
+                       interceptor=append)
+    report, _ = sim.inbound["delivery"]
+    expected = [(FindingCode.WRITE_COVERAGE_GAP, "ZZZ")]
+    if isinstance(value, Plain):
+        expected.append((FindingCode.REPRESENTATION_VIOLATION, "ZZZ"))
+    assert report.verdict == "REJECT"
+    assert [(f.code, f.subject) for f in report.findings] == expected
+    assert "ZZZ" not in report.decrypted_view
+    excess = audit_views(sim.transcript).excess
+    assert excess["t1-op"] == ({"ZZZ"} if isinstance(value, Plain) else frozenset())

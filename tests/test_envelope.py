@@ -212,9 +212,13 @@ def test_verify_rejects_wrong_key(keys):
 
 
 def test_verify_accepts_der_public_key(keys):
+    """The key is DER bytes, as certificates carry it; bytes that are not
+    an RSA public key in DER fail closed."""
     sig = sign_plain(keys["alice"], FIELDS)
-    der = DEFAULT_SUITE.public_bytes(keys["alice"].public)
+    der = keys["alice"].public
     assert verify_multi_sig(der, sig, digests_of(FIELDS))
+    for junk in (b"", b"not a key", der[:-1], der[:20]):
+        assert not verify_multi_sig(junk, sig, digests_of(FIELDS)), junk
 
 
 def test_relabelled_or_permuted_signature_fails(keys):
@@ -240,7 +244,7 @@ def test_relabelled_or_permuted_signature_fails(keys):
 def signed(keys):
     """(DER public key, payload, signature) of one valid alice signature."""
     payload = digest(b"checked")
-    der = DEFAULT_SUITE.public_bytes(keys["alice"].public)
+    der = keys["alice"].public
     return der, payload, DEFAULT_SUITE.sign(keys["alice"].private, payload)
 
 
@@ -264,7 +268,7 @@ def test_repeat_check_verifies_once(signed, counting_suite):
 def test_new_payload_key_signature_or_suite_verifies_again(keys, signed, counting_suite):
     suite, other = counting_suite(), counting_suite()
     der, payload, sig = signed
-    bob = DEFAULT_SUITE.public_bytes(keys["bob"].public)
+    bob = keys["bob"].public
     verify(suite, der, payload, sig)
     assert not verify(suite, der, digest(b"other"), sig)
     assert not verify(suite, bob, payload, sig)
@@ -280,7 +284,7 @@ def test_cached_true_never_passes_a_flipped_signature_or_another_key(keys, signe
     for i in range(len(sig)):
         flipped = sig[:i] + bytes([sig[i] ^ 0x01]) + sig[i + 1 :]
         assert not verify(suite, der, payload, flipped), i
-    assert not verify(suite, DEFAULT_SUITE.public_bytes(keys["bob"].public), payload, sig)
+    assert not verify(suite, keys["bob"].public, payload, sig)
     assert verify(suite, der, payload, sig)
 
 
@@ -296,16 +300,16 @@ def test_verify_memo_is_bounded(signed, counting_suite):
     assert suite.verifies == VERIFY_MEMO_SIZE + 2
 
 
-def test_key_object_and_its_der_bytes_share_one_check(keys, counting_suite):
+def test_a_repeated_multi_sig_check_verifies_once(keys, counting_suite):
     suite = counting_suite()
     sig = sign_plain(keys["alice"], FIELDS)
     digests = digests_of(FIELDS)
-    der = suite.public_bytes(keys["alice"].public)
-    assert verify_multi_sig(keys["alice"].public, sig, digests, suite=suite)
+    der = keys["alice"].public
+    assert verify_multi_sig(der, sig, digests, suite=suite)
     assert verify_multi_sig(der, sig, digests, suite=suite)
     assert suite.verifies == 1
     bad = digests_of([(n, v + "!") for n, v in FIELDS])
-    assert not verify_multi_sig(keys["alice"].public, sig, bad, suite=suite)
+    assert not verify_multi_sig(der, sig, bad, suite=suite)
     assert not verify_multi_sig(der, sig, bad, suite=suite)
     assert suite.verifies == 2
 

@@ -26,7 +26,7 @@ def pki():
     t_ca = create_subordinate(root, "T1-CA", validity=(0, 500))
     clerk_kp = DEFAULT_SUITE.generate_keypair("sl1-clerk")
     clerk = sl_ca.issue(
-        "sl1-clerk", "SL1", "SHIPPING_LINE", DEFAULT_SUITE.public_bytes(clerk_kp.public), (0, 400)
+        "sl1-clerk", "SL1", "SHIPPING_LINE", clerk_kp.public, (0, 400)
     )
     registry = {ca.name: ca for ca in (root, sl_ca, t_ca)}
     return {
@@ -83,7 +83,7 @@ def test_foreign_root_untrusted(pki):
     other_root = create_root("OtherRoot", validity=(0, 1000))
     other_ca = create_subordinate(other_root, "X-CA", validity=(0, 500))
     kp = DEFAULT_SUITE.generate_keypair("mallory")
-    leaf = other_ca.issue("mallory", "X", "TERMINAL", DEFAULT_SUITE.public_bytes(kp.public), (0, 400))
+    leaf = other_ca.issue("mallory", "X", "TERMINAL", kp.public, (0, 400))
     res = validate_chain(
         leaf,
         [other_ca.cert, other_root.cert],
@@ -98,7 +98,7 @@ def test_foreign_root_untrusted(pki):
 def test_revocation(pki):
     sl_ca = pki["sl_ca"]
     kp = DEFAULT_SUITE.generate_keypair("sl1-temp")
-    temp = sl_ca.issue("sl1-temp", "SL1", "SHIPPING_LINE", DEFAULT_SUITE.public_bytes(kp.public), (0, 400))
+    temp = sl_ca.issue("sl1-temp", "SL1", "SHIPPING_LINE", kp.public, (0, 400))
     ok = validate_chain(temp, [sl_ca.cert], pki["root"].cert, at=10, ca_registry=pki["registry"])
     assert ok.valid
 
@@ -137,13 +137,12 @@ def test_expiry(pki):
 def test_validity_containment(pki):
     kp = DEFAULT_SUITE.generate_keypair("late")
     with pytest.raises(ValidityOutsideIssuer):
-        pki["sl_ca"].issue("late", "SL1", "SHIPPING_LINE", DEFAULT_SUITE.public_bytes(kp.public), (0, 501))
+        pki["sl_ca"].issue("late", "SL1", "SHIPPING_LINE", kp.public, (0, 501))
 
 
 def test_serials_unique(pki):
     t_ca = pki["t_ca"]
-    kp = DEFAULT_SUITE.generate_keypair("x")
-    pub = DEFAULT_SUITE.public_bytes(kp.public)
+    pub = DEFAULT_SUITE.generate_keypair("x").public
     a = t_ca.issue("t1-a", "T1", "TERMINAL", pub, (0, 400))
     b = t_ca.issue("t1-b", "T1", "TERMINAL", pub, (0, 400))
     assert a.serial != b.serial
@@ -181,7 +180,7 @@ def cached_chain(counting_suite):
     root = create_root("MemoRoot", validity=(0, 1000), suite=suite)
     ca = create_subordinate(root, "Memo-CA", validity=(0, 500), suite=suite)
     kp = suite.generate_keypair("memo-clerk")
-    leaf = ca.issue("memo-clerk", "SL1", "SHIPPING_LINE", suite.public_bytes(kp.public), (0, 400))
+    leaf = ca.issue("memo-clerk", "SL1", "SHIPPING_LINE", kp.public, (0, 400))
     registry = {c.name: c for c in (root, ca)}
 
     def check(cert=leaf, at=100):

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from portsec.audit import read_column
 from portsec.model import CORE_ATTRIBUTES
 from portsec.policy import (
+    DEFAULT_POLICY_TEXT,
     Action,
     Decision,
     MissingEntry,
     NoWriterForAttribute,
-    Permission,
     PlanKind,
     PolicyParseError,
     Role,
     SenderCannotRead,
-    UnknownEntry,
     default_matrix,
     load_policy,
     protection_plan,
@@ -46,7 +45,8 @@ def matrix():
 def test_every_core_cell(matrix):
     for role, row in CORE_TABLE.items():
         for attr, cell in zip(CORE_ATTRIBUTES, row):
-            assert matrix.permission(role, attr) is Permission(cell), (role, attr)
+            assert matrix.check(role, attr, Action.READ) is (cell != "-"), (role, attr)
+            assert matrix.check(role, attr, Action.WRITE) is (cell == "RW"), (role, attr)
 
 
 def test_check_semantics(matrix):
@@ -55,8 +55,7 @@ def test_check_semantics(matrix):
     assert matrix.check(Role.TERMINAL, "B_NO", Action.WRITE) is False
     assert matrix.check(Role.TERMINAL, "B_NO", Action.READ) is True
     assert matrix.check(Role.CUSTOMS, "B_NO", Action.READ) is False
-    with pytest.raises(UnknownEntry):
-        matrix.check(Role.PCS, "NOT_AN_ATTRIBUTE", Action.READ)
+    assert matrix.check(Role.PCS, "NOT_AN_ATTRIBUTE", Action.READ) is False
 
 
 def test_writers_of_oracles(matrix):
@@ -66,8 +65,7 @@ def test_writers_of_oracles(matrix):
     assert matrix.writers_of("DG") == {Role.IMPORTER}
     assert matrix.writers_of("ATB_NO") == {Role.CUSTOMS}
     assert matrix.writers_of("CNT_LOC") == {Role.TERMINAL}
-    with pytest.raises(UnknownEntry):
-        matrix.writers_of("NOPE")
+    assert matrix.writers_of("NOPE") == frozenset()
 
 
 def test_extension_rows(matrix):
@@ -92,21 +90,25 @@ def test_check_writers_consistency(matrix):
             )
 
 
+def _cells(text: str) -> dict[tuple[str, str], str]:
+    """(role, attribute) -> R, RW or -, as the document states it."""
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return {(role, attr): perm for role, attr, perm in (t for t in lines if t)}
+
+
 @pytest.mark.parametrize("doc", ["default", "extension"])
 def test_lookup_tables_agree_with_permission(doc):
-    """check, writers_of, readers_of and read_column answer from tables
-    built once; each must match the cell ``permission`` returns, for role
-    members and role strings alike."""
-    matrix = default_matrix() if doc == "default" else load_policy(
+    """check, writers_of, readers_of and read_column answer from the two
+    role sets built once; each must match the cell the document states
+    (an unlisted one is -), for role members and role strings alike."""
+    text = DEFAULT_POLICY_TEXT if doc == "default" else (
         DEFAULT_CORE_ONLY + "PCS NEW_FLAG R\nCUSTOMS NEW_FLAG RW\n"
     )
+    matrix, cells = load_policy(text), _cells(text)
     for role in Role:
         for attr in matrix.attributes:
-            p = matrix.permission(role, attr)
-            may = {
-                Action.READ: p in (Permission.READ, Permission.READ_WRITE),
-                Action.WRITE: p is Permission.READ_WRITE,
-            }
+            cell = cells.get((role.value, attr), "-")
+            may = {Action.READ: cell != "-", Action.WRITE: cell == "RW"}
             for action, expected in may.items():
                 assert matrix.check(role, attr, action) is expected, (role, attr, action)
                 assert matrix.check(role.value, attr, action.value) is expected
@@ -117,16 +119,17 @@ def test_lookup_tables_agree_with_permission(doc):
         assert read_column(matrix, role) is read_column(matrix, role.value)  # a lookup
 
 
-def test_lookups_refuse_unknown_entries(matrix):
-    for query in (
-        lambda: matrix.check("NOBODY", "B_NO", Action.READ),
-        lambda: matrix.check(Role.PCS, "NOPE", "READ"),
-        lambda: matrix.check(["PCS"], "B_NO", Action.READ),
-        lambda: matrix.readers_of("NOPE"),
-        lambda: read_column(matrix, "NOBODY"),
-    ):
-        with pytest.raises(UnknownEntry):
-            query()
+def test_unknown_names_answer_no_permission(matrix):
+    """A role or attribute the policy does not hold is readable and
+    writable by nobody: every lookup fails closed and none raises."""
+    for role in ("NOBODY", "ORDERER", "", None):
+        for action in Action:
+            assert matrix.check(role, "B_NO", action) is False, (role, action)
+        assert read_column(matrix, role) == frozenset(), role
+    for attr in ("NOPE", "", "b_no"):
+        for action in ("READ", "WRITE"):
+            assert matrix.check(Role.IMPORTER, attr, action) is False, (attr, action)
+        assert matrix.readers_of(attr) == matrix.writers_of(attr) == frozenset(), attr
     with pytest.raises(ValueError):
         matrix.check(Role.PCS, "B_NO", "DELETE")
 
@@ -173,7 +176,8 @@ def test_no_writer_rejected():
 def test_unlisted_extension_cell_defaults_to_none(matrix):
     doc = DEFAULT_CORE_ONLY + "PCS NEW_FLAG R\nCUSTOMS NEW_FLAG RW\n"
     m = load_policy(doc)
-    assert m.permission(Role.IMPORTER, "NEW_FLAG") is Permission.NONE
+    assert Role.IMPORTER not in m.readers_of("NEW_FLAG")
+    assert m.readers_of("NEW_FLAG") == {Role.PCS, Role.CUSTOMS}
     assert m.writers_of("NEW_FLAG") == {Role.CUSTOMS}
 
 
@@ -190,7 +194,9 @@ DEFAULT_CORE_ONLY = (
 def test_default_matrix_is_parsed_once_and_read_only(matrix):
     assert default_matrix() is matrix
     with pytest.raises(TypeError):
-        matrix.entries[(Role.PCS, "CNT_C")] = Permission.READ_WRITE
+        matrix.writers["CNT_C"] = frozenset(Role)
+    with pytest.raises(TypeError):
+        matrix.readers["NEW"] = frozenset(Role)
     assert load_policy(DEFAULT_CORE_ONLY) is not load_policy(DEFAULT_CORE_ONLY)
 
 
@@ -199,7 +205,8 @@ def test_comments_and_blanks_ignored():
         "IMPORTER B_NO R", "IMPORTER B_NO R # trailing note"
     )
     m = load_policy(doc)
-    assert m.permission(Role.IMPORTER, "B_NO") is Permission.READ
+    assert m.check(Role.IMPORTER, "B_NO", Action.READ)
+    assert not m.check(Role.IMPORTER, "B_NO", Action.WRITE)
 
 
 # --- protection plans -------------------------------------------------------
@@ -215,12 +222,12 @@ def test_plan_iftmcs_to_pcs(matrix):
         {Role.CUSTOMS},
         ["B_NO", "BL_NO", "CNT_C", "CNT_W", "CSG_DATA", "CNT_NO"],
     )
-    assert plan.decision("B_NO") == Decision(PlanKind.PLAIN)
-    assert plan.decision("BL_NO") == Decision(PlanKind.PLAIN)
-    assert plan.decision("CNT_W") == Decision(PlanKind.PLAIN)
-    assert plan.decision("CNT_NO") == Decision(PlanKind.PLAIN)
-    assert plan.decision("CNT_C") == Decision(PlanKind.SEALED, frozenset({Role.CUSTOMS}))
-    assert plan.decision("CSG_DATA") == Decision(PlanKind.SEALED, frozenset({Role.CUSTOMS}))
+    assert plan["B_NO"] == Decision(PlanKind.PLAIN)
+    assert plan["BL_NO"] == Decision(PlanKind.PLAIN)
+    assert plan["CNT_W"] == Decision(PlanKind.PLAIN)
+    assert plan["CNT_NO"] == Decision(PlanKind.PLAIN)
+    assert plan["CNT_C"] == Decision(PlanKind.SEALED, frozenset({Role.CUSTOMS}))
+    assert plan["CSG_DATA"] == Decision(PlanKind.SEALED, frozenset({Role.CUSTOMS}))
     assert matrix.writers_of("CNT_C") == {Role.IMPORTER}
 
 
@@ -229,16 +236,24 @@ def test_plan_manifest_to_customs(matrix):
     plan = protection_plan(
         matrix, Role.PCS, Role.CUSTOMS, set(), ["B_NO", "BL_NO", "CNT_W", "CNT_NO"]
     )
-    assert plan.decision("B_NO") == Decision(PlanKind.HASH_ONLY)
+    assert plan["B_NO"] == Decision(PlanKind.HASH_ONLY)
     for attr in ("BL_NO", "CNT_W", "CNT_NO"):
-        assert plan.decision(attr) == Decision(PlanKind.PLAIN)
+        assert plan[attr] == Decision(PlanKind.PLAIN)
 
 
 def test_plan_full_read_receiver(matrix):
     plan = protection_plan(
         matrix, Role.SHIPPING_LINE, Role.SHIPPING_LINE, set(), list(CORE_ATTRIBUTES[:4])
     )
-    assert all(d == Decision(PlanKind.PLAIN) for _, d in plan.decisions)
+    assert all(d == Decision(PlanKind.PLAIN) for d in plan.values())
+
+
+def test_plan_hashes_an_attribute_the_policy_does_not_hold(matrix):
+    """Nobody may read an unknown attribute, so its plaintext goes
+    HASH_ONLY whoever sends it; the receiver then finds it has no writer."""
+    for sender in Role:
+        plan = protection_plan(matrix, sender, Role.CUSTOMS, set(Role), ["ZZZ", "CNT_NO"])
+        assert plan == {"ZZZ": Decision(PlanKind.HASH_ONLY), "CNT_NO": Decision(PlanKind.PLAIN)}
 
 
 def test_plan_sender_cannot_read(matrix):
@@ -263,7 +278,7 @@ def test_plan_soundness_and_completeness(sender, receiver, downstream, attrs):
         plan = protection_plan(matrix, sender, receiver, downstream, attrs)
     except SenderCannotRead:
         return
-    for attr, d in plan.decisions:
+    for attr, d in plan.items():
         readable = matrix.readers_of(attr)
         if d.kind is PlanKind.PLAIN:
             assert receiver in readable
