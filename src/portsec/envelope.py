@@ -92,9 +92,21 @@ _PKCS1 = padding.PKCS1v15()
 _PREHASHED = utils.Prehashed(hashes.SHA256())
 
 
+def _rsa_key(kind: type, load):
+    """``load()``, a key of RSA ``kind``; raises ValueError for anything else."""
+    try:
+        key = load()
+    except (TypeError, UnsupportedAlgorithm) as exc:
+        raise ValueError(str(exc)) from None
+    if not isinstance(key, kind):
+        raise ValueError(f"{type(key).__name__} is not an RSA key")
+    return key
+
+
 @lru_cache(maxsize=256)
 def _load_public(der: bytes) -> rsa.RSAPublicKey:
-    return serialization.load_der_public_key(der)
+    """The RSA public key in ``der``, type-checked once per cached key."""
+    return _rsa_key(rsa.RSAPublicKey, lambda: serialization.load_der_public_key(der))
 
 
 class CryptoSuite:
@@ -121,9 +133,7 @@ class CryptoSuite:
         # bytes (exported chains embed certificates): fail closed
         try:
             key = _load_public(public)
-        except (ValueError, UnsupportedAlgorithm):
-            return False
-        if not isinstance(key, rsa.RSAPublicKey):
+        except ValueError:
             return False
         try:
             key.verify(sig, payload, _PKCS1, _PREHASHED)
@@ -166,13 +176,7 @@ class CryptoSuite:
 
     def load_private(self, der: bytes) -> rsa.RSAPrivateKey:
         """Raises ValueError unless ``der`` is an unencrypted PKCS#8 RSA key."""
-        try:
-            key = serialization.load_der_private_key(der, password=None)
-        except (TypeError, UnsupportedAlgorithm) as exc:
-            raise ValueError(str(exc)) from None
-        if not isinstance(key, rsa.RSAPrivateKey):
-            raise ValueError(f"{type(key).__name__} is not an RSA key")
-        return key
+        return _rsa_key(rsa.RSAPrivateKey, lambda: serialization.load_der_private_key(der, None))
 
 
 DEFAULT_SUITE = CryptoSuite()

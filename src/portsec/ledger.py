@@ -140,15 +140,16 @@ class Transaction:
     invoker_signature: bytes
     endorsements: tuple[tuple[str, bytes], ...] = ()  # (endorser identity, sig)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):  # replace() runs it again, so the body never outlives its fields
-        body = records.encode("TXB", self.invoker.subject, f"{self.invoker.serial}",
-                              self.action.value, self.cnt_no, *(e for kv in self.args for e in kv))
-        object.__setattr__(self, "_body", body[:-1])
+    # replace() leaves it out, so the body never outlives its fields
+    _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def body_bytes(self) -> bytes:
         """Canonical signed portion: everything except signatures, as a
         ``TXB`` record without its terminator, encoded once per object."""
+        if self._body is None:
+            object.__setattr__(self, "_body", records.encode(
+                "TXB", self.invoker.subject, f"{self.invoker.serial}", self.action.value,
+                self.cnt_no, *(e for kv in self.args for e in kv))[:-1])
         return self._body
 
     def arg(self, key: str) -> str | None:
@@ -390,8 +391,8 @@ def _apply(tx: Transaction, state: dict[str, ContainerAsset]) -> None:
             terminal=tx.arg("terminal"),
         )
     else:
-        _, nxt = TRANSITIONS[tx.action]
-        state[tx.cnt_no] = replace(state[tx.cnt_no], state=nxt)
+        a, (_, nxt) = state[tx.cnt_no], TRANSITIONS[tx.action]
+        state[tx.cnt_no] = ContainerAsset(a.cnt_no, nxt, a.shipping_line, a.terminal)
 
 
 def submit(
@@ -590,11 +591,15 @@ def _digests(block: Block, suite: CryptoSuite) -> tuple[bytes, bytes]:
     lines; link digest of ``block_bytes``) under ``suite``, as the block remembers
     them; one built by ``replace``, or remembered under another suite, is hashed again."""
     if block._memo is None or block._memo[0] is not suite:
-        data = block_bytes(block)
-        cut = data.index(b"\n")  # the signature ends the BLK line; base64 holds no "+"
-        payload = suite.digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
-        object.__setattr__(block, "_memo", (suite, payload, suite.digest(data)))
+        _hash_block(block, suite, block_bytes(block))
     return block._memo[1:]
+
+
+def _hash_block(block: Block, suite: CryptoSuite, data: bytes) -> None:
+    """Remember ``_digests`` of ``block`` under ``suite`` from its ``block_bytes``, ``data``."""
+    cut = data.index(b"\n")  # the signature ends the BLK line; base64 holds no "+"
+    payload = suite.digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
+    object.__setattr__(block, "_memo", (suite, payload, suite.digest(data)))
 
 
 def export_chain(net: LedgerNet) -> bytes:
@@ -659,11 +664,17 @@ _LAYOUT = {b"LEDGER": (0, 3, 0), b"ANCHOR": (1, 3, 0), b"BASE": (2, 5, 1),
 
 def parse_chain(data: bytes) -> ExportedChain:
     """Strict parse of an exported chain under ``records.read_file``'s
-    one-byte-form rule; a malformed line or a non-canonical integer raises."""
+    one-byte-form rule; a malformed line or a non-canonical integer raises.
+    When the next BLK record (or the end) closes a block, it remembers its
+    ``_digests`` under ``DEFAULT_SUITE``, hashed from its records' elements:
+    one byte form makes them, joined, the records' ``records.encode`` output."""
     suite_id = orderer = ""
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
-    blocks: list[tuple[tuple[int, bytes, bytes], list[Transaction]]] = []  # header, TXNs
+    blocks: list[Block] = []
+    header: tuple[int, bytes, bytes] | None = None  # of the open block, with its TXNs
+    txns: list[Transaction] = []
+    elems: list[list[bytes]] = []  # of each of the open block's records, BLK first
 
     for rec in records.read_file(data, _LAYOUT, "chain"):
         tag = rec.tag
@@ -685,14 +696,24 @@ def parse_chain(data: bytes) -> ExportedChain:
             cert = cert_from_record(rec)
             certs[cert.subject] = cert
         elif tag == b"BLK":
-            blocks.append(((rec.int(1, 1), rec.b64(2), rec.b64(3)), []))
-        elif not blocks:
+            if header is not None:
+                blocks.append(_parsed_block(header, txns, elems))
+            header, txns, elems = (rec.int(1, 1), rec.b64(2), rec.b64(3)), [], [rec.elems]
+        elif header is None:
             raise ParseError("TXN before any BLK", rec.offset)
         else:
-            blocks[-1][1].append(_parse_txn(rec, certs))
-    return ExportedChain(suite_id, orderer, baseline, certs, tuple(
-        Block(index, prev, tuple(txns), sig) for (index, prev, sig), txns in blocks
-    ))
+            txns.append(_parse_txn(rec, certs))
+            elems.append(rec.elems)
+    if header is not None:
+        blocks.append(_parsed_block(header, txns, elems))
+    return ExportedChain(suite_id, orderer, baseline, certs, tuple(blocks))
+
+
+def _parsed_block(header: tuple[int, bytes, bytes], txns: list[Transaction],
+                  elems: list[list[bytes]]) -> Block:
+    block = Block(header[0], header[1], tuple(txns), header[2])
+    _hash_block(block, DEFAULT_SUITE, b"\n".join(b"+".join(e) + b"'" for e in elems) + b"\n")
+    return block
 
 
 def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transaction:
@@ -713,7 +734,10 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
         raise ParseError(f"transaction invoker {subject} has no certificate record", rec.offset)
     if invoker.serial != serial:
         raise ParseError(f"certificate serial mismatch for {subject}", rec.offset)
-    return Transaction(invoker, action, rec.text(2), args, rec.b64(5), endorsements)
+    tx = Transaction(invoker, action, rec.text(2), args, rec.b64(5), endorsements)
+    e = rec.elems  # in the TXB body's order; each text element as encode() escapes it
+    object.__setattr__(tx, "_body", b"+".join((b"TXB", e[3], e[4], e[1], e[2], *e[7:args_end])))
+    return tx
 
 
 def verify_exported(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import binascii
 import re
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 # One scan finds every release pair (or a dangling release) and separator.
@@ -66,22 +67,24 @@ def _b64encode(data: bytes) -> bytes:
 
 
 class Record:
-    """One decoded record: raw elements, tag first, with their offsets."""
+    """One decoded record: raw elements, tag first, from byte ``offset``."""
 
-    __slots__ = ("elems", "offsets", "released")
+    __slots__ = ("elems", "offset", "released")
 
-    def __init__(self, elems: list[bytes], offsets: list[int], released: set[int]):
+    def __init__(self, elems: list[bytes], offset: int, released: set[int]):
         self.elems = elems
-        self.offsets = offsets
+        self.offset = offset
         self.released = released  # indices of elements holding a release pair
+
+    @property
+    def offsets(self) -> list[int]:
+        """Each element's offset: one separator byte follows each. Only
+        error paths read it, so no scan computes it."""
+        return list(accumulate((len(e) + 1 for e in self.elems[:-1]), initial=self.offset))
 
     @property
     def tag(self) -> bytes:
         return self.elems[0]
-
-    @property
-    def offset(self) -> int:
-        return self.offsets[0]
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -104,27 +107,27 @@ class Record:
         return self.elems[i]
 
     def text(self, i: int) -> str:
-        raw, offset = self._raw(i), self.offsets[i]
+        raw = self._raw(i)
         if i in self.released:
             for m in _RELEASED.finditer(raw):
                 if m.group(1) not in b"+'?":
                     raise ParseError(
-                        "release character before non-special byte", offset + m.start()
+                        "release character before non-special byte", self.offsets[i] + m.start()
                     )
             raw = _RELEASED.sub(rb"\1", raw)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"token is not valid UTF-8: {exc}", offset) from None
+            raise ParseError(f"token is not valid UTF-8: {exc}", self.offsets[i]) from None
 
     def b64(self, i: int) -> bytes:
-        raw, offset = self._raw(i), self.offsets[i]
+        raw = self._raw(i)
         try:
             decoded = binascii.a2b_base64(raw.translate(_FROM_URLSAFE))
         except binascii.Error as exc:
-            raise ParseError(f"invalid base64 element: {exc}", offset) from None
+            raise ParseError(f"invalid base64 element: {exc}", self.offsets[i]) from None
         if _b64encode(decoded) != raw:
-            raise ParseError("non-canonical base64 element", offset)
+            raise ParseError("non-canonical base64 element", self.offsets[i])
         return decoded
 
     def int(self, i: int, width: int = 0) -> int:
@@ -151,12 +154,8 @@ def _scan(data: bytes, start: int, end: int) -> list[Record]:
         raise ParseError("unterminated final segment", end)
     records = []
     for part in parts:
-        elems = part.split(b"+")
-        offsets = []
-        for elem in elems:
-            offsets.append(start)
-            start += len(elem) + 1
-        records.append(Record(elems, offsets, set()))
+        records.append(Record(part.split(b"+"), start, set()))
+        start += len(part) + 1
     return records
 
 
@@ -165,7 +164,7 @@ def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
     that also records which elements hold a release pair."""
     records = []
     elems: list[bytes] = []
-    offsets = [start]
+    first = start
     released: set[int] = set()
     for m in _SCAN.finditer(data, start, end):
         at = m.start()
@@ -177,11 +176,9 @@ def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
             continue
         elems.append(data[start:at])
         start = at + 1
-        if sep == _PLUS:
-            offsets.append(start)
-        else:
-            records.append(Record(elems, offsets, released))
-            elems, offsets, released = [], [start], set()
+        if sep != _PLUS:
+            records.append(Record(elems, first, released))
+            elems, first, released = [], start, set()
     if elems or start != end:
         raise ParseError("unterminated final segment", end)
     return records

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import strategies as st
 
 from portsec.envelope import (
@@ -219,6 +220,17 @@ def test_verify_accepts_der_public_key(keys):
     assert verify_multi_sig(der, sig, digests_of(FIELDS))
     for junk in (b"", b"not a key", der[:-1], der[:20]):
         assert not verify_multi_sig(junk, sig, digests_of(FIELDS)), junk
+
+
+def test_a_non_rsa_key_neither_wraps_nor_verifies(keys):
+    """An Ed25519 key in DER is refused with ValueError by the wrap and
+    fails closed in a signature check: both go through one loader."""
+    der = DEFAULT_SUITE.public_bytes(Ed25519PrivateKey.generate().public_key())
+    with pytest.raises(ValueError, match="not an RSA key"):
+        DEFAULT_SUITE.wrap_key(der, bytes(32))
+    assert not DEFAULT_SUITE.verify(der, bytes(32), bytes(256))
+    with pytest.raises(ValueError):  # DER that holds no key at all
+        DEFAULT_SUITE.wrap_key(b"not a key", bytes(32))
 
 
 def test_relabelled_or_permuted_signature_fails(keys):

@@ -1057,17 +1057,42 @@ def test_live_verifier_encodes_no_block(world, net, txn_lines):
     assert txn_lines == []
 
 
-def test_offline_verifier_encodes_each_parsed_block_once(world, net, txn_lines):
-    """A parsed block is encoded on its first verify and remembers its
-    digests from then on."""
+def test_offline_verifier_encodes_no_parsed_block(world, net, txn_lines):
+    """A parsed block remembers the digests of the records it was read
+    from, so neither its first verify nor a second encodes it again."""
     full_lifecycle(world, net)
     parsed = parse_chain(export_chain(net))
     txn_lines.clear()
     assert verify_exported(parsed).valid
-    assert txn_lines == [tx for b in parsed.blocks for tx in b.transactions]
-    txn_lines.clear()
+    assert txn_lines == []
     assert verify_exported(parsed).valid
     assert txn_lines == []
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The tag of each ``records.encode`` call, in call order."""
+    calls = []
+    encode = records.encode
+
+    def counted(tag, *elems):
+        calls.append(tag)
+        return encode(tag, *elems)
+
+    monkeypatch.setattr(records, "encode", counted)
+    return calls
+
+
+def test_parse_chain_encodes_nothing(world, net, encoded):
+    """Parsing an export encodes no record, and its offline verify encodes
+    only the head's certificate bodies, which it checks."""
+    full_lifecycle(world, net)
+    data = export_chain(net)
+    encoded.clear()
+    parsed = parse_chain(data)
+    assert encoded == []
+    assert verify_exported(parsed).valid
+    assert encoded == ["CERT"] * len(parsed.certs)
 
 
 def _content_edit(block):
@@ -1098,8 +1123,9 @@ def test_a_replaced_block_forgets_its_digests(world, net, edit, reason):
 
 def test_a_second_suite_recomputes_the_digests(world, net, txn_lines, counting_suite):
     """Digests remembered under one suite object are not trusted under
-    another; recomputed from a parsed block's canonical encoding, they
-    equal the ones commit hashed from the lines it signed."""
+    another: a parsed block is encoded again, and the digests of its
+    canonical encoding equal the ones commit hashed from the lines it
+    signed."""
     full_lifecycle(world, net)
     parsed = parse_chain(export_chain(net))
     assert verify_exported(parsed).valid
@@ -1209,19 +1235,13 @@ def _edits(chain, picks):
     yield len(chain) - 1, replace(chain[-1], orderer_signature=_flip(chain[-1].orderer_signature))
 
 
-@settings(max_examples=20)
-@given(
-    batches=st.lists(st.lists(_op, min_size=1, max_size=2), min_size=1, max_size=5),
-    picks=st.lists(st.integers(0, 999), min_size=5, max_size=5),
-)
-def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
-    """Seeded submit/endorse/commit sequences over awkward container text:
-    the export parses back to the committed blocks, no committed block is
-    rejected, and the cold live, warm live and offline verifiers, and the
-    net's own verifier reading its record of the last, unverified batch,
-    give the same verdict on the chain and on each single-field edit of
-    it."""
-    world = shared_world
+_batches = st.lists(st.lists(_op, min_size=1, max_size=2), min_size=1, max_size=5)
+
+
+def _grow(world, batches):
+    """A net that ran one whole lifecycle, then committed ``batches``,
+    verifying each batch but the last: the net and its world state by
+    chain length."""
     net = build_net(world)
     states = {1: {}}  # world state by chain length
     for state, (action, invoker, endorser) in NEXT_STEP.items():
@@ -1243,7 +1263,22 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
         assert all(isinstance(exc, StaleTransaction) for _, exc in res.rejected)
         created += [tx.cnt_no for tx in res.block.transactions if tx.cnt_no not in created]
         states[len(net.chain)] = dict(net.world_state)
+    return net, states
 
+
+@settings(max_examples=20)
+@given(
+    batches=_batches,
+    picks=st.lists(st.integers(0, 999), min_size=5, max_size=5),
+)
+def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
+    """Seeded submit/endorse/commit sequences over awkward container text:
+    the export parses back to the committed blocks, no committed block is
+    rejected, and the cold live, warm live and offline verifiers, and the
+    net's own verifier reading its record of the last, unverified batch,
+    give the same verdict on the chain and on each single-field edit of
+    it."""
+    net, states = _grow(shared_world, batches)
     parsed = parse_chain(export_chain(net))
     assert parsed.blocks == tuple(net.chain)
     unverified = net.chain[len(net._verified.blocks):]
@@ -1261,3 +1296,27 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     verdicts = [*_verdicts(net, net.chain, k, states), (own.valid, own.first_bad_block, own.reason)]
     assert verdicts == [(True, None, "")] * 4
     assert replace(parsed, blocks=()) == net._verified.head
+
+
+@settings(max_examples=10)
+@given(batches=_batches)
+def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches):
+    """Over the differential's chains, and their CRLF and indented
+    re-writes, each parsed block remembers the digests of its canonical
+    re-encoding and each parsed transaction the body it encodes to; a
+    header naming another suite still fails at the head."""
+    net, _ = _grow(shared_world, batches)
+    data = export_chain(net)
+    indented = b"".join(b" \t" + line for line in data.splitlines(keepends=True))
+    for text in (data, data.replace(b"\n", b"\r\n"), indented):
+        parsed = parse_chain(text)
+        assert parsed.blocks == tuple(net.chain)
+        for block in parsed.blocks:
+            assert block._memo[0] is DEFAULT_SUITE
+            assert block._memo[1:] == ledger._digests(replace(block), DEFAULT_SUITE)
+            for tx in block.transactions:
+                assert tx.body_bytes() == replace(tx).body_bytes()
+        other = parse_chain(text.replace(DEFAULT_SUITE.suite_id.encode(), b"OTHER", 1))
+        res = verify_exported(other)
+        assert (res.valid, res.first_bad_block, res.reason) == (
+            False, None, "suite mismatch: OTHER")

@@ -115,7 +115,7 @@ def _reference_b64(raw: bytes):
     st.binary(max_size=12),
 ))
 def test_b64_accepts_exactly_the_canonical_urlsafe_encodings(raw):
-    rec = records.Record([b"T", raw], [0, 2], set())
+    rec = records.Record([b"T", raw], 0, set())
     try:
         got = rec.b64(1)
     except ParseError as exc:
@@ -145,6 +145,84 @@ def test_split_scan_matches_the_regex_scan(prefix, parts, suffix):
     assert _scanned(records._scan, data, start, end) == _scanned(
         records._scan_released, data, start, end
     )
+
+
+def _eager_scan(data: bytes, start: int, end: int):
+    """The scan ``_scan`` replaced, kept as the oracle of record offsets:
+    one regex pass that lists every element's offset as it goes, giving
+    (elements, offsets, released) per record."""
+    found = []
+    elems, offsets, released = [], [start], set()
+    for m in records._SCAN.finditer(data, start, end):
+        at = m.start()
+        if data[at] == ord("?"):
+            if m.end() - at == 1:
+                raise ParseError("dangling release character", at)
+            released.add(len(elems))
+            continue
+        elems.append(data[start:at])
+        start = at + 1
+        if data[at] == ord("+"):
+            offsets.append(start)
+        else:
+            found.append((elems, offsets, released))
+            elems, offsets, released = [], [start], set()
+    if elems or start != end:
+        raise ParseError("unterminated final segment", end)
+    return found
+
+
+class _EagerRecord(records.Record):
+    """A record whose offsets are the oracle's list."""
+
+    __slots__ = ("eager",)
+
+    @property
+    def offsets(self):
+        return self.eager
+
+
+def _failure(call):
+    try:
+        call()
+    except ParseError as exc:
+        return str(exc), exc.offset
+    return None
+
+
+_plain = [b"A", b"0", b"7", b"=", b"-", b"\xc3\xa9", b"\xff"]
+_released = [*_plain, b"?+", b"?'", b"??", b"?A"]
+
+
+def _records(tokens):
+    """Well-formed record text over ``tokens``, so that most draws scan."""
+    elem = st.lists(st.sampled_from(tokens), max_size=4).map(b"".join)
+    record = st.lists(elem, min_size=1, max_size=5).map(lambda es: b"+".join(es) + b"'")
+    return st.lists(record, max_size=4).map(b"".join)
+
+
+@given(st.binary(max_size=3), _records(_plain) | _records(_released),
+       st.sampled_from([b"", b"A", b"?", b"+A"]))
+def test_offsets_match_the_eager_scan(prefix, body, tail):
+    """Records keep only their start; each element's offset, and the offset
+    of every error a scan or an accessor raises, is the eager scan's."""
+    body += tail
+    data = prefix + body + b"?"
+    start, end = len(prefix), len(prefix) + len(body)
+    scanned, eager = _failure(lambda: records._scan(data, start, end)), _failure(
+        lambda: _eager_scan(data, start, end))
+    assert scanned == eager
+    if eager is not None:
+        return
+    for rec, (elems, offsets, released) in zip(records._scan(data, start, end),
+                                                _eager_scan(data, start, end), strict=True):
+        assert (rec.elems, rec.offsets, rec.released) == (elems, offsets, released)
+        oracle = _EagerRecord(elems, offsets[0], released)
+        oracle.eager = offsets
+        for i in range(len(elems) + 1):
+            for name in ("text", "b64", "int", "need"):
+                assert _failure(lambda: getattr(rec, name)(i)) == _failure(
+                    lambda: getattr(oracle, name)(i)), (name, i)
 
 
 @pytest.mark.parametrize(
