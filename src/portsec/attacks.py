@@ -100,33 +100,15 @@ def mutate_field(sm: SecuredMessage, attribute: str, payload: str, suite) -> Sec
     return SecuredMessage(sm.message.replace_field(attribute, new), sm.signatures, sm.sender)
 
 
-def flip_signature(sm: SecuredMessage, signer: str) -> SecuredMessage:
-    sigs = []
-    hit = False
-    for s in sm.signatures:
-        if s.signer == signer and not hit:
-            hit = True
-            s = replace(s, sig=s.sig[:-1] + bytes([s.sig[-1] ^ 0x01]))
-        sigs.append(s)
-    if not hit:
-        raise TargetUnresolved(f"no signature by {signer}")
-    return SecuredMessage(sm.message, tuple(sigs), sm.sender)
-
-
-def substitute_signer(sm: SecuredMessage, old_signer: str, key_pair, identity, suite) -> SecuredMessage:
-    """Insider re-signs the victim's attribute set under its own key,
-    leaving the values untouched: pure authorship fraud."""
-    sigs = []
-    hit = False
-    digests = field_digests(sm.message, suite)
-    for s in sm.signatures:
-        if s.signer == old_signer and not hit:
-            hit = True
-            s = replace(multi_sign(key_pair, s.attrs, digests, suite=suite), signer=identity)
-        sigs.append(s)
-    if not hit:
-        raise TargetUnresolved(f"no signature by {old_signer}")
-    return SecuredMessage(sm.message, tuple(sigs), sm.sender)
+def replace_signature(sm: SecuredMessage, signer: str, new) -> SecuredMessage:
+    """Put ``new(old)`` in place of the first signature by ``signer``: the
+    attacker's one signature move, whether a flipped byte, an insider's
+    re-signing or a signature kept from another run."""
+    for i, s in enumerate(sm.signatures):
+        if s.signer == signer:
+            sigs = (*sm.signatures[:i], new(s), *sm.signatures[i + 1:])
+            return SecuredMessage(sm.message, sigs, sm.sender)
+    raise TargetUnresolved(f"no signature by {signer}")
 
 
 def swap_attributes(sm: SecuredMessage, first: str, second: str) -> SecuredMessage:
@@ -147,21 +129,17 @@ def swap_attributes(sm: SecuredMessage, first: str, second: str) -> SecuredMessa
     return SecuredMessage(msg, sigs, sm.sender)
 
 
-def _first_rejection(transcript: Transcript) -> tuple[str, str, str] | None:
-    for ev in transcript.events:
-        if isinstance(ev, ValidatedEvent) and ev.verdict == "REJECT" and ev.report:
-            worst = next(f for f in ev.report.findings if f.severity is Severity.REJECT)
-            return ev.actor, worst.code.value, worst.detail
-    return None
-
-
-def _warning(transcript: Transcript, code: FindingCode) -> tuple[str, str, str] | None:
+def _first_finding(kind, scenario, transcript: Transcript, hit) -> DetectionReport:
+    """A p2p report: detected by the actor of the first validator finding
+    ``hit`` picks, with its code and detail; missed when none does."""
     for ev in transcript.events:
         if isinstance(ev, ValidatedEvent) and ev.report:
             for f in ev.report.findings:
-                if f.code is code:
-                    return ev.actor, f.code.value, f.detail
-    return None
+                if hit(f):
+                    return DetectionReport(
+                        kind, scenario, "p2p", True, ev.actor, f.code.value, f.detail
+                    )
+    return DetectionReport(kind, scenario, "p2p", False)
 
 
 def inject_attack(
@@ -183,8 +161,9 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
         run_scenario(fixtures, scenario, "p2p", world=world)
         again = fixtures.with_values(run_tag=fixtures.run_tag + "-replay")
         sim = run_scenario(again, scenario, "p2p", world=world)
-        hit = _warning(sim.transcript, FindingCode.NONCE_REUSE)
-        return sim.transcript, _p2p_report(kind, scenario, hit)
+        return sim.transcript, _first_finding(
+            kind, scenario, sim.transcript, lambda f: f.code is FindingCode.NONCE_REUSE
+        )
 
     if kind is AttackKind.LEDGER_TAMPER:
         sim = run_scenario(fixtures, scenario, "p2p", world=world)
@@ -201,17 +180,16 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
             CNT_C="600 crates declared as textiles",
             CSG_DATA="consignee Vanta Trading Ltd",
         )
-        first = run_scenario(origin, scenario, "p2p", world=world)
-        stolen = next(
-            s for s in first.outbound["booking"].signatures if s.signer == "importer-1"
-        )
+        booking = run_scenario(origin, scenario, "p2p", world=world).outbound["booking"]
+        stolen = next(s for s in booking.signatures if s.signer == "importer-1")
 
         def mutate(sm):
-            sigs = tuple(stolen if s.signer == "importer-1" else s for s in sm.signatures)
-            return SecuredMessage(sm.message, sigs, sm.sender)
+            return replace_signature(sm, "importer-1", lambda _: stolen)
     elif kind is AttackKind.TAMPER_FIELD and spec.sig_of:
         def mutate(sm):
-            return flip_signature(sm, spec.sig_of)
+            return replace_signature(
+                sm, spec.sig_of, lambda s: replace(s, sig=s.sig[:-1] + bytes([s.sig[-1] ^ 0x01]))
+            )
     elif kind is AttackKind.TAMPER_FIELD:
         def mutate(sm):
             return mutate_field(sm, spec.attribute, spec.payload, world.suite)
@@ -221,28 +199,35 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
             raise TargetUnresolved(f"no insider keys for {insider}")
 
         def mutate(sm):
-            return substitute_signer(
-                sm, "importer-1", world.key_pairs[insider], insider, world.suite
-            )
+            # authorship fraud: the insider re-signs the importer's attributes
+            digests = field_digests(sm.message, world.suite)
+            return replace_signature(sm, "importer-1", lambda s: replace(
+                multi_sign(world.key_pairs[insider], s.attrs, digests, suite=world.suite),
+                signer=insider,
+            ))
     elif kind is AttackKind.ATTR_SWAP:
         def mutate(sm):
             return swap_attributes(sm, spec.attribute or "CNT_C", spec.payload or "CSG_DATA")
     else:
         raise TargetUnresolved(f"unsupported attack kind {kind}")
 
-    sim = _attacked_run(fixtures, scenario, world, mutate, step)
-    return sim.transcript, _p2p_report(kind, scenario, _first_rejection(sim.transcript))
+    struck = []
 
+    def strike(name, sm):
+        if name != step:
+            return sm
+        forged = mutate(sm)
+        if forged == sm:
+            raise TargetUnresolved(f"{kind.value} at step {step} changes nothing")
+        struck.append(name)
+        return forged
 
-def _p2p_report(kind, scenario, hit: tuple[str, str, str] | None) -> DetectionReport:
-    return DetectionReport(kind, scenario, "p2p", hit is not None, *(hit or ("", "", "")))
-
-
-def _attacked_run(fixtures, scenario, world, mutate, step) -> Simulation:
-    script = make_script(fixtures, scenario, "p2p")
-    if all(s.name != step for s in script.steps):
-        raise TargetUnresolved(f"scenario {scenario} has no step {step}")
-    return Simulation(script, world, lambda name, sm: mutate(sm) if name == step else sm).run()
+    sim = Simulation(make_script(fixtures, scenario, "p2p"), world, strike).run()
+    if not struck:
+        raise TargetUnresolved(f"scenario {scenario} delivered nothing at step {step}")
+    return sim.transcript, _first_finding(
+        kind, scenario, sim.transcript, lambda f: f.severity is Severity.REJECT
+    )
 
 
 def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:

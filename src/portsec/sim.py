@@ -39,9 +39,13 @@ class Step:
               signatures drawn from ``source``, sealed for ``downstream``)
               or re-planned from the sender's validated copy of ``source``
               (``forward_of`` True), which seals nothing new.
-    ledger    one transaction: submit, endorse, commit.
+    ledger    one transaction by ``sender``: submit, endorse when
+              ``endorser`` is named (who is also CREATE's terminal), commit.
     query     one ledger read by ``sender``.
     verify    full chain verification.
+
+    The last three share one interpreter path, which records one LEDGER
+    event per step, a denial included.
     """
 
     name: str
@@ -81,26 +85,35 @@ class ScenarioScript:
             seen.add(s.name)
 
 
+#: The booking pair both p2p workflows open with.
+_BOOKING = (
+    Step("booking_ref", "message", sender="sl1-clerk", receiver="importer-1",
+         msg_type="IFTMCS", fields=("B_NO",), authored=("B_NO",)),
+    Step("booking", "message", sender="importer-1", receiver="sl1-clerk",
+         msg_type="IFTMCS", fields=("B_NO", "CNT_C", "CSG_DATA", "DG"),
+         authored=("CNT_C", "CSG_DATA", "DG"), co_attest=("B_NO",),
+         source="booking_ref"),
+)
+
+#: The ledger steps both workflows share, up to customs clearance.
+_LEDGER = (
+    Step("create", "ledger", sender="sl1-clerk", action="CREATE", endorser="t1-op"),
+    Step("acknowledge", "ledger", sender="t1-op", action="ACKNOWLEDGE_DELIVERY",
+         endorser="pcs-op"),
+    Step("pcs_sees_arrival", "query", sender="pcs-op"),
+    Step("clear", "ledger", sender="pcs-op", action="CLEAR", endorser="t1-op"),
+)
+
+
 def export_steps(mode: str) -> tuple[Step, ...]:
     """Fig 2-1 shape: delivery, arrival notices, DG copies, container
     move, the two-message customs exchange, clearance fan-out."""
     if mode == "ledger":
-        return (
-            Step("create", "ledger", sender="sl1-clerk", action="CREATE", endorser="t1-op"),
-            Step("acknowledge", "ledger", sender="t1-op", action="ACKNOWLEDGE_DELIVERY",
-                 endorser="pcs-op"),
-            Step("pcs_sees_arrival", "query", sender="pcs-op"),
-            Step("clear", "ledger", sender="pcs-op", action="CLEAR", endorser="t1-op"),
+        return _LEDGER + (
             Step("load", "ledger", sender="t1-op", action="LOAD", endorser="pcs-op"),
             Step("verify", "verify"),
         )
-    return (
-        Step("booking_ref", "message", sender="sl1-clerk", receiver="importer-1",
-             msg_type="IFTMCS", fields=("B_NO",), authored=("B_NO",)),
-        Step("booking", "message", sender="importer-1", receiver="sl1-clerk",
-             msg_type="IFTMCS", fields=("B_NO", "CNT_C", "CSG_DATA", "DG"),
-             authored=("CNT_C", "CSG_DATA", "DG"), co_attest=("B_NO",),
-             source="booking_ref"),
+    return _BOOKING + (
         Step("delivery", "message", sender="sl1-clerk", receiver="t1-op",
              msg_type="CODECO",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
@@ -136,21 +149,8 @@ def import_steps(mode: str) -> tuple[Step, ...]:
     """Fig 2-2 shape: manifest in, port order (+DG copy), customs risk
     assessment on a hash-only booking number, ATB fan-out."""
     if mode == "ledger":
-        return (
-            Step("create", "ledger", sender="sl1-clerk", action="CREATE", endorser="t1-op"),
-            Step("acknowledge", "ledger", sender="t1-op", action="ACKNOWLEDGE_DELIVERY",
-                 endorser="pcs-op"),
-            Step("pcs_sees_arrival", "query", sender="pcs-op"),
-            Step("clear", "ledger", sender="pcs-op", action="CLEAR", endorser="t1-op"),
-            Step("verify", "verify"),
-        )
-    return (
-        Step("booking_ref", "message", sender="sl1-clerk", receiver="importer-1",
-             msg_type="IFTMCS", fields=("B_NO",), authored=("B_NO",)),
-        Step("booking", "message", sender="importer-1", receiver="sl1-clerk",
-             msg_type="IFTMCS", fields=("B_NO", "CNT_C", "CSG_DATA", "DG"),
-             authored=("CNT_C", "CSG_DATA", "DG"), co_attest=("B_NO",),
-             source="booking_ref"),
+        return _LEDGER + (Step("verify", "verify"),)
+    return _BOOKING + (
         Step("iftmcs", "message", sender="sl1-clerk", receiver="pcs-op",
              msg_type="IFTMCS",
              fields=("B_NO", "BL_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
@@ -219,12 +219,8 @@ class Simulation:
                 continue
             if step.kind == "message":
                 self._message_step(step)
-            elif step.kind == "ledger":
+            elif step.kind in ("ledger", "query", "verify"):
                 self._ledger_step(step)
-            elif step.kind == "query":
-                self._query_step(step)
-            elif step.kind == "verify":
-                self._verify_step(step)
             else:
                 raise ScenarioError(f"unknown step kind {step.kind}")
         self._audit()
@@ -294,58 +290,36 @@ class Simulation:
 
     # --- ledger ----------------------------------------------------------
 
-    def _cnt(self) -> str:
-        return self.fixtures.values["CNT_NO"]
-
     def _ledger_step(self, step: Step) -> None:
-        assert self.net is not None
-        action = LedgerAction(step.action)
-        args = (("terminal", self.world.directory_cert(step.endorser).org),) \
-            if action is LedgerAction.CREATE else ()
-        tx, chain = build_transaction(
-            action, self._cnt(), args,
-            self.world.chain_of(step.sender), self.world.key_pairs[step.sender],
-            self.world.suite,
-        )
+        """A ledger, query or verify step; its denial is recorded, not raised."""
+        net, world, cnt = self.net, self.world, self.fixtures.values["CNT_NO"]
+        action = {"query": "QUERY", "verify": "VERIFY"}.get(step.kind, step.action)
+        invoker = net.orderer_identity if step.kind == "verify" else step.sender
         try:
-            pending = submit(self.net, tx, chain)
-            if step.endorser:
-                endorse(
-                    self.net, pending,
-                    self.world.chain_of(step.endorser), self.world.key_pairs[step.endorser],
-                )
-            result = commit(self.net, [pending])
-            if result.block is None:
-                _, err = result.rejected[0]
-                self.transcript.ledger(
-                    action.value, self._cnt(), step.sender, type(err).__name__, str(err)
-                )
+            if step.kind == "verify":
+                res = verify_chain(net)
+                outcome, detail = "VALID" if res.valid else "INVALID", res.reason
+            elif step.kind == "query":
+                asset = ledger_query(net, world.chain_of(invoker), cnt)
+                outcome, detail = "VISIBLE", asset.state.value
             else:
-                self.transcript.ledger(action.value, self._cnt(), step.sender, "COMMITTED")
+                args = (("terminal", world.directory_cert(step.endorser).org),) \
+                    if action == "CREATE" and step.endorser else ()
+                tx, chain = build_transaction(
+                    LedgerAction(action), cnt, args,
+                    world.chain_of(invoker), world.key_pairs[invoker], world.suite,
+                )
+                pending = submit(net, tx, chain)
+                if step.endorser:
+                    endorse(net, pending, world.chain_of(step.endorser),
+                            world.key_pairs[step.endorser])
+                result = commit(net, [pending])
+                if result.block is None:
+                    raise result.rejected[0][1]
+                outcome, detail = "COMMITTED", ""
         except LedgerError as exc:
-            self.transcript.ledger(
-                action.value, self._cnt(), step.sender, type(exc).__name__, str(exc)
-            )
-
-    def _query_step(self, step: Step) -> None:
-        assert self.net is not None
-        try:
-            asset = ledger_query(self.net, self.world.chain_of(step.sender), self._cnt())
-            self.transcript.ledger(
-                "QUERY", self._cnt(), step.sender, "VISIBLE", asset.state.value
-            )
-        except LedgerError as exc:
-            self.transcript.ledger(
-                "QUERY", self._cnt(), step.sender, type(exc).__name__, str(exc)
-            )
-
-    def _verify_step(self, step: Step) -> None:
-        assert self.net is not None
-        res = verify_chain(self.net)
-        self.transcript.ledger(
-            "VERIFY", self._cnt(), self.net.orderer_identity,
-            "VALID" if res.valid else "INVALID", res.reason,
-        )
+            outcome, detail = type(exc).__name__, str(exc)
+        self.transcript.ledger(action, cnt, invoker, outcome, detail)
 
     # --- closing audit ----------------------------------------------------
 

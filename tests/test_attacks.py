@@ -143,6 +143,25 @@ def test_attack_against_unknown_step_is_refused(base_fixtures):
         inject_attack(base_fixtures, "export", spec, "p2p")
 
 
+@pytest.mark.parametrize("spec, match", [
+    # booking_ref carries no importer signature to splice over
+    (AttackSpec(AttackKind.REPLAY_SPLICE, step="booking_ref"), "no signature by importer-1"),
+    # the port authority's copy is only sent for dangerous goods
+    (AttackSpec(AttackKind.TAMPER_FIELD, step="arrival_pa", attribute="CNT_W",
+                payload="1 kg"), "step arrival_pa"),
+    # a field rewritten to its own value, and an attribute swapped with itself
+    (AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W", payload="18400 kg"),
+     "changes nothing"),
+    (AttackSpec(AttackKind.ATTR_SWAP, attribute="CNT_C", payload="CNT_C"), "changes nothing"),
+], ids=["splice-unsigned-hop", "skipped-dg-hop", "same-value", "self-swap"])
+def test_an_attack_that_never_strikes_is_refused(base_fixtures, spec, match):
+    # a strike that never happens is no attack: it must not be reported
+    # as one the receivers missed
+    fixtures = base_fixtures.with_values(DG="false", CNT_W="18400 kg")
+    with pytest.raises(TargetUnresolved, match=match):
+        inject_attack(fixtures, "export", spec, "p2p")
+
+
 def test_comparison_report(comparison):
     assert isinstance(comparison, ComparisonReport)
     assert comparison.verdict == "PASS"

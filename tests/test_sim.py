@@ -10,12 +10,14 @@ from portsec.model import HashOnly, from_flat
 from portsec.policy import Role, default_matrix
 from portsec.sim import (
     ScenarioError,
+    ScenarioScript,
     Simulation,
     Step,
     make_script,
     run_scenario,
 )
 from portsec.transcript import (
+    LedgerEvent,
     SentEvent,
     ValidatedEvent,
     determinism_digest,
@@ -335,8 +337,6 @@ def test_unknown_scenario_or_mode_raises(base_fixtures):
 
 
 def test_script_rejects_dangling_source(base_fixtures):
-    from portsec.sim import ScenarioScript
-
     orphan = Step(
         name="late",
         kind="message",
@@ -352,8 +352,6 @@ def test_script_rejects_dangling_source(base_fixtures):
 
 
 def test_script_rejects_unknown_actor(base_fixtures):
-    from portsec.sim import ScenarioScript
-
     ghost = Step(
         name="ghost",
         kind="message",
@@ -385,6 +383,43 @@ def test_stop_on_reject_halts_the_run(base_fixtures):
     assert [r.actor for r in rejected] == ["t1-op"]
     # nothing was forwarded past the rejected hop
     assert all(e.step != "arrival_icu" for e in sim.transcript.sent_events())
+
+
+def _ledger_records(sim) -> list[tuple[str, str, str, str]]:
+    return [(ev.action, ev.invoker, ev.outcome, ev.detail)
+            for ev in sim.transcript.events if isinstance(ev, LedgerEvent)]
+
+
+def test_ledger_denials_are_recorded_not_raised(base_fixtures):
+    # one LEDGER record per step: a missing endorsement, a read outside the
+    # reader's column and an out-of-order transition are each recorded as
+    # the gate's denial, and the chain the committed steps built verifies
+    steps = (
+        Step("create", "ledger", sender="sl1-clerk", action="CREATE", endorser="t1-op"),
+        Step("acknowledge", "ledger", sender="t1-op", action="ACKNOWLEDGE_DELIVERY"),
+        Step("customs_looks", "query", sender="customs-officer"),
+        Step("early_load", "ledger", sender="t1-op", action="LOAD", endorser="pcs-op"),
+        Step("verify", "verify"),
+    )
+    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures)).run()
+    assert [(a, who, outcome) for a, who, outcome, _ in _ledger_records(sim)] == [
+        ("CREATE", "sl1-clerk", "COMMITTED"),
+        ("ACKNOWLEDGE_DELIVERY", "t1-op", "InsufficientEndorsements"),
+        ("QUERY", "customs-officer", "NotVisible"),
+        ("LOAD", "t1-op", "LifecycleDenied"),
+        ("VERIFY", "orderer-1", "VALID"),
+    ]
+    assert sim.transcript.verdict == "FAIL"
+
+
+def test_a_create_without_an_endorser_names_no_terminal(base_fixtures):
+    # the terminal argument comes from the endorser alone; with none, the
+    # chaincode's own gate refuses the transaction
+    steps = (Step("create", "ledger", sender="sl1-clerk", action="CREATE"),)
+    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures)).run()
+    assert _ledger_records(sim) == [
+        ("CREATE", "sl1-clerk", "MalformedTransaction", "CREATE requires a terminal argument"),
+    ]
 
 
 def test_live_transcript_reads_like_its_wire_form(honest_sims):
