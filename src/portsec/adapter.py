@@ -107,16 +107,17 @@ def report_to_wire(report: ValidationReport) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreRecord:
-    """One signature as it transited this adapter, with the attribute
-    digests it was checked against: the forensic trail."""
+    """One signature as it transited this adapter, with the digests of
+    ``signature.attrs``, in that order, that it was checked against: the
+    forensic trail."""
 
     instance_id: str
     signature: AttributeSignature
     received_from: str
     at: int
-    attr_digests: Mapping[str, bytes]
+    attr_digests: tuple[bytes, ...]
 
 
 @dataclass
@@ -133,6 +134,11 @@ class AdapterState:
     clock: int = 0
     suite: CryptoSuite = DEFAULT_SUITE
     signature_store: list[StoreRecord] = field(default_factory=list)
+    # (signer, signature bytes) -> the store's records of that signature,
+    # in store order: what linkage reads instead of the whole store
+    signature_index: dict[tuple[str, bytes], list[StoreRecord]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     seen_booking_numbers: dict[bytes, str] = field(default_factory=dict)
     # wrapped blob -> content key, for the blobs that wrap a key for this
     # actor's key pair (envelope.remember_key bounds it)
@@ -145,16 +151,28 @@ def _store_signatures(
     digests: Mapping[str, bytes],
     received_from: str,
 ) -> None:
+    """File each signature in the store and its index. A signature already
+    on file, with equal signer, attributes and bytes, is filed as the
+    object on file, and so are its digests when they are equal too: a
+    repeat adds a record, not a copy."""
     for sig in sm.signatures:
-        state.signature_store.append(
-            StoreRecord(
-                instance_id=sm.message.instance_id,
-                signature=sig,
-                received_from=received_from,
-                at=state.clock,
-                attr_digests={a: digests[a] for a in sig.attrs},
-            )
+        filed = state.signature_index.setdefault((sig.signer, sig.sig), [])
+        attr_digests = tuple(digests[a] for a in sig.attrs)
+        for held in filed:
+            if held.signature == sig:
+                sig = held.signature
+                if held.attr_digests == attr_digests:
+                    attr_digests = held.attr_digests
+                break
+        rec = StoreRecord(
+            instance_id=sm.message.instance_id,
+            signature=sig,
+            received_from=received_from,
+            at=state.clock,
+            attr_digests=attr_digests,
         )
+        filed.append(rec)
+        state.signature_store.append(rec)
 
 
 def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, bytes]:
@@ -415,13 +433,12 @@ def _linkage_evidence(
     with different digests for shared attributes, is a splice, not noise.
     Returns (attribute, localization detail) pairs."""
     hits = []
-    for rec in state.signature_store:
-        if rec.signature.sig != sig.sig or rec.signature.signer != sig.signer:
-            continue
+    for rec in state.signature_index.get((sig.signer, sig.sig), ()):
         if rec.instance_id == instance_id:
             continue
+        on_file = dict(zip(rec.signature.attrs, rec.attr_digests))
         for attr in sig.attrs:
-            stored = rec.attr_digests.get(attr)
+            stored = on_file.get(attr)
             if stored is not None and stored != digests[attr]:
                 hits.append(
                     (

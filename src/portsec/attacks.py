@@ -53,6 +53,29 @@ class AttackSpec:
     sig_of: str = ""  # TAMPER_FIELD: flip this signer's signature instead
 
 
+#: The spec fields each kind reads, the same in both modes. TAMPER_FIELD
+#: reads ``sig_of`` instead of ``attribute`` and ``payload``.
+KIND_FIELDS = {
+    AttackKind.TAMPER_FIELD: {"step", "attribute", "payload", "sig_of"},
+    AttackKind.REPLAY_SPLICE: {"step"},
+    AttackKind.NONCE_REUSE: set(),
+    AttackKind.UNAUTHORIZED_AUTHOR: {"step", "payload"},
+    AttackKind.LEDGER_TAMPER: {"block"},
+    AttackKind.ATTR_SWAP: {"step", "attribute", "payload"},
+}
+
+
+def _refuse_unread_fields(spec: AttackSpec) -> None:
+    """A spec that sets a field its kind does not read describes another
+    attack than the one that would run, so it is refused."""
+    unread = [name for name in _SPEC_FIELDS if name not in KIND_FIELDS[spec.kind]
+              and getattr(spec, name) != getattr(AttackSpec, name)]
+    if unread:
+        raise TargetUnresolved(f"{spec.kind.value} does not read {', '.join(unread)}")
+    if spec.sig_of and (spec.attribute or spec.payload):
+        raise TargetUnresolved("TAMPER_FIELD with sig_of reads no attribute or payload")
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     kind: AttackKind
@@ -146,7 +169,9 @@ def inject_attack(
     fixtures: FixtureSet, scenario: str, spec: AttackSpec, mode: str = "p2p"
 ) -> tuple[Transcript, DetectionReport]:
     """Run the scenario with the attack applied; report whether, where,
-    and how it was caught."""
+    and how it was caught. A spec field the kind does not read, see
+    ``KIND_FIELDS``, raises TargetUnresolved."""
+    _refuse_unread_fields(spec)
     if mode == "ledger":
         return _inject_ledger(fixtures, scenario, spec)
     return _inject_p2p(fixtures, scenario, spec)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from sys import intern
 
 from . import records
 from .records import ModelError, ParseError
@@ -100,7 +101,7 @@ class Sealed:
 FieldValue = Plain | HashOnly | Sealed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeSignature:
     """One signer's signature over the double hash of an attribute list.
 
@@ -204,7 +205,7 @@ def to_flat(sm: SecuredMessage) -> bytes:
 
 
 def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
-    name = rec.text(1)
+    name = intern(rec.text(1))
     try:
         validate_attribute_name(name)
     except InvariantViolation as exc:
@@ -227,7 +228,7 @@ def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
         # one wire form per field: readers strictly ascending, as to_flat writes them
         wrapped: dict[str, bytes] = {}
         for i in range(6, len(rec), 2):
-            reader = rec.text(i)
+            reader = intern(rec.text(i))
             if wrapped and reader <= next(reversed(wrapped)):
                 raise ParseError(f"wrapped-key reader {reader} out of order", rec.offsets[i])
             wrapped[reader] = rec.b64(i + 1)
@@ -244,6 +245,10 @@ def from_flat(data: bytes) -> SecuredMessage:
     ``records.check`` holds the segments to MSG, ATT (one per name), SIG,
     then SND.
 
+    Identifiers (message type, instance id, attribute names, signer,
+    reader and sender identities) come back interned, so the many stored
+    copies of one name are one string; field values never are.
+
     Raises ParseError, with the byte offset, and no other error.
     """
     fields: list[tuple[str, FieldValue]] = []
@@ -253,15 +258,15 @@ def from_flat(data: bytes) -> SecuredMessage:
         if tag == b"ATT":
             fields.append(_parse_att(rec))
         elif tag == b"SIG":
-            attrs = tuple(rec.text(2).split(","))
+            attrs = tuple(map(intern, rec.text(2).split(",")))
             try:
-                signatures.append(AttributeSignature(rec.text(1), attrs, rec.b64(3)))
+                signatures.append(AttributeSignature(intern(rec.text(1)), attrs, rec.b64(3)))
             except ModelError as exc:
                 raise ParseError(str(exc), rec.offset) from None
         elif tag == b"MSG":
-            msg_type, instance_id = rec.text(1), rec.text(2)
+            msg_type, instance_id = intern(rec.text(1)), intern(rec.text(2))
         else:
-            sender = rec.text(1)
+            sender = intern(rec.text(1))
     try:  # records.check raised unless MSG and SND came
         return SecuredMessage(Message(msg_type, instance_id, tuple(fields)), tuple(signatures), sender)
     except ModelError as exc:

@@ -18,6 +18,7 @@ from portsec.adapter import (
     report_to_wire,
     secure_outbound,
     validate_inbound,
+    _store_signatures,
 )
 from portsec.envelope import (
     DEFAULT_SUITE,
@@ -29,7 +30,16 @@ from portsec.envelope import (
 from portsec.attacks import battery, inject_attack
 from portsec.audit import audit_views
 from portsec.fixtures import build_world, fixtures_from_bytes
-from portsec.model import HashOnly, Message, Plain, Sealed, SecuredMessage
+from portsec.model import (
+    AttributeSignature,
+    HashOnly,
+    Message,
+    Plain,
+    Sealed,
+    SecuredMessage,
+    from_flat,
+    to_flat,
+)
 from portsec.policy import Role
 from portsec.sim import run_scenario
 
@@ -328,9 +338,9 @@ def test_each_signer_chain_validated_once_per_message(world, monkeypatch):
     assert all(f.detail.startswith("signer chain Revoked: importer-1") for f in revoked)
 
 
-def test_replay_splice_flagged_as_linkage_mismatch(world):
-    """Importer signature from run 1 stitched into run 2's message: the
-    booking numbers disagree, and the store knows where the original went."""
+def _splice(world):
+    """Run 1's manifest accepted at the PCS, and run 2's manifest carrying
+    run 1's importer signature: (PCS state, run 1, spliced run 2)."""
     pcs = world.adapter("pcs-op")
     run1 = make_iftmcs(world, run_id="SPL-R1")
     assert validate_inbound(pcs, run1, world.chain_of("sl1-clerk")).accepted
@@ -338,7 +348,18 @@ def test_replay_splice_flagged_as_linkage_mismatch(world):
     values2 = dict(VALUES, B_NO="BKG-9999")
     run2 = make_iftmcs(world, run_id="SPL-R2", values=values2)
     spliced = SecuredMessage(run2.message, (run1.signatures[0], run2.signatures[1]), run2.sender)
+    return pcs, run1, spliced
 
+
+def _linkage(report):
+    return [(f.subject, f.detail) for f in report.findings
+            if f.code is FindingCode.LINKAGE_MISMATCH]
+
+
+def test_replay_splice_flagged_as_linkage_mismatch(world):
+    """Importer signature from run 1 stitched into run 2's message: the
+    booking numbers disagree, and the store knows where the original went."""
+    pcs, run1, spliced = _splice(world)
     report = validate_inbound(pcs, spliced, world.chain_of("sl1-clerk"))
     assert not report.accepted
     linkage = [f for f in report.findings if f.code is FindingCode.LINKAGE_MISMATCH]
@@ -361,6 +382,95 @@ def test_store_appends_even_on_reject(world):
     after = [r for r in pcs.signature_store if r.instance_id == sm.message.instance_id]
     assert len(pcs.signature_store) == before + len(sm.signatures)
     assert len(after) == len(sm.signatures)
+
+
+class _Unscannable(list):
+    """A store that may grow but not be read through."""
+
+    def __iter__(self):
+        raise AssertionError("the whole signature store was scanned")
+
+
+def test_linkage_reads_only_its_index_entry(base_fixtures, world):
+    """The splice found in a store padded with 10,000 unrelated receipts,
+    one of them the stolen bytes under another signer, that no one may
+    iterate: the same findings as in a fresh store."""
+    pcs, _, spliced = _splice(world)
+    expected = _linkage(validate_inbound(pcs, spliced, world.chain_of("sl1-clerk")))
+    assert expected and expected[0][0] == "B_NO"
+
+    padded = build_world(base_fixtures)
+    pcs, run1, spliced = _splice(padded)
+    stolen = run1.signatures[0].sig
+    pad = [AttributeSignature(signer, ("B_NO",), i.to_bytes(256, "big"))
+           for i in range(5_000) for signer in ("importer-1", "sl1-clerk")]
+    pad[0] = AttributeSignature("t2-op", ("B_NO",), stolen)
+    msg = Message("IFTMCS", "PAD", (("B_NO", Plain("BKG-0001")),))
+    _store_signatures(pcs, SecuredMessage(msg, tuple(pad), "sl1-clerk"),
+                      field_digests(msg), received_from="sl1-clerk")
+    before = len(pcs.signature_store)
+    pcs.signature_store = _Unscannable(pcs.signature_store)
+
+    report = validate_inbound(pcs, spliced, padded.chain_of("sl1-clerk"))
+    assert _linkage(report) == expected
+    assert len(pcs.signature_store) == before + len(spliced.signatures)
+
+
+def test_a_repeated_signature_is_filed_as_the_object_on_file(world):
+    """The same manifest received twice, each copy decoded on its own:
+    each signature is one object in the store, with one digest tuple. The
+    same bytes relabelled to other attributes are a signature of their
+    own, kept as their own object."""
+    pcs = world.adapter("pcs-op")
+    sm = make_iftmcs(world)
+    copies = [from_flat(to_flat(sm)) for _ in range(2)]
+    assert copies[0].signatures[0] is not copies[1].signatures[0]
+    for copy in copies:
+        validate_inbound(pcs, copy, world.chain_of("sl1-clerk"))
+    for sig in sm.signatures:
+        first, again = pcs.signature_index[(sig.signer, sig.sig)]
+        assert again.signature is first.signature
+        assert again.attr_digests is first.attr_digests
+        assert again.instance_id == first.instance_id == sm.message.instance_id
+
+    imp_sig = sm.signatures[0]
+    relabelled = replace(imp_sig, attrs=imp_sig.attrs[::-1])
+    validate_inbound(pcs, SecuredMessage(sm.message, (relabelled,), sm.sender),
+                     world.chain_of("sl1-clerk"))
+    first, _, own = pcs.signature_index[(imp_sig.signer, imp_sig.sig)]
+    assert own.signature == relabelled and own.signature is not first.signature
+    assert pcs.signature_store[-1] is own
+
+
+def test_store_records_are_compact_and_in_signature_order(world):
+    """A receipt carries no per-instance dict, and its digests are those
+    of ``signature.attrs``, in that order, whatever the message's order."""
+    pcs = world.adapter("pcs-op")
+    sm = make_iftmcs(world)
+    sl = world.adapter("sl1-clerk")
+    reordered = multi_sign(sl.key_pair, ("CNT_NO", "B_NO", "CNT_W"),
+                           field_digests(sm.message))
+    sm = SecuredMessage(sm.message, (*sm.signatures, reordered), sm.sender)
+    validate_inbound(pcs, sm, world.chain_of("sl1-clerk"))
+    digests = field_digests(sm.message)
+    filed = pcs.signature_store[-len(sm.signatures):]
+    assert [r.signature for r in filed] == list(sm.signatures)
+    for rec in filed:
+        assert rec.attr_digests == tuple(digests[a] for a in rec.signature.attrs)
+        assert not hasattr(rec, "__dict__") and not hasattr(rec.signature, "__dict__")
+
+
+def test_no_adapter_shares_signature_or_digest_bytes(honest_sims):
+    """Repeats share objects inside one store only: across the honest p2p
+    runs' adapters, no signature, signature bytes or digest is one object
+    in two stores."""
+    for scenario in ("export", "import"):
+        owner = {}
+        for ident, state in honest_sims[(scenario, "p2p")].world.adapters.items():
+            held = {id(o) for rec in state.signature_store
+                    for o in (rec.signature, rec.signature.sig, *rec.attr_digests)}
+            for obj in held:
+                assert owner.setdefault(obj, ident) == ident, (scenario, ident, owner[obj])
 
 
 def test_report_wire_form(world):
@@ -560,11 +670,13 @@ def test_phases_need_no_private_key_and_are_the_live_rule(monkeypatch):
     def phases_then_live(state, sm, chain):
         copy = replace(state, key_pair=_NoPrivateKey(state.identity), content_keys={},
                        signature_store=list(state.signature_store),
+                       signature_index={k: list(v) for k, v in state.signature_index.items()},
                        seen_booking_numbers=dict(state.seen_booking_numbers))
         hop = Hop(copy, sm, chain)
         for phase in PHASES:
             phase(hop)
         assert copy.signature_store == state.signature_store
+        assert copy.signature_index == state.signature_index
         assert copy.seen_booking_numbers == state.seen_booking_numbers
         report = live(state, sm, chain)
         hops.append((report, hop.findings))

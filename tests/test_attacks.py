@@ -162,6 +162,26 @@ def test_an_attack_that_never_strikes_is_refused(base_fixtures, spec, match):
         inject_attack(fixtures, "export", spec, "p2p")
 
 
+@pytest.mark.parametrize("mode", ["p2p", "ledger"])
+@pytest.mark.parametrize("spec, match", [
+    (AttackSpec(AttackKind.NONCE_REUSE, step="teleport"), "NONCE_REUSE does not read step"),
+    (AttackSpec(AttackKind.REPLAY_SPLICE, step="delivery", sig_of="t1-op"),
+     "REPLAY_SPLICE does not read sig_of"),
+    (AttackSpec(AttackKind.UNAUTHORIZED_AUTHOR, attribute="CNT_W"),
+     "UNAUTHORIZED_AUTHOR does not read attribute"),
+    (AttackSpec(AttackKind.LEDGER_TAMPER, step="delivery", block=1),
+     "LEDGER_TAMPER does not read step"),
+    (AttackSpec(AttackKind.ATTR_SWAP, sig_of="sl1-clerk"), "ATTR_SWAP does not read sig_of"),
+    (AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W", sig_of="sl1-clerk"),
+     "with sig_of reads no attribute"),
+], ids=["nonce-step", "splice-sig_of", "author-attribute", "ledger-step", "swap-sig_of",
+        "flip-and-field"])
+def test_a_field_the_kind_does_not_read_is_refused(base_fixtures, spec, match, mode):
+    # the spec would describe another attack than the one that runs
+    with pytest.raises(TargetUnresolved, match=match):
+        inject_attack(base_fixtures, "export", spec, mode)
+
+
 def test_comparison_report(comparison):
     assert isinstance(comparison, ComparisonReport)
     assert comparison.verdict == "PASS"

@@ -6,6 +6,7 @@ offsets counted on the raw wire strings.
 
 import base64
 import functools
+import sys
 from pathlib import Path
 
 import pytest
@@ -386,3 +387,32 @@ def test_a_flat_that_decodes_has_one_wire_form(data):
     except ModelError:
         return
     assert to_flat(parsed) == mutated
+
+
+def _is_interned(text: str) -> bool:
+    # an equal string built afresh interns to ``text`` only if ``text``
+    # is the interned one
+    return sys.intern(text.encode().decode()) is text
+
+
+def test_decoded_identifiers_are_interned_and_values_are_not():
+    """Identifiers repeat across every stored receipt, so ``from_flat``
+    returns the one interned copy of each; field values are data and stay
+    the decoded strings. (Only values with a space are checked: the
+    compiler interns identifier-like literals by itself.)"""
+    texts = 0
+    for flat in _golden_flats():
+        sm = from_flat(flat)
+        names = [sm.message.msg_type, sm.message.instance_id, sm.sender]
+        for name, value in sm.message.fields:
+            names.append(name)
+            if isinstance(value, Sealed):
+                names += value.wrapped_keys
+            elif isinstance(value, Plain) and " " in value.text:
+                assert not _is_interned(value.text), value.text
+                texts += 1
+        for sig in sm.signatures:
+            names += (sig.signer, *sig.attrs)
+        for name in names:
+            assert _is_interned(name), name
+    assert texts
