@@ -24,8 +24,6 @@ from . import envelope, records
 from .envelope import (
     AuthDecryptFailure,
     ContentKey,
-    CryptoSuite,
-    DEFAULT_SUITE,
     Signer,
     content_key,
     field_digests,
@@ -132,7 +130,6 @@ class AdapterState:
     ca_registry: Mapping[str, CaState]
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
     clock: int = 0
-    suite: CryptoSuite = DEFAULT_SUITE
     signature_store: list[StoreRecord] = field(default_factory=list)
     # (signer, signature bytes) -> the store's records of that signature,
     # in store order: what linkage reads instead of the whole store
@@ -216,10 +213,10 @@ def _replan(
                 recipients = _role_identities(state, decision.readers)
                 group = frozenset(recipients)
                 if group not in keys:
-                    keys[group] = key = content_key(recipients, state.suite)
+                    keys[group] = key = content_key(recipients)
                     if state.identity in key.wrapped_keys:
                         remember_key(state.content_keys, key.wrapped_keys[state.identity], key.key)
-                value = seal_field(value.text, digests[name], keys[group], state.suite)
+                value = seal_field(value.text, digests[name], keys[group])
         out_fields.append((name, value))
     return tuple(out_fields)
 
@@ -247,13 +244,13 @@ def secure_outbound(
     authored = list(authored)
     co_attest = [a for a in co_attest if a not in authored]
     _check_write(state, authored)
-    digests = field_digests(msg, state.suite)
+    digests = field_digests(msg)
 
     for sig in carried:
         entry = state.directory.get(sig.signer)
         if entry is None:
             raise CarriedSignatureInvalid(f"unknown signer {sig.signer}")
-        if not verify_multi_sig(entry[0].public_key, sig, digests, suite=state.suite):
+        if not verify_multi_sig(entry[0].public_key, sig, digests):
             raise CarriedSignatureInvalid(
                 f"signature by {sig.signer} does not match current values"
             )
@@ -261,7 +258,7 @@ def secure_outbound(
     to_sign = [a for a in msg.attribute_names() if a in authored or a in co_attest]
     signatures = tuple(carried)
     if to_sign:
-        signatures += (envelope.multi_sign(state.key_pair, to_sign, digests, suite=state.suite),)
+        signatures += (envelope.multi_sign(state.key_pair, to_sign, digests),)
     out_fields = _replan(state, msg, digests, receiver, downstream)
     sm = SecuredMessage(
         Message(msg.msg_type, msg.instance_id, out_fields), signatures, state.identity
@@ -280,7 +277,7 @@ class Hop:
     def __init__(self, state: AdapterState, sm: SecuredMessage,
                  presented: Sequence[Certificate]):
         self.state, self.sm, self.presented = state, sm, presented
-        self.digests = field_digests(sm.message, state.suite)
+        self.digests = field_digests(sm.message)
         self.chains: dict[str, tuple[Certificate, ChainResult]] = {}
         self.verified: list[tuple[AttributeSignature, str]] = []  # (sig, signer role)
         self.findings: list[Finding] = []
@@ -302,7 +299,7 @@ class Hop:
                 return None
             self.chains[signer] = cert, validate_chain(
                 cert, list(chain), state.trust_anchor, at=state.clock,
-                ca_registry=state.ca_registry, suite=state.suite,
+                ca_registry=state.ca_registry,
             )
         return self.chains[signer]
 
@@ -333,7 +330,7 @@ def _signatures(hop: Hop) -> None:
         if not res.valid:
             hop.reject(FindingCode.CHAIN_INVALID, sig.signer,
                        f"signer chain {res.reason.value}: {res.detail}")
-        elif verify_multi_sig(cert.public_key, sig, digests, suite=state.suite):
+        elif verify_multi_sig(cert.public_key, sig, digests):
             hop.verified.append((sig, cert.role))
         else:
             upgraded = _linkage_evidence(state, sig, hop.sm.message.instance_id, digests)
@@ -410,7 +407,7 @@ def validate_inbound(
         elif isinstance(value, Sealed) and state.identity in value.wrapped_keys:
             try:
                 decrypted[name] = open_field(
-                    value, state.identity, state.key_pair.private, state.content_keys, state.suite
+                    value, state.identity, state.key_pair.private, state.content_keys
                 )
             except (AuthDecryptFailure, envelope.DigestMismatch) as exc:
                 hop.reject(FindingCode.DIGEST_MISMATCH, name, str(exc))
@@ -468,7 +465,7 @@ def forward(
     if not report.accepted:
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
-    out_fields = _replan(state, msg, field_digests(msg, state.suite), receiver, ())
+    out_fields = _replan(state, msg, field_digests(msg), receiver, ())
     return SecuredMessage(
         Message(msg_type, msg.instance_id, out_fields),
         sm.signatures,

@@ -108,7 +108,8 @@ def battery(scenario: str) -> tuple[AttackSpec, ...]:
 def mutate_field(sm: SecuredMessage, attribute: str, payload: str, suite) -> SecuredMessage:
     """In-transit substitution of one field, shaped to its representation:
     plain text is rewritten, hash-only and sealed values get the digest of
-    the substitute (the only mutation every representation must catch)."""
+    the substitute (the only mutation every representation must catch).
+    ``suite`` is not read: there is one suite, and callers pass it."""
     try:
         value = sm.message.get(attribute)
     except KeyError:
@@ -117,9 +118,9 @@ def mutate_field(sm: SecuredMessage, attribute: str, payload: str, suite) -> Sec
     if isinstance(value, Plain):
         new = Plain(fake)
     elif isinstance(value, HashOnly):
-        new = HashOnly(value_digest(fake, suite))
+        new = HashOnly(value_digest(fake))
     else:
-        new = Sealed(value_digest(fake, suite), value.ciphertext, dict(value.wrapped_keys))
+        new = Sealed(value_digest(fake), value.ciphertext, dict(value.wrapped_keys))
     return SecuredMessage(sm.message.replace_field(attribute, new), sm.signatures, sm.sender)
 
 
@@ -225,10 +226,9 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
 
         def mutate(sm):
             # authorship fraud: the insider re-signs the importer's attributes
-            digests = field_digests(sm.message, world.suite)
+            digests = field_digests(sm.message)
             return replace_signature(sm, "importer-1", lambda s: replace(
-                multi_sign(world.key_pairs[insider], s.attrs, digests, suite=world.suite),
-                signer=insider,
+                multi_sign(world.key_pairs[insider], s.attrs, digests), signer=insider
             ))
     elif kind is AttackKind.ATTR_SWAP:
         def mutate(sm):
@@ -266,10 +266,9 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
     cnt = fixtures.values["CNT_NO"]
     transcript = sim.transcript
 
-    def denial(action, invoker, chain_holder, args=()):
+    def denial(action, invoker, args=()):
         tx, chain = build_transaction(
-            LedgerAction(action), cnt, args,
-            world.chain_of(chain_holder), world.key_pairs[chain_holder], world.suite,
+            LedgerAction(action), cnt, args, world.chain_of(invoker), world.key_pairs[invoker]
         )
         try:
             submit(net, tx, chain)
@@ -283,17 +282,16 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
 
     if kind is AttackKind.NONCE_REUSE:
         # the same container booked onto the chain a second time
-        return transcript, denial("CREATE", "sl1-clerk", "sl1-clerk",
-                                  args=(("terminal", "T1"),))
+        return transcript, denial("CREATE", "sl1-clerk", args=(("terminal", "T1"),))
 
     if kind is AttackKind.REPLAY_SPLICE:
         # a captured CLEAR transaction replayed after commit
-        return transcript, denial("CLEAR", "pcs-op", "pcs-op")
+        return transcript, denial("CLEAR", "pcs-op")
 
     if kind is AttackKind.UNAUTHORIZED_AUTHOR:
         # wrong role invokes CREATE
         insider = spec.payload or "customs-officer"
-        return transcript, denial("CREATE", insider, insider, args=(("terminal", "T1"),))
+        return transcript, denial("CREATE", insider, args=(("terminal", "T1"),))
 
     if kind is AttackKind.ATTR_SWAP:
         return transcript, DetectionReport(
@@ -308,7 +306,7 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
         else:
             mutated = _rewrite_txn_token(data, cnt)
         try:
-            res = verify_exported(parse_chain(mutated), net.suite)
+            res = verify_exported(parse_chain(mutated))
             detected = not res.valid
             where = f"block {res.first_bad_block}: {res.reason}" if detected else ""
         except ParseError as exc:

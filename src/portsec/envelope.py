@@ -19,13 +19,17 @@ or unwrapped in a bounded table keyed on the exact wrapped bytes; opening
 a field skips the RSA-OAEP unwrap on a hit and still decrypts and checks
 the digest.
 
-All primitives sit behind a CryptoSuite so a deployment can swap them; the
-default fixes SHA-256, RSA-2048 with PKCS#1 v1.5 over the 32-byte payload
-(deterministic signatures), RSA-OAEP-SHA256 key wrap, and AES-256-GCM.
-Every signer in the package signs through ``sign``, which reuses the
-signature already made for the same suite, key and payload; every
-multi-signature check goes through ``verify``, which reuses the answer
-already given for the same suite, key, payload and signature.
+All primitives sit behind one CryptoSuite, ``DEFAULT_SUITE``: SHA-256,
+RSA-2048 with PKCS#1 v1.5 over the 32-byte payload (deterministic
+signatures), RSA-OAEP-SHA256 key wrap, and AES-256-GCM. Its ``suite_id``
+is written into fixture and chain files and checked on reading them;
+another primitive set is another ``DEFAULT_SUITE`` with another id. Every
+module reads ``DEFAULT_SUITE`` where it runs a primitive and binds none of
+its methods at import, so the tests and the benchmark count crypto
+operations by wrapping its methods. Every signer in the package signs
+through ``sign``, which reuses the signature already made for the same key
+and payload; every multi-signature check goes through ``verify``, which
+reuses the answer already given for the same key, payload and signature.
 """
 
 from __future__ import annotations
@@ -189,14 +193,14 @@ SIGN_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=SIGN_MEMO_SIZE)
-def sign(suite: CryptoSuite, private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
+def sign(private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
     """The package's one signing path. A PKCS#1 v1.5 signature depends only
     on the key and the payload, so a repeated pair returns the bytes
-    ``suite.sign`` made the first time. The entry holds the key object
-    itself, so its identity cannot pass to another key while cached.
-    ``suite.sign`` stays the raw primitive: counting it counts real RSA
-    signatures."""
-    return suite.sign(private, payload)
+    ``DEFAULT_SUITE.sign`` made the first time. The entry holds the key
+    object itself, so its identity cannot pass to another key while cached.
+    ``DEFAULT_SUITE.sign`` stays the raw primitive: counting it counts real
+    RSA signatures."""
+    return DEFAULT_SUITE.sign(private, payload)
 
 
 #: Entries in the verify memo. A p2p booking checks ~5 distinct
@@ -205,70 +209,56 @@ VERIFY_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=VERIFY_MEMO_SIZE)
-def verify(suite: CryptoSuite, public: bytes, payload: bytes, sig: bytes) -> bool:
-    """The multi-signature check path: ``suite.verify`` over DER key
-    bytes, answered once per distinct (suite, key, payload, signature).
-    RSA verification is a pure function of these four, so a cached answer
-    is the answer a fresh check would give; any other byte is another
-    entry. ``suite.verify`` stays the raw primitive: counting it counts
+def verify(public: bytes, payload: bytes, sig: bytes) -> bool:
+    """The multi-signature check path: ``DEFAULT_SUITE.verify`` over DER
+    key bytes, answered once per distinct (key, payload, signature). RSA
+    verification is a pure function of these three, so a cached answer is
+    the answer a fresh check would give; any other byte is another entry.
+    ``DEFAULT_SUITE.verify`` stays the raw primitive: counting it counts
     real RSA verifications."""
-    return suite.verify(public, payload, sig)
+    return DEFAULT_SUITE.verify(public, payload, sig)
 
 
-def value_digest(text: str, suite: CryptoSuite = DEFAULT_SUITE) -> bytes:
+def value_digest(text: str) -> bytes:
     """Digest of a field value's canonical bytes."""
-    return suite.digest(canonical_bytes(text))
+    return DEFAULT_SUITE.digest(canonical_bytes(text))
 
 
-def signing_payload(
-    names: Sequence[str],
-    value_digests: Sequence[bytes],
-    *,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> bytes:
+def signing_payload(names: Sequence[str], value_digests: Sequence[bytes]) -> bytes:
     """The name-bound double hash H(H(",".join(names)) || d1 || ... || dk).
     Digests are fixed-length and names cannot hold a comma, so no other
     separators are needed."""
-    return suite.digest(suite.digest(canonical_bytes(",".join(names))) + b"".join(value_digests))
+    digest = DEFAULT_SUITE.digest
+    return digest(digest(canonical_bytes(",".join(names))) + b"".join(value_digests))
 
 
-def field_digests(msg: Message, suite: CryptoSuite = DEFAULT_SUITE) -> dict[str, bytes]:
+def field_digests(msg: Message) -> dict[str, bytes]:
     """Each field's digest: ``value_digest`` of a plain value's text, or the
     digest a hash-only or sealed value carries. A field's digest is the same
     in every representation, so signing and every check read this one map."""
     return {
-        name: value_digest(v.text, suite) if isinstance(v, Plain) else v.digest
+        name: value_digest(v.text) if isinstance(v, Plain) else v.digest
         for name, v in msg.fields
     }
 
 
 def multi_sign(
-    key_pair: Signer,
-    attrs: Sequence[str],
-    digests: Mapping[str, bytes],
-    *,
-    suite: CryptoSuite = DEFAULT_SUITE,
+    key_pair: Signer, attrs: Sequence[str], digests: Mapping[str, bytes]
 ) -> AttributeSignature:
     """Sign an ordered attribute list with one signature over the values'
     digests (a signer can vouch for linkage to a value it cannot read).
     The unsigned signature is built first, so an empty or duplicate list
     fails the model's checks before any RSA signature is made."""
     unsigned = AttributeSignature(key_pair.owner, tuple(attrs), b"")
-    payload = signing_payload(unsigned.attrs, [digests[a] for a in unsigned.attrs], suite=suite)
-    return replace(unsigned, sig=sign(suite, key_pair.private, payload))
+    payload = signing_payload(unsigned.attrs, [digests[a] for a in unsigned.attrs])
+    return replace(unsigned, sig=sign(key_pair.private, payload))
 
 
-def verify_multi_sig(
-    public: bytes,
-    sig: AttributeSignature,
-    digests: Mapping[str, bytes],
-    *,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> bool:
+def verify_multi_sig(public: bytes, sig: AttributeSignature, digests: Mapping[str, bytes]) -> bool:
     """Check a signature against the digests of the attributes it covers,
     under the signer's DER public key."""
-    payload = signing_payload(sig.attrs, [digests[a] for a in sig.attrs], suite=suite)
-    return verify(suite, public, payload, sig.sig)
+    payload = signing_payload(sig.attrs, [digests[a] for a in sig.attrs])
+    return verify(public, payload, sig.sig)
 
 
 #: Entries in an actor's content-key table. A p2p booking files one key
@@ -286,12 +276,14 @@ class ContentKey:
     wrapped_keys: Mapping[str, bytes]
 
 
-def content_key(readers: Mapping[str, bytes], suite: CryptoSuite = DEFAULT_SUITE) -> ContentKey:
+def content_key(readers: Mapping[str, bytes]) -> ContentKey:
     """A fresh content key, wrapped once for every reader's public key."""
     if not readers:
         raise EmptyReaderSet("sealing requires at least one reader")
-    key = os.urandom(suite.symmetric_key_length)
-    return ContentKey(key, {ident: suite.wrap_key(public, key) for ident, public in readers.items()})
+    key = os.urandom(DEFAULT_SUITE.symmetric_key_length)
+    return ContentKey(
+        key, {ident: DEFAULT_SUITE.wrap_key(public, key) for ident, public in readers.items()}
+    )
 
 
 def remember_key(table: dict[bytes, bytes], wrapped: bytes, key: bytes) -> None:
@@ -304,28 +296,19 @@ def remember_key(table: dict[bytes, bytes], wrapped: bytes, key: bytes) -> None:
         del table[next(iter(table))]
 
 
-def seal_field(
-    value: str,
-    digest: bytes,
-    key: ContentKey,
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> Sealed:
+def seal_field(value: str, digest: bytes, key: ContentKey) -> Sealed:
     """Encrypt a value under ``key`` with a fresh nonce, carry the key's
     wraps, and pair the ciphertext with ``digest``, the value's
     ``value_digest``, which the caller has already computed."""
     return Sealed(
         digest=digest,
-        ciphertext=suite.encrypt(key.key, canonical_bytes(value)),
+        ciphertext=DEFAULT_SUITE.encrypt(key.key, canonical_bytes(value)),
         wrapped_keys=dict(key.wrapped_keys),
     )
 
 
 def open_field(
-    sealed: Sealed,
-    holder: str,
-    private: rsa.RSAPrivateKey,
-    keys: dict[bytes, bytes],
-    suite: CryptoSuite = DEFAULT_SUITE,
+    sealed: Sealed, holder: str, private: rsa.RSAPrivateKey, keys: dict[bytes, bytes]
 ) -> str:
     """Unwrap, decrypt, and check the plaintext against the carried digest.
     ``keys`` is the holder's content-key table: a wrapped blob it holds
@@ -336,13 +319,13 @@ def open_field(
     wrapped = sealed.wrapped_keys[holder]
     key = keys.get(wrapped)
     if key is None:
-        key = suite.unwrap_key(private, wrapped)
+        key = DEFAULT_SUITE.unwrap_key(private, wrapped)
         remember_key(keys, wrapped, key)
     try:
-        text = suite.decrypt(key, sealed.ciphertext).decode("utf-8")
+        text = DEFAULT_SUITE.decrypt(key, sealed.ciphertext).decode("utf-8")
     except UnicodeDecodeError:
         # no value's canonical bytes decode this way
         raise DigestMismatch("plaintext is not UTF-8") from None
-    if value_digest(text, suite) != sealed.digest:
+    if value_digest(text) != sealed.digest:
         raise DigestMismatch("plaintext digest does not match sealed digest")
     return text

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import records
 from .adapter import AdapterState
-from .envelope import DEFAULT_SUITE, CryptoSuite
+from .envelope import DEFAULT_SUITE
 from .ledger import ORDERER_ROLE, LedgerNet, create_net
 from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
 from .policy import AccessMatrix, Role, default_matrix
@@ -115,7 +115,7 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
     one root CA, one CA per organization, one clerk per actor, under
     ``DEFAULT_SUITE`` with ``DEFAULT_VALUES``."""
     suite = DEFAULT_SUITE
-    root = create_root(ROOT_CA, ROOT_VALIDITY, suite)
+    root = create_root(ROOT_CA, ROOT_VALIDITY)
     cas: list[tuple[str, str | None]] = [(ROOT_CA, None)]
     keys = {ROOT_CA: suite.private_bytes(root.key_pair.private)}
     certs = {ROOT_CA: root.cert}
@@ -124,7 +124,7 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
     records = tuple(ActorRecord(*a) for a in DEFAULT_ACTORS)
     for org in dict.fromkeys(a.org for a in records):
         ca_name = f"{org}-CA"
-        ca = create_subordinate(root, ca_name, CA_VALIDITY, suite)
+        ca = create_subordinate(root, ca_name, CA_VALIDITY)
         cas.append((ca_name, ROOT_CA))
         keys[ca_name] = suite.private_bytes(ca.key_pair.private)
         certs[ca_name] = ca.cert
@@ -154,7 +154,7 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
 def fixtures_to_bytes(fx: FixtureSet) -> bytes:
     # Records are line-oriented; the escape mechanism covers + ' ? only.
     for text in (fx.run_tag, *fx.values.values(), *fx.values):
-        if "\n" in text or "\r" in text:
+        if records.holds_line_break((text,)):
             raise FixtureError(f"newline in fixture token {text!r}")
     lines = [records.encode("FIX", FIXTURE_VERSION, fx.suite_id), records.encode("RUN", fx.run_tag)]
     lines += [records.encode("CA", name, parent or "-") for name, parent in fx.cas]
@@ -205,15 +205,15 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
 
 
 @lru_cache(maxsize=128)
-def _load_private_cached(suite: CryptoSuite, der: bytes, public_key: bytes, owner: str):
+def _load_private_cached(der: bytes, public_key: bytes, owner: str):
     # Loading validates the key (~70 ms for RSA-2048), and key objects are
     # immutable: a process loads and checks each fixture key once, however
     # many worlds share it and however often its owner signs.
     try:
-        private = suite.load_private(der)
+        private = DEFAULT_SUITE.load_private(der)
     except ValueError as exc:
         raise FixtureError(f"private key of {owner} does not load: {exc}") from None
-    if suite.public_bytes(private.public_key()) != public_key:
+    if DEFAULT_SUITE.public_bytes(private.public_key()) != public_key:
         raise FixtureError(f"private key of {owner} does not match its certificate")
     return private
 
@@ -227,11 +227,10 @@ class FixtureKeyPair:
     owner: str
     der: bytes = field(repr=False)
     public_key: bytes = field(repr=False)
-    suite: CryptoSuite
 
     @property
     def private(self):
-        return _load_private_cached(self.suite, self.der, self.public_key, self.owner)
+        return _load_private_cached(self.der, self.public_key, self.owner)
 
 
 @dataclass
@@ -239,13 +238,14 @@ class World:
     """Runtime actor mesh rebuilt from a fixture set."""
 
     fixtures: FixtureSet
-    suite: CryptoSuite
     matrix: AccessMatrix
     root_anchor: Certificate
     ca_registry: dict[str, CaState]
     directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]]
     key_pairs: dict[str, FixtureKeyPair]  # actors only; a CA's key sits in its CaState
     adapters: dict[str, AdapterState] = field(default_factory=dict)
+    #: The one suite, not a field: the benchmark's workloads read it here.
+    suite = DEFAULT_SUITE
 
     def adapter(self, identity: str) -> AdapterState:
         return self.adapters[identity]
@@ -266,31 +266,33 @@ class World:
             raise FixtureIncomplete(f"no certificate for {identity}") from None
 
 
-def build_world(fx: FixtureSet, suite: CryptoSuite = DEFAULT_SUITE) -> World:
+def build_world(fx: FixtureSet) -> World:
     """Reconstruct CA states, the certificate directory, and one adapter
     per actor from a fixture set. Every actor and CA needs a KEY and a
     CERT record; no private key loads until its owner first uses it."""
-    if fx.suite_id != suite.suite_id:
-        raise FixtureIncomplete(f"fixtures pin suite {fx.suite_id}, runtime has {suite.suite_id}")
+    if fx.suite_id != DEFAULT_SUITE.suite_id:
+        raise FixtureIncomplete(
+            f"fixtures pin suite {fx.suite_id}, runtime has {DEFAULT_SUITE.suite_id}"
+        )
     matrix = default_matrix()
 
     def key_pair(owner: str, kind: str) -> FixtureKeyPair:
         if owner not in fx.certs or owner not in fx.keys:
             raise FixtureIncomplete(f"{kind} {owner} lacks key or certificate")
-        return FixtureKeyPair(owner, fx.keys[owner], fx.certs[owner].public_key, suite)
+        return FixtureKeyPair(owner, fx.keys[owner], fx.certs[owner].public_key)
 
     key_pairs = {a.identity: key_pair(a.identity, "actor") for a in fx.actors}
     ca_registry: dict[str, CaState] = {}
     for name, _ in fx.cas:
         issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued, suite=suite)
+        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued)
 
     root_anchor = fx.certs.get(ROOT_CA)
     if root_anchor is None:
         raise FixtureIncomplete("no root certificate")
 
     directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]] = {}
-    world = World(fx, suite, matrix, root_anchor, ca_registry, directory, key_pairs)
+    world = World(fx, matrix, root_anchor, ca_registry, directory, key_pairs)
     for a in fx.actors:
         full = world.chain_of(a.identity)
         directory[a.identity] = (full[0], full[1:])
@@ -308,7 +310,6 @@ def build_world(fx: FixtureSet, suite: CryptoSuite = DEFAULT_SUITE) -> World:
             trust_anchor=root_anchor,
             ca_registry=ca_registry,
             directory=directory,
-            suite=suite,
         )
     return world
 
@@ -322,5 +323,4 @@ def build_net(world: World) -> LedgerNet:
         directory=world.directory,
         trust_anchor=world.root_anchor,
         ca_registry=world.ca_registry,
-        suite=world.suite,
     )

@@ -8,6 +8,11 @@ that is always the deterministic replay of the chain.
 Confidential consignment attributes are never ledger data; assets carry
 only container number, lifecycle state, owning shipping line, and handling
 terminal.
+
+Every digest, signature and signature check runs under the one suite,
+``DEFAULT_SUITE``, read where it is used: transactions and blocks remember
+their digests without naming a suite, and a net's record of passed checks
+holds (key, payload, signature).
 """
 
 from __future__ import annotations
@@ -198,15 +203,12 @@ class _Verified:
     referenced: frozenset[str]  # invokers and endorsers of ``blocks``
     blocks: tuple[Block, ...]
     state: dict[str, ContainerAsset]  # gate replay state after that block
-    suite: CryptoSuite
 
     def covers_prefix_of(self, net: "LedgerNet") -> bool:
-        """Still true of ``net``: the same suite object, and the chain
-        starts with the very blocks checked."""
-        return (
-            net.suite is self.suite
-            and len(net.chain) >= len(self.blocks)
-            and all(a is b for a, b in zip(net.chain, self.blocks))
+        """Still true of ``net``: the chain starts with the very blocks
+        checked."""
+        return len(net.chain) >= len(self.blocks) and all(
+            a is b for a, b in zip(net.chain, self.blocks)
         )
 
 
@@ -219,13 +221,12 @@ class LedgerNet:
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
     trust_anchor: Certificate
     ca_registry: Mapping[str, CaState]
-    suite: CryptoSuite = DEFAULT_SUITE
     clock: int = 0
     baseline_state: dict[str, ContainerAsset] = field(default_factory=dict)
     chain: list[Block] = field(default_factory=list)
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
-    #: (suite, key DER, payload, signature) of each signature check that
+    #: (key DER, payload, signature) of each signature check that
     #: passed at ``submit``, ``commit`` or ``verify_chain``, and of each
     #: block signature ``_sign_block`` made, under the signing key's own
     #: public half, since the last valid ``verify_chain``, which reads it
@@ -239,14 +240,13 @@ def create_net(
     directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]],
     trust_anchor: Certificate,
     ca_registry: Mapping[str, CaState],
-    suite: CryptoSuite = DEFAULT_SUITE,
     baseline_state: Mapping[str, ContainerAsset] | None = None,
 ) -> LedgerNet:
     """New net with an empty, orderer-signed genesis block that links to
     the digest of the baseline state."""
     baseline = dict(baseline_state or {})
     for key, a in baseline.items():
-        if key != a.cnt_no or _holds_line_break((a.cnt_no, a.shipping_line, a.terminal)):
+        if key != a.cnt_no or records.holds_line_break((a.cnt_no, a.shipping_line, a.terminal)):
             raise MalformedTransaction(f"the chain file cannot carry baseline entry {key!r}")
     net = LedgerNet(
         orderer_identity=orderer_identity,
@@ -254,12 +254,11 @@ def create_net(
         directory=directory,
         trust_anchor=trust_anchor,
         ca_registry=ca_registry,
-        suite=suite,
         baseline_state=baseline,
     )
     net.world_state = dict(net.baseline_state)
     genesis = _sign_block(
-        net, index=0, prev_hash=_state_digest(net.baseline_state, suite), transactions=()
+        net, index=0, prev_hash=_state_digest(net.baseline_state), transactions=()
     )
     net.chain.append(genesis)
     return net
@@ -273,34 +272,34 @@ def build_transaction(
     key_pair: Signer,
     suite: CryptoSuite = DEFAULT_SUITE,
 ) -> tuple[Transaction, tuple[Certificate, ...]]:
-    """Signed transaction plus the chain to present at submission."""
+    """Signed transaction plus the chain to present at submission.
+    ``suite`` is not read: there is one suite, and callers that pass
+    ``World.suite`` pass it."""
     unsigned = Transaction(invoker_chain[0], LedgerAction(action), cnt_no, tuple(args), b"")
-    body_digest = suite.digest(unsigned.body_bytes())
-    tx = replace(unsigned, invoker_signature=sign(suite, key_pair.private, body_digest))
-    _tx_digests(tx, suite, body_digest)
+    body_digest = DEFAULT_SUITE.digest(unsigned.body_bytes())
+    tx = replace(unsigned, invoker_signature=sign(key_pair.private, body_digest))
+    _tx_digests(tx, body_digest)
     return tx, tuple(invoker_chain)
 
 
-def _tx_digests(
-    tx: Transaction, suite: CryptoSuite, body_digest: bytes | None = None
-) -> tuple[bytes, bytes]:
+def _tx_digests(tx: Transaction, body_digest: bytes | None = None) -> tuple[bytes, bytes]:
     """(digest the invoker signs: the body; payload each endorser signs: the
-    body, then the invoker signature) under ``suite``, as the transaction
-    remembers them. ``body_digest`` is the body's digest under ``suite``
-    when the caller already has it. One built by ``replace``, or remembered
-    under another suite, is hashed again."""
-    if tx._memo is None or tx._memo[0] is not suite:
+    body, then the invoker signature), as the transaction remembers them.
+    ``body_digest`` is the body's digest when the caller already has it.
+    One built by ``replace`` is hashed again."""
+    if tx._memo is None:
         body = tx.body_bytes()
+        digest = DEFAULT_SUITE.digest
         object.__setattr__(tx, "_memo", (
-            suite, body_digest or suite.digest(body), suite.digest(body + tx.invoker_signature)
+            body_digest or digest(body), digest(body + tx.invoker_signature)
         ))
-    return tx._memo[1:]
+    return tx._memo
 
 
 def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
     res = validate_chain(
         chain[0], list(chain[1:]), net.trust_anchor, at=net.clock,
-        ca_registry=net.ca_registry, suite=net.suite,
+        ca_registry=net.ca_registry,
     )
     if not res.valid:
         raise ChainInvalidCert(f"{who}: {res.reason.value}: {res.detail}")
@@ -310,7 +309,7 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
     """Chaincode decision point, judging from certificate facts and current
     state alone (so replay can reuse it). Returns the asset the action
     touches (None for CREATE) or raises the matching denial."""
-    if _holds_line_break((tx.cnt_no, *(e for kv in tx.args for e in kv))):
+    if records.holds_line_break((tx.cnt_no, *(e for kv in tx.args for e in kv))):
         raise MalformedTransaction("transaction text may not hold a line break")
     try:
         role = Role(tx.invoker.role)
@@ -342,12 +341,6 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
             f"{tx.action.value} requires state {required.value}, asset is {asset.state.value}"
         )
     return asset
-
-
-def _holds_line_break(texts: Iterable[str]) -> bool:
-    """The chain file keeps one record per line, so no text it carries may
-    hold a line break: an export must parse back to the net it came from."""
-    return any("\r" in t or "\n" in t for t in texts)
 
 
 def _endorsement_gate(
@@ -403,10 +396,7 @@ def submit(
     _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
     if invoker_chain[0] != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
-    if not _signed(
-        net._passed, net.suite, tx.invoker.public_key, _tx_digests(tx, net.suite)[0],
-        tx.invoker_signature,
-    ):
+    if not _signed(net._passed, tx.invoker.public_key, _tx_digests(tx)[0], tx.invoker_signature):
         raise ChainInvalidCert(f"invoker signature by {tx.invoker.subject} does not verify")
     asset = _gate(tx, net.world_state)
     return PendingTransaction(tx=tx, asset_before=asset)
@@ -423,8 +413,8 @@ def endorse(
     _check_cert(net, endorser_chain, f"endorser {cert.subject}")
     tx = pending.tx
     _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
-    payload = _tx_digests(tx, net.suite)[1]
-    pending.endorsements.append((cert.subject, sign(net.suite, endorser_key.private, payload)))
+    payload = _tx_digests(tx)[1]
+    pending.endorsements.append((cert.subject, sign(endorser_key.private, payload)))
     return pending
 
 
@@ -451,7 +441,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     for pending in pendings:
         tx = pending.endorsed()
         try:
-            _admit(tx, provisional, certs, net.suite, net._passed)
+            _admit(tx, provisional, certs, net._passed)
         except LedgerError as exc:
             bad.append((pending, exc))
             continue
@@ -463,7 +453,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     block = _sign_block(
         net,
         index=len(net.chain),
-        prev_hash=_digests(net.chain[-1], net.suite)[1],
+        prev_hash=_digests(net.chain[-1])[1],
         transactions=tuple(good),
     )
     net.chain.append(block)
@@ -475,7 +465,6 @@ def _admit(
     tx: Transaction,
     state: dict[str, ContainerAsset],
     certs: Mapping[str, Certificate],
-    suite: CryptoSuite,
     passed: set[tuple],
 ) -> None:
     """The rule each transaction meets at ``commit`` and in replay: its
@@ -487,8 +476,8 @@ def _admit(
     invoker = tx.invoker
     if certs.get(invoker.subject) != invoker:
         raise ChainInvalidCert(f"invoker {invoker.subject} differs from its certificate record")
-    body_digest, payload = _tx_digests(tx, suite)
-    if not _signed(passed, suite, invoker.public_key, body_digest, tx.invoker_signature):
+    body_digest, payload = _tx_digests(tx)
+    if not _signed(passed, invoker.public_key, body_digest, tx.invoker_signature):
         raise ChainInvalidCert(f"invoker signature broken on {tx.cnt_no}")
     if len(tx.endorsements) < ENDORSEMENTS_REQUIRED:
         raise InsufficientEndorsements(f"under-endorsed {tx.action.value}")
@@ -496,7 +485,7 @@ def _admit(
         cert = certs.get(ident)
         if cert is None:
             raise IneligibleEndorser(f"endorser {ident} has no certificate")
-        if not _signed(passed, suite, cert.public_key, payload, sig):
+        if not _signed(passed, cert.public_key, payload, sig):
             raise ChainInvalidCert(f"endorsement by {ident} broken")
     try:
         asset = _gate(tx, state)
@@ -512,13 +501,12 @@ def _admit(
     _apply(tx, state)
 
 
-def _signed(passed: set[tuple], suite: CryptoSuite, public: bytes, payload: bytes,
-            sig: bytes) -> bool:
-    """``suite.verify``, not run for a check ``passed`` holds; a check that
-    passes joins ``passed``."""
-    check = (suite, public, payload, sig)
+def _signed(passed: set[tuple], public: bytes, payload: bytes, sig: bytes) -> bool:
+    """``DEFAULT_SUITE.verify``, not run for a check ``passed`` holds; a
+    check that passes joins ``passed``."""
+    check = (public, payload, sig)
     if check not in passed:
-        if not suite.verify(public, payload, sig):
+        if not DEFAULT_SUITE.verify(public, payload, sig):
             return False
         passed.add(check)
     return True
@@ -574,32 +562,31 @@ def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tupl
     half, never a directory key: a PKCS#1 v1.5 signature verifies under the
     key that made it, so a directory certificate with any other key misses
     the entry and is checked for real."""
-    suite, tail = net.suite, b"".join(b"\n" + _txn_line(t) for t in transactions)
+    suite, tail = DEFAULT_SUITE, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
     private = net.orderer_key.private
-    block = Block(index, prev_hash, transactions, sign(suite, private, payload))
-    net._passed.add(
-        (suite, suite.public_bytes(private.public_key()), payload, block.orderer_signature)
-    )
+    block = Block(index, prev_hash, transactions, sign(private, payload))
+    net._passed.add((suite.public_bytes(private.public_key()), payload, block.orderer_signature))
     header = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature)
-    object.__setattr__(block, "_memo", (suite, payload, suite.digest(header + tail + b"\n")))
+    object.__setattr__(block, "_memo", (payload, suite.digest(header + tail + b"\n")))
     return block
 
 
-def _digests(block: Block, suite: CryptoSuite) -> tuple[bytes, bytes]:
+def _digests(block: Block) -> tuple[bytes, bytes]:
     """(digest the orderer signs: the BLK line up to its signature, then the TXN
-    lines; link digest of ``block_bytes``) under ``suite``, as the block remembers
-    them; one built by ``replace``, or remembered under another suite, is hashed again."""
-    if block._memo is None or block._memo[0] is not suite:
-        _hash_block(block, suite, block_bytes(block))
-    return block._memo[1:]
+    lines; link digest of ``block_bytes``), as the block remembers them; one
+    built by ``replace`` is hashed again."""
+    if block._memo is None:
+        _hash_block(block, block_bytes(block))
+    return block._memo
 
 
-def _hash_block(block: Block, suite: CryptoSuite, data: bytes) -> None:
-    """Remember ``_digests`` of ``block`` under ``suite`` from its ``block_bytes``, ``data``."""
+def _hash_block(block: Block, data: bytes) -> None:
+    """Remember ``_digests`` of ``block`` from its ``block_bytes``, ``data``."""
     cut = data.index(b"\n")  # the signature ends the BLK line; base64 holds no "+"
-    payload = suite.digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
-    object.__setattr__(block, "_memo", (suite, payload, suite.digest(data)))
+    digest = DEFAULT_SUITE.digest
+    payload = digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
+    object.__setattr__(block, "_memo", (payload, digest(data)))
 
 
 def export_chain(net: LedgerNet) -> bytes:
@@ -611,7 +598,7 @@ def export_chain(net: LedgerNet) -> bytes:
 def _export_head(net: LedgerNet) -> bytes:
     """The export's LEDGER, ANCHOR, BASE and CERT lines."""
     lines = [
-        records.encode("LEDGER", CHAIN_VERSION, net.suite.suite_id),
+        records.encode("LEDGER", CHAIN_VERSION, DEFAULT_SUITE.suite_id),
         records.encode("ANCHOR", net.orderer_identity, net.chain[0].prev_hash),
     ]
     for cnt_no in sorted(net.baseline_state):
@@ -666,7 +653,7 @@ def parse_chain(data: bytes) -> ExportedChain:
     """Strict parse of an exported chain under ``records.read_file``'s
     one-byte-form rule; a malformed line or a non-canonical integer raises.
     When the next BLK record (or the end) closes a block, it remembers its
-    ``_digests`` under ``DEFAULT_SUITE``, hashed from its records' elements:
+    ``_digests``, hashed from its records' elements:
     one byte form makes them, joined, the records' ``records.encode`` output."""
     suite_id = orderer = ""
     baseline: dict[str, ContainerAsset] = {}
@@ -712,7 +699,7 @@ def parse_chain(data: bytes) -> ExportedChain:
 def _parsed_block(header: tuple[int, bytes, bytes], txns: list[Transaction],
                   elems: list[list[bytes]]) -> Block:
     block = Block(header[0], header[1], tuple(txns), header[2])
-    _hash_block(block, DEFAULT_SUITE, b"\n".join(b"+".join(e) + b"'" for e in elems) + b"\n")
+    _hash_block(block, b"\n".join(b"+".join(e) + b"'" for e in elems) + b"\n")
     return block
 
 
@@ -740,29 +727,29 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
     return tx
 
 
-def verify_exported(
-    exported: ExportedChain, suite: CryptoSuite = DEFAULT_SUITE
-) -> ChainVerification:
+def verify_exported(exported: ExportedChain) -> ChainVerification:
     """Full offline audit: certificate integrity, the orderer's role, hash
     links from the baseline digest on, orderer signatures, and each
     transaction's ``_admit``. It reads no net's record of passed checks."""
-    bad_head = _check_head(exported, suite)
+    bad_head = _check_head(exported)
     if bad_head is not None:
         return bad_head
     baseline = exported.baseline_state
     return _verify_blocks(
-        exported, 0, _state_digest(baseline, suite), dict(baseline), suite, set()
+        exported, 0, _state_digest(baseline), dict(baseline), set()
     ) or ChainVerification(True)
 
 
-def _check_head(exported: ExportedChain, suite: CryptoSuite) -> ChainVerification | None:
+def _check_head(exported: ExportedChain) -> ChainVerification | None:
     """The checks that precede the blocks; None when all pass."""
+    suite = DEFAULT_SUITE
     if exported.suite_id != suite.suite_id:
         return ChainVerification(False, None, f"suite mismatch: {exported.suite_id}")
 
     for cert in exported.certs.values():
         ints = (cert.serial, cert.not_before, cert.not_after)
-        if _holds_line_break((cert.subject, cert.org, cert.role, cert.issuer)) or min(ints) < 0:
+        texts = (cert.subject, cert.org, cert.role, cert.issuer)
+        if records.holds_line_break(texts) or min(ints) < 0:
             return ChainVerification(False, None, f"{cert.subject!r}: not a chain file record")
         issuer = exported.certs.get(cert.issuer)
         if issuer is None:
@@ -786,7 +773,6 @@ def _verify_blocks(
     start: int,
     prev: bytes,
     state: dict[str, ContainerAsset],
-    suite: CryptoSuite,
     passed: set[tuple],
 ) -> ChainVerification | None:
     """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
@@ -803,12 +789,12 @@ def _verify_blocks(
             return ChainVerification(False, idx, "non-consecutive block index")
         if block.prev_hash != prev:
             return ChainVerification(False, idx, "previous-hash link broken")
-        payload, link = _digests(block, suite)
-        if not _signed(passed, suite, orderer_cert.public_key, payload, block.orderer_signature):
+        payload, link = _digests(block)
+        if not _signed(passed, orderer_cert.public_key, payload, block.orderer_signature):
             return ChainVerification(False, idx, "orderer signature broken")
         for tx in block.transactions:
             try:
-                _admit(tx, state, exported.certs, suite, passed)
+                _admit(tx, state, exported.certs, passed)
             except LedgerError as exc:
                 return ChainVerification(False, idx, str(exc))
         prev = link
@@ -835,34 +821,34 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     start = len(seen.blocks) if covered else 0
     referenced = _referenced(net.chain[start:], seen.referenced if covered else frozenset())
     head = ExportedChain(
-        net.suite.suite_id, net.orderer_identity, dict(net.baseline_state),
+        DEFAULT_SUITE.suite_id, net.orderer_identity, dict(net.baseline_state),
         _head_certs(net, referenced), (),
     )
     if covered and head == seen.head:
         exported = replace(head, blocks=tuple(net.chain[start:]))
-        prev, state = _digests(seen.blocks[-1], net.suite)[1], dict(seen.state)
+        prev, state = _digests(seen.blocks[-1])[1], dict(seen.state)
     else:
         start, exported = 0, replace(head, blocks=tuple(net.chain))
-        bad_head = _check_head(exported, net.suite)
+        bad_head = _check_head(exported)
         if bad_head is not None:
             return bad_head
-        prev, state = _state_digest(head.baseline_state, net.suite), dict(head.baseline_state)
-    res = _verify_blocks(exported, start, prev, state, net.suite, net._passed)
+        prev, state = _state_digest(head.baseline_state), dict(head.baseline_state)
+    res = _verify_blocks(exported, start, prev, state, net._passed)
     if res is not None:
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
-    net._verified = _Verified(head, referenced, tuple(net.chain), state, net.suite)
+    net._verified = _Verified(head, referenced, tuple(net.chain), state)
     net._passed.clear()  # the watermark now covers every transaction it held
     return ChainVerification(True)
 
 
-def _state_digest(state: Mapping[str, ContainerAsset], suite: CryptoSuite) -> bytes:
+def _state_digest(state: Mapping[str, ContainerAsset]) -> bytes:
     """The genesis link of a chain over ``state``: ``GENESIS_PREV`` for an
     empty state, else the digest of its assets in container order."""
     if not state:
         return GENESIS_PREV
-    return suite.digest(
+    return DEFAULT_SUITE.digest(
         b"".join(
             records.encode(a.cnt_no, a.state.value, a.shipping_line, a.terminal)
             for a in (state[k] for k in sorted(state))
@@ -880,6 +866,5 @@ def rollover(net: LedgerNet) -> LedgerNet:
         net.directory,
         net.trust_anchor,
         net.ca_registry,
-        net.suite,
         baseline_state=net.world_state,
     )

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import records
-from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
+from .envelope import DEFAULT_SUITE, Signer, sign
 
 #: Role token carried by certificate-authority certificates.
 CA_ROLE = "CA"
@@ -79,7 +79,6 @@ class CaState:
     cert: Certificate
     issued: list[int] = field(default_factory=list)
     revoked: set[int] = field(default_factory=set)
-    suite: CryptoSuite = DEFAULT_SUITE
 
     @property
     def name(self) -> str:
@@ -101,7 +100,6 @@ class CaState:
             )
         serial = (self.issued[-1] if self.issued else 0) + 1
         cert = _signed_cert(
-            self.suite,
             self.key_pair,
             serial=serial,
             subject=subject,
@@ -129,9 +127,9 @@ def _cert_fields(cert: Certificate) -> tuple:
     )
 
 
-def _signed_cert(suite: CryptoSuite, signer: Signer, **fields) -> Certificate:
+def _signed_cert(signer: Signer, **fields) -> Certificate:
     unsigned = Certificate(signature=b"", **fields)
-    sig = sign(suite, signer.private, suite.digest(unsigned.body_bytes()))
+    sig = sign(signer.private, DEFAULT_SUITE.digest(unsigned.body_bytes()))
     return Certificate(signature=sig, **fields)
 
 
@@ -155,15 +153,10 @@ def cert_from_record(rec: records.Record) -> Certificate:
     )
 
 
-def create_root(
-    name: str,
-    validity: tuple[int, int] = (0, 1_000_000),
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> CaState:
+def create_root(name: str, validity: tuple[int, int]) -> CaState:
     """Self-signed trust anchor; its own serial 1 counts as issued."""
-    kp = suite.generate_keypair(name)
+    kp = DEFAULT_SUITE.generate_keypair(name)
     cert = _signed_cert(
-        suite,
         kp,
         serial=1,
         subject=name,
@@ -174,26 +167,23 @@ def create_root(
         not_after=validity[1],
         public_key=kp.public,
     )
-    return CaState(kp, cert, issued=[1], suite=suite)
+    return CaState(kp, cert, issued=[1])
 
 
-def create_subordinate(
-    parent: CaState,
-    name: str,
-    validity: tuple[int, int],
-    suite: CryptoSuite = DEFAULT_SUITE,
-) -> CaState:
+def create_subordinate(parent: CaState, name: str, validity: tuple[int, int]) -> CaState:
     """Organization-level CA whose certificate is issued by ``parent``."""
-    kp = suite.generate_keypair(name)
+    kp = DEFAULT_SUITE.generate_keypair(name)
     cert = parent.issue(name, name, CA_ROLE, kp.public, validity)
-    return CaState(kp, cert, suite=suite)
+    return CaState(kp, cert)
 
 
 @lru_cache(maxsize=1024)
-def _link_signed(cert: Certificate, issuer_public_key: bytes, suite: CryptoSuite) -> bool:
+def _link_signed(cert: Certificate, issuer_public_key: bytes) -> bool:
     """Does ``cert``'s signature verify under its issuer's key? Keyed on the
     whole certificate, signature included, so any edited field misses."""
-    return suite.verify(issuer_public_key, suite.digest(cert.body_bytes()), cert.signature)
+    return DEFAULT_SUITE.verify(
+        issuer_public_key, DEFAULT_SUITE.digest(cert.body_bytes()), cert.signature
+    )
 
 
 def validate_chain(
@@ -202,7 +192,6 @@ def validate_chain(
     trust_anchor: Certificate,
     at: int,
     ca_registry: Mapping[str, CaState],
-    suite: CryptoSuite = DEFAULT_SUITE,
 ) -> ChainResult:
     """Walk leaf -> intermediates -> root.
 
@@ -229,7 +218,7 @@ def validate_chain(
                 FailureReason.BROKEN_SIGNATURE,
                 f"{cert.subject} issued by {cert.issuer}, not {parent.subject}",
             )
-        if not _link_signed(cert, parent.public_key, suite):
+        if not _link_signed(cert, parent.public_key):
             return ChainResult(
                 False, FailureReason.BROKEN_SIGNATURE, f"signature on {cert.subject}"
             )

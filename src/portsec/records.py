@@ -210,6 +210,13 @@ def read_file(data: bytes, layout: dict[bytes, tuple[int, int, int | None]],
     return check(decode_lines(data), layout, what)
 
 
+def holds_line_break(texts: Iterable[str]) -> bool:
+    """Does any of ``texts`` hold a line break? A file keeps one record per
+    line and the escapes cover ``+ ' ?`` only, so no text a file carries
+    may hold one: what is written must parse back to the same records."""
+    return any("\r" in t or "\n" in t for t in texts)
+
+
 def check(recs: Iterable[Record], layout: dict[bytes, tuple[int, int, int | None]],
           what: str) -> Iterator[Record]:
     """Each record of ``recs``, checked against its format's ``layout``,

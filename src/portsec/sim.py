@@ -305,10 +305,8 @@ class Simulation:
             else:
                 args = (("terminal", world.directory_cert(step.endorser).org),) \
                     if action == "CREATE" and step.endorser else ()
-                tx, chain = build_transaction(
-                    LedgerAction(action), cnt, args,
-                    world.chain_of(invoker), world.key_pairs[invoker], world.suite,
-                )
+                tx, chain = build_transaction(LedgerAction(action), cnt, args,
+                                              world.chain_of(invoker), world.key_pairs[invoker])
                 pending = submit(net, tx, chain)
                 if step.endorser:
                     endorse(net, pending, world.chain_of(step.endorser),

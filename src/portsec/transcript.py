@@ -90,7 +90,7 @@ class Transcript:
             )
         )
 
-    def ledger(self, action, cnt_no, invoker, outcome, detail="") -> None:
+    def ledger(self, action, cnt_no, invoker, outcome, detail) -> None:
         self.events.append(LedgerEvent(str(action), cnt_no, invoker, outcome, detail))
 
     def audit(self, actor: str, attributes, flagged: bool) -> None:

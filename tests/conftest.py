@@ -2,11 +2,13 @@
 adapter states (stores, nonce maps, CA registries) per test."""
 
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 
-from portsec.envelope import CryptoSuite
+from portsec import envelope, pki
+from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_world, generate_fixtures
 
 # Property tests draw the same examples on every run (a seed derived from
@@ -17,43 +19,36 @@ settings.register_profile("deep", max_examples=1000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-class CountingSuite(CryptoSuite):
-    """The default primitives, counting RSA signatures, RSA signature
-    verifications, OAEP key wraps and unwraps, and digests."""
-
-    def __init__(self):
-        self.signs = 0
-        self.verifies = 0
-        self.wraps = 0
-        self.unwraps = 0
-        self.digests = 0
-
-    def sign(self, private, payload):
-        self.signs += 1
-        return super().sign(private, payload)
-
-    def digest(self, data):
-        self.digests += 1
-        return super().digest(data)
-
-    def verify(self, public, payload, sig):
-        self.verifies += 1
-        return super().verify(public, payload, sig)
-
-    def wrap_key(self, public, key_material):
-        self.wraps += 1
-        return super().wrap_key(public, key_material)
-
-    def unwrap_key(self, private, wrapped):
-        self.unwraps += 1
-        return super().unwrap_key(private, wrapped)
+#: The ``DEFAULT_SUITE`` methods ``counting_suite`` counts, by counter:
+#: RSA signatures, RSA signature verifications, OAEP key wraps and
+#: unwraps, and digests.
+COUNTED = {"signs": "sign", "verifies": "verify", "wraps": "wrap_key",
+           "unwraps": "unwrap_key", "digests": "digest"}
 
 
-@pytest.fixture(scope="session")
+def _counted(counts, counter, method):
+    def counted(*args, **kwargs):
+        setattr(counts, counter, getattr(counts, counter) + 1)
+        return method(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
 def counting_suite():
-    """Factory: each call gives a fresh suite, so memoised results keyed on
-    the suite start empty."""
-    return CountingSuite
+    """Counts what ``DEFAULT_SUITE`` runs during the test. The counting
+    wrappers are instance attributes that shadow its methods, as the
+    benchmark's tracer sets them, and leave with the test. The sign,
+    verify and certificate-link memos start empty, so no answer an earlier
+    test left hides a count."""
+    counts = SimpleNamespace(**dict.fromkeys(COUNTED, 0))
+    for counter, attr in COUNTED.items():
+        setattr(DEFAULT_SUITE, attr, _counted(counts, counter, getattr(DEFAULT_SUITE, attr)))
+    for memo in (envelope.sign, envelope.verify, pki._link_signed):
+        memo.cache_clear()
+    yield counts
+    for attr in COUNTED.values():
+        delattr(DEFAULT_SUITE, attr)
 
 
 @pytest.fixture(scope="session")

@@ -140,19 +140,19 @@ def test_c03_representation_equivalence(world):
         """Field digests of a message carrying field i in plaintext when
         bit i of ``mask`` is set, else hash-only."""
         msg = Message("IFTMCS", "R1", tuple(
-            (n, Plain(v)) if mask & (1 << i) else (n, HashOnly(value_digest(v, world.suite)))
+            (n, Plain(v)) if mask & (1 << i) else (n, HashOnly(value_digest(v)))
             for i, (n, v) in enumerate(fields)
         ))
-        return field_digests(msg, world.suite)
+        return field_digests(msg)
 
     for k in (1, 2, 3, 4):
         fields = values[:k]
-        sig = multi_sign(key, [n for n, _ in fields], digests(fields), suite=world.suite)
+        sig = multi_sign(key, [n for n, _ in fields], digests(fields))
         for mask in range(2 ** k):
-            assert verify_multi_sig(public, sig, digests(fields, mask), suite=world.suite)
+            assert verify_multi_sig(public, sig, digests(fields, mask))
             combos += 1
         wrong = digests([(n, v + "!") for n, v in fields])
-        assert not verify_multi_sig(public, sig, wrong, suite=world.suite)
+        assert not verify_multi_sig(public, sig, wrong)
     assert combos == 30
     _ok(3, "30/30 plaintext/hash-only field combinations verify; forgeries do not")
 
@@ -274,7 +274,6 @@ def _seeded_net(world, state):
         directory=world.directory,
         trust_anchor=world.root_anchor,
         ca_registry=world.ca_registry,
-        suite=world.suite,
         baseline_state=baseline,
     )
 
@@ -283,8 +282,7 @@ def _submit_verdict(world, invoker, action, state):
     net = _seeded_net(world, state)
     args = (("terminal", "T1"),) if action is LedgerAction.CREATE else ()
     tx, chain = build_transaction(
-        action, CNT, args, world.chain_of(invoker),
-        world.key_pairs[invoker], world.suite,
+        action, CNT, args, world.chain_of(invoker), world.key_pairs[invoker]
     )
     try:
         submit(net, tx, chain)
@@ -337,8 +335,7 @@ def _lifecycle_chain(world) -> bytes:
     )
     for action, invoker, endorser, args in plan:
         tx, chain = build_transaction(
-            action, CNT, args, world.chain_of(invoker),
-            world.key_pairs[invoker], world.suite,
+            action, CNT, args, world.chain_of(invoker), world.key_pairs[invoker]
         )
         pending = submit(net, tx, chain)
         endorse(net, pending, world.chain_of(endorser), world.key_pairs[endorser])
@@ -389,8 +386,8 @@ def test_c10_pki_gates_both_modes(base_fixtures):
     world = build_world(base_fixtures)
     sm = _booking_message(world, base_fixtures)
 
-    foreign_root = create_root("Foreign-Root", ROOT_VALIDITY, world.suite)
-    foreign_ca = create_subordinate(foreign_root, "Foreign-SL-CA", CA_VALIDITY, world.suite)
+    foreign_root = create_root("Foreign-Root", ROOT_VALIDITY)
+    foreign_ca = create_subordinate(foreign_root, "Foreign-SL-CA", CA_VALIDITY)
     foreign_leaf = foreign_ca.issue(
         "sl1-clerk", "SL1", Role.SHIPPING_LINE.value,
         world.key_pairs["sl1-clerk"].public_key, LEAF_VALIDITY,
@@ -402,7 +399,7 @@ def test_c10_pki_gates_both_modes(base_fixtures):
     net = build_net(world)
     tx, _ = build_transaction(
         LedgerAction.CREATE, CNT, (("terminal", "T1"),), world.chain_of("sl1-clerk"),
-        world.key_pairs["sl1-clerk"], world.suite,
+        world.key_pairs["sl1-clerk"],
     )
     try:
         submit(net, tx, foreign_chain)

@@ -514,16 +514,15 @@ def test_one_content_key_per_message_and_reader_set(world):
     assert len(set(keys)) == 4
 
 
-def _export_unwraps(base_fixtures, counting_suite, monkeypatch, edit=None, at="arrival_codeco"):
+def _export_unwraps(base_fixtures, edit=None, at="arrival_codeco"):
     """One export booking on a fresh world; ``edit(world, sm)`` may change
     the message delivered at step ``at``. At arrival_codeco t1-op forwards
     to sl1-clerk the CNT_C and CSG_DATA that sl1-clerk sealed at delivery.
     Returns the run and the (step, actor) of every RSA-OAEP unwrap."""
-    suite = counting_suite()
-    world = build_world(base_fixtures, suite=suite)
+    world = build_world(base_fixtures)
     owners = {state.key_pair.private: who for who, state in world.adapters.items()}
     unwraps, step = [], [None]
-    unwrap = suite.unwrap_key
+    unwrap = DEFAULT_SUITE.unwrap_key
 
     def recording(private, wrapped):
         unwraps.append((step[0], owners[private]))
@@ -533,8 +532,12 @@ def _export_unwraps(base_fixtures, counting_suite, monkeypatch, edit=None, at="a
         step[0] = name
         return edit(world, sm) if edit and name == at else sm
 
-    monkeypatch.setattr(suite, "unwrap_key", recording)
-    return run_scenario(base_fixtures, "export", "p2p", world=world, interceptor=intercept), unwraps
+    DEFAULT_SUITE.unwrap_key = recording  # shadows the method for this run only
+    try:
+        sim = run_scenario(base_fixtures, "export", "p2p", world=world, interceptor=intercept)
+    finally:
+        del DEFAULT_SUITE.unwrap_key
+    return sim, unwraps
 
 
 def _findings(sim, step):
@@ -542,11 +545,11 @@ def _findings(sim, step):
     return report.verdict, [(f.code, f.subject, f.detail) for f in report.findings]
 
 
-def test_each_reader_unwraps_a_content_key_at_most_once(base_fixtures, counting_suite, monkeypatch):
+def test_each_reader_unwraps_a_content_key_at_most_once(base_fixtures):
     """sl1-clerk opens at arrival_codeco the fields it sealed at delivery
     from its own table; customs, which holds only the wrap, unwraps once
     for both fields of the group."""
-    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch)
+    sim, unwraps = _export_unwraps(base_fixtures)
     assert sim.transcript.verdict == "PASS"
     assert unwraps == [("export_declaration", "customs-officer")]
     sealed = sim.outbound["delivery"].message.get("CNT_C")
@@ -555,7 +558,7 @@ def test_each_reader_unwraps_a_content_key_at_most_once(base_fixtures, counting_
     )
 
 
-def test_a_table_hit_still_decrypts_and_checks(base_fixtures, counting_suite, monkeypatch):
+def test_a_table_hit_still_decrypts_and_checks(base_fixtures):
     def flip(world, sm):
         sealed = sm.message.get("CNT_C")
         ct = sealed.ciphertext[:-1] + bytes([sealed.ciphertext[-1] ^ 1])
@@ -564,7 +567,7 @@ def test_a_table_hit_still_decrypts_and_checks(base_fixtures, counting_suite, mo
             sm.signatures, sm.sender,
         )
 
-    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch, flip)
+    sim, unwraps = _export_unwraps(base_fixtures, flip)
     assert _findings(sim, "arrival_codeco") == (
         "REJECT", [(FindingCode.DIGEST_MISMATCH, "CNT_C", "authentication tag mismatch")]
     )
@@ -572,9 +575,7 @@ def test_a_table_hit_still_decrypts_and_checks(base_fixtures, counting_suite, mo
 
 
 @pytest.mark.parametrize("same_key", [True, False], ids=["same key", "other key"])
-def test_another_valid_blob_is_unwrapped_as_without_the_table(
-    base_fixtures, counting_suite, monkeypatch, same_key
-):
+def test_another_valid_blob_is_unwrapped_as_without_the_table(base_fixtures, same_key):
     """CNT_C's wrapped key for sl1-clerk is replaced by a fresh wrap of the
     same content key, or of another key. The new bytes miss the table and
     are unwrapped; the report equals the one sl1-clerk gives with an empty
@@ -583,7 +584,8 @@ def test_another_valid_blob_is_unwrapped_as_without_the_table(
         def edit(world, sm):
             sl = world.adapter("sl1-clerk")
             sealed = sm.message.get("CNT_C")
-            key = _unwrap(world, "sl1-clerk", sealed) if same_key else bytes(32)
+            # the key sl1-clerk sealed under, from its table: no unwrap joins the record
+            key = sl.content_keys[sealed.wrapped_keys["sl1-clerk"]] if same_key else bytes(32)
             blob = DEFAULT_SUITE.wrap_key(sl.key_pair.public_key, key)
             if clear_table:
                 sl.content_keys.clear()
@@ -594,8 +596,7 @@ def test_another_valid_blob_is_unwrapped_as_without_the_table(
             )
         return edit
 
-    runs = [_export_unwraps(base_fixtures, counting_suite, monkeypatch, rewrap(clear))
-            for clear in (False, True)]
+    runs = [_export_unwraps(base_fixtures, rewrap(clear)) for clear in (False, True)]
     at_hop = [[u for u in unwraps if u[0] == "arrival_codeco"] for _, unwraps in runs]
     assert at_hop == [[("arrival_codeco", "sl1-clerk")], [("arrival_codeco", "sl1-clerk")] * 2]
     (warm, _), (cold, _) = runs
@@ -603,7 +604,7 @@ def test_another_valid_blob_is_unwrapped_as_without_the_table(
     assert _findings(warm, "arrival_codeco")[0] == ("ACCEPT" if same_key else "REJECT")
 
 
-def test_a_key_in_another_actors_table_opens_nothing(base_fixtures, counting_suite, monkeypatch):
+def test_a_key_in_another_actors_table_opens_nothing(base_fixtures):
     """sl1-clerk's blob for CNT_C, which its table holds, is put under
     customs' name at export_declaration: customs unwraps it with its own
     key, which fails, as it would with no table at all."""
@@ -616,8 +617,7 @@ def test_a_key_in_another_actors_table_opens_nothing(base_fixtures, counting_sui
             sm.signatures, sm.sender,
         )
 
-    sim, unwraps = _export_unwraps(base_fixtures, counting_suite, monkeypatch, swap,
-                                   at="export_declaration")
+    sim, unwraps = _export_unwraps(base_fixtures, swap, at="export_declaration")
     verdict, findings = _findings(sim, "export_declaration")
     assert verdict == "REJECT"
     assert [(code, subject) for code, subject, _ in findings] == [

@@ -10,6 +10,7 @@ import pytest
 
 import portsec
 from portsec.cli import main
+from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import (
     IneligibleEndorser,
@@ -176,12 +177,12 @@ def test_ledger_verify_flags_self_endorsement(base_fixtures, tmp_path, capsys):
     tx, presented = build_transaction(LedgerAction.CREATE, "COSU1234567", (("terminal", "T1"),),
                                       world.chain_of("sl1-clerk"), key)
     pending = submit(net, tx, presented)
-    payload = world.suite.digest(tx.body_bytes() + tx.invoker_signature)
-    pending.endorsements.append(("sl1-clerk", world.suite.sign(key.private, payload)))
+    payload = DEFAULT_SUITE.digest(tx.body_bytes() + tx.invoker_signature)
+    pending.endorsements.append(("sl1-clerk", DEFAULT_SUITE.sign(key.private, payload)))
     res = commit(net, [pending])
     assert res.block is None and isinstance(res.rejected[0][1], IneligibleEndorser)
     # ordered by hand, as ``commit`` signs a block but without its checks
-    prev = world.suite.digest(block_bytes(net.chain[-1]))
+    prev = DEFAULT_SUITE.digest(block_bytes(net.chain[-1]))
     net.chain.append(_sign_block(net, 1, prev, (pending.endorsed(),)))
     chain = tmp_path / "self.chain"
     chain.write_bytes(export_chain(net))

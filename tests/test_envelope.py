@@ -90,12 +90,9 @@ def test_payload_binds_names():
     assert signing_payload(["X", "Y"], digests) != signing_payload(["Y", "X"], digests)
 
 
-def test_payload_of_a_name_list_equals_its_tuple(counting_suite):
-    suite = counting_suite()
+def test_payload_of_a_name_list_equals_its_tuple():
     digests = [value_digest("u"), value_digest("w")]
-    first = signing_payload(["X", "Y"], digests, suite=suite)
-    assert signing_payload(("X", "Y"), digests, suite=suite) == first
-    assert first == signing_payload(["X", "Y"], digests)
+    assert signing_payload(("X", "Y"), digests) == signing_payload(["X", "Y"], digests)
 
 
 # --- signing ----------------------------------------------------------------
@@ -128,49 +125,43 @@ def test_a_field_has_one_digest_in_every_representation(keys):
 def test_memoised_signature_equals_a_fresh_one(keys):
     payload = digest(b"memo")
     private = keys["alice"].private
-    assert sign(DEFAULT_SUITE, private, payload) == DEFAULT_SUITE.sign(private, payload)
+    assert sign(private, payload) == DEFAULT_SUITE.sign(private, payload)
 
 
 def test_repeat_signature_signs_once(keys, counting_suite):
-    suite = counting_suite()
     payload = digest(b"once")
-    first = sign(suite, keys["alice"].private, payload)
-    assert sign(suite, keys["alice"].private, payload) == first
-    assert suite.signs == 1
+    first = sign(keys["alice"].private, payload)
+    assert sign(keys["alice"].private, payload) == first
+    assert counting_suite.signs == 1
 
 
-def test_new_payload_key_or_suite_signs_again(keys, counting_suite):
-    suite, other = counting_suite(), counting_suite()
+def test_new_payload_or_key_signs_again(keys, counting_suite):
     alice, bob = keys["alice"].private, keys["bob"].private
     one, two = digest(b"one"), digest(b"two")
-    sign(suite, alice, one)
-    assert sign(suite, alice, two) != sign(suite, bob, one)
-    assert suite.signs == 3
-    assert sign(other, alice, one) == sign(suite, alice, one)
-    assert (suite.signs, other.signs) == (3, 1)
+    sign(alice, one)
+    assert sign(alice, two) != sign(bob, one)
+    assert counting_suite.signs == 3
 
 
 def test_signing_memo_is_bounded(keys, counting_suite):
-    suite = counting_suite()
     payloads = [digest(b"%d" % i) for i in range(SIGN_MEMO_SIZE + 1)]
     for payload in payloads:
-        sign(suite, keys["alice"].private, payload)
+        sign(keys["alice"].private, payload)
     assert sign.cache_info().maxsize == SIGN_MEMO_SIZE
     assert sign.cache_info().currsize <= SIGN_MEMO_SIZE
-    sign(suite, keys["alice"].private, payloads[0])  # evicted, so signed again
-    assert suite.signs == SIGN_MEMO_SIZE + 2
+    sign(keys["alice"].private, payloads[0])  # evicted, so signed again
+    assert counting_suite.signs == SIGN_MEMO_SIZE + 2
 
 
 def test_sign_rejects_degenerate_input(keys, counting_suite):
     """An empty or duplicate list fails the model's checks before any RSA
     signature is made."""
-    suite = counting_suite()
     digests = {"B_NO": value_digest("a")}
     with pytest.raises(InvariantViolation):
-        multi_sign(keys["alice"], [], digests, suite=suite)
+        multi_sign(keys["alice"], [], digests)
     with pytest.raises(DuplicateAttribute):
-        multi_sign(keys["alice"], ["B_NO", "B_NO"], digests, suite=suite)
-    assert suite.signs == 0
+        multi_sign(keys["alice"], ["B_NO", "B_NO"], digests)
+    assert counting_suite.signs == 0
 
 
 def test_signatures_are_deterministic(keys):
@@ -261,69 +252,63 @@ def signed(keys):
 
 
 def test_memoised_check_equals_a_fresh_one(signed, counting_suite):
-    suite = counting_suite()
     der, payload, sig = signed
     cases = [(payload, sig, True), (digest(b"tampered"), sig, False), (payload, b"garbage", False)]
     for p, s, expected in cases:
-        assert verify(suite, der, p, s) is expected
-        assert verify(suite, der, p, s) is DEFAULT_SUITE.verify(der, p, s)
-    assert suite.verifies == len(cases)
+        assert verify(der, p, s) is expected
+        assert verify(der, p, s) is expected
+    assert counting_suite.verifies == len(cases)
+    assert all(DEFAULT_SUITE.verify(der, p, s) is expected for p, s, expected in cases)
 
 
 def test_repeat_check_verifies_once(signed, counting_suite):
-    suite = counting_suite()
-    assert verify(suite, *signed)
-    assert verify(suite, *signed)
-    assert suite.verifies == 1
+    assert verify(*signed)
+    assert verify(*signed)
+    assert counting_suite.verifies == 1
 
 
-def test_new_payload_key_signature_or_suite_verifies_again(keys, signed, counting_suite):
-    suite, other = counting_suite(), counting_suite()
+def test_new_payload_key_or_signature_verifies_again(keys, signed, counting_suite):
     der, payload, sig = signed
     bob = keys["bob"].public
-    verify(suite, der, payload, sig)
-    assert not verify(suite, der, digest(b"other"), sig)
-    assert not verify(suite, bob, payload, sig)
-    assert not verify(suite, der, payload, sig[:-1] + bytes([sig[-1] ^ 1]))
-    assert verify(other, der, payload, sig)
-    assert (suite.verifies, other.verifies) == (4, 1)
+    verify(der, payload, sig)
+    assert not verify(der, digest(b"other"), sig)
+    assert not verify(bob, payload, sig)
+    assert not verify(der, payload, sig[:-1] + bytes([sig[-1] ^ 1]))
+    assert counting_suite.verifies == 4
 
 
 def test_cached_true_never_passes_a_flipped_signature_or_another_key(keys, signed, counting_suite):
-    suite = counting_suite()
     der, payload, sig = signed
-    assert verify(suite, der, payload, sig)
+    assert verify(der, payload, sig)
     for i in range(len(sig)):
         flipped = sig[:i] + bytes([sig[i] ^ 0x01]) + sig[i + 1 :]
-        assert not verify(suite, der, payload, flipped), i
-    assert not verify(suite, keys["bob"].public, payload, sig)
-    assert verify(suite, der, payload, sig)
+        assert not verify(der, payload, flipped), i
+    assert not verify(keys["bob"].public, payload, sig)
+    assert verify(der, payload, sig)
 
 
 def test_verify_memo_is_bounded(signed, counting_suite):
-    suite = counting_suite()
     der, _, sig = signed
     payloads = [digest(b"%d" % i) for i in range(VERIFY_MEMO_SIZE + 1)]
     for payload in payloads:
-        verify(suite, der, payload, sig)
+        verify(der, payload, sig)
     assert verify.cache_info().maxsize == VERIFY_MEMO_SIZE
     assert verify.cache_info().currsize <= VERIFY_MEMO_SIZE
-    verify(suite, der, payloads[0], sig)  # evicted, so checked again
-    assert suite.verifies == VERIFY_MEMO_SIZE + 2
+    verify(der, payloads[0], sig)  # evicted, so checked again
+    assert counting_suite.verifies == VERIFY_MEMO_SIZE + 2
 
 
 def test_a_repeated_multi_sig_check_verifies_once(keys, counting_suite):
-    suite = counting_suite()
     sig = sign_plain(keys["alice"], FIELDS)
     digests = digests_of(FIELDS)
     der = keys["alice"].public
-    assert verify_multi_sig(der, sig, digests, suite=suite)
-    assert verify_multi_sig(der, sig, digests, suite=suite)
-    assert suite.verifies == 1
+    assert verify_multi_sig(der, sig, digests)
+    assert verify_multi_sig(der, sig, digests)
+    assert counting_suite.verifies == 1
     bad = digests_of([(n, v + "!") for n, v in FIELDS])
-    assert not verify_multi_sig(der, sig, bad, suite=suite)
-    assert not verify_multi_sig(der, sig, bad, suite=suite)
-    assert suite.verifies == 2
+    assert not verify_multi_sig(der, sig, bad)
+    assert not verify_multi_sig(der, sig, bad)
+    assert counting_suite.verifies == 2
 
 
 # --- sealing ----------------------------------------------------------------
@@ -405,18 +390,16 @@ def test_ciphertexts_swapped_within_one_content_key_fail_the_digest_check(keys):
 
 
 def test_a_key_table_answers_only_its_exact_blob(keys, counting_suite):
-    suite = counting_suite()
-    sealed = seal_field("secret", value_digest("secret"),
-                        content_key({"alice": keys["alice"].public}, suite), suite)
+    sealed = seal_field("secret", value_digest("secret"), content_key({"alice": keys["alice"].public}))
     table = {}
     for _ in range(2):
-        assert open_field(sealed, "alice", keys["alice"].private, table, suite) == "secret"
-    assert suite.unwraps == 1 and len(table) == 1
+        assert open_field(sealed, "alice", keys["alice"].private, table) == "secret"
+    assert counting_suite.unwraps == 1 and len(table) == 1
     blob = sealed.wrapped_keys["alice"]
     flipped = Sealed(sealed.digest, sealed.ciphertext, {"alice": blob[:-1] + bytes([blob[-1] ^ 1])})
     with pytest.raises(AuthDecryptFailure):
-        open_field(flipped, "alice", keys["alice"].private, table, suite)
-    assert suite.unwraps == 2 and len(table) == 1
+        open_field(flipped, "alice", keys["alice"].private, table)
+    assert counting_suite.unwraps == 2 and len(table) == 1
 
 
 # --- properties -------------------------------------------------------------

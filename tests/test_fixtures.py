@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from portsec.envelope import CryptoSuite, multi_sign
+from portsec.envelope import DEFAULT_SUITE, multi_sign
 from portsec.fixtures import (
     LEAF_VALIDITY,
     FixtureError,
@@ -22,17 +22,22 @@ P2P_IMPORT = {"importer-1", "sl1-clerk", "customs-officer"}
 LEDGER = {"orderer-1", "sl1-clerk", "t1-op", "pcs-op"}
 
 
-class LoadRecordingSuite(CryptoSuite):
-    """The default primitives, recording whose private key each load is.
-    A fresh suite is a fresh key in the load cache, so it starts cold."""
+@pytest.fixture
+def loaded(base_fixtures):
+    """The owner of each private key ``DEFAULT_SUITE`` loads during the
+    test, in load order. A wrapper shadows its ``load_private`` for the
+    test, and the process's load cache starts cold."""
+    owners = {der: owner for owner, der in base_fixtures.keys.items()}
+    loaded, load = [], DEFAULT_SUITE.load_private
 
-    def __init__(self, fx):
-        self.owners = {der: owner for owner, der in fx.keys.items()}
-        self.loaded = []
+    def recording(der):
+        loaded.append(owners[der])
+        return load(der)
 
-    def load_private(self, der):
-        self.loaded.append(self.owners[der])
-        return super().load_private(der)
+    _load_private_cached.cache_clear()
+    DEFAULT_SUITE.load_private = recording
+    yield loaded
+    del DEFAULT_SUITE.load_private
 
 
 def _issue_temp_clerk(world):
@@ -71,16 +76,15 @@ def test_a_missing_key_or_certificate_fails_the_build(base_fixtures, owner, reco
         ("import", "ledger", LEDGER),
     ],
 )
-def test_a_run_loads_only_the_keys_of_the_actors_that_act(base_fixtures, scenario, mode, owners):
-    suite = LoadRecordingSuite(base_fixtures)
-    sim = run_scenario(base_fixtures, scenario, mode, world=build_world(base_fixtures, suite=suite))
-    assert sim.transcript.verdict == "PASS"
-    assert Counter(suite.loaded) == Counter(owners)
+def test_a_run_loads_only_the_keys_of_the_actors_that_act(
+    base_fixtures, loaded, scenario, mode, owners
+):
+    assert run_scenario(base_fixtures, scenario, mode).transcript.verdict == "PASS"
+    assert Counter(loaded) == Counter(owners)
 
 
-def test_ten_bookings_load_each_key_once(base_fixtures):
-    suite = LoadRecordingSuite(base_fixtures)
-    world = build_world(base_fixtures, suite=suite)
+def test_ten_bookings_load_each_key_once(base_fixtures, loaded):
+    world = build_world(base_fixtures)
     for i in range(10):
         tag = f"B{i}"
         fx = base_fixtures.with_values(
@@ -88,7 +92,7 @@ def test_ten_bookings_load_each_key_once(base_fixtures):
         )
         scenario = ("export", "import")[i % 2]
         assert run_scenario(fx, scenario, "p2p", world=world).transcript.verdict == "PASS"
-    assert Counter(suite.loaded) == Counter(P2P_EXPORT)
+    assert Counter(loaded) == Counter(P2P_EXPORT)
 
 
 @pytest.mark.parametrize("owner", ["sl2-clerk", "t2-op"])
@@ -99,7 +103,7 @@ def test_a_bad_key_of_an_idle_actor_fails_only_its_first_signature(base_fixtures
             assert run_scenario(fx, scenario, mode).transcript.verdict == "PASS"
     world = build_world(fx)
     with pytest.raises(FixtureError, match=f"private key of {owner} does not load"):
-        multi_sign(world.key_pairs[owner], ["B_NO"], {"B_NO": bytes(32)}, suite=world.suite)
+        multi_sign(world.key_pairs[owner], ["B_NO"], {"B_NO": bytes(32)})
 
 
 def test_a_receivers_bad_key_raises_from_validation(base_fixtures):
@@ -114,7 +118,7 @@ def test_world_ca_still_issues_valid_certificates(world):
     cert = _issue_temp_clerk(world)
     assert cert.serial not in issued
     ca_chain = list(world.chain_of("sl1-clerk")[1:])
-    result = validate_chain(cert, ca_chain, world.root_anchor, 10, world.ca_registry, world.suite)
+    result = validate_chain(cert, ca_chain, world.root_anchor, 10, world.ca_registry)
     assert result.valid, result
 
 

@@ -248,8 +248,8 @@ def test_endorsement_rules(world, net):
 def forge_endorsement(world, pending, identity):
     """Append ``identity``'s genuine endorsement signature past ``endorse()``."""
     tx, key = pending.tx, world.key_pairs[identity]
-    payload = world.suite.digest(tx.body_bytes() + tx.invoker_signature)
-    pending.endorsements.append((identity, world.suite.sign(key.private, payload)))
+    payload = DEFAULT_SUITE.digest(tx.body_bytes() + tx.invoker_signature)
+    pending.endorsements.append((identity, DEFAULT_SUITE.sign(key.private, payload)))
 
 
 def _flip(data):
@@ -259,7 +259,7 @@ def _flip(data):
 def order_by_hand(net, *transactions):
     """Append a block of ``transactions`` signed with the orderer key as
     ``commit`` signs one, but without ``commit``'s checks: a forged chain."""
-    prev = net.suite.digest(block_bytes(net.chain[-1]))
+    prev = DEFAULT_SUITE.digest(block_bytes(net.chain[-1]))
     net.chain.append(_sign_block(net, len(net.chain), prev, transactions))
     return net.chain[-1]
 
@@ -631,16 +631,10 @@ def test_commit_error_types_are_ledger_errors():
 # --- the live verified-prefix watermark ----------------------------------------
 
 
-@pytest.fixture(scope="module")
-def counting_world(base_fixtures, counting_suite):
-    return build_world(base_fixtures, suite=counting_suite())
-
-
 @pytest.fixture
-def counted(counting_world):
-    """A world and net under a counting suite, one lifecycle committed and
-    verified, so the net holds a watermark over its five blocks."""
-    world = counting_world
+def counted(world, counting_suite):
+    """A world and net, counted, one lifecycle committed and verified, so
+    the net holds a watermark over its five blocks."""
     net = build_net(world)
     full_lifecycle(world, net)
     assert verify_chain(net).valid
@@ -653,20 +647,20 @@ def _block_verifies(blocks):
     return sum(1 + sum(1 + len(tx.endorsements) for tx in b.transactions) for b in blocks)
 
 
-def _verifies_during(suite, call):
-    before = suite.verifies
+def _verifies_during(counts, call):
+    before = counts.verifies
     res = call()
-    return res, suite.verifies - before
+    return res, counts.verifies - before
 
 
-def test_watermark_checks_only_new_blocks(counted):
+def test_watermark_checks_only_new_blocks(counted, counting_suite):
     """Only the new blocks are checked, and none of their signatures for
     real: submit and commit checked the invokers' and endorsements' on this
     net, and commit made the orderer's."""
     world, net = counted
     checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
-    res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     assert res.valid, res.reason
     assert len(net.chain) - checked == 4
     assert verifies == 0
@@ -690,19 +684,17 @@ def test_watermark_still_compares_world_state(counted):
     assert "world state" in res.reason
 
 
-def test_watermark_with_no_new_block(counted):
+def test_watermark_with_no_new_block(counted, counting_suite):
     world, net = counted
-    res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     assert res.valid, res.reason
     assert verifies == 0
 
 
-def test_offline_verify_ignores_the_watermark(counted):
+def test_offline_verify_ignores_the_watermark(counted, counting_suite):
     world, net = counted
     exported = parse_chain(export_chain(net))
-    res, verifies = _verifies_during(
-        world.suite, lambda: verify_exported(exported, suite=world.suite)
-    )
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
     assert verifies == len(exported.certs) + _block_verifies(net.chain)
 
@@ -710,28 +702,28 @@ def test_offline_verify_ignores_the_watermark(counted):
 # --- the net's record of passed signature checks -------------------------------
 
 
-def test_offline_verify_ignores_the_record(counted):
+def test_offline_verify_ignores_the_record(counted, counting_suite):
     """The export of a net whose record holds the new blocks' checks is
     still checked in full: no record outlives its net."""
     world, net = counted
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     assert len(net._passed) == 12  # an invoker, an endorsement and an orderer per new block
     exported = parse_chain(export_chain(net))
-    res, verifies = _verifies_during(
-        world.suite, lambda: verify_exported(exported, suite=world.suite)
-    )
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
     assert verifies == len(exported.certs) + _block_verifies(net.chain)
 
 
-def test_a_record_is_read_only_under_its_own_suite(counted, counting_suite):
-    """Checks passed under one suite object are run again under another."""
+def test_a_cold_verify_runs_only_the_checks_the_record_lacks(counted, counting_suite):
+    """With the watermark gone, the head and the blocks checked before it
+    are checked again; the new blocks' checks are read from the record."""
     world, net = counted
+    checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
-    net.suite = counting_suite()
-    res, verifies = _verifies_during(net.suite, lambda: verify_chain(net))
+    net._verified = None
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     assert res.valid, res.reason
-    assert verifies == len(net._verified.head.certs) + _block_verifies(net.chain)
+    assert verifies == len(net._verified.head.certs) + _block_verifies(net.chain[:checked])
 
 
 def test_only_a_valid_verify_empties_the_record(world, net):
@@ -746,8 +738,9 @@ def test_only_a_valid_verify_empties_the_record(world, net):
 
 
 @pytest.fixture
-def checked_signatures(monkeypatch):
-    """The signatures the default suite really checks, in call order."""
+def checked_signatures():
+    """The signatures the one suite really checks, in call order. The
+    recorder shadows ``DEFAULT_SUITE.verify`` for the test only."""
     calls = []
     check = DEFAULT_SUITE.verify
 
@@ -755,8 +748,9 @@ def checked_signatures(monkeypatch):
         calls.append(sig)
         return check(public, payload, sig)
 
-    monkeypatch.setattr(DEFAULT_SUITE, "verify", counted)
-    return calls
+    DEFAULT_SUITE.verify = counted
+    yield calls
+    del DEFAULT_SUITE.verify
 
 
 @pytest.mark.parametrize("broken", ["invoker", "endorsement"])
@@ -790,8 +784,8 @@ def _reissue_key(world, net, ident, key_of):
     old, chain = net.directory[ident]
     unsigned = replace(old, public_key=net.directory[key_of][0].public_key)
     ca_key = world.ca_registry[old.issuer].key_pair.private
-    net.directory[ident] = (replace(unsigned, signature=world.suite.sign(
-        ca_key, world.suite.digest(unsigned.body_bytes())
+    net.directory[ident] = (replace(unsigned, signature=DEFAULT_SUITE.sign(
+        ca_key, DEFAULT_SUITE.digest(unsigned.body_bytes())
     )), chain)
 
 
@@ -866,41 +860,38 @@ def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monke
     """A ledger scenario's one ``verify_chain`` runs cold over blocks the
     net signed and checked itself: its RSA verifications are the head's
     certificate signatures, one per certificate."""
-    world = build_world(base_fixtures, suite=counting_suite())
     calls = []
 
     def counted(net):
-        res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+        res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
         calls.append((res, verifies, len(net._verified.head.certs)))
         return res
 
     monkeypatch.setattr(sim, "verify_chain", counted)
-    run_scenario(base_fixtures, scenario, "ledger", world=world)
+    run_scenario(base_fixtures, scenario, "ledger")
     [(res, verifies, certs)] = calls
     assert res.valid, res.reason
     assert verifies == certs
 
 
-def test_each_transaction_digest_is_hashed_once(counting_world):
+def test_each_transaction_digest_is_hashed_once(world, counting_suite):
     """``build_transaction`` hashes the body and the endorsement payload and
     ``commit`` the block's two digests; submit, endorse, commit and the
     live verify read them back."""
-    world = counting_world
     net = build_net(world)
 
     def step(cnt_no):
         tx, chain = build_transaction(LedgerAction.CREATE, cnt_no, (("terminal", "T1"),),
-                                      world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"],
-                                      world.suite)
+                                      world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"])
         pending = endorse_by(world, net, submit(net, tx, chain), "t1-op")
         assert commit(net, [pending]).block is not None
 
     step(CNT)  # the certificate links are checked, and remembered, once
     assert verify_chain(net).valid
-    before = world.suite.digests
+    before = counting_suite.digests
     step("MSCU7654321")
     assert verify_chain(net).valid
-    assert world.suite.digests - before == 4
+    assert counting_suite.digests - before == 4
 
 
 def test_replace_forgets_the_transaction_digests(world):
@@ -908,7 +899,7 @@ def test_replace_forgets_the_transaction_digests(world):
     assert tx._memo is not None
     edited = replace(tx, cnt_no="MSCU7654321")
     assert edited._memo is None
-    assert ledger._tx_digests(edited, DEFAULT_SUITE) == (
+    assert ledger._tx_digests(edited) == (
         DEFAULT_SUITE.digest(edited.body_bytes()),
         DEFAULT_SUITE.digest(edited.body_bytes() + edited.invoker_signature),
     )
@@ -945,12 +936,12 @@ def test_live_verify_neither_encodes_nor_parses_the_head(counted, monkeypatch):
     assert verify_chain(net).valid  # cold
 
 
-def test_warm_call_compares_the_head_by_value(counted):
+def test_warm_call_compares_the_head_by_value(counted, counting_suite):
     world, net = counted
     entry = net.directory["t1-op"]
     net.directory["t1-op"] = (replace(entry[0]), entry[1])  # an equal, new object
     try:
-        res, verifies = _verifies_during(world.suite, lambda: verify_chain(net))
+        res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     finally:
         net.directory["t1-op"] = entry
     assert res.valid, res.reason
@@ -990,8 +981,8 @@ def test_head_refuses_a_certificate_the_file_cannot_carry(world, net, edit):
     leaf, (ca, root) = net.directory["t1-op"]
     unsigned = replace(ca, **edit)
     root_key = world.ca_registry[root.subject].key_pair.private
-    forged = replace(unsigned, signature=world.suite.sign(
-        root_key, world.suite.digest(unsigned.body_bytes())
+    forged = replace(unsigned, signature=DEFAULT_SUITE.sign(
+        root_key, DEFAULT_SUITE.digest(unsigned.body_bytes())
     ))
     net.directory["t1-op"] = (leaf, (forged, root))
     res = verify_chain(net)
@@ -1121,20 +1112,17 @@ def test_a_replaced_block_forgets_its_digests(world, net, edit, reason):
             assert (res.valid, res.first_bad_block, res.reason) == (False, 2, reason)
 
 
-def test_a_second_suite_recomputes_the_digests(world, net, txn_lines, counting_suite):
-    """Digests remembered under one suite object are not trusted under
-    another: a parsed block is encoded again, and the digests of its
-    canonical encoding equal the ones commit hashed from the lines it
-    signed."""
+def test_a_parsed_block_encoded_again_has_the_committed_digests(world, net, txn_lines):
+    """The digests a parsed block remembers from its records, and the
+    digests of its canonical encoding once ``replace`` has dropped them,
+    equal the ones commit hashed from the lines it signed."""
     full_lifecycle(world, net)
     parsed = parse_chain(export_chain(net))
-    assert verify_exported(parsed).valid
+    committed = [ledger._digests(b) for b in net.chain]
+    assert [ledger._digests(b) for b in parsed.blocks] == committed
     txn_lines.clear()
-    other = counting_suite()
-    assert verify_exported(parsed, suite=other).valid
+    assert [ledger._digests(replace(b)) for b in parsed.blocks] == committed
     assert txn_lines == [tx for b in parsed.blocks for tx in b.transactions]
-    committed = [ledger._digests(b, net.suite) for b in net.chain]
-    assert [ledger._digests(b, other) for b in parsed.blocks] == committed
 
 
 # --- differential: the live verifier against the offline one -------------------
@@ -1192,7 +1180,7 @@ def _verdicts(net, chain, k, states):
     warm_net.world_state = net.world_state
     warm = verify_chain(warm_net)
     exported = parse_chain(export_chain(replace(net, chain=list(chain))))
-    offline = verify_exported(exported, suite=net.suite)
+    offline = verify_exported(exported)
     return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, offline)]
 
 
@@ -1312,8 +1300,7 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
         parsed = parse_chain(text)
         assert parsed.blocks == tuple(net.chain)
         for block in parsed.blocks:
-            assert block._memo[0] is DEFAULT_SUITE
-            assert block._memo[1:] == ledger._digests(replace(block), DEFAULT_SUITE)
+            assert block._memo == ledger._digests(replace(block))
             for tx in block.transactions:
                 assert tx.body_bytes() == replace(tx).body_bytes()
         other = parse_chain(text.replace(DEFAULT_SUITE.suite_id.encode(), b"OTHER", 1))

@@ -21,6 +21,10 @@ Two import checks ride along, read from the syntax tree: no module in
 ``src/portsec`` imports another module's ``_private`` name, and no module
 in ``src/portsec`` or ``tests`` imports a name it never uses. Tests may
 import private names.
+
+A suite check reads the syntax tree too: no function in ``src/portsec``
+takes a ``suite`` and no class stores one, outside ``KEPT_SUITES``. There
+is one suite, ``envelope.DEFAULT_SUITE``, read where it is used.
 """
 
 import ast
@@ -42,7 +46,14 @@ ALLOWED = {
 #: Options kept without a caller that sets them, each with its reason.
 ALLOWED_OPTIONS = {
     "main.argv": "console entry point: the installed script passes no argument",
-    "build_world.suite": "the seam where tests put in a counting or second CryptoSuite",
+}
+
+#: ``suite`` parameters and attributes kept, each with its reason: the
+#: benchmark, whose files stay as they are, passes or reads each one.
+KEPT_SUITES = {
+    "build_transaction": "perfbench/workloads.py passes World.suite as its sixth argument",
+    "mutate_field": "perfbench/workloads.py passes DEFAULT_SUITE as its fourth argument",
+    "World.suite": "perfbench/workloads.py reads it to pass to build_transaction",
 }
 
 
@@ -202,3 +213,35 @@ def test_every_imported_name_is_used():
         used = _used_names(tree)
         unused += [f"{path.name}: {bound}" for _, _, bound in _imports(tree) if bound not in used]
     assert unused == []
+
+
+def _suites():
+    """Each function in ``src/portsec`` that takes a ``suite`` parameter,
+    by name, and each class attribute named ``suite``, as ``Class.suite``;
+    an attribute set on an object outside a class body is ``?.suite``."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "suite" for p in params):
+                    yield node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    targets = item.targets if isinstance(item, ast.Assign) else (
+                        [item.target] if isinstance(item, ast.AnnAssign) else [])
+                    if any(getattr(t, "id", None) == "suite" for t in targets):
+                        yield f"{node.name}.suite"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "suite" for t in targets):
+                    yield "?.suite"
+
+
+def test_no_function_takes_and_no_class_stores_a_suite():
+    assert sorted(set(_suites()) - set(KEPT_SUITES)) == []
+
+
+def test_suite_allowlist_names_only_kept_suites():
+    assert set(KEPT_SUITES) - set(_suites()) == set()

@@ -174,21 +174,19 @@ def test_wire_rejects_truncation(pki):
 
 @pytest.fixture
 def cached_chain(counting_suite):
-    """A fresh three-link PKI under its own counting suite, whose chain has
-    validated once (so every link signature sits in the memo)."""
-    suite = counting_suite()
-    root = create_root("MemoRoot", validity=(0, 1000), suite=suite)
-    ca = create_subordinate(root, "Memo-CA", validity=(0, 500), suite=suite)
-    kp = suite.generate_keypair("memo-clerk")
+    """A fresh three-link PKI, counted, whose chain has validated once (so
+    every link signature sits in the memo)."""
+    root = create_root("MemoRoot", validity=(0, 1000))
+    ca = create_subordinate(root, "Memo-CA", validity=(0, 500))
+    kp = DEFAULT_SUITE.generate_keypair("memo-clerk")
     leaf = ca.issue("memo-clerk", "SL1", "SHIPPING_LINE", kp.public, (0, 400))
     registry = {c.name: c for c in (root, ca)}
 
     def check(cert=leaf, at=100):
-        return validate_chain(cert, [ca.cert], root.cert, at=at, ca_registry=registry,
-                              suite=suite)
+        return validate_chain(cert, [ca.cert], root.cert, at=at, ca_registry=registry)
 
     assert check().valid
-    return {"check": check, "leaf": leaf, "ca": ca, "suite": suite}
+    return {"check": check, "leaf": leaf, "ca": ca, "counts": counting_suite}
 
 
 def test_cached_chain_sees_revocation(cached_chain):
@@ -209,7 +207,7 @@ def test_cached_chain_rejects_edited_leaf(cached_chain):
 
 
 def test_second_validation_does_no_rsa_verify(cached_chain):
-    suite = cached_chain["suite"]
-    assert suite.verifies == 3  # leaf, CA and root links
+    counts = cached_chain["counts"]
+    assert counts.verifies == 3  # leaf, CA and root links
     assert cached_chain["check"]().valid
-    assert suite.verifies == 3
+    assert counts.verifies == 3

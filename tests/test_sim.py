@@ -138,7 +138,7 @@ def test_signing_memo_leaves_every_byte_unchanged(monkeypatch):
     manifest's, which the memoised code reproduces too."""
     for module in (envelope, ledger, pki):
         monkeypatch.setattr(
-            module, "sign", lambda suite, private, payload: suite.sign(private, payload)
+            module, "sign", lambda private, payload: envelope.DEFAULT_SUITE.sign(private, payload)
         )
     assert artefacts() == _load_manifest()
 
@@ -148,8 +148,8 @@ def test_verify_memo_leaves_every_report_unchanged(monkeypatch):
     of those checks fail, so the attack reports depend on them."""
     answers = []
 
-    def raw_verify(suite, public, payload, sig):
-        answers.append(suite.verify(public, payload, sig))
+    def raw_verify(public, payload, sig):
+        answers.append(envelope.DEFAULT_SUITE.verify(public, payload, sig))
         return answers[-1]
 
     monkeypatch.setattr(envelope, "verify", raw_verify)
@@ -175,16 +175,16 @@ def test_crypto_counts_of_one_booking_on_a_warm_world(
     however many hops re-check it; a second RSA check of the same bytes
     fails here. Sealing reuses the field digests signing computed, so it
     makes no SHA-256 call of its own."""
-    suite = counting_suite()
-    world = build_world(base_fixtures, suite=suite)
+    counts = counting_suite
+    world = build_world(base_fixtures)
     run_scenario(_fresh_booking(base_fixtures, "B1"), scenario, "p2p", world=world)
-    suite.signs = suite.verifies = suite.wraps = suite.unwraps = 0
+    counts.signs = counts.verifies = counts.wraps = counts.unwraps = 0
     sealing_digests = []
 
     def counted_seal(*args):
-        before = suite.digests
+        before = counts.digests
         sealed = envelope.seal_field(*args)
-        sealing_digests.append(suite.digests - before)
+        sealing_digests.append(counts.digests - before)
         return sealed
 
     monkeypatch.setattr(adapter, "seal_field", counted_seal)
@@ -196,8 +196,8 @@ def test_crypto_counts_of_one_booking_on_a_warm_world(
         for sig in ev.message.signatures
     }
     assert len(signatures) == carried
-    assert (suite.signs, suite.verifies) == (carried, carried)
-    assert (suite.wraps, suite.unwraps) == (wraps, unwraps)
+    assert (counts.signs, counts.verifies) == (carried, carried)
+    assert (counts.wraps, counts.unwraps) == (wraps, unwraps)
     assert sealing_digests and not any(sealing_digests)
 
 
