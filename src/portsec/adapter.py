@@ -41,7 +41,7 @@ from .model import (
     Sealed,
     SecuredMessage,
 )
-from .pki import CaState, Certificate, ChainResult, validate_chain
+from .pki import Certificate, ChainResult, Trust
 from .policy import AccessMatrix, Action, PlanKind, Role, protection_plan
 
 BOOKING_ATTR = "B_NO"
@@ -126,10 +126,7 @@ class AdapterState:
     role: Role
     key_pair: Signer
     matrix: AccessMatrix
-    trust_anchor: Certificate
-    ca_registry: Mapping[str, CaState]
-    directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
-    clock: int = 0
+    trust: Trust
     signature_store: list[StoreRecord] = field(default_factory=list)
     # (signer, signature bytes) -> the store's records of that signature,
     # in store order: what linkage reads instead of the whole store
@@ -165,7 +162,7 @@ def _store_signatures(
             instance_id=sm.message.instance_id,
             signature=sig,
             received_from=received_from,
-            at=state.clock,
+            at=state.trust.clock,
             attr_digests=attr_digests,
         )
         filed.append(rec)
@@ -173,13 +170,13 @@ def _store_signatures(
 
 
 def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, bytes]:
-    """Directory identities holding any of the given roles, with their
-    public keys; used to choose wrapped-key recipients."""
+    """Identities holding any of the given roles, with their public keys;
+    used to choose wrapped-key recipients."""
     wanted = {Role(r).value for r in roles}
     return {
-        ident: cert.public_key
-        for ident, (cert, _) in state.directory.items()
-        if cert.role in wanted
+        ident: chain[0].public_key
+        for ident, chain in state.trust.chains.items()
+        if chain[0].role in wanted
     }
 
 
@@ -247,10 +244,10 @@ def secure_outbound(
     digests = field_digests(msg)
 
     for sig in carried:
-        entry = state.directory.get(sig.signer)
-        if entry is None:
+        chain = state.trust.chains.get(sig.signer)
+        if chain is None:
             raise CarriedSignatureInvalid(f"unknown signer {sig.signer}")
-        if not verify_multi_sig(entry[0].public_key, sig, digests):
+        if not verify_multi_sig(chain[0].public_key, sig, digests):
             raise CarriedSignatureInvalid(
                 f"signature by {sig.signer} does not match current values"
             )
@@ -288,19 +285,16 @@ class Hop:
     def signer_chain(self, signer: str) -> tuple[Certificate, ChainResult] | None:
         """The signer's certificate and chain result, validated once per
         message: the sender's as presented, every other signer's from the
-        directory. None for a signer the directory lacks."""
+        trust view. None for a signer the trust view lacks."""
         if signer not in self.chains:
-            state = self.state
+            trust = self.state.trust
             if signer == self.sm.sender and self.presented:
-                cert, chain = self.presented[0], self.presented[1:]
-            elif signer in state.directory:
-                cert, chain = state.directory[signer]
+                chain = self.presented
+            elif signer in trust.chains:
+                chain = trust.chains[signer]
             else:
                 return None
-            self.chains[signer] = cert, validate_chain(
-                cert, list(chain), state.trust_anchor, at=state.clock,
-                ca_registry=state.ca_registry,
-            )
+            self.chains[signer] = chain[0], trust.check(chain)
         return self.chains[signer]
 
 

@@ -26,7 +26,7 @@ from .ledger import (
     verify_exported,
 )
 from .model import HashOnly, ParseError, Plain, Sealed, SecuredMessage
-from .sim import Simulation, make_script, run_scenario
+from .sim import run_scenario
 from .transcript import AuditEvent, Transcript, ValidatedEvent
 
 
@@ -230,11 +230,9 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
             return replace_signature(sm, "importer-1", lambda s: replace(
                 multi_sign(world.key_pairs[insider], s.attrs, digests), signer=insider
             ))
-    elif kind is AttackKind.ATTR_SWAP:
+    else:  # ATTR_SWAP
         def mutate(sm):
             return swap_attributes(sm, spec.attribute or "CNT_C", spec.payload or "CSG_DATA")
-    else:
-        raise TargetUnresolved(f"unsupported attack kind {kind}")
 
     struck = []
 
@@ -247,7 +245,7 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
         struck.append(name)
         return forged
 
-    sim = Simulation(make_script(fixtures, scenario, "p2p"), world, strike).run()
+    sim = run_scenario(fixtures, scenario, "p2p", world=world, interceptor=strike)
     if not struck:
         raise TargetUnresolved(f"scenario {scenario} delivered nothing at step {step}")
     return sim.transcript, _first_finding(
@@ -299,25 +297,23 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
             localized="ledger transactions carry no attributes",
         )
 
-    if kind in (AttackKind.LEDGER_TAMPER, AttackKind.TAMPER_FIELD):
-        data = export_chain(net)
-        if kind is AttackKind.LEDGER_TAMPER:
-            mutated = _flip_block_byte(data, spec.block if spec.block >= 0 else 1)
-        else:
-            mutated = _rewrite_txn_token(data, cnt)
-        try:
-            res = verify_exported(parse_chain(mutated))
-            detected = not res.valid
-            where = f"block {res.first_bad_block}: {res.reason}" if detected else ""
-        except ParseError as exc:
-            detected, where = True, f"chain unparseable: {exc}"
-        transcript.ledger("VERIFY", cnt, net.orderer_identity,
-                          "INVALID" if detected else "VALID", where)
-        return transcript, DetectionReport(
-            kind, scenario, "ledger", detected, "ledger-verify", "ChainTamper", where
-        )
-
-    raise TargetUnresolved(f"unsupported attack kind {kind}")
+    # LEDGER_TAMPER and TAMPER_FIELD edit the exported chain
+    data = export_chain(net)
+    if kind is AttackKind.LEDGER_TAMPER:
+        mutated = _flip_block_byte(data, spec.block if spec.block >= 0 else 1)
+    else:
+        mutated = _rewrite_txn_token(data, cnt)
+    try:
+        res = verify_exported(parse_chain(mutated))
+        detected = not res.valid
+        where = f"block {res.first_bad_block}: {res.reason}" if detected else ""
+    except ParseError as exc:
+        detected, where = True, f"chain unparseable: {exc}"
+    transcript.ledger("VERIFY", cnt, net.orderer_identity,
+                      "INVALID" if detected else "VALID", where)
+    return transcript, DetectionReport(
+        kind, scenario, "ledger", detected, "ledger-verify", "ChainTamper", where
+    )
 
 
 def _flip_block_byte(data: bytes, block: int) -> bytes:

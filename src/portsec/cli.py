@@ -15,6 +15,7 @@ import typing
 from pathlib import Path
 
 from .attacks import (
+    TargetUnresolved,
     attack_from_wire,
     comparison_to_wire,
     compare_modes,
@@ -28,7 +29,7 @@ from .fixtures import (
     fixtures_to_bytes,
     generate_fixtures,
 )
-from .ledger import parse_chain, verify_exported
+from .ledger import export_chain, parse_chain, verify_exported
 from .model import ModelError, ParseError
 from .policy import Action, PolicyError, Role, load_policy
 from .sim import ScenarioError, run_scenario
@@ -83,8 +84,6 @@ def cmd_run(args) -> int:
     print(f"VERDICT {sim.transcript.verdict}")
     _write_out(args.out, transcript_to_wire(sim.transcript))
     if args.chain_out:
-        from .ledger import export_chain
-
         _write_out(args.chain_out, export_chain(sim.net))
     return 0 if sim.transcript.verdict == "PASS" else 1
 
@@ -95,8 +94,6 @@ def cmd_attack(args) -> int:
         spec = attack_from_wire(_read(args.spec))
     except ParseError as exc:
         return _fail(f"bad attack file {args.spec}: {exc}")
-    from .attacks import TargetUnresolved
-
     try:
         transcript, report = inject_attack(fixtures, args.scenario, spec, args.mode)
     except (ScenarioError, FixtureError, TargetUnresolved) as exc:

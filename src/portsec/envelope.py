@@ -118,7 +118,6 @@ class CryptoSuite:
     one key wrap, one authenticated cipher."""
 
     suite_id = "SHA256-RSA2048-PKCS1V15-OAEP-AESGCM-NAMEBOUND"
-    digest_length = 32
     symmetric_key_length = 32
     _nonce_length = 12
 

@@ -23,7 +23,9 @@ from . import records
 from .adapter import AdapterState
 from .envelope import DEFAULT_SUITE
 from .ledger import ORDERER_ROLE, LedgerNet, create_net
-from .pki import CaState, Certificate, cert_from_record, cert_to_wire, create_root, create_subordinate
+from .pki import (
+    CaState, Certificate, Trust, cert_from_record, cert_to_wire, create_root, create_subordinate,
+)
 from .policy import AccessMatrix, Role, default_matrix
 from .records import ParseError
 
@@ -239,9 +241,7 @@ class World:
 
     fixtures: FixtureSet
     matrix: AccessMatrix
-    root_anchor: Certificate
-    ca_registry: dict[str, CaState]
-    directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]]
+    trust: Trust
     key_pairs: dict[str, FixtureKeyPair]  # actors only; a CA's key sits in its CaState
     adapters: dict[str, AdapterState] = field(default_factory=dict)
     #: The one suite, not a field: the benchmark's workloads read it here.
@@ -252,24 +252,17 @@ class World:
 
     def chain_of(self, identity: str) -> tuple[Certificate, ...]:
         """Leaf-first chain up to and including the root."""
-        chain = [self.directory_cert(identity)]
-        while (issuer := chain[-1].issuer) != chain[-1].subject:
-            if any(c.subject == issuer for c in chain):
-                raise FixtureError(f"certificate chain of {identity} repeats issuer {issuer}")
-            chain.append(self.directory_cert(issuer))
-        return tuple(chain)
-
-    def directory_cert(self, identity: str) -> Certificate:
         try:
-            return self.fixtures.certs[identity]
+            return self.trust.chains[identity]
         except KeyError:
             raise FixtureIncomplete(f"no certificate for {identity}") from None
 
 
 def build_world(fx: FixtureSet) -> World:
-    """Reconstruct CA states, the certificate directory, and one adapter
-    per actor from a fixture set. Every actor and CA needs a KEY and a
-    CERT record; no private key loads until its owner first uses it."""
+    """Reconstruct the trust view (the root anchor, CA states and each
+    actor's chain) and one adapter per actor from a fixture set. Every
+    actor and CA needs a KEY and a CERT record; no private key loads until
+    its owner first uses it."""
     if fx.suite_id != DEFAULT_SUITE.suite_id:
         raise FixtureIncomplete(
             f"fixtures pin suite {fx.suite_id}, runtime has {DEFAULT_SUITE.suite_id}"
@@ -282,20 +275,32 @@ def build_world(fx: FixtureSet) -> World:
         return FixtureKeyPair(owner, fx.keys[owner], fx.certs[owner].public_key)
 
     key_pairs = {a.identity: key_pair(a.identity, "actor") for a in fx.actors}
-    ca_registry: dict[str, CaState] = {}
+    cas: dict[str, CaState] = {}
     for name, _ in fx.cas:
         issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        ca_registry[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued)
+        cas[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued)
 
-    root_anchor = fx.certs.get(ROOT_CA)
-    if root_anchor is None:
+    anchor = fx.certs.get(ROOT_CA)
+    if anchor is None:
         raise FixtureIncomplete("no root certificate")
 
-    directory: dict[str, tuple[Certificate, tuple[Certificate, ...]]] = {}
-    world = World(fx, matrix, root_anchor, ca_registry, directory, key_pairs)
+    def cert(identity: str) -> Certificate:
+        try:
+            return fx.certs[identity]
+        except KeyError:
+            raise FixtureIncomplete(f"no certificate for {identity}") from None
+
+    chains: dict[str, tuple[Certificate, ...]] = {}
     for a in fx.actors:
-        full = world.chain_of(a.identity)
-        directory[a.identity] = (full[0], full[1:])
+        chain = [cert(a.identity)]
+        while (issuer := chain[-1].issuer) != chain[-1].subject:
+            if any(c.subject == issuer for c in chain):
+                raise FixtureError(f"certificate chain of {a.identity} repeats issuer {issuer}")
+            chain.append(cert(issuer))
+        chains[a.identity] = tuple(chain)
+
+    trust = Trust(anchor, cas, chains)
+    world = World(fx, matrix, trust, key_pairs)
 
     for a in fx.actors:
         try:
@@ -307,20 +312,16 @@ def build_world(fx: FixtureSet) -> World:
             role=role,
             key_pair=key_pairs[a.identity],
             matrix=matrix,
-            trust_anchor=root_anchor,
-            ca_registry=ca_registry,
-            directory=directory,
+            trust=trust,
         )
     return world
 
 
 def build_net(world: World) -> LedgerNet:
-    """Ledger net over the same PKI and directory as the adapter mesh."""
+    """Ledger net over the same trust view as the adapter mesh."""
     orderer = world.fixtures.by_role(ORDERER_ROLE)
     return create_net(
         orderer_identity=orderer.identity,
         orderer_key=world.key_pairs[orderer.identity],
-        directory=world.directory,
-        trust_anchor=world.root_anchor,
-        ca_registry=world.ca_registry,
+        trust=world.trust,
     )

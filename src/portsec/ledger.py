@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
-from .pki import CaState, Certificate, cert_from_record, cert_to_wire, validate_chain
+from .pki import Certificate, Trust, cert_from_record, cert_to_wire
 from .policy import Role
 from .records import ParseError
 
@@ -218,10 +218,7 @@ class LedgerNet:
 
     orderer_identity: str
     orderer_key: Signer
-    directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]]
-    trust_anchor: Certificate
-    ca_registry: Mapping[str, CaState]
-    clock: int = 0
+    trust: Trust
     baseline_state: dict[str, ContainerAsset] = field(default_factory=dict)
     chain: list[Block] = field(default_factory=list)
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
@@ -237,9 +234,7 @@ class LedgerNet:
 def create_net(
     orderer_identity: str,
     orderer_key: Signer,
-    directory: Mapping[str, tuple[Certificate, tuple[Certificate, ...]]],
-    trust_anchor: Certificate,
-    ca_registry: Mapping[str, CaState],
+    trust: Trust,
     baseline_state: Mapping[str, ContainerAsset] | None = None,
 ) -> LedgerNet:
     """New net with an empty, orderer-signed genesis block that links to
@@ -251,9 +246,7 @@ def create_net(
     net = LedgerNet(
         orderer_identity=orderer_identity,
         orderer_key=orderer_key,
-        directory=directory,
-        trust_anchor=trust_anchor,
-        ca_registry=ca_registry,
+        trust=trust,
         baseline_state=baseline,
     )
     net.world_state = dict(net.baseline_state)
@@ -297,10 +290,7 @@ def _tx_digests(tx: Transaction, body_digest: bytes | None = None) -> tuple[byte
 
 
 def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
-    res = validate_chain(
-        chain[0], list(chain[1:]), net.trust_anchor, at=net.clock,
-        ca_registry=net.ca_registry,
-    )
+    res = net.trust.check(chain)
     if not res.valid:
         raise ChainInvalidCert(f"{who}: {res.reason.value}: {res.detail}")
 
@@ -427,7 +417,7 @@ class CommitResult:
 def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResult:
     """Order, re-validate, and append one block.
 
-    Each pending meets ``_admit`` against the directory's certificates and
+    Each pending meets ``_admit`` against the trust view's leaves and
     the provisional state, so earlier transactions in the batch are visible
     (a second CLEAR of the same container is stale, not double-applied) and
     no transaction that verification rejects reaches a block. Rejected
@@ -435,7 +425,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     commits.
     """
     provisional = dict(net.world_state)
-    certs = {ident: entry[0] for ident, entry in net.directory.items()}
+    certs = {ident: chain[0] for ident, chain in net.trust.chains.items()}
     good: list[Transaction] = []
     bad: list[tuple[PendingTransaction, LedgerError]] = []
     for pending in pendings:
@@ -559,8 +549,8 @@ def block_bytes(block: Block) -> bytes:
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
     """A block the orderer signed, remembering its two ``_digests``. The
     signature goes into the net's record under the signing key's own public
-    half, never a directory key: a PKCS#1 v1.5 signature verifies under the
-    key that made it, so a directory certificate with any other key misses
+    half, never a certificate's key: a PKCS#1 v1.5 signature verifies under
+    the key that made it, so an orderer certificate with any other key misses
     the entry and is checked for real."""
     suite, tail = DEFAULT_SUITE, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
@@ -618,19 +608,13 @@ def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) ->
 
 
 def _head_certs(net: LedgerNet, referenced: Iterable[str]) -> dict[str, Certificate]:
-    """The certificates a head holds, by subject: the directory's for the
-    orderer and each referenced identity, with its issuers up to the
-    anchor, in identity order, the first one per subject. An identity the
-    directory lacks gets none, so verification refuses what names it."""
+    """The certificates a head holds, by subject: the chain of the orderer
+    and of each referenced identity, in identity order, the first one per
+    subject. An identity the trust view lacks gets none, so verification
+    refuses what names it."""
     certs: dict[str, Certificate] = {}
     for ident in sorted({net.orderer_identity, *referenced}):
-        entry = net.directory.get(ident)
-        if entry is None:
-            continue
-        links = [entry[0], *entry[1]]
-        if links[-1].issuer != links[-1].subject:  # a directory chain may leave out the anchor
-            links.append(net.trust_anchor)
-        for cert in links:
+        for cert in net.trust.chains.get(ident, ()):
             certs.setdefault(cert.subject, cert)
     return certs
 
@@ -863,8 +847,6 @@ def rollover(net: LedgerNet) -> LedgerNet:
     return create_net(
         net.orderer_identity,
         net.orderer_key,
-        net.directory,
-        net.trust_anchor,
-        net.ca_registry,
+        net.trust,
         baseline_state=net.world_state,
     )

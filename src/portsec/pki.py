@@ -1,5 +1,6 @@
 """Desk-scale PKI: root CA, per-organization subordinate CAs, role-bearing
-end-entity certificates, chain validation, and revocation lists.
+end-entity certificates, chain validation, revocation lists, and the one
+trust view (``Trust``) every chain check reads.
 
 Timestamps are logical integers advanced by the caller, so every validity
 decision is reproducible. Each identity has a single key pair serving both
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, Signer, sign
@@ -243,3 +244,22 @@ def validate_chain(
             )
 
     return ChainResult(True)
+
+
+@dataclass
+class Trust:
+    """What every chain check reads (RFC 5280 §6.1.1): the pinned anchor,
+    the CAs with their revocation lists, each identity's chain (leaf
+    first, ending at the anchor) and the logical time. One object, shared
+    by every adapter, the ledger net and the world."""
+
+    anchor: Certificate
+    cas: Mapping[str, CaState]
+    chains: dict[str, tuple[Certificate, ...]]
+    clock: int = field(default=0, init=False)
+
+    def check(self, chain: Sequence[Certificate]) -> ChainResult:
+        """``validate_chain`` of a leaf-first chain at ``clock``."""
+        return validate_chain(
+            chain[0], list(chain[1:]), self.anchor, at=self.clock, ca_registry=self.cas
+        )

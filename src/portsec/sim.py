@@ -303,7 +303,7 @@ class Simulation:
                 asset = ledger_query(net, world.chain_of(invoker), cnt)
                 outcome, detail = "VISIBLE", asset.state.value
             else:
-                args = (("terminal", world.directory_cert(step.endorser).org),) \
+                args = (("terminal", world.chain_of(step.endorser)[0].org),) \
                     if action == "CREATE" and step.endorser else ()
                 tx, chain = build_transaction(LedgerAction(action), cnt, args,
                                               world.chain_of(invoker), world.key_pairs[invoker])

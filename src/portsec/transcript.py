@@ -50,7 +50,7 @@ class LedgerEvent:
     cnt_no: str
     invoker: str
     outcome: str  # COMMITTED | VISIBLE | VALID | INVALID | denial class name
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,12 @@ class Transcript:
     actors: dict[str, str] = field(default_factory=dict)  # identity -> role token
     events: list[Event] = field(default_factory=list)
 
-    def sent(self, step, sender, receiver, flat: bytes, received: SecuredMessage) -> SentEvent:
+    def sent(self, step, sender, receiver, flat: bytes, received: SecuredMessage) -> None:
         """Record one hop: its wire bytes and their decoded form."""
-        ev = SentEvent(
+        self.events.append(SentEvent(
             step, sender, receiver, received.message.msg_type, received.message.instance_id,
             flat, received,
-        )
-        self.events.append(ev)
-        return ev
+        ))
 
     def validated(self, actor: str, sm: SecuredMessage, report: ValidationReport) -> None:
         self.events.append(

@@ -271,9 +271,7 @@ def _seeded_net(world, state):
     return create_net(
         orderer_identity=orderer.identity,
         orderer_key=world.key_pairs[orderer.identity],
-        directory=world.directory,
-        trust_anchor=world.root_anchor,
-        ca_registry=world.ca_registry,
+        trust=world.trust,
         baseline_state=baseline,
     )
 
@@ -408,7 +406,7 @@ def test_c10_pki_gates_both_modes(base_fixtures):
         pass
 
     # now revoke the genuine leaf and retry both paths with the real chain
-    world.ca_registry["SL1-CA"].revoke(world.directory["sl1-clerk"][0].serial)
+    world.trust.cas["SL1-CA"].revoke(world.chain_of("sl1-clerk")[0].serial)
     report = validate_inbound(
         world.adapters["t1-op"], sm, world.chain_of("sl1-clerk")
     )

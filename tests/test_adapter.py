@@ -262,7 +262,7 @@ def test_sealed_plaintext_that_is_not_utf8_is_a_finding(base_fixtures, world):
     value encodes to, under their own digest: the hop rejects, it does
     not raise."""
     raw, key = b"\xff\xfe not utf-8", bytes(32)
-    customs = world.directory_cert("customs-officer").public_key
+    customs = world.chain_of("customs-officer")[0].public_key
     forged = Sealed(
         DEFAULT_SUITE.digest(raw), DEFAULT_SUITE.encrypt(key, raw),
         {"customs-officer": DEFAULT_SUITE.wrap_key(customs, key)},
@@ -300,7 +300,7 @@ def test_nonce_reuse_warning(world):
 
 def test_revoked_sender_chain(world):
     sm = make_iftmcs(world)
-    world.ca_registry["SL1-CA"].revoke(world.directory_cert("sl1-clerk").serial)
+    world.trust.cas["SL1-CA"].revoke(world.chain_of("sl1-clerk")[0].serial)
     pcs = world.adapter("pcs-op")
     report = validate_inbound(pcs, sm, world.chain_of("sl1-clerk"))
     assert not report.accepted
@@ -309,9 +309,9 @@ def test_revoked_sender_chain(world):
 
 
 def test_each_signer_chain_validated_once_per_message(world, monkeypatch):
-    """Two signatures by one revoked directory signer: one chain walk for
-    that signer, still one finding per signature."""
-    import portsec.adapter
+    """Two signatures by one revoked signer the trust view holds: one chain
+    walk for that signer, still one finding per signature."""
+    import portsec.pki
 
     imp = world.adapter("importer-1")
     msg = Message("IFTMCS", "RUN-1", tuple((a, Plain(VALUES[a])) for a in ("B_NO", "CNT_C")))
@@ -320,16 +320,16 @@ def test_each_signer_chain_validated_once_per_message(world, monkeypatch):
         for attrs in (("B_NO", "CNT_C"), ("CNT_C",))
     )
     sm = SecuredMessage(msg, signatures, "sl1-clerk")
-    world.ca_registry["IMP1-CA"].revoke(world.directory_cert("importer-1").serial)
+    world.trust.cas["IMP1-CA"].revoke(world.chain_of("importer-1")[0].serial)
 
     walks = []
-    validate = portsec.adapter.validate_chain
+    validate = portsec.pki.validate_chain
 
     def counting(leaf, *args, **kwargs):
         walks.append(leaf.subject)
         return validate(leaf, *args, **kwargs)
 
-    monkeypatch.setattr(portsec.adapter, "validate_chain", counting)
+    monkeypatch.setattr(portsec.pki, "validate_chain", counting)
     report = validate_inbound(world.adapter("pcs-op"), sm, world.chain_of("sl1-clerk"))
     assert sorted(walks) == ["importer-1", "sl1-clerk"]
     revoked = [f for f in report.findings

@@ -5,17 +5,21 @@ from dataclasses import replace
 
 import pytest
 
+from portsec.adapter import FindingCode
 from portsec.envelope import DEFAULT_SUITE, multi_sign
 from portsec.fixtures import (
     LEAF_VALIDITY,
     FixtureError,
     FixtureIncomplete,
     _load_private_cached,
+    build_net,
     build_world,
 )
+from portsec.ledger import ChainInvalidCert, LedgerAction, build_transaction, rollover, submit
 from portsec.pki import validate_chain
 from portsec.policy import Role
 from portsec.sim import run_scenario
+from portsec.transcript import ValidatedEvent
 
 P2P_EXPORT = {"importer-1", "sl1-clerk", "t1-op", "customs-officer"}
 P2P_IMPORT = {"importer-1", "sl1-clerk", "customs-officer"}
@@ -42,7 +46,7 @@ def loaded(base_fixtures):
 
 def _issue_temp_clerk(world):
     public = world.key_pairs["sl1-clerk"].public_key
-    return world.ca_registry["SL1-CA"].issue(
+    return world.trust.cas["SL1-CA"].issue(
         "sl1-temp", "SL1", Role.SHIPPING_LINE.value, public, LEAF_VALIDITY
     )
 
@@ -114,11 +118,11 @@ def test_a_receivers_bad_key_raises_from_validation(base_fixtures):
 
 
 def test_world_ca_still_issues_valid_certificates(world):
-    issued = list(world.ca_registry["SL1-CA"].issued)
+    issued = list(world.trust.cas["SL1-CA"].issued)
     cert = _issue_temp_clerk(world)
     assert cert.serial not in issued
     ca_chain = list(world.chain_of("sl1-clerk")[1:])
-    result = validate_chain(cert, ca_chain, world.root_anchor, 10, world.ca_registry)
+    result = validate_chain(cert, ca_chain, world.trust.anchor, 10, world.trust.cas)
     assert result.valid, result
 
 
@@ -135,10 +139,10 @@ def test_a_ca_key_is_checked_against_its_certificate(base_fixtures):
     keys = {**base_fixtures.keys, "SL1-CA": base_fixtures.keys["T1-CA"],
             "T1-CA": base_fixtures.keys["SL1-CA"]}
     world = build_world(replace(base_fixtures, keys=keys))
-    issued = list(world.ca_registry["SL1-CA"].issued)
+    issued = list(world.trust.cas["SL1-CA"].issued)
     with pytest.raises(FixtureError, match="private key of SL1-CA does not match its certificate"):
         _issue_temp_clerk(world)
-    assert world.ca_registry["SL1-CA"].issued == issued
+    assert world.trust.cas["SL1-CA"].issued == issued
 
 
 def test_an_issuer_cycle_fails_the_build(base_fixtures):
@@ -149,3 +153,43 @@ def test_an_issuer_cycle_fails_the_build(base_fixtures):
     certs["PCS1-CA"] = replace(certs["PCS1-CA"], issuer="SL1-CA")
     with pytest.raises(FixtureError, match="repeats issuer"):
         build_world(replace(base_fixtures, certs=certs))
+
+
+def test_adapters_net_and_world_share_one_trust_view(world):
+    net = build_net(world)
+    assert world.adapters
+    assert all(a.trust is world.trust for a in world.adapters.values())
+    assert net.trust is world.trust and rollover(net).trust is world.trust
+
+
+def test_every_chain_ends_at_the_anchor(world):
+    chains = world.trust.chains
+    assert set(chains) == {a.identity for a in world.fixtures.actors}
+    assert all(chain[-1] is world.trust.anchor for chain in chains.values())
+    assert all(world.chain_of(ident) is chain for ident, chain in chains.items())
+
+
+def test_an_unknown_identity_has_no_chain(world):
+    with pytest.raises(FixtureIncomplete, match="no certificate for PortRoot"):
+        world.chain_of("PortRoot")
+
+
+def test_one_clock_expires_every_chain_check(base_fixtures):
+    """One assignment to the shared clock, past every leaf's window, fails
+    both a p2p hop and a ledger submission with Expired."""
+    world = build_world(base_fixtures)
+    net = build_net(world)
+    world.trust.clock = LEAF_VALIDITY[1] + 1
+
+    sim = run_scenario(base_fixtures, "export", "p2p", world=world)
+    report = next(ev.report for ev in sim.transcript.events if isinstance(ev, ValidatedEvent))
+    assert not report.accepted
+    first = report.findings[0]
+    assert first.code is FindingCode.CHAIN_INVALID and first.detail.startswith("Expired: ")
+
+    tx, chain = build_transaction(
+        LedgerAction.CREATE, base_fixtures.values["CNT_NO"], (("terminal", "T1"),),
+        world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"],
+    )
+    with pytest.raises(ChainInvalidCert, match="invoker sl1-clerk: Expired: "):
+        submit(net, tx, chain)

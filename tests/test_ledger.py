@@ -94,9 +94,7 @@ def seeded_net(world, state):
     return create_net(
         orderer,
         world.key_pairs[orderer],
-        world.directory,
-        world.root_anchor,
-        world.ca_registry,
+        world.trust,
         baseline_state=baseline,
     )
 
@@ -140,8 +138,8 @@ def test_chain_gate_rejects_bad_signature_and_wrong_chain(world, net):
 
 
 def test_revoked_invoker_denied(world, net):
-    cert = world.directory_cert("sl1-clerk")
-    world.ca_registry[cert.issuer].revoke(cert.serial)
+    cert = world.chain_of("sl1-clerk")[0]
+    world.trust.cas[cert.issuer].revoke(cert.serial)
     with pytest.raises(ChainInvalidCert):
         submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, args=(("terminal", "T1"),))
 
@@ -610,10 +608,7 @@ def test_anchor_hash_is_not_trusted(world, net):
 
 def test_orderer_must_hold_the_orderer_role(world):
     assert {a.identity: a.role for a in world.fixtures.actors}["orderer-1"] == ORDERER_ROLE
-    net = create_net(
-        "sl1-clerk", world.key_pairs["sl1-clerk"], world.directory, world.root_anchor,
-        world.ca_registry,
-    )
+    net = create_net("sl1-clerk", world.key_pairs["sl1-clerk"], world.trust)
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (
             False, None, "sl1-clerk is not an orderer"
@@ -781,12 +776,12 @@ def test_a_failed_check_is_never_recorded(world, net, checked_signatures, broken
 def _reissue_key(world, net, ident, key_of):
     """Give ``ident``'s directory certificate ``key_of``'s public key, signed
     by its CA under the same serial."""
-    old, chain = net.directory[ident]
-    unsigned = replace(old, public_key=net.directory[key_of][0].public_key)
-    ca_key = world.ca_registry[old.issuer].key_pair.private
-    net.directory[ident] = (replace(unsigned, signature=DEFAULT_SUITE.sign(
+    old, *chain = net.trust.chains[ident]
+    unsigned = replace(old, public_key=net.trust.chains[key_of][0].public_key)
+    ca_key = world.trust.cas[old.issuer].key_pair.private
+    net.trust.chains[ident] = (replace(unsigned, signature=DEFAULT_SUITE.sign(
         ca_key, DEFAULT_SUITE.digest(unsigned.body_bytes())
-    )), chain)
+    )), *chain)
 
 
 def _edit_last_transaction(edit):
@@ -825,8 +820,7 @@ def test_the_record_holds_no_directory_key(world, swap):
     net whose orderer key is not the one on the orderer's directory
     certificate fails at its genesis block, live as offline."""
     if swap == "orderer-key":
-        net = create_net("orderer-1", world.key_pairs["sl1-clerk"], world.directory,
-                         world.root_anchor, world.ca_registry)
+        net = create_net("orderer-1", world.key_pairs["sl1-clerk"], world.trust)
     else:
         net = build_net(world)
         _reissue_key(world, net, "orderer-1", "t1-op")
@@ -938,12 +932,12 @@ def test_live_verify_neither_encodes_nor_parses_the_head(counted, monkeypatch):
 
 def test_warm_call_compares_the_head_by_value(counted, counting_suite):
     world, net = counted
-    entry = net.directory["t1-op"]
-    net.directory["t1-op"] = (replace(entry[0]), entry[1])  # an equal, new object
+    entry = net.trust.chains["t1-op"]
+    net.trust.chains["t1-op"] = (replace(entry[0]), *entry[1:])  # an equal, new object
     try:
         res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     finally:
-        net.directory["t1-op"] = entry
+        net.trust.chains["t1-op"] = entry
     assert res.valid, res.reason
     assert verifies == 0
 
@@ -951,11 +945,11 @@ def test_warm_call_compares_the_head_by_value(counted, counting_suite):
 def test_warm_call_sees_an_in_place_directory_swap(world, net):
     full_lifecycle(world, net)
     assert verify_chain(net).valid
-    old, chain = net.directory["sl1-clerk"]
-    reissued = world.ca_registry[old.issuer].issue(
+    old, *chain = net.trust.chains["sl1-clerk"]
+    reissued = world.trust.cas[old.issuer].issue(
         old.subject, old.org, old.role, old.public_key, (old.not_before, old.not_after)
     )
-    net.directory["sl1-clerk"] = (reissued, chain)
+    net.trust.chains["sl1-clerk"] = (reissued, *chain)
     res = verify_chain(net)
     assert (res.valid, res.first_bad_block, res.reason) == (
         False, 1, "invoker sl1-clerk differs from its certificate record"
@@ -978,13 +972,13 @@ def test_head_refuses_a_certificate_the_file_cannot_carry(world, net, edit):
     the export does not parse, and the live verifier says so instead of
     passing a head no file can hold."""
     full_lifecycle(world, net)
-    leaf, (ca, root) = net.directory["t1-op"]
+    leaf, ca, root = net.trust.chains["t1-op"]
     unsigned = replace(ca, **edit)
-    root_key = world.ca_registry[root.subject].key_pair.private
+    root_key = world.trust.cas[root.subject].key_pair.private
     forged = replace(unsigned, signature=DEFAULT_SUITE.sign(
         root_key, DEFAULT_SUITE.digest(unsigned.body_bytes())
     ))
-    net.directory["t1-op"] = (leaf, (forged, root))
+    net.trust.chains["t1-op"] = (leaf, forged, root)
     res = verify_chain(net)
     assert (res.valid, res.first_bad_block, res.reason) == (
         False, None, f"{forged.subject!r}: not a chain file record"
@@ -1003,8 +997,8 @@ def test_create_net_refuses_a_baseline_the_file_cannot_carry(world, key, asset):
     """The export keys each BASE record by its container number and keeps
     one record per line, so any other baseline would not parse back."""
     with pytest.raises(MalformedTransaction, match="cannot carry baseline entry"):
-        create_net("orderer-1", world.key_pairs["orderer-1"], world.directory,
-                   world.root_anchor, world.ca_registry, baseline_state={key: asset})
+        create_net("orderer-1", world.key_pairs["orderer-1"], world.trust,
+                   baseline_state={key: asset})
 
 
 # --- each block encoded once -----------------------------------------------------

@@ -1,7 +1,9 @@
 """Every definition in ``src/portsec`` has a caller.
 
 Lists each module's top-level names (functions, classes, assigned
-constants) and each class's public methods, then requires the name to
+constants), each class's public methods and each plain, non-dunder
+constant assigned in a class body (enum members among them; annotated
+dataclass fields are not), then requires the name to
 occur as a whole word somewhere in ``src/portsec`` or ``perfbench``
 other than on its own definition line. Tests do not count: an API only
 tests call is code no workflow reaches.
@@ -73,6 +75,10 @@ def _definitions():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}", item.name, path, item.lineno
+                    elif isinstance(item, ast.Assign):
+                        for target in item.targets:
+                            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                                yield f"{node.name}.{target.id}", target.id, path, item.lineno
 
 
 def _orphans():
