@@ -13,12 +13,14 @@ from portsec.cli import main
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import (
+    FORK_MIN_CHECKS,
     IneligibleEndorser,
     LedgerAction,
     _sign_block,
     block_bytes,
     build_transaction,
     commit,
+    endorse,
     export_chain,
     submit,
 )
@@ -521,11 +523,39 @@ def _run_fresh(command, tmp_path, fixtures):
     return _fresh([*command, "--fixtures", str(path)])
 
 
-def _fresh(argv):
-    """Run the CLI in a fresh interpreter, so an uncaught exception shows
-    as a traceback."""
+def _fresh(argv, *flags):
+    """Run the CLI in a fresh interpreter started with ``flags``, so an
+    uncaught exception shows as a traceback."""
     src = str(Path(portsec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "portsec", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "portsec", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_ledger_verify_of_a_long_chain_prints_one_verdict(base_fixtures, tmp_path):
+    """A chain long enough for ``verify_exported`` to fork a child (on a
+    host with two or more CPUs) gets one verdict line, as it would inline:
+    a child that returned into the CLI would print a second. ``-W error``
+    turns a warning about forking a threaded process into a failure."""
+    world = build_world(base_fixtures)
+    net = build_net(world)
+    for i in range(FORK_MIN_CHECKS):  # three checks a block, past two shares of checks
+        tx, presented = build_transaction(
+            LedgerAction.CREATE, f"COSU{i:07d}", (("terminal", "T1"),),
+            world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"])
+        pending = endorse(net, submit(net, tx, presented), world.chain_of("t1-op"),
+                          world.key_pairs["t1-op"])
+        assert commit(net, [pending]).block is not None
+    chain = tmp_path / "long.chain"
+    chain.write_bytes(export_chain(net))
+    done = _fresh(["ledger-verify", "--chain", str(chain)], "-W", "error")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"CHAIN VALID blocks {len(net.chain)}\n", "")
+    last = net.chain[-1]  # in the child's range
+    sig = last.orderer_signature
+    net.chain[-1] = dataclasses.replace(last, orderer_signature=bytes([sig[0] ^ 1]) + sig[1:])
+    chain.write_bytes(export_chain(net))
+    done = _fresh(["ledger-verify", "--chain", str(chain)], "-W", "error")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, f"CHAIN INVALID block {last.index} orderer signature broken\n", "")

@@ -1,6 +1,11 @@
 """Ledger net: chaincode gates, endorsement, chain integrity, replay."""
 
+import os
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -1260,7 +1265,25 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     net's own verifier reading its record of the last, unverified batch,
     give the same verdict on the chain and on each single-field edit of
     it."""
-    net, states = _grow(shared_world, batches)
+    _agree(shared_world, batches, picks)
+
+
+@settings(max_examples=20)
+@given(
+    batches=_batches,
+    picks=st.lists(st.integers(0, 999), min_size=5, max_size=5),
+)
+def test_live_and_offline_verifiers_agree_when_the_offline_one_forks(shared_world, batches,
+                                                                      picks):
+    """The differential above, with every offline verify split between
+    this process and a forked child."""
+    with _forking() as pids:
+        _agree(shared_world, batches, picks)
+    assert pids
+
+
+def _agree(world, batches, picks):
+    net, states = _grow(world, batches)
     parsed = parse_chain(export_chain(net))
     assert parsed.blocks == tuple(net.chain)
     unverified = net.chain[len(net._verified.blocks):]
@@ -1301,3 +1324,228 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
         res = verify_exported(other)
         assert (res.valid, res.first_bad_block, res.reason) == (
             False, None, "suite mismatch: OTHER")
+
+
+# --- offline verification split across processes -------------------------------
+
+
+@contextmanager
+def _forking(cpus=2):
+    """``verify_exported`` sees ``cpus`` CPUs and hands a child any range
+    of one or more checks, so a chain past its genesis block is split.
+    Yields the pids forked, as this process saw them."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with patch.object(ledger, "FORK_MIN_CHECKS", 1), \
+            patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            patch.object(os, "fork", counted):
+        yield pids
+
+
+@pytest.fixture
+def forked():
+    with _forking() as pids:
+        yield pids
+
+
+@contextmanager
+def _in_the_child(verify):
+    """``DEFAULT_SUITE.verify`` is ``verify`` in a forked child and the real
+    check in this process."""
+    parent, real = os.getpid(), DEFAULT_SUITE.verify
+    with patch.object(DEFAULT_SUITE, "verify",
+                      lambda *check: (real if os.getpid() == parent else verify)(*check)):
+        yield
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def long_net(world, net):
+    """Two lifecycles: nine blocks of 25 checks, split as blocks 0-3 for the
+    caller and 4-8 for one child."""
+    full_lifecycle(world, net)
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    return net
+
+
+def _flipped_orderer_signature(i):
+    def edit(world, net):
+        block = net.chain[i]
+        net.chain[i] = replace(block, orderer_signature=_flip(block.orderer_signature))
+    return edit
+
+
+def _flipped_endorsement(i):
+    """Block ``i`` signed again over its transaction with the endorsement
+    flipped: its orderer signature holds, its endorsement does not."""
+    def edit(world, net):
+        block = net.chain[i]
+        tx, = block.transactions
+        (ident, sig), = tx.endorsements
+        tx = replace(tx, endorsements=((ident, _flip(sig)),))
+        net.chain[i] = _sign_block(net, i, block.prev_hash, (tx,))
+    return edit
+
+
+def _broken_link(i):
+    def edit(world, net):
+        net.chain[i] = replace(net.chain[i], prev_hash=_flip(net.chain[i].prev_hash))
+    return edit
+
+
+def _replayed_last(world, net):
+    """The last LOAD ordered again, with good signatures: block 9."""
+    order_by_hand(net, *net.chain[-1].transactions)
+
+
+SPLITS = {
+    # case: (edit, verdict, the bad block's range)
+    "honest": (lambda world, net: None, (True, None, ""), None),
+    "orderer-signature-caller": (_flipped_orderer_signature(1),
+                                 (False, 1, "orderer signature broken"), "caller"),
+    "orderer-signature-child": (_flipped_orderer_signature(7),
+                                (False, 7, "orderer signature broken"), "child"),
+    "endorsement-caller": (_flipped_endorsement(2),
+                           (False, 2, "endorsement by pcs-op broken"), "caller"),
+    "endorsement-child": (_flipped_endorsement(6),
+                          (False, 6, "endorsement by pcs-op broken"), "child"),
+    "previous-hash-child": (_broken_link(5), (False, 5, "previous-hash link broken"), "child"),
+    "stale-gate-child": (_replayed_last, (False, 9, "replay gate failure: LOAD requires "
+                                                    "state CLEARED, asset is LOADED"), "child"),
+}
+
+
+@pytest.mark.parametrize("case", SPLITS)
+def test_a_split_verify_gives_the_inline_verdict(world, long_net, case):
+    """Split between this process and one child, an offline verify gives
+    the inline verdict, a failure in either range included, and leaves no
+    child behind."""
+    edit, verdict, side = SPLITS[case]
+    edit(world, long_net)
+    data = export_chain(long_net)
+    inline = verify_exported(parse_chain(data))  # far below FORK_MIN_CHECKS
+    with _forking() as pids:
+        exported = parse_chain(data)
+        [(k, end)] = ledger._tail_ranges(exported.blocks)
+        split = verify_exported(exported)
+    assert len(pids) == 1 and end == len(long_net.chain)
+    if side is not None:
+        assert (verdict[1] >= k) == (side == "child")
+    for res in (inline, split):
+        assert (res.valid, res.first_bad_block, res.reason) == verdict
+    _no_child_left()
+
+
+def test_each_spare_cpu_takes_a_range(world, long_net):
+    """With three CPUs, two children take a range each, and a failure in
+    the first one is found at its block."""
+    _flipped_orderer_signature(5)(world, long_net)
+    with _forking(cpus=3) as pids:
+        exported = parse_chain(export_chain(long_net))
+        ranges = ledger._tail_ranges(exported.blocks)
+        res = verify_exported(exported)
+    assert ranges == [(3, 6), (6, 9)] and len(pids) == 2
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 5, "orderer signature broken")
+    _no_child_left()
+
+
+def test_the_caller_runs_no_check_a_child_proved(long_net, counting_suite, forked):
+    """This process verifies the head's certificates and the checks of its
+    own range, and reads every check of the child's range from the child."""
+    exported = parse_chain(export_chain(long_net))
+    [(k, _)] = ledger._tail_ranges(exported.blocks)
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert res.valid, res.reason
+    assert len(forked) == 1 and 0 < k < len(long_net.chain)
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:k])
+
+
+def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, forked):
+    """A child still checking when this process fails in its own range is
+    killed and reaped: the call returns without waiting for it."""
+    _flipped_orderer_signature(1)(world, long_net)
+    exported = parse_chain(export_chain(long_net))
+    started = time.monotonic()
+    with _in_the_child(lambda *check: time.sleep(60)):
+        res = verify_exported(exported)
+    assert time.monotonic() - started < 30
+    assert (res.valid, res.first_bad_block, len(forked)) == (False, 1, 1)
+    _no_child_left()
+
+
+def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_suite, forked):
+    """A child that fails before it writes leaves every check of its range
+    to this process, and the forged block there fails inline."""
+    _flipped_orderer_signature(7)(world, long_net)
+    exported = parse_chain(export_chain(long_net))
+
+    def fails(*check):
+        raise RuntimeError("no verify in this child")
+
+    with _in_the_child(fails):
+        res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert len(forked) == 1
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 7, "orderer signature broken")
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
+    _no_child_left()
+
+
+def test_a_short_read_proves_only_the_checks_read(long_net, counting_suite, forked,
+                                                  monkeypatch):
+    """A child that dies after writing four bytes proved four checks: this
+    process runs the rest of its range inline."""
+    exported = parse_chain(export_chain(long_net))
+    [(k, _)] = ledger._tail_ranges(exported.blocks)
+    parent, write, exit_ = os.getpid(), os.write, os._exit
+
+    def short(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, data[:4])
+        exit_(0)
+
+    monkeypatch.setattr(os, "write", short)
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert res.valid, res.reason
+    assert len(forked) == 1
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain) - 4
+    _no_child_left()
+
+
+def test_a_fork_that_fails_leaves_every_check_inline(world, long_net, counting_suite):
+    _flipped_orderer_signature(7)(world, long_net)
+    exported = parse_chain(export_chain(long_net))
+
+    def fails():
+        raise OSError("fork refused")
+
+    with _forking(), patch.object(os, "fork", fails):
+        res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 7, "orderer signature broken")
+    # every check up to block 7's orderer signature, where it stops
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
+    _no_child_left()
+
+
+def test_no_fork_while_a_second_thread_runs(long_net, forked):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(30,))
+    thread.start()
+    try:
+        res = verify_exported(parse_chain(export_chain(long_net)))
+    finally:
+        done.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert res.valid and forked == []
+    assert len(ledger._tail_ranges(long_net.chain)) == 1  # the thread alone stopped it
