@@ -35,7 +35,7 @@ MESSAGE_TYPES = (
     "ATB_NOTICE",
 )
 
-_ATTR_NAME_RE = re.compile(r"^[A-Z0-9_]+$")
+_ATTR_NAME_RE = re.compile(r"[A-Z0-9_]+")
 
 
 class DuplicateAttribute(ModelError):
@@ -47,7 +47,7 @@ class InvariantViolation(ModelError):
 
 
 def validate_attribute_name(name: str) -> str:
-    if not name or not _ATTR_NAME_RE.match(name):
+    if not _ATTR_NAME_RE.fullmatch(name):
         raise InvariantViolation(
             f"attribute name {name!r} must be non-empty uppercase ASCII "
             "alphanumerics/underscore"
@@ -236,10 +236,30 @@ def _parse_att(rec: records.Record) -> tuple[str, FieldValue]:
     raise ParseError(f"unknown field representation {code!r}", rec.offsets[2])
 
 
+def _parse_sig(rec: records.Record) -> AttributeSignature:
+    signer, attrs, sig = intern(rec.text(1)), rec.text(2), rec.b64(3)
+    try:
+        return AttributeSignature(signer, tuple(map(intern, attrs.split(","))), sig)
+    except ModelError as exc:
+        raise ParseError(str(exc), rec.offset) from None
+
+
+def _decoded(rec: records.Record, parse, decoded: dict | None):
+    """``parse(rec)``, or what the same elements decoded to earlier in
+    ``decoded``; only a record that decodes enters it."""
+    if decoded is None:
+        return parse(rec)
+    key = tuple(rec.elems)
+    value = decoded.get(key)
+    if value is None:
+        value = decoded[key] = parse(rec)
+    return value
+
+
 _LAYOUT = {b"MSG": (0, 3, 0), b"ATT": (1, 0, 1), b"SIG": (2, 4, None), b"SND": (3, 2, 0)}
 
 
-def from_flat(data: bytes) -> SecuredMessage:
+def from_flat(data: bytes, decoded: dict | None = None) -> SecuredMessage:
     """Parse the flat segment format back into a SecuredMessage. Only the
     bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``:
     ``records.check`` holds the segments to MSG, ATT (one per name), SIG,
@@ -249,6 +269,12 @@ def from_flat(data: bytes) -> SecuredMessage:
     reader and sender identities) come back interned, so the many stored
     copies of one name are one string; field values never are.
 
+    ``decoded``, given, maps each ATT or SIG record decoded so far, by its
+    elements (the tag included), to its ``(name, value)`` or
+    ``AttributeSignature``: a record already in it is not decoded again,
+    and one that decodes enters it. Every record is still checked in its
+    own message, and the message's invariants still run.
+
     Raises ParseError, with the byte offset, and no other error.
     """
     fields: list[tuple[str, FieldValue]] = []
@@ -256,13 +282,9 @@ def from_flat(data: bytes) -> SecuredMessage:
     for rec in records.check(records.decode(data), _LAYOUT, "message"):
         tag = rec.elems[0]
         if tag == b"ATT":
-            fields.append(_parse_att(rec))
+            fields.append(_decoded(rec, _parse_att, decoded))
         elif tag == b"SIG":
-            attrs = tuple(map(intern, rec.text(2).split(",")))
-            try:
-                signatures.append(AttributeSignature(intern(rec.text(1)), attrs, rec.b64(3)))
-            except ModelError as exc:
-                raise ParseError(str(exc), rec.offset) from None
+            signatures.append(_decoded(rec, _parse_sig, decoded))
         elif tag == b"MSG":
             msg_type, instance_id = intern(rec.text(1)), intern(rec.text(2))
         else:

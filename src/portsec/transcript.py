@@ -3,8 +3,9 @@
 A transcript records every message sent (full wire bytes), every
 validation verdict, every ledger action, and the closing audit rows. Each
 sent message is held both as its wire bytes and decoded: live runs keep the
-message they delivered, and a stored transcript decodes each one once, at
-load.
+message they delivered, and a stored transcript decodes each distinct field
+or signature record once per load, so events that carry the same record
+share its immutable decoded value.
 Replaying a script over the same fixtures reproduces the transcript
 byte-for-byte except for sealing randomness (fresh symmetric keys and
 their wrappings), which the determinism digest masks out.
@@ -147,6 +148,7 @@ def transcript_from_wire(data: bytes) -> Transcript:
     file ``records.read_file`` refuses, or a header verdict other than the
     events', raises."""
     t = Transcript("", "")
+    decoded: dict = {}  # each distinct ATT or SIG record, decoded once per load
     for rec in records.read_file(data, _LAYOUT, "transcript"):
         if rec.tag == b"TRS":
             if rec.text(1) != TRANSCRIPT_VERSION:
@@ -155,17 +157,17 @@ def transcript_from_wire(data: bytes) -> Transcript:
         elif rec.tag == b"ACT":
             t.actors[rec.text(1)] = rec.text(2)
         else:
-            t.events.append(_event(rec))
+            t.events.append(_event(rec, decoded))
     if header.text(4) != t.verdict:  # read_file raised unless a TRS header came
         raise ParseError(f"TRS verdict differs from its events' {t.verdict}", header.offsets[4])
     return t
 
 
-def _event(rec: records.Record) -> Event:
+def _event(rec: records.Record, decoded: dict) -> Event:
     kind = rec.text(1)
     if kind == "SENT":
         rec.need(8)
-        return _sent_event(rec)
+        return _sent_event(rec, decoded)
     if kind == "VALIDATED":
         rec.need(7)
         return ValidatedEvent(
@@ -181,15 +183,17 @@ def _event(rec: records.Record) -> Event:
     raise ParseError(f"unknown event kind {kind!r}", rec.offsets[1])
 
 
-def _sent_event(rec: records.Record) -> SentEvent:
-    """Decode the SENT record's flat; its type and instance must be the
-    record's own."""
+def _sent_event(rec: records.Record, decoded: dict) -> SentEvent:
+    """Decode the SENT record's flat, through ``decoded`` (see ``from_flat``);
+    its type, instance and sender must be the record's own."""
     step, sender, receiver, msg_type, instance_id = (rec.text(i) for i in range(2, 7))
     flat = rec.b64(7)
     try:
-        sm = from_flat(flat)
+        sm = from_flat(flat, decoded)
     except ModelError as exc:
         raise ParseError(f"bad SENT flat: {exc}", rec.offsets[7]) from None
+    if sm.sender != sender:
+        raise ParseError("SENT sender differs from its flat's", rec.offsets[3])
     if sm.message.msg_type != msg_type:
         raise ParseError("SENT type differs from its flat's", rec.offsets[5])
     if sm.message.instance_id != instance_id:

@@ -322,6 +322,17 @@ def _audit_refuses(path, capsys, what):
     assert what in capsys.readouterr().err
 
 
+def test_audit_refuses_a_relabelled_sender(cli_files, tmp_path, capsys):
+    """A SENT record whose sender is not its flat's would make the audit
+    hold another actor to what was sent; the audit refuses the file."""
+    path = tmp_path / "export.trs"
+    raw = _stored_run(cli_files, path)
+    relabelled = raw.replace(b"EVT+SENT+delivery+sl1-clerk+", b"EVT+SENT+delivery+pa-officer+")
+    assert relabelled != raw
+    path.write_bytes(relabelled)
+    _audit_refuses(path, capsys, "SENT sender differs from its flat's")
+
+
 @pytest.mark.parametrize("kind", ["fixtures", "chain", "transcript"])
 def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_bytes, tmp_path,
                                                        capsys, kind):

@@ -235,6 +235,24 @@ def test_parse_sealed_count_mismatch():
         from_flat(b"MSG+ICU+RUN1'" + sealed_seg + b"SND+t'")
 
 
+def test_parse_bad_signature_element_offset():
+    # a bad element of a SIG record is reported where it starts, once
+    wire = b"MSG+ICU+RUN1'ATT+B_NO+H+AA=='SIG+t+B_NO+A#=='SND+t'"
+    with pytest.raises(ParseError) as e:
+        from_flat(wire)
+    assert e.value.offset == wire.index(b"A#==") == 40
+    assert str(e.value).count("(at byte") == 1
+
+
+def test_parse_attribute_name_with_a_trailing_line_break():
+    assert from_flat(b"MSG+ICU+RUN1'ATT+CNT_NO+H+AA=='SND+t'")
+    with pytest.raises(ParseError, match="attribute name") as e:
+        from_flat(b"MSG+ICU+RUN1'ATT+CNT_NO\n+H+AA=='SND+t'")
+    assert e.value.offset == 17
+    with pytest.raises(InvariantViolation):
+        validate_attribute_name("CNT_NO\n")
+
+
 def test_parse_sig_covering_absent_attribute():
     wire = (
         b"MSG+ICU+RUN1'ATT+CNT_NO+P+" + b64(b"v") + b"'"

@@ -1,13 +1,14 @@
 """Transcript wire format: strictness and randomness masking."""
 
+import dataclasses
 import random
 
 import pytest
 
-from portsec import transcript
+from portsec import model, records, transcript
 from portsec.audit import audit_views
 from portsec.envelope import DEFAULT_SUITE
-from portsec.model import Message, ParseError, Sealed, SecuredMessage, to_flat
+from portsec.model import Message, ParseError, Sealed, SecuredMessage, from_flat, to_flat
 from portsec.sim import run_scenario
 from portsec.transcript import (
     AuditEvent,
@@ -151,9 +152,9 @@ def test_reload_decodes_each_message_once(honest_sims, monkeypatch):
     calls = []
     from_flat = transcript.from_flat
 
-    def counted(flat):
+    def counted(flat, decoded):
         calls.append(flat)
-        return from_flat(flat)
+        return from_flat(flat, decoded)
 
     monkeypatch.setattr(transcript, "from_flat", counted)
     for key, sim in honest_sims.items():
@@ -177,3 +178,106 @@ def test_forged_sent_record_is_rejected(honest_sims, forged, message, element):
     with pytest.raises(ParseError, match=message) as e:
         transcript_from_wire(wire[:at] + forged + wire[run_end:])
     assert e.value.offset == at + element
+
+
+def test_a_forged_sent_sender_is_rejected(honest_sims):
+    """A SENT record names the sender its flat's SND names: relabelled, the
+    audit would hold another actor to the fields the sender sent."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    at = wire.index(b"EVT+SENT+delivery+sl1-clerk+") + len(b"EVT+SENT+delivery+")
+    forged = wire[:at] + b"pa-officer" + wire[at + len(b"sl1-clerk"):]
+    with pytest.raises(ParseError, match="SENT sender differs") as e:
+        transcript_from_wire(forged)
+    assert e.value.offset == at
+
+
+# --- each distinct record decoded once per load -------------------------------
+
+
+@pytest.fixture(scope="module")
+def p2p_wires(base_fixtures):
+    """The stored transcript of each honest p2p run, export and import,
+    with and without dangerous goods."""
+    return {
+        (scenario, dg): transcript_to_wire(
+            run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p").transcript)
+        for scenario in ("export", "import") for dg in ("false", "true")
+    }
+
+
+def _field_and_signature_records(t: Transcript) -> list[tuple[bytes, ...]]:
+    """The elements of every ATT and SIG record of ``t``'s flats, in order."""
+    return [tuple(rec.elems) for ev in t.sent_events() for rec in records.decode(ev.flat)
+            if rec.tag in (b"ATT", b"SIG")]
+
+
+def test_a_reloaded_message_equals_its_flat_decoded_alone(p2p_wires):
+    for key, wire in p2p_wires.items():
+        reloaded = transcript_from_wire(wire)
+        held = _field_and_signature_records(reloaded)
+        assert len(held) > len(set(held)), key  # copies to share
+        for ev in reloaded.sent_events():
+            assert ev.message == from_flat(ev.flat), (key, ev.step)
+
+
+def test_a_load_decodes_each_distinct_record_once(p2p_wires, monkeypatch):
+    """Forwarded fields and carried signatures repeat hop after hop; a
+    load decodes each distinct record once, and the events share what it
+    decoded."""
+    decodes = []
+    for name in ("_parse_att", "_parse_sig"):
+        parse = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda rec, parse=parse: decodes.append(rec) or parse(rec))
+    for key, wire in p2p_wires.items():
+        decodes.clear()
+        reloaded = transcript_from_wire(wire)
+        held = _field_and_signature_records(reloaded)
+        assert len(decodes) == len(set(held)), key
+        values = {id(v) for ev in reloaded.sent_events()
+                  for v in (*ev.message.message.fields, *ev.message.signatures)}
+        assert len(values) == len(set(held)), key
+        if key == ("export", "false"):
+            assert (len(decodes), len(held)) == (17, 78)
+
+
+def _second_copy_of_a_sealed_field(t: Transcript) -> tuple[int, bytes]:
+    """The index of the second SENT event holding a sealed field an
+    earlier one holds, and that field's record."""
+    first = {}
+    for i, ev in enumerate(t.events):
+        if isinstance(ev, SentEvent):
+            for rec in records.decode(ev.flat):
+                if rec.tag == b"ATT" and rec.elems[2] == b"S":
+                    raw = b"+".join(rec.elems) + b"'"
+                    if first.setdefault(raw, i) != i:
+                        return i, raw
+    raise AssertionError("no sealed field is forwarded")
+
+
+@pytest.mark.parametrize("damage, valid", [
+    (lambda elem: b"#" + elem[1:], False),  # not base64: the load fails
+    (lambda elem: (b"B" if elem[:1] == b"A" else b"A") + elem[1:], True),  # another digest
+], ids=["broken", "changed"])
+def test_a_changed_copy_of_a_repeated_record_decodes_on_its_own(p2p_wires, damage, valid):
+    """One byte of a sealed field's digest changed in its second copy only:
+    a broken copy fails the load at that copy's own element, and a still
+    valid one decodes to its own digest, not the first copy's."""
+    t = transcript_from_wire(p2p_wires[("export", "false")])
+    i, raw = _second_copy_of_a_sealed_field(t)
+    ev = t.events[i]
+    name, _, digest = raw.split(b"+")[1:4]
+    at = ev.flat.index(raw) + len(b"ATT+" + name + b"+S+")  # the digest, in the flat
+    flat = ev.flat[:at] + damage(digest) + ev.flat[at + len(digest):]
+    t.events[i] = dataclasses.replace(ev, flat=flat)
+    wire = transcript_to_wire(t)
+    if valid:
+        again = transcript_from_wire(wire).events[i].message
+        assert again == from_flat(flat)
+        assert again.message.get(name.decode()).digest != \
+            ev.message.message.get(name.decode()).digest
+        return
+    line = [rec for rec in records.decode_lines(wire) if rec.tag == b"EVT"][i]
+    with pytest.raises(ParseError, match="non-canonical base64|invalid base64") as e:
+        transcript_from_wire(wire)
+    assert e.value.offset == line.offsets[7]
+    assert f"(at byte {at})" in str(e.value)
