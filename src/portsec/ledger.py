@@ -18,12 +18,12 @@ holds (key, payload, signature).
 from __future__ import annotations
 
 import enum
+import marshal
 import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
@@ -278,23 +278,18 @@ def build_transaction(
     ``suite`` is not read: there is one suite, and callers that pass
     ``World.suite`` pass it."""
     unsigned = Transaction(invoker_chain[0], LedgerAction(action), cnt_no, tuple(args), b"")
-    body_digest = DEFAULT_SUITE.digest(unsigned.body_bytes())
-    tx = replace(unsigned, invoker_signature=sign(key_pair.private, body_digest))
-    _tx_digests(tx, body_digest)
-    return tx, tuple(invoker_chain)
+    signature = sign(key_pair.private, DEFAULT_SUITE.digest(unsigned.body_bytes()))
+    return replace(unsigned, invoker_signature=signature), tuple(invoker_chain)
 
 
-def _tx_digests(tx: Transaction, body_digest: bytes | None = None) -> tuple[bytes, bytes]:
+def _tx_digests(tx: Transaction) -> tuple[bytes, bytes]:
     """(digest the invoker signs: the body; payload each endorser signs: the
     body, then the invoker signature), as the transaction remembers them.
-    ``body_digest`` is the body's digest when the caller already has it.
     One built by ``replace`` is hashed again."""
     if tx._memo is None:
         body = tx.body_bytes()
         digest = DEFAULT_SUITE.digest
-        object.__setattr__(tx, "_memo", (
-            body_digest or digest(body), digest(body + tx.invoker_signature)
-        ))
+        object.__setattr__(tx, "_memo", (digest(body), digest(body + tx.invoker_signature)))
     return tx._memo
 
 
@@ -725,96 +720,68 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
     links from the baseline digest on, orderer signatures, and each
     transaction's ``_admit``. It reads no net's record of passed checks.
 
-    Once the head checks pass, a long chain is split: one forked child per
-    spare CPU (``_Prover``) runs the signature checks of a range of the
-    later blocks, while this process replays the blocks before the first
-    such range. The checks a child passed then join this call's record of
-    passed checks, and the replay goes on from that range: any check no
-    child passed is run inline by ``_signed``, so the verdict, its block
-    and its reason are the sequential rule's. A child is forked only when
-    ``os.fork`` exists, this process runs one thread, it may run on more
-    than one CPU, and the child's range holds at least ``FORK_MIN_CHECKS``
-    checks (``_tail_ranges``). No child outlives the call: each is reaped
-    before it returns, and one still running, after a failure before its
-    range, is killed."""
+    Once the head checks pass, a long chain is split at ``_split_point``:
+    a forked child (``_Child``) checks the blocks from there on with
+    ``_verify_blocks`` while this process checks the blocks before them.
+    Only when its own blocks pass does this process read the child's
+    verdict, and it checks the child's blocks itself when no whole verdict
+    arrives, so the verdict, its block and its reason are the sequential
+    rule's. No child outlives the call: it is reaped before the call
+    returns, and killed if it still runs."""
     bad_head = _check_head(exported)
     if bad_head is not None:
         return bad_head
-    blocks, baseline, passed = exported.blocks, exported.baseline_state, set()
-    state, provers = dict(baseline), []
+    blocks, state, passed = exported.blocks, dict(exported.baseline_state), set()
+    k, child = _split_point(blocks), None
+    if k < len(blocks):
+        try:
+            child = _Child(exported, k)
+        except OSError:
+            k = len(blocks)  # this process checks every block
     try:
-        for lo, hi in _tail_ranges(blocks):
-            try:
-                provers.append(_Prover(exported, lo, hi))
-            except OSError:
-                break  # the blocks no child took are checked inline
-        k = provers[0].lo if provers else len(blocks)
-        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, _state_digest(baseline),
+        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, _state_digest(state),
                              state, passed)
-        if res is None and provers:
-            for prover in provers:
-                passed.update(prover.proven())
-            res = _verify_blocks(replace(exported, blocks=blocks[k:]), k,
-                                 _digests(blocks[k - 1])[1], state, passed)
+        if res is None and child is not None:
+            res = child.verdict() or _verify_blocks(
+                replace(exported, blocks=blocks[k:]), k, _digests(blocks[k - 1])[1], state, passed)
     finally:
-        for prover in provers:
-            prover.close()
+        if child is not None:
+            child.close()
     return res or ChainVerification(True)
 
 
-def _tail_ranges(blocks: Sequence[Block]) -> list[tuple[int, int]]:
-    """The block ranges ``verify_exported`` hands to forked children, in
-    chain order. With p CPUs this process may run on, the checks divide
-    into up to p shares of at least ``FORK_MIN_CHECKS``; from the last
-    block back, each child takes blocks until its range holds a share, and
-    the caller keeps what is left, block 0 at least. None when the chain
-    holds fewer than two shares or forking is not safe: no ``os.fork``, or
-    a second thread alive."""
+def _split_point(blocks: Sequence[Block]) -> int:
+    """The first block ``verify_exported`` hands to a forked child, or
+    ``len(blocks)`` for none. From the last block back, the child takes
+    blocks until they hold half the chain's signature checks; this process
+    keeps the rest, block 0 at least. It forks only when the chain holds at
+    least ``2 * FORK_MIN_CHECKS`` checks, ``os.fork`` exists, this process
+    may run on two or more CPUs and no second thread is alive."""
+    end = len(blocks)
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
+        return end
     counts = [1 + sum(1 + len(tx.endorsements) for tx in b.transactions) for b in blocks]
     total = sum(counts)
-    if total < 2 * FORK_MIN_CHECKS or threading.active_count() != 1:
-        return []
-    shares = min(len(os.sched_getaffinity(0)), total // FORK_MIN_CHECKS)
-    share, ranges, hi, held = total / shares, [], len(blocks), 0
-    for i in range(len(blocks) - 1, 0, -1):
+    if (total < 2 * FORK_MIN_CHECKS or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() != 1):
+        return end
+    held = 0
+    for i in range(end - 1, 0, -1):
         held += counts[i]
-        if held >= share:
-            ranges.append((i, hi))
-            hi, held = i, 0
-            if len(ranges) == shares - 1:
-                break
-    return ranges[::-1]
+        if 2 * held >= total:
+            return i
+    return end
 
 
-def _checks(exported: ExportedChain, blocks: Iterable[Block]) -> Iterator[tuple]:
-    """Each signature check of ``blocks``, keyed as ``_verify_blocks`` and
-    ``_admit`` look it up in ``_signed``: the orderer's, then per
-    transaction the invoker's and that of each endorser with a certificate
-    record."""
-    orderer = exported.certs[exported.orderer_identity].public_key
-    for block in blocks:
-        yield orderer, _digests(block)[0], block.orderer_signature
-        for tx in block.transactions:
-            body_digest, payload = _tx_digests(tx)
-            yield tx.invoker.public_key, body_digest, tx.invoker_signature
-            for ident, sig in tx.endorsements:
-                cert = exported.certs.get(ident)
-                if cert is not None:
-                    yield cert.public_key, payload, sig
+class _Child:
+    """A forked child that checks blocks ``k`` on of ``exported``: it
+    rebuilds the state before block ``k`` with ``_apply`` alone (the replay
+    state whenever every earlier block checks), runs ``_verify_blocks`` on
+    its blocks with a fresh record of passed checks, and writes its verdict
+    to a pipe. It returns to no caller: it ends in ``os._exit``, so it
+    flushes no buffer and runs no exit handler."""
 
-
-class _Prover:
-    """A forked child that runs ``DEFAULT_SUITE.verify`` on each of the
-    ``_checks`` of blocks ``lo`` to ``hi`` - 1, then writes one byte per
-    check, 1 for a pass, to a pipe and closes it. It returns to no caller:
-    it ends in ``os._exit``, so it flushes no buffer and runs no exit
-    handler."""
-
-    def __init__(self, exported: ExportedChain, lo: int, hi: int):
-        self.lo = lo
-        self.checks = partial(_checks, exported, exported.blocks[lo:hi])
+    def __init__(self, exported: ExportedChain, k: int):
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -823,26 +790,30 @@ class _Prover:
             os.close(write)
             raise
         if self.pid == 0:
-            code = 1
             try:
                 os.close(read)
-                out = memoryview(bytes(DEFAULT_SUITE.verify(*c) for c in self.checks()))
-                while out:
-                    out = out[os.write(write, out):]
-                os.close(write)  # the caller reads on while this process is torn down
-                code = 0
+                blocks, state = exported.blocks, dict(exported.baseline_state)
+                for tx in (tx for block in blocks[:k] for tx in block.transactions):
+                    _apply(tx, state)
+                res = _verify_blocks(replace(exported, blocks=blocks[k:]), k,
+                                     _digests(blocks[k - 1])[1], state, set())
+                res = res or ChainVerification(True)
+                os.write(write, marshal.dumps((res.valid, res.first_bad_block, res.reason)))
+                os._exit(0)
             finally:
-                os._exit(code)
+                os._exit(1)
         os.close(write)
         self.fd = read
 
-    def proven(self) -> list[tuple]:
-        """The checks the child passed, read to the end of its output: a
-        child that wrote less proved only the checks it wrote."""
-        chunks = []
-        while chunk := os.read(self.fd, 1 << 16):
-            chunks.append(chunk)
-        return [check for check, ok in zip(self.checks(), b"".join(chunks)) if ok == 1]
+    def verdict(self) -> ChainVerification | None:
+        """The child's verdict, from one read of the pipe; None when no whole
+        verdict arrives: the child died or exited before it wrote one, or
+        wrote part of it. A verdict longer than a pipe writes at once may
+        also arrive in part, and is then none."""
+        try:
+            return ChainVerification(*marshal.loads(os.read(self.fd, 1 << 16)))
+        except (EOFError, ValueError, TypeError):
+            return None
 
     def close(self) -> None:
         """Kill the child if it still runs, reap it and close the pipe."""

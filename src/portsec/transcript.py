@@ -145,7 +145,8 @@ _LAYOUT = {b"TRS": (0, 5, 0), b"ACT": (1, 3, 1), b"EVT": (2, 0, None)}
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
-    file ``records.read_file`` refuses, or a header verdict other than the
+    file ``records.read_file`` refuses, a SENT record not followed at once
+    by its receiver's VALIDATED record, or a header verdict other than the
     events', raises."""
     t = Transcript("", "")
     decoded: dict = {}  # each distinct ATT or SIG record, decoded once per load
@@ -157,7 +158,12 @@ def transcript_from_wire(data: bytes) -> Transcript:
         elif rec.tag == b"ACT":
             t.actors[rec.text(1)] = rec.text(2)
         else:
-            t.events.append(_event(rec, decoded))
+            ev = _event(rec, decoded)
+            if t.events and isinstance(t.events[-1], SentEvent):
+                _check_validates(rec, ev, t.events[-1])
+            t.events.append(ev)
+    if t.events and isinstance(t.events[-1], SentEvent):
+        raise ParseError("SENT record without its VALIDATED record", len(data))
     if header.text(4) != t.verdict:  # read_file raised unless a TRS header came
         raise ParseError(f"TRS verdict differs from its events' {t.verdict}", header.offsets[4])
     return t
@@ -170,6 +176,8 @@ def _event(rec: records.Record, decoded: dict) -> Event:
         return _sent_event(rec, decoded)
     if kind == "VALIDATED":
         rec.need(7)
+        if rec.text(5) not in ("ACCEPT", "REJECT"):
+            raise ParseError(f"unknown VALIDATED verdict {rec.text(5)!r}", rec.offsets[5])
         return ValidatedEvent(
             rec.text(2), rec.text(3), rec.text(4), rec.text(5), report_wire=rec.b64(6)
         )
@@ -179,8 +187,23 @@ def _event(rec: records.Record, decoded: dict) -> Event:
     if kind == "AUDIT":
         rec.need(5)
         attrs = tuple(a for a in rec.text(3).split(",") if a)
+        if rec.text(4) not in ("FLAG", "OK"):
+            raise ParseError(f"unknown AUDIT flag {rec.text(4)!r}", rec.offsets[4])
         return AuditEvent(rec.text(2), attrs, rec.text(4) == "FLAG")
     raise ParseError(f"unknown event kind {kind!r}", rec.offsets[1])
+
+
+def _check_validates(rec: records.Record, ev: Event, sent: SentEvent) -> None:
+    """``ev``, read from ``rec``, must be the VALIDATED record of the hop
+    ``sent``, by its receiver: no byte of the hop's flat names the receiver."""
+    if not isinstance(ev, ValidatedEvent):
+        raise ParseError("SENT record not followed by its VALIDATED record", rec.offsets[1])
+    if ev.actor != sent.receiver:
+        raise ParseError("VALIDATED actor differs from its SENT's receiver", rec.offsets[2])
+    if ev.msg_type != sent.msg_type:
+        raise ParseError("VALIDATED type differs from its SENT's", rec.offsets[3])
+    if ev.instance_id != sent.instance_id:
+        raise ParseError("VALIDATED instance differs from its SENT's", rec.offsets[4])
 
 
 def _sent_event(rec: records.Record, decoded: dict) -> SentEvent:

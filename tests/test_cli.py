@@ -357,6 +357,25 @@ def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_by
         _audit_refuses(path, capsys, "ACT record out of order")
 
 
+@pytest.mark.parametrize("attack, old, new, what", [
+    (False, b"EVT+SENT+delivery+sl1-clerk+t1-op+", b"EVT+SENT+delivery+sl1-clerk+pa-officer+",
+     "VALIDATED actor differs from its SENT's receiver"),
+    (True, b"+REJECT+", b"+MAYBE+", "unknown VALIDATED verdict 'MAYBE'"),
+    (False, b"+OK'", b"+MAYBE'", "unknown AUDIT flag 'MAYBE'"),
+], ids=["receiver", "verdict", "flag"])
+def test_audit_refuses_a_relabelled_receiver_verdict_or_flag(cli_files, tmp_path, capsys,
+                                                             attack, old, new, what):
+    """Each would load and audit at face value: the receiver is named by
+    no byte of the hop, and an unknown word would read as a verdict or a
+    flag."""
+    argv = ["attack", "--spec", str(cli_files["tamper"])] if attack else []
+    path = tmp_path / "run.trs"
+    raw = _stored_run(cli_files, path, *argv)
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    _audit_refuses(path, capsys, what)
+
+
 @pytest.mark.parametrize("attack, verdict, edited", [
     (False, b"PASS", b"FAIL"),
     (False, b"PASS", b"whatever"),

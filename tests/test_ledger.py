@@ -874,9 +874,9 @@ def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monke
 
 
 def test_each_transaction_digest_is_hashed_once(world, counting_suite):
-    """``build_transaction`` hashes the body and the endorsement payload and
-    ``commit`` the block's two digests; submit, endorse, commit and the
-    live verify read them back."""
+    """``build_transaction`` hashes the body it signs, the transaction its
+    own body and endorsement payload, and ``commit`` the block's two
+    digests; submit, endorse, commit and the live verify read them back."""
     net = build_net(world)
 
     def step(cnt_no):
@@ -890,11 +890,12 @@ def test_each_transaction_digest_is_hashed_once(world, counting_suite):
     before = counting_suite.digests
     step("MSCU7654321")
     assert verify_chain(net).valid
-    assert counting_suite.digests - before == 4
+    assert counting_suite.digests - before == 5
 
 
 def test_replace_forgets_the_transaction_digests(world):
     tx, _ = make_tx(world, "sl1-clerk", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    ledger._tx_digests(tx)
     assert tx._memo is not None
     edited = replace(tx, cnt_no="MSCU7654321")
     assert edited._memo is None
@@ -1331,9 +1332,9 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
 
 @contextmanager
 def _forking(cpus=2):
-    """``verify_exported`` sees ``cpus`` CPUs and hands a child any range
-    of one or more checks, so a chain past its genesis block is split.
-    Yields the pids forked, as this process saw them."""
+    """``verify_exported`` sees ``cpus`` CPUs and ``FORK_MIN_CHECKS`` is 1,
+    so on two or more CPUs a chain past its genesis block is split. Yields
+    the pids forked, as this process saw them."""
     pids, fork = [], os.fork
 
     def counted():
@@ -1372,7 +1373,7 @@ def _no_child_left():
 @pytest.fixture
 def long_net(world, net):
     """Two lifecycles: nine blocks of 25 checks, split as blocks 0-3 for the
-    caller and 4-8 for one child."""
+    caller and 4-8 for the child."""
     full_lifecycle(world, net)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     return net
@@ -1408,8 +1409,15 @@ def _replayed_last(world, net):
     order_by_hand(net, *net.chain[-1].transactions)
 
 
+def _both(*edits):
+    def edit(world, net):
+        for one in edits:
+            one(world, net)
+    return edit
+
+
 SPLITS = {
-    # case: (edit, verdict, the bad block's range)
+    # case: (edit, verdict, the bad block's half)
     "honest": (lambda world, net: None, (True, None, ""), None),
     "orderer-signature-caller": (_flipped_orderer_signature(1),
                                  (False, 1, "orderer signature broken"), "caller"),
@@ -1422,48 +1430,41 @@ SPLITS = {
     "previous-hash-child": (_broken_link(5), (False, 5, "previous-hash link broken"), "child"),
     "stale-gate-child": (_replayed_last, (False, 9, "replay gate failure: LOAD requires "
                                                     "state CLEARED, asset is LOADED"), "child"),
+    # the child's verdict names block 7; the caller's own half fails first
+    "both-halves": (_both(_flipped_endorsement(2), _flipped_orderer_signature(7)),
+                    (False, 2, "endorsement by pcs-op broken"), "caller"),
 }
 
 
 @pytest.mark.parametrize("case", SPLITS)
-def test_a_split_verify_gives_the_inline_verdict(world, long_net, case):
+def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite, case):
     """Split between this process and one child, an offline verify gives
-    the inline verdict, a failure in either range included, and leaves no
-    child behind."""
+    the inline verdict, a failure in either half included, and leaves no
+    child behind. When this process's half passes, the verdict is the
+    child's: this process checks none of the child's blocks."""
     edit, verdict, side = SPLITS[case]
     edit(world, long_net)
     data = export_chain(long_net)
     inline = verify_exported(parse_chain(data))  # far below FORK_MIN_CHECKS
     with _forking() as pids:
         exported = parse_chain(data)
-        [(k, end)] = ledger._tail_ranges(exported.blocks)
-        split = verify_exported(exported)
-    assert len(pids) == 1 and end == len(long_net.chain)
+        k = ledger._split_point(exported.blocks)
+        split, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert len(pids) == 1 and 0 < k < len(exported.blocks)
     if side is not None:
         assert (verdict[1] >= k) == (side == "child")
+    if side != "caller":
+        assert verifies == len(exported.certs) + _block_verifies(exported.blocks[:k])
     for res in (inline, split):
         assert (res.valid, res.first_bad_block, res.reason) == verdict
     _no_child_left()
 
 
-def test_each_spare_cpu_takes_a_range(world, long_net):
-    """With three CPUs, two children take a range each, and a failure in
-    the first one is found at its block."""
-    _flipped_orderer_signature(5)(world, long_net)
-    with _forking(cpus=3) as pids:
-        exported = parse_chain(export_chain(long_net))
-        ranges = ledger._tail_ranges(exported.blocks)
-        res = verify_exported(exported)
-    assert ranges == [(3, 6), (6, 9)] and len(pids) == 2
-    assert (res.valid, res.first_bad_block, res.reason) == (False, 5, "orderer signature broken")
-    _no_child_left()
-
-
 def test_the_caller_runs_no_check_a_child_proved(long_net, counting_suite, forked):
     """This process verifies the head's certificates and the checks of its
-    own range, and reads every check of the child's range from the child."""
+    own half, and takes the child's verdict on the rest."""
     exported = parse_chain(export_chain(long_net))
-    [(k, _)] = ledger._tail_ranges(exported.blocks)
+    k = ledger._split_point(exported.blocks)
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
     assert len(forked) == 1 and 0 < k < len(long_net.chain)
@@ -1471,7 +1472,7 @@ def test_the_caller_runs_no_check_a_child_proved(long_net, counting_suite, forke
 
 
 def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, forked):
-    """A child still checking when this process fails in its own range is
+    """A child still checking when this process fails in its own half is
     killed and reaped: the call returns without waiting for it."""
     _flipped_orderer_signature(1)(world, long_net)
     exported = parse_chain(export_chain(long_net))
@@ -1484,8 +1485,8 @@ def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, fork
 
 
 def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_suite, forked):
-    """A child that fails before it writes leaves every check of its range
-    to this process, and the forged block there fails inline."""
+    """A child that fails before it writes gives no verdict: this process
+    checks the child's blocks, and the forged block there fails inline."""
     _flipped_orderer_signature(7)(world, long_net)
     exported = parse_chain(export_chain(long_net))
 
@@ -1500,25 +1501,33 @@ def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_su
     _no_child_left()
 
 
-def test_a_short_read_proves_only_the_checks_read(long_net, counting_suite, forked,
-                                                  monkeypatch):
-    """A child that dies after writing four bytes proved four checks: this
-    process runs the rest of its range inline."""
+@pytest.mark.parametrize("forged", [None, 7])
+def test_a_short_write_gives_no_verdict(world, long_net, counting_suite, forked, monkeypatch,
+                                        forged):
+    """A child that exits 0 after writing all of its verdict but the last
+    byte gives none: this process checks the child's blocks itself, up to
+    the forged block 7 or to the end."""
+    if forged is not None:
+        _flipped_orderer_signature(forged)(world, long_net)
     exported = parse_chain(export_chain(long_net))
-    [(k, _)] = ledger._tail_ranges(exported.blocks)
     parent, write, exit_ = os.getpid(), os.write, os._exit
 
     def short(fd, data):
         if os.getpid() == parent:
             return write(fd, data)
-        write(fd, data[:4])
+        write(fd, bytes(data[:-1]))
         exit_(0)
 
     monkeypatch.setattr(os, "write", short)
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
-    assert res.valid, res.reason
     assert len(forked) == 1
-    assert verifies == len(exported.certs) + _block_verifies(long_net.chain) - 4
+    if forged is None:
+        assert res.valid, res.reason
+        assert verifies == len(exported.certs) + _block_verifies(long_net.chain)
+    else:
+        assert (res.valid, res.first_bad_block, res.reason) == (
+            False, 7, "orderer signature broken")
+        assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
     _no_child_left()
 
 
@@ -1548,4 +1557,15 @@ def test_no_fork_while_a_second_thread_runs(long_net, forked):
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert res.valid and forked == []
-    assert len(ledger._tail_ranges(long_net.chain)) == 1  # the thread alone stopped it
+    assert ledger._split_point(long_net.chain) < len(long_net.chain)  # the thread alone stopped it
+
+
+def test_a_one_cpu_affinity_forks_nothing(long_net):
+    with _forking(cpus=1) as pids:
+        exported = parse_chain(export_chain(long_net))
+        k = ledger._split_point(exported.blocks)
+        res = verify_exported(exported)
+    assert res.valid and pids == []
+    assert k == len(exported.blocks)
+    with _forking(cpus=2):
+        assert ledger._split_point(exported.blocks) < len(exported.blocks)  # the CPUs alone

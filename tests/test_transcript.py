@@ -6,6 +6,7 @@ import random
 import pytest
 
 from portsec import model, records, transcript
+from portsec.attacks import AttackKind, AttackSpec, battery, inject_attack
 from portsec.audit import audit_views
 from portsec.envelope import DEFAULT_SUITE
 from portsec.model import Message, ParseError, Sealed, SecuredMessage, from_flat, to_flat
@@ -189,6 +190,72 @@ def test_a_forged_sent_sender_is_rejected(honest_sims):
     with pytest.raises(ParseError, match="SENT sender differs") as e:
         transcript_from_wire(forged)
     assert e.value.offset == at
+
+
+_DELIVERY = b"EVT+SENT+delivery+sl1-clerk+t1-op+CODECO+R1+"
+_DELIVERY_VALIDATED = b"EVT+VALIDATED+t1-op+CODECO+R1+ACCEPT+"
+
+
+def _dropped_line(wire: bytes, start: bytes) -> bytes:
+    """``wire`` without the line that begins with ``start``."""
+    at = wire.index(b"\n" + start) + 1
+    return wire[:at] + wire[wire.index(b"\n", at) + 1:]
+
+
+@pytest.mark.parametrize("edit, message, at", [
+    (lambda w: w.replace(_DELIVERY, b"EVT+SENT+delivery+sl1-clerk+pa-officer+CODECO+R1+"),
+     "VALIDATED actor differs from its SENT's receiver", b"EVT+VALIDATED+"),
+    (lambda w: w.replace(_DELIVERY_VALIDATED, b"EVT+VALIDATED+t1-op+IFSTA+R1+ACCEPT+"),
+     "VALIDATED type differs from its SENT's", b"EVT+VALIDATED+t1-op+"),
+    (lambda w: w.replace(_DELIVERY_VALIDATED, b"EVT+VALIDATED+t1-op+CODECO+R2+ACCEPT+"),
+     "VALIDATED instance differs from its SENT's", b"EVT+VALIDATED+t1-op+CODECO+"),
+    (lambda w: _dropped_line(w, _DELIVERY_VALIDATED),
+     "SENT record not followed by its VALIDATED record", b"EVT+"),
+    (lambda w: w[:w.index(b"\n", w.index(_DELIVERY)) + 1],
+     "SENT record without its VALIDATED record", None),
+], ids=["receiver", "type", "instance", "dropped", "last"])
+def test_a_sent_record_is_followed_by_its_receivers_validated_record(honest_sims, edit,
+                                                                      message, at):
+    """No byte of a hop's flat names its receiver: the VALIDATED record
+    that follows its SENT record binds it. Relabelled, the audit would
+    hold another actor to the fields the hop carried."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    forged = edit(wire)
+    assert forged != wire
+    with pytest.raises(ParseError, match=message) as e:
+        transcript_from_wire(forged)
+    # the offending element: in the record after the delivery hop's, or the end
+    after = forged.index(b"\n", forged.index(b"EVT+SENT+delivery+")) + 1
+    assert e.value.offset == (len(forged) if at is None else after + len(at))
+
+
+def test_a_validated_verdict_is_accept_or_reject(base_fixtures):
+    """A REJECT relabelled to another word would still make the run FAIL,
+    so the header check alone would not refuse it."""
+    spec = AttackSpec(AttackKind.TAMPER_FIELD, attribute="CNT_W", payload="1 kg")
+    t, _ = inject_attack(base_fixtures, "export", spec, "p2p")
+    wire = transcript_to_wire(t)
+    at = wire.index(b"+REJECT+")
+    with pytest.raises(ParseError, match="unknown VALIDATED verdict 'MAYBE'") as e:
+        transcript_from_wire(wire[:at] + b"+MAYBE+" + wire[at + len(b"+REJECT+"):])
+    assert e.value.offset == at + 1
+
+
+def test_an_audit_flag_is_flag_or_ok(honest_sims):
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    at = wire.index(b"+OK'", wire.index(b"EVT+AUDIT+"))
+    with pytest.raises(ParseError, match="unknown AUDIT flag 'MAYBE'") as e:
+        transcript_from_wire(wire[:at] + b"+MAYBE'" + wire[at + len(b"+OK'"):])
+    assert e.value.offset == at + 1
+
+
+@pytest.mark.parametrize("mode", ["p2p", "ledger"])
+def test_every_battery_transcript_reloads(base_fixtures, mode):
+    for scenario in ("export", "import"):
+        for spec in battery(scenario):
+            t, _ = inject_attack(base_fixtures, scenario, spec, mode)
+            wire = transcript_to_wire(t)
+            assert transcript_to_wire(transcript_from_wire(wire)) == wire, (scenario, spec)
 
 
 # --- each distinct record decoded once per load -------------------------------
