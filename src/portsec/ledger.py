@@ -37,10 +37,10 @@ CHAIN_VERSION = "1"
 #: Role token of the ordering service identity, the only block signer.
 ORDERER_ROLE = "ORDERER"
 
-#: Fewest signature checks ``verify_exported`` hands to a forked child. A
-#: fork and its pipe round trip cost 2.6-4.1 ms on a 2-vCPU host, as much
-#: as ~100 RSA-2048 verifies there; a range twice that size repays it.
-FORK_MIN_CHECKS = 200
+#: Fewest blocks ``verify_exported`` hands to a forked child. A fork and
+#: its pipe round trip cost 2.6-4.1 ms on a 2-vCPU host, as much as ~100
+#: RSA-2048 verifies there; 67 blocks of three checks, twice that, repay it.
+FORK_MIN_BLOCKS = 67
 
 
 class LifecycleState(str, enum.Enum):
@@ -586,21 +586,16 @@ def _hash_block(block: Block, data: bytes) -> None:
 def export_chain(net: LedgerNet) -> bytes:
     """Offline-verifiable dump: header, baseline state, every referenced
     certificate (so signatures check without the live net), then blocks."""
-    return _export_head(net) + b"".join(block_bytes(b) for b in net.chain)
-
-
-def _export_head(net: LedgerNet) -> bytes:
-    """The export's LEDGER, ANCHOR, BASE and CERT lines."""
+    head = _head(net, _referenced(net.chain))
     lines = [
-        records.encode("LEDGER", CHAIN_VERSION, DEFAULT_SUITE.suite_id),
-        records.encode("ANCHOR", net.orderer_identity, net.chain[0].prev_hash),
+        records.encode("LEDGER", CHAIN_VERSION, head.suite_id),
+        records.encode("ANCHOR", head.orderer_identity, net.chain[0].prev_hash),
     ]
-    for cnt_no in sorted(net.baseline_state):
-        a = net.baseline_state[cnt_no]
+    for cnt_no in sorted(head.baseline_state):
+        a = head.baseline_state[cnt_no]
         lines.append(records.encode("BASE", a.cnt_no, a.state.value, a.shipping_line, a.terminal))
-    certs = _head_certs(net, _referenced(net.chain))
-    lines += [cert_to_wire(cert) for cert in certs.values()]
-    return b"\n".join(lines) + b"\n"
+    lines += [cert_to_wire(cert) for cert in head.certs.values()]
+    return b"\n".join(lines) + b"\n" + b"".join(block_bytes(b) for b in net.chain)
 
 
 def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) -> frozenset[str]:
@@ -611,16 +606,18 @@ def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) ->
     )
 
 
-def _head_certs(net: LedgerNet, referenced: Iterable[str]) -> dict[str, Certificate]:
-    """The certificates a head holds, by subject: the chain of the orderer
-    and of each referenced identity, in identity order, the first one per
+def _head(net: LedgerNet, referenced: Iterable[str]) -> ExportedChain:
+    """The head of ``net``'s chain, with no blocks: the suite id, the
+    orderer, the baseline and, by subject, the chain of the orderer and of
+    each referenced identity, in identity order, the first certificate per
     subject. An identity the trust view lacks gets none, so verification
     refuses what names it."""
     certs: dict[str, Certificate] = {}
     for ident in sorted({net.orderer_identity, *referenced}):
         for cert in net.trust.chains.get(ident, ()):
             certs.setdefault(cert.subject, cert)
-    return certs
+    return ExportedChain(DEFAULT_SUITE.suite_id, net.orderer_identity,
+                         dict(net.baseline_state), certs, ())
 
 
 @dataclass(frozen=True)
@@ -720,9 +717,10 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
     links from the baseline digest on, orderer signatures, and each
     transaction's ``_admit``. It reads no net's record of passed checks.
 
-    Once the head checks pass, a long chain is split at ``_split_point``:
-    a forked child (``_Child``) checks the blocks from there on with
-    ``_verify_blocks`` while this process checks the blocks before them.
+    Once the head checks pass, a long chain is split at its middle block,
+    ``_split_point``: a forked child (``_Child``) checks the blocks from
+    there on while this process checks the blocks before them, each half
+    one ``_verify_blocks`` call given its first block and replay state.
     Only when its own blocks pass does this process read the child's
     verdict, and it checks the child's blocks itself when no whole verdict
     arrives, so the verdict, its block and its reason are the sequential
@@ -739,11 +737,9 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
         except OSError:
             k = len(blocks)  # this process checks every block
     try:
-        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, _state_digest(state),
-                             state, passed)
+        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, state, passed)
         if res is None and child is not None:
-            res = child.verdict() or _verify_blocks(
-                replace(exported, blocks=blocks[k:]), k, _digests(blocks[k - 1])[1], state, passed)
+            res = child.verdict() or _verify_blocks(exported, k, state, passed)
     finally:
         if child is not None:
             child.close()
@@ -752,25 +748,16 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
 
 def _split_point(blocks: Sequence[Block]) -> int:
     """The first block ``verify_exported`` hands to a forked child, or
-    ``len(blocks)`` for none. From the last block back, the child takes
-    blocks until they hold half the chain's signature checks; this process
-    keeps the rest, block 0 at least. It forks only when the chain holds at
-    least ``2 * FORK_MIN_CHECKS`` checks, ``os.fork`` exists, this process
-    may run on two or more CPUs and no second thread is alive."""
+    ``len(blocks)`` for none: the middle block, so each process checks
+    half the blocks. It forks only when the chain holds at least
+    ``2 * FORK_MIN_BLOCKS`` blocks, ``os.fork`` exists, this process may run
+    on two or more CPUs and no second thread is alive."""
     end = len(blocks)
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return end
-    counts = [1 + sum(1 + len(tx.endorsements) for tx in b.transactions) for b in blocks]
-    total = sum(counts)
-    if (total < 2 * FORK_MIN_CHECKS or len(os.sched_getaffinity(0)) < 2
+    if (end < 2 * FORK_MIN_BLOCKS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
             or threading.active_count() != 1):
         return end
-    held = 0
-    for i in range(end - 1, 0, -1):
-        held += counts[i]
-        if 2 * held >= total:
-            return i
-    return end
+    return end // 2
 
 
 class _Child:
@@ -792,12 +779,10 @@ class _Child:
         if self.pid == 0:
             try:
                 os.close(read)
-                blocks, state = exported.blocks, dict(exported.baseline_state)
-                for tx in (tx for block in blocks[:k] for tx in block.transactions):
+                state = dict(exported.baseline_state)
+                for tx in (tx for block in exported.blocks[:k] for tx in block.transactions):
                     _apply(tx, state)
-                res = _verify_blocks(replace(exported, blocks=blocks[k:]), k,
-                                     _digests(blocks[k - 1])[1], state, set())
-                res = res or ChainVerification(True)
+                res = _verify_blocks(exported, k, state, set()) or ChainVerification(True)
                 os.write(write, marshal.dumps((res.valid, res.first_bad_block, res.reason)))
                 os._exit(0)
             finally:
@@ -853,19 +838,20 @@ def _check_head(exported: ExportedChain) -> ChainVerification | None:
 def _verify_blocks(
     exported: ExportedChain,
     start: int,
-    prev: bytes,
     state: dict[str, ContainerAsset],
     passed: set[tuple],
 ) -> ChainVerification | None:
-    """Check ``exported.blocks`` as chain positions ``start``, ``start`` + 1,
-    ...; the first must link to ``prev``, and each transaction must meet
-    ``_admit`` against the head's certificates, replayed into ``state``.
-    Returns the failure, or None when every block checks. Each block's and
-    transaction's digests are the ones it remembers (``_digests``,
-    ``_tx_digests``); signature checks go through ``_signed`` on
-    ``passed``."""
+    """Check ``exported.blocks[start:]``, ``state`` being the replay state
+    before block ``start``. The first links to the link digest of block
+    ``start`` - 1, or at block 0 to ``_state_digest(state)``; each
+    transaction must meet ``_admit`` against the head's certificates,
+    replayed into ``state``. Returns the failure, or None when every block
+    checks. Each block's and transaction's digests are the ones it
+    remembers (``_digests``, ``_tx_digests``); signature checks go through
+    ``_signed`` on ``passed``."""
     orderer_cert = exported.certs[exported.orderer_identity]
-    for pos, block in enumerate(exported.blocks, start):
+    prev = _digests(exported.blocks[start - 1])[1] if start else _state_digest(state)
+    for pos, block in enumerate(exported.blocks[start:], start):
         idx = block.index
         if idx != pos:
             return ChainVerification(False, idx, "non-consecutive block index")
@@ -887,40 +873,37 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     """Audit the live net and confirm the world state is the gate replay.
 
     The checks of ``verify_exported`` (per transaction, ``_admit``) on the
-    net's own objects, nothing encoded or parsed back: a head (suite id,
-    orderer, baseline and the certificates ``_head_certs`` picks for the
-    export), then the blocks. The export parses back to exactly these:
-    ``_gate``, ``create_net`` and ``_check_head`` refuse what the file
-    cannot carry. While the last valid call's record covers a prefix of the
-    chain and the head, rebuilt with the new blocks' identities, equals its
-    head by value, only the new blocks are checked. A signature check in
-    the net's record (``LedgerNet._passed``) is not run again; the record
-    is emptied at each valid call. A warm call over committed blocks makes
-    no RSA verification. ``verify_exported`` re-checks everything.
+    net's own objects, nothing encoded or parsed back: the head ``_head``
+    builds, the one ``export_chain`` writes, then the blocks. The export
+    parses back to exactly these: ``_gate``, ``create_net`` and
+    ``_check_head`` refuse what the file cannot carry. While the last valid
+    call's record covers a prefix of the chain and the head, rebuilt with
+    the new blocks' identities, equals its head by value, ``_verify_blocks``
+    starts at the first new block from the recorded replay state. A
+    signature check in the net's record (``LedgerNet._passed``) is not run
+    again; the record is emptied at each valid call. A warm call over
+    committed blocks makes no RSA verification. ``verify_exported``
+    re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)
     start = len(seen.blocks) if covered else 0
     referenced = _referenced(net.chain[start:], seen.referenced if covered else frozenset())
-    head = ExportedChain(
-        DEFAULT_SUITE.suite_id, net.orderer_identity, dict(net.baseline_state),
-        _head_certs(net, referenced), (),
-    )
+    head = _head(net, referenced)
+    exported = replace(head, blocks=tuple(net.chain))
     if covered and head == seen.head:
-        exported = replace(head, blocks=tuple(net.chain[start:]))
-        prev, state = _digests(seen.blocks[-1])[1], dict(seen.state)
+        state = dict(seen.state)
     else:
-        start, exported = 0, replace(head, blocks=tuple(net.chain))
         bad_head = _check_head(exported)
         if bad_head is not None:
             return bad_head
-        prev, state = _state_digest(head.baseline_state), dict(head.baseline_state)
-    res = _verify_blocks(exported, start, prev, state, net._passed)
+        start, state = 0, dict(head.baseline_state)
+    res = _verify_blocks(exported, start, state, net._passed)
     if res is not None:
         return res
     if state != net.world_state:
         return ChainVerification(False, None, "world state does not match replay")
-    net._verified = _Verified(head, referenced, tuple(net.chain), state)
+    net._verified = _Verified(head, referenced, exported.blocks, state)
     net._passed.clear()  # the watermark now covers every transaction it held
     return ChainVerification(True)
 

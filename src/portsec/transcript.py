@@ -140,16 +140,18 @@ def transcript_to_wire(t: Transcript) -> bytes:
 
 #: Rank (the order ``transcript_to_wire`` writes), count and key of each record.
 _LAYOUT = {b"TRS": (0, 5, 0), b"ACT": (1, 3, 1), b"EVT": (2, 0, None)}
+#: The same for a VALIDATED record's report, as ``report_to_wire`` writes it.
+_REPORT_LAYOUT = {b"VERDICT": (0, 2, 0), b"FINDING": (1, 4, None)}
 
 
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
     file ``records.read_file`` refuses, a SENT record not followed at once
-    by its receiver's VALIDATED record, or a header verdict other than the
-    events', raises."""
+    by its receiver's VALIDATED record, a VALIDATED verdict other than its
+    report's, or a header verdict other than the events', raises."""
     t = Transcript("", "")
-    decoded: dict = {}  # each distinct ATT or SIG record, decoded once per load
+    decoded: dict = {}  # each distinct ATT or SIG record and report, read once per load
     for rec in records.read_file(data, _LAYOUT, "transcript"):
         if rec.tag == b"TRS":
             if rec.text(1) != TRANSCRIPT_VERSION:
@@ -176,11 +178,21 @@ def _event(rec: records.Record, decoded: dict) -> Event:
         return _sent_event(rec, decoded)
     if kind == "VALIDATED":
         rec.need(7)
-        if rec.text(5) not in ("ACCEPT", "REJECT"):
-            raise ParseError(f"unknown VALIDATED verdict {rec.text(5)!r}", rec.offsets[5])
-        return ValidatedEvent(
-            rec.text(2), rec.text(3), rec.text(4), rec.text(5), report_wire=rec.b64(6)
-        )
+        verdict = rec.text(5)
+        if verdict not in ("ACCEPT", "REJECT"):
+            raise ParseError(f"unknown VALIDATED verdict {verdict!r}", rec.offsets[5])
+        report = rec.b64(6)
+        reported = decoded.get(report)  # by bytes; ATT and SIG records go by elements
+        if reported is None:
+            try:
+                reported = decoded[report] = list(
+                    records.read_file(report, _REPORT_LAYOUT, "report"))[0].text(1)
+            except ParseError as exc:
+                raise ParseError(f"unreadable VALIDATED report: {exc}", rec.offsets[6]) from None
+        if verdict != reported:
+            raise ParseError(f"VALIDATED verdict differs from its report's {reported!r}",
+                             rec.offsets[5])
+        return ValidatedEvent(rec.text(2), rec.text(3), rec.text(4), verdict, report_wire=report)
     if kind == "LEDGER":
         rec.need(7)
         return LedgerEvent(*(rec.text(i) for i in range(2, 7)))

@@ -13,7 +13,7 @@ from portsec.cli import main
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes, fixtures_to_bytes
 from portsec.ledger import (
-    FORK_MIN_CHECKS,
+    FORK_MIN_BLOCKS,
     IneligibleEndorser,
     LedgerAction,
     _sign_block,
@@ -376,6 +376,21 @@ def test_audit_refuses_a_relabelled_receiver_verdict_or_flag(cli_files, tmp_path
     _audit_refuses(path, capsys, what)
 
 
+def test_audit_refuses_a_verdict_its_report_does_not_give(cli_files, tmp_path, capsys):
+    """t1-op's REJECT of the tampered hop edited to ACCEPT, and the header's
+    FAIL to PASS to match, would audit clean: the record's report still
+    reads REJECT, so the audit refuses the file."""
+    raw = _stored_run(cli_files, tmp_path / "tamper.trs", "attack", "--spec",
+                      str(cli_files["tamper"]))
+    header, rest = raw.split(b"\n", 1)
+    assert header.endswith(b"+FAIL'") and rest.count(b"+REJECT+") == 1
+    assert rest.index(b"EVT+VALIDATED+t1-op+") < rest.index(b"+REJECT+")
+    path = tmp_path / "edited.trs"
+    path.write_bytes(header[:-len(b"FAIL'")] + b"PASS'\n"
+                     + rest.replace(b"+REJECT+", b"+ACCEPT+"))
+    _audit_refuses(path, capsys, "VALIDATED verdict differs from its report's 'REJECT'")
+
+
 @pytest.mark.parametrize("attack, verdict, edited", [
     (False, b"PASS", b"FAIL"),
     (False, b"PASS", b"whatever"),
@@ -570,13 +585,14 @@ def test_ledger_verify_of_a_long_chain_prints_one_verdict(base_fixtures, tmp_pat
     turns a warning about forking a threaded process into a failure."""
     world = build_world(base_fixtures)
     net = build_net(world)
-    for i in range(FORK_MIN_CHECKS):  # three checks a block, past two shares of checks
+    for i in range(1, 2 * FORK_MIN_BLOCKS):  # after the genesis block
         tx, presented = build_transaction(
             LedgerAction.CREATE, f"COSU{i:07d}", (("terminal", "T1"),),
             world.chain_of("sl1-clerk"), world.key_pairs["sl1-clerk"])
         pending = endorse(net, submit(net, tx, presented), world.chain_of("t1-op"),
                           world.key_pairs["t1-op"])
         assert commit(net, [pending]).block is not None
+    assert len(net.chain) == 2 * FORK_MIN_BLOCKS  # the fewest blocks that fork
     chain = tmp_path / "long.chain"
     chain.write_bytes(export_chain(net))
     done = _fresh(["ledger-verify", "--chain", str(chain)], "-W", "error")

@@ -928,7 +928,7 @@ def test_live_verify_neither_encodes_nor_parses_the_head(counted, monkeypatch):
     def refuse(*_):
         raise AssertionError("verify_chain encoded or parsed its head")
 
-    for name in ("parse_chain", "_export_head", "cert_to_wire"):
+    for name in ("parse_chain", "export_chain", "cert_to_wire"):
         monkeypatch.setattr(ledger, name, refuse)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     assert verify_chain(net).valid  # warm
@@ -1332,7 +1332,7 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
 
 @contextmanager
 def _forking(cpus=2):
-    """``verify_exported`` sees ``cpus`` CPUs and ``FORK_MIN_CHECKS`` is 1,
+    """``verify_exported`` sees ``cpus`` CPUs and ``FORK_MIN_BLOCKS`` is 1,
     so on two or more CPUs a chain past its genesis block is split. Yields
     the pids forked, as this process saw them."""
     pids, fork = [], os.fork
@@ -1343,7 +1343,7 @@ def _forking(cpus=2):
             pids.append(pid)
         return pid
 
-    with patch.object(ledger, "FORK_MIN_CHECKS", 1), \
+    with patch.object(ledger, "FORK_MIN_BLOCKS", 1), \
             patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
             patch.object(os, "fork", counted):
         yield pids
@@ -1372,8 +1372,8 @@ def _no_child_left():
 
 @pytest.fixture
 def long_net(world, net):
-    """Two lifecycles: nine blocks of 25 checks, split as blocks 0-3 for the
-    caller and 4-8 for the child."""
+    """Two lifecycles: nine blocks, split at the middle block as blocks 0-3
+    for the caller and 4-8 for the child."""
     full_lifecycle(world, net)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     return net
@@ -1445,7 +1445,7 @@ def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite
     edit, verdict, side = SPLITS[case]
     edit(world, long_net)
     data = export_chain(long_net)
-    inline = verify_exported(parse_chain(data))  # far below FORK_MIN_CHECKS
+    inline = verify_exported(parse_chain(data))  # far below FORK_MIN_BLOCKS
     with _forking() as pids:
         exported = parse_chain(data)
         k = ledger._split_point(exported.blocks)
@@ -1458,6 +1458,30 @@ def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite
     for res in (inline, split):
         assert (res.valid, res.first_bad_block, res.reason) == verdict
     _no_child_left()
+
+
+@pytest.mark.parametrize("case", SPLITS)
+def test_a_split_at_any_block_gives_the_inline_verdict(world, long_net, case):
+    """The child resumes at whatever block the split names: split at each
+    block past the genesis block, an offline verify gives the inline
+    verdict and leaves no child behind. The split itself is the middle
+    block, also of the chain with blocks 1-3 holding two transactions."""
+    edit, verdict, _ = SPLITS[case]
+    edit(world, long_net)
+    data = export_chain(long_net)
+    inline = verify_exported(parse_chain(data))
+    assert (inline.valid, inline.first_bad_block, inline.reason) == verdict
+    for k in range(1, len(long_net.chain)):
+        with _forking() as pids, patch.object(ledger, "_split_point", lambda blocks, k=k: k):
+            res = verify_exported(parse_chain(data))
+        assert ((res.valid, res.first_bad_block, res.reason), len(pids)) == (verdict, 1), k
+        _no_child_left()
+    chain = long_net.chain
+    mixed = [chain[0], *(replace(b, transactions=b.transactions * 2) for b in chain[1:4]),
+             *chain[4:]]
+    assert [len(b.transactions) for b in mixed[1:]] == [2, 2, 2] + [1] * (len(chain) - 4)
+    with _forking():
+        assert ledger._split_point(mixed) == len(mixed) // 2
 
 
 def test_the_caller_runs_no_check_a_child_proved(long_net, counting_suite, forked):

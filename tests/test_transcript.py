@@ -1,5 +1,6 @@
 """Transcript wire format: strictness and randomness masking."""
 
+import base64
 import dataclasses
 import random
 
@@ -239,6 +240,29 @@ def test_a_validated_verdict_is_accept_or_reject(base_fixtures):
     with pytest.raises(ParseError, match="unknown VALIDATED verdict 'MAYBE'") as e:
         transcript_from_wire(wire[:at] + b"+MAYBE+" + wire[at + len(b"+REJECT+"):])
     assert e.value.offset == at + 1
+
+
+@pytest.mark.parametrize("report, message, element", [
+    (b"VERDICT+REJECT'\n", "VALIDATED verdict differs from its report's 'REJECT'", 5),
+    (b"", "unreadable VALIDATED report: report file lacks VERDICT header", 6),
+    (b"FINDING+a+b+c'\nVERDICT+ACCEPT'\n", "unreadable VALIDATED report: VERDICT record out", 6),
+    (b"VERDICT+ACCEPT+ACCEPT'\n", "unreadable VALIDATED report: VERDICT record takes 1", 6),
+], ids=["other-verdict", "empty", "out-of-order", "wrong-count"])
+def test_a_validated_verdict_is_its_reports(honest_sims, report, message, element):
+    """A VALIDATED record's verdict word must be the VERDICT record of its
+    report, read under the report's own layout; the error names the
+    offending element. The last VALIDATED record is forged, after the load
+    has read the honest ACCEPT report."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    start = wire.rindex(b"EVT+VALIDATED+")
+    end = wire.index(b"\n", start)
+    rec = records.decode(wire[start:end])[0]
+    assert rec.text(5) == "ACCEPT"
+    line = b"+".join([*rec.elems[:6], base64.urlsafe_b64encode(report)]) + b"'"
+    forged = wire[:start] + line + wire[end:]
+    with pytest.raises(ParseError, match=message) as e:
+        transcript_from_wire(forged)
+    assert e.value.offset == start + rec.offsets[element]
 
 
 def test_an_audit_flag_is_flag_or_ok(honest_sims):
