@@ -1,13 +1,15 @@
 """Per-actor message security endpoint: creator and validator.
 
 Outbound, an adapter applies the protection plan (plain / sealed / hash
-only per attribute), signs what its actor authored, and attaches carried
-signatures from upstream actors. Inbound, ``validate_inbound`` runs
-``PHASES`` over a ``Hop``: (a) the sender's certificate chain, (b) every
-signature, with linkage, (c) write-coverage, (d) representation
-compliance and (e) the booking-number nonce. None of them needs the
-receiver's private key. It then (f) decrypts what its actor may read and
-(g) files all signatures in an append-only store kept for forensics.
+only per attribute), signs every attribute its role may write together
+with the booking number, and attaches carried signatures from upstream
+actors. Inbound, ``validate_inbound`` runs ``PHASES`` over a ``Hop``: (a)
+the sender's certificate chain, (b) every signature, with linkage, (c)
+write-coverage by signatures bound to the booking number, (d)
+representation compliance and (e) the booking-number nonce. None of them
+needs the receiver's private key. It then (f) decrypts what its actor may
+read and (g) files all signatures in an append-only store kept for
+forensics.
 
 Validation never raises on a message: every problem becomes a finding,
 and the verdict is REJECT exactly when a reject-class finding is present.
@@ -49,10 +51,6 @@ BOOKING_ATTR = "B_NO"
 
 class AdapterError(Exception):
     """Base class for adapter errors (outbound side; validation never raises)."""
-
-
-class WritePermissionDenied(AdapterError):
-    pass
 
 
 class CarriedSignatureInvalid(AdapterError):
@@ -180,12 +178,6 @@ def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, by
     }
 
 
-def _check_write(state: AdapterState, authored: Iterable[str]) -> None:
-    for attr in authored:
-        if not state.matrix.check(state.role, attr, Action.WRITE):
-            raise WritePermissionDenied(f"{state.role.value} may not write {attr}")
-
-
 def _replan(
     state: AdapterState,
     msg: Message,
@@ -224,23 +216,16 @@ def secure_outbound(
     carried: Sequence[AttributeSignature],
     receiver: Role,
     downstream: Iterable[Role] = (),
-    *,
-    authored: Iterable[str] = (),
-    co_attest: Iterable[str] = (),
 ) -> SecuredMessage:
     """Build the protected form of a message this actor is sending.
 
-    ``authored`` names the attributes whose values this actor vouches for
-    as their writer (write permission enforced); ``co_attest`` names
-    attributes included in its signature purely for linkage, such as the
-    booking number binding an importer's signature to the run. The actor
-    signs authored + co_attest as one signature; carried signatures are
-    attached unmodified. Fields arriving already sealed or hash-only pass
-    through; only plaintext fields are (re)planned.
+    The actor signs, as one signature in message order, every attribute of
+    the message that its role may write, plus ``B_NO``, which binds the
+    signature to its booking; an actor that may write none of them signs
+    nothing. Carried signatures are attached unmodified. Fields arriving
+    already sealed or hash-only pass through; only plaintext fields are
+    (re)planned.
     """
-    authored = list(authored)
-    co_attest = [a for a in co_attest if a not in authored]
-    _check_write(state, authored)
     digests = field_digests(msg)
 
     for sig in carried:
@@ -252,9 +237,11 @@ def secure_outbound(
                 f"signature by {sig.signer} does not match current values"
             )
 
-    to_sign = [a for a in msg.attribute_names() if a in authored or a in co_attest]
+    names = msg.attribute_names()
+    writes = [state.matrix.check(state.role, a, Action.WRITE) for a in names]
     signatures = tuple(carried)
-    if to_sign:
+    if any(writes):
+        to_sign = [a for a, w in zip(names, writes) if w or a == BOOKING_ATTR]
         signatures += (envelope.multi_sign(state.key_pair, to_sign, digests),)
     out_fields = _replan(state, msg, digests, receiver, downstream)
     sm = SecuredMessage(
@@ -336,11 +323,14 @@ def _signatures(hop: Hop) -> None:
 
 
 def _write_coverage(hop: Hop) -> None:
-    """(c) Every attribute is under a verified signature of one of its writers."""
+    """(c) Every attribute is under a verified signature of one of its
+    writers, and that signature also covers ``B_NO``: a signature that
+    names no booking could be moved onto another one."""
     matrix = hop.state.matrix
+    bound = [(sig, role) for sig, role in hop.verified if BOOKING_ATTR in sig.attrs]
     for attr in hop.sm.message.attribute_names():
         writers = {r.value for r in matrix.writers_of(attr)}
-        if not any(attr in sig.attrs and role in writers for sig, role in hop.verified):
+        if not any(attr in sig.attrs and role in writers for sig, role in bound):
             hop.reject(FindingCode.WRITE_COVERAGE_GAP, attr,
                        f"no verified signature from {sorted(writers)}")
 

@@ -206,7 +206,7 @@ def _inject_p2p(fixtures, scenario, spec) -> tuple[Transcript, DetectionReport]:
             CNT_C="600 crates declared as textiles",
             CSG_DATA="consignee Vanta Trading Ltd",
         )
-        booking = run_scenario(origin, scenario, "p2p", world=world).outbound["booking"]
+        booking = run_scenario(origin, scenario, "p2p", world=world).inbound["booking"][1]
         stolen = next(s for s in booking.signatures if s.signer == "importer-1")
 
         def mutate(sm):

@@ -184,7 +184,7 @@ class CryptoSuite:
 
 DEFAULT_SUITE = CryptoSuite()
 
-#: Entries in the signing memo. A ``compare_modes`` pass makes 26 distinct
+#: Entries in the signing memo. A ``compare_modes`` pass makes 29 distinct
 #: signatures, and a long-lived world repeats a signature within the same
 #: booking; a run that never repeats one churns at most this many ~0.5 KB
 #: entries.
@@ -203,7 +203,7 @@ def sign(private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
 
 
 #: Entries in the verify memo. A p2p booking checks ~5 distinct
-#: signatures, each many times over, and a ``compare_modes`` pass ~26.
+#: signatures, each many times over, and a ``compare_modes`` pass 19.
 VERIFY_MEMO_SIZE = 64
 
 

@@ -34,11 +34,12 @@ class ScenarioError(Exception):
 class Step:
     """One scripted action. ``kind`` selects the interpreter path:
 
-    message   one secured message sender -> receiver; built fresh
-              (``fields``/``authored``/``co_attest``, values and carried
-              signatures drawn from ``source``, sealed for ``downstream``)
-              or re-planned from the sender's validated copy of ``source``
-              (``forward_of`` True), which seals nothing new.
+    message   one secured message sender -> receiver; built fresh from
+              ``fields`` (values and carried signatures drawn from
+              ``source``, sealed for ``downstream``, signed over what the
+              sender's role may write plus ``B_NO``), or, with no
+              ``fields``, re-planned from the sender's validated copy of
+              ``source``, which seals and signs nothing new.
     ledger    one transaction by ``sender``: submit, endorse when
               ``endorser`` is named (who is also CREATE's terminal), commit.
     query     one ledger read by ``sender``.
@@ -54,10 +55,7 @@ class Step:
     receiver: str = ""
     msg_type: str = ""
     fields: tuple[str, ...] = ()
-    authored: tuple[str, ...] = ()
-    co_attest: tuple[str, ...] = ()
     source: str = ""
-    forward_of: bool = False
     downstream: tuple[Role, ...] = ()
     action: str = ""
     endorser: str = ""
@@ -80,6 +78,8 @@ class ScenarioScript:
                     raise ScenarioError(f"step {s.name}: unknown actor {who}")
             if s.kind == "message" and s.msg_type not in MESSAGE_TYPES:
                 raise ScenarioError(f"step {s.name}: unknown message type {s.msg_type}")
+            if s.kind == "message" and not (s.fields or s.source):
+                raise ScenarioError(f"step {s.name}: a message needs fields or a source")
             if s.source and s.source not in seen:
                 raise ScenarioError(f"step {s.name}: source {s.source} not executed before it")
             seen.add(s.name)
@@ -88,10 +88,9 @@ class ScenarioScript:
 #: The booking pair both p2p workflows open with.
 _BOOKING = (
     Step("booking_ref", "message", sender="sl1-clerk", receiver="importer-1",
-         msg_type="IFTMCS", fields=("B_NO",), authored=("B_NO",)),
+         msg_type="IFTMCS", fields=("B_NO",)),
     Step("booking", "message", sender="importer-1", receiver="sl1-clerk",
          msg_type="IFTMCS", fields=("B_NO", "CNT_C", "CSG_DATA", "DG"),
-         authored=("CNT_C", "CSG_DATA", "DG"), co_attest=("B_NO",),
          source="booking_ref"),
 )
 
@@ -117,31 +116,30 @@ def export_steps(mode: str) -> tuple[Step, ...]:
         Step("delivery", "message", sender="sl1-clerk", receiver="t1-op",
              msg_type="CODECO",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
-             authored=("B_NO", "CNT_NO", "CNT_W"), source="booking",
-             downstream=(Role.CUSTOMS, Role.SHIPPING_LINE)),
+             source="booking", downstream=(Role.CUSTOMS, Role.SHIPPING_LINE)),
         Step("arrival_icu", "message", sender="t1-op", receiver="pcs-op",
-             msg_type="ICU", source="delivery", forward_of=True),
+             msg_type="ICU", source="delivery"),
         Step("arrival_codeco", "message", sender="t1-op", receiver="sl1-clerk",
-             msg_type="CODECO", source="delivery", forward_of=True),
+             msg_type="CODECO", source="delivery"),
         Step("arrival_pa", "message", sender="t1-op", receiver="pa-officer",
-             msg_type="ICU", source="delivery", forward_of=True, dg_only=True),
+             msg_type="ICU", source="delivery", dg_only=True),
         Step("move_lcu", "message", sender="t1-op", receiver="pcs-op",
              msg_type="LCU",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA", "CNT_LOC"),
-             authored=("CNT_LOC",), source="delivery", downstream=(Role.CUSTOMS,)),
+             source="delivery", downstream=(Role.CUSTOMS,)),
         Step("move_pa", "message", sender="t1-op", receiver="pa-officer",
              msg_type="LCU",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA", "CNT_LOC"),
-             authored=("CNT_LOC",), source="delivery", dg_only=True),
+             source="delivery", dg_only=True),
         Step("export_declaration", "message", sender="pcs-op", receiver="customs-officer",
-             msg_type="MANIFEST", source="move_lcu", forward_of=True),
+             msg_type="MANIFEST", source="move_lcu"),
         Step("clearance", "message", sender="customs-officer", receiver="pcs-op",
              msg_type="IFSTA", fields=("B_NO", "CNT_NO", "CNT_W", "CLR"),
-             authored=("CLR",), source="export_declaration"),
+             source="export_declaration"),
         Step("clearance_terminal", "message", sender="pcs-op", receiver="t1-op",
-             msg_type="IFSTA", source="clearance", forward_of=True),
+             msg_type="IFSTA", source="clearance"),
         Step("clearance_line", "message", sender="pcs-op", receiver="sl1-clerk",
-             msg_type="IFSTA", source="clearance", forward_of=True),
+             msg_type="IFSTA", source="clearance"),
     )
 
 
@@ -154,22 +152,20 @@ def import_steps(mode: str) -> tuple[Step, ...]:
         Step("iftmcs", "message", sender="sl1-clerk", receiver="pcs-op",
              msg_type="IFTMCS",
              fields=("B_NO", "BL_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
-             authored=("B_NO", "BL_NO", "CNT_NO", "CNT_W"), source="booking",
-             downstream=(Role.CUSTOMS,)),
+             source="booking", downstream=(Role.CUSTOMS,)),
         Step("port_order", "message", sender="pcs-op", receiver="t1-op",
-             msg_type="PORT_ORDER", source="iftmcs", forward_of=True),
+             msg_type="PORT_ORDER", source="iftmcs"),
         Step("port_order_pa", "message", sender="pcs-op", receiver="pa-officer",
-             msg_type="PORT_ORDER", source="iftmcs", forward_of=True, dg_only=True),
+             msg_type="PORT_ORDER", source="iftmcs", dg_only=True),
         Step("manifest", "message", sender="pcs-op", receiver="customs-officer",
-             msg_type="MANIFEST", source="iftmcs", forward_of=True),
+             msg_type="MANIFEST", source="iftmcs"),
         Step("atb_notice", "message", sender="customs-officer", receiver="pcs-op",
              msg_type="ATB_NOTICE",
-             fields=("B_NO", "BL_NO", "CNT_NO", "CNT_W", "ATB_NO"),
-             authored=("ATB_NO",), source="manifest"),
+             fields=("B_NO", "BL_NO", "CNT_NO", "CNT_W", "ATB_NO"), source="manifest"),
         Step("ifsta_terminal", "message", sender="pcs-op", receiver="t1-op",
-             msg_type="IFSTA", source="atb_notice", forward_of=True),
+             msg_type="IFSTA", source="atb_notice"),
         Step("ifsta_line", "message", sender="pcs-op", receiver="sl1-clerk",
-             msg_type="IFSTA", source="atb_notice", forward_of=True),
+             msg_type="IFSTA", source="atb_notice"),
     )
 
 
@@ -206,8 +202,6 @@ class Simulation:
             script.name, script.mode,
             actors={a.identity: a.role for a in script.fixtures.actors},
         )
-        #: step name -> SecuredMessage as it left the sender (pre-attack)
-        self.outbound: dict[str, SecuredMessage] = {}
         #: step name -> (report, message) at the receiver
         self.inbound: dict[str, tuple[ValidationReport, SecuredMessage]] = {}
 
@@ -231,7 +225,7 @@ class Simulation:
     def _message_step(self, step: Step) -> None:
         sender = self.world.adapter(step.sender)
         receiver_role = self.world.adapter(step.receiver).role
-        if step.forward_of:
+        if not step.fields:
             report, received = self.inbound[step.source]
             sm = forward(sender, report, received, receiver_role, step.msg_type)
         else:
@@ -241,10 +235,7 @@ class Simulation:
                 self._carried(step),
                 receiver_role,
                 step.downstream,
-                authored=step.authored,
-                co_attest=step.co_attest,
             )
-        self.outbound[step.name] = sm
         self.deliver(step.name, step.sender, step.receiver, sm)
 
     def _compose(self, step: Step) -> Message:

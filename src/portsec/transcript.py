@@ -148,8 +148,9 @@ def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
     file ``records.read_file`` refuses, a SENT record not followed at once
-    by its receiver's VALIDATED record, a VALIDATED verdict other than its
-    report's, or a header verdict other than the events', raises."""
+    by its receiver's VALIDATED record, a VALIDATED record that follows no
+    SENT record, a VALIDATED verdict other than its report's, or a header
+    verdict other than the events', raises."""
     t = Transcript("", "")
     decoded: dict = {}  # each distinct ATT or SIG record and report, read once per load
     for rec in records.read_file(data, _LAYOUT, "transcript"):
@@ -163,6 +164,8 @@ def transcript_from_wire(data: bytes) -> Transcript:
             ev = _event(rec, decoded)
             if t.events and isinstance(t.events[-1], SentEvent):
                 _check_validates(rec, ev, t.events[-1])
+            elif isinstance(ev, ValidatedEvent):
+                raise ParseError("VALIDATED record without its SENT record", rec.offsets[1])
             t.events.append(ev)
     if t.events and isinstance(t.events[-1], SentEvent):
         raise ParseError("SENT record without its VALIDATED record", len(data))

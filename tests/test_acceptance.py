@@ -214,7 +214,6 @@ def test_c06_missing_importer_signature_rejected(base_fixtures):
     sm = secure_outbound(
         world.adapters["sl1-clerk"], msg, (), Role.PCS,
         downstream=(Role.CUSTOMS,),
-        authored=("B_NO", "BL_NO", "CNT_NO", "CNT_W"),
     )
     report = validate_inbound(
         world.adapters["pcs-op"], sm, world.chain_of("sl1-clerk")
@@ -372,9 +371,7 @@ def test_c08_chain_immutability(world):
 
 def _booking_message(world, fixtures):
     msg = Message("IFTMCS", fixtures.run_tag, (("B_NO", Plain(fixtures.values["B_NO"])),))
-    return secure_outbound(
-        world.adapters["sl1-clerk"], msg, (), Role.TERMINAL, authored=("B_NO",)
-    )
+    return secure_outbound(world.adapters["sl1-clerk"], msg, (), Role.TERMINAL)
 
 
 def test_c10_pki_gates_both_modes(base_fixtures):

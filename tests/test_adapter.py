@@ -13,7 +13,6 @@ from portsec.adapter import (
     FindingCode,
     Hop,
     NotValidated,
-    WritePermissionDenied,
     forward,
     report_to_wire,
     secure_outbound,
@@ -27,7 +26,7 @@ from portsec.envelope import (
     multi_sign,
     value_digest,
 )
-from portsec.attacks import battery, inject_attack
+from portsec.attacks import battery, inject_attack, replace_signature
 from portsec.audit import audit_views
 from portsec.fixtures import build_world, fixtures_from_bytes
 from portsec.model import (
@@ -59,6 +58,10 @@ def _codes(report) -> set[FindingCode]:
     return {f.code for f in report.findings}
 
 
+def _found(report) -> list[tuple[FindingCode, str]]:
+    return [(f.code, f.subject) for f in report.findings]
+
+
 def importer_signature(world, run_id, values=VALUES):
     """The importer's pre-run signature over booking number and consignment
     details, produced by securing its order message to the shipping line."""
@@ -68,9 +71,7 @@ def importer_signature(world, run_id, values=VALUES):
         run_id,
         tuple((a, Plain(values[a])) for a in ("B_NO", "CNT_C", "CSG_DATA")),
     )
-    sm = secure_outbound(
-        imp, msg, [], Role.SHIPPING_LINE, authored=["CNT_C", "CSG_DATA"], co_attest=["B_NO"]
-    )
+    sm = secure_outbound(imp, msg, [], Role.SHIPPING_LINE)
     assert len(sm.signatures) == 1
     return sm.signatures[0]
 
@@ -90,7 +91,6 @@ def make_iftmcs(world, run_id="RUN-1", values=VALUES):
         [imp_sig],
         Role.PCS,
         downstream={Role.CUSTOMS},
-        authored=["B_NO", "BL_NO", "CNT_W", "CNT_NO"],
     )
 
 
@@ -152,11 +152,22 @@ def test_forward_requires_acceptance(world):
         forward(pcs, report, tampered, Role.CUSTOMS, "MANIFEST")
 
 
-def test_write_permission_enforced_outbound(world):
+def test_a_sender_that_may_write_nothing_signs_nothing(world):
+    """t1-op may write neither CNT_C nor B_NO, so its message carries no
+    signature of its own, and the receiver finds both unvouched for."""
     t1 = world.adapter("t1-op")
-    msg = Message("CODECO", "RUN-1", (("CNT_C", Plain("contraband")),))
-    with pytest.raises(WritePermissionDenied):
-        secure_outbound(t1, msg, [], Role.CUSTOMS, authored=["CNT_C"])
+    msg = Message("CODECO", "RUN-1", (
+        ("B_NO", HashOnly(value_digest(VALUES["B_NO"]))),
+        ("CNT_C", HashOnly(value_digest("contraband"))),
+    ))
+    sm = secure_outbound(t1, msg, [], Role.CUSTOMS)
+    assert sm.signatures == ()
+    report = validate_inbound(world.adapter("customs-officer"), sm, world.chain_of("t1-op"))
+    assert not report.accepted
+    assert _found(report) == [
+        (FindingCode.WRITE_COVERAGE_GAP, "B_NO"),
+        (FindingCode.WRITE_COVERAGE_GAP, "CNT_C"),
+    ]
 
 
 def test_carried_signature_checked_outbound(world):
@@ -169,8 +180,7 @@ def test_carried_signature_checked_outbound(world):
         tuple((a, Plain(altered[a])) for a in ("B_NO", "BL_NO", "CNT_C", "CNT_W", "CSG_DATA", "CNT_NO")),
     )
     with pytest.raises(CarriedSignatureInvalid):
-        secure_outbound(sl, msg, [imp_sig], Role.PCS, downstream={Role.CUSTOMS},
-                        authored=["B_NO", "BL_NO", "CNT_W", "CNT_NO"])
+        secure_outbound(sl, msg, [imp_sig], Role.PCS, downstream={Role.CUSTOMS})
 
 
 def test_in_transit_tamper_detected(world):
@@ -283,7 +293,7 @@ def test_sealed_plaintext_that_is_not_utf8_is_a_finding(base_fixtures, world):
         (FindingCode.DIGEST_MISMATCH, "CNT_C"),
     ]
     assert report.findings[-1].detail == "plaintext is not UTF-8"
-    assert "clearance" not in sim.outbound  # the run halts at the rejection
+    assert "clearance" not in sim.inbound  # the run halts at the rejection
 
 
 def test_nonce_reuse_warning(world):
@@ -369,6 +379,91 @@ def test_replay_splice_flagged_as_linkage_mismatch(world):
     # The forensic trail: the original signature is on file under run 1.
     run1_records = [r for r in pcs.signature_store if r.instance_id == "SPL-R1"]
     assert any(r.signature.sig == run1.signatures[0].sig for r in run1_records)
+
+
+#: Booking Z, run after booking X on the same world: another booking
+#: number, container and weight.
+BOOKING_Z = {"B_NO": "BKG-8802", "CNT_NO": "MSCU7654321", "CNT_W": "9100 kg"}
+
+
+def _booking_x(base_fixtures, scenario):
+    """A fresh world that has run booking X honestly, and Z's fixtures."""
+    world = build_world(base_fixtures)
+    x = run_scenario(base_fixtures.with_values(run_tag="X"), scenario, "p2p", world=world)
+    assert x.transcript.verdict == "PASS"
+    return world, x, base_fixtures.with_values(run_tag="Z", **BOOKING_Z)
+
+
+def test_a_clearance_moved_to_a_booking_customs_never_saw_is_rejected(base_fixtures):
+    """Z stops after move_lcu, so customs never sees it. pcs-op then sends
+    t1-op an IFSTA that holds Z's fields under sl1-clerk's Z signatures and
+    CLR under customs' signature from X. CLR reads CLEARED in both runs, so
+    only the booking number the signature covers tells them apart."""
+    world, x, fz = _booking_x(base_fixtures, "export")
+    steps = sim_module.export_steps("p2p")
+    cut = [s.name for s in steps].index("move_lcu") + 1
+    z = sim_module.Simulation(sim_module.ScenarioScript("export", "p2p", steps[:cut], fz),
+                              world=world).run()
+    assert z.transcript.verdict == "PASS"
+    assert all(ev.receiver != "customs-officer" for ev in z.transcript.sent_events())
+    x_clearance = x.inbound["clearance_terminal"][1]
+    at_pcs = z.inbound["move_lcu"][1]
+    names = ("B_NO", "CNT_NO", "CNT_W")
+    ifsta = SecuredMessage(
+        Message("IFSTA", "Z", tuple((n, at_pcs.message.get(n)) for n in names)
+                + (("CLR", x_clearance.message.get("CLR")),)),
+        tuple(s for s in at_pcs.signatures if set(s.attrs) <= set(names))
+        + tuple(s for s in x_clearance.signatures if s.signer == "customs-officer"),
+        "pcs-op",
+    )
+    report = validate_inbound(world.adapter("t1-op"), ifsta, world.chain_of("pcs-op"))
+    assert not report.accepted
+    assert _found(report) == [(FindingCode.LINKAGE_MISMATCH, "B_NO"),
+                              (FindingCode.WRITE_COVERAGE_GAP, "CLR")]
+
+
+@pytest.mark.parametrize("scenario, hop, signer, attr", [
+    ("export", "move_lcu", "t1-op", "CNT_LOC"),
+    ("import", "atb_notice", "customs-officer", "ATB_NO"),
+])
+def test_a_signature_moved_to_another_booking_is_rejected(base_fixtures, scenario, hop,
+                                                          signer, attr):
+    """At ``hop`` of booking Z, the signer's Z signature gives way to its
+    signature from X, and ``attr`` to X's value: the receiver holds X's
+    signature on file under X's booking number."""
+    world, x, fz = _booking_x(base_fixtures, scenario)
+    at_x = x.inbound[hop][1]
+    stolen = next(s for s in at_x.signatures if s.signer == signer)
+
+    def strike(name, sm):
+        if name != hop:
+            return sm
+        sm = replace_signature(sm, signer, lambda _: stolen)
+        return SecuredMessage(sm.message.replace_field(attr, at_x.message.get(attr)),
+                              sm.signatures, sm.sender)
+
+    z = run_scenario(fz, scenario, "p2p", world=world, interceptor=strike)
+    report = z.inbound[hop][0]
+    assert not report.accepted
+    assert _found(report) == [(FindingCode.LINKAGE_MISMATCH, "B_NO"),
+                              (FindingCode.WRITE_COVERAGE_GAP, attr)]
+
+
+def test_a_writers_signature_that_names_no_booking_covers_nothing(base_fixtures):
+    """Customs' own key signs CLR alone: the signature verifies, but it
+    binds no booking, so phase (c) counts it toward nothing."""
+    world = build_world(base_fixtures)
+    customs = world.adapter("customs-officer").key_pair
+
+    def strike(name, sm):
+        if name != "clearance":
+            return sm
+        unbound = multi_sign(customs, ["CLR"], field_digests(sm.message))
+        return replace_signature(sm, "customs-officer", lambda _: unbound)
+
+    sim = run_scenario(base_fixtures, "export", "p2p", world=world, interceptor=strike)
+    report = sim.inbound["clearance"][0]
+    assert _found(report) == [(FindingCode.WRITE_COVERAGE_GAP, "CLR")]
 
 
 def test_store_appends_even_on_reject(world):
@@ -503,7 +598,7 @@ def test_one_content_key_per_message_and_reader_set(world):
     keys = []
     for _ in range(2):
         sm = secure_outbound(sl, msg, [], Role.PORT_AUTHORITY,
-                             downstream={Role.CUSTOMS, Role.IMPORTER}, authored=["B_NO"])
+                             downstream={Role.CUSTOMS, Role.IMPORTER})
         b_no, cnt_c, csg = (sm.message.get(a) for a in ("B_NO", "CNT_C", "CSG_DATA"))
         assert set(b_no.wrapped_keys) == {"importer-1"}
         assert set(cnt_c.wrapped_keys) == {"customs-officer", "importer-1"}
@@ -552,7 +647,7 @@ def test_each_reader_unwraps_a_content_key_at_most_once(base_fixtures):
     sim, unwraps = _export_unwraps(base_fixtures)
     assert sim.transcript.verdict == "PASS"
     assert unwraps == [("export_declaration", "customs-officer")]
-    sealed = sim.outbound["delivery"].message.get("CNT_C")
+    sealed = sim.inbound["delivery"][1].message.get("CNT_C")
     assert sim.world.adapter("sl1-clerk").content_keys[sealed.wrapped_keys["sl1-clerk"]] == (
         sim.world.adapter("customs-officer").content_keys[sealed.wrapped_keys["customs-officer"]]
     )
@@ -635,7 +730,7 @@ def test_key_table_stays_at_its_bound(base_fixtures, world):
         fx = base_fixtures.with_values(run_tag=f"K{n}", B_NO=f"BKG-{n}")
         sim = run_scenario(fx, "export", "p2p", world=world)
         assert sim.transcript.verdict == "PASS"
-        last = sim.outbound["delivery"].message.get("CNT_C").wrapped_keys["sl1-clerk"]
+        last = sim.inbound["delivery"][1].message.get("CNT_C").wrapped_keys["sl1-clerk"]
         first = first or last
     sizes = {who: len(state.content_keys) for who, state in world.adapters.items()}
     assert sizes["sl1-clerk"] == sizes["customs-officer"] == KEY_TABLE_SIZE

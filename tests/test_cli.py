@@ -333,6 +333,18 @@ def test_audit_refuses_a_relabelled_sender(cli_files, tmp_path, capsys):
     _audit_refuses(path, capsys, "SENT sender differs from its flat's")
 
 
+def test_audit_refuses_an_orphan_validated_record(cli_files, tmp_path, capsys):
+    """With its first VALIDATED line written twice, an export transcript
+    would load as 26 events reading PASS; the copy follows no SENT record,
+    so the audit refuses the file."""
+    path = tmp_path / "export.trs"
+    raw = _stored_run(cli_files, path)
+    start = raw.index(b"EVT+VALIDATED+")
+    end = raw.index(b"\n", start) + 1
+    path.write_bytes(raw[:end] + raw[start:end] + raw[end:])
+    _audit_refuses(path, capsys, "VALIDATED record without its SENT record")
+
+
 @pytest.mark.parametrize("kind", ["fixtures", "chain", "transcript"])
 def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_bytes, tmp_path,
                                                        capsys, kind):

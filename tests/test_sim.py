@@ -7,7 +7,7 @@ from portsec import adapter, envelope, ledger, pki
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
 from portsec.fixtures import build_world
 from portsec.model import HashOnly, from_flat
-from portsec.policy import Role, default_matrix
+from portsec.policy import Action, Role, default_matrix
 from portsec.sim import (
     ScenarioError,
     ScenarioScript,
@@ -236,6 +236,32 @@ def test_dangerous_goods_widen_routing(base_fixtures):
         assert not views.flagged()
 
 
+@pytest.mark.parametrize("dg", ["false", "true"])
+@pytest.mark.parametrize("scenario", ["export", "import"])
+def test_each_sender_signs_what_its_role_may_write_and_the_booking(base_fixtures, scenario,
+                                                                    dg):
+    """A message built from fields ends with its sender's signature, over
+    B_NO plus each attribute the sender's role may write, in message
+    order; a forwarded message carries no signature of its forwarder."""
+    sim = run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p")
+    assert sim.transcript.verdict == "PASS"
+    matrix, signed = sim.world.matrix, 0
+    for step in sim.script.steps:
+        if step.name not in sim.inbound:
+            continue
+        sm = sim.inbound[step.name][1]
+        if not step.fields:
+            assert all(sig.signer != step.sender for sig in sm.signatures), step.name
+            continue
+        role = sim.world.adapter(step.sender).role
+        own = sm.signatures[-1]
+        assert own.signer == step.sender, step.name
+        assert own.attrs == tuple(a for a in sm.message.attribute_names()
+                                  if a == "B_NO" or matrix.check(role, a, Action.WRITE))
+        signed += 1
+    assert signed == {"export": 5 + (dg == "true"), "import": 4}[scenario]
+
+
 def test_no_port_authority_traffic_without_dangerous_goods(honest_sims):
     for mode in ("p2p", "ledger"):
         for scenario in ("export", "import"):
@@ -344,11 +370,19 @@ def test_script_rejects_dangling_source(base_fixtures):
         receiver="sl1-clerk",
         msg_type="IFTMCS",
         fields=("B_NO",),
-        authored=("B_NO",),
         source="never_ran",
     )
     with pytest.raises(ScenarioError):
         ScenarioScript("export", "p2p", (orphan,), base_fixtures)
+
+
+def test_script_rejects_a_message_with_neither_fields_nor_source(base_fixtures):
+    """A message step with no fields forwards its source; with neither,
+    there is nothing to send."""
+    empty = Step(name="empty", kind="message", sender="sl1-clerk", receiver="t1-op",
+                 msg_type="CODECO")
+    with pytest.raises(ScenarioError, match="a message needs fields or a source"):
+        ScenarioScript("export", "p2p", (empty,), base_fixtures)
 
 
 def test_script_rejects_unknown_actor(base_fixtures):
@@ -359,7 +393,6 @@ def test_script_rejects_unknown_actor(base_fixtures):
         receiver="sl1-clerk",
         msg_type="IFTMCS",
         fields=("B_NO",),
-        authored=("B_NO",),
     )
     with pytest.raises(ScenarioError):
         ScenarioScript("export", "p2p", (ghost,), base_fixtures)

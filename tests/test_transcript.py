@@ -230,6 +230,19 @@ def test_a_sent_record_is_followed_by_its_receivers_validated_record(honest_sims
     assert e.value.offset == (len(forged) if at is None else after + len(at))
 
 
+def test_a_validated_record_follows_its_sent_record(honest_sims):
+    """A VALIDATED record that follows no SENT record would claim that an
+    actor judged a message it never received; the load refuses it at the
+    record's kind element."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    start = wire.index(b"EVT+VALIDATED+")
+    end = wire.index(b"\n", start) + 1
+    doubled = wire[:end] + wire[start:end] + wire[end:]
+    with pytest.raises(ParseError, match="VALIDATED record without its SENT record") as e:
+        transcript_from_wire(doubled)
+    assert e.value.offset == end + len(b"EVT+")
+
+
 def test_a_validated_verdict_is_accept_or_reject(base_fixtures):
     """A REJECT relabelled to another word would still make the run FAIL,
     so the header check alone would not refuse it."""
