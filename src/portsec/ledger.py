@@ -233,10 +233,11 @@ class LedgerNet:
     world_state: dict[str, ContainerAsset] = field(default_factory=dict)
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
     #: (key DER, payload, signature) of each signature check that
-    #: passed at ``submit``, ``commit`` or ``verify_chain``, and of each
-    #: block signature ``_sign_block`` made, under the signing key's own
-    #: public half, since the last valid ``verify_chain``, which reads it
-    #: instead of checking again
+    #: passed at ``submit``, ``commit`` or ``verify_chain``, of each
+    #: certificate link a chain check at ``submit`` or ``endorse`` verified
+    #: (``_link_check``), and of each block signature ``_sign_block`` made,
+    #: under the signing key's own public half, since the last valid
+    #: ``verify_chain``, which reads it instead of checking again
     _passed: set[tuple] = field(default_factory=set, init=False, repr=False, compare=False)
 
 
@@ -293,10 +294,21 @@ def _tx_digests(tx: Transaction) -> tuple[bytes, bytes]:
     return tx._memo
 
 
-def _check_cert(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
+def _check_cert(
+    net: LedgerNet, chain: Sequence[Certificate], who: str
+) -> tuple[tuple[Certificate, Certificate], ...]:
+    """The (certificate, issuer) links whose signatures ``net.trust.check``
+    verified on ``chain``; raises its failure."""
     res = net.trust.check(chain)
     if not res.valid:
         raise ChainInvalidCert(f"{who}: {res.reason.value}: {res.detail}")
+    return res.links
+
+
+def _link_check(cert: Certificate, issuer: Certificate) -> tuple:
+    """The check of ``cert``'s signature as a record of passed checks holds
+    it: (issuer key DER, body digest, signature)."""
+    return issuer.public_key, cert.body_digest(), cert.signature
 
 
 def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsset | None:
@@ -386,8 +398,10 @@ def submit(
     net: LedgerNet, tx: Transaction, invoker_chain: Sequence[Certificate]
 ) -> PendingTransaction:
     """Run the chaincode gates; a pass yields a pending transaction that
-    still needs endorsements. Raises the first failing gate's denial."""
-    _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
+    still needs endorsements. Raises the first failing gate's denial. The
+    certificate links the chain check verified join the net's record."""
+    links = _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
+    net._passed.update(_link_check(*link) for link in links)
     if invoker_chain[0] != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
     if not _signed(net._passed, tx.invoker.public_key, _tx_digests(tx)[0], tx.invoker_signature):
@@ -402,9 +416,11 @@ def endorse(
     endorser_chain: Sequence[Certificate],
     endorser_key: Signer,
 ) -> PendingTransaction:
-    """Append one endorsement if the endorser is eligible for the action."""
+    """Append one endorsement if the endorser is eligible for the action.
+    The certificate links the chain check verified join the net's record."""
     cert = endorser_chain[0]
-    _check_cert(net, endorser_chain, f"endorser {cert.subject}")
+    links = _check_cert(net, endorser_chain, f"endorser {cert.subject}")
+    net._passed.update(_link_check(*link) for link in links)
     tx = pending.tx
     _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
     payload = _tx_digests(tx)[1]
@@ -715,7 +731,8 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
 def verify_exported(exported: ExportedChain) -> ChainVerification:
     """Full offline audit: certificate integrity, the orderer's role, hash
     links from the baseline digest on, orderer signatures, and each
-    transaction's ``_admit``. It reads no net's record of passed checks.
+    transaction's ``_admit``. It reads no net's record of passed checks:
+    the head and the blocks share one fresh record.
 
     Once the head checks pass, a long chain is split at its middle block,
     ``_split_point``: a forked child (``_Child``) checks the blocks from
@@ -726,10 +743,11 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
     arrives, so the verdict, its block and its reason are the sequential
     rule's. No child outlives the call: it is reaped before the call
     returns, and killed if it still runs."""
-    bad_head = _check_head(exported)
+    passed: set[tuple] = set()
+    bad_head = _check_head(exported, passed)
     if bad_head is not None:
         return bad_head
-    blocks, state, passed = exported.blocks, dict(exported.baseline_state), set()
+    blocks, state = exported.blocks, dict(exported.baseline_state)
     k, child = _split_point(blocks), None
     if k < len(blocks):
         try:
@@ -807,10 +825,11 @@ class _Child:
         os.close(self.fd)
 
 
-def _check_head(exported: ExportedChain) -> ChainVerification | None:
-    """The checks that precede the blocks; None when all pass."""
-    suite = DEFAULT_SUITE
-    if exported.suite_id != suite.suite_id:
+def _check_head(exported: ExportedChain, passed: set[tuple]) -> ChainVerification | None:
+    """The checks that precede the blocks; None when all pass. Each
+    certificate's signature is checked through ``_signed`` on ``passed``,
+    under the key of the head's certificate for its issuer."""
+    if exported.suite_id != DEFAULT_SUITE.suite_id:
         return ChainVerification(False, None, f"suite mismatch: {exported.suite_id}")
 
     for cert in exported.certs.values():
@@ -821,7 +840,7 @@ def _check_head(exported: ExportedChain) -> ChainVerification | None:
         issuer = exported.certs.get(cert.issuer)
         if issuer is None:
             return ChainVerification(False, None, f"{cert.subject}: issuer {cert.issuer} missing")
-        if not suite.verify(issuer.public_key, suite.digest(cert.body_bytes()), cert.signature):
+        if not _signed(passed, *_link_check(cert, issuer)):
             return ChainVerification(False, None, f"{cert.subject}: certificate signature broken")
 
     orderer = exported.certs.get(exported.orderer_identity)
@@ -881,9 +900,11 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     the new blocks' identities, equals its head by value, ``_verify_blocks``
     starts at the first new block from the recorded replay state. A
     signature check in the net's record (``LedgerNet._passed``) is not run
-    again; the record is emptied at each valid call. A warm call over
-    committed blocks makes no RSA verification. ``verify_exported``
-    re-checks everything.
+    again, head certificates included; the record is emptied at each valid
+    call. A warm call over committed blocks makes no RSA verification, and
+    a net's first call checks only the head certificates that no
+    ``submit`` or ``endorse`` recorded. ``verify_exported`` re-checks
+    everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)
@@ -894,7 +915,7 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     if covered and head == seen.head:
         state = dict(seen.state)
     else:
-        bad_head = _check_head(exported)
+        bad_head = _check_head(exported, net._passed)
         if bad_head is not None:
             return bad_head
         start, state = 0, dict(head.baseline_state)

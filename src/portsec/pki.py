@@ -54,11 +54,20 @@ class Certificate:
     not_after: int
     public_key: bytes
     signature: bytes
+    # replace() leaves it out, so the digest never outlives its fields
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def body_bytes(self) -> bytes:
         """Canonical signed portion: the wire record minus the signature
         and the terminator."""
         return records.encode(*_cert_fields(self))[:-1]
+
+    def body_digest(self) -> bytes:
+        """The digest the issuer signs, of ``body_bytes``, hashed once per
+        object."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", DEFAULT_SUITE.digest(self.body_bytes()))
+        return self._digest
 
     def covers(self, at: int) -> bool:
         return self.not_before <= at <= self.not_after
@@ -69,6 +78,9 @@ class ChainResult:
     valid: bool
     reason: FailureReason | None = None
     detail: str = ""
+    #: of a valid chain, each (certificate, issuer) link whose signature
+    #: ``validate_chain`` verified, leaf first, the anchor as its own issuer
+    links: tuple[tuple[Certificate, Certificate], ...] = field(default=(), compare=False)
 
 
 @dataclass
@@ -182,9 +194,7 @@ def create_subordinate(parent: CaState, name: str, validity: tuple[int, int]) ->
 def _link_signed(cert: Certificate, issuer_public_key: bytes) -> bool:
     """Does ``cert``'s signature verify under its issuer's key? Keyed on the
     whole certificate, signature included, so any edited field misses."""
-    return DEFAULT_SUITE.verify(
-        issuer_public_key, DEFAULT_SUITE.digest(cert.body_bytes()), cert.signature
-    )
+    return DEFAULT_SUITE.verify(issuer_public_key, cert.body_digest(), cert.signature)
 
 
 def validate_chain(
@@ -199,8 +209,9 @@ def validate_chain(
     Valid iff every link's signature verifies under its issuer's key, the
     top certificate is the given trust anchor, no link's serial sits in its
     issuer's revocation list, and ``at`` lies within every validity window.
-    Checks run in that order and report the first failure. Only the link
-    signature checks are memoised; the rest runs on every call.
+    Checks run in that order and report the first failure; a valid result
+    lists the links it verified. Only the link signature checks are
+    memoised; the rest runs on every call.
     """
     links = [leaf, *chain]
     if links[-1] != trust_anchor:
@@ -211,8 +222,8 @@ def validate_chain(
                 False, FailureReason.UNTRUSTED_ROOT, f"chain top is {links[-1].subject}"
             )
 
-    for i, cert in enumerate(links):
-        parent = links[i + 1] if i + 1 < len(links) else links[-1]
+    pairs = tuple(zip(links, (*links[1:], links[-1])))
+    for cert, parent in pairs:
         if cert.issuer != parent.subject:
             return ChainResult(
                 False,
@@ -243,7 +254,7 @@ def validate_chain(
                 f"{cert.subject} valid ({cert.not_before}, {cert.not_after}), queried at {at}",
             )
 
-    return ChainResult(True)
+    return ChainResult(True, links=pairs)
 
 
 @dataclass

@@ -702,12 +702,27 @@ def test_offline_verify_ignores_the_watermark(counted, counting_suite):
 # --- the net's record of passed signature checks -------------------------------
 
 
+def _recorded(net, head):
+    """Subjects of ``head``'s certificates whose signature check the net's
+    record holds."""
+    return [c.subject for c in head.certs.values()
+            if ledger._link_check(c, head.certs[c.issuer]) in net._passed]
+
+
+def _live_head(net):
+    return ledger._head(net, ledger._referenced(net.chain))
+
+
 def test_offline_verify_ignores_the_record(counted, counting_suite):
-    """The export of a net whose record holds the new blocks' checks is
-    still checked in full: no record outlives its net."""
+    """The export of a net whose record holds the new blocks' checks and
+    the head's certificate links is still checked in full: no record
+    outlives its net."""
     world, net = counted
     full_lifecycle(world, net, cnt_no="MSCU7654321")
-    assert len(net._passed) == 12  # an invoker, an endorsement and an orderer per new block
+    # an invoker, an endorsement and an orderer per new block, then the
+    # links of the three actors' chains: three leaves, three CAs, the root
+    assert len(net._passed) == 12 + 7
+    assert len(_recorded(net, _live_head(net))) == 7
     exported = parse_chain(export_chain(net))
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
@@ -715,15 +730,20 @@ def test_offline_verify_ignores_the_record(counted, counting_suite):
 
 
 def test_a_cold_verify_runs_only_the_checks_the_record_lacks(counted, counting_suite):
-    """With the watermark gone, the head and the blocks checked before it
-    are checked again; the new blocks' checks are read from the record."""
+    """With the watermark gone, the blocks checked before it and the head
+    certificates no submit or endorsement recorded (the orderer's and its
+    CA's) are checked again; the new blocks' checks and the other
+    certificate links are read from the record."""
     world, net = counted
     checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
     net._verified = None
+    head = _live_head(net)
+    lacking = len(head.certs) - len(_recorded(net, head))
+    assert lacking == 2
     res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     assert res.valid, res.reason
-    assert verifies == len(net._verified.head.certs) + _block_verifies(net.chain[:checked])
+    assert verifies == lacking + _block_verifies(net.chain[:checked])
 
 
 def test_only_a_valid_verify_empties_the_record(world, net):
@@ -735,6 +755,77 @@ def test_only_a_valid_verify_empties_the_record(world, net):
     net.world_state = state
     assert verify_chain(net).valid
     assert not net._passed
+
+
+def _chain_links(net):
+    """The record entry of each certificate link on each chain of the
+    trust view."""
+    return {ledger._link_check(*link) for chain in net.trust.chains.values()
+            for link in net.trust.check(chain).links}
+
+
+def test_every_recorded_check_verifies_again(world, net):
+    """The record holds only checks that pass: each entry, the certificate
+    links submit and endorse recorded among them, verifies again."""
+    full_lifecycle(world, net)
+    assert len(net._passed & _chain_links(net)) == 7
+    assert all(DEFAULT_SUITE.verify(*check) for check in net._passed)
+
+
+def test_a_query_records_nothing(world, net):
+    """A reader's chain check passes without entering the record: a
+    reader's certificates reach the head only when it also acts."""
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    assert query(net, world.chain_of("sl1-clerk"), CNT).state is LifecycleState.LOADED
+    assert not net._passed
+
+
+def _replace_certificate(net, old, new):
+    """``new`` in place of ``old`` on every chain of the net's trust view."""
+    net.trust.chains.update({
+        ident: tuple(new if cert == old else cert for cert in chain)
+        for ident, chain in net.trust.chains.items()
+    })
+
+
+@pytest.mark.parametrize("subject", ["t1-op", "T1-CA", "PortRoot"])
+@pytest.mark.parametrize("edit", [
+    lambda cert: replace(cert, not_after=cert.not_after + 1),
+    lambda cert: replace(cert, signature=_flip(cert.signature)),
+], ids=["body", "signature"])
+def test_an_edited_recorded_certificate_fails_at_the_head(world, net, subject, edit):
+    """A head certificate whose link a submit or an endorsement recorded,
+    changed in the trust view afterwards, misses the record: the cold
+    live verify fails at the head, as the offline one does."""
+    full_lifecycle(world, net)
+    head = _live_head(net)
+    assert subject in _recorded(net, head)
+    _replace_certificate(net, head.certs[subject], edit(head.certs[subject]))
+    reason = f"{subject}: certificate signature broken"
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, None, reason)
+
+
+def test_a_head_that_gained_an_identity_reads_only_what_was_recorded_since(
+        world, net, checked_signatures):
+    """After a valid verify empties the record, the links recorded by a
+    later submit and endorsement are read from it, and every other head
+    certificate is checked for real."""
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    assert not net._passed
+    run_step(world, net, "sl2-clerk", LedgerAction.CREATE, "t2-op", "MSCU7654321",
+             (("terminal", "T2"),))
+    head = _live_head(net)
+    assert head != net._verified.head  # the cold path
+    recorded = _recorded(net, head)
+    assert sorted(recorded) == ["PortRoot", "SL2-CA", "T2-CA", "sl2-clerk", "t2-op"]
+    checked_signatures.clear()
+    assert verify_chain(net).valid
+    certs = head.certs.values()
+    assert [c.subject for c in certs if c.signature in checked_signatures] == [
+        c.subject for c in certs if c.subject not in recorded]
 
 
 @pytest.fixture
@@ -813,7 +904,9 @@ def test_the_record_misses_every_changed_byte(world, net, tamper, block, reason)
     a changed key or signature misses the record and fails at its block,
     live as offline."""
     full_lifecycle(world, net)
-    assert len(net._passed) == 13  # the genesis signature, then three per block
+    # the genesis signature, then three per block, then the seven links of
+    # sl1-clerk's, t1-op's and pcs-op's chains
+    assert len(net._passed) == 13 + 7
     tamper(world, net)
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
@@ -857,20 +950,26 @@ def test_a_block_signed_with_another_key_fails_at_that_block(world, net):
 def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monkeypatch,
                                             scenario):
     """A ledger scenario's one ``verify_chain`` runs cold over blocks the
-    net signed and checked itself: its RSA verifications are the head's
-    certificate signatures, one per certificate."""
+    net signed and checked itself and over certificate links its submits
+    and endorsements checked: its RSA verifications are the signatures of
+    the head certificates no chain check recorded, the orderer's and its
+    CA's, one per certificate."""
     calls = []
 
     def counted(net):
+        head = _live_head(net)
+        recorded = _recorded(net, head)
+        unrecorded = [subject for subject in head.certs if subject not in recorded]
         res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
-        calls.append((res, verifies, len(net._verified.head.certs)))
+        calls.append((res, verifies, unrecorded))
         return res
 
     monkeypatch.setattr(sim, "verify_chain", counted)
     run_scenario(base_fixtures, scenario, "ledger")
-    [(res, verifies, certs)] = calls
+    [(res, verifies, unrecorded)] = calls
     assert res.valid, res.reason
-    assert verifies == certs
+    assert unrecorded == ["orderer-1", "ORD-CA"]
+    assert verifies == len(unrecorded)
 
 
 def test_each_transaction_digest_is_hashed_once(world, counting_suite):
@@ -1196,6 +1295,31 @@ def _in_place_verdict(net, i, block):
     return r.valid, r.first_bad_block, r.reason
 
 
+def _edit_a_recorded_certificate(world, net, pick):
+    """A submit that is never committed records sl1-clerk's chain; then
+    ``pick`` chooses a head certificate whose link the record holds and
+    edits, in ``net.trust.chains``, its body or one signature byte: (valid,
+    first bad block, reason) of ``verify_chain`` on ``net`` itself, with
+    its record, of a cold one and of ``verify_exported``. The trust view,
+    which the world shares, is restored."""
+    submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, "MSCU7654321", (("terminal", "T1"),))
+    head = _live_head(net)
+    recorded = sorted(_recorded(net, head))
+    cert = head.certs[recorded[pick % len(recorded)]]
+    if pick % 2:
+        edited = replace(cert, not_after=cert.not_after + 1)
+    else:
+        edited = replace(cert, signature=_flip(cert.signature))
+    kept = dict(net.trust.chains)
+    _replace_certificate(net, cert, edited)
+    try:
+        runs = (verify_chain(net), verify_chain(replace(net, chain=list(net.chain))),
+                verify_exported(parse_chain(export_chain(net))))
+    finally:
+        net.trust.chains.update(kept)
+    return [(r.valid, r.first_bad_block, r.reason) for r in runs]
+
+
 def _edits(chain, picks):
     """One ``replace`` edit per kind, each of a block chosen by ``picks``,
     then the last block's orderer signature, so that an unverified last
@@ -1297,6 +1421,9 @@ def _agree(world, batches, picks):
         assert not verdicts[0][0]
     # an invalid verify leaves the record, so each edit above could read it
     assert len(net._passed) >= _block_verifies(unverified)
+    verdicts = _edit_a_recorded_certificate(world, net, picks[4])
+    assert len(set(verdicts)) == 1, verdicts
+    assert not verdicts[0][0]
     k = marks[picks[4] % len(marks)]
     own = verify_chain(net)
     verdicts = [*_verdicts(net, net.chain, k, states), (own.valid, own.first_bad_block, own.reason)]
