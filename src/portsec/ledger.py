@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import enum
 import marshal
+import operator
 import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
@@ -137,12 +138,23 @@ class NotVisible(LedgerError):
     pass
 
 
-@dataclass(frozen=True)
-class ContainerAsset:
+class ContainerAsset(NamedTuple):
+    """An immutable tuple that equals only another asset: a plain tuple of
+    the same fields is no asset, so a world state holding one fails the
+    replay comparison."""
+
     cnt_no: str
     state: LifecycleState
     shipping_line: str  # creator's organization, bound from its certificate
     terminal: str  # chosen at creation, immutable
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ContainerAsset and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -217,8 +229,18 @@ class _Verified:
         """Still true of ``net``: the chain starts with the very blocks
         checked."""
         return len(net.chain) >= len(self.blocks) and all(
-            a is b for a, b in zip(net.chain, self.blocks)
+            map(operator.is_, net.chain, self.blocks)
         )
+
+    def kept_by(self, head: ExportedChain) -> bool:
+        """``head`` has the checked head's suite id, orderer and baseline
+        and holds each of its certificates, byte for byte: it equals the
+        checked head or only gained certificates."""
+        old = self.head
+        return (head.suite_id == old.suite_id
+                and head.orderer_identity == old.orderer_identity
+                and head.baseline_state == old.baseline_state
+                and old.certs.items() <= head.certs.items())
 
 
 @dataclass
@@ -315,16 +337,15 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
     """Chaincode decision point, judging from certificate facts and current
     state alone (so replay can reuse it). Returns the asset the action
     touches (None for CREATE) or raises the matching denial."""
-    if records.holds_line_break((tx.cnt_no, *(e for kv in tx.args for e in kv))):
+    if records.holds_line_break((tx.cnt_no, *map("".join, tx.args))):
         raise MalformedTransaction("transaction text may not hold a line break")
-    try:
-        role = Role(tx.invoker.role)
-    except ValueError:
-        raise RoleDenied(f"{tx.invoker.role} is not a ledger role") from None
-    if role is not ACTION_ROLES[tx.action]:
-        raise RoleDenied(
-            f"{tx.action.value} requires {ACTION_ROLES[tx.action].value}, invoker is {role.value}"
-        )
+    role, required = tx.invoker.role, ACTION_ROLES[tx.action]
+    if role != required:  # Role is a str enum: one is built only to name a denial
+        try:
+            role = Role(role)
+        except ValueError:
+            raise RoleDenied(f"{role} is not a ledger role") from None
+        raise RoleDenied(f"{tx.action.value} requires {required.value}, invoker is {role.value}")
 
     if tx.action is LedgerAction.CREATE:
         if tx.cnt_no in state:
@@ -362,20 +383,20 @@ def _endorsement_gate(
         raise IneligibleEndorser("invoker cannot endorse its own transaction")
     if cert.subject in endorsed_by:
         raise DuplicateEndorsement(cert.subject)
-    try:
-        role = Role(cert.role)
-    except ValueError:
-        raise IneligibleEndorser(f"{cert.role} is not an endorsing role") from None
-    eligible = ENDORSER_ROLES[tx.action]
-    if role not in eligible:
+    role, eligible = cert.role, ENDORSER_ROLES[tx.action]
+    if role not in eligible:  # as in _gate, a Role is built only to name a denial
+        try:
+            role = Role(role)
+        except ValueError:
+            raise IneligibleEndorser(f"{role} is not an endorsing role") from None
         raise IneligibleEndorser(
             f"{tx.action.value} accepts {sorted(r.value for r in eligible)}, got {role.value}"
         )
-    if role is Role.TERMINAL:
+    if role == Role.TERMINAL:
         expected = asset_before.terminal if asset_before else tx.arg("terminal")
         if cert.org != expected:
             raise IneligibleEndorser(f"terminal {cert.org} is not the designated {expected}")
-    if role is Role.SHIPPING_LINE and asset_before is not None:
+    if role == Role.SHIPPING_LINE and asset_before is not None:
         if cert.org != asset_before.shipping_line:
             raise IneligibleEndorser(f"shipping line {cert.org} does not own {tx.cnt_no}")
 
@@ -384,10 +405,7 @@ def _apply(tx: Transaction, state: dict[str, ContainerAsset]) -> None:
     if tx.action is LedgerAction.CREATE:
         # Creator binding: owner comes from the certificate, never the args.
         state[tx.cnt_no] = ContainerAsset(
-            tx.cnt_no,
-            LifecycleState.CREATED,
-            shipping_line=tx.invoker.org,
-            terminal=tx.arg("terminal"),
+            tx.cnt_no, LifecycleState.CREATED, tx.invoker.org, tx.arg("terminal")
         )
     else:
         a, (_, nxt) = state[tx.cnt_no], TRANSITIONS[tx.action]
@@ -616,10 +634,9 @@ def export_chain(net: LedgerNet) -> bytes:
 
 def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) -> frozenset[str]:
     """``known`` and the invokers and endorsers of ``blocks``."""
-    return known.union(
-        ident for block in blocks for tx in block.transactions
-        for ident in (tx.invoker.subject, *(e for e, _ in tx.endorsements))
-    )
+    txs = [tx for block in blocks for tx in block.transactions]
+    return known.union({tx.invoker.subject for tx in txs},
+                       {ident for tx in txs for ident, _ in tx.endorsements})
 
 
 def _head(net: LedgerNet, referenced: Iterable[str]) -> ExportedChain:
@@ -825,14 +842,20 @@ class _Child:
         os.close(self.fd)
 
 
-def _check_head(exported: ExportedChain, passed: set[tuple]) -> ChainVerification | None:
+def _check_head(exported: ExportedChain, passed: set[tuple],
+                checked: Container[str] = ()) -> ChainVerification | None:
     """The checks that precede the blocks; None when all pass. Each
     certificate's signature is checked through ``_signed`` on ``passed``,
-    under the key of the head's certificate for its issuer."""
+    under the key of the head's certificate for its issuer. The
+    certificates of the subjects in ``checked`` are skipped: the caller
+    holds them, and their issuers, byte for byte from a head that
+    passed."""
     if exported.suite_id != DEFAULT_SUITE.suite_id:
         return ChainVerification(False, None, f"suite mismatch: {exported.suite_id}")
 
     for cert in exported.certs.values():
+        if cert.subject in checked:
+            continue
         ints = (cert.serial, cert.not_before, cert.not_after)
         texts = (cert.subject, cert.org, cert.role, cert.issuer)
         if records.holds_line_break(texts) or min(ints) < 0:
@@ -897,14 +920,16 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     parses back to exactly these: ``_gate``, ``create_net`` and
     ``_check_head`` refuse what the file cannot carry. While the last valid
     call's record covers a prefix of the chain and the head, rebuilt with
-    the new blocks' identities, equals its head by value, ``_verify_blocks``
-    starts at the first new block from the recorded replay state. A
-    signature check in the net's record (``LedgerNet._passed``) is not run
-    again, head certificates included; the record is emptied at each valid
-    call. A warm call over committed blocks makes no RSA verification, and
-    a net's first call checks only the head certificates that no
-    ``submit`` or ``endorse`` recorded. ``verify_exported`` re-checks
-    everything.
+    the new blocks' identities, keeps its head (``_Verified.kept_by``: the
+    same suite id, orderer and baseline, and each checked certificate byte
+    for byte), ``_check_head`` checks only the head's new certificates and
+    ``_verify_blocks`` starts at the first new block from the recorded
+    replay state; any other head change starts at block 0. A signature
+    check in the net's record (``LedgerNet._passed``) is not run again,
+    head certificates included; the record is emptied at each valid call.
+    A warm call over committed blocks makes no RSA verification, and a
+    net's first call checks only the head certificates that no ``submit``
+    or ``endorse`` recorded. ``verify_exported`` re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)
@@ -912,13 +937,14 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     referenced = _referenced(net.chain[start:], seen.referenced if covered else frozenset())
     head = _head(net, referenced)
     exported = replace(head, blocks=tuple(net.chain))
-    if covered and head == seen.head:
+    if covered and seen.kept_by(head):
+        bad_head = _check_head(exported, net._passed, seen.head.certs)
         state = dict(seen.state)
     else:
         bad_head = _check_head(exported, net._passed)
-        if bad_head is not None:
-            return bad_head
         start, state = 0, dict(head.baseline_state)
+    if bad_head is not None:
+        return bad_head
     res = _verify_blocks(exported, start, state, net._passed)
     if res is not None:
         return res

@@ -214,7 +214,8 @@ def holds_line_break(texts: Iterable[str]) -> bool:
     """Does any of ``texts`` hold a line break? A file keeps one record per
     line and the escapes cover ``+ ' ?`` only, so no text a file carries
     may hold one: what is written must parse back to the same records."""
-    return any("\r" in t or "\n" in t for t in texts)
+    joined = "".join(texts)
+    return "\r" in joined or "\n" in joined
 
 
 def check(recs: Iterable[Record], layout: dict[bytes, tuple[int, int, int | None]],

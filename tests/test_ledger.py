@@ -335,6 +335,17 @@ def _ineligible_endorsement(world, net):
     return pending
 
 
+def _orderer_invoker(world, net):
+    tx, _ = make_tx(world, "orderer-1", LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    return _past_submit(world, net, tx)
+
+
+def _orderer_endorsement(world, net):
+    pending = _endorsed_create(world, net, lambda e: [])
+    forge_endorsement(world, pending, "orderer-1")
+    return pending
+
+
 REFUSED_AT_COMMIT = {
     # case: (pending, denial, reason)
     "invoker-certificate": (_relabelled_invoker, ChainInvalidCert,
@@ -349,6 +360,10 @@ REFUSED_AT_COMMIT = {
                        InsufficientEndorsements, "under-endorsed CREATE"),
     "ineligible-endorsement": (_ineligible_endorsement, IneligibleEndorser,
                                "endorsement gate failure: terminal T2 is not the designated T1"),
+    "orderer-invoker": (_orderer_invoker, StaleTransaction,
+                        "replay gate failure: ORDERER is not a ledger role"),
+    "orderer-endorsement": (_orderer_endorsement, IneligibleEndorser,
+                            "endorsement gate failure: ORDERER is not an endorsing role"),
     "endorser-without-certificate": (
         lambda world, net: _endorsed_create(world, net, lambda e: [("nobody", e[0][1])]),
         IneligibleEndorser, "endorser nobody has no certificate",
@@ -399,6 +414,20 @@ def test_line_break_text_is_refused(world, net):
     )
     with pytest.raises(records.ParseError):
         parse_chain(export_chain(net))
+
+
+def test_a_role_outside_the_policy_is_refused_by_name(world, net):
+    """The orderer's role is no ledger role: ``submit`` refuses it as an
+    invoker and ``endorse`` as an endorser, each naming the role."""
+    create = (LedgerAction.CREATE, CNT, (("terminal", "T1"),))
+    with pytest.raises(RoleDenied) as denied:
+        submit_by(world, net, "orderer-1", *create)
+    assert str(denied.value) == "ORDERER is not a ledger role"
+    pending = submit_by(world, net, "sl1-clerk", *create)
+    with pytest.raises(IneligibleEndorser) as refused:
+        endorse_by(world, net, pending, "orderer-1")
+    assert str(refused.value) == "ORDERER is not an endorsing role"
+    assert not pending.endorsements
 
 
 def test_invoker_cannot_self_endorse(world, net):
@@ -684,6 +713,22 @@ def test_watermark_still_compares_world_state(counted):
     assert "world state" in res.reason
 
 
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_a_plain_tuple_of_the_fields_is_no_asset(counted, warm):
+    """An asset equals only an asset: a world state entry replaced by a
+    plain tuple of the same fields fails the replay comparison."""
+    _, net = counted
+    asset = net.world_state[CNT]
+    fields = (asset.cnt_no, asset.state, asset.shipping_line, asset.terminal)
+    assert asset != fields and fields != asset and not asset == fields
+    net.world_state[CNT] = fields
+    if not warm:
+        net._verified = None
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, None, "world state does not match replay")
+
+
 def test_watermark_with_no_new_block(counted, counting_suite):
     world, net = counted
     res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
@@ -807,25 +852,96 @@ def test_an_edited_recorded_certificate_fails_at_the_head(world, net, subject, e
         assert (res.valid, res.first_bad_block, res.reason) == (False, None, reason)
 
 
-def test_a_head_that_gained_an_identity_reads_only_what_was_recorded_since(
-        world, net, checked_signatures):
-    """After a valid verify empties the record, the links recorded by a
-    later submit and endorsement are read from it, and every other head
-    certificate is checked for real."""
+def _gain_an_identity(world, net):
+    """One lifecycle committed and verified, then sl2-clerk's CREATE
+    endorsed by t2-op: the head held at the watermark, and the head now."""
     full_lifecycle(world, net)
     assert verify_chain(net).valid
     assert not net._passed
     run_step(world, net, "sl2-clerk", LedgerAction.CREATE, "t2-op", "MSCU7654321",
              (("terminal", "T2"),))
-    head = _live_head(net)
-    assert head != net._verified.head  # the cold path
+    return net._verified.head, _live_head(net)
+
+
+def test_a_head_that_gained_an_identity_reads_only_what_was_recorded_since(
+        world, net, checked_signatures):
+    """After a valid verify empties the record, a head that only gained
+    identities keeps the watermark: the next verify checks none of the
+    earlier blocks' signatures and none of the old head's certificates,
+    and reads the new certificates' links, which the later submit and
+    endorsement recorded, from the record."""
+    old, head = _gain_an_identity(world, net)
+    assert head != old and net._verified.kept_by(head)  # the head only grew
     recorded = _recorded(net, head)
     assert sorted(recorded) == ["PortRoot", "SL2-CA", "T2-CA", "sl2-clerk", "t2-op"]
+    assert sorted(head.certs.keys() - old.certs.keys()) == ["SL2-CA", "T2-CA", "sl2-clerk",
+                                                            "t2-op"]
     checked_signatures.clear()
     assert verify_chain(net).valid
-    certs = head.certs.values()
-    assert [c.subject for c in certs if c.signature in checked_signatures] == [
-        c.subject for c in certs if c.subject not in recorded]
+    assert checked_signatures == []
+
+
+def test_a_grown_head_checks_its_new_certificates(world, net, checked_signatures):
+    """A new certificate whose link the record lacks is checked for real,
+    and an edited one fails at the head; the old head's certificates and
+    the earlier blocks are not checked again."""
+    old, head = _gain_an_identity(world, net)
+    gained = [c for c in head.certs.values() if c.subject not in old.certs]
+    net._passed -= {ledger._link_check(c, head.certs[c.issuer]) for c in gained}
+    checked_signatures.clear()
+    assert verify_chain(net).valid
+    assert checked_signatures == [c.signature for c in gained]
+
+    net = build_net(world)
+    _, head = _gain_an_identity(world, net)
+    cert = head.certs["t2-op"]
+    _replace_certificate(net, cert, replace(cert, not_after=cert.not_after + 1))
+    assert net._verified.kept_by(_live_head(net))  # t2-op's certificate is new
+    res = verify_chain(net)
+    assert (res.valid, res.first_bad_block, res.reason) == (
+        False, None, "t2-op: certificate signature broken")
+
+
+def _signatures(blocks):
+    """Every signature ``blocks`` carry: each orderer's, invoker's and
+    endorser's."""
+    return [sig for b in blocks for sig in (
+        b.orderer_signature,
+        *(s for tx in b.transactions for s in (tx.invoker_signature,
+                                               *(e for _, e in tx.endorsements))))]
+
+
+@pytest.mark.parametrize("subject", ["t1-op", "T1-CA"])
+def test_an_edited_old_certificate_fails_at_the_head(world, net, subject):
+    """A head that grew but holds a checked certificate edited since is
+    checked from the start, and fails at the head, as offline."""
+    _, head = _gain_an_identity(world, net)
+    cert = head.certs[subject]
+    _replace_certificate(net, cert, replace(cert, not_after=cert.not_after + 1))
+    assert not net._verified.kept_by(_live_head(net))
+    reason = f"{subject}: certificate signature broken"
+    for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, None, reason)
+
+
+def test_a_reissued_old_certificate_forces_the_full_check(world, net, checked_signatures):
+    """A valid re-issue of a checked CA certificate changes its bytes, so
+    the next verify starts at block 0: it checks the earlier blocks'
+    signatures and every head certificate the record lacks for real."""
+    _gain_an_identity(world, net)
+    earlier = _signatures(net._verified.blocks)
+    cert = net.trust.chains["t1-op"][1]
+    assert cert.subject == "T1-CA"
+    reissued = world.trust.cas[cert.issuer].issue(
+        cert.subject, cert.org, cert.role, cert.public_key, (cert.not_before, cert.not_after))
+    _replace_certificate(net, cert, reissued)
+    head = _live_head(net)
+    assert not net._verified.kept_by(head)
+    lacking = [c.signature for c in head.certs.values() if c.subject not in _recorded(net, head)]
+    assert reissued.signature in lacking
+    checked_signatures.clear()
+    assert verify_chain(net).valid
+    assert checked_signatures == lacking + earlier
 
 
 @pytest.fixture
@@ -1065,7 +1181,7 @@ def test_warm_call_sees_an_in_place_baseline_edit(world, net):
     full_lifecycle(world, net)
     successor = rollover(net)
     assert verify_chain(successor).valid
-    successor.baseline_state[CNT] = replace(successor.baseline_state[CNT], terminal="T2")
+    successor.baseline_state[CNT] = successor.baseline_state[CNT]._replace(terminal="T2")
     res = verify_chain(successor)
     assert (res.valid, res.first_bad_block, res.reason) == (False, 0, "previous-hash link broken")
 
@@ -1268,19 +1384,33 @@ def _pending_for(world, net, op, created):
     return endorse_by(world, net, submit_by(world, net, invoker, action, cnt_no, args), endorser)
 
 
-def _verdicts(net, chain, k, states):
-    """(valid, first bad block, reason) of a cold ``verify_chain``, of a
-    warm one whose last valid call covered ``chain[:k]``, and of
-    ``verify_exported`` on the export, for ``net`` holding ``chain``."""
-    cold = verify_chain(replace(net, chain=list(chain)))
+def _warm_verify(net, chain, k, states):
+    """``verify_chain`` of ``net`` holding ``chain`` after a valid call
+    covered ``chain[:k]``, and whether the head it resumes under gained
+    certificates over the one that call checked."""
     warm_net = replace(net, chain=list(chain[:k]), world_state=states[k])
     assert verify_chain(warm_net).valid
     warm_net.chain[k:] = chain[k:]
     warm_net.world_state = net.world_state
-    warm = verify_chain(warm_net)
+    seen, head = warm_net._verified, _live_head(warm_net)
+    assert seen.kept_by(head)  # an edited block names the same identities
+    return verify_chain(warm_net), head != seen.head
+
+
+def _verdicts(net, chain, k, states):
+    """(valid, first bad block, reason) of a cold ``verify_chain``, of a
+    warm one whose last valid call covered ``chain[:k]``, of a warm one
+    whose head grew since its last valid call, and of ``verify_exported``
+    on the export, for ``net`` holding ``chain``. The grown one's last
+    valid call covered at most ``chain[:2]``, whose head lacks pcs-op's
+    chain: block 2 is the first that pcs-op endorses."""
+    cold = verify_chain(replace(net, chain=list(chain)))
+    warm, _ = _warm_verify(net, chain, k, states)
+    grown, gained = _warm_verify(net, chain, min(k, 2), states)
+    assert gained
     exported = parse_chain(export_chain(replace(net, chain=list(chain))))
     offline = verify_exported(exported)
-    return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, offline)]
+    return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, grown, offline)]
 
 
 def _in_place_verdict(net, i, block):
@@ -1295,14 +1425,20 @@ def _in_place_verdict(net, i, block):
     return r.valid, r.first_bad_block, r.reason
 
 
-def _edit_a_recorded_certificate(world, net, pick):
+def _edit_a_recorded_certificate(world, net, states, pick):
     """A submit that is never committed records sl1-clerk's chain; then
     ``pick`` chooses a head certificate whose link the record holds and
     edits, in ``net.trust.chains``, its body or one signature byte: (valid,
     first bad block, reason) of ``verify_chain`` on ``net`` itself, with
-    its record, of a cold one and of ``verify_exported``. The trust view,
-    which the world shares, is restored."""
+    its record, of a cold one, of a warm one whose last valid call covered
+    ``chain[:2]`` (so an edited certificate of pcs-op's chain is new to its
+    head) and of ``verify_exported``. The trust view, which the world
+    shares, is restored."""
     submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, "MSCU7654321", (("terminal", "T1"),))
+    grown = replace(net, chain=list(net.chain[:2]), world_state=states[2])
+    assert verify_chain(grown).valid
+    grown.chain[2:] = net.chain[2:]
+    grown.world_state = net.world_state
     head = _live_head(net)
     recorded = sorted(_recorded(net, head))
     cert = head.certs[recorded[pick % len(recorded)]]
@@ -1314,7 +1450,7 @@ def _edit_a_recorded_certificate(world, net, pick):
     _replace_certificate(net, cert, edited)
     try:
         runs = (verify_chain(net), verify_chain(replace(net, chain=list(net.chain))),
-                verify_exported(parse_chain(export_chain(net))))
+                verify_chain(grown), verify_exported(parse_chain(export_chain(net))))
     finally:
         net.trust.chains.update(kept)
     return [(r.valid, r.first_bad_block, r.reason) for r in runs]
@@ -1389,7 +1525,8 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     rejected, and the cold live, warm live and offline verifiers, and the
     net's own verifier reading its record of the last, unverified batch,
     give the same verdict on the chain and on each single-field edit of
-    it."""
+    it; so does a warm live verifier whose head gained certificates since
+    its last valid call."""
     _agree(shared_world, batches, picks)
 
 
@@ -1421,13 +1558,13 @@ def _agree(world, batches, picks):
         assert not verdicts[0][0]
     # an invalid verify leaves the record, so each edit above could read it
     assert len(net._passed) >= _block_verifies(unverified)
-    verdicts = _edit_a_recorded_certificate(world, net, picks[4])
+    verdicts = _edit_a_recorded_certificate(world, net, states, picks[4])
     assert len(set(verdicts)) == 1, verdicts
     assert not verdicts[0][0]
     k = marks[picks[4] % len(marks)]
     own = verify_chain(net)
     verdicts = [*_verdicts(net, net.chain, k, states), (own.valid, own.first_bad_block, own.reason)]
-    assert verdicts == [(True, None, "")] * 4
+    assert verdicts == [(True, None, "")] * 5
     assert replace(parsed, blocks=()) == net._verified.head
 
 
