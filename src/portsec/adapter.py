@@ -167,30 +167,28 @@ def _store_signatures(
         state.signature_store.append(rec)
 
 
-def _role_identities(state: AdapterState, roles: Iterable[Role]) -> dict[str, bytes]:
-    """Identities holding any of the given roles, with their public keys;
-    used to choose wrapped-key recipients."""
-    wanted = {Role(r).value for r in roles}
-    return {
-        ident: chain[0].public_key
-        for ident, chain in state.trust.chains.items()
-        if chain[0].role in wanted
-    }
-
-
 def _replan(
     state: AdapterState,
     msg: Message,
     digests: Mapping[str, bytes],
     receiver: Role,
-    downstream: Iterable[Role],
+    reach: Mapping[str, Iterable[str]],
 ) -> tuple[tuple[str, FieldValue], ...]:
-    """Re-plan the plaintext fields of ``msg`` for ``receiver`` (plain,
-    hash-only or sealed for downstream readers; other fields pass through).
-    The fields sealed for one set of reader identities share one fresh
-    content key."""
-    plain_attrs = [n for n, v in msg.fields if isinstance(v, Plain)]
-    plan = protection_plan(state.matrix, state.role, receiver, downstream, plain_attrs)
+    """Re-plan the plaintext fields of ``msg`` for ``receiver``: plain where
+    its role may read, else sealed for the identities ``reach`` names for
+    the field whose role may read it, else hash-only. Other fields pass
+    through. Fields with the same reached identities share one protection
+    plan, and the fields sealed for one set of reader identities share one
+    fresh content key."""
+    chains = state.trust.chains
+    by_reach: dict[frozenset[str], list[str]] = {}
+    for name, value in msg.fields:
+        if isinstance(value, Plain):
+            by_reach.setdefault(frozenset(reach.get(name, ())), []).append(name)
+    plan = {}
+    for reached, attrs in by_reach.items():
+        roles = {chains[ident][0].role for ident in reached}
+        plan |= protection_plan(state.matrix, state.role, receiver, roles, attrs)
     keys: dict[frozenset[str], ContentKey] = {}
     out_fields: list[tuple[str, FieldValue]] = []
     for name, value in msg.fields:
@@ -199,7 +197,10 @@ def _replan(
             if decision.kind is PlanKind.HASH_ONLY:
                 value = HashOnly(digests[name])
             elif decision.kind is PlanKind.SEALED:
-                recipients = _role_identities(state, decision.readers)
+                recipients = {
+                    ident: chains[ident][0].public_key for ident in reach[name]
+                    if chains[ident][0].role in decision.readers
+                }
                 group = frozenset(recipients)
                 if group not in keys:
                     keys[group] = key = content_key(recipients)
@@ -215,7 +216,7 @@ def secure_outbound(
     msg: Message,
     carried: Sequence[AttributeSignature],
     receiver: Role,
-    downstream: Iterable[Role] = (),
+    reach: Mapping[str, Iterable[str]] = {},
 ) -> SecuredMessage:
     """Build the protected form of a message this actor is sending.
 
@@ -224,7 +225,10 @@ def secure_outbound(
     signature to its booking; an actor that may write none of them signs
     nothing. Carried signatures are attached unmodified. Fields arriving
     already sealed or hash-only pass through; only plaintext fields are
-    (re)planned.
+    (re)planned. ``reach`` maps a field to the identities the workflow
+    delivers it to after ``receiver`` (``sim.field_reach``): a field
+    ``receiver`` may not read is sealed for those of them whose role may
+    read it.
     """
     digests = field_digests(msg)
 
@@ -243,7 +247,7 @@ def secure_outbound(
     if any(writes):
         to_sign = [a for a, w in zip(names, writes) if w or a == BOOKING_ATTR]
         signatures += (envelope.multi_sign(state.key_pair, to_sign, digests),)
-    out_fields = _replan(state, msg, digests, receiver, downstream)
+    out_fields = _replan(state, msg, digests, receiver, reach)
     sm = SecuredMessage(
         Message(msg.msg_type, msg.instance_id, out_fields), signatures, state.identity
     )
@@ -337,17 +341,32 @@ def _write_coverage(hop: Hop) -> None:
 
 def _representation(hop: Hop) -> None:
     """(d) Plaintext and wrapped keys reach the receiver only where its
-    role may read, and a sealed field it may read carries its key."""
+    role may read, and a sealed field it may read carries its key. Every
+    other wrapped-key holder of a sealed field is in the trust view under
+    a role that may read the field, so an overshared key is refused at the
+    first receiver, whoever holds it."""
     state = hop.state
+    chains = state.trust.chains
     for name, value in hop.sm.message.fields:
         readable = state.matrix.check(state.role, name, Action.READ)
         if isinstance(value, Plain) and not readable:
             hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
                        f"plaintext exposed to {state.role.value} without read permission")
-        elif isinstance(value, Sealed) and readable != (state.identity in value.wrapped_keys):
-            hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
-                       "no wrapped key for an authorized reader" if readable else
-                       f"wrapped key offered to {state.role.value} without read permission")
+        elif isinstance(value, Sealed):
+            if readable != (state.identity in value.wrapped_keys):
+                hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
+                           "no wrapped key for an authorized reader" if readable else
+                           f"wrapped key offered to {state.role.value} without read permission")
+            readers = state.matrix.readers_of(name)
+            for holder in value.wrapped_keys:
+                if holder == state.identity:
+                    continue
+                if holder not in chains:
+                    hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
+                               f"wrapped key offered to {holder}, who is not in the directory")
+                elif (role := chains[holder][0].role) not in readers:
+                    hop.reject(FindingCode.REPRESENTATION_VIOLATION, name,
+                               f"wrapped key offered to {holder} ({role}) without read permission")
 
 
 def _nonce(hop: Hop) -> None:
@@ -449,7 +468,7 @@ def forward(
     if not report.accepted:
         raise NotValidated("cannot forward a message that did not validate")
     msg = sm.message
-    out_fields = _replan(state, msg, field_digests(msg), receiver, ())
+    out_fields = _replan(state, msg, field_digests(msg), receiver, {})
     return SecuredMessage(
         Message(msg_type, msg.instance_id, out_fields),
         sm.signatures,

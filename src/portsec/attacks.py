@@ -26,7 +26,8 @@ from .ledger import (
     verify_exported,
 )
 from .model import HashOnly, ParseError, Plain, Sealed, SecuredMessage
-from .sim import run_scenario
+from .policy import default_matrix
+from .sim import SCENARIOS, run_scenario
 from .transcript import AuditEvent, Transcript, ValidatedEvent
 
 
@@ -89,6 +90,12 @@ class DetectionReport:
 
 #: Default strike point per scenario: the hop carrying the most data.
 DEFAULT_STEP = {"export": "delivery", "import": "iftmcs"}
+
+#: The steps a spec may name: each scenario's message steps.
+_MESSAGE_STEPS = {
+    name: {s.name for s in steps("p2p") if s.kind == "message"}
+    for name, steps in SCENARIOS.items()
+}
 
 
 def battery(scenario: str) -> tuple[AttackSpec, ...]:
@@ -171,8 +178,14 @@ def inject_attack(
 ) -> tuple[Transcript, DetectionReport]:
     """Run the scenario with the attack applied; report whether, where,
     and how it was caught. A spec field the kind does not read, see
-    ``KIND_FIELDS``, raises TargetUnresolved."""
+    ``KIND_FIELDS``, a ``step`` that names no message step of the scenario
+    and an ``attribute`` the access matrix does not hold raise
+    TargetUnresolved in either mode, before anything runs."""
     _refuse_unread_fields(spec)
+    if spec.step and spec.step not in _MESSAGE_STEPS.get(scenario, ()):
+        raise TargetUnresolved(f"scenario {scenario} has no message step {spec.step}")
+    if spec.attribute and spec.attribute not in default_matrix().attributes:
+        raise TargetUnresolved(f"the access matrix holds no attribute {spec.attribute}")
     if mode == "ledger":
         return _inject_ledger(fixtures, scenario, spec)
     return _inject_p2p(fixtures, scenario, spec)

@@ -20,7 +20,6 @@ from .ledger import LedgerAction, LedgerError, LedgerNet, build_transaction, com
 from .ledger import query as ledger_query
 from .ledger import submit, verify_chain
 from .model import MESSAGE_TYPES, Message, Plain, SecuredMessage, from_flat, to_flat
-from .policy import Role
 from .transcript import Transcript
 
 Interceptor = Callable[[str, SecuredMessage], SecuredMessage]
@@ -36,7 +35,8 @@ class Step:
 
     message   one secured message sender -> receiver; built fresh from
               ``fields`` (values and carried signatures drawn from
-              ``source``, sealed for ``downstream``, signed over what the
+              ``source``, sealed for the identities ``field_reach``
+              derives from the later steps, signed over what the
               sender's role may write plus ``B_NO``), or, with no
               ``fields``, re-planned from the sender's validated copy of
               ``source``, which seals and signs nothing new.
@@ -56,7 +56,6 @@ class Step:
     msg_type: str = ""
     fields: tuple[str, ...] = ()
     source: str = ""
-    downstream: tuple[Role, ...] = ()
     action: str = ""
     endorser: str = ""
     dg_only: bool = False
@@ -116,7 +115,7 @@ def export_steps(mode: str) -> tuple[Step, ...]:
         Step("delivery", "message", sender="sl1-clerk", receiver="t1-op",
              msg_type="CODECO",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
-             source="booking", downstream=(Role.CUSTOMS, Role.SHIPPING_LINE)),
+             source="booking"),
         Step("arrival_icu", "message", sender="t1-op", receiver="pcs-op",
              msg_type="ICU", source="delivery"),
         Step("arrival_codeco", "message", sender="t1-op", receiver="sl1-clerk",
@@ -126,7 +125,7 @@ def export_steps(mode: str) -> tuple[Step, ...]:
         Step("move_lcu", "message", sender="t1-op", receiver="pcs-op",
              msg_type="LCU",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA", "CNT_LOC"),
-             source="delivery", downstream=(Role.CUSTOMS,)),
+             source="delivery"),
         Step("move_pa", "message", sender="t1-op", receiver="pa-officer",
              msg_type="LCU",
              fields=("B_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA", "CNT_LOC"),
@@ -152,7 +151,7 @@ def import_steps(mode: str) -> tuple[Step, ...]:
         Step("iftmcs", "message", sender="sl1-clerk", receiver="pcs-op",
              msg_type="IFTMCS",
              fields=("B_NO", "BL_NO", "CNT_NO", "CNT_W", "DG", "CNT_C", "CSG_DATA"),
-             source="booking", downstream=(Role.CUSTOMS,)),
+             source="booking"),
         Step("port_order", "message", sender="pcs-op", receiver="t1-op",
              msg_type="PORT_ORDER", source="iftmcs"),
         Step("port_order_pa", "message", sender="pcs-op", receiver="pa-officer",
@@ -170,6 +169,33 @@ def import_steps(mode: str) -> tuple[Step, ...]:
 
 
 SCENARIOS = {"export": export_steps, "import": import_steps}
+
+
+def field_reach(script: ScenarioScript) -> dict[str, dict[str, set[str]]]:
+    """For each message step with ``fields``, the identities each of those
+    fields reaches through the run's later steps: the receivers of every
+    step that carries it on from there. A forward carries all of its
+    source's fields; a step with ``fields`` carries those it takes from its
+    source. A ``dg_only`` step counts only in a dangerous-goods run.
+
+    The script is the port's standard workflow, so this is whom a sender
+    seals a field for: the parties that will receive it, not every holder
+    of a role that may read it."""
+    reach: dict[str, dict[str, set[str]]] = {}
+    #: step -> field -> the steps with ``fields`` it came through
+    via: dict[str, dict[str, tuple[str, ...]]] = {}
+    for step in script.steps:
+        if step.kind != "message" or (step.dg_only and not script.fixtures.dangerous_goods):
+            continue
+        upstream, authored = via.get(step.source, {}), (step.name,) if step.fields else ()
+        here = via[step.name] = {}
+        for name in step.fields or upstream:
+            for author in upstream.get(name, ()):
+                reach[author][name].add(step.receiver)
+            here[name] = upstream.get(name, ()) + authored
+        if step.fields:
+            reach[step.name] = {name: set() for name in step.fields}
+    return reach
 
 
 def make_script(fixtures: FixtureSet, scenario: str, mode: str) -> ScenarioScript:
@@ -204,6 +230,7 @@ class Simulation:
         )
         #: step name -> (report, message) at the receiver
         self.inbound: dict[str, tuple[ValidationReport, SecuredMessage]] = {}
+        self.reach = field_reach(script)
 
     def run(self) -> "Simulation":
         for step in self.script.steps:
@@ -234,7 +261,7 @@ class Simulation:
                 self._compose(step),
                 self._carried(step),
                 receiver_role,
-                step.downstream,
+                self.reach[step.name],
             )
         self.deliver(step.name, step.sender, step.receiver, sm)
 

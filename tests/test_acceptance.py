@@ -213,7 +213,7 @@ def test_c06_missing_importer_signature_rejected(base_fixtures):
                   tuple((n, Plain(base_fixtures.values[n])) for n in fields))
     sm = secure_outbound(
         world.adapters["sl1-clerk"], msg, (), Role.PCS,
-        downstream=(Role.CUSTOMS,),
+        dict.fromkeys(("CNT_C", "CSG_DATA"), ("customs-officer",)),
     )
     report = validate_inbound(
         world.adapters["pcs-op"], sm, world.chain_of("sl1-clerk")

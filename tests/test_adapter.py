@@ -90,7 +90,7 @@ def make_iftmcs(world, run_id="RUN-1", values=VALUES):
         msg,
         [imp_sig],
         Role.PCS,
-        downstream={Role.CUSTOMS},
+        dict.fromkeys(("CNT_C", "CSG_DATA"), ("customs-officer",)),
     )
 
 
@@ -180,7 +180,8 @@ def test_carried_signature_checked_outbound(world):
         tuple((a, Plain(altered[a])) for a in ("B_NO", "BL_NO", "CNT_C", "CNT_W", "CSG_DATA", "CNT_NO")),
     )
     with pytest.raises(CarriedSignatureInvalid):
-        secure_outbound(sl, msg, [imp_sig], Role.PCS, downstream={Role.CUSTOMS})
+        secure_outbound(sl, msg, [imp_sig], Role.PCS,
+                        dict.fromkeys(("CNT_C", "CSG_DATA"), ("customs-officer",)))
 
 
 def test_in_transit_tamper_detected(world):
@@ -586,7 +587,7 @@ def _unwrap(world, who, sealed):
 
 
 def test_one_content_key_per_message_and_reader_set(world):
-    """To the port authority, with customs and the importer downstream:
+    """To the port authority, with customs and the importer reached later:
     B_NO is sealed for the importer alone, CNT_C and CSG_DATA for both.
     Those two share one key and its wraps, each with its own nonce; the
     importer-only group and every group of a second message get keys of
@@ -597,8 +598,8 @@ def test_one_content_key_per_message_and_reader_set(world):
     )
     keys = []
     for _ in range(2):
-        sm = secure_outbound(sl, msg, [], Role.PORT_AUTHORITY,
-                             downstream={Role.CUSTOMS, Role.IMPORTER})
+        sm = secure_outbound(sl, msg, [], Role.PORT_AUTHORITY, dict.fromkeys(
+            ("B_NO", "CNT_C", "CSG_DATA"), ("customs-officer", "importer-1")))
         b_no, cnt_c, csg = (sm.message.get(a) for a in ("B_NO", "CNT_C", "CSG_DATA"))
         assert set(b_no.wrapped_keys) == {"importer-1"}
         assert set(cnt_c.wrapped_keys) == {"customs-officer", "importer-1"}
@@ -720,6 +721,35 @@ def test_a_key_in_another_actors_table_opens_nothing(base_fixtures):
     ]
     assert findings[0][2].startswith("key unwrap failed")
     assert unwraps == [("export_declaration", "customs-officer")] * 2
+
+
+@pytest.mark.parametrize("holder, detail", [
+    ("pa-officer", "wrapped key offered to pa-officer (PORT_AUTHORITY) without read permission"),
+    ("ghost", "wrapped key offered to ghost, who is not in the directory"),
+], ids=["non-reader", "unknown"])
+def test_a_key_overshared_to_a_non_reader_is_refused_at_the_first_receiver(
+    base_fixtures, holder, detail
+):
+    """sl1-clerk adds to CNT_C at delivery a wrap of its content key for a
+    holder that may not read it: the port authority, whose role may not
+    read CNT_C, or an identity the trust view lacks. t1-op, which holds no
+    key of its own, refuses the hop on CNT_C alone, and the run halts."""
+    def overshare(world, sm):
+        sealed = sm.message.get("CNT_C")
+        key = world.adapter("sl1-clerk").content_keys[sealed.wrapped_keys["sl1-clerk"]]
+        blob = DEFAULT_SUITE.wrap_key(world.adapter("pa-officer").key_pair.public_key, key)
+        wrapped = dict(sealed.wrapped_keys, **{holder: blob})
+        return SecuredMessage(
+            sm.message.replace_field("CNT_C", Sealed(sealed.digest, sealed.ciphertext, wrapped)),
+            sm.signatures, sm.sender,
+        )
+
+    sim, _ = _export_unwraps(base_fixtures.with_values(DG="false"), overshare, at="delivery")
+    assert _findings(sim, "delivery") == (
+        "REJECT", [(FindingCode.REPRESENTATION_VIOLATION, "CNT_C", detail)]
+    )
+    assert sim.transcript.verdict == "FAIL"
+    assert "arrival_icu" not in sim.inbound
 
 
 def test_key_table_stays_at_its_bound(base_fixtures, world):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec import records
+from portsec import attacks, records
 from portsec.attacks import (
     AttackKind,
     AttackSpec,
@@ -141,6 +141,22 @@ def test_attack_against_unknown_step_is_refused(base_fixtures):
     spec = AttackSpec(AttackKind.TAMPER_FIELD, step="teleport", attribute="CNT_W")
     with pytest.raises(TargetUnresolved):
         inject_attack(base_fixtures, "export", spec, "p2p")
+
+
+@pytest.mark.parametrize("mode", ["p2p", "ledger"])
+@pytest.mark.parametrize("spec, match", [
+    (AttackSpec(AttackKind.TAMPER_FIELD, step="teleport", attribute="ZZZ"),
+     "scenario export has no message step teleport"),
+    (AttackSpec(AttackKind.ATTR_SWAP, step="create"), "scenario export has no message step create"),
+    (AttackSpec(AttackKind.TAMPER_FIELD, attribute="ZZZ"), "access matrix holds no attribute ZZZ"),
+], ids=["step-and-attribute", "ledger-step", "attribute"])
+def test_a_target_the_scenario_lacks_is_refused_before_either_mode_runs(
+    base_fixtures, monkeypatch, spec, match, mode
+):
+    # no run may start: the refusal comes first, in both modes
+    monkeypatch.setattr(attacks, "run_scenario", None)
+    with pytest.raises(TargetUnresolved, match=match):
+        inject_attack(base_fixtures, "export", spec, mode)
 
 
 @pytest.mark.parametrize("spec, match", [

@@ -131,6 +131,19 @@ def test_attack_spec_with_a_repeated_field_exits_two(cli_files, tmp_path, capsys
     assert "repeated ATK field 'attribute'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["p2p", "ledger"])
+def test_attack_on_a_step_the_scenario_lacks_exits_two(cli_files, tmp_path, capsys, mode):
+    spec = tmp_path / "teleport.atk"
+    spec.write_bytes(b"ATK+TAMPER_FIELD+step+teleport+attribute+ZZZ'\n")
+    with pytest.raises(SystemExit) as err:
+        main(["attack", "--scenario", "export", "--mode", mode,
+              "--fixtures", str(cli_files["fixtures"]), "--spec", str(spec)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert "scenario export has no message step teleport" in errors
+    assert "DETECTED" not in out
+
+
 def test_attack_detected_exits_zero(cli_files, capsys):
     code = main(["attack", "--scenario", "export", "--mode", "p2p",
                  "--fixtures", str(cli_files["fixtures"]),

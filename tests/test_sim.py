@@ -2,17 +2,20 @@
 and the confidentiality audit over wire evidence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portsec import adapter, envelope, ledger, pki
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
 from portsec.fixtures import build_world
-from portsec.model import HashOnly, from_flat
-from portsec.policy import Action, Role, default_matrix
+from portsec.model import HashOnly, Sealed, from_flat
+from portsec.policy import Action, Role, SenderCannotRead, default_matrix, load_policy
 from portsec.sim import (
     ScenarioError,
     ScenarioScript,
     Simulation,
     Step,
+    field_reach,
     make_script,
     run_scenario,
 )
@@ -166,7 +169,7 @@ def _fresh_booking(fx, tag):
 
 
 @pytest.mark.parametrize(
-    "scenario, carried, wraps, unwraps", [("export", 5, 3, 1), ("import", 4, 1, 1)]
+    "scenario, carried, wraps, unwraps", [("export", 5, 2, 1), ("import", 4, 1, 1)]
 )
 def test_crypto_counts_of_one_booking_on_a_warm_world(
     base_fixtures, counting_suite, monkeypatch, scenario, carried, wraps, unwraps
@@ -297,6 +300,107 @@ def test_pcs_never_sees_commercial_fields(honest_sims):
         assert views.exposure.get("pcs-op", frozenset()) & COMMERCIAL == frozenset()
         # PCS still relays the digests: the fields transit without exposure
         assert COMMERCIAL <= transit(t).get("pcs-op", frozenset())
+
+
+@pytest.mark.parametrize("dg", ["false", "true"])
+@pytest.mark.parametrize("scenario, holders", [
+    ("export", {"customs-officer", "sl1-clerk"}),
+    ("import", {"customs-officer"}),
+])
+def test_a_sealed_field_is_held_by_the_parties_the_script_delivers_it_to(
+    base_fixtures, scenario, holders, dg
+):
+    """Every sealed field on every hop of an honest run wraps its key for
+    exactly the identities later steps deliver it to and whose role may
+    read it: customs and the booking's own shipping line in export,
+    customs alone in import. sl2-clerk, a shipping line that takes no part,
+    holds no key anywhere."""
+    sim = run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p")
+    assert sim.transcript.verdict == "PASS"
+    sealed = [
+        (ev.step, name, set(value.wrapped_keys))
+        for ev in sim.transcript.sent_events()
+        for name, value in ev.message.message.fields
+        if isinstance(value, Sealed)
+    ]
+    assert {name for _, name, _ in sealed} == COMMERCIAL
+    assert all(keys == holders for _, _, keys in sealed), sealed
+
+
+def test_field_reach_follows_forwards_and_only_the_copies_that_run(base_fixtures):
+    """delivery's CNT_C reaches pcs-op and sl1-clerk through forwards and
+    customs through move_lcu, which takes it from delivery, and the port
+    authority only when its dangerous-goods copies run. Reach counts later
+    steps only, so no step reaches its own receiver by itself."""
+    for dg, copies in (("false", set()), ("true", {"pa-officer"})):
+        reach = field_reach(make_script(base_fixtures.with_values(DG=dg), "export", "p2p"))
+        assert reach["delivery"]["CNT_C"] == {"pcs-op", "sl1-clerk", "customs-officer"} | copies
+        assert reach["move_lcu"]["CNT_LOC"] == {"customs-officer"}
+        assert reach["clearance"]["CLR"] == {"t1-op", "sl1-clerk"}
+        assert set(reach) == {"booking_ref", "booking", "delivery", "move_lcu", "clearance"} | (
+            {"move_pa"} if copies else set())
+
+
+@st.composite
+def _policies(draw) -> str:
+    """A policy document. Each attribute's column is drawn one time in four
+    cell by cell from -, R and RW, with at least one writer, as load_policy
+    requires; otherwise it keeps the default policy's cells, so that most
+    runs get past their first hops to where fields are sealed."""
+    default, lines = default_matrix(), []
+    for attr in default.attributes:
+        drawn = draw(st.integers(0, 3)) == 0
+        writer = draw(st.sampled_from(list(Role)))
+        for role in Role:
+            if not drawn:
+                perm = ("RW" if role in default.writers_of(attr) else
+                        "R" if role in default.readers_of(attr) else "-")
+            else:
+                perm = "RW" if role is writer else draw(st.sampled_from(["-", "R", "RW"]))
+            lines.append(f"{role.value} {attr} {perm}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=max(25, settings.default.max_examples // 4))
+@given(policy=_policies(), dg=st.booleans())
+def test_under_any_matrix_a_sealed_field_is_held_by_its_derived_readers(
+    base_fixtures, policy, dg
+):
+    """Under a random access matrix a run either refuses to send plaintext
+    its sender may not read, or every sealed field on every sent hop wraps
+    its key for exactly the identities field_reach derives for it whose
+    role may read it. When the run passes, those are also the receivers of
+    the hops that carry the sealed value and whose role may read it."""
+    matrix = load_policy(policy)
+    fixtures = base_fixtures.with_values(DG=str(dg).lower())
+    for scenario in ("export", "import"):
+        world = build_world(fixtures)
+        world.matrix = matrix
+        for state in world.adapters.values():
+            state.matrix = matrix
+        try:
+            sim = run_scenario(fixtures, scenario, "p2p", world=world)
+        except SenderCannotRead:
+            continue
+        roles = {ident: state.role for ident, state in world.adapters.items()}
+        sealed_at: dict[bytes, str] = {}
+        held: dict[bytes, set[str]] = {}
+        carried_to: dict[bytes, set[str]] = {}
+        for ev in sim.transcript.sent_events():
+            for name, value in ev.message.message.fields:
+                if not isinstance(value, Sealed):
+                    continue
+                # a sealed value passes on as it is: its first hop sealed it
+                step = sealed_at.setdefault(value.ciphertext, ev.step)
+                readers = matrix.readers_of(name)
+                held[value.ciphertext] = set(value.wrapped_keys)
+                assert held[value.ciphertext] == {
+                    i for i in sim.reach[step][name] if roles[i] in readers
+                }, (scenario, ev.step, name)
+                if roles[ev.receiver] in readers:
+                    carried_to.setdefault(value.ciphertext, set()).add(ev.receiver)
+        if sim.transcript.verdict == "PASS":
+            assert held == {c: carried_to.get(c, set()) for c in held}, scenario
 
 
 def test_customs_receives_booking_number_as_digest_only(honest_sims):
