@@ -179,13 +179,16 @@ def inject_attack(
     """Run the scenario with the attack applied; report whether, where,
     and how it was caught. A spec field the kind does not read, see
     ``KIND_FIELDS``, a ``step`` that names no message step of the scenario
-    and an ``attribute`` the access matrix does not hold raise
-    TargetUnresolved in either mode, before anything runs."""
+    and an ``attribute``, or ATTR_SWAP's second one in ``payload``, that
+    the access matrix does not hold raise TargetUnresolved in either mode,
+    before anything runs."""
     _refuse_unread_fields(spec)
     if spec.step and spec.step not in _MESSAGE_STEPS.get(scenario, ()):
         raise TargetUnresolved(f"scenario {scenario} has no message step {spec.step}")
-    if spec.attribute and spec.attribute not in default_matrix().attributes:
-        raise TargetUnresolved(f"the access matrix holds no attribute {spec.attribute}")
+    swapped = spec.payload if spec.kind is AttackKind.ATTR_SWAP else ""
+    for name in filter(None, (spec.attribute, swapped)):
+        if name not in default_matrix().attributes:
+            raise TargetUnresolved(f"the access matrix holds no attribute {name}")
     if mode == "ledger":
         return _inject_ledger(fixtures, scenario, spec)
     return _inject_p2p(fixtures, scenario, spec)

@@ -40,7 +40,8 @@ ORDERER_ROLE = "ORDERER"
 
 #: Fewest blocks ``verify_exported`` hands to a forked child. A fork and
 #: its pipe round trip cost 2.6-4.1 ms on a 2-vCPU host, as much as ~100
-#: RSA-2048 verifies there; 67 blocks of three checks, twice that, repay it.
+#: RSA-2048 verifies there; 67 blocks of two checks (an invoker's and an
+#: endorsement; the orderer's is one per chain) exceed that.
 FORK_MIN_BLOCKS = 67
 
 
@@ -747,19 +748,24 @@ def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transac
 
 def verify_exported(exported: ExportedChain) -> ChainVerification:
     """Full offline audit: certificate integrity, the orderer's role, hash
-    links from the baseline digest on, orderer signatures, and each
-    transaction's ``_admit``. It reads no net's record of passed checks:
-    the head and the blocks share one fresh record.
+    links from the baseline digest on, each transaction's ``_admit``, and
+    the last block's orderer signature, which vouches for every earlier
+    block (``_verify_blocks``): an honest chain costs one orderer verify.
+    It reads no net's record of passed checks: the head and the blocks
+    share one fresh record.
 
     Once the head checks pass, a long chain is split at its middle block,
     ``_split_point``: a forked child (``_Child``) checks the blocks from
-    there on while this process checks the blocks before them, each half
-    one ``_verify_blocks`` call given its first block and replay state.
-    Only when its own blocks pass does this process read the child's
-    verdict, and it checks the child's blocks itself when no whole verdict
-    arrives, so the verdict, its block and its reason are the sequential
-    rule's. No child outlives the call: it is reaped before the call
-    returns, and killed if it still runs."""
+    there on, the last block's orderer signature among them, while this
+    process checks the blocks before them without vouching for them, each
+    half one ``_verify_blocks`` call given its first block and replay
+    state. Only when its own blocks pass does this process read the
+    child's verdict, and it checks the child's blocks itself when no whole
+    verdict arrives. A failure there is preceded by this process's own
+    blocks' orderer signatures, checked in order, so the verdict, its
+    block and its reason are the one-process rule's. No child outlives the
+    call: it is reaped before the call returns, and killed if it still
+    runs."""
     passed: set[tuple] = set()
     bad_head = _check_head(exported, passed)
     if bad_head is not None:
@@ -772,9 +778,12 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
         except OSError:
             k = len(blocks)  # this process checks every block
     try:
-        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, state, passed)
+        res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, state, passed, child is None)
         if res is None and child is not None:
-            res = child.verdict() or _verify_blocks(exported, k, state, passed)
+            res = (child.verdict() or _verify_blocks(exported, k, state, passed)
+                   or ChainVerification(True))
+            if not res.valid:  # a broken orderer signature in this half comes first
+                res = _broken_orderer(exported, 0, k, passed) or res
     finally:
         if child is not None:
             child.close()
@@ -882,32 +891,58 @@ def _verify_blocks(
     start: int,
     state: dict[str, ContainerAsset],
     passed: set[tuple],
+    vouch: bool = True,
 ) -> ChainVerification | None:
     """Check ``exported.blocks[start:]``, ``state`` being the replay state
     before block ``start``. The first links to the link digest of block
     ``start`` - 1, or at block 0 to ``_state_digest(state)``; each
     transaction must meet ``_admit`` against the head's certificates,
-    replayed into ``state``. Returns the failure, or None when every block
-    checks. Each block's and transaction's digests are the ones it
-    remembers (``_digests``, ``_tx_digests``); signature checks go through
-    ``_signed`` on ``passed``."""
-    orderer_cert = exported.certs[exported.orderer_identity]
-    prev = _digests(exported.blocks[start - 1])[1] if start else _state_digest(state)
-    for pos, block in enumerate(exported.blocks[start:], start):
+    replayed into ``state``; then, if ``vouch``, the last block's orderer
+    signature, which covers every earlier byte through the links. Returns
+    the failure, or None when every block checks.
+
+    Only a failure checks orderer signatures one by one, in order from
+    block ``start`` up to the failing block, and that block's own when
+    ``_admit`` failed there; no ``_admit`` runs again. The first broken one
+    is the verdict. So each chain gets the sequential rule's verdict
+    (index, link, orderer signature, ``_admit``, block by block), except
+    one whose later blocks the orderer's key signed over a broken orderer
+    signature: it is valid. Digests are the ones each block and
+    transaction remembers (``_digests``, ``_tx_digests``); signature
+    checks go through ``_signed`` on ``passed``."""
+    blocks, res = exported.blocks, None
+    prev = _digests(blocks[start - 1])[1] if start else _state_digest(state)
+    for pos, block in enumerate(blocks[start:], start):
         idx = block.index
         if idx != pos:
-            return ChainVerification(False, idx, "non-consecutive block index")
-        if block.prev_hash != prev:
-            return ChainVerification(False, idx, "previous-hash link broken")
-        payload, link = _digests(block)
-        if not _signed(passed, orderer_cert.public_key, payload, block.orderer_signature):
-            return ChainVerification(False, idx, "orderer signature broken")
-        for tx in block.transactions:
+            res = ChainVerification(False, idx, "non-consecutive block index")
+        elif block.prev_hash != prev:
+            res = ChainVerification(False, idx, "previous-hash link broken")
+        else:
             try:
-                _admit(tx, state, exported.certs, passed)
-            except LedgerError as exc:
-                return ChainVerification(False, idx, str(exc))
-        prev = link
+                for tx in block.transactions:
+                    _admit(tx, state, exported.certs, passed)
+            except LedgerError as exc:  # the sequential rule checked this block's signature
+                res, pos = ChainVerification(False, idx, str(exc)), pos + 1
+        if res is not None:
+            return _broken_orderer(exported, start, pos, passed) or res
+        prev = _digests(block)[1]
+    end = len(blocks)
+    if not vouch or start == end:
+        return None
+    res = _broken_orderer(exported, end - 1, end, passed)
+    return res and (_broken_orderer(exported, start, end - 1, passed) or res)
+
+
+def _broken_orderer(exported: ExportedChain, start: int, end: int,
+                    passed: set[tuple]) -> ChainVerification | None:
+    """The failure of the first of ``exported.blocks[start:end]`` whose
+    orderer signature does not verify under the head's orderer
+    certificate, or None."""
+    key = exported.certs[exported.orderer_identity].public_key
+    for block in exported.blocks[start:end]:
+        if not _signed(passed, key, _digests(block)[0], block.orderer_signature):
+            return ChainVerification(False, block.index, "orderer signature broken")
     return None
 
 
@@ -927,9 +962,11 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     replay state; any other head change starts at block 0. A signature
     check in the net's record (``LedgerNet._passed``) is not run again,
     head certificates included; the record is emptied at each valid call.
-    A warm call over committed blocks makes no RSA verification, and a
-    net's first call checks only the head certificates that no ``submit``
-    or ``endorse`` recorded. ``verify_exported`` re-checks everything.
+    The orderer's signature is checked on the last block only, under
+    ``_verify_blocks``' rule, and ``_sign_block`` recorded it. A warm call
+    over committed blocks makes no RSA verification, and a net's first
+    call checks only the head certificates that no ``submit`` or
+    ``endorse`` recorded. ``verify_exported`` re-checks everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)

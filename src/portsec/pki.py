@@ -152,8 +152,10 @@ def cert_to_wire(cert: Certificate) -> bytes:
 
 
 def cert_from_record(rec: records.Record) -> Certificate:
-    """A CERT record's certificate; the file reader checks its tag and count."""
-    return Certificate(
+    """A CERT record's certificate; the file reader checks its tag and
+    count. It remembers its ``body_digest``, hashed from the record's
+    elements: one byte form makes them, joined, its ``body_bytes``."""
+    cert = Certificate(
         serial=rec.int(1, 1),
         subject=rec.text(2),
         org=rec.text(3),
@@ -164,6 +166,8 @@ def cert_from_record(rec: records.Record) -> Certificate:
         public_key=rec.b64(8),
         signature=rec.b64(9),
     )
+    object.__setattr__(cert, "_digest", DEFAULT_SUITE.digest(b"+".join(rec.elems[:9])))
+    return cert
 
 
 def create_root(name: str, validity: tuple[int, int]) -> CaState:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import records
 from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE
-from .model import ModelError, ParseError, SecuredMessage, from_flat
+from .model import ModelError, ParseError, Sealed, SecuredMessage, from_flat
 
 TRANSCRIPT_VERSION = "1"
 
@@ -260,7 +260,10 @@ def determinism_digest(t: Transcript) -> bytes:
     acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            masked = _masked_flat(ev.flat)
+            # a hop whose message holds no sealed value is its own masked form
+            fields = ev.message.message.fields
+            masked = (_masked_flat(ev.flat) if any(isinstance(v, Sealed) for _, v in fields)
+                      else ev.flat)
             acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
         elif isinstance(ev, ValidatedEvent):
             acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())

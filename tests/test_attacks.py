@@ -149,7 +149,9 @@ def test_attack_against_unknown_step_is_refused(base_fixtures):
      "scenario export has no message step teleport"),
     (AttackSpec(AttackKind.ATTR_SWAP, step="create"), "scenario export has no message step create"),
     (AttackSpec(AttackKind.TAMPER_FIELD, attribute="ZZZ"), "access matrix holds no attribute ZZZ"),
-], ids=["step-and-attribute", "ledger-step", "attribute"])
+    # ATTR_SWAP's second attribute rides in its payload
+    (AttackSpec(AttackKind.ATTR_SWAP, payload="ZZZ"), "access matrix holds no attribute ZZZ"),
+], ids=["step-and-attribute", "ledger-step", "attribute", "swap-payload"])
 def test_a_target_the_scenario_lacks_is_refused_before_either_mode_runs(
     base_fixtures, monkeypatch, spec, match, mode
 ):

@@ -133,15 +133,23 @@ def test_attack_spec_with_a_repeated_field_exits_two(cli_files, tmp_path, capsys
 
 @pytest.mark.parametrize("mode", ["p2p", "ledger"])
 def test_attack_on_a_step_the_scenario_lacks_exits_two(cli_files, tmp_path, capsys, mode):
-    spec = tmp_path / "teleport.atk"
-    spec.write_bytes(b"ATK+TAMPER_FIELD+step+teleport+attribute+ZZZ'\n")
-    with pytest.raises(SystemExit) as err:
-        main(["attack", "--scenario", "export", "--mode", mode,
-              "--fixtures", str(cli_files["fixtures"]), "--spec", str(spec)])
-    assert err.value.code == 2
-    out, errors = capsys.readouterr()
-    assert "scenario export has no message step teleport" in errors
-    assert "DETECTED" not in out
+    """A spec naming a step or an attribute the scenario lacks is refused
+    in either mode, before it runs, ATTR_SWAP's second attribute (its
+    payload) included."""
+    spec = tmp_path / "target.atk"
+    for text, refusal in (
+        (b"ATK+TAMPER_FIELD+step+teleport+attribute+ZZZ'\n",
+         "scenario export has no message step teleport"),
+        (b"ATK+ATTR_SWAP+payload+ZZZ'\n", "the access matrix holds no attribute ZZZ"),
+    ):
+        spec.write_bytes(text)
+        with pytest.raises(SystemExit) as err:
+            main(["attack", "--scenario", "export", "--mode", mode,
+                  "--fixtures", str(cli_files["fixtures"]), "--spec", str(spec)])
+        assert err.value.code == 2
+        out, errors = capsys.readouterr()
+        assert refusal in errors
+        assert "DETECTED" not in out
 
 
 def test_attack_detected_exits_zero(cli_files, capsys):

@@ -3,7 +3,8 @@
 import os
 import threading
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -670,10 +671,17 @@ def counted(world, counting_suite):
     return world, net
 
 
+def _txn_verifies(blocks):
+    """Signature checks the blocks' transactions need: per transaction the
+    invoker's and one per endorsement."""
+    return sum(1 + len(tx.endorsements) for b in blocks for tx in b.transactions)
+
+
 def _block_verifies(blocks):
-    """Signature checks one block needs: the orderer's, then per
-    transaction the invoker's and one per endorsement."""
-    return sum(1 + sum(1 + len(tx.endorsements) for tx in b.transactions) for b in blocks)
+    """Signature checks the blocks need one by one: per block the
+    orderer's and its transactions'. A verify that finds the chain valid
+    checks the orderer's on the last block only."""
+    return len(blocks) + _txn_verifies(blocks)
 
 
 def _verifies_during(counts, call):
@@ -741,7 +749,7 @@ def test_offline_verify_ignores_the_watermark(counted, counting_suite):
     exported = parse_chain(export_chain(net))
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
-    assert verifies == len(exported.certs) + _block_verifies(net.chain)
+    assert verifies == len(exported.certs) + _txn_verifies(net.chain) + 1
 
 
 # --- the net's record of passed signature checks -------------------------------
@@ -771,14 +779,15 @@ def test_offline_verify_ignores_the_record(counted, counting_suite):
     exported = parse_chain(export_chain(net))
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
-    assert verifies == len(exported.certs) + _block_verifies(net.chain)
+    assert verifies == len(exported.certs) + _txn_verifies(net.chain) + 1
 
 
 def test_a_cold_verify_runs_only_the_checks_the_record_lacks(counted, counting_suite):
-    """With the watermark gone, the blocks checked before it and the head
-    certificates no submit or endorsement recorded (the orderer's and its
-    CA's) are checked again; the new blocks' checks and the other
-    certificate links are read from the record."""
+    """With the watermark gone, the transactions of the blocks checked
+    before it and the head certificates no submit or endorsement recorded
+    (the orderer's and its CA's) are checked again; the new blocks' checks,
+    the last block's orderer signature, which vouches for the earlier
+    blocks, and the other certificate links are read from the record."""
     world, net = counted
     checked = len(net.chain)
     full_lifecycle(world, net, cnt_no="MSCU7654321")
@@ -788,7 +797,7 @@ def test_a_cold_verify_runs_only_the_checks_the_record_lacks(counted, counting_s
     assert lacking == 2
     res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
     assert res.valid, res.reason
-    assert verifies == lacking + _block_verifies(net.chain[:checked])
+    assert verifies == lacking + _txn_verifies(net.chain[:checked])
 
 
 def test_only_a_valid_verify_empties_the_record(world, net):
@@ -902,13 +911,11 @@ def test_a_grown_head_checks_its_new_certificates(world, net, checked_signatures
         False, None, "t2-op: certificate signature broken")
 
 
-def _signatures(blocks):
-    """Every signature ``blocks`` carry: each orderer's, invoker's and
-    endorser's."""
-    return [sig for b in blocks for sig in (
-        b.orderer_signature,
-        *(s for tx in b.transactions for s in (tx.invoker_signature,
-                                               *(e for _, e in tx.endorsements))))]
+def _txn_signatures(blocks):
+    """Every signature the transactions of ``blocks`` carry: each
+    invoker's and endorser's."""
+    return [s for b in blocks for tx in b.transactions
+            for s in (tx.invoker_signature, *(e for _, e in tx.endorsements))]
 
 
 @pytest.mark.parametrize("subject", ["t1-op", "T1-CA"])
@@ -927,9 +934,11 @@ def test_an_edited_old_certificate_fails_at_the_head(world, net, subject):
 def test_a_reissued_old_certificate_forces_the_full_check(world, net, checked_signatures):
     """A valid re-issue of a checked CA certificate changes its bytes, so
     the next verify starts at block 0: it checks the earlier blocks'
-    signatures and every head certificate the record lacks for real."""
+    transaction signatures and every head certificate the record lacks for
+    real. The last block's orderer signature, which the record holds,
+    vouches for the earlier blocks'."""
     _gain_an_identity(world, net)
-    earlier = _signatures(net._verified.blocks)
+    earlier = _txn_signatures(net._verified.blocks)
     cert = net.trust.chains["t1-op"][1]
     assert cert.subject == "T1-CA"
     reissued = world.trust.cas[cert.issuer].issue(
@@ -1290,14 +1299,21 @@ def encoded(monkeypatch):
 
 
 def test_parse_chain_encodes_nothing(world, net, encoded):
-    """Parsing an export encodes no record, and its offline verify encodes
-    only the head's certificate bodies, which it checks."""
+    """Parsing an export encodes no record, and neither does its offline
+    verify: each parsed certificate remembers the body digest of the record
+    it was read from, which is the digest of its canonical encoding. A
+    ``replace`` copy hashes its own bytes again."""
     full_lifecycle(world, net)
     data = export_chain(net)
     encoded.clear()
     parsed = parse_chain(data)
     assert encoded == []
     assert verify_exported(parsed).valid
+    assert encoded == []
+    for cert in parsed.certs.values():
+        copy = replace(cert)
+        assert copy._digest is None
+        assert copy.body_digest() == cert._digest
     assert encoded == ["CERT"] * len(parsed.certs)
 
 
@@ -1413,15 +1429,15 @@ def _verdicts(net, chain, k, states):
     return [(r.valid, r.first_bad_block, r.reason) for r in (cold, warm, grown, offline)]
 
 
-def _in_place_verdict(net, i, block):
+def _in_place_verdict(net, i, chain):
     """(valid, first bad block, reason) of ``verify_chain`` on ``net``
-    itself, with its record and watermark, while ``net.chain[i]`` is
-    ``block``."""
-    kept, net.chain[i] = net.chain[i], block
+    itself, with its record and watermark, while its blocks from ``i`` on
+    are ``chain``'s."""
+    kept, net.chain[i:] = net.chain[i:], chain[i:]
     try:
         r = verify_chain(net)
     finally:
-        net.chain[i] = kept
+        net.chain[i:] = kept
     return r.valid, r.first_bad_block, r.reason
 
 
@@ -1459,28 +1475,35 @@ def _edit_a_recorded_certificate(world, net, states, pick):
 def _edits(chain, picks):
     """One ``replace`` edit per kind, each of a block chosen by ``picks``,
     then the last block's orderer signature, so that an unverified last
-    batch is always edited: (block index, edited block)."""
+    batch is always edited, then a block's orderer signature with every
+    later link recomputed: (first edited block, edited chain)."""
     def pick(candidates, n):
         return candidates[picks[n] % len(candidates)]
 
+    def one(i, block):
+        return i, [*chain[:i], block, *chain[i + 1:]]
+
     later = range(1, len(chain))
     i = pick(later, 0)
-    yield i, replace(chain[i], prev_hash=_flip(chain[i].prev_hash))
+    yield one(i, replace(chain[i], prev_hash=_flip(chain[i].prev_hash)))
     i = pick(later, 1)
-    yield i, replace(chain[i], orderer_signature=_flip(chain[i].orderer_signature))
+    yield one(i, replace(chain[i], orderer_signature=_flip(chain[i].orderer_signature)))
     i = pick([j for j in later if chain[j].transactions[0].args], 2)
     tx, *rest = chain[i].transactions
     (key, value), *more = tx.args
-    yield i, replace(chain[i], transactions=(
+    yield one(i, replace(chain[i], transactions=(
         replace(tx, args=((key, value + "?"), *more)), *rest
-    ))
+    )))
     i = pick(later, 3)
     tx, *rest = chain[i].transactions
     (ident, sig), *more = tx.endorsements
-    yield i, replace(chain[i], transactions=(
+    yield one(i, replace(chain[i], transactions=(
         replace(tx, endorsements=((ident, _flip(sig)), *more)), *rest
-    ))
-    yield len(chain) - 1, replace(chain[-1], orderer_signature=_flip(chain[-1].orderer_signature))
+    )))
+    yield one(len(chain) - 1,
+              replace(chain[-1], orderer_signature=_flip(chain[-1].orderer_signature)))
+    i = pick(range(1, len(chain) - 1), 0)
+    yield i, _relinked(chain, i)
 
 
 _batches = st.lists(st.lists(_op, min_size=1, max_size=2), min_size=1, max_size=5)
@@ -1524,9 +1547,11 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     the export parses back to the committed blocks, no committed block is
     rejected, and the cold live, warm live and offline verifiers, and the
     net's own verifier reading its record of the last, unverified batch,
-    give the same verdict on the chain and on each single-field edit of
-    it; so does a warm live verifier whose head gained certificates since
-    its last valid call."""
+    give the same verdict on the chain, on each single-field edit of it
+    and on a broken orderer signature whose later links are recomputed;
+    so does a warm live verifier whose head gained certificates since
+    its last valid call. All of them call valid the chain whose later
+    blocks the orderer's key signed over a broken orderer signature."""
     _agree(shared_world, batches, picks)
 
 
@@ -1550,10 +1575,9 @@ def _agree(world, batches, picks):
     assert parsed.blocks == tuple(net.chain)
     unverified = net.chain[len(net._verified.blocks):]
     marks = sorted(states)
-    for i, block in _edits(net.chain, picks):
-        edited = [*net.chain[:i], block, *net.chain[i + 1:]]
+    for i, edited in _edits(net.chain, picks):
         k = max(m for m in marks if m <= i)
-        verdicts = [*_verdicts(net, edited, k, states), _in_place_verdict(net, i, block)]
+        verdicts = [*_verdicts(net, edited, k, states), _in_place_verdict(net, i, edited)]
         assert len(set(verdicts)) == 1, verdicts
         assert not verdicts[0][0]
     # an invalid verify leaves the record, so each edit above could read it
@@ -1566,6 +1590,12 @@ def _agree(world, batches, picks):
     verdicts = [*_verdicts(net, net.chain, k, states), (own.valid, own.first_bad_block, own.reason)]
     assert verdicts == [(True, None, "")] * 5
     assert replace(parsed, blocks=()) == net._verified.head
+    # the orderer's key signs over a block whose orderer signature it broke
+    i = 1 + picks[1] % (len(net.chain) - 2)
+    over = _signed_over(net, i)
+    k = max(m for m in marks if m <= i)
+    verdicts = [*_verdicts(net, over, k, states), _in_place_verdict(net, i, over)]
+    assert verdicts == [(True, None, "")] * 5
 
 
 @settings(max_examples=10)
@@ -1573,8 +1603,9 @@ def _agree(world, batches, picks):
 def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches):
     """Over the differential's chains, and their CRLF and indented
     re-writes, each parsed block remembers the digests of its canonical
-    re-encoding and each parsed transaction the body it encodes to; a
-    header naming another suite still fails at the head."""
+    re-encoding, each parsed transaction the body it encodes to and each
+    parsed certificate the digest of its body; a header naming another
+    suite still fails at the head."""
     net, _ = _grow(shared_world, batches)
     data = export_chain(net)
     indented = b"".join(b" \t" + line for line in data.splitlines(keepends=True))
@@ -1585,6 +1616,8 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
             assert block._memo == ledger._digests(replace(block))
             for tx in block.transactions:
                 assert tx.body_bytes() == replace(tx).body_bytes()
+        for cert in parsed.certs.values():
+            assert cert._digest == replace(cert).body_digest()
         other = parse_chain(text.replace(DEFAULT_SUITE.suite_id.encode(), b"OTHER", 1))
         res = verify_exported(other)
         assert (res.valid, res.first_bad_block, res.reason) == (
@@ -1662,6 +1695,12 @@ def _flipped_endorsement(i):
     return edit
 
 
+def _relinked_from(i):
+    def edit(world, net):
+        net.chain[:] = _relinked(net.chain, i)
+    return edit
+
+
 def _broken_link(i):
     def edit(world, net):
         net.chain[i] = replace(net.chain[i], prev_hash=_flip(net.chain[i].prev_hash))
@@ -1694,6 +1733,10 @@ SPLITS = {
     "previous-hash-child": (_broken_link(5), (False, 5, "previous-hash link broken"), "child"),
     "stale-gate-child": (_replayed_last, (False, 9, "replay gate failure: LOAD requires "
                                                     "state CLEARED, asset is LOADED"), "child"),
+    # every link holds, so only the last block's orderer signature fails
+    # the walk; the ones before it are checked in order, the caller's first
+    "relinked-caller": (_relinked_from(2), (False, 2, "orderer signature broken"), "caller"),
+    "relinked-child": (_relinked_from(6), (False, 6, "orderer signature broken"), "child"),
     # the child's verdict names block 7; the caller's own half fails first
     "both-halves": (_both(_flipped_endorsement(2), _flipped_orderer_signature(7)),
                     (False, 2, "endorsement by pcs-op broken"), "caller"),
@@ -1705,7 +1748,9 @@ def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite
     """Split between this process and one child, an offline verify gives
     the inline verdict, a failure in either half included, and leaves no
     child behind. When this process's half passes, the verdict is the
-    child's: this process checks none of the child's blocks."""
+    child's: this process checks none of the child's blocks. The child
+    checks the last block's orderer signature, so this process checks its
+    own blocks' only when the child reports a failure."""
     edit, verdict, side = SPLITS[case]
     edit(world, long_net)
     data = export_chain(long_net)
@@ -1717,8 +1762,10 @@ def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite
     assert len(pids) == 1 and 0 < k < len(exported.blocks)
     if side is not None:
         assert (verdict[1] >= k) == (side == "child")
-    if side != "caller":
+    if side == "child":
         assert verifies == len(exported.certs) + _block_verifies(exported.blocks[:k])
+    elif side is None:
+        assert verifies == len(exported.certs) + _txn_verifies(exported.blocks[:k])
     for res in (inline, split):
         assert (res.valid, res.first_bad_block, res.reason) == verdict
     _no_child_left()
@@ -1749,14 +1796,15 @@ def test_a_split_at_any_block_gives_the_inline_verdict(world, long_net, case):
 
 
 def test_the_caller_runs_no_check_a_child_proved(long_net, counting_suite, forked):
-    """This process verifies the head's certificates and the checks of its
-    own half, and takes the child's verdict on the rest."""
+    """This process verifies the head's certificates and the transactions
+    of its own half, and takes the child's verdict on the rest, whose last
+    orderer signature vouches for this process's blocks too."""
     exported = parse_chain(export_chain(long_net))
     k = ledger._split_point(exported.blocks)
     res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert res.valid, res.reason
     assert len(forked) == 1 and 0 < k < len(long_net.chain)
-    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:k])
+    assert verifies == len(exported.certs) + _txn_verifies(long_net.chain[:k])
 
 
 def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, forked):
@@ -1774,7 +1822,9 @@ def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, fork
 
 def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_suite, forked):
     """A child that fails before it writes gives no verdict: this process
-    checks the child's blocks, and the forged block there fails inline."""
+    checks the child's blocks, and the forged block there fails inline.
+    The walk admits block 7 before block 8's link breaks; then the orderer
+    signatures of blocks 0-7 are checked, the child's first."""
     _flipped_orderer_signature(7)(world, long_net)
     exported = parse_chain(export_chain(long_net))
 
@@ -1785,7 +1835,7 @@ def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_su
         res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert len(forked) == 1
     assert (res.valid, res.first_bad_block, res.reason) == (False, 7, "orderer signature broken")
-    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:8])
     _no_child_left()
 
 
@@ -1794,7 +1844,7 @@ def test_a_short_write_gives_no_verdict(world, long_net, counting_suite, forked,
                                         forged):
     """A child that exits 0 after writing all of its verdict but the last
     byte gives none: this process checks the child's blocks itself, up to
-    the forged block 7 or to the end."""
+    block 8, whose link to the forged block 7 breaks, or to the end."""
     if forged is not None:
         _flipped_orderer_signature(forged)(world, long_net)
     exported = parse_chain(export_chain(long_net))
@@ -1811,11 +1861,11 @@ def test_a_short_write_gives_no_verdict(world, long_net, counting_suite, forked,
     assert len(forked) == 1
     if forged is None:
         assert res.valid, res.reason
-        assert verifies == len(exported.certs) + _block_verifies(long_net.chain)
+        assert verifies == len(exported.certs) + _txn_verifies(long_net.chain) + 1
     else:
         assert (res.valid, res.first_bad_block, res.reason) == (
             False, 7, "orderer signature broken")
-        assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
+        assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:8])
     _no_child_left()
 
 
@@ -1829,8 +1879,9 @@ def test_a_fork_that_fails_leaves_every_check_inline(world, long_net, counting_s
     with _forking(), patch.object(os, "fork", fails):
         res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert (res.valid, res.first_bad_block, res.reason) == (False, 7, "orderer signature broken")
-    # every check up to block 7's orderer signature, where it stops
-    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:7]) + 1
+    # every check of blocks 0-7: block 8's link breaks, and then the
+    # orderer signatures are checked up to block 7's
+    assert verifies == len(exported.certs) + _block_verifies(long_net.chain[:8])
     _no_child_left()
 
 
@@ -1857,3 +1908,127 @@ def test_a_one_cpu_affinity_forks_nothing(long_net):
     assert k == len(exported.blocks)
     with _forking(cpus=2):
         assert ledger._split_point(exported.blocks) < len(exported.blocks)  # the CPUs alone
+
+
+# --- one orderer signature vouches for the chain -----------------------------
+
+
+def _relinked(chain, i):
+    """``chain`` with block ``i``'s orderer signature flipped and every
+    later block's link recomputed, with no key: the links hold, and the
+    orderer signatures over the new links do not."""
+    block = chain[i]
+    edited = [*chain[:i], replace(block, orderer_signature=_flip(block.orderer_signature))]
+    for block in chain[i + 1:]:
+        edited.append(replace(block, prev_hash=ledger._digests(edited[-1])[1]))
+    return edited
+
+
+def _signed_over(net, i):
+    """``net.chain`` with block ``i``'s orderer signature flipped and every
+    later block signed again with the orderer's key over the new links: a
+    chain only that key can make. The signing goes through a copy of
+    ``net`` with a record of its own, so ``net``'s record is unchanged."""
+    orderer, block = replace(net), net.chain[i]
+    chain = [*net.chain[:i], replace(block, orderer_signature=_flip(block.orderer_signature))]
+    for block in net.chain[i + 1:]:
+        chain.append(_sign_block(orderer, block.index, ledger._digests(chain[-1])[1],
+                                 block.transactions))
+    return chain
+
+
+def _reference_verify(exported):
+    """``verify_exported`` as first written, in one process: the head
+    checks, then per block its index, its link, its orderer signature and
+    each transaction's ``_admit``, the first failure the verdict. Every
+    certificate, block and transaction digest is hashed from a ``replace``
+    copy's own encoding, not from what the parse remembered."""
+    exported = replace(exported, certs={s: replace(c) for s, c in exported.certs.items()})
+    passed = set()
+    bad = ledger._check_head(exported, passed)
+    if bad is not None:
+        return bad
+    orderer = exported.certs[exported.orderer_identity].public_key
+    state = dict(exported.baseline_state)
+    prev = ledger._state_digest(state)
+    for pos, block in enumerate(exported.blocks):
+        block = replace(block, transactions=tuple(map(replace, block.transactions)))
+        if block.index != pos:
+            return ledger.ChainVerification(False, block.index, "non-consecutive block index")
+        if block.prev_hash != prev:
+            return ledger.ChainVerification(False, block.index, "previous-hash link broken")
+        payload, prev = ledger._digests(block)
+        if not DEFAULT_SUITE.verify(orderer, payload, block.orderer_signature):
+            return ledger.ChainVerification(False, block.index, "orderer signature broken")
+        for tx in block.transactions:
+            try:
+                ledger._admit(tx, state, exported.certs, passed)
+            except LedgerError as exc:
+                return ledger.ChainVerification(False, block.index, str(exc))
+    return ledger.ChainVerification(True)
+
+
+@pytest.mark.parametrize("i", [2, 6], ids=["caller-half", "child-half"])
+def test_a_chain_the_orderer_signed_over_is_valid(world, long_net, counting_suite, i):
+    """Blocks the orderer's key signed over a block with a broken orderer
+    signature vouch for it: the chain is valid live, cold and warm, and
+    offline, in one process or split with the bad block in either half,
+    while the sequential rule fails it at that block. Verified offline in
+    one process, it costs one orderer verify."""
+    chain = _signed_over(long_net, i)
+    cold = replace(long_net, chain=list(chain))
+    warm = replace(long_net, chain=chain[:1], world_state={})
+    assert verify_chain(warm).valid  # the watermark covers the genesis block
+    warm.chain[1:], warm.world_state = chain[1:], long_net.world_state
+    data = export_chain(cold)
+    exported = parse_chain(data)
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert verifies == len(exported.certs) + _txn_verifies(chain) + 1
+    with _forking() as pids:
+        k = ledger._split_point(chain)
+        split = verify_exported(parse_chain(data))
+    assert len(pids) == 1 and (i >= k) == (i == 6)
+    for r in (res, split, verify_chain(cold), verify_chain(warm)):
+        assert (r.valid, r.first_bad_block, r.reason) == (True, None, "")
+    ref = _reference_verify(parse_chain(data))
+    assert (ref.valid, ref.first_bad_block, ref.reason) == (False, i, "orderer signature broken")
+    _no_child_left()
+
+
+def _element_flips(data):
+    """``data`` with one byte flipped in the middle of one element of one
+    BLK or TXN record, the tag included, for each such element."""
+    for start, line in _lines(data):
+        if line.startswith((b"BLK+", b"TXN+")):
+            assert b"?" not in line  # so each "+" separates two elements
+            at = start
+            for elem in line[:-1].split(b"+"):
+                mid = at + len(elem) // 2
+                yield data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:]
+                at += len(elem) + 1
+
+
+def _verdict(verify, data):
+    try:
+        res = verify(parse_chain(data))
+    except records.ParseError:
+        return "ParseError"
+    return res.valid, res.first_bad_block, res.reason
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
+def test_each_flipped_byte_gets_the_sequential_verdict(honest_sims, fork):
+    """One byte flipped in the middle of each element of each BLK and TXN
+    record of the two desk chains: each file fails to parse under both
+    verifiers, or ``verify_exported`` gives the sequential rule's verdict,
+    block and reason, in one process and split with a child."""
+    seen = Counter()
+    with _forking() if fork else nullcontext() as pids:
+        for scenario in ("export", "import"):
+            data = export_chain(honest_sims[(scenario, "ledger")].net)
+            for flipped in _element_flips(data):
+                verdict = _verdict(verify_exported, flipped)
+                assert verdict == _verdict(_reference_verify, flipped)
+                seen[verdict if verdict == "ParseError" else verdict[2].split(" ")[0]] += 1
+    assert bool(pids) == fork
+    assert set(seen) == {"ParseError", "orderer", "previous-hash", "non-consecutive"}

@@ -129,8 +129,10 @@ def _reference_digest(t):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_digest_masks_the_flat_as_the_reference_masks_the_message(base_fixtures, seed):
+    """Over honest and battery runs, live and reloaded, the digest masks
+    each flat as the reference masks its decoded message."""
     rng = random.Random(seed)
-    sealed = 0
+    hops = {True: 0, False: 0}  # by whether the hop holds a sealed field
     for scenario in ("export", "import"):
         for dg in ("false", "true"):
             fx = base_fixtures.with_values(
@@ -141,13 +143,39 @@ def test_digest_masks_the_flat_as_the_reference_masks_the_message(base_fixtures,
                 CNT_W=f"{rng.randint(900, 30480)} kg",
                 DG=dg,
             )
-            live = run_scenario(fx, scenario, "p2p").transcript
-            reloaded = transcript_from_wire(transcript_to_wire(live))
-            for t in (live, reloaded):
-                assert determinism_digest(t) == _reference_digest(t), (scenario, dg)
-            sealed += sum(isinstance(v, Sealed) for ev in live.sent_events()
-                          for _, v in ev.message.message.fields)
-    assert sealed > 0
+            runs = [run_scenario(fx, scenario, "p2p").transcript]
+            runs += [inject_attack(fx, scenario, spec, "p2p")[0] for spec in battery(scenario)]
+            for live in runs:
+                reloaded = transcript_from_wire(transcript_to_wire(live))
+                for t in (live, reloaded):
+                    assert determinism_digest(t) == _reference_digest(t), (scenario, dg)
+                hops[True] += sum(map(_holds_sealed, live.sent_events()))
+                hops[False] += sum(not _holds_sealed(ev) for ev in live.sent_events())
+    assert hops[True] > 0 and hops[False] > 0
+
+
+def _holds_sealed(ev):
+    return any(isinstance(v, Sealed) for _, v in ev.message.message.fields)
+
+
+def test_digest_splits_only_hops_with_a_sealed_field(honest_sims, monkeypatch):
+    """A hop whose message holds no sealed value is its own masked form:
+    the digest splits only the flats of hops with a sealed field."""
+    calls = []
+    decode = records.decode
+
+    def counted(data):
+        calls.append(data)
+        return decode(data)
+
+    for key, sim in honest_sims.items():
+        reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
+        for t in (sim.transcript, reloaded):
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(records, "decode", counted)
+                determinism_digest(t)
+            assert calls == [ev.flat for ev in t.sent_events() if _holds_sealed(ev)], key
 
 
 def test_reload_decodes_each_message_once(honest_sims, monkeypatch):
