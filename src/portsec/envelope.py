@@ -20,13 +20,17 @@ a field skips the RSA-OAEP unwrap on a hit and still decrypts and checks
 the digest.
 
 All primitives sit behind one CryptoSuite, ``DEFAULT_SUITE``: SHA-256,
-RSA-2048 with PKCS#1 v1.5 over the 32-byte payload (deterministic
-signatures), RSA-OAEP-SHA256 key wrap, and AES-256-GCM. Its ``suite_id``
-is written into fixture and chain files and checked on reading them;
-another primitive set is another ``DEFAULT_SUITE`` with another id. Every
-module reads ``DEFAULT_SUITE`` where it runs a primitive and binds none of
-its methods at import, so the tests and the benchmark count crypto
-operations by wrapping its methods. Every signer in the package signs
+signatures over the 32-byte payload, RSA-OAEP-SHA256 key wrap, and
+AES-256-GCM. The signature scheme follows the key, whose SPKI a CA signs
+into its certificate: an RSA-2048 key signs with PKCS#1 v1.5, a P-256 key
+(the orderer's) with deterministic ECDSA (RFC 6979) normalised to low S,
+and a verifier refuses a high S. Either way a key and a payload have
+exactly one valid signature byte string. Its ``suite_id`` is written into
+fixture and chain files and checked on reading them; another primitive
+set is another ``DEFAULT_SUITE`` with another id. Every module reads
+``DEFAULT_SUITE`` where it runs a primitive and binds none of its methods
+at import, so the tests and the benchmark count crypto operations by
+wrapping its methods. Every signer in the package signs
 through ``sign``, which reuses the signature already made for the same key
 and payload; every multi-signature check goes through ``verify``, which
 reuses the answer already given for the same key, payload and signature.
@@ -42,7 +46,7 @@ from typing import Mapping, Protocol, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa, utils
+from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa, utils
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .model import AttributeSignature, Message, Plain, Sealed, canonical_bytes
@@ -68,13 +72,17 @@ class DigestMismatch(EnvelopeError):
     """Decrypted plaintext does not match the carried digest."""
 
 
+#: A signing key: RSA-2048, or P-256 for the orderer.
+PrivateKey = rsa.RSAPrivateKey | ec.EllipticCurvePrivateKey
+
+
 @dataclass(frozen=True)
 class KeyPair:
     """One asymmetric key pair per identity, used both to sign and to
     receive wrapped keys. ``public`` is the DER form certificates carry."""
 
     public: bytes
-    private: rsa.RSAPrivateKey
+    private: PrivateKey
     owner: str
 
 
@@ -86,7 +94,7 @@ class Signer(Protocol):
     def owner(self) -> str: ...
 
     @property
-    def private(self) -> rsa.RSAPrivateKey: ...
+    def private(self) -> PrivateKey: ...
 
 
 _OAEP = padding.OAEP(
@@ -94,23 +102,46 @@ _OAEP = padding.OAEP(
 )
 _PKCS1 = padding.PKCS1v15()
 _PREHASHED = utils.Prehashed(hashes.SHA256())
+#: The order n of P-256's base point: of the two S values ``s`` and
+#: ``n - s`` that verify, a signature carries the one at most ``n // 2``.
+_P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
-def _rsa_key(kind: type, load):
-    """``load()``, a key of RSA ``kind``; raises ValueError for anything else."""
+@lru_cache(maxsize=None)
+def _ecdsa() -> ec.ECDSA:
+    """ECDSA over the prehashed payload with RFC 6979 nonces. Built on first
+    use: building one imports cryptography's OpenSSL backend module
+    (~0.5 MB of RSS), which a process that meets no P-256 key never needs."""
+    return ec.ECDSA(_PREHASHED, deterministic_signing=True)
+
+
+def _signing_key(load):
+    """``load()``, an RSA or a P-256 key; raises ValueError for anything else."""
     try:
         key = load()
     except (TypeError, UnsupportedAlgorithm) as exc:
         raise ValueError(str(exc)) from None
-    if not isinstance(key, kind):
-        raise ValueError(f"{type(key).__name__} is not an RSA key")
-    return key
+    if isinstance(key, (rsa.RSAPublicKey, rsa.RSAPrivateKey)) or (
+        isinstance(key, (ec.EllipticCurvePublicKey, ec.EllipticCurvePrivateKey))
+        and isinstance(key.curve, ec.SECP256R1)
+    ):
+        return key
+    raise ValueError(f"{type(key).__name__} is not an RSA key or a P-256 key")
 
 
 @lru_cache(maxsize=256)
-def _load_public(der: bytes) -> rsa.RSAPublicKey:
-    """The RSA public key in ``der``, type-checked once per cached key."""
-    return _rsa_key(rsa.RSAPublicKey, lambda: serialization.load_der_public_key(der))
+def _load_public(der: bytes) -> rsa.RSAPublicKey | ec.EllipticCurvePublicKey:
+    """The RSA or P-256 public key in ``der``, type-checked once per cached key."""
+    return _signing_key(lambda: serialization.load_der_public_key(der))
+
+
+def _low_s(sig: bytes) -> bool:
+    """Whether ``sig`` is strict DER whose S is at most ``n // 2``: of the
+    two byte strings that verify, the one the signer makes."""
+    try:
+        return utils.decode_dss_signature(sig)[1] <= _P256_ORDER // 2
+    except ValueError:
+        return False
 
 
 class CryptoSuite:
@@ -124,12 +155,18 @@ class CryptoSuite:
     def digest(self, data: bytes) -> bytes:
         return hashlib.sha256(data).digest()
 
-    def generate_keypair(self, owner: str) -> KeyPair:
-        private = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    def generate_keypair(self, owner: str, p256: bool = False) -> KeyPair:
+        if p256:
+            private = ec.generate_private_key(ec.SECP256R1())
+        else:
+            private = rsa.generate_private_key(public_exponent=65537, key_size=2048)
         return KeyPair(self.public_bytes(private.public_key()), private, owner)
 
-    def sign(self, private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
-        return private.sign(payload, _PKCS1, _PREHASHED)
+    def sign(self, private: PrivateKey, payload: bytes) -> bytes:
+        if isinstance(private, rsa.RSAPrivateKey):
+            return private.sign(payload, _PKCS1, _PREHASHED)
+        r, s = utils.decode_dss_signature(private.sign(payload, _ecdsa()))
+        return utils.encode_dss_signature(r, min(s, _P256_ORDER - s))
 
     def verify(self, public: bytes, payload: bytes, sig: bytes) -> bool:
         # verification input may be attacker-controlled down to the key
@@ -138,14 +175,23 @@ class CryptoSuite:
             key = _load_public(public)
         except ValueError:
             return False
+        if isinstance(key, rsa.RSAPublicKey):
+            scheme = (_PKCS1, _PREHASHED)
+        elif _low_s(sig):
+            scheme = (_ecdsa(),)
+        else:
+            return False
         try:
-            key.verify(sig, payload, _PKCS1, _PREHASHED)
+            key.verify(sig, payload, *scheme)
             return True
         except InvalidSignature:
             return False
 
     def wrap_key(self, public: bytes, key_material: bytes) -> bytes:
-        return _load_public(public).encrypt(key_material, _OAEP)
+        key = _load_public(public)
+        if not isinstance(key, rsa.RSAPublicKey):
+            raise ValueError(f"{type(key).__name__} is not an RSA key")
+        return key.encrypt(key_material, _OAEP)
 
     def unwrap_key(self, private: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
         try:
@@ -165,21 +211,22 @@ class CryptoSuite:
         except InvalidTag:
             raise AuthDecryptFailure("authentication tag mismatch") from None
 
-    def public_bytes(self, public: rsa.RSAPublicKey) -> bytes:
+    def public_bytes(self, public: rsa.RSAPublicKey | ec.EllipticCurvePublicKey) -> bytes:
         return public.public_bytes(
             serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
         )
 
-    def private_bytes(self, private: rsa.RSAPrivateKey) -> bytes:
+    def private_bytes(self, private: PrivateKey) -> bytes:
         return private.private_bytes(
             serialization.Encoding.DER,
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
 
-    def load_private(self, der: bytes) -> rsa.RSAPrivateKey:
-        """Raises ValueError unless ``der`` is an unencrypted PKCS#8 RSA key."""
-        return _rsa_key(rsa.RSAPrivateKey, lambda: serialization.load_der_private_key(der, None))
+    def load_private(self, der: bytes) -> PrivateKey:
+        """Raises ValueError unless ``der`` is an unencrypted PKCS#8 RSA or
+        P-256 key."""
+        return _signing_key(lambda: serialization.load_der_private_key(der, None))
 
 
 DEFAULT_SUITE = CryptoSuite()
@@ -192,13 +239,14 @@ SIGN_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=SIGN_MEMO_SIZE)
-def sign(private: rsa.RSAPrivateKey, payload: bytes) -> bytes:
-    """The package's one signing path. A PKCS#1 v1.5 signature depends only
-    on the key and the payload, so a repeated pair returns the bytes
-    ``DEFAULT_SUITE.sign`` made the first time. The entry holds the key
-    object itself, so its identity cannot pass to another key while cached.
+def sign(private: PrivateKey, payload: bytes) -> bytes:
+    """The package's one signing path. A PKCS#1 v1.5 signature, and an
+    RFC 6979 ECDSA one normalised to low S, depends only on the key and the
+    payload, so a repeated pair returns the bytes ``DEFAULT_SUITE.sign``
+    made the first time. The entry holds the key object itself, so its
+    identity cannot pass to another key while cached.
     ``DEFAULT_SUITE.sign`` stays the raw primitive: counting it counts real
-    RSA signatures."""
+    signatures."""
     return DEFAULT_SUITE.sign(private, payload)
 
 
@@ -210,11 +258,11 @@ VERIFY_MEMO_SIZE = 64
 @lru_cache(maxsize=VERIFY_MEMO_SIZE)
 def verify(public: bytes, payload: bytes, sig: bytes) -> bool:
     """The multi-signature check path: ``DEFAULT_SUITE.verify`` over DER
-    key bytes, answered once per distinct (key, payload, signature). RSA
-    verification is a pure function of these three, so a cached answer is
+    key bytes, answered once per distinct (key, payload, signature).
+    Verification is a pure function of these three, so a cached answer is
     the answer a fresh check would give; any other byte is another entry.
     ``DEFAULT_SUITE.verify`` stays the raw primitive: counting it counts
-    real RSA verifications."""
+    real verifications."""
     return DEFAULT_SUITE.verify(public, payload, sig)
 
 

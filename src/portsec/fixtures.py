@@ -7,8 +7,9 @@ Fixture files are line-oriented UTF-8 in the flat segment style.
 
 Building a world checks that every actor and CA has a KEY and a CERT
 record, but loads no private key. An owner's key loads when the owner
-first signs or unwraps: it must be a valid RSA key, and it must match the
-public key in the owner's certificate, or that use raises FixtureError.
+first signs or unwraps: it must be a valid RSA or P-256 key (the orderer
+holds P-256, every other owner RSA-2048), and it must match the public
+key in the owner's certificate, or that use raises FixtureError.
 Each key is loaded and checked once per process, so a run pays only for
 the keys of the actors that act in it, and a bad key of an owner that
 never acts is never reported.
@@ -115,7 +116,9 @@ class FixtureSet:
 def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
     """Fresh keys and certificates for the default desk-scale world:
     one root CA, one CA per organization, one clerk per actor, under
-    ``DEFAULT_SUITE`` with ``DEFAULT_VALUES``."""
+    ``DEFAULT_SUITE`` with ``DEFAULT_VALUES``. The orderer's key is P-256,
+    whose signature is the cheaper one to make on every block; every other
+    key is RSA-2048, whose signatures are checked far more often than made."""
     suite = DEFAULT_SUITE
     root = create_root(ROOT_CA, ROOT_VALIDITY)
     cas: list[tuple[str, str | None]] = [(ROOT_CA, None)]
@@ -133,7 +136,7 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
         ca_states[ca_name] = ca
 
     for a in records:
-        kp = suite.generate_keypair(a.identity)
+        kp = suite.generate_keypair(a.identity, p256=a.role == ORDERER_ROLE)
         keys[a.identity] = suite.private_bytes(kp.private)
         certs[a.identity] = ca_states[f"{a.org}-CA"].issue(
             a.identity, a.org, a.role, kp.public, LEAF_VALIDITY
@@ -208,9 +211,10 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
 
 @lru_cache(maxsize=128)
 def _load_private_cached(der: bytes, public_key: bytes, owner: str):
-    # Loading validates the key (~70 ms for RSA-2048), and key objects are
-    # immutable: a process loads and checks each fixture key once, however
-    # many worlds share it and however often its owner signs.
+    # Loading validates the key (~70 ms for RSA-2048, well under 1 ms for
+    # P-256), and key objects are immutable: a process loads and checks
+    # each fixture key once, however many worlds share it and however often
+    # its owner signs.
     try:
         private = DEFAULT_SUITE.load_private(der)
     except ValueError as exc:

@@ -588,9 +588,8 @@ def block_bytes(block: Block) -> bytes:
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
     """A block the orderer signed, remembering its two ``_digests``. The
     signature goes into the net's record under the signing key's own public
-    half, never a certificate's key: a PKCS#1 v1.5 signature verifies under
-    the key that made it, so an orderer certificate with any other key misses
-    the entry and is checked for real."""
+    half, never a certificate's key, so an orderer certificate with any other
+    key misses the entry and is checked for real."""
     suite, tail = DEFAULT_SUITE, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
     private = net.orderer_key.private
@@ -964,7 +963,7 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     head certificates included; the record is emptied at each valid call.
     The orderer's signature is checked on the last block only, under
     ``_verify_blocks``' rule, and ``_sign_block`` recorded it. A warm call
-    over committed blocks makes no RSA verification, and a net's first
+    over committed blocks makes no signature verification, and a net's first
     call checks only the head certificates that no ``submit`` or
     ``endorse`` recorded. ``verify_exported`` re-checks everything.
     """

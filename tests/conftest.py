@@ -20,8 +20,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 #: The ``DEFAULT_SUITE`` methods ``counting_suite`` counts, by counter:
-#: RSA signatures, RSA signature verifications, OAEP key wraps and
-#: unwraps, and digests.
+#: signatures and signature verifications (RSA, and P-256 for the
+#: orderer's key), OAEP key wraps and unwraps, and digests.
 COUNTED = {"signs": "sign", "verifies": "verify", "wraps": "wrap_key",
            "unwraps": "unwrap_key", "digests": "digest"}
 

@@ -10,9 +10,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec, utils
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import strategies as st
 
+from portsec import envelope
 from portsec.envelope import (
     DEFAULT_SUITE,
     SIGN_MEMO_SIZE,
@@ -309,6 +312,125 @@ def test_a_repeated_multi_sig_check_verifies_once(keys, counting_suite):
     assert not verify_multi_sig(der, sig, bad)
     assert not verify_multi_sig(der, sig, bad)
     assert counting_suite.verifies == 2
+
+
+# --- the scheme follows the key: P-256 -----------------------------------------
+
+#: The first 27 bytes of every P-256 public key's SPKI DER: the ecPublicKey
+#: and prime256v1 object identifiers, then the uncompressed point's 0x04.
+P256_SPKI_PREFIX = bytes.fromhex("3059301306072a8648ce3d020106082a8648ce3d03010703420004")
+_N = envelope._P256_ORDER
+_ECDSA_SHA256 = ec.ECDSA(utils.Prehashed(hashes.SHA256()))
+
+
+@pytest.fixture(scope="module")
+def p256():
+    return DEFAULT_SUITE.generate_keypair("orderer", p256=True)
+
+
+def high_s(sig):
+    """The twin of a P-256 signature, ``(r, n - s)`` in DER: it verifies
+    under the same key and payload wherever S is not held low."""
+    r, s = utils.decode_dss_signature(sig)
+    return utils.encode_dss_signature(r, _N - s)
+
+
+def long_form(sig):
+    """``sig`` with its outer length in BER long form: the same (r, s)."""
+    assert sig[1] < 0x80
+    return sig[:1] + b"\x81" + sig[1:]
+
+
+def test_a_p256_key_pair_is_p256(p256):
+    assert p256.public.startswith(P256_SPKI_PREFIX) and len(p256.public) == 91
+    assert isinstance(p256.private.curve, ec.SECP256R1)
+    der = DEFAULT_SUITE.private_bytes(p256.private)
+    assert DEFAULT_SUITE.public_bytes(DEFAULT_SUITE.load_private(der).public_key()) == p256.public
+
+
+def test_a_p256_signature_is_deterministic_and_low_s(p256):
+    """RFC 6979 gives one signature per key and payload; a signature whose
+    S came out high leaves as its low twin, which verifies, while the high
+    one is refused although the ECDSA check alone would pass it."""
+    normalised = 0
+    for i in range(64):
+        payload = digest(b"p256 %d" % i)
+        sig = DEFAULT_SUITE.sign(p256.private, payload)
+        assert DEFAULT_SUITE.sign(p256.private, payload) == sig
+        r, s = utils.decode_dss_signature(sig)
+        assert 0 < s <= _N // 2
+        assert DEFAULT_SUITE.verify(p256.public, payload, sig)
+        raw = p256.private.sign(payload, envelope._ecdsa())
+        if raw != sig:
+            assert raw == high_s(sig)
+            normalised += 1
+        p256.private.public_key().verify(high_s(sig), payload, _ECDSA_SHA256)
+        assert not DEFAULT_SUITE.verify(p256.public, payload, high_s(sig))
+    assert normalised  # about half of them; none only with odds of 2**-64
+
+
+def test_a_p256_signature_has_one_byte_form(p256):
+    """The low-S DER string is the one signature: its high-S twin, a
+    long-form length, a trailing byte and an RSA-sized blob all fail."""
+    payload = digest(b"one form")
+    sig = DEFAULT_SUITE.sign(p256.private, payload)
+    assert DEFAULT_SUITE.verify(p256.public, payload, sig)
+    for other in (high_s(sig), long_form(sig), sig + b"\0", bytes(256), b""):
+        assert not DEFAULT_SUITE.verify(p256.public, payload, other), other
+        assert not verify(p256.public, payload, other)
+
+
+def test_the_memos_serve_a_p256_key(p256, counting_suite):
+    payload = digest(b"memo p256")
+    sig = sign(p256.private, payload)
+    assert sign(p256.private, payload) == sig
+    assert verify(p256.public, payload, sig) and verify(p256.public, payload, sig)
+    assert (counting_suite.signs, counting_suite.verifies) == (1, 1)
+
+
+_sigs = st.one_of(
+    st.binary(max_size=80),
+    st.builds(utils.encode_dss_signature, st.integers(0, 2**257), st.integers(0, 2**257)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sig=_sigs)
+def test_any_signature_bytes_under_a_p256_key_fail_closed(p256, sig):
+    """Arbitrary bytes, and DER of arbitrary (r, s), are refused with
+    ``False`` under a P-256 key, never an exception."""
+    assert DEFAULT_SUITE.verify(p256.public, digest(b"arbitrary"), sig) is False
+
+
+OTHER_KEYS = {
+    "P-384": lambda: ec.generate_private_key(ec.SECP384R1()),
+    "secp256k1": lambda: ec.generate_private_key(ec.SECP256K1()),
+    "Ed25519": Ed25519PrivateKey.generate,
+}
+
+
+@pytest.mark.parametrize("kind", OTHER_KEYS)
+def test_a_key_of_another_curve_or_scheme_fails_closed(kind):
+    """The loader takes RSA and P-256 only: the SPKI of another curve or of
+    Ed25519 fails a check of a signature that key made, refuses to wrap,
+    and its PKCS#8 form does not load."""
+    key = OTHER_KEYS[kind]()
+    payload = digest(b"other")
+    sig = key.sign(payload) if kind == "Ed25519" else key.sign(payload, _ECDSA_SHA256)
+    der = DEFAULT_SUITE.public_bytes(key.public_key())
+    assert not DEFAULT_SUITE.verify(der, payload, sig)
+    with pytest.raises(ValueError, match="not an RSA key"):
+        DEFAULT_SUITE.wrap_key(der, bytes(32))
+    with pytest.raises(ValueError, match="not an RSA key or a P-256 key"):
+        DEFAULT_SUITE.load_private(DEFAULT_SUITE.private_bytes(key))
+
+
+def test_a_p256_key_receives_no_wrapped_key(keys, p256):
+    """Key wrap is RSA-OAEP: a P-256 key is "any other key" to it."""
+    with pytest.raises(ValueError, match="is not an RSA key$"):
+        DEFAULT_SUITE.wrap_key(p256.public, bytes(32))
+    with pytest.raises(ValueError, match="not an RSA key"):
+        content_key({"bob": keys["bob"].public, "orderer": p256.public})
 
 
 # --- sealing ----------------------------------------------------------------

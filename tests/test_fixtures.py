@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from cryptography.hazmat.primitives.asymmetric import ec, rsa
+from cryptography.hazmat.primitives.serialization import load_der_public_key
+
 from portsec.adapter import FindingCode
 from portsec.envelope import DEFAULT_SUITE, multi_sign
 from portsec.fixtures import (
@@ -14,12 +17,15 @@ from portsec.fixtures import (
     _load_private_cached,
     build_net,
     build_world,
+    fixtures_from_bytes,
+    fixtures_to_bytes,
 )
 from portsec.ledger import ChainInvalidCert, LedgerAction, build_transaction, rollover, submit
 from portsec.pki import validate_chain
 from portsec.policy import Role
 from portsec.sim import run_scenario
 from portsec.transcript import ValidatedEvent
+from test_envelope import P256_SPKI_PREFIX
 
 P2P_EXPORT = {"importer-1", "sl1-clerk", "t1-op", "customs-officer"}
 P2P_IMPORT = {"importer-1", "sl1-clerk", "customs-officer"}
@@ -143,6 +149,45 @@ def test_a_ca_key_is_checked_against_its_certificate(base_fixtures):
     with pytest.raises(FixtureError, match="private key of SL1-CA does not match its certificate"):
         _issue_temp_clerk(world)
     assert world.trust.cas["SL1-CA"].issued == issued
+
+
+def test_the_orderer_alone_holds_a_p256_key(base_fixtures):
+    """Fresh fixtures give the block signer a P-256 key, which matches its
+    certificate; every actor and CA keeps RSA-2048."""
+    for owner, cert in base_fixtures.certs.items():
+        public = load_der_public_key(cert.public_key)
+        if owner == "orderer-1":
+            assert cert.public_key.startswith(P256_SPKI_PREFIX)
+            assert isinstance(public.curve, ec.SECP256R1)
+        else:
+            assert isinstance(public, rsa.RSAPublicKey) and public.key_size == 2048, owner
+    private = DEFAULT_SUITE.load_private(base_fixtures.keys["orderer-1"])
+    assert DEFAULT_SUITE.public_bytes(private.public_key()) == base_fixtures.certs[
+        "orderer-1"].public_key
+
+
+def _orderer_key(fx, private):
+    """``fx`` with the orderer's KEY record holding ``private``, through the
+    fixture file form."""
+    keys = {**fx.keys, "orderer-1": DEFAULT_SUITE.private_bytes(private)}
+    return fixtures_from_bytes(fixtures_to_bytes(replace(fx, keys=keys)))
+
+
+def test_an_orderer_key_of_another_curve_does_not_load(base_fixtures):
+    fx = _orderer_key(base_fixtures, ec.generate_private_key(ec.SECP384R1()))
+    world = build_world(fx)
+    with pytest.raises(FixtureError, match="private key of orderer-1 does not load: "):
+        build_net(world)
+
+
+def test_an_orderer_key_is_checked_against_its_certificate(base_fixtures):
+    """A P-256 key that loads but is not the one in the orderer's
+    certificate signs no block."""
+    fx = _orderer_key(base_fixtures, ec.generate_private_key(ec.SECP256R1()))
+    world = build_world(fx)
+    with pytest.raises(FixtureError,
+                       match="private key of orderer-1 does not match its certificate"):
+        build_net(world)
 
 
 def test_an_issuer_cycle_fails_the_build(base_fixtures):

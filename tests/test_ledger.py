@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec import ledger, records, sim
+from portsec import envelope, ledger, records, sim
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.ledger import (
@@ -50,6 +50,7 @@ from portsec.ledger import (
     verify_exported,
 )
 from portsec.sim import run_scenario
+from test_envelope import P256_SPKI_PREFIX, high_s, long_form
 from test_golden import FIXTURES
 
 CNT = "COSU1234567"
@@ -513,15 +514,17 @@ def test_export_round_trip(world, net):
 
 
 def test_export_is_deterministic(base_fixtures):
-    from portsec.fixtures import build_world
-
+    """Two runs over one fixture set export the same bytes, each signing
+    every block itself: the P-256 orderer signs with RFC 6979 nonces."""
     dumps = []
     for _ in range(2):
+        envelope.sign.cache_clear()
         w = build_world(base_fixtures)
         n = build_net(w)
         full_lifecycle(w, n)
         dumps.append(export_chain(n))
     assert dumps[0] == dumps[1]
+    assert parse_chain(dumps[0]).certs["orderer-1"].public_key.startswith(P256_SPKI_PREFIX)
 
 
 def test_structural_tamper_is_detected(world, net):
@@ -1476,7 +1479,9 @@ def _edits(chain, picks):
     """One ``replace`` edit per kind, each of a block chosen by ``picks``,
     then the last block's orderer signature, so that an unverified last
     batch is always edited, then a block's orderer signature with every
-    later link recomputed: (first edited block, edited chain)."""
+    later link recomputed, then a block's orderer signature swapped for
+    its high-S twin, which the ECDSA equation alone would accept: (first
+    edited block, edited chain)."""
     def pick(candidates, n):
         return candidates[picks[n] % len(candidates)]
 
@@ -1504,6 +1509,8 @@ def _edits(chain, picks):
               replace(chain[-1], orderer_signature=_flip(chain[-1].orderer_signature)))
     i = pick(range(1, len(chain) - 1), 0)
     yield i, _relinked(chain, i)
+    i = pick(later, 4)
+    yield one(i, replace(chain[i], orderer_signature=high_s(chain[i].orderer_signature)))
 
 
 _batches = st.lists(st.lists(_op, min_size=1, max_size=2), min_size=1, max_size=5)
@@ -1548,7 +1555,8 @@ def test_live_and_offline_verifiers_agree(shared_world, batches, picks):
     rejected, and the cold live, warm live and offline verifiers, and the
     net's own verifier reading its record of the last, unverified batch,
     give the same verdict on the chain, on each single-field edit of it
-    and on a broken orderer signature whose later links are recomputed;
+    (a high-S twin of an orderer signature among them) and on a broken
+    orderer signature whose later links are recomputed;
     so does a warm live verifier whose head gained certificates since
     its last valid call. All of them call valid the chain whose later
     blocks the orderer's key signed over a broken orderer signature."""
@@ -2032,3 +2040,82 @@ def test_each_flipped_byte_gets_the_sequential_verdict(honest_sims, fork):
                 seen[verdict if verdict == "ParseError" else verdict[2].split(" ")[0]] += 1
     assert bool(pids) == fork
     assert set(seen) == {"ParseError", "orderer", "previous-hash", "non-consecutive"}
+    # the orderer signatures flipped were P-256 ECDSA bytes
+    assert parse_chain(data).certs["orderer-1"].public_key.startswith(P256_SPKI_PREFIX)
+
+
+# --- the orderer's P-256 signature -----------------------------------------------
+
+
+ORDERER_FORMS = {"high-S": high_s, "long-form": long_form}
+
+
+@pytest.mark.parametrize("form", ORDERER_FORMS)
+@pytest.mark.parametrize("scenario", ["export", "import"])
+def test_an_orderer_signature_has_one_byte_form(honest_sims, scenario, form):
+    """The last block of each desk chain, its orderer signature re-encoded
+    as the high-S twin ``(r, n - s)`` or with a long-form length: the file
+    carries it byte for byte, and offline, live warm and live cold
+    verification each name that block's orderer signature broken."""
+    net = honest_sims[(scenario, "ledger")].net
+    last = net.chain[-1]
+    edited = [*net.chain[:-1],
+              replace(last, orderer_signature=ORDERER_FORMS[form](last.orderer_signature))]
+    data = export_chain(replace(net, chain=edited))
+    assert parse_chain(data).blocks[-1] == edited[-1]
+    want = (False, last.index, "orderer signature broken")
+    assert _verdict(verify_exported, data) == want
+    assert _in_place_verdict(net, last.index, edited) == want
+    cold = verify_chain(replace(net, chain=list(edited)))
+    assert (cold.valid, cold.first_bad_block, cold.reason) == want
+    assert verify_chain(net).valid
+
+
+@contextmanager
+def _keys_checked():
+    """The public key of each signature the one suite really checks."""
+    keys, check = [], DEFAULT_SUITE.verify
+
+    def recorded(public, payload, sig):
+        keys.append(public)
+        return check(public, payload, sig)
+
+    with patch.object(DEFAULT_SUITE, "verify", recorded):
+        yield keys
+
+
+def test_an_offline_check_makes_one_p256_verify(world, net):
+    """Under generated fixtures the orderer's P-256 key is checked once by
+    ``verify_exported``, on the last block, and never by a warm
+    ``verify_chain`` over blocks the net signed; every other check is
+    RSA."""
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    orderer = world.fixtures.certs["orderer-1"].public_key
+    with _keys_checked() as keys:
+        assert verify_chain(net).valid
+    assert orderer not in keys
+    with _keys_checked() as keys:
+        assert verify_exported(parse_chain(export_chain(net))).valid
+    assert [k for k in keys if k.startswith(P256_SPKI_PREFIX)] == [orderer]
+    assert len(keys) > 1
+
+
+@pytest.mark.parametrize("scenario", ["export", "import"])
+def test_a_chain_with_an_rsa_orderer_still_verifies(scenario):
+    """``tests/data/golden.psf`` keeps its RSA-2048 orderer key: its chains
+    verify offline with one RSA orderer verify, and a flipped last
+    orderer signature still fails at that block."""
+    fx = fixtures_from_bytes(FIXTURES.read_bytes())
+    orderer = fx.certs["orderer-1"].public_key
+    assert not orderer.startswith(P256_SPKI_PREFIX) and len(orderer) == 294  # RSA-2048 SPKI
+    net = run_scenario(fx, scenario, "ledger").net
+    with _keys_checked() as keys:
+        res = verify_exported(parse_chain(export_chain(net)))
+    assert (res.valid, res.first_bad_block, res.reason) == (True, None, "")
+    assert keys.count(orderer) == 1
+    last = net.chain[-1]
+    edited = [*net.chain[:-1], replace(last, orderer_signature=_flip(last.orderer_signature))]
+    assert _verdict(verify_exported, export_chain(replace(net, chain=edited))) == (
+        False, last.index, "orderer signature broken")
