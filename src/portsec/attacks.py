@@ -277,7 +277,7 @@ def _inject_ledger(fixtures, scenario, spec) -> tuple[Transcript, DetectionRepor
     world = build_world(fixtures)
     sim = run_scenario(fixtures, scenario, "ledger", world=world)
     net = sim.net
-    cnt = fixtures.values["CNT_NO"]
+    cnt = fixtures.value("CNT_NO")
     transcript = sim.transcript
 
     def denial(action, invoker, args=()):

@@ -31,9 +31,13 @@ from .fixtures import (
 )
 from .ledger import export_chain, parse_chain, verify_exported
 from .model import ModelError, ParseError
-from .policy import Action, PolicyError, Role, load_policy
+from .policy import Action, PolicyError, Role, SenderCannotRead, load_policy
 from .sim import ScenarioError, run_scenario
 from .transcript import transcript_from_wire, transcript_to_wire
+
+
+#: A fixture set, script or attack a run cannot play: exit 2, like a bad file.
+_SETUP_ERRORS = (ScenarioError, FixtureError, SenderCannotRead, TargetUnresolved)
 
 
 def _fail(message: str) -> "typing.NoReturn":
@@ -77,7 +81,7 @@ def cmd_run(args) -> int:
     fixtures = _load_fixtures(args.fixtures)
     try:
         sim = run_scenario(fixtures, args.scenario, args.mode)
-    except (ScenarioError, FixtureError) as exc:
+    except _SETUP_ERRORS as exc:
         return _fail(f"{exc}")
     for entry in sim.transcript.step_outline():
         print(" ".join(entry))
@@ -96,7 +100,7 @@ def cmd_attack(args) -> int:
         return _fail(f"bad attack file {args.spec}: {exc}")
     try:
         transcript, report = inject_attack(fixtures, args.scenario, spec, args.mode)
-    except (ScenarioError, FixtureError, TargetUnresolved) as exc:
+    except _SETUP_ERRORS as exc:
         return _fail(f"{exc}")
     status = "DETECTED" if report.detected else "UNDETECTED"
     print(f"ATTACK {report.kind.value} {report.scenario} {report.mode} {status}")
@@ -127,7 +131,7 @@ def cmd_compare(args) -> int:
     fixtures = _load_fixtures(args.fixtures)
     try:
         report = compare_modes(fixtures)
-    except (ScenarioError, FixtureError) as exc:
+    except _SETUP_ERRORS as exc:
         return _fail(f"{exc}")
     sys.stdout.write(comparison_to_wire(report).decode("utf-8"))
     return 0 if report.verdict == "PASS" else 1

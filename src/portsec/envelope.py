@@ -135,6 +135,19 @@ def _load_public(der: bytes) -> rsa.RSAPublicKey | ec.EllipticCurvePublicKey:
     return _signing_key(lambda: serialization.load_der_public_key(der))
 
 
+@lru_cache(maxsize=256)
+def wrapping_key(der: bytes) -> rsa.RSAPublicKey:
+    """The public key in ``der`` as a key to wrap a content key for: RSA
+    only, so ValueError for a P-256 key as for one that does not load.
+    Cached apart from ``_load_public``: ``build_world`` asks once per
+    certificate of every world, and an ABC ``isinstance`` costs more than
+    a cache hit."""
+    key = _load_public(der)
+    if not isinstance(key, rsa.RSAPublicKey):
+        raise ValueError(f"{type(key).__name__} is not an RSA key")
+    return key
+
+
 def _low_s(sig: bytes) -> bool:
     """Whether ``sig`` is strict DER whose S is at most ``n // 2``: of the
     two byte strings that verify, the one the signer makes."""
@@ -188,10 +201,7 @@ class CryptoSuite:
             return False
 
     def wrap_key(self, public: bytes, key_material: bytes) -> bytes:
-        key = _load_public(public)
-        if not isinstance(key, rsa.RSAPublicKey):
-            raise ValueError(f"{type(key).__name__} is not an RSA key")
-        return key.encrypt(key_material, _OAEP)
+        return wrapping_key(public).encrypt(key_material, _OAEP)
 
     def unwrap_key(self, private: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
         try:

@@ -1,15 +1,19 @@
-"""Scenario fixtures: actors, keys, certificates, and consignment data.
+"""Scenario fixtures: keys, certificates, and consignment data.
 
 A fixture set pins every input a scenario run needs, including private
 keys, so repeated runs are reproducible: signatures are deterministic
 given fixed keys, leaving sealing randomness as the only varying bytes.
-Fixture files are line-oriented UTF-8 in the flat segment style.
+Fixture files are line-oriented UTF-8 in the flat segment style: FIX,
+RUN, KEY, CERT and VAL records, in that order, each fact once. A
+certificate binds its subject to one role and organization and names its
+issuer: the CAs are the certificates whose role is ``pki.CA_ROLE``, the
+actors are the others.
 
-Building a world checks that every actor and CA has a KEY and a CERT
-record, but loads no private key. An owner's key loads when the owner
-first signs or unwraps: it must be a valid RSA or P-256 key (the orderer
-holds P-256, every other owner RSA-2048), and it must match the public
-key in the owner's certificate, or that use raises FixtureError.
+Building a world checks the set's shape (see ``build_world``) but loads
+no private key. An owner's key loads when the owner first signs or
+unwraps: it must be a valid RSA or P-256 key (the orderer holds P-256,
+every other owner RSA-2048), and it must match the public key in the
+owner's certificate, or that use raises FixtureError.
 Each key is loaded and checked once per process, so a run pays only for
 the keys of the actors that act in it, and a bad key of an owner that
 never acts is never reported.
@@ -22,15 +26,16 @@ from functools import lru_cache
 
 from . import records
 from .adapter import AdapterState
-from .envelope import DEFAULT_SUITE
+from .envelope import DEFAULT_SUITE, wrapping_key
 from .ledger import ORDERER_ROLE, LedgerNet, create_net
 from .pki import (
-    CaState, Certificate, Trust, cert_from_record, cert_to_wire, create_root, create_subordinate,
+    CA_ROLE, CaState, Certificate, Trust, cert_from_record, cert_to_wire, create_root,
+    create_subordinate,
 )
 from .policy import AccessMatrix, Role, default_matrix
 from .records import ParseError
 
-FIXTURE_VERSION = "1"
+FIXTURE_VERSION = "2"
 
 #: Validity windows (logical time) for the three certificate tiers.
 ROOT_VALIDITY = (0, 1_000_000)
@@ -75,33 +80,28 @@ class FixtureIncomplete(FixtureError):
 
 
 @dataclass(frozen=True)
-class ActorRecord:
-    identity: str
-    role: str
-    org: str
-
-
-@dataclass(frozen=True)
 class FixtureSet:
     suite_id: str
     run_tag: str
-    cas: tuple[tuple[str, str | None], ...]  # (name, parent), root first
-    actors: tuple[ActorRecord, ...]
-    keys: dict[str, bytes]  # identity -> PKCS8 DER private key
-    certs: dict[str, Certificate]
+    keys: dict[str, bytes]  # owner -> PKCS8 DER private key
+    certs: dict[str, Certificate]  # subject -> certificate
     values: dict[str, str]
 
     @property
     def dangerous_goods(self) -> bool:
-        return self.values.get("DG", "false") == "true"
+        return self.value("DG") == "true"
 
-    def by_role(self, role: str) -> ActorRecord:
-        """The first actor holding a role; scenario scripts address the
-        primary organization of each role."""
-        for a in self.actors:
-            if a.role == role:
-                return a
-        raise FixtureIncomplete(f"no actor with role {role}")
+    def value(self, name: str) -> str:
+        try:
+            return self.values[name]
+        except KeyError:
+            raise FixtureIncomplete(f"no fixture value for {name}") from None
+
+    @property
+    def actors(self) -> dict[str, str]:
+        """Each actor's role token, by identity: the certificates that are
+        not a CA's."""
+        return {ident: c.role for ident, c in self.certs.items() if c.role != CA_ROLE}
 
     def with_values(self, run_tag: str | None = None, **overrides: str) -> "FixtureSet":
         """Same world, different run tag / consignment values (used to set
@@ -121,32 +121,27 @@ def generate_fixtures(run_tag: str = "R1") -> FixtureSet:
     key is RSA-2048, whose signatures are checked far more often than made."""
     suite = DEFAULT_SUITE
     root = create_root(ROOT_CA, ROOT_VALIDITY)
-    cas: list[tuple[str, str | None]] = [(ROOT_CA, None)]
     keys = {ROOT_CA: suite.private_bytes(root.key_pair.private)}
     certs = {ROOT_CA: root.cert}
     ca_states = {ROOT_CA: root}
 
-    records = tuple(ActorRecord(*a) for a in DEFAULT_ACTORS)
-    for org in dict.fromkeys(a.org for a in records):
+    for org in dict.fromkeys(org for _, _, org in DEFAULT_ACTORS):
         ca_name = f"{org}-CA"
         ca = create_subordinate(root, ca_name, CA_VALIDITY)
-        cas.append((ca_name, ROOT_CA))
         keys[ca_name] = suite.private_bytes(ca.key_pair.private)
         certs[ca_name] = ca.cert
         ca_states[ca_name] = ca
 
-    for a in records:
-        kp = suite.generate_keypair(a.identity, p256=a.role == ORDERER_ROLE)
-        keys[a.identity] = suite.private_bytes(kp.private)
-        certs[a.identity] = ca_states[f"{a.org}-CA"].issue(
-            a.identity, a.org, a.role, kp.public, LEAF_VALIDITY
+    for identity, role, org in DEFAULT_ACTORS:
+        kp = suite.generate_keypair(identity, p256=role == ORDERER_ROLE)
+        keys[identity] = suite.private_bytes(kp.private)
+        certs[identity] = ca_states[f"{org}-CA"].issue(
+            identity, org, role, kp.public, LEAF_VALIDITY
         )
 
     return FixtureSet(
         suite_id=suite.suite_id,
         run_tag=run_tag,
-        cas=tuple(cas),
-        actors=records,
         keys=keys,
         certs=certs,
         values=dict(DEFAULT_VALUES),
@@ -162,8 +157,6 @@ def fixtures_to_bytes(fx: FixtureSet) -> bytes:
         if records.holds_line_break((text,)):
             raise FixtureError(f"newline in fixture token {text!r}")
     lines = [records.encode("FIX", FIXTURE_VERSION, fx.suite_id), records.encode("RUN", fx.run_tag)]
-    lines += [records.encode("CA", name, parent or "-") for name, parent in fx.cas]
-    lines += [records.encode("ACTOR", a.identity, a.role, a.org) for a in fx.actors]
     lines += [records.encode("KEY", ident, fx.keys[ident]) for ident in sorted(fx.keys)]
     lines += [cert_to_wire(fx.certs[ident]) for ident in sorted(fx.certs)]
     lines += [records.encode("VAL", attr, fx.values[attr]) for attr in sorted(fx.values)]
@@ -171,14 +164,12 @@ def fixtures_to_bytes(fx: FixtureSet) -> bytes:
 
 
 #: Rank (the order ``fixtures_to_bytes`` writes), count and key of each record.
-_LAYOUT = {b"FIX": (0, 3, 0), b"RUN": (1, 2, 0), b"CA": (2, 3, 1), b"ACTOR": (3, 4, 1),
-           b"KEY": (4, 3, 1), b"CERT": (5, 10, 2), b"VAL": (6, 3, 1)}
+_LAYOUT = {b"FIX": (0, 3, 0), b"RUN": (1, 2, 0), b"KEY": (2, 3, 1), b"CERT": (3, 10, 2),
+           b"VAL": (4, 3, 1)}
 
 
 def fixtures_from_bytes(data: bytes) -> FixtureSet:
     suite_id = run_tag = ""
-    cas: list[tuple[str, str | None]] = []
-    actors: list[ActorRecord] = []
     keys: dict[str, bytes] = {}
     certs: dict[str, Certificate] = {}
     values: dict[str, str] = {}
@@ -191,11 +182,6 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
             suite_id = rec.text(2)
         elif tag == b"RUN":
             run_tag = rec.text(1)
-        elif tag == b"CA":
-            name, parent = rec.text(1), rec.text(2)
-            cas.append((name, None if parent == "-" else parent))
-        elif tag == b"ACTOR":
-            actors.append(ActorRecord(rec.text(1), rec.text(2), rec.text(3)))
         elif tag == b"KEY":
             keys[rec.text(1)] = rec.b64(2)
         elif tag == b"CERT":
@@ -203,7 +189,7 @@ def fixtures_from_bytes(data: bytes) -> FixtureSet:
             certs[cert.subject] = cert
         else:
             values[rec.text(1)] = rec.text(2)
-    return FixtureSet(suite_id, run_tag, tuple(cas), tuple(actors), keys, certs, values)
+    return FixtureSet(suite_id, run_tag, keys, certs, values)
 
 
 # --- world construction ------------------------------------------------------
@@ -247,6 +233,7 @@ class World:
     matrix: AccessMatrix
     trust: Trust
     key_pairs: dict[str, FixtureKeyPair]  # actors only; a CA's key sits in its CaState
+    orderer: str  # the one identity whose certificate holds the orderer's role
     adapters: dict[str, AdapterState] = field(default_factory=dict)
     #: The one suite, not a field: the benchmark's workloads read it here.
     suite = DEFAULT_SUITE
@@ -264,68 +251,64 @@ class World:
 
 def build_world(fx: FixtureSet) -> World:
     """Reconstruct the trust view (the root anchor, CA states and each
-    actor's chain) and one adapter per actor from a fixture set. Every
-    actor and CA needs a KEY and a CERT record; no private key loads until
-    its owner first uses it."""
+    actor's chain) and one adapter per actor that holds a policy role,
+    each role read from its holder's certificate. Every key needs a
+    certificate and every certificate a key, exactly one certificate holds
+    the orderer's role, and every other binds an RSA key; no private key
+    loads until its owner first uses it."""
     if fx.suite_id != DEFAULT_SUITE.suite_id:
         raise FixtureIncomplete(
             f"fixtures pin suite {fx.suite_id}, runtime has {DEFAULT_SUITE.suite_id}"
         )
-    matrix = default_matrix()
-
-    def key_pair(owner: str, kind: str) -> FixtureKeyPair:
-        if owner not in fx.certs or owner not in fx.keys:
-            raise FixtureIncomplete(f"{kind} {owner} lacks key or certificate")
-        return FixtureKeyPair(owner, fx.keys[owner], fx.certs[owner].public_key)
-
-    key_pairs = {a.identity: key_pair(a.identity, "actor") for a in fx.actors}
-    cas: dict[str, CaState] = {}
-    for name, _ in fx.cas:
-        issued = sorted(c.serial for c in fx.certs.values() if c.issuer == name)
-        cas[name] = CaState(key_pair(name, "CA"), fx.certs[name], issued=issued)
+    if fx.keys.keys() != fx.certs.keys():
+        owner = min(fx.keys.keys() ^ fx.certs.keys())
+        raise FixtureIncomplete(f"{owner} has no {'certificate' if owner in fx.keys else 'key'}")
+    actors = fx.actors
+    orderers = [ident for ident, role in actors.items() if role == ORDERER_ROLE]
+    if len(orderers) != 1:
+        raise FixtureError(f"fixtures hold {len(orderers)} {ORDERER_ROLE} certificates, not one")
+    for owner, c in fx.certs.items():
+        if c.role != ORDERER_ROLE:
+            try:
+                wrapping_key(c.public_key)
+            except ValueError as exc:
+                raise FixtureError(f"certificate of {owner}: {exc}") from None
+    key_pairs = {i: FixtureKeyPair(i, fx.keys[i], fx.certs[i].public_key) for i in actors}
+    cas = {name: CaState(FixtureKeyPair(name, fx.keys[name], c.public_key), c,
+                         issued=sorted(x.serial for x in fx.certs.values() if x.issuer == name))
+           for name, c in fx.certs.items() if c.role == CA_ROLE}
 
     anchor = fx.certs.get(ROOT_CA)
     if anchor is None:
         raise FixtureIncomplete("no root certificate")
 
-    def cert(identity: str) -> Certificate:
-        try:
-            return fx.certs[identity]
-        except KeyError:
-            raise FixtureIncomplete(f"no certificate for {identity}") from None
-
     chains: dict[str, tuple[Certificate, ...]] = {}
-    for a in fx.actors:
-        chain = [cert(a.identity)]
+    for ident in actors:
+        chain = [fx.certs[ident]]
         while (issuer := chain[-1].issuer) != chain[-1].subject:
+            if issuer not in fx.certs:
+                raise FixtureIncomplete(f"no certificate for {issuer}")
             if any(c.subject == issuer for c in chain):
-                raise FixtureError(f"certificate chain of {a.identity} repeats issuer {issuer}")
-            chain.append(cert(issuer))
-        chains[a.identity] = tuple(chain)
+                raise FixtureError(f"certificate chain of {ident} repeats issuer {issuer}")
+            chain.append(fx.certs[issuer])
+        chains[ident] = tuple(chain)
 
-    trust = Trust(anchor, cas, chains)
-    world = World(fx, matrix, trust, key_pairs)
-
-    for a in fx.actors:
+    matrix, trust = default_matrix(), Trust(anchor, cas, chains)
+    world = World(fx, matrix, trust, key_pairs, orderers[0])
+    for ident, token in actors.items():
         try:
-            role = Role(a.role)
+            role = Role(token)
         except ValueError:
-            continue  # orderer and similar non-policy identities
-        world.adapters[a.identity] = AdapterState(
-            identity=a.identity,
-            role=role,
-            key_pair=key_pairs[a.identity],
-            matrix=matrix,
-            trust=trust,
-        )
+            continue  # the orderer and other identities with no policy role
+        world.adapters[ident] = AdapterState(identity=ident, role=role, key_pair=key_pairs[ident],
+                                             matrix=matrix, trust=trust)
     return world
 
 
 def build_net(world: World) -> LedgerNet:
     """Ledger net over the same trust view as the adapter mesh."""
-    orderer = world.fixtures.by_role(ORDERER_ROLE)
     return create_net(
-        orderer_identity=orderer.identity,
-        orderer_key=world.key_pairs[orderer.identity],
+        orderer_identity=world.orderer,
+        orderer_key=world.key_pairs[world.orderer],
         trust=world.trust,
     )

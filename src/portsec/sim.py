@@ -15,14 +15,17 @@ from typing import Callable
 
 from .adapter import ValidationReport, forward, secure_outbound, validate_inbound
 from .audit import audit_views
-from .fixtures import FixtureIncomplete, FixtureSet, World, build_net, build_world
+from .fixtures import FixtureSet, World, build_net, build_world
 from .ledger import LedgerAction, LedgerError, LedgerNet, build_transaction, commit, endorse
 from .ledger import query as ledger_query
 from .ledger import submit, verify_chain
 from .model import MESSAGE_TYPES, Message, Plain, SecuredMessage, from_flat, to_flat
+from .policy import Role
 from .transcript import Transcript
 
 Interceptor = Callable[[str, SecuredMessage], SecuredMessage]
+
+_POLICY_ROLES = frozenset(r.value for r in Role)
 
 
 class ScenarioError(Exception):
@@ -69,7 +72,8 @@ class ScenarioScript:
     fixtures: FixtureSet
 
     def __post_init__(self):
-        known = {a.identity for a in self.fixtures.actors}
+        # only an identity whose certificate holds a policy role has an adapter
+        known = {i for i, role in self.fixtures.actors.items() if role in _POLICY_ROLES}
         seen: set[str] = set()
         for s in self.steps:
             for who in (s.sender, s.receiver, s.endorser):
@@ -226,7 +230,7 @@ class Simulation:
         self.net: LedgerNet | None = build_net(self.world) if script.mode == "ledger" else None
         self.transcript = Transcript(
             script.name, script.mode,
-            actors={a.identity: a.role for a in script.fixtures.actors},
+            actors=script.fixtures.actors,
         )
         #: step name -> (report, message) at the receiver
         self.inbound: dict[str, tuple[ValidationReport, SecuredMessage]] = {}
@@ -274,10 +278,7 @@ class Simulation:
             if source is not None and source.has(name):
                 fields.append((name, source.get(name)))
             else:
-                try:
-                    fields.append((name, Plain(self.fixtures.values[name])))
-                except KeyError:
-                    raise FixtureIncomplete(f"no fixture value for {name}") from None
+                fields.append((name, Plain(self.fixtures.value(name))))
         return Message(step.msg_type, self.fixtures.run_tag, tuple(fields))
 
     def _carried(self, step: Step):
@@ -310,7 +311,7 @@ class Simulation:
 
     def _ledger_step(self, step: Step) -> None:
         """A ledger, query or verify step; its denial is recorded, not raised."""
-        net, world, cnt = self.net, self.world, self.fixtures.values["CNT_NO"]
+        net, world, cnt = self.net, self.world, self.fixtures.value("CNT_NO")
         action = {"query": "QUERY", "verify": "VERIFY"}.get(step.kind, step.action)
         invoker = net.orderer_identity if step.kind == "verify" else step.sender
         try:

@@ -266,10 +266,9 @@ def _seeded_net(world, state):
     baseline = None
     if state is not None:
         baseline = {CNT: ContainerAsset(CNT, state, "SL1", "T1")}
-    orderer = world.fixtures.by_role("ORDERER")
     return create_net(
-        orderer_identity=orderer.identity,
-        orderer_key=world.key_pairs[orderer.identity],
+        orderer_identity=world.orderer,
+        orderer_key=world.key_pairs[world.orderer],
         trust=world.trust,
         baseline_state=baseline,
     )

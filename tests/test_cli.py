@@ -307,10 +307,10 @@ def test_ledger_verify_refuses_a_repeated_record(export_chain_bytes, tmp_path, c
     assert out.startswith(f"CHAIN INVALID parse repeated {what}") and "(at byte " in out
 
 
-@pytest.mark.parametrize("tag", [b"FIX", b"RUN", b"CA", b"ACTOR", b"KEY", b"CERT", b"VAL"])
+@pytest.mark.parametrize("tag", [b"FIX", b"RUN", b"KEY", b"CERT", b"VAL"])
 def test_a_repeated_fixture_record_exits_two(tmp_path, capsys, tag):
-    """A fixture file holds each header, CA, actor, key, certificate and
-    value once, so no later line replaces or adds to an earlier one."""
+    """A fixture file holds each header, key, certificate and value once,
+    so no later line replaces or adds to an earlier one."""
     path = tmp_path / "repeated.psf"
     path.write_bytes(_repeat_first(FIXTURES.read_bytes(), tag))
     with pytest.raises(SystemExit) as err:
@@ -486,10 +486,10 @@ def test_file_errors_exit_two(cli_files, capsys):
     assert "cannot write /no/such/dir/run.trs" in capsys.readouterr().err
 
 
-_CA_WITHOUT_PARENT = b"FIX+1+x'\nCA+x'\n"
+_KEY_WITHOUT_DER = b"FIX+2+x'\nRUN+a'\nKEY+x'\n"
 _EVENT_WITHOUT_KIND = b"TRS+1+export+p2p+PASS'\nEVT'\n"
 # parses, but names no scenario actor and pins an unknown suite
-_THIN_FIXTURE = b"FIX+1+x'\nRUN+a'\n"
+_THIN_FIXTURE = b"FIX+2+x'\nRUN+a'\n"
 _POLICY_NOT_UTF8 = b"# roles\nIMPORTER B_NO \xff\xfe R\n"
 # SENT event whose flat is base64 of MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
 _SENT_UNKNOWN_TAG = (
@@ -500,10 +500,10 @@ _SENT_UNKNOWN_TAG = (
 @pytest.mark.parametrize(
     "argv, content",
     [
-        (["run", "--scenario", "export", "--mode", "p2p", "--fixtures"], _CA_WITHOUT_PARENT),
-        (["compare", "--fixtures"], _CA_WITHOUT_PARENT),
+        (["run", "--scenario", "export", "--mode", "p2p", "--fixtures"], _KEY_WITHOUT_DER),
+        (["compare", "--fixtures"], _KEY_WITHOUT_DER),
         (["attack", "--scenario", "export", "--spec", "spec.atk", "--fixtures"],
-         _CA_WITHOUT_PARENT),
+         _KEY_WITHOUT_DER),
         (["audit", "--transcript"], _EVENT_WITHOUT_KIND),
         (["audit", "--transcript"], _SENT_UNKNOWN_TAG),
         (["compare", "--fixtures"], _THIN_FIXTURE),
@@ -580,6 +580,44 @@ def test_bad_key_first_used_in_validation_exits_two(base_fixtures, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: private key of customs-officer does not load")
     assert "Traceback" not in done.stderr
+
+
+def test_a_version_one_fixture_file_exits_two(tmp_path, capsys):
+    """A file from before certificates alone named the roles, with its CA
+    and ACTOR records, is refused at its header."""
+    path = tmp_path / "v1.psf"
+    path.write_bytes(FIXTURES.read_bytes().replace(b"FIX+2+", b"FIX+1+", 1))
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+    assert err.value.code == 2
+    assert "unsupported fixture header (at byte 0)" in capsys.readouterr().err
+
+
+def _relabelled(fixtures, identity, role):
+    cert = fixtures.certs[identity]
+    return dataclasses.replace(fixtures, certs={**fixtures.certs,
+                                                identity: dataclasses.replace(cert, role=role)})
+
+
+@pytest.mark.parametrize("command", ["run", "attack", "compare"])
+@pytest.mark.parametrize("role, error", [
+    ("PCS", "PCS may not read CNT_C but would send it PLAIN"),
+    ("CA", "step booking_ref: unknown actor importer-1"),
+])
+def test_an_importer_certified_for_another_role_exits_two(base_fixtures, cli_files, tmp_path,
+                                                          capsys, command, role, error):
+    """The importer's role comes from its certificate alone. As a PCS it
+    would send a field its role may not read; as a CA it has no adapter to
+    take its steps through. Either run stops with one error line."""
+    path = tmp_path / "relabelled.psf"
+    path.write_bytes(fixtures_to_bytes(_relabelled(base_fixtures, "importer-1", role)))
+    argv = {"run": ["run", "--scenario", "export", "--mode", "p2p"],
+            "attack": ["attack", "--scenario", "export", "--spec", str(cli_files["tamper"])],
+            "compare": ["compare"]}[command]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--fixtures", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_fixtures_subcommand_writes_a_runnable_file(tmp_path, capsys):

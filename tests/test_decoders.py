@@ -74,7 +74,7 @@ def test_decoders_fail_closed(honest, data):
 
 def test_fixture_record_arity_is_checked():
     with pytest.raises(ParseError) as e:
-        fixtures_from_bytes(b"FIX+1+x'\nRUN+a+b'\n")
+        fixtures_from_bytes(b"FIX+2+x'\nRUN+a+b'\n")
     assert e.value.offset == 9
 
 
@@ -105,7 +105,7 @@ _ATT = b"ATT+B_NO+H+AA=='"
         # TXN whose invoker has no certificate record: the TXN's own offset
         (parse_chain, _CHAIN_HEAD + b"TXN+CREATE+c+ghost+1+AA==+000+000'\n", 44, b"TXN+"),
         # release character before an ordinary byte on the second line
-        (fixtures_from_bytes, b"FIX+1+x'\nRUN+abc?d'\n", 16, b"?d"),
+        (fixtures_from_bytes, b"FIX+2+x'\nRUN+abc?d'\n", 16, b"?d"),
         # event record without its kind: the end of the tag
         (transcript_from_wire, b"TRS+1+export+p2p+PASS'\nEVT'\n", 26, b"'\n"),
         # block is not an integer, after a blank first line

@@ -20,8 +20,10 @@ from portsec.fixtures import (
     fixtures_from_bytes,
     fixtures_to_bytes,
 )
-from portsec.ledger import ChainInvalidCert, LedgerAction, build_transaction, rollover, submit
-from portsec.pki import validate_chain
+from portsec.ledger import (
+    ORDERER_ROLE, ChainInvalidCert, LedgerAction, build_transaction, rollover, submit,
+)
+from portsec.pki import CA_ROLE, validate_chain
 from portsec.policy import Role
 from portsec.sim import run_scenario
 from portsec.transcript import ValidatedEvent
@@ -65,7 +67,7 @@ def test_build_world_loads_no_key(base_fixtures):
     _load_private_cached.cache_clear()
     world = build_world(base_fixtures)
     assert _load_private_cached.cache_info().misses == 0
-    assert set(world.key_pairs) == {a.identity for a in base_fixtures.actors}
+    assert set(world.key_pairs) == set(base_fixtures.actors)
 
 
 @pytest.mark.parametrize("owner", ["t2-op", "SL1-CA"])
@@ -190,6 +192,48 @@ def test_an_orderer_key_is_checked_against_its_certificate(base_fixtures):
         build_net(world)
 
 
+def _relabelled(fx, identity, role):
+    """``fx`` with ``identity``'s certificate naming ``role``."""
+    return replace(fx, certs={**fx.certs, identity: replace(fx.certs[identity], role=role)})
+
+
+def test_an_adapter_takes_its_role_from_its_certificate(base_fixtures):
+    world = build_world(_relabelled(base_fixtures, "importer-1", Role.PCS.value))
+    assert world.adapter("importer-1").role is Role.PCS
+    assert world.orderer == "orderer-1" and "orderer-1" not in world.adapters
+    assert set(world.trust.cas) == {c.subject for c in base_fixtures.certs.values()
+                                    if c.role == CA_ROLE}
+
+
+@pytest.mark.parametrize("held_by", [(), ("orderer-1", "importer-1")], ids=["none", "two"])
+def test_the_orderer_role_is_held_by_one_certificate(base_fixtures, held_by):
+    """With no orderer a ledger run has no block signer; with two, which
+    one signs would be the file's order."""
+    fx = _relabelled(base_fixtures, "orderer-1", Role.CUSTOMS.value)
+    for identity in held_by:
+        fx = _relabelled(fx, identity, ORDERER_ROLE)
+    with pytest.raises(FixtureError, match=f"fixtures hold {len(held_by)} ORDERER certificates"):
+        build_world(fx)
+
+
+def test_only_the_orderer_may_hold_a_p256_key(base_fixtures, loaded):
+    """A reader's certificate, issued by its own CA, binds a P-256 key that
+    no content key can be wrapped for: the build refuses it from the
+    certificate and loads no private key."""
+    old = base_fixtures.certs["customs-officer"]
+    ca = build_world(base_fixtures).trust.cas[old.issuer]
+    private = ec.generate_private_key(ec.SECP256R1())
+    public = DEFAULT_SUITE.public_bytes(private.public_key())
+    cert = ca.issue(old.subject, old.org, old.role, public, LEAF_VALIDITY)
+    fx = replace(base_fixtures, certs={**base_fixtures.certs, old.subject: cert},
+                 keys={**base_fixtures.keys, old.subject: DEFAULT_SUITE.private_bytes(private)})
+    loaded.clear()  # the CA's key, loaded to issue
+    with pytest.raises(FixtureError,
+                       match="certificate of customs-officer: ECPublicKey is not an RSA key"):
+        build_world(fx)
+    assert loaded == []
+
+
 def test_an_issuer_cycle_fails_the_build(base_fixtures):
     """Two CA certificates naming each other as issuer are refused; a walk
     up the chain that never reaches a self-signed root would not end."""
@@ -209,7 +253,7 @@ def test_adapters_net_and_world_share_one_trust_view(world):
 
 def test_every_chain_ends_at_the_anchor(world):
     chains = world.trust.chains
-    assert set(chains) == {a.identity for a in world.fixtures.actors}
+    assert set(chains) == set(world.fixtures.actors)
     assert all(chain[-1] is world.trust.anchor for chain in chains.values())
     assert all(world.chain_of(ident) is chain for ident, chain in chains.items())
 

@@ -645,7 +645,7 @@ def test_anchor_hash_is_not_trusted(world, net):
 
 
 def test_orderer_must_hold_the_orderer_role(world):
-    assert {a.identity: a.role for a in world.fixtures.actors}["orderer-1"] == ORDERER_ROLE
+    assert world.fixtures.actors["orderer-1"] == ORDERER_ROLE
     net = create_net("sl1-clerk", world.key_pairs["sl1-clerk"], world.trust)
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (

@@ -1,13 +1,15 @@
 """Scenario runs: honest goldens, determinism, DG routing, transcripts,
 and the confidentiality audit over wire evidence."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portsec import adapter, envelope, ledger, pki
 from portsec.audit import LEDGER_ATTRS, audit_views, read_column
-from portsec.fixtures import build_world
+from portsec.fixtures import FixtureIncomplete, build_world
 from portsec.model import HashOnly, Sealed, from_flat
 from portsec.policy import Action, Role, SenderCannotRead, default_matrix, load_policy
 from portsec.sim import (
@@ -500,6 +502,22 @@ def test_script_rejects_unknown_actor(base_fixtures):
     )
     with pytest.raises(ScenarioError):
         ScenarioScript("export", "p2p", (ghost,), base_fixtures)
+
+
+def test_a_step_may_not_name_the_orderer(base_fixtures):
+    """Only an identity whose certificate holds a policy role has an
+    adapter to take a step through."""
+    step = Step(name="order", kind="ledger", sender="orderer-1", action="CREATE")
+    with pytest.raises(ScenarioError, match="unknown actor orderer-1"):
+        ScenarioScript("export", "ledger", (step,), base_fixtures)
+
+
+def test_a_missing_value_is_a_fixture_error_in_both_modes(base_fixtures):
+    values = {k: v for k, v in base_fixtures.values.items() if k != "CNT_NO"}
+    fx = replace(base_fixtures, values=values)
+    for mode in ("p2p", "ledger"):
+        with pytest.raises(FixtureIncomplete, match="no fixture value for CNT_NO"):
+            run_scenario(fx, "import", mode)
 
 
 def test_stop_on_reject_halts_the_run(base_fixtures):
