@@ -158,7 +158,7 @@ class ContainerAsset(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     invoker: Certificate
     action: LedgerAction
@@ -186,13 +186,16 @@ class Transaction:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     prev_hash: bytes
     transactions: tuple[Transaction, ...]
     orderer_signature: bytes
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the bytes ``_sign_block`` encoded; replace() leaves them out, as it does
+    # the digests, so they never outlive the fields they encode
+    _bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -482,7 +485,7 @@ def commit(net: LedgerNet, pendings: Sequence[PendingTransaction]) -> CommitResu
     block = _sign_block(
         net,
         index=len(net.chain),
-        prev_hash=_digests(net.chain[-1])[1],
+        prev_hash=_link_digest(net.chain[-1]),
         transactions=tuple(good),
     )
     net.chain.append(block)
@@ -580,46 +583,64 @@ def _txn_line(tx: Transaction) -> bytes:
 
 def block_bytes(block: Block) -> bytes:
     """Canonical serialized form: header (with orderer signature) plus one
-    TXN line per transaction. prev_hash links digest these bytes."""
+    TXN line per transaction. prev_hash links digest these bytes. A block
+    ``_sign_block`` made keeps them; any other block is encoded here."""
+    if block._bytes is not None:
+        return block._bytes
     header = records.encode("BLK", f"{block.index}", block.prev_hash, block.orderer_signature)
     return b"\n".join([header, *(_txn_line(t) for t in block.transactions)]) + b"\n"
 
 
 def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tuple) -> Block:
-    """A block the orderer signed, remembering its two ``_digests``. The
-    signature goes into the net's record under the signing key's own public
-    half, never a certificate's key, so an orderer certificate with any other
-    key misses the entry and is checked for real."""
+    """A block the orderer signed, keeping its ``block_bytes`` and its two
+    ``_digests``. The signature goes into the net's record under the
+    signing key's own public half, never a certificate's key, so an orderer
+    certificate with any other key misses the entry and is checked for
+    real."""
     suite, tail = DEFAULT_SUITE, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
     private = net.orderer_key.private
     block = Block(index, prev_hash, transactions, sign(private, payload))
     net._passed.add((suite.public_bytes(private.public_key()), payload, block.orderer_signature))
-    header = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature)
-    object.__setattr__(block, "_memo", (payload, suite.digest(header + tail + b"\n")))
+    data = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature) + tail + b"\n"
+    object.__setattr__(block, "_bytes", data)
+    object.__setattr__(block, "_memo", (payload, suite.digest(data)))
     return block
 
 
 def _digests(block: Block) -> tuple[bytes, bytes]:
     """(digest the orderer signs: the BLK line up to its signature, then the TXN
-    lines; link digest of ``block_bytes``), as the block remembers them; one
-    built by ``replace`` is hashed again."""
-    if block._memo is None:
-        _hash_block(block, block_bytes(block))
-    return block._memo
+    lines; link digest of ``block_bytes``), as the block remembers them. A
+    parsed block other than the last remembers only its link digest: the
+    first check of its orderer signature hashes the other here, from its
+    re-encoding. One built by ``replace`` is hashed again."""
+    memo = block._memo
+    if memo is None or memo[0] is None:
+        data = block_bytes(block)
+        memo = (_payload_digest(data), DEFAULT_SUITE.digest(data) if memo is None else memo[1])
+        object.__setattr__(block, "_memo", memo)
+    return memo
 
 
-def _hash_block(block: Block, data: bytes) -> None:
-    """Remember ``_digests`` of ``block`` from its ``block_bytes``, ``data``."""
+def _link_digest(block: Block) -> bytes:
+    """``_digests(block)[1]``, which a parsed block remembers alone."""
+    memo = block._memo
+    return _digests(block)[1] if memo is None else memo[1]
+
+
+def _payload_digest(data: bytes) -> bytes:
+    """The digest the orderer signs, from a block's ``block_bytes``,
+    ``data``: its BLK line up to the signature, then its TXN lines."""
     cut = data.index(b"\n")  # the signature ends the BLK line; base64 holds no "+"
-    digest = DEFAULT_SUITE.digest
-    payload = digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
-    object.__setattr__(block, "_memo", (payload, digest(data)))
+    return DEFAULT_SUITE.digest(data[: data.rindex(b"+", 0, cut)] + data[cut:-1])
 
 
 def export_chain(net: LedgerNet) -> bytes:
     """Offline-verifiable dump: header, baseline state, every referenced
-    certificate (so signatures check without the live net), then blocks."""
+    certificate (so signatures check without the live net), then blocks.
+    Each block the orderer signed is written as the bytes it kept (about
+    0.9 KB for a one-transaction block); only a block with none, built as a
+    plain ``Block`` or by ``replace``, is encoded here."""
     head = _head(net, _referenced(net.chain))
     lines = [
         records.encode("LEDGER", CHAIN_VERSION, head.suite_id),
@@ -665,14 +686,21 @@ class ExportedChain:
 #: Rank (the order ``export_chain`` writes), count and key of each record.
 _LAYOUT = {b"LEDGER": (0, 3, 0), b"ANCHOR": (1, 3, 0), b"BASE": (2, 5, 1),
            b"CERT": (3, 10, 2), b"BLK": (4, 4, None), b"TXN": (4, 0, None)}
+#: Each ledger action by its element in a TXN record, where no action
+#: name needs an escape.
+_ACTIONS = {a.value.encode(): a for a in LedgerAction}
 
 
 def parse_chain(data: bytes) -> ExportedChain:
     """Strict parse of an exported chain under ``records.read_file``'s
     one-byte-form rule; a malformed line or a non-canonical integer raises.
     When the next BLK record (or the end) closes a block, it remembers its
-    ``_digests``, hashed from its records' elements:
-    one byte form makes them, joined, the records' ``records.encode`` output."""
+    link digest, hashed from its records' elements: one byte form makes
+    them, joined, the records' ``records.encode`` output. Only the last
+    block, whose orderer signature ``verify_exported`` always checks, also
+    remembers the digest that signature covers; any other block hashes it
+    only if its signature is checked (``_digests``). Each BLK and TXN
+    element is decoded once, the action by a table of its bytes."""
     suite_id = orderer = ""
     baseline: dict[str, ContainerAsset] = {}
     certs: dict[str, Certificate] = {}
@@ -683,7 +711,16 @@ def parse_chain(data: bytes) -> ExportedChain:
 
     for rec in records.read_file(data, _LAYOUT, "chain"):
         tag = rec.tag
-        if tag == b"LEDGER":
+        if tag == b"TXN":
+            if header is None:
+                raise ParseError("TXN before any BLK", rec.offset)
+            txns.append(_parse_txn(rec, certs))
+            elems.append(rec.elems)
+        elif tag == b"BLK":
+            if header is not None:
+                blocks.append(_parsed_block(header, txns, elems, last=False))
+            header, txns, elems = (rec.int(1, 1), *rec.b64s((2, 3))), [], [rec.elems]
+        elif tag == b"LEDGER":
             if rec.text(1) != CHAIN_VERSION:
                 raise ParseError("unsupported chain header", rec.offset)
             suite_id = rec.text(2)
@@ -697,50 +734,47 @@ def parse_chain(data: bytes) -> ExportedChain:
             except ValueError:
                 raise ParseError("unknown lifecycle state", rec.offsets[2]) from None
             baseline[cnt] = ContainerAsset(cnt, st, rec.text(3), rec.text(4))
-        elif tag == b"CERT":
+        else:  # CERT, the one tag left in _LAYOUT
             cert = cert_from_record(rec)
             certs[cert.subject] = cert
-        elif tag == b"BLK":
-            if header is not None:
-                blocks.append(_parsed_block(header, txns, elems))
-            header, txns, elems = (rec.int(1, 1), rec.b64(2), rec.b64(3)), [], [rec.elems]
-        elif header is None:
-            raise ParseError("TXN before any BLK", rec.offset)
-        else:
-            txns.append(_parse_txn(rec, certs))
-            elems.append(rec.elems)
     if header is not None:
-        blocks.append(_parsed_block(header, txns, elems))
+        blocks.append(_parsed_block(header, txns, elems, last=True))
     return ExportedChain(suite_id, orderer, baseline, certs, tuple(blocks))
 
 
 def _parsed_block(header: tuple[int, bytes, bytes], txns: list[Transaction],
-                  elems: list[list[bytes]]) -> Block:
+                  elems: list[list[bytes]], last: bool) -> Block:
     block = Block(header[0], header[1], tuple(txns), header[2])
-    _hash_block(block, b"\n".join(b"+".join(e) + b"'" for e in elems) + b"\n")
+    data = b"'\n".join(map(b"+".join, elems)) + b"'\n"
+    object.__setattr__(block, "_memo", (_payload_digest(data) if last else None,
+                                        DEFAULT_SUITE.digest(data)))
     return block
 
 
 def _parse_txn(rec: records.Record, certs: Mapping[str, Certificate]) -> Transaction:
-    try:
-        action = LedgerAction(rec.text(1))
-    except ValueError:
-        raise ParseError("unknown ledger action", rec.offsets[1]) from None
-    subject = rec.text(3)
+    """The transaction of a TXN record, its invoker the certificate record
+    of its subject, remembering the ``TXB`` body its elements make."""
+    e = rec.elems
+    if len(e) < 8:
+        rec.need(8)  # the shortest TXN: no argument, no endorsement
+    action = _ACTIONS.get(e[1])
+    if action is None:
+        raise ParseError("unknown ledger action", rec.offsets[1])
     serial = rec.int(4, 1)
     args_end = 7 + 2 * rec.int(6, 3)
-    rec.need(args_end + 1 + 2 * rec.int(args_end, 3))
-    args = tuple((rec.text(i), rec.text(i + 1)) for i in range(7, args_end, 2))
-    endorsements = tuple(
-        (rec.text(i), rec.b64(i + 1)) for i in range(args_end + 1, len(rec), 2)
-    )
+    end = args_end + 1 + 2 * rec.int(args_end, 3)
+    rec.need(end)
+    cnt_no, subject, *texts = rec.texts((2, 3, *range(7, args_end), *range(args_end + 1, end, 2)))
     invoker = certs.get(subject)
     if invoker is None:
         raise ParseError(f"transaction invoker {subject} has no certificate record", rec.offset)
     if invoker.serial != serial:
         raise ParseError(f"certificate serial mismatch for {subject}", rec.offset)
-    tx = Transaction(invoker, action, rec.text(2), args, rec.b64(5), endorsements)
-    e = rec.elems  # in the TXB body's order; each text element as encode() escapes it
+    signature, *sigs = rec.b64s((5, *range(args_end + 2, end, 2)))
+    n = args_end - 7
+    args = tuple(zip(texts[:n:2], texts[1:n:2]))
+    tx = Transaction(invoker, action, cnt_no, args, signature, tuple(zip(texts[n:], sigs)))
+    # in the TXB body's order; each text element as encode() escapes it
     object.__setattr__(tx, "_body", b"+".join((b"TXB", e[3], e[4], e[1], e[2], *e[7:args_end])))
     return tx
 
@@ -910,7 +944,7 @@ def _verify_blocks(
     transaction remembers (``_digests``, ``_tx_digests``); signature
     checks go through ``_signed`` on ``passed``."""
     blocks, res = exported.blocks, None
-    prev = _digests(blocks[start - 1])[1] if start else _state_digest(state)
+    prev = _link_digest(blocks[start - 1]) if start else _state_digest(state)
     for pos, block in enumerate(blocks[start:], start):
         idx = block.index
         if idx != pos:
@@ -925,7 +959,7 @@ def _verify_blocks(
                 res, pos = ChainVerification(False, idx, str(exc)), pos + 1
         if res is not None:
             return _broken_orderer(exported, start, pos, passed) or res
-        prev = _digests(block)[1]
+        prev = _link_digest(block)
     end = len(blocks)
     if not vouch or start == end:
         return None

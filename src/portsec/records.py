@@ -23,14 +23,14 @@ from __future__ import annotations
 import binascii
 import re
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # One scan finds every release pair (or a dangling release) and separator.
 _SCAN = re.compile(rb"\?[\s\S]?|['+]")
 _RELEASED = re.compile(rb"\?([\s\S])")
 _ESCAPES = str.maketrans({c: "?" + c for c in "+'?"})
 _BLANK = b" \t\v\f\r\n"  # stripped around a line, its break included
-_RELEASE, _PLUS = ord("?"), ord("+")
+_RELEASE, _PLUS, _ZERO = ord("?"), ord("+"), ord("0")
 # URL-safe base64 through the standard codec: swap the two alphabet bytes.
 _FROM_URLSAFE = bytes.maketrans(b"-_", b"+/")
 _TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
@@ -120,8 +120,28 @@ class Record:
         except UnicodeDecodeError as exc:
             raise ParseError(f"token is not valid UTF-8: {exc}", self.offsets[i]) from None
 
+    def texts(self, idx: Sequence[int]) -> list[str]:
+        """``text`` of each of the elements ``idx``, which ``need`` has
+        bounded: a record with no release pair has each decoded as it is."""
+        if not self.released:
+            elems = self.elems
+            try:
+                return [elems[i].decode() for i in idx]
+            except UnicodeDecodeError:
+                pass  # text() names the element
+        return [self.text(i) for i in idx]
+
+    def b64s(self, idx: Iterable[int]) -> list[bytes]:
+        """``b64`` of each of the elements ``idx``, which ``need`` has
+        bounded."""
+        elems = self.elems
+        return [self._b64(elems[i], i) for i in idx]
+
     def b64(self, i: int) -> bytes:
-        raw = self._raw(i)
+        return self._b64(self._raw(i), i)
+
+    def _b64(self, raw: bytes, i: int) -> bytes:
+        """Element ``i``, ``raw``, decoded from canonical URL-safe base64."""
         try:
             decoded = binascii.a2b_base64(raw.translate(_FROM_URLSAFE))
         except binascii.Error as exc:
@@ -140,7 +160,7 @@ class Record:
             value = None
         if value is None:
             raise ParseError(f"expected a decimal integer, got {raw[:20]!r}", self.offsets[i])
-        if width and raw != b"%0*d" % (width, value):
+        if width and (len(raw) < width or len(raw) > width and raw[0] == _ZERO):
             raise ParseError(f"non-canonical integer {raw[:20]!r}", self.offsets[i])
         return value
 
@@ -197,7 +217,12 @@ def decode_lines(data: bytes) -> Iterator[Record]:
         start, end = end, end + len(line)
         body = line.strip(_BLANK)
         if body:
-            start += len(line) - len(line.lstrip(_BLANK))
+            if body[0] != line[0]:  # the line is indented
+                start += len(line) - len(line.lstrip(_BLANK))
+            if body.find(b"'") == len(body) - 1 and b"?" not in body:
+                # one record and no release character: split the line itself
+                yield Record(body[:-1].split(b"+"), start, set())
+                continue
             found = _scan(data, start, start + len(body))
             if len(found) != 1:
                 raise ParseError("one record per line expected", found[1].offset)

@@ -1325,6 +1325,95 @@ def _content_edit(block):
     return replace(block, transactions=(replace(tx, cnt_no=tx.cnt_no + "X"), *rest))
 
 
+def _committed(world, net):
+    """A net after one lifecycle that ``commit`` ordered."""
+    full_lifecycle(world, net)
+    return net
+
+
+def _ordered_by_hand(world, net):
+    """A net after one committed lifecycle and a CREATE that
+    ``order_by_hand`` signed, ``commit``'s checks skipped."""
+    full_lifecycle(world, net)
+    pending = submit_by(world, net, "sl1-clerk", LedgerAction.CREATE, "MSCU7654321",
+                        (("terminal", "T1"),))
+    order_by_hand(net, endorse_by(world, net, pending, "t1-op").endorsed())
+    return net
+
+
+def _rolled_over(world, net):
+    """The successor of a net after one lifecycle, after a lifecycle of
+    its own: its genesis links to a baseline that holds the first box."""
+    full_lifecycle(world, net)
+    successor = rollover(net)
+    full_lifecycle(world, successor, cnt_no="MSCU7654321")
+    return successor
+
+
+@pytest.mark.parametrize("build", [_committed, _ordered_by_hand, _rolled_over],
+                         ids=["commit", "order_by_hand", "rollover"])
+def test_kept_bytes_never_outlive_their_fields(world, net, encoded, build):
+    """Each block ``_sign_block`` made keeps the bytes it signed, so an
+    export encodes only its head records; the kept bytes are the block's
+    own encoding, so a chain of ``replace`` copies exports the same bytes.
+    A block swapped in by ``replace`` keeps none: the export holds its own
+    re-encoded bytes, which fail offline verification at that block."""
+    net = build(world, net)
+    encoded.clear()
+    data = export_chain(net)
+    parsed = parse_chain(data)
+    assert encoded == ["LEDGER", "ANCHOR", *["BASE"] * len(net.baseline_state),
+                       *["CERT"] * len(parsed.certs)]
+    assert all(block._bytes == block_bytes(replace(block)) for block in net.chain)
+    assert export_chain(replace(net, chain=[replace(b) for b in net.chain])) == data
+    assert verify_exported(parsed).valid
+
+    i = len(net.chain) - 1 if build is _ordered_by_hand else 2
+    swapped = _content_edit(net.chain[i])
+    assert swapped._bytes is None
+    kept, net.chain[i] = net.chain[i], swapped
+    encoded.clear()
+    try:
+        edited = export_chain(net)
+    finally:
+        net.chain[i] = kept
+    assert encoded.count("BLK") == 1 and encoded.count("TXN") == 1
+    assert block_bytes(swapped) in edited and kept._bytes not in edited
+    res = verify_exported(parse_chain(edited))
+    assert (res.valid, res.first_bad_block, res.reason) == (False, i, "orderer signature broken")
+
+
+def test_blocks_and_transactions_hold_no_dict(world, net):
+    """A block and its transactions keep their fields in slots, committed
+    or parsed, so the bytes a committed block keeps are most of what it
+    adds."""
+    full_lifecycle(world, net)
+    for block in (net.chain[-1], parse_chain(export_chain(net)).blocks[-1]):
+        assert not hasattr(block, "__dict__")
+        assert not any(hasattr(tx, "__dict__") for tx in block.transactions)
+
+
+def test_a_parsed_block_hashes_its_orderer_payload_when_it_is_checked(world, long_net):
+    """Verifying a parsed honest chain hashes no orderer payload but the
+    last block's, which the parse hashed; a link broken at block 3 checks
+    the orderer signatures of the blocks before it, and hashes those
+    payloads then."""
+    parsed = parse_chain(export_chain(long_net))
+    assert verify_exported(parsed).valid
+    hashed = [b._memo[0] is not None for b in parsed.blocks]
+    assert hashed == [False] * (len(hashed) - 1) + [True]
+
+    block = long_net.chain[3]
+    chain = [*long_net.chain[:3], replace(block, prev_hash=_flip(block.prev_hash)),
+             *long_net.chain[4:]]
+    parsed = parse_chain(export_chain(replace(long_net, chain=chain)))
+    res = verify_exported(parsed)
+    assert (res.valid, res.first_bad_block, res.reason) == (False, 3, "previous-hash link broken")
+    hashed = [b._memo[0] is not None for b in parsed.blocks]
+    assert hashed == [True] * 3 + [False] * (len(hashed) - 4) + [True]
+    assert [ledger._digests(b) for b in parsed.blocks] == [ledger._digests(b) for b in chain]
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda b: replace(b, prev_hash=_flip(b.prev_hash)), "previous-hash link broken"),
     (lambda b: replace(b, orderer_signature=_flip(b.orderer_signature)),
@@ -1610,10 +1699,11 @@ def _agree(world, batches, picks):
 @given(batches=_batches)
 def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches):
     """Over the differential's chains, and their CRLF and indented
-    re-writes, each parsed block remembers the digests of its canonical
-    re-encoding, each parsed transaction the body it encodes to and each
-    parsed certificate the digest of its body; a header naming another
-    suite still fails at the head."""
+    re-writes, each parsed block's link digest, hashed as it was read, and
+    its orderer payload digest, hashed on demand but the last block's, are
+    those of its canonical re-encoding; each parsed transaction remembers
+    the body it encodes to and each parsed certificate the digest of its
+    body; a header naming another suite still fails at the head."""
     net, _ = _grow(shared_world, batches)
     data = export_chain(net)
     indented = b"".join(b" \t" + line for line in data.splitlines(keepends=True))
@@ -1621,7 +1711,10 @@ def test_a_parsed_block_hashes_the_bytes_it_was_read_from(shared_world, batches)
         parsed = parse_chain(text)
         assert parsed.blocks == tuple(net.chain)
         for block in parsed.blocks:
-            assert block._memo == ledger._digests(replace(block))
+            payload, link = ledger._digests(replace(block))
+            assert block._memo[1] == link
+            assert block._memo[0] == (payload if block is parsed.blocks[-1] else None)
+            assert ledger._digests(block) == (payload, link)
             for tx in block.transactions:
                 assert tx.body_bytes() == replace(tx).body_bytes()
         for cert in parsed.certs.values():
