@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 from . import records
 from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE
-from .model import ModelError, ParseError, Sealed, SecuredMessage, from_flat
+from .model import (
+    InvariantViolation,
+    ModelError,
+    ParseError,
+    SecuredMessage,
+    from_flat,
+    validate_attribute_name,
+)
 
 TRANSCRIPT_VERSION = "1"
 
@@ -33,6 +40,8 @@ class SentEvent:
     flat: bytes
     #: the decoded ``flat``; never on the wire
     message: SecuredMessage = field(compare=False, repr=False)
+    #: a hop never counts against the run verdict; its VALIDATED record may
+    fails = False
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,11 @@ class ValidatedEvent:
     report: ValidationReport | None = None  # live runs only; never on the wire
     report_wire: bytes = b""  # findings as serialized by the validator
 
+    @property
+    def fails(self) -> bool:
+        """Does this event count against the run verdict?"""
+        return self.verdict != "ACCEPT"
+
 
 @dataclass(frozen=True)
 class LedgerEvent:
@@ -53,12 +67,20 @@ class LedgerEvent:
     outcome: str  # COMMITTED | VISIBLE | VALID | INVALID | denial class name
     detail: str
 
+    @property
+    def fails(self) -> bool:
+        return self.outcome not in BENIGN_OUTCOMES
+
 
 @dataclass(frozen=True)
 class AuditEvent:
     actor: str
     attributes: tuple[str, ...]
     flagged: bool
+
+    @property
+    def fails(self) -> bool:
+        return self.flagged
 
 
 Event = SentEvent | ValidatedEvent | LedgerEvent | AuditEvent
@@ -97,14 +119,7 @@ class Transcript:
 
     @property
     def verdict(self) -> str:
-        for ev in self.events:
-            if isinstance(ev, ValidatedEvent) and ev.verdict != "ACCEPT":
-                return "FAIL"
-            if isinstance(ev, LedgerEvent) and ev.outcome not in BENIGN_OUTCOMES:
-                return "FAIL"
-            if isinstance(ev, AuditEvent) and ev.flagged:
-                return "FAIL"
-        return "PASS"
+        return "FAIL" if any(ev.fails for ev in self.events) else "PASS"
 
     def sent_events(self) -> list[SentEvent]:
         return [ev for ev in self.events if isinstance(ev, SentEvent)]
@@ -149,8 +164,12 @@ def transcript_from_wire(data: bytes) -> Transcript:
     serialized findings; live report objects do not survive the wire. A
     file ``records.read_file`` refuses, a SENT record not followed at once
     by its receiver's VALIDATED record, a VALIDATED record that follows no
-    SENT record, a VALIDATED verdict other than its report's, or a header
-    verdict other than the events', raises."""
+    SENT record, a VALIDATED verdict other than its report's, a header
+    verdict other than the events', a mode other than ``p2p`` or
+    ``ledger``, or an AUDIT attribute list other than the one
+    ``Transcript.audit`` writes (sorted attribute names, each once, no
+    empty entry), raises. Each message is decoded here, once; the digest
+    reads its flat's bytes, not its records (``determinism_digest``)."""
     t = Transcript("", "")
     decoded: dict = {}  # each distinct ATT or SIG record and report, read once per load
     for rec in records.read_file(data, _LAYOUT, "transcript"):
@@ -158,6 +177,8 @@ def transcript_from_wire(data: bytes) -> Transcript:
             if rec.text(1) != TRANSCRIPT_VERSION:
                 raise ParseError("unsupported transcript header", rec.offset)
             t.scenario, t.mode, header = rec.text(2), rec.text(3), rec
+            if t.mode not in ("p2p", "ledger"):
+                raise ParseError(f"unknown transcript mode {t.mode!r}", rec.offsets[3])
         elif rec.tag == b"ACT":
             t.actors[rec.text(1)] = rec.text(2)
         else:
@@ -201,7 +222,15 @@ def _event(rec: records.Record, decoded: dict) -> Event:
         return LedgerEvent(*(rec.text(i) for i in range(2, 7)))
     if kind == "AUDIT":
         rec.need(5)
-        attrs = tuple(a for a in rec.text(3).split(",") if a)
+        listed = rec.text(3)
+        attrs = tuple(sorted(set(listed.split(",")))) if listed else ()
+        try:  # one byte form: the sorted, distinct names ``Transcript.audit`` writes
+            as_written = ",".join(map(validate_attribute_name, attrs)) == listed
+        except InvariantViolation:
+            as_written = False
+        if not as_written:
+            raise ParseError(f"AUDIT attributes {listed!r} are not sorted, distinct names",
+                             rec.offsets[3])
         if rec.text(4) not in ("FLAG", "OK"):
             raise ParseError(f"unknown AUDIT flag {rec.text(4)!r}", rec.offsets[4])
         return AuditEvent(rec.text(2), attrs, rec.text(4) == "FLAG")
@@ -242,29 +271,61 @@ def _sent_event(rec: records.Record, decoded: dict) -> SentEvent:
 def _masked_flat(flat: bytes) -> bytes:
     """``flat`` with the bytes that legitimately differ between replays
     blanked in place: each sealed field's ciphertext and wrapped keys.
-    Digests and reader lists stay."""
+    Digests, reader lists and every other record keep their bytes, and a
+    flat with no sealed field is returned as it is.
+
+    Sealed records are found as ``records._scan`` splits a flat: by
+    ``records.decode`` when it holds a release character. Otherwise no
+    separator is escaped, so each ``+S+`` is checked in its own record: an
+    attribute name holds no separator (``model.validate_attribute_name``),
+    so ``ATT+name+S+`` starts a sealed record, and a flat without ``+S+``
+    holds none. Only a sealed record is split into elements, and one loop
+    masks the records found either way."""
+    at = flat.find(b"+S+")
+    if at < 0:
+        return flat
+    # (start, end at its closing ', raw elements) of each sealed record
+    if b"?" in flat:
+        recs = records.decode(flat)
+        ends = [rec.offset - 1 for rec in recs[1:]] + [len(flat) - 1]
+        sealed = [(rec.offset, end, rec.elems) for rec, end in zip(recs, ends)
+                  if rec.elems[0] == b"ATT" and rec.elems[2] == b"S"]
+    else:
+        sealed = []
+        while at >= 0:
+            start = flat.rfind(b"'", 0, at) + 1
+            end = flat.find(b"'", at)
+            name_end = flat.find(b"+", start + 4)
+            if flat.startswith(b"ATT+", start) and flat.startswith(b"+S+", name_end):
+                sealed.append((start, end, flat[start:end].split(b"+")))
+            at = flat.find(b"+S+", end)
     out = []
-    for rec in records.decode(flat):
-        elems = rec.elems
-        if elems[0] == b"ATT" and elems[2] == b"S":
-            # ATT+name+S+digest+ciphertext+count+reader+key+reader+key...
-            elems = [*elems[:4], b"", *elems[5:]]
-            elems[7::2] = [b""] * len(elems[7::2])
-        out.append(b"+".join(elems))
-    return b"'".join(out) + b"'"
+    pos = 0
+    for start, end, elems in sealed:
+        # ATT+name+S+digest+ciphertext+count+reader+key+reader+key...
+        elems[4] = b""
+        elems[7::2] = [b""] * len(elems[7::2])
+        out += (flat[pos:start], b"+".join(elems))
+        pos = end
+    if not out:
+        return flat
+    out.append(flat[pos:])
+    return b"".join(out)
 
 
 def determinism_digest(t: Transcript) -> bytes:
     """Digest of the transcript with fresh-randomness bytes excluded;
-    equal across replays of one script over one fixture set."""
-    acc = [t.scenario.encode(), t.mode.encode(), t.verdict.encode()]
+    equal across replays of one script over one fixture set. Each SENT
+    flat is hashed as ``_masked_flat`` leaves it, so a hop with no sealed
+    field hashes its wire bytes as they are. One pass over the events
+    builds it, the run verdict (``Transcript.verdict``) included."""
+    acc = [t.scenario.encode(), t.mode.encode(), b""]  # the verdict, known after the events
+    failed = False
     for ev in t.events:
+        failed = failed or ev.fails
         if isinstance(ev, SentEvent):
-            # a hop whose message holds no sealed value is its own masked form
-            fields = ev.message.message.fields
-            masked = (_masked_flat(ev.flat) if any(isinstance(v, Sealed) for _, v in fields)
-                      else ev.flat)
-            acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|" + masked)
+            acc.append(b"SENT|" + ev.step.encode() + b"|" + ev.receiver.encode() + b"|"
+                       + _masked_flat(ev.flat))
         elif isinstance(ev, ValidatedEvent):
             acc.append(f"VALIDATED|{ev.actor}|{ev.msg_type}|{ev.verdict}".encode())
         elif isinstance(ev, LedgerEvent):
@@ -275,4 +336,5 @@ def determinism_digest(t: Transcript) -> bytes:
             acc.append(
                 ("AUDIT|%s|%s|%d" % (ev.actor, ",".join(ev.attributes), ev.flagged)).encode()
             )
+    acc[2] = b"FAIL" if failed else b"PASS"
     return DEFAULT_SUITE.digest(b"\x1e".join(acc))

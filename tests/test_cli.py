@@ -395,12 +395,16 @@ def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_by
      "VALIDATED actor differs from its SENT's receiver"),
     (True, b"+REJECT+", b"+MAYBE+", "unknown VALIDATED verdict 'MAYBE'"),
     (False, b"+OK'", b"+MAYBE'", "unknown AUDIT flag 'MAYBE'"),
-], ids=["receiver", "verdict", "flag"])
+    (False, b"TRS+1+export+p2p+", b"TRS+1+export+xyz+", "unknown transcript mode 'xyz'"),
+    (False, b"EVT+AUDIT+importer-1+B_NO,", b"EVT+AUDIT+importer-1+B_NO,,",
+     "AUDIT attributes 'B_NO,,CNT_C,CSG_DATA,DG' are not sorted, distinct names"),
+], ids=["receiver", "verdict", "flag", "mode", "audit-list"])
 def test_audit_refuses_a_relabelled_receiver_verdict_or_flag(cli_files, tmp_path, capsys,
                                                              attack, old, new, what):
     """Each would load and audit at face value: the receiver is named by
-    no byte of the hop, and an unknown word would read as a verdict or a
-    flag."""
+    no byte of the hop, an unknown word would read as a verdict, a flag
+    or a mode, and an AUDIT list with an empty entry as the list the run
+    wrote."""
     argv = ["attack", "--spec", str(cli_files["tamper"])] if attack else []
     path = tmp_path / "run.trs"
     raw = _stored_run(cli_files, path, *argv)

@@ -10,7 +10,17 @@ from portsec import model, records, transcript
 from portsec.attacks import AttackKind, AttackSpec, battery, inject_attack
 from portsec.audit import audit_views
 from portsec.envelope import DEFAULT_SUITE
-from portsec.model import Message, ParseError, Sealed, SecuredMessage, from_flat, to_flat
+from portsec.model import (
+    AttributeSignature,
+    HashOnly,
+    Message,
+    ParseError,
+    Plain,
+    Sealed,
+    SecuredMessage,
+    from_flat,
+    to_flat,
+)
 from portsec.sim import run_scenario
 from portsec.transcript import (
     AuditEvent,
@@ -130,52 +140,113 @@ def _reference_digest(t):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_digest_masks_the_flat_as_the_reference_masks_the_message(base_fixtures, seed):
     """Over honest and battery runs, live and reloaded, the digest masks
-    each flat as the reference masks its decoded message."""
+    each flat as the reference masks its decoded message: on the split
+    path (no release character) and on the escape path."""
     rng = random.Random(seed)
-    hops = {True: 0, False: 0}  # by whether the hop holds a sealed field
-    for scenario in ("export", "import"):
-        for dg in ("false", "true"):
-            fx = base_fixtures.with_values(
-                # '+' in the run tag puts release characters into every flat
-                run_tag=f"S{seed}+{scenario}-{dg}",
-                B_NO=f"BKG-{rng.randint(0, 999999):06d}",
-                CNT_C=f"{rng.randint(10, 900)} crates lot {rng.random()}",
-                CNT_W=f"{rng.randint(900, 30480)} kg",
-                DG=dg,
-            )
-            runs = [run_scenario(fx, scenario, "p2p").transcript]
-            runs += [inject_attack(fx, scenario, spec, "p2p")[0] for spec in battery(scenario)]
-            for live in runs:
-                reloaded = transcript_from_wire(transcript_to_wire(live))
-                for t in (live, reloaded):
-                    assert determinism_digest(t) == _reference_digest(t), (scenario, dg)
-                hops[True] += sum(map(_holds_sealed, live.sent_events()))
-                hops[False] += sum(not _holds_sealed(ev) for ev in live.sent_events())
-    assert hops[True] > 0 and hops[False] > 0
+    hops = {(sealed, released): 0 for sealed in (True, False) for released in (True, False)}
+    for released in (True, False):
+        for scenario in ("export", "import"):
+            for dg in ("false", "true"):
+                fx = base_fixtures.with_values(
+                    # '+' in the run tag puts release characters into every flat
+                    run_tag=f"S{seed}{'+' if released else '-'}{scenario}-{dg}",
+                    B_NO=f"BKG-{rng.randint(0, 999999):06d}",
+                    CNT_C=f"{rng.randint(10, 900)} crates lot {rng.random()}",
+                    CNT_W=f"{rng.randint(900, 30480)} kg",
+                    DG=dg,
+                )
+                runs = [run_scenario(fx, scenario, "p2p").transcript]
+                runs += [inject_attack(fx, scenario, spec, "p2p")[0] for spec in battery(scenario)]
+                for live in runs:
+                    reloaded = transcript_from_wire(transcript_to_wire(live))
+                    for t in (live, reloaded):
+                        assert determinism_digest(t) == _reference_digest(t), (scenario, dg)
+                    for ev in live.sent_events():
+                        hops[_holds_sealed(ev), b"?" in ev.flat] += 1
+    assert all(hops.values()), hops
 
 
 def _holds_sealed(ev):
     return any(isinstance(v, Sealed) for _, v in ev.message.message.fields)
 
 
-def test_digest_splits_only_hops_with_a_sealed_field(honest_sims, monkeypatch):
+def _hand_built(ciphertext: bytes, key: bytes, other: bytes) -> Transcript:
+    """Four hops the battery does not make, each followed by its
+    receiver's VALIDATED record, so that they reload: a sealed field named
+    ``S`` and a plain one of that name; a reader, signer and sender named
+    ``S``; reader identities holding ``'``, ``?`` and ``+``; and a signer
+    whose escaped name holds ``+S+``."""
+    sealed = Sealed(b"d" * 32, ciphertext, {"S": key, "pa-officer": other})
+    odd = Sealed(b"e" * 32, ciphertext, {"a'b?c": key, "z+y": other})
+    hops = [
+        ((("S", sealed), ("CNT_W", Plain("S"))), (AttributeSignature("S", ("S",), b"s"),)),
+        ((("S", Plain("x")), ("CNT_C", sealed)), (AttributeSignature("S", ("S", "CNT_C"), b"t"),)),
+        ((("CNT_C", odd), ("B_NO", HashOnly(b"h" * 32))), ()),
+        ((("B_NO", Plain("x")),), (AttributeSignature("a+S", ("B_NO",), b"u"),)),
+    ]
+    t = Transcript("export", "p2p")
+    for i, (fields, signatures) in enumerate(hops):
+        sm = SecuredMessage(Message("CODECO", f"R{i}", fields), signatures, "S")
+        t.sent(f"hop{i}", "S", "t1-op", to_flat(sm), sm)
+        t.events.append(ValidatedEvent("t1-op", "CODECO", f"R{i}", "ACCEPT",
+                                       report_wire=b"VERDICT+ACCEPT'\n"))
+    return t
+
+
+def test_digest_masks_hand_built_sealed_fields_as_the_reference():
+    """Each ``+S+`` that is not a sealed field's representation is left
+    as it is; each sealed field is masked, its readers kept, on the split
+    and on the escape path, live and reloaded."""
+    t = _hand_built(b"c" * 60, b"k" * 40, b"w" * 40)
+    flats = [ev.flat for ev in t.sent_events()]
+    assert [b"?" in flat for flat in flats] == [False, False, True, True]
+    assert all(b"+S+" in flat for flat in flats)
+    reloaded = transcript_from_wire(transcript_to_wire(t))
+    assert [ev.flat for ev in reloaded.sent_events()] == flats
+    for each in (t, reloaded):
+        assert determinism_digest(each) == _reference_digest(each)
+    masked = [transcript._masked_flat(flat) for flat in flats]
+    assert masked[3] is flats[3]
+    for secret in (b"c" * 60, b"k" * 40, b"w" * 40):
+        wired = base64.urlsafe_b64encode(secret)
+        assert wired in flats[0] and not any(wired in flat for flat in masked)
+    assert b"+002+S++pa-officer+'" in masked[0] and b"+002+a?'b??c++z?+y+'" in masked[2]
+    # fresh ciphertext and keys digest the same
+    assert determinism_digest(_hand_built(b"C" * 60, b"w" * 40, b"k" * 40)) == \
+        determinism_digest(t)
+
+
+def test_digest_splits_only_hops_with_a_sealed_field(honest_sims, base_fixtures, monkeypatch):
     """A hop whose message holds no sealed value is its own masked form:
-    the digest splits only the flats of hops with a sealed field."""
-    calls = []
-    decode = records.decode
+    its flat is hashed as it is. A flat with no release character builds
+    no ``Record``: only its sealed records are split, by their bytes. A
+    flat holding one is split by ``records.decode``, here only when it
+    holds a sealed field."""
+    fx = base_fixtures.with_values(run_tag="tag+with?release")
+    released_sims = {key: run_scenario(fx, *key) for key in honest_sims}
+    built = []
 
-    def counted(data):
-        calls.append(data)
-        return decode(data)
+    class Counted(records.Record):
+        __slots__ = ()
 
-    for key, sim in honest_sims.items():
-        reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
-        for t in (sim.transcript, reloaded):
-            calls.clear()
-            with monkeypatch.context() as patched:
-                patched.setattr(records, "decode", counted)
-                determinism_digest(t)
-            assert calls == [ev.flat for ev in t.sent_events() if _holds_sealed(ev)], key
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    for released, sims in ((False, honest_sims), (True, released_sims)):
+        for key, sim in sims.items():
+            reloaded = transcript_from_wire(transcript_to_wire(sim.transcript))
+            for t in (sim.transcript, reloaded):
+                assert all((b"?" in ev.flat) == released for ev in t.sent_events()), key
+                for ev in t.sent_events():
+                    assert (transcript._masked_flat(ev.flat) is ev.flat) != _holds_sealed(ev)
+                split = [len(records.decode(ev.flat)) for ev in t.sent_events()
+                         if released and _holds_sealed(ev)]
+                built.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(records, "Record", Counted)
+                    determinism_digest(t)
+                assert len(built) == sum(split), (key, released)
 
 
 def test_reload_decodes_each_message_once(honest_sims, monkeypatch):
@@ -312,6 +383,35 @@ def test_an_audit_flag_is_flag_or_ok(honest_sims):
     with pytest.raises(ParseError, match="unknown AUDIT flag 'MAYBE'") as e:
         transcript_from_wire(wire[:at] + b"+MAYBE'" + wire[at + len(b"+OK'"):])
     assert e.value.offset == at + 1
+
+
+@pytest.mark.parametrize("listed", [
+    b"B_NO,,CNT_C,CSG_DATA,DG", b",B_NO,CNT_C,CSG_DATA,DG", b"B_NO,CNT_C,CSG_DATA,DG,",
+    b"DG,CSG_DATA,CNT_C,B_NO", b"B_NO,CNT_C,CNT_C,CSG_DATA,DG", b"B_NO,CNT_C,CSG_DATA,dg",
+    b",",
+], ids=["empty-entry", "leading-empty", "trailing-empty", "reversed", "repeat", "bad-name",
+        "only-empty"])
+def test_an_audit_attribute_list_has_one_byte_form(honest_sims, listed):
+    """An AUDIT record lists the sorted, distinct attribute names that
+    ``Transcript.audit`` writes; any other spelling of the same set, which
+    would load to the same or another digest, is refused at the list."""
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    record = b"EVT+AUDIT+importer-1+"
+    written = record + b"B_NO,CNT_C,CSG_DATA,DG+"
+    assert transcript_from_wire(wire) and wire.count(written) == 1
+    with pytest.raises(ParseError, match="AUDIT attributes .* are not sorted, distinct names") as e:
+        transcript_from_wire(wire.replace(written, record + listed + b"+"))
+    assert e.value.offset == wire.index(written) + len(record)
+
+
+def test_a_transcript_mode_is_p2p_or_ledger(honest_sims):
+    for mode in ("p2p", "ledger"):
+        assert transcript_from_wire(transcript_to_wire(honest_sims[("export", mode)].transcript))
+    wire = transcript_to_wire(honest_sims[("export", "p2p")].transcript)
+    assert wire.startswith(b"TRS+1+export+p2p+PASS'\n")
+    with pytest.raises(ParseError, match="unknown transcript mode 'xyz'") as e:
+        transcript_from_wire(b"TRS+1+export+xyz+" + wire[len(b"TRS+1+export+p2p+"):])
+    assert e.value.offset == len(b"TRS+1+export+")
 
 
 @pytest.mark.parametrize("mode", ["p2p", "ledger"])
