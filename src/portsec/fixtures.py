@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import records
 from .adapter import AdapterState
 from .envelope import DEFAULT_SUITE, wrapping_key
-from .ledger import ORDERER_ROLE, LedgerNet, create_net
+from .ledger import ORDERER_ROLE, ChainInvalidCert, LedgerNet, create_net
 from .pki import (
     CA_ROLE, CaState, Certificate, Trust, cert_from_record, cert_to_wire, create_root,
     create_subordinate,
@@ -306,9 +306,14 @@ def build_world(fx: FixtureSet) -> World:
 
 
 def build_net(world: World) -> LedgerNet:
-    """Ledger net over the same trust view as the adapter mesh."""
-    return create_net(
-        orderer_identity=world.orderer,
-        orderer_key=world.key_pairs[world.orderer],
-        trust=world.trust,
-    )
+    """Ledger net over the same trust view as the adapter mesh. An orderer
+    whose chain ``create_net`` refuses is a FixtureError: the fixture set
+    cannot run the ledger."""
+    try:
+        return create_net(
+            orderer_identity=world.orderer,
+            orderer_key=world.key_pairs[world.orderer],
+            trust=world.trust,
+        )
+    except ChainInvalidCert as exc:
+        raise FixtureError(f"{exc}") from None

@@ -260,11 +260,15 @@ class LedgerNet:
     _verified: _Verified | None = field(default=None, init=False, repr=False, compare=False)
     #: (key DER, payload, signature) of each signature check that
     #: passed at ``submit``, ``commit`` or ``verify_chain``, of each
-    #: certificate link a chain check at ``submit`` or ``endorse`` verified
-    #: (``_link_check``), and of each block signature ``_sign_block`` made,
-    #: under the signing key's own public half, since the last valid
-    #: ``verify_chain``, which reads it instead of checking again
+    #: certificate link a chain check at ``create_net`` (the orderer's),
+    #: ``submit`` or ``endorse`` verified (``_link_check``), and of each
+    #: block signature ``_sign_block`` made, under the signing key's own
+    #: public half, since the last valid ``verify_chain``, which reads it
+    #: instead of checking again
     _passed: set[tuple] = field(default_factory=set, init=False, repr=False, compare=False)
+    #: (private key, DER of its public half) of the key ``_sign_block``
+    #: last signed with, so the half is derived once per key, not per block
+    _signing_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def create_net(
@@ -274,7 +278,13 @@ def create_net(
     baseline_state: Mapping[str, ContainerAsset] | None = None,
 ) -> LedgerNet:
     """New net with an empty, orderer-signed genesis block that links to
-    the digest of the baseline state."""
+    the digest of the baseline state. The orderer's chain in ``trust`` is
+    checked as ``submit`` checks an invoker's (anchor, revocation,
+    validity, each link's signature), and the links it verified join the
+    net's record, so the net's first ``verify_chain`` reads them there.
+    Raises ``ChainInvalidCert`` naming the orderer when its chain is
+    missing or fails. The orderer's role is a head rule that both
+    verifiers check (``_check_head``), not checked here."""
     baseline = dict(baseline_state or {})
     for key, a in baseline.items():
         if key != a.cnt_no or records.holds_line_break((a.cnt_no, a.shipping_line, a.terminal)):
@@ -285,6 +295,10 @@ def create_net(
         trust=trust,
         baseline_state=baseline,
     )
+    who = f"orderer {orderer_identity}"
+    if orderer_identity not in trust.chains:
+        raise ChainInvalidCert(f"{who}: no certificate chain")
+    _record_chain(net, trust.chains[orderer_identity], who)
     net.world_state = dict(net.baseline_state)
     genesis = _sign_block(
         net, index=0, prev_hash=_state_digest(net.baseline_state), transactions=()
@@ -329,6 +343,11 @@ def _check_cert(
     if not res.valid:
         raise ChainInvalidCert(f"{who}: {res.reason.value}: {res.detail}")
     return res.links
+
+
+def _record_chain(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
+    """``_check_cert``; the links it verified join the net's record."""
+    net._passed.update(_link_check(*link) for link in _check_cert(net, chain, who))
 
 
 def _link_check(cert: Certificate, issuer: Certificate) -> tuple:
@@ -422,8 +441,7 @@ def submit(
     """Run the chaincode gates; a pass yields a pending transaction that
     still needs endorsements. Raises the first failing gate's denial. The
     certificate links the chain check verified join the net's record."""
-    links = _check_cert(net, invoker_chain, f"invoker {tx.invoker.subject}")
-    net._passed.update(_link_check(*link) for link in links)
+    _record_chain(net, invoker_chain, f"invoker {tx.invoker.subject}")
     if invoker_chain[0] != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
     if not _signed(net._passed, tx.invoker.public_key, _tx_digests(tx)[0], tx.invoker_signature):
@@ -441,8 +459,7 @@ def endorse(
     """Append one endorsement if the endorser is eligible for the action.
     The certificate links the chain check verified join the net's record."""
     cert = endorser_chain[0]
-    links = _check_cert(net, endorser_chain, f"endorser {cert.subject}")
-    net._passed.update(_link_check(*link) for link in links)
+    _record_chain(net, endorser_chain, f"endorser {cert.subject}")
     tx = pending.tx
     _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
     payload = _tx_digests(tx)[1]
@@ -596,12 +613,15 @@ def _sign_block(net: LedgerNet, index: int, prev_hash: bytes, transactions: tupl
     ``_digests``. The signature goes into the net's record under the
     signing key's own public half, never a certificate's key, so an orderer
     certificate with any other key misses the entry and is checked for
-    real."""
+    real. The half is derived from the key once (``LedgerNet._signing_key``)
+    and again only when the net signs with another key."""
     suite, tail = DEFAULT_SUITE, b"".join(b"\n" + _txn_line(t) for t in transactions)
     payload = suite.digest(records.encode("BLK", f"{index}", prev_hash)[:-1] + tail)
     private = net.orderer_key.private
+    if net._signing_key is None or net._signing_key[0] is not private:
+        net._signing_key = (private, suite.public_bytes(private.public_key()))
     block = Block(index, prev_hash, transactions, sign(private, payload))
-    net._passed.add((suite.public_bytes(private.public_key()), payload, block.orderer_signature))
+    net._passed.add((net._signing_key[1], payload, block.orderer_signature))
     data = records.encode("BLK", f"{index}", prev_hash, block.orderer_signature) + tail + b"\n"
     object.__setattr__(block, "_bytes", data)
     object.__setattr__(block, "_memo", (payload, suite.digest(data)))
@@ -998,8 +1018,10 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     The orderer's signature is checked on the last block only, under
     ``_verify_blocks``' rule, and ``_sign_block`` recorded it. A warm call
     over committed blocks makes no signature verification, and a net's first
-    call checks only the head certificates that no ``submit`` or
-    ``endorse`` recorded. ``verify_exported`` re-checks everything.
+    call checks only the head certificates that no ``create_net``,
+    ``submit`` or ``endorse`` recorded: none, while the trust view keeps the
+    certificates those checks read. ``verify_exported`` re-checks
+    everything.
     """
     seen = net._verified
     covered = seen is not None and seen.covers_prefix_of(net)
@@ -1041,7 +1063,8 @@ def _state_digest(state: Mapping[str, ContainerAsset]) -> bytes:
 def rollover(net: LedgerNet) -> LedgerNet:
     """Start a successor chain whose genesis commits to the predecessor:
     the old world state becomes the new baseline, so the new genesis links
-    to its digest."""
+    to its digest. ``create_net`` checks the orderer's chain again, in the
+    trust view as it is now."""
     return create_net(
         net.orderer_identity,
         net.orderer_key,

@@ -624,6 +624,31 @@ def test_an_importer_certified_for_another_role_exits_two(base_fixtures, cli_fil
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "attack", "compare"])
+def test_a_refused_orderer_exits_two_in_ledger_mode(base_fixtures, cli_files, tmp_path, capsys,
+                                                    command):
+    """A net checks its orderer's chain when it is created: with ORD-CA's
+    organization edited, its signature breaks, and a run that needs the
+    ledger stops at set-up with one error line. A p2p run never makes a
+    net, and still ends in a verdict."""
+    ca = base_fixtures.certs["ORD-CA"]
+    edited = dataclasses.replace(base_fixtures, certs={**base_fixtures.certs,
+                                                       "ORD-CA": dataclasses.replace(ca, org="ZZZ")})
+    path = tmp_path / "ord-ca.psf"
+    path.write_bytes(fixtures_to_bytes(edited))
+    argv = {"run": ["run", "--scenario", "export", "--mode", "ledger"],
+            "attack": ["attack", "--scenario", "export", "--mode", "ledger",
+                       "--spec", str(cli_files["tamper"])],
+            "compare": ["compare"]}[command]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--fixtures", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: orderer orderer-1: BrokenSignature: signature on ORD-CA\n")
+    main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
+    assert "\nVERDICT PASS\n" in capsys.readouterr().out
+
+
 def test_fixtures_subcommand_writes_a_runnable_file(tmp_path, capsys):
     path = tmp_path / "fresh.psf"
     done = _fresh(["fixtures", "--out", str(path)])

@@ -3,7 +3,8 @@
 Each example makes one or two semantic edits of ``data/golden.psf``: a
 certificate's role or organization changed, a record dropped or repeated,
 two identities' keys swapped, a reader given a P-256 key that its CA
-certifies, a value dropped. It runs the edited file through ``main`` as
+certifies, a value dropped, the orderer's or its CA's certificate given
+another organization, issuer or role, or dropped. It runs the edited file through ``main`` as
 an export in p2p mode, an import in ledger mode and one p2p attack. Each
 must exit 0 or 1 with its VERDICT or ATTACK line, or exit 2 with one
 ``error:`` line; an exception that escapes ``main`` fails the test.
@@ -32,6 +33,8 @@ from test_golden import FIXTURES
 GOLDEN = FIXTURES.read_bytes().splitlines()
 ROLES = [r.value.encode() for r in Role] + [ORDERER_ROLE.encode(), CA_ROLE.encode(), b"NOBODY"]
 ORGS = sorted({line.split(b"+")[3] for line in GOLDEN if line.startswith(b"CERT+")}) + [b"ZZZ"]
+ISSUERS = sorted({line.split(b"+")[5] for line in GOLDEN if line.startswith(b"CERT+")}) + [
+    b"orderer-1", b"ZZZ"]
 #: the identities a content key may be wrapped for
 READERS = sorted(c.subject for c in fixtures_from_bytes(FIXTURES.read_bytes()).certs.values()
                  if c.role in {r.value for r in Role})
@@ -69,7 +72,7 @@ def _set_element(data, lines, at, choices, of_ca=None):
 #: Each kind of edit, as often as it is drawn: an actor's role edit most,
 #: since that role decides which steps of the script the actor can take.
 EDITS = ("role", "role", "role", "ca-role", "org", "drop", "repeat", "swap-keys", "p256",
-         "drop-value")
+         "drop-value", "orderer-chain")
 
 
 def _edit(data, lines):
@@ -96,6 +99,18 @@ def _edit(data, lines):
         for i in _indices(lines, b"CERT+"):
             if lines[i].split(b"+")[2] == who:
                 lines[i] = cert
+    elif kind == "orderer-chain":
+        held = [i for i in _indices(lines, b"CERT+")
+                if lines[i].split(b"+")[2] in (b"ORD-CA", b"orderer-1")]
+        i = data.draw(st.sampled_from(held), label="certificate")
+        at = data.draw(st.sampled_from((3, 4, 5, None)), label="element")
+        if at is None:
+            del lines[i]
+        else:
+            elems = lines[i].split(b"+")
+            elems[at] = data.draw(st.sampled_from({3: ORGS, 4: ROLES, 5: ISSUERS}[at]),
+                                  label="token")
+            lines[i] = b"+".join(elems)
     else:
         del lines[data.draw(st.sampled_from(_indices(lines, b"VAL+")), label="value")]
 

@@ -661,6 +661,81 @@ def test_commit_error_types_are_ledger_errors():
         assert issubclass(exc, LedgerError)
 
 
+# --- the orderer's chain, checked when a net is created ------------------------
+
+
+def _refuse_orderer(world, refusal):
+    """Make the trust view refuse ``orderer-1``'s chain; the reason it
+    gives."""
+    trust = world.trust
+    leaf, ca, root = trust.chains["orderer-1"]
+    if refusal == "revoked":
+        trust.cas["ORD-CA"].revoke(leaf.serial)
+        return f"Revoked: orderer-1 (serial {leaf.serial})"
+    if refusal == "expired":
+        trust.clock = leaf.not_after + 1
+        return f"Expired: orderer-1 valid ({leaf.not_before}, {leaf.not_after})"
+    if refusal == "broken-ca-signature":
+        trust.chains["orderer-1"] = (leaf, replace(ca, org="ZZZ"), root)
+        return "BrokenSignature: signature on ORD-CA"
+    del trust.chains["orderer-1"]
+    return "no certificate chain"
+
+
+@pytest.mark.parametrize("make", ["create_net", "rollover"])
+@pytest.mark.parametrize("refusal", ["revoked", "expired", "broken-ca-signature", "no-chain"])
+def test_a_net_refuses_an_orderer_whose_chain_fails(world, net, make, refusal):
+    """The orderer's chain meets the check an invoker's meets at submit,
+    in the trust view as it is when the net is made: a rollover successor
+    is checked again. A failure names the orderer, and no net is made."""
+    if make == "rollover":
+        full_lifecycle(world, net)
+    reason = _refuse_orderer(world, refusal)
+    with pytest.raises(ChainInvalidCert) as err:
+        if make == "rollover":
+            rollover(net)
+        else:
+            create_net("orderer-1", world.key_pairs["orderer-1"], world.trust)
+    assert str(err.value).startswith(f"orderer orderer-1: {reason}")
+
+
+def test_a_created_net_records_its_orderers_chain(world, counting_suite):
+    """The links the orderer's chain check verified join the record, so a
+    fresh net's and a fresh successor's first verify check no signature."""
+    net = build_net(world)
+    head = _live_head(net)
+    assert sorted(head.certs) == ["ORD-CA", "PortRoot", "orderer-1"]
+    assert _recorded(net, head) == list(head.certs)
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
+    assert res.valid and verifies == 0
+    full_lifecycle(world, net)
+    assert verify_chain(net).valid
+    successor = rollover(net)
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(successor))
+    assert res.valid and verifies == 0
+
+
+def test_the_orderer_key_is_derived_once_per_key(world, net):
+    """``_sign_block`` derives the public half of the key it signs with
+    once, and again when the net signs with another key. The recorder
+    shadows ``DEFAULT_SUITE.public_bytes`` for the test only."""
+    for ident in ("sl1-clerk", "t1-op", "pcs-op"):
+        world.key_pairs[ident].private  # loading a key derives its public half too
+    derived = []
+    public_bytes = DEFAULT_SUITE.public_bytes
+    DEFAULT_SUITE.public_bytes = lambda key: derived.append(key) or public_bytes(key)
+    try:
+        full_lifecycle(world, net)
+        assert derived == []  # create_net derived it for the genesis block
+        net.orderer_key = world.key_pairs["t1-op"]
+        full_lifecycle(world, net, cnt_no="MSCU7654321")
+    finally:
+        del DEFAULT_SUITE.public_bytes
+    assert len(derived) == 1
+    assert net._signing_key == (world.key_pairs["t1-op"].private,
+                                world.chain_of("t1-op")[0].public_key)
+
+
 # --- the live verified-prefix watermark ----------------------------------------
 
 
@@ -823,9 +898,11 @@ def _chain_links(net):
 
 def test_every_recorded_check_verifies_again(world, net):
     """The record holds only checks that pass: each entry, the certificate
-    links submit and endorse recorded among them, verifies again."""
+    links create_net, submit and endorse recorded among them, verifies
+    again."""
     full_lifecycle(world, net)
-    assert len(net._passed & _chain_links(net)) == 7
+    # the seven links of the three actors' chains, then the orderer's and ORD-CA's
+    assert len(net._passed & _chain_links(net)) == 9
     assert all(DEFAULT_SUITE.verify(*check) for check in net._passed)
 
 
@@ -1033,8 +1110,8 @@ def test_the_record_misses_every_changed_byte(world, net, tamper, block, reason)
     live as offline."""
     full_lifecycle(world, net)
     # the genesis signature, then three per block, then the seven links of
-    # sl1-clerk's, t1-op's and pcs-op's chains
-    assert len(net._passed) == 13 + 7
+    # sl1-clerk's, t1-op's and pcs-op's chains and the orderer's and ORD-CA's
+    assert len(net._passed) == 13 + 9
     tamper(world, net)
     for res in (verify_chain(net), verify_exported(parse_chain(export_chain(net)))):
         assert (res.valid, res.first_bad_block, res.reason) == (False, block, reason)
@@ -1078,10 +1155,9 @@ def test_a_block_signed_with_another_key_fails_at_that_block(world, net):
 def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monkeypatch,
                                             scenario):
     """A ledger scenario's one ``verify_chain`` runs cold over blocks the
-    net signed and checked itself and over certificate links its submits
-    and endorsements checked: its RSA verifications are the signatures of
-    the head certificates no chain check recorded, the orderer's and its
-    CA's, one per certificate."""
+    net signed and checked itself and over certificate links that
+    ``create_net``, its submits and its endorsements checked: every head
+    certificate is in the record, so it makes no signature verification."""
     calls = []
 
     def counted(net):
@@ -1096,8 +1172,21 @@ def test_a_cold_verify_checks_only_the_head(base_fixtures, counting_suite, monke
     run_scenario(base_fixtures, scenario, "ledger")
     [(res, verifies, unrecorded)] = calls
     assert res.valid, res.reason
-    assert unrecorded == ["orderer-1", "ORD-CA"]
-    assert verifies == len(unrecorded)
+    assert unrecorded == []
+    assert verifies == 0
+
+
+@pytest.mark.parametrize("scenario, checks", [("export", 18), ("import", 16)])
+def test_an_offline_verify_of_a_scenario_checks_every_signature(base_fixtures, counting_suite,
+                                                                scenario, checks):
+    """The export of a ledger scenario's net is checked in full, whatever
+    the net recorded: each head certificate, each invoker and endorsement,
+    and the last block's orderer signature."""
+    net = run_scenario(base_fixtures, scenario, "ledger").net
+    exported = parse_chain(export_chain(net))
+    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    assert res.valid, res.reason
+    assert verifies == len(exported.certs) + _txn_verifies(net.chain) + 1 == checks
 
 
 def test_each_transaction_digest_is_hashed_once(world, counting_suite):
