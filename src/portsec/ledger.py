@@ -350,6 +350,11 @@ def _record_chain(net: LedgerNet, chain: Sequence[Certificate], who: str) -> Non
     net._passed.update(_link_check(*link) for link in _check_cert(net, chain, who))
 
 
+def _named(who: str, chain: Sequence[Certificate]) -> str:
+    """``who``, then the subject of ``chain``'s leaf if it has one."""
+    return f"{who} {chain[0].subject}" if chain else who
+
+
 def _link_check(cert: Certificate, issuer: Certificate) -> tuple:
     """The check of ``cert``'s signature as a record of passed checks holds
     it: (issuer key DER, body digest, signature)."""
@@ -458,8 +463,8 @@ def endorse(
 ) -> PendingTransaction:
     """Append one endorsement if the endorser is eligible for the action.
     The certificate links the chain check verified join the net's record."""
+    _record_chain(net, endorser_chain, _named("endorser", endorser_chain))
     cert = endorser_chain[0]
-    _record_chain(net, endorser_chain, f"endorser {cert.subject}")
     tx = pending.tx
     _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
     payload = _tx_digests(tx)[1]
@@ -564,8 +569,8 @@ def _signed(passed: set[tuple], public: bytes, payload: bytes, sig: bytes) -> bo
 def query(net: LedgerNet, reader_chain: Sequence[Certificate], cnt_no: str) -> ContainerAsset:
     """Multitenant read: owners see their containers, terminals theirs,
     the PCS only containers currently inside a terminal."""
+    _check_cert(net, reader_chain, _named("reader", reader_chain))
     cert = reader_chain[0]
-    _check_cert(net, reader_chain, f"reader {cert.subject}")
     asset = net.world_state.get(cnt_no)
     if asset is None:
         raise UnknownContainer(cnt_no)
@@ -660,7 +665,8 @@ def export_chain(net: LedgerNet) -> bytes:
     certificate (so signatures check without the live net), then blocks.
     Each block the orderer signed is written as the bytes it kept (about
     0.9 KB for a one-transaction block); only a block with none, built as a
-    plain ``Block`` or by ``replace``, is encoded here."""
+    plain ``Block`` or by ``replace``, is encoded here. The file is
+    allocated once, by one join of the head lines and the block bytes."""
     head = _head(net, _referenced(net.chain))
     lines = [
         records.encode("LEDGER", CHAIN_VERSION, head.suite_id),
@@ -670,7 +676,7 @@ def export_chain(net: LedgerNet) -> bytes:
         a = head.baseline_state[cnt_no]
         lines.append(records.encode("BASE", a.cnt_no, a.state.value, a.shipping_line, a.terminal))
     lines += [cert_to_wire(cert) for cert in head.certs.values()]
-    return b"\n".join(lines) + b"\n" + b"".join(block_bytes(b) for b in net.chain)
+    return b"".join([b"\n".join(lines), b"\n", *map(block_bytes, net.chain)])
 
 
 def _referenced(blocks: Sequence[Block], known: frozenset[str] = frozenset()) -> frozenset[str]:

@@ -274,7 +274,10 @@ class Trust:
     clock: int = field(default=0, init=False)
 
     def check(self, chain: Sequence[Certificate]) -> ChainResult:
-        """``validate_chain`` of a leaf-first chain at ``clock``."""
+        """``validate_chain`` of a leaf-first chain at ``clock``; an empty
+        chain is invalid, with no root to trust."""
+        if not chain:
+            return ChainResult(False, FailureReason.UNTRUSTED_ROOT, "no certificate chain")
         return validate_chain(
             chain[0], list(chain[1:]), self.anchor, at=self.clock, ca_registry=self.cas
         )

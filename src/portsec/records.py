@@ -8,14 +8,15 @@ separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
 The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``, split by ``bytes.splitlines``).
+one record per line (``decode_lines``, which finds the line breaks
+``bytes.splitlines`` finds in place, without a list of the lines).
 ``check`` holds either to its format's layout, a file through
-``read_file``. A span without
-a release character is split with ``bytes.split``; only a span holding
-``?`` takes the regex scan. Decoding is lazy: a ``Record`` keeps its
-raw elements and unescapes or base64-decodes one only when asked. Every
-decoding error is a ``ParseError`` carrying the byte offset of the problem,
-counted from the start of the input.
+``read_file``. A span without a release character is split with
+``bytes.split``; only a span holding ``?`` takes the regex scan. Decoding
+is lazy: a ``Record`` keeps its raw elements and unescapes or
+base64-decodes one only when asked. Every decoding error is a
+``ParseError`` carrying the byte offset of the problem, counted from the
+start of the input.
 """
 
 from __future__ import annotations
@@ -211,22 +212,37 @@ def decode(data: bytes) -> list[Record]:
 
 def decode_lines(data: bytes) -> Iterator[Record]:
     """One record per non-blank line of a file; surrounding whitespace on a
-    line is ignored. A line ends at CR, LF or CR LF."""
-    end = 0
-    for line in data.splitlines(keepends=True):
-        start, end = end, end + len(line)
+    line is ignored. A line ends at CR, LF or CR LF, as ``bytes.splitlines``
+    splits, but the breaks are found in ``data`` itself, which is never
+    copied whole. A canonical line (one record, no release character, no
+    blank around it, ended by LF or by the end of ``data``) is split from
+    one slice of ``data``; any other is stripped first."""
+    size = len(data)
+    pos = 0
+    lf = cr = -1  # the next LF and CR at or after pos, size if none
+    while pos < size:
+        if lf < pos:
+            lf = data.find(b"\n", pos)
+            lf = size if lf < 0 else lf
+        if cr < pos:
+            cr = data.find(b"\r", pos)
+            cr = size if cr < 0 else cr
+        start, end = pos, min(lf, cr)
+        pos = end + 2 if lf == cr + 1 else end + 1
+        if (end == lf and data[start] not in _BLANK and data.find(b"'", start, end) == end - 1
+                and data.find(b"?", start, end) < 0):
+            yield Record(data[start:end - 1].split(b"+"), start, set())
+            continue
+        line = data[start:end]
         body = line.strip(_BLANK)
-        if body:
-            if body[0] != line[0]:  # the line is indented
-                start += len(line) - len(line.lstrip(_BLANK))
-            if body.find(b"'") == len(body) - 1 and b"?" not in body:
-                # one record and no release character: split the line itself
-                yield Record(body[:-1].split(b"+"), start, set())
-                continue
-            found = _scan(data, start, start + len(body))
-            if len(found) != 1:
-                raise ParseError("one record per line expected", found[1].offset)
-            yield found[0]
+        if not body:
+            continue
+        if body[0] != line[0]:  # the line is indented
+            start += len(line) - len(line.lstrip(_BLANK))
+        found = _scan(data, start, start + len(body))
+        if len(found) != 1:
+            raise ParseError("one record per line expected", found[1].offset)
+        yield found[0]
 
 
 def read_file(data: bytes, layout: dict[bytes, tuple[int, int, int | None]],

@@ -5,9 +5,11 @@ certificate's role or organization changed, a record dropped or repeated,
 two identities' keys swapped, a reader given a P-256 key that its CA
 certifies, a value dropped, the orderer's or its CA's certificate given
 another organization, issuer or role, or dropped. It runs the edited file through ``main`` as
-an export in p2p mode, an import in ledger mode and one p2p attack. Each
-must exit 0 or 1 with its VERDICT or ATTACK line, or exit 2 with one
-``error:`` line; an exception that escapes ``main`` fails the test.
+an export in p2p mode, an import in ledger mode and one p2p attack, then
+``audit`` on the transcript the export writes and ``ledger-verify`` on the
+chain the import writes. Each must exit 0 or 1 with its VERDICT, ATTACK,
+AUDIT or CHAIN line, or exit 2 with one ``error:`` line; an exception that
+escapes ``main`` fails the test.
 """
 
 import io
@@ -118,14 +120,18 @@ def _edit(data, lines):
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """The edited file's path, and each command run on it with the line
-    that names its outcome."""
+    that names its outcome and, if it writes a file, that file and its
+    reader with the reader's line."""
     root = tmp_path_factory.mktemp("edits")
     spec = root / "tamper.atk"
     spec.write_bytes(b"ATK+TAMPER_FIELD+attribute+CNT_W+payload+1 kg'\n")
+    trs, chain = root / "export.trs", root / "import.chain"
     return root / "edited.psf", (
-        (["run", "--scenario", "export", "--mode", "p2p"], "VERDICT"),
-        (["run", "--scenario", "import", "--mode", "ledger"], "VERDICT"),
-        (["attack", "--scenario", "export", "--mode", "p2p", "--spec", str(spec)], "ATTACK"),
+        (["run", "--scenario", "export", "--mode", "p2p", "--out", str(trs)], "VERDICT",
+         (trs, ["audit", "--transcript", str(trs)], "AUDIT")),
+        (["run", "--scenario", "import", "--mode", "ledger", "--chain-out", str(chain)], "VERDICT",
+         (chain, ["ledger-verify", "--chain", str(chain)], "CHAIN")),
+        (["attack", "--scenario", "export", "--mode", "p2p", "--spec", str(spec)], "ATTACK", None),
     )
 
 
@@ -139,6 +145,17 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _ends(argv, word):
+    """Run ``argv``: exit 0 or 1 with its ``word`` line, or 2 with one
+    ``error:`` line. Its exit code."""
+    code, out, err = _outcome(argv)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    else:
+        assert code in (0, 1) and re.search(f"^{word} ", out, re.M), (argv, code, out, err)
+    return code
+
+
 @given(data=st.data())
 def test_an_edited_fixture_file_ends_in_a_verdict_or_exit_two(runs, data):
     path, commands = runs
@@ -146,9 +163,8 @@ def test_an_edited_fixture_file_ends_in_a_verdict_or_exit_two(runs, data):
     for _ in range(data.draw(st.integers(1, 2), label="edits")):
         _edit(data, lines)
     path.write_bytes(b"\n".join(lines) + b"\n")
-    for argv, word in commands:
-        code, out, err = _outcome([*argv, "--fixtures", str(path)])
-        if code == 2:
-            assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
-        else:
-            assert code in (0, 1) and re.search(f"^{word} ", out, re.M), (argv, code, out, err)
+    for argv, word, written in commands:
+        if written:
+            written[0].unlink(missing_ok=True)
+        if _ends([*argv, "--fixtures", str(path)], word) != 2 and written:
+            _ends(*written[1:])

@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -142,6 +143,21 @@ def test_chain_gate_rejects_bad_signature_and_wrong_chain(world, net):
         submit(net, dataclasses.replace(tx, invoker_signature=bad), chain)
     with pytest.raises(ChainInvalidCert):
         submit(net, tx, world.chain_of("sl2-clerk"))
+
+
+@pytest.mark.parametrize("call", ["submit", "endorse", "query"])
+def test_an_empty_presented_chain_is_refused(world, net, call):
+    """No chain at all fails the chain check, before any leaf is read."""
+    tx, chain = make_tx(world, "sl1-clerk", LedgerAction.CREATE, args=(("terminal", "T1"),))
+    with pytest.raises(ChainInvalidCert) as err:
+        if call == "submit":
+            submit(net, tx, ())
+        elif call == "endorse":
+            endorse(net, submit(net, tx, chain), (), world.key_pairs["t1-op"])
+        else:
+            query(net, (), CNT)
+    who = {"submit": "invoker sl1-clerk", "endorse": "endorser", "query": "reader"}[call]
+    assert str(err.value) == f"{who}: UntrustedRoot: no certificate chain"
 
 
 def test_revoked_invoker_denied(world, net):
@@ -1407,6 +1423,29 @@ def test_parse_chain_encodes_nothing(world, net, encoded):
         assert copy._digest is None
         assert copy.body_digest() == cert._digest
     assert encoded == ["CERT"] * len(parsed.certs)
+
+
+def test_an_offline_check_holds_the_chain_file_once(world, net):
+    """``export_chain`` allocates the file once, not a copy of its blocks
+    and then the file (2.1 times its size on this chain), and
+    ``parse_chain`` holds no list of the file's lines beside the file
+    (1.14 times its size): each peaks near what it returns."""
+    for i in range(25):
+        full_lifecycle(world, net, cnt_no=f"COSU{i:07d}")
+    assert len(net.chain) == 101
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = export_chain(net)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        assert peak < 1.5 * len(data)
+        tracemalloc.reset_peak()
+        parsed = parse_chain(data)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert peak - kept < len(data) / 4
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.blocks) == 101
 
 
 def _content_edit(block):

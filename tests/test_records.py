@@ -4,14 +4,20 @@ file layout check."""
 import base64
 import binascii
 import re
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from portsec import records
+from portsec import ledger, records
+from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.model import AttributeSignature, Message, Plain, SecuredMessage, from_flat, to_flat
 from portsec.records import ParseError, decode, decode_lines, encode
+from portsec.sim import run_scenario
+from portsec.transcript import transcript_to_wire
+from test_golden import FIXTURES
+from test_ledger import full_lifecycle
 
 
 def test_encode_escapes_text_and_base64s_bytes():
@@ -70,9 +76,64 @@ def _lines_decoded(decode_lines, data: bytes):
     return out
 
 
+@cache
+def _real_files() -> dict[str, bytes]:
+    """Three files portsec writes, as written: a chain export (two
+    lifecycles, as ``long_net`` in test_ledger builds one), a p2p
+    transcript and the golden fixture file."""
+    fixtures = fixtures_from_bytes(FIXTURES.read_bytes())
+    world = build_world(fixtures)
+    net = build_net(world)
+    full_lifecycle(world, net)
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    transcript = run_scenario(fixtures, "export", "p2p").transcript
+    return {"chain": ledger.export_chain(net), "transcript": transcript_to_wire(transcript),
+            "fixtures": FIXTURES.read_bytes()}
+
+
+#: Each way a file's lines may be written: LF, CRLF and CR-only ends,
+#: indented, and with no break after the last line.
+LINE_ENDS = {
+    "lf": lambda lines: b"\n".join(lines) + b"\n",
+    "crlf": lambda lines: b"\r\n".join(lines) + b"\r\n",
+    "cr": lambda lines: b"\r".join(lines) + b"\r",
+    "indented": lambda lines: b"".join(b" \t" + line + b"\n" for line in lines),
+    "unterminated": lambda lines: b"\n".join(lines),
+}
+
+
+def _real_file(name: str) -> bytes:
+    """``kind/line-end``: that file of ``_real_files`` with those line ends."""
+    kind, ends = name.split("/")
+    return LINE_ENDS[ends](_real_files()[kind].splitlines())
+
+
+def _on_real_files(test):
+    """``test`` with every real file, by name, as an explicit example."""
+    for kind in ("chain", "transcript", "fixtures"):
+        for ends in LINE_ENDS:
+            test = example(f"{kind}/{ends}")(test)
+    return test
+
+
 @given(st.lists(st.sampled_from([*b"AB+'?\r\n \t\v\f\x1c\x85xy"]), max_size=40).map(bytes))
+@_on_real_files
 def test_line_split_matches_the_regex_split(data):
+    if isinstance(data, str):  # an explicit example: a real file, by name
+        data = _real_file(data)
     assert _lines_decoded(decode_lines, data) == _lines_decoded(_regex_decode_lines, data)
+
+
+@pytest.mark.parametrize("ends", LINE_ENDS)
+def test_a_chain_parses_alike_under_every_line_end(ends):
+    """Each block of a chain written with other line ends parses to the
+    link digest it has as written: a block hashes its records, not the
+    file's lines."""
+    digests = [ledger._link_digest(b)
+               for b in ledger.parse_chain(_real_file(f"chain/{ends}")).blocks]
+    assert len(digests) == 9
+    assert digests == [ledger._link_digest(b)
+                       for b in ledger.parse_chain(_real_files()["chain"]).blocks]
 
 
 def test_one_record_per_line():
