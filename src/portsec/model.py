@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from sys import intern
+from typing import Callable
 
 from . import records
 from .records import ModelError, ParseError
@@ -244,52 +245,84 @@ def _parse_sig(rec: records.Record) -> AttributeSignature:
         raise ParseError(str(exc), rec.offset) from None
 
 
-def _decoded(rec: records.Record, parse, decoded: dict | None):
-    """``parse(rec)``, or what the same elements decoded to earlier in
-    ``decoded``; only a record that decodes enters it."""
-    if decoded is None:
-        return parse(rec)
-    key = tuple(rec.elems)
-    value = decoded.get(key)
-    if value is None:
-        value = decoded[key] = parse(rec)
-    return value
+#: Rank (the order ``to_flat`` writes) and element count (0: the parser
+#: counts) of each message record.
+_LAYOUT = {b"MSG": (0, 3), b"ATT": (1, 0), b"SIG": (2, 4), b"SND": (3, 2)}
+_TAGS = ("MSG", "ATT", "SIG", "SND")
 
 
-_LAYOUT = {b"MSG": (0, 3, 0), b"ATT": (1, 0, 1), b"SIG": (2, 4, None), b"SND": (3, 2, 0)}
+def read_record(rec: records.Record) -> tuple[int, object]:
+    """One message record checked and decoded on its own: its rank under
+    ``_LAYOUT`` and its value, ``(msg_type, instance_id)`` for MSG,
+    ``(name, value)`` for ATT, an ``AttributeSignature`` for SIG and the
+    sender for SND. Identifiers come back interned. Raises ParseError."""
+    spec = _LAYOUT.get(rec.elems[0])
+    if spec is None:
+        raise ParseError(f"unknown message record {rec.elems[0]!r}", rec.offset)
+    rank, count = spec
+    if count:
+        rec.need(count)
+    if rank == 1:
+        return rank, _parse_att(rec)
+    if rank == 2:
+        return rank, _parse_sig(rec)
+    if rank == 0:
+        return rank, (intern(rec.text(1)), intern(rec.text(2)))
+    return rank, intern(rec.text(1))
 
 
-def from_flat(data: bytes, decoded: dict | None = None) -> SecuredMessage:
+def message_from_records(parts: list[tuple[int, object]],
+                         where: Callable[[int], int]) -> SecuredMessage:
+    """The message that ``parts``, each a ``read_record`` result, make in
+    their order: the one rule a message keeps, whether a flat holds its
+    records (``from_flat``) or a stored transcript's hop names them. The
+    records come as ``to_flat`` writes them: one MSG, ATT records (one per
+    name), SIG records, one SND; and the message's invariants hold. A
+    fault is a ParseError at ``where(i)`` for part ``i``, and a missing
+    MSG or SND or a broken invariant at ``where(len(parts))``, the
+    message's own offset."""
+    fields: list[tuple[str, FieldValue]] = []
+    signatures: list[AttributeSignature] = []
+    names: set[str] = set()
+    head: dict[int, object] = {}  # the MSG and SND values, by rank
+    last = 0
+    for i, (rank, value) in enumerate(parts):
+        if rank < last:
+            raise ParseError(f"{_TAGS[rank]} record out of order", where(i))
+        last = rank
+        if rank == 1:
+            if value[0] in names:
+                raise ParseError(f"repeated ATT record for {value[0]}", where(i))
+            names.add(value[0])
+            fields.append(value)
+        elif rank == 2:
+            signatures.append(value)
+        elif rank in head:
+            raise ParseError(f"repeated {_TAGS[rank]} record", where(i))
+        else:
+            head[rank] = value
+    for rank in (0, 3):
+        if rank not in head:
+            raise ParseError(f"message lacks {_TAGS[rank]} header", where(len(parts)))
+    try:
+        return SecuredMessage(Message(*head[0], tuple(fields)), tuple(signatures), head[3])
+    except ModelError as exc:
+        raise ParseError(str(exc), where(len(parts))) from None
+
+
+def from_flat(data: bytes) -> SecuredMessage:
     """Parse the flat segment format back into a SecuredMessage. Only the
     bytes ``to_flat`` writes decode, so ``to_flat(from_flat(b)) == b``:
-    ``records.check`` holds the segments to MSG, ATT (one per name), SIG,
-    then SND.
+    each record is read by ``read_record`` and the message by
+    ``message_from_records``.
 
     Identifiers (message type, instance id, attribute names, signer,
     reader and sender identities) come back interned, so the many stored
     copies of one name are one string; field values never are.
 
-    ``decoded``, given, maps each ATT or SIG record decoded so far, by its
-    elements (the tag included), to its ``(name, value)`` or
-    ``AttributeSignature``: a record already in it is not decoded again,
-    and one that decodes enters it. Every record is still checked in its
-    own message, and the message's invariants still run.
-
-    Raises ParseError, with the byte offset, and no other error.
+    Raises ParseError, with the byte offset, and no other error; a fault
+    of the whole message is reported at byte 0.
     """
-    fields: list[tuple[str, FieldValue]] = []
-    signatures: list[AttributeSignature] = []
-    for rec in records.check(records.decode(data), _LAYOUT, "message"):
-        tag = rec.elems[0]
-        if tag == b"ATT":
-            fields.append(_decoded(rec, _parse_att, decoded))
-        elif tag == b"SIG":
-            signatures.append(_decoded(rec, _parse_sig, decoded))
-        elif tag == b"MSG":
-            msg_type, instance_id = intern(rec.text(1)), intern(rec.text(2))
-        else:
-            sender = intern(rec.text(1))
-    try:  # records.check raised unless MSG and SND came
-        return SecuredMessage(Message(msg_type, instance_id, tuple(fields)), tuple(signatures), sender)
-    except ModelError as exc:
-        raise ParseError(str(exc), len(data)) from None
+    recs = records.decode(data)
+    return message_from_records([read_record(rec) for rec in recs],
+                                lambda i: recs[i].offset if i < len(recs) else 0)

@@ -7,12 +7,13 @@ travel as URL-safe base64, whose alphabet never collides with the
 separators, and must be canonical: a decoded payload must re-encode to the
 exact element text.
 
-The message wire is one line of records (``decode``); the file formats hold
-one record per line (``decode_lines``, which finds the line breaks
-``bytes.splitlines`` finds in place, without a list of the lines).
-``check`` holds either to its format's layout, a file through
-``read_file``. A span without a release character is split with
-``bytes.split``; only a span holding ``?`` takes the regex scan. Decoding
+The message wire is one line of records (``decode``, or ``split`` for
+each record's bytes), whose layout ``model`` checks; the file formats
+hold one record per line (``decode_lines``, which finds the line breaks
+``bytes.splitlines`` finds in place, without a list of the lines), and
+``check`` holds a file to its format's layout, through ``read_file``. A
+span without a release character is split with ``bytes.split``; only a
+span holding ``?`` takes the regex scan. Decoding
 is lazy: a ``Record`` keeps its raw elements and unescapes or
 base64-decodes one only when asked. Every decoding error is a
 ``ParseError`` carrying the byte offset of the problem, counted from the
@@ -208,6 +209,21 @@ def _scan_released(data: bytes, start: int, end: int) -> list[Record]:
 def decode(data: bytes) -> list[Record]:
     """All records of a one-line message wire, in order."""
     return _scan(data, 0, len(data))
+
+
+def split(data: bytes) -> list[bytes]:
+    """The records of a one-line message wire as ``decode`` finds them,
+    each as its own bytes without its closing ``'``: split with
+    ``bytes.split`` when ``data`` holds no release character, else cut at
+    the offsets ``decode`` gives. Raises ``ParseError`` as it does."""
+    if data.find(b"?") < 0:
+        *parts, tail = data.split(b"'")
+        if tail:
+            raise ParseError("unterminated final segment", len(data))
+        return parts
+    recs = decode(data)
+    ends = [rec.offset - 1 for rec in recs[1:]] + [len(data) - 1]
+    return [data[rec.offset:end] for rec, end in zip(recs, ends)]
 
 
 def decode_lines(data: bytes) -> Iterator[Record]:

@@ -3,9 +3,15 @@
 A transcript records every message sent (full wire bytes), every
 validation verdict, every ledger action, and the closing audit rows. Each
 sent message is held both as its wire bytes and decoded: live runs keep the
-message they delivered, and a stored transcript decodes each distinct field
-or signature record once per load, so events that carry the same record
-share its immutable decoded value.
+message they delivered. The stored form (``TRANSCRIPT_VERSION`` 2) states
+each distinct record of the sent messages once, on its own ``REC`` line,
+and each hop by the indices of the records its flat joins; a load decodes
+each ``REC`` once, so the events that carry the same record share its
+immutable decoded value, and rebuilds each flat byte for byte. A hop's
+sender, type and instance are its message's own records, and its
+VALIDATED record is the verdict of its receiver, the SENT record's.
+Version 1, which wrote each flat whole and restated those labels, is
+refused at its header.
 Replaying a script over the same fixtures reproduces the transcript
 byte-for-byte except for sealing randomness (fresh symmetric keys and
 their wrappings), which the determinism digest masks out.
@@ -20,14 +26,14 @@ from .adapter import ValidationReport, report_to_wire
 from .envelope import DEFAULT_SUITE
 from .model import (
     InvariantViolation,
-    ModelError,
     ParseError,
     SecuredMessage,
-    from_flat,
+    message_from_records,
+    read_record,
     validate_attribute_name,
 )
 
-TRANSCRIPT_VERSION = "1"
+TRANSCRIPT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -138,23 +144,50 @@ class Transcript:
 
 
 def transcript_to_wire(t: Transcript) -> bytes:
+    """The stored form of ``t``: its TRS header and ACT lines, one REC line
+    per distinct record of its hops' flats (``REC+`` and the record's own
+    bytes), in the order the hops first use them, then one EVT line per
+    event. A SENT line holds its step, its receiver and the indices of the
+    records its flat joins, in the flat's order; a VALIDATED line, the
+    verdict on the SENT before it, holds the verdict and its report.
+
+    Those labels are stated once, so a hop whose sender is not its
+    message's ``SND``, or a VALIDATED event that is not its receiver's
+    verdict on that message, has no stored form: ValueError."""
     lines = [records.encode("TRS", TRANSCRIPT_VERSION, t.scenario, t.mode, t.verdict)]
     lines += [records.encode("ACT", ident, t.actors[ident]) for ident in sorted(t.actors)]
+    table: dict[bytes, str] = {}  # each distinct flat record, without its ', to its index
+    events = []
+    sent = None  # the SENT event just before
     for ev in t.events:
         if isinstance(ev, SentEvent):
-            elems = ("SENT", ev.step, ev.sender, ev.receiver, ev.msg_type, ev.instance_id, ev.flat)
+            if ev.sender != ev.message.sender:
+                raise ValueError(f"hop {ev.step}: sender {ev.sender} is not its message's")
+            idx = []
+            for rec in records.split(ev.flat):
+                i = table.get(rec)
+                if i is None:
+                    i = table[rec] = str(len(table))
+                idx.append(i)
+            elems = ("SENT", ev.step, ev.receiver, ",".join(idx))
         elif isinstance(ev, ValidatedEvent):
-            elems = ("VALIDATED", ev.actor, ev.msg_type, ev.instance_id, ev.verdict, ev.report_wire)
+            if sent is None or (ev.actor, ev.msg_type, ev.instance_id) != \
+                    (sent.receiver, sent.msg_type, sent.instance_id):
+                raise ValueError(f"VALIDATED by {ev.actor} is no verdict on the hop before it")
+            elems = ("VALIDATED", ev.verdict, ev.report_wire)
         elif isinstance(ev, LedgerEvent):
             elems = ("LEDGER", ev.action, ev.cnt_no, ev.invoker, ev.outcome, ev.detail)
         else:
             elems = ("AUDIT", ev.actor, ",".join(ev.attributes), "FLAG" if ev.flagged else "OK")
-        lines.append(records.encode("EVT", *elems))
+        events.append(records.encode("EVT", *elems))
+        sent = ev if isinstance(ev, SentEvent) else None
+    lines += [b"REC+" + rec + b"'" for rec in table]
+    lines += events
     return b"\n".join(lines) + b"\n"
 
 
 #: Rank (the order ``transcript_to_wire`` writes), count and key of each record.
-_LAYOUT = {b"TRS": (0, 5, 0), b"ACT": (1, 3, 1), b"EVT": (2, 0, None)}
+_LAYOUT = {b"TRS": (0, 5, 0), b"ACT": (1, 3, 1), b"REC": (2, 0, None), b"EVT": (3, 0, None)}
 #: The same for a VALIDATED record's report, as ``report_to_wire`` writes it.
 _REPORT_LAYOUT = {b"VERDICT": (0, 2, 0), b"FINDING": (1, 4, None)}
 
@@ -162,61 +195,154 @@ _REPORT_LAYOUT = {b"VERDICT": (0, 2, 0), b"FINDING": (1, 4, None)}
 def transcript_from_wire(data: bytes) -> Transcript:
     """Reload a stored transcript. Validation reports come back as the
     serialized findings; live report objects do not survive the wire. A
-    file ``records.read_file`` refuses, a SENT record not followed at once
-    by its receiver's VALIDATED record, a VALIDATED record that follows no
-    SENT record, a VALIDATED verdict other than its report's, a header
-    verdict other than the events', a mode other than ``p2p`` or
-    ``ledger``, or an AUDIT attribute list other than the one
-    ``Transcript.audit`` writes (sorted attribute names, each once, no
-    empty entry), raises. Each message is decoded here, once; the digest
-    reads its flat's bytes, not its records (``determinism_digest``)."""
+    file ``records.read_file`` refuses, a REC line ``_RecordTable``
+    refuses, a SENT record not followed at once by a VALIDATED record, a
+    VALIDATED record that follows no SENT record, a VALIDATED verdict
+    other than its report's, a header verdict other than the events', a
+    mode other than ``p2p`` or ``ledger``, or an AUDIT attribute list
+    other than the one ``Transcript.audit`` writes (sorted attribute
+    names, each once, no empty entry), raises. Each distinct record is
+    decoded here, once; the digest reads each flat's bytes, not its
+    records (``determinism_digest``)."""
     t = Transcript("", "")
-    decoded: dict = {}  # each distinct ATT or SIG record and report, read once per load
+    table = _RecordTable()
+    reports: dict[bytes, str] = {}  # each distinct report's verdict, read once per load
     for rec in records.read_file(data, _LAYOUT, "transcript"):
-        if rec.tag == b"TRS":
+        tag = rec.elems[0]
+        if tag == b"EVT":
+            last = t.events[-1] if t.events else None
+            t.events.append(_event(rec, last if isinstance(last, SentEvent) else None,
+                                   table, reports))
+        elif tag == b"REC":
+            table.add(rec)
+        elif tag == b"ACT":
+            t.actors[rec.text(1)] = rec.text(2)
+        else:
             if rec.text(1) != TRANSCRIPT_VERSION:
                 raise ParseError("unsupported transcript header", rec.offset)
             t.scenario, t.mode, header = rec.text(2), rec.text(3), rec
             if t.mode not in ("p2p", "ledger"):
                 raise ParseError(f"unknown transcript mode {t.mode!r}", rec.offsets[3])
-        elif rec.tag == b"ACT":
-            t.actors[rec.text(1)] = rec.text(2)
-        else:
-            ev = _event(rec, decoded)
-            if t.events and isinstance(t.events[-1], SentEvent):
-                _check_validates(rec, ev, t.events[-1])
-            elif isinstance(ev, ValidatedEvent):
-                raise ParseError("VALIDATED record without its SENT record", rec.offsets[1])
-            t.events.append(ev)
     if t.events and isinstance(t.events[-1], SentEvent):
         raise ParseError("SENT record without its VALIDATED record", len(data))
+    table.check_used()
     if header.text(4) != t.verdict:  # read_file raised unless a TRS header came
         raise ParseError(f"TRS verdict differs from its events' {t.verdict}", header.offsets[4])
     return t
 
 
-def _event(rec: records.Record, decoded: dict) -> Event:
+class _RecordTable:
+    """The REC lines of a transcript being loaded. Each holds one message
+    record, checked and decoded once (``model.read_record``); no two hold
+    the same bytes, and the hops use each, first in the order of the
+    lines. A hop (``hop``) names its records by their indices, and its
+    message is checked as ``from_flat`` checks a flat's."""
+
+    __slots__ = ("parts", "pieces", "offsets", "seen", "index", "fresh")
+
+    def __init__(self):
+        self.parts: list[tuple[int, object]] = []  # each record's read_record value
+        self.pieces: list[bytes] = []  # each record's bytes, its closing ' included
+        self.offsets: list[int] = []  # each REC line's offset
+        self.seen: set[bytes] = set()
+        self.index: dict[bytes, int] = {}  # each index as the writer writes it
+        self.fresh = 0  # the one index a hop may use for the first time
+
+    def add(self, rec: records.Record) -> None:
+        elems = rec.elems
+        if len(elems) < 2:
+            raise ParseError("REC record holds no message record", rec.offset + len(elems[0]))
+        piece = b"+".join(elems[1:]) + b"'"
+        if piece in self.seen:
+            raise ParseError("repeated REC record", rec.offset)
+        inner = records.Record(elems[1:], rec.offset + len(elems[0]) + 1,
+                               {i - 1 for i in rec.released})
+        self.parts.append(read_record(inner))
+        self.seen.add(piece)
+        self.index[b"%d" % len(self.pieces)] = len(self.pieces)
+        self.pieces.append(piece)
+        self.offsets.append(rec.offset)
+
+    def hop(self, rec: records.Record) -> SentEvent:
+        """The SENT record ``rec``'s hop. Its index list is written as the
+        writer writes it (decimal, no leading zero, no empty entry), and
+        each index is in the table and, the first time it is used, the
+        next one in the table's order."""
+        rec.need(5)
+        step, receiver = rec.texts((2, 3))
+        entries = rec.elems[4].split(b",")
+        try:
+            idx = list(map(self.index.__getitem__, entries))
+        except KeyError:
+            self._refuse(rec, entries)
+        fresh = self.fresh
+        for k, i in enumerate(idx):
+            if i >= fresh:
+                if i > fresh:
+                    raise ParseError(f"record index {i} out of first-use order, {fresh} is next",
+                                     _entry_offset(rec, entries, k))
+                fresh += 1
+        self.fresh = fresh
+        parts, pieces = self.parts, self.pieces
+        sm = message_from_records([parts[i] for i in idx],
+                                  lambda k: _entry_offset(rec, entries, k))
+        return SentEvent(step, sm.sender, receiver, sm.message.msg_type,
+                         sm.message.instance_id, b"".join([pieces[i] for i in idx]), sm)
+
+    def _refuse(self, rec: records.Record, entries: list[bytes]) -> None:
+        """Raise at the first of ``entries`` that is no index of the table."""
+        for k, entry in enumerate(entries):
+            if entry not in self.index:
+                at = _entry_offset(rec, entries, k)
+                if not entry.isdigit() or entry.startswith(b"0") and entry != b"0":
+                    raise ParseError(f"non-canonical record index {entry[:20]!r}", at)
+                raise ParseError(f"record index {entry[:20].decode()} past the table of"
+                                 f" {len(self.parts)}", at)
+
+    def check_used(self) -> None:
+        """Every REC line is used by some hop."""
+        if self.fresh < len(self.parts):
+            raise ParseError("unused REC record", self.offsets[self.fresh])
+
+
+def _entry_offset(rec: records.Record, entries: list[bytes], k: int) -> int:
+    """The offset of entry ``k`` of the SENT record ``rec``'s index list
+    ``entries``; past the last entry, that of the list."""
+    if k >= len(entries):
+        return rec.offsets[4]
+    return rec.offsets[4] + sum(len(entry) + 1 for entry in entries[:k])
+
+
+def _event(rec: records.Record, sent: SentEvent | None, table: _RecordTable,
+           reports: dict[bytes, str]) -> Event:
+    """The event ``rec`` holds; ``sent`` is the SENT event just before it,
+    if any, which it must be the VALIDATED record of."""
     kind = rec.text(1)
+    if sent is not None and kind != "VALIDATED":
+        raise ParseError("SENT record not followed by its VALIDATED record", rec.offsets[1])
     if kind == "SENT":
-        rec.need(8)
-        return _sent_event(rec, decoded)
+        return table.hop(rec)
     if kind == "VALIDATED":
-        rec.need(7)
-        verdict = rec.text(5)
+        if sent is None:
+            raise ParseError("VALIDATED record without its SENT record", rec.offsets[1])
+        rec.need(4)
+        verdict = rec.text(2)
         if verdict not in ("ACCEPT", "REJECT"):
-            raise ParseError(f"unknown VALIDATED verdict {verdict!r}", rec.offsets[5])
-        report = rec.b64(6)
-        reported = decoded.get(report)  # by bytes; ATT and SIG records go by elements
+            raise ParseError(f"unknown VALIDATED verdict {verdict!r}", rec.offsets[2])
+        report = rec.b64(3)
+        reported = reports.get(report)
         if reported is None:
             try:
-                reported = decoded[report] = list(
+                reported = reports[report] = list(
                     records.read_file(report, _REPORT_LAYOUT, "report"))[0].text(1)
             except ParseError as exc:
-                raise ParseError(f"unreadable VALIDATED report: {exc}", rec.offsets[6]) from None
+                raise ParseError(f"unreadable VALIDATED report: {exc}", rec.offsets[3]) from None
         if verdict != reported:
             raise ParseError(f"VALIDATED verdict differs from its report's {reported!r}",
-                             rec.offsets[5])
-        return ValidatedEvent(rec.text(2), rec.text(3), rec.text(4), verdict, report_wire=report)
+                             rec.offsets[2])
+        # the receiver's verdict on the hop: no byte of the hop's flat names it
+        return ValidatedEvent(sent.receiver, sent.msg_type, sent.instance_id, verdict,
+                              report_wire=report)
     if kind == "LEDGER":
         rec.need(7)
         return LedgerEvent(*(rec.text(i) for i in range(2, 7)))
@@ -235,37 +361,6 @@ def _event(rec: records.Record, decoded: dict) -> Event:
             raise ParseError(f"unknown AUDIT flag {rec.text(4)!r}", rec.offsets[4])
         return AuditEvent(rec.text(2), attrs, rec.text(4) == "FLAG")
     raise ParseError(f"unknown event kind {kind!r}", rec.offsets[1])
-
-
-def _check_validates(rec: records.Record, ev: Event, sent: SentEvent) -> None:
-    """``ev``, read from ``rec``, must be the VALIDATED record of the hop
-    ``sent``, by its receiver: no byte of the hop's flat names the receiver."""
-    if not isinstance(ev, ValidatedEvent):
-        raise ParseError("SENT record not followed by its VALIDATED record", rec.offsets[1])
-    if ev.actor != sent.receiver:
-        raise ParseError("VALIDATED actor differs from its SENT's receiver", rec.offsets[2])
-    if ev.msg_type != sent.msg_type:
-        raise ParseError("VALIDATED type differs from its SENT's", rec.offsets[3])
-    if ev.instance_id != sent.instance_id:
-        raise ParseError("VALIDATED instance differs from its SENT's", rec.offsets[4])
-
-
-def _sent_event(rec: records.Record, decoded: dict) -> SentEvent:
-    """Decode the SENT record's flat, through ``decoded`` (see ``from_flat``);
-    its type, instance and sender must be the record's own."""
-    step, sender, receiver, msg_type, instance_id = (rec.text(i) for i in range(2, 7))
-    flat = rec.b64(7)
-    try:
-        sm = from_flat(flat, decoded)
-    except ModelError as exc:
-        raise ParseError(f"bad SENT flat: {exc}", rec.offsets[7]) from None
-    if sm.sender != sender:
-        raise ParseError("SENT sender differs from its flat's", rec.offsets[3])
-    if sm.message.msg_type != msg_type:
-        raise ParseError("SENT type differs from its flat's", rec.offsets[5])
-    if sm.message.instance_id != instance_id:
-        raise ParseError("SENT instance differs from its flat's", rec.offsets[6])
-    return SentEvent(step, sender, receiver, msg_type, instance_id, flat, sm)
 
 
 def _masked_flat(flat: bytes) -> bytes:

@@ -344,14 +344,15 @@ def _audit_refuses(path, capsys, what):
 
 
 def test_audit_refuses_a_relabelled_sender(cli_files, tmp_path, capsys):
-    """A SENT record whose sender is not its flat's would make the audit
-    hold another actor to what was sent; the audit refuses the file."""
+    """A hop's sender is its message's SND record, and no SENT record
+    restates it: one that names a sender, as version 1 wrote it, could
+    name another actor than the message, so the audit refuses the file."""
     path = tmp_path / "export.trs"
     raw = _stored_run(cli_files, path)
-    relabelled = raw.replace(b"EVT+SENT+delivery+sl1-clerk+", b"EVT+SENT+delivery+pa-officer+")
+    relabelled = raw.replace(b"EVT+SENT+delivery+", b"EVT+SENT+delivery+pa-officer+")
     assert relabelled != raw
     path.write_bytes(relabelled)
-    _audit_refuses(path, capsys, "SENT sender differs from its flat's")
+    _audit_refuses(path, capsys, "EVT record takes 4 elements, found 5")
 
 
 def test_audit_refuses_an_orphan_validated_record(cli_files, tmp_path, capsys):
@@ -391,20 +392,21 @@ def test_a_record_out_of_its_writers_order_is_refused(cli_files, export_chain_by
 
 
 @pytest.mark.parametrize("attack, old, new, what", [
-    (False, b"EVT+SENT+delivery+sl1-clerk+t1-op+", b"EVT+SENT+delivery+sl1-clerk+pa-officer+",
-     "VALIDATED actor differs from its SENT's receiver"),
+    (False, b"EVT+VALIDATED+", b"EVT+VALIDATED+pa-officer+",
+     "EVT record takes 3 elements, found 4"),
     (True, b"+REJECT+", b"+MAYBE+", "unknown VALIDATED verdict 'MAYBE'"),
     (False, b"+OK'", b"+MAYBE'", "unknown AUDIT flag 'MAYBE'"),
-    (False, b"TRS+1+export+p2p+", b"TRS+1+export+xyz+", "unknown transcript mode 'xyz'"),
+    (False, b"TRS+2+export+p2p+", b"TRS+2+export+xyz+", "unknown transcript mode 'xyz'"),
     (False, b"EVT+AUDIT+importer-1+B_NO,", b"EVT+AUDIT+importer-1+B_NO,,",
      "AUDIT attributes 'B_NO,,CNT_C,CSG_DATA,DG' are not sorted, distinct names"),
 ], ids=["receiver", "verdict", "flag", "mode", "audit-list"])
 def test_audit_refuses_a_relabelled_receiver_verdict_or_flag(cli_files, tmp_path, capsys,
                                                              attack, old, new, what):
-    """Each would load and audit at face value: the receiver is named by
-    no byte of the hop, an unknown word would read as a verdict, a flag
-    or a mode, and an AUDIT list with an empty entry as the list the run
-    wrote."""
+    """Each would load and audit at face value: a VALIDATED record that
+    named an actor (as version 1 wrote it) could name another than its
+    SENT record's receiver, an unknown word would read as a verdict, a
+    flag or a mode, and an AUDIT list with an empty entry as the list the
+    run wrote."""
     argv = ["attack", "--spec", str(cli_files["tamper"])] if attack else []
     path = tmp_path / "run.trs"
     raw = _stored_run(cli_files, path, *argv)
@@ -421,7 +423,8 @@ def test_audit_refuses_a_verdict_its_report_does_not_give(cli_files, tmp_path, c
                       str(cli_files["tamper"]))
     header, rest = raw.split(b"\n", 1)
     assert header.endswith(b"+FAIL'") and rest.count(b"+REJECT+") == 1
-    assert rest.index(b"EVT+VALIDATED+t1-op+") < rest.index(b"+REJECT+")
+    rejected = rest.index(b"\nEVT+VALIDATED+REJECT+")
+    assert rest[rest.rindex(b"\n", 0, rejected):rejected].startswith(b"\nEVT+SENT+delivery+t1-op+")
     path = tmp_path / "edited.trs"
     path.write_bytes(header[:-len(b"FAIL'")] + b"PASS'\n"
                      + rest.replace(b"+REJECT+", b"+ACCEPT+"))
@@ -491,13 +494,13 @@ def test_file_errors_exit_two(cli_files, capsys):
 
 
 _KEY_WITHOUT_DER = b"FIX+2+x'\nRUN+a'\nKEY+x'\n"
-_EVENT_WITHOUT_KIND = b"TRS+1+export+p2p+PASS'\nEVT'\n"
+_EVENT_WITHOUT_KIND = b"TRS+2+export+p2p+PASS'\nEVT'\n"
 # parses, but names no scenario actor and pins an unknown suite
 _THIN_FIXTURE = b"FIX+2+x'\nRUN+a'\n"
 _POLICY_NOT_UTF8 = b"# roles\nIMPORTER B_NO \xff\xfe R\n"
-# SENT event whose flat is base64 of MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
+# a hop joining MSG+ICU+R'ZZZ+x'SND+t' (unknown tag)
 _SENT_UNKNOWN_TAG = (
-    b"TRS+1+export+p2p+PASS'\nEVT+SENT+s+a+b+ICU+R+TVNHK0lDVStSJ1paWit4J1NORCt0Jw=='\n"
+    b"TRS+2+export+p2p+PASS'\nREC+MSG+ICU+R'\nREC+ZZZ+x'\nREC+SND+t'\nEVT+SENT+s+b+0,1,2'\n"
 )
 
 
@@ -595,6 +598,27 @@ def test_a_version_one_fixture_file_exits_two(tmp_path, capsys):
         main(["run", "--scenario", "export", "--mode", "p2p", "--fixtures", str(path)])
     assert err.value.code == 2
     assert "unsupported fixture header (at byte 0)" in capsys.readouterr().err
+
+
+def _without_first_rec(raw: bytes) -> bytes:
+    start = raw.index(b"\nREC+MSG+") + 1
+    return raw[:start] + raw[raw.index(b"\n", start) + 1:]
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda raw: raw.replace(b"TRS+2+", b"TRS+1+", 1), "unsupported transcript header (at byte 0)"),
+    (_without_first_rec, "ATT record out of order"),
+], ids=["version-one", "rec-deleted"])
+def test_an_edited_transcript_format_exits_two(cli_files, tmp_path, capsys, edit, what):
+    """A transcript of version 1, which wrote each flat whole, is refused at
+    its header. With its first REC line (the first hop's MSG record)
+    deleted, every index names the record after the one it named, so the
+    first hop's records come out of order, and the load refuses them."""
+    path = tmp_path / "export.trs"
+    raw = _stored_run(cli_files, path)
+    assert edit(raw) != raw
+    path.write_bytes(edit(raw))
+    _audit_refuses(path, capsys, what)
 
 
 def _relabelled(fixtures, identity, role):

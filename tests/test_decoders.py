@@ -81,15 +81,17 @@ def test_fixture_record_arity_is_checked():
 _CHAIN_HEAD = b"LEDGER+1+s'\nANCHOR+o+AA=='\nBLK+0+AA==+AA=='\n"
 
 
-def _sent(msg_type: str, flat: bytes) -> bytes:
-    """A transcript with one SENT event for run R1 carrying ``flat``."""
-    event = encode("EVT", "SENT", "booking", "a", "b", msg_type, "R1", flat)
-    return b"TRS+1+export+p2p+PASS'\n" + event + b"\n"
+def _sent(indices: str, *recs: bytes) -> bytes:
+    """A transcript whose one hop joins the records ``recs`` by ``indices``."""
+    lines = [b"TRS+2+export+p2p+PASS'", *(b"REC+" + rec for rec in recs),
+             encode("EVT", "SENT", "booking", "b", indices)]
+    return b"\n".join(lines) + b"\n"
 
 
-# the embedded flat lacks its SND record; its base64 starts "TVNH" ("MSG")
-_SENT_NO_SENDER = _sent("IFTMCS", b"MSG+IFTMCS+R1'")
-_SENT_FORGED_TYPE = _sent("IFTSTA", b"MSG+IFTMCS+R1'SND+a'")
+# the hop's records make no message: it lacks its SND record
+_SENT_NO_SENDER = _sent("0", b"MSG+IFTMCS+R1'")
+# the hop names a second MSG record, of another type
+_SENT_FORGED_TYPE = _sent("0,1,2", b"MSG+IFTMCS+R1'", b"MSG+IFTSTA+R1'", b"SND+a'")
 _ATT = b"ATT+B_NO+H+AA=='"
 
 
@@ -107,13 +109,13 @@ _ATT = b"ATT+B_NO+H+AA=='"
         # release character before an ordinary byte on the second line
         (fixtures_from_bytes, b"FIX+2+x'\nRUN+abc?d'\n", 16, b"?d"),
         # event record without its kind: the end of the tag
-        (transcript_from_wire, b"TRS+1+export+p2p+PASS'\nEVT'\n", 26, b"'\n"),
+        (transcript_from_wire, b"TRS+2+export+p2p+PASS'\nEVT'\n", 26, b"'\n"),
         # block is not an integer, after a blank first line
         (attack_from_wire, b"\nATK+TAMPER_FIELD+block+soon'\n", 24, b"soon"),
-        # a SENT event's flat that does not parse: the flat element's offset
-        (transcript_from_wire, _SENT_NO_SENDER, 54, b"TVNH"),
-        # a SENT event naming another type than its flat: the type element
-        (transcript_from_wire, _SENT_FORGED_TYPE, 44, b"IFTSTA+"),
+        # a hop whose records make no message: its index list's offset
+        (transcript_from_wire, _SENT_NO_SENDER, 61, b"0'"),
+        # a hop naming a second MSG record, of another type: that index
+        (transcript_from_wire, _SENT_FORGED_TYPE, 93, b"1,2'"),
         # what the message model refuses is a ParseError at its segment:
         # a repeated ATT name, a SIG covering one attribute twice, and an
         # unknown tag (here empty) first or after the MSG segment

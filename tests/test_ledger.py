@@ -695,7 +695,7 @@ def _refuse_orderer(world, refusal):
         trust.chains["orderer-1"] = (leaf, replace(ca, org="ZZZ"), root)
         return "BrokenSignature: signature on ORD-CA"
     del trust.chains["orderer-1"]
-    return "no certificate chain"
+    return "UntrustedRoot: no certificate chain"
 
 
 @pytest.mark.parametrize("make", ["create_net", "rollover"])

@@ -38,6 +38,24 @@ def test_round_trip(recs):
             assert (rec.b64(i) if isinstance(e, bytes) else rec.text(i)) == e
 
 
+@given(st.lists(st.lists(_elem, max_size=5), min_size=1, max_size=4))
+@example([["x'y"], ["a+b"]])
+@example([["plain"], []])
+def test_split_cuts_where_decode_does(recs):
+    """``split`` gives each record's own bytes, without its closing ``'``:
+    by ``bytes.split`` on a wire without a release character and at
+    ``decode``'s offsets on one with, and each piece decodes alone to the
+    record ``decode`` finds."""
+    wire = b"".join(encode("T", *elems) for elems in recs)
+    pieces = records.split(wire)
+    assert b"".join(p + b"'" for p in pieces) == wire
+    assert [decode(p + b"'")[0].elems for p in pieces] == [rec.elems for rec in decode(wire)]
+    for cut in (wire[:-1], wire + b"T+x"):
+        with pytest.raises(ParseError, match="unterminated final segment") as e:
+            records.split(cut)
+        assert e.value.offset == len(cut)
+
+
 def test_lines_skip_blanks_and_count_from_file_start():
     recs = list(decode_lines(b"\n  A+1'  \r\n\nB+x+007'\n"))
     assert [r.tag for r in recs] == [b"A", b"B"]
