@@ -68,7 +68,9 @@ ACTION_ROLES = {
 }
 
 #: Lifecycle gate: required prior state and resulting state per action.
+#: CREATE, the one action whose container must not exist yet, has none.
 TRANSITIONS = {
+    LedgerAction.CREATE: (None, LifecycleState.CREATED),
     LedgerAction.ACKNOWLEDGE_DELIVERY: (LifecycleState.CREATED, LifecycleState.DELIVERED),
     LedgerAction.CLEAR: (LifecycleState.DELIVERED, LifecycleState.CLEARED),
     LedgerAction.LOAD: (LifecycleState.CLEARED, LifecycleState.LOADED),
@@ -362,7 +364,7 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
     """Chaincode decision point, judging from certificate facts and current
     state alone (so replay can reuse it). Returns the asset the action
     touches (None for CREATE) or raises the matching denial."""
-    if records.holds_line_break((tx.cnt_no, *map("".join, tx.args))):
+    if _holds_line_break(tx):
         raise MalformedTransaction("transaction text may not hold a line break")
     role, required = tx.invoker.role, ACTION_ROLES[tx.action]
     if role != required:  # Role is a str enum: one is built only to name a denial
@@ -372,7 +374,8 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
             raise RoleDenied(f"{role} is not a ledger role") from None
         raise RoleDenied(f"{tx.action.value} requires {required.value}, invoker is {role.value}")
 
-    if tx.action is LedgerAction.CREATE:
+    before, _ = TRANSITIONS[tx.action]
+    if before is None:  # CREATE
         if tx.cnt_no in state:
             raise DuplicateContainer(tx.cnt_no)
         if tx.arg("terminal") is None:
@@ -382,32 +385,45 @@ def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsse
     asset = state.get(tx.cnt_no)
     if asset is None:
         raise UnknownContainer(tx.cnt_no)
-    if tx.action in (LedgerAction.ACKNOWLEDGE_DELIVERY, LedgerAction.LOAD):
+    if required is Role.TERMINAL:  # ACKNOWLEDGE_DELIVERY and LOAD: at its own terminal only
         if asset.terminal != tx.invoker.org:
             raise TenancyDenied(
                 f"asset {tx.cnt_no} belongs to terminal {asset.terminal}, not {tx.invoker.org}"
             )
-    required, _ = TRANSITIONS[tx.action]
-    if asset.state is not required:
+    if asset.state is not before:
         raise LifecycleDenied(
-            f"{tx.action.value} requires state {required.value}, asset is {asset.state.value}"
+            f"{tx.action.value} requires state {before.value}, asset is {asset.state.value}"
         )
     return asset
+
+
+def _holds_line_break(tx: Transaction) -> bool:
+    """``records.holds_line_break`` of ``tx``'s container number and each
+    argument key and value, each tested in place: nothing is joined."""
+    if "\r" in tx.cnt_no or "\n" in tx.cnt_no:
+        return True
+    for kv in tx.args:
+        for text in kv:
+            if "\r" in text or "\n" in text:
+                return True
+    return False
 
 
 def _endorsement_gate(
     tx: Transaction,
     cert: Certificate,
     asset_before: ContainerAsset | None,
-    endorsed_by: Sequence[str],
+    prior: Sequence[tuple[str, bytes]],
 ) -> None:
     """Endorsement eligibility, judging from certificate facts, the asset
-    the transaction touches (None for CREATE) and the identities that
-    already endorsed it, so replay can reuse it. Raises the denial."""
+    the transaction touches (None for CREATE) and the (identity,
+    signature) endorsements already admitted, so replay can reuse it.
+    Raises the denial."""
     if cert.subject == tx.invoker.subject:
         raise IneligibleEndorser("invoker cannot endorse its own transaction")
-    if cert.subject in endorsed_by:
-        raise DuplicateEndorsement(cert.subject)
+    for ident, _ in prior:
+        if ident == cert.subject:
+            raise DuplicateEndorsement(cert.subject)
     role, eligible = cert.role, ENDORSER_ROLES[tx.action]
     if role not in eligible:  # as in _gate, a Role is built only to name a denial
         try:
@@ -421,20 +437,21 @@ def _endorsement_gate(
         expected = asset_before.terminal if asset_before else tx.arg("terminal")
         if cert.org != expected:
             raise IneligibleEndorser(f"terminal {cert.org} is not the designated {expected}")
-    if role == Role.SHIPPING_LINE and asset_before is not None:
+    elif role == Role.SHIPPING_LINE and asset_before is not None:
         if cert.org != asset_before.shipping_line:
             raise IneligibleEndorser(f"shipping line {cert.org} does not own {tx.cnt_no}")
 
 
 def _apply(tx: Transaction, state: dict[str, ContainerAsset]) -> None:
-    if tx.action is LedgerAction.CREATE:
-        # Creator binding: owner comes from the certificate, never the args.
-        state[tx.cnt_no] = ContainerAsset(
-            tx.cnt_no, LifecycleState.CREATED, tx.invoker.org, tx.arg("terminal")
-        )
+    """The asset ``tx`` makes, into ``state``; built by ``tuple.__new__``,
+    as ``ContainerAsset``'s own constructor builds it, without its frame."""
+    before, after = TRANSITIONS[tx.action]
+    if before is None:  # CREATE: the owner comes from the certificate, never the args
+        fields = tx.cnt_no, after, tx.invoker.org, tx.arg("terminal")
     else:
-        a, (_, nxt) = state[tx.cnt_no], TRANSITIONS[tx.action]
-        state[tx.cnt_no] = ContainerAsset(a.cnt_no, nxt, a.shipping_line, a.terminal)
+        a = state[tx.cnt_no]
+        fields = a.cnt_no, after, a.shipping_line, a.terminal
+    state[tx.cnt_no] = tuple.__new__(ContainerAsset, fields)
 
 
 def submit(
@@ -444,7 +461,8 @@ def submit(
     still needs endorsements. Raises the first failing gate's denial. The
     certificate links the chain check verified join the net's record."""
     _record_chain(net, invoker_chain, f"invoker {tx.invoker.subject}")
-    if invoker_chain[0] != tx.invoker:
+    leaf = invoker_chain[0]
+    if leaf is not tx.invoker and leaf != tx.invoker:
         raise ChainInvalidCert("presented chain does not match transaction invoker")
     if not _signed(net._passed, tx.invoker.public_key, _tx_digests(tx)[0], tx.invoker_signature):
         raise ChainInvalidCert(f"invoker signature by {tx.invoker.subject} does not verify")
@@ -463,7 +481,7 @@ def endorse(
     _record_chain(net, endorser_chain, _named("endorser", endorser_chain))
     cert = endorser_chain[0]
     tx = pending.tx
-    _endorsement_gate(tx, cert, pending.asset_before, [ident for ident, _ in pending.endorsements])
+    _endorsement_gate(tx, cert, pending.asset_before, pending.endorsements)
     payload = _tx_digests(tx)[1]
     pending.endorsements.append((cert.subject, sign(endorser_key.private, payload)))
     return pending
@@ -525,7 +543,8 @@ def _admit(
     Then it is applied to ``state``. Raises the first denial, its text the
     verifiers' reason."""
     invoker = tx.invoker
-    if certs.get(invoker.subject) != invoker:
+    record = certs.get(invoker.subject)
+    if record is not invoker and record != invoker:  # a live or parsed invoker is its record
         raise ChainInvalidCert(f"invoker {invoker.subject} differs from its certificate record")
     body_digest, payload = _tx_digests(tx)
     if not _signed(passed, invoker.public_key, body_digest, tx.invoker_signature):
@@ -542,13 +561,12 @@ def _admit(
         asset = _gate(tx, state)
     except LedgerError as exc:
         raise StaleTransaction(f"replay gate failure: {exc}") from None
-    endorsed_by: list[str] = []
-    for ident, _ in tx.endorsements:
+    endorsements = tx.endorsements
+    for n, (ident, _) in enumerate(endorsements):
         try:
-            _endorsement_gate(tx, certs[ident], asset, endorsed_by)
+            _endorsement_gate(tx, certs[ident], asset, endorsements[:n])
         except LedgerError as exc:
             raise type(exc)(f"endorsement gate failure: {exc}") from None
-        endorsed_by.append(ident)
     _apply(tx, state)
 
 
@@ -1031,7 +1049,8 @@ def verify_chain(net: LedgerNet) -> ChainVerification:
     start = len(seen.blocks) if covered else 0
     referenced = _referenced(net.chain[start:], seen.referenced if covered else frozenset())
     head = _head(net, referenced)
-    exported = replace(head, blocks=tuple(net.chain))
+    exported = ExportedChain(head.suite_id, head.orderer_identity, head.baseline_state,
+                             head.certs, tuple(net.chain))
     if covered and seen.kept_by(head):
         bad_head = _check_head(exported, net._passed, seen.head.certs)
         state = dict(seen.state)

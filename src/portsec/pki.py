@@ -218,7 +218,7 @@ def validate_chain(
     memoised; the rest runs on every call.
     """
     links = [leaf, *chain]
-    if links[-1] != trust_anchor:
+    if links[-1] is not trust_anchor and links[-1] != trust_anchor:
         if links[-1].issuer == trust_anchor.subject:
             links.append(trust_anchor)
         else:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portsec import envelope, ledger, records, sim
+from portsec import envelope, ledger, pki, records, sim
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_net, build_world, fixtures_from_bytes
 from portsec.ledger import (
@@ -432,6 +432,48 @@ def test_line_break_text_is_refused(world, net):
     )
     with pytest.raises(records.ParseError):
         parse_chain(export_chain(net))
+
+
+#: Any text a chain file may carry: no line break, anything else.
+_one_line = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=8)
+LINE_BREAK = "transaction text may not hold a line break"
+
+
+@given(where=st.sampled_from(["cnt_no", "key", "value"]), text=_one_line,
+       at=st.integers(0, 8), line_break=st.sampled_from(["\r", "\n", "\r\n"]))
+def test_a_line_break_anywhere_in_the_text_is_refused(shared_world, where, text, at,
+                                                      line_break):
+    """A CR, LF or CRLF anywhere in a CREATE's container number, or in an
+    argument key or value, is refused at ``submit``; past ``submit`` it is
+    stale at ``commit``; ordered by hand, both verifiers fail block 1 on
+    it (the offline one on the head ``export_chain`` writes, since the
+    file cannot carry it)."""
+    world, net = shared_world, build_net(shared_world)
+    texts = {"cnt_no": CNT, "key": "note", "value": "x", where: text[:at] + line_break + text[at:]}
+    tx, chain = make_tx(world, "sl1-clerk", LedgerAction.CREATE, texts["cnt_no"],
+                        (("terminal", "T1"), (texts["key"], texts["value"])))
+    with pytest.raises(MalformedTransaction) as refused:
+        submit(net, tx, chain)
+    assert str(refused.value) == LINE_BREAK
+    pending = _past_submit(world, net, tx)
+    res = commit(net, [pending])
+    reason = f"replay gate failure: {LINE_BREAK}"
+    assert res.block is None
+    assert [(type(exc), str(exc)) for _, exc in res.rejected] == [(StaleTransaction, reason)]
+    order_by_hand(net, pending.endorsed())
+    exported = replace(_live_head(net), blocks=tuple(net.chain))
+    for res in (verify_chain(net), verify_exported(exported)):
+        assert (res.valid, res.first_bad_block, res.reason) == (False, 1, reason)
+
+
+@given(cnt_no=_one_line, key=_one_line, value=_one_line)
+def test_text_without_a_line_break_is_never_refused_for_one(shared_world, cnt_no, key, value):
+    """The same CREATE with no line break in its text passes ``submit``,
+    commits, and verifies."""
+    world, net = shared_world, build_net(shared_world)
+    run_step(world, net, "sl1-clerk", LedgerAction.CREATE, "t1-op", cnt_no,
+             (("terminal", "T1"), (key, value)))
+    assert verify_chain(net).valid
 
 
 def test_a_role_outside_the_policy_is_refused_by_name(world, net):
@@ -1280,14 +1322,80 @@ def test_warm_call_compares_the_head_by_value(counted, counting_suite):
     assert verifies == 0
 
 
-def test_warm_call_sees_an_in_place_directory_swap(world, net):
+def test_every_verifier_accepts_an_equal_copy_of_a_record(counted, counting_suite):
+    """A trust-view leaf swapped for an equal but distinct copy, the
+    invoker's and an endorser's, after a valid call and before new blocks:
+    the record test falls back to comparing by value, so a warm call stays
+    valid with no signature verification, and so do a cold call and the
+    offline verifier."""
+    world, net = counted
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    for ident in ("sl1-clerk", "t1-op"):
+        leaf, *chain = net.trust.chains[ident]
+        net.trust.chains[ident] = (replace(leaf), *chain)  # an equal, new object
+    res, verifies = _verifies_during(counting_suite, lambda: verify_chain(net))
+    assert res.valid, res.reason
+    assert verifies == 0
+    net._verified = None
+    assert verify_chain(net).valid
+    assert verify_exported(parse_chain(export_chain(net))).valid
+
+
+def test_a_warm_call_compares_no_certificate_by_value(counted, monkeypatch):
+    """A live invoker is its record, so a warm call over committed blocks
+    decides each record test by identity: ``Certificate.__eq__``, counted
+    through a wrapper set here, is never called."""
+    world, net = counted
+    full_lifecycle(world, net, cnt_no="MSCU7654321")
+    calls = []
+    eq = pki.Certificate.__eq__
+
+    def counted_eq(self, other):
+        calls.append(self.subject)
+        return eq(self, other)
+
+    monkeypatch.setattr(pki.Certificate, "__eq__", counted_eq)
+    leaf = world.chain_of("t1-op")[0]
+    assert leaf != replace(leaf, serial=0) and calls == ["t1-op"]  # the wrapper counts
+    calls.clear()
+    assert verify_chain(net).valid
+    assert calls == []
+
+
+def _trust_cert(net, subject):
+    """The trust view's certificate of ``subject``."""
+    return next(c for chain in net.trust.chains.values() for c in chain if c.subject == subject)
+
+
+DIRECTORY_EDITS = {
+    # field: (world, leaf) -> the edited leaf
+    "reissued": lambda world, old: world.trust.cas[old.issuer].issue(
+        old.subject, old.org, old.role, old.public_key, (old.not_before, old.not_after)),
+    "serial": lambda world, old: replace(old, serial=old.serial + 1),
+    "org": lambda world, old: replace(old, org="SL2"),
+    "role": lambda world, old: replace(old, role="TERMINAL"),
+    "issuer": lambda world, old: replace(old, issuer="T1-CA"),
+    "validity": lambda world, old: replace(old, not_after=old.not_after - 1),
+    "key": lambda world, old: replace(old, public_key=world.chain_of("sl2-clerk")[0].public_key),
+    "signature": lambda world, old: replace(old, signature=_flip(old.signature)),
+}
+
+
+@pytest.mark.parametrize("edit", list(DIRECTORY_EDITS))
+def test_warm_call_sees_an_in_place_directory_swap(world, net, edit):
+    """sl1-clerk's leaf, swapped after a valid call for one that differs
+    from the blocks' invoker in one field (or reissued by its CA), fails
+    block 1 at the record test. The swapped leaf's link joins the net's
+    record, as if a submit had verified it, so the head passes it
+    unverified whatever the edit: only the record test, which falls back
+    to comparing every field, tells it from the invoker."""
     full_lifecycle(world, net)
     assert verify_chain(net).valid
     old, *chain = net.trust.chains["sl1-clerk"]
-    reissued = world.trust.cas[old.issuer].issue(
-        old.subject, old.org, old.role, old.public_key, (old.not_before, old.not_after)
-    )
-    net.trust.chains["sl1-clerk"] = (reissued, *chain)
+    edited = DIRECTORY_EDITS[edit](world, old)
+    assert edited != old and edited.subject == old.subject
+    net._passed.add(ledger._link_check(edited, _trust_cert(net, edited.issuer)))
+    net.trust.chains["sl1-clerk"] = (edited, *chain)
     res = verify_chain(net)
     assert (res.valid, res.first_bad_block, res.reason) == (
         False, 1, "invoker sl1-clerk differs from its certificate record"
