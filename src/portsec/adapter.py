@@ -216,7 +216,7 @@ def secure_outbound(
     msg: Message,
     carried: Sequence[AttributeSignature],
     receiver: Role,
-    reach: Mapping[str, Iterable[str]] = {},
+    reach: Mapping[str, Iterable[str]],
 ) -> SecuredMessage:
     """Build the protected form of a message this actor is sending.
 

@@ -174,7 +174,7 @@ def _first_finding(kind, scenario, transcript: Transcript, hit) -> DetectionRepo
 
 
 def inject_attack(
-    fixtures: FixtureSet, scenario: str, spec: AttackSpec, mode: str = "p2p"
+    fixtures: FixtureSet, scenario: str, spec: AttackSpec, mode: str
 ) -> tuple[Transcript, DetectionReport]:
     """Run the scenario with the attack applied; report whether, where,
     and how it was caught. A spec field the kind does not read, see

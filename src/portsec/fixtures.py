@@ -103,12 +103,12 @@ class FixtureSet:
         not a CA's."""
         return {ident: c.role for ident, c in self.certs.items() if c.role != CA_ROLE}
 
-    def with_values(self, run_tag: str | None = None, **overrides: str) -> "FixtureSet":
+    def with_values(self, run_tag: str, **overrides: str) -> "FixtureSet":
         """Same world, different run tag / consignment values (used to set
         up second runs for replay experiments)."""
         return replace(
             self,
-            run_tag=run_tag or self.run_tag,
+            run_tag=run_tag,
             values={**self.values, **overrides},
         )
 

@@ -18,7 +18,6 @@ holds (key, payload, signature).
 from __future__ import annotations
 
 import enum
-import marshal
 import operator
 import os
 import signal
@@ -28,7 +27,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from . import records
 from .envelope import DEFAULT_SUITE, CryptoSuite, Signer, sign
-from .pki import Certificate, Trust, cert_from_record, cert_to_wire
+from .pki import Certificate, Trust, cert_from_record, cert_to_wire, link_check
 from .policy import Role
 from .records import ParseError
 
@@ -39,9 +38,10 @@ CHAIN_VERSION = "1"
 ORDERER_ROLE = "ORDERER"
 
 #: Fewest blocks ``verify_exported`` hands to a forked child. A fork and
-#: its pipe round trip cost 2.6-4.1 ms on a 2-vCPU host, as much as ~100
-#: RSA-2048 verifies there; 67 blocks of two checks (an invoker's and an
-#: endorsement; the orderer's is one per chain) exceed that.
+#: the wait for its exit status cost 1.3-4.1 ms on a 2-vCPU host at 34-65
+#: MB of RSS, as much as ~40-120 RSA-2048 verifies there; 67 blocks of two
+#: checks (an invoker's and an endorsement; the orderer's is one per chain)
+#: exceed that.
 FORK_MIN_BLOCKS = 67
 
 
@@ -263,7 +263,7 @@ class LedgerNet:
     #: (key DER, payload, signature) of each signature check that
     #: passed at ``submit``, ``commit`` or ``verify_chain``, of each
     #: certificate link a chain check at ``create_net`` (the orderer's),
-    #: ``submit`` or ``endorse`` verified (``_link_check``), and of each
+    #: ``submit`` or ``endorse`` verified (``pki.link_check``), and of each
     #: block signature ``_sign_block`` made, under the signing key's own
     #: public half, since the last valid ``verify_chain``, which reads it
     #: instead of checking again
@@ -335,9 +335,9 @@ def _tx_digests(tx: Transaction) -> tuple[bytes, bytes]:
 
 def _check_cert(
     net: LedgerNet, chain: Sequence[Certificate], who: str
-) -> tuple[tuple[Certificate, Certificate], ...]:
-    """The (certificate, issuer) links whose signatures ``net.trust.check``
-    verified on ``chain``; raises its failure."""
+) -> tuple[tuple[bytes, bytes, bytes], ...]:
+    """The ``pki.link_check`` of each link whose signature
+    ``net.trust.check`` verified on ``chain``; raises its failure."""
     res = net.trust.check(chain)
     if not res.valid:
         raise ChainInvalidCert(f"{who}: {res.reason.value}: {res.detail}")
@@ -346,18 +346,12 @@ def _check_cert(
 
 def _record_chain(net: LedgerNet, chain: Sequence[Certificate], who: str) -> None:
     """``_check_cert``; the links it verified join the net's record."""
-    net._passed.update(_link_check(*link) for link in _check_cert(net, chain, who))
+    net._passed.update(_check_cert(net, chain, who))
 
 
 def _named(who: str, chain: Sequence[Certificate]) -> str:
     """``who``, then the subject of ``chain``'s leaf if it has one."""
     return f"{who} {chain[0].subject}" if chain else who
-
-
-def _link_check(cert: Certificate, issuer: Certificate) -> tuple:
-    """The check of ``cert``'s signature as a record of passed checks holds
-    it: (issuer key DER, body digest, signature)."""
-    return issuer.public_key, cert.body_digest(), cert.signature
 
 
 def _gate(tx: Transaction, state: Mapping[str, ContainerAsset]) -> ContainerAsset | None:
@@ -833,13 +827,14 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
     there on, the last block's orderer signature among them, while this
     process checks the blocks before them without vouching for them, each
     half one ``_verify_blocks`` call given its first block and replay
-    state. Only when its own blocks pass does this process read the
-    child's verdict, and it checks the child's blocks itself when no whole
-    verdict arrives. A failure there is preceded by this process's own
-    blocks' orderer signatures, checked in order, so the verdict, its
-    block and its reason are the one-process rule's. No child outlives the
-    call: it is reaped before the call returns, and killed if it still
-    runs."""
+    state. Only when its own blocks pass does this process wait for the
+    child, whose exit status is its answer: 0 when its blocks pass. On any
+    other status (a failing block, an exception, a kill) this process
+    checks the child's blocks itself, and a failure there is preceded by
+    this process's own blocks' orderer signatures, checked in order, so the
+    verdict, its block and its reason are the one-process rule's. No child
+    outlives the call: it is reaped before the call returns, and killed if
+    it still runs."""
     passed: set[tuple] = set()
     bad_head = _check_head(exported, passed)
     if bad_head is not None:
@@ -853,10 +848,9 @@ def verify_exported(exported: ExportedChain) -> ChainVerification:
             k = len(blocks)  # this process checks every block
     try:
         res = _verify_blocks(replace(exported, blocks=blocks[:k]), 0, state, passed, child is None)
-        if res is None and child is not None:
-            res = (child.verdict() or _verify_blocks(exported, k, state, passed)
-                   or ChainVerification(True))
-            if not res.valid:  # a broken orderer signature in this half comes first
+        if res is None and child is not None and not child.passed():
+            res = _verify_blocks(exported, k, state, passed)
+            if res is not None:  # a broken orderer signature in this half comes first
                 res = _broken_orderer(exported, 0, k, passed) or res
     finally:
         if child is not None:
@@ -882,47 +876,35 @@ class _Child:
     """A forked child that checks blocks ``k`` on of ``exported``: it
     rebuilds the state before block ``k`` with ``_apply`` alone (the replay
     state whenever every earlier block checks), runs ``_verify_blocks`` on
-    its blocks with a fresh record of passed checks, and writes its verdict
-    to a pipe. It returns to no caller: it ends in ``os._exit``, so it
+    its blocks with a fresh record of passed checks, and exits 0 only when
+    they pass. It returns to no caller: it ends in ``os._exit``, so it
     flushes no buffer and runs no exit handler."""
 
     def __init__(self, exported: ExportedChain, k: int):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
+        self.pid: int | None = os.fork()
         if self.pid == 0:
+            status = 1  # also on an exception
             try:
-                os.close(read)
                 state = dict(exported.baseline_state)
                 for tx in (tx for block in exported.blocks[:k] for tx in block.transactions):
                     _apply(tx, state)
-                res = _verify_blocks(exported, k, state, set()) or ChainVerification(True)
-                os.write(write, marshal.dumps((res.valid, res.first_bad_block, res.reason)))
-                os._exit(0)
+                if _verify_blocks(exported, k, state, set()) is None:
+                    status = 0
             finally:
-                os._exit(1)
-        os.close(write)
-        self.fd = read
+                os._exit(status)
 
-    def verdict(self) -> ChainVerification | None:
-        """The child's verdict, from one read of the pipe; None when no whole
-        verdict arrives: the child died or exited before it wrote one, or
-        wrote part of it. A verdict longer than a pipe writes at once may
-        also arrive in part, and is then none."""
-        try:
-            return ChainVerification(*marshal.loads(os.read(self.fd, 1 << 16)))
-        except (EOFError, ValueError, TypeError):
-            return None
+    def passed(self) -> bool:
+        """Whether the child's blocks pass: it exited 0. Waits for it and
+        reaps it; a child that failed a block, raised or was killed proves
+        nothing."""
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
     def close(self) -> None:
-        """Kill the child if it still runs, reap it and close the pipe."""
-        os.kill(self.pid, signal.SIGKILL)  # an exited child stays unreaped, so the pid is its own
-        os.waitpid(self.pid, 0)
-        os.close(self.fd)
+        """Kill and reap the child, unless ``passed`` reaped it."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)  # an exited child stays unreaped, so the pid is its own
+            os.waitpid(self.pid, 0)
 
 
 def _check_head(exported: ExportedChain, passed: set[tuple],
@@ -946,7 +928,7 @@ def _check_head(exported: ExportedChain, passed: set[tuple],
         issuer = exported.certs.get(cert.issuer)
         if issuer is None:
             return ChainVerification(False, None, f"{cert.subject}: issuer {cert.issuer} missing")
-        if not _signed(passed, *_link_check(cert, issuer)):
+        if not _signed(passed, *link_check(cert, issuer)):
             return ChainVerification(False, None, f"{cert.subject}: certificate signature broken")
 
     orderer = exported.certs.get(exported.orderer_identity)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import records
-from .envelope import DEFAULT_SUITE, Signer, sign
+from .envelope import DEFAULT_SUITE, Signer, sign, verify
 
 #: Role token carried by certificate-authority certificates.
 CA_ROLE = "CA"
@@ -78,9 +77,9 @@ class ChainResult:
     valid: bool
     reason: FailureReason | None = None
     detail: str = ""
-    #: of a valid chain, each (certificate, issuer) link whose signature
+    #: of a valid chain, the ``link_check`` of each link whose signature
     #: ``validate_chain`` verified, leaf first, the anchor as its own issuer
-    links: tuple[tuple[Certificate, Certificate], ...] = field(default=(), compare=False)
+    links: tuple[tuple[bytes, bytes, bytes], ...] = field(default=(), compare=False)
 
 
 @dataclass
@@ -194,11 +193,11 @@ def create_subordinate(parent: CaState, name: str, validity: tuple[int, int]) ->
     return CaState(kp, cert)
 
 
-@lru_cache(maxsize=1024)
-def _link_signed(cert: Certificate, issuer_public_key: bytes) -> bool:
-    """Does ``cert``'s signature verify under its issuer's key? Keyed on the
-    whole certificate, signature included, so any edited field misses."""
-    return DEFAULT_SUITE.verify(issuer_public_key, cert.body_digest(), cert.signature)
+def link_check(cert: Certificate, issuer: Certificate) -> tuple[bytes, bytes, bytes]:
+    """The check of ``cert``'s signature by ``issuer``: (issuer key DER,
+    body digest, signature), as ``envelope.verify`` and a ledger net's
+    record of passed checks hold it. Any edited field is another check."""
+    return issuer.public_key, cert.body_digest(), cert.signature
 
 
 def validate_chain(
@@ -215,7 +214,7 @@ def validate_chain(
     issuer's revocation list, and ``at`` lies within every validity window.
     Checks run in that order and report the first failure; a valid result
     lists the links it verified. Only the link signature checks are
-    memoised; the rest runs on every call.
+    memoised, through ``envelope.verify``; the rest runs on every call.
     """
     links = [leaf, *chain]
     if links[-1] is not trust_anchor and links[-1] != trust_anchor:
@@ -226,15 +225,16 @@ def validate_chain(
                 False, FailureReason.UNTRUSTED_ROOT, f"chain top is {links[-1].subject}"
             )
 
-    pairs = tuple(zip(links, (*links[1:], links[-1])))
-    for cert, parent in pairs:
+    checks = []
+    for cert, parent in zip(links, (*links[1:], links[-1])):
         if cert.issuer != parent.subject:
             return ChainResult(
                 False,
                 FailureReason.BROKEN_SIGNATURE,
                 f"{cert.subject} issued by {cert.issuer}, not {parent.subject}",
             )
-        if not _link_signed(cert, parent.public_key):
+        checks.append(link_check(cert, parent))
+        if not verify(*checks[-1]):
             return ChainResult(
                 False, FailureReason.BROKEN_SIGNATURE, f"signature on {cert.subject}"
             )
@@ -258,7 +258,7 @@ def validate_chain(
                 f"{cert.subject} valid ({cert.not_before}, {cert.not_after}), queried at {at}",
             )
 
-    return ChainResult(True, links=pairs)
+    return ChainResult(True, links=tuple(checks))
 
 
 @dataclass

@@ -217,8 +217,8 @@ class Simulation:
     def __init__(
         self,
         script: ScenarioScript,
-        world: World | None = None,
-        interceptor: Interceptor | None = None,
+        world: World | None,
+        interceptor: Interceptor | None,
     ):
         self.script = script
         self.fixtures = script.fixtures

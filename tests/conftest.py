@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from portsec import envelope, pki
+from portsec import envelope
 from portsec.envelope import DEFAULT_SUITE
 from portsec.fixtures import build_world, generate_fixtures
 
@@ -38,13 +38,13 @@ def _counted(counts, counter, method):
 def counting_suite():
     """Counts what ``DEFAULT_SUITE`` runs during the test. The counting
     wrappers are instance attributes that shadow its methods, as the
-    benchmark's tracer sets them, and leave with the test. The sign,
-    verify and certificate-link memos start empty, so no answer an earlier
-    test left hides a count."""
+    benchmark's tracer sets them, and leave with the test. The sign and
+    verify memos start empty, so no answer an earlier test left hides a
+    count."""
     counts = SimpleNamespace(**dict.fromkeys(COUNTED, 0))
     for counter, attr in COUNTED.items():
         setattr(DEFAULT_SUITE, attr, _counted(counts, counter, getattr(DEFAULT_SUITE, attr)))
-    for memo in (envelope.sign, envelope.verify, pki._link_signed):
+    for memo in (envelope.sign, envelope.verify):
         memo.cache_clear()
     yield counts
     for attr in COUNTED.values():

@@ -370,7 +370,7 @@ def test_c08_chain_immutability(world):
 
 def _booking_message(world, fixtures):
     msg = Message("IFTMCS", fixtures.run_tag, (("B_NO", Plain(fixtures.values["B_NO"])),))
-    return secure_outbound(world.adapters["sl1-clerk"], msg, (), Role.TERMINAL)
+    return secure_outbound(world.adapters["sl1-clerk"], msg, (), Role.TERMINAL, {})
 
 
 def test_c10_pki_gates_both_modes(base_fixtures):

@@ -71,7 +71,7 @@ def importer_signature(world, run_id, values=VALUES):
         run_id,
         tuple((a, Plain(values[a])) for a in ("B_NO", "CNT_C", "CSG_DATA")),
     )
-    sm = secure_outbound(imp, msg, [], Role.SHIPPING_LINE)
+    sm = secure_outbound(imp, msg, [], Role.SHIPPING_LINE, {})
     assert len(sm.signatures) == 1
     return sm.signatures[0]
 
@@ -160,7 +160,7 @@ def test_a_sender_that_may_write_nothing_signs_nothing(world):
         ("B_NO", HashOnly(value_digest(VALUES["B_NO"]))),
         ("CNT_C", HashOnly(value_digest("contraband"))),
     ))
-    sm = secure_outbound(t1, msg, [], Role.CUSTOMS)
+    sm = secure_outbound(t1, msg, [], Role.CUSTOMS, {})
     assert sm.signatures == ()
     report = validate_inbound(world.adapter("customs-officer"), sm, world.chain_of("t1-op"))
     assert not report.accepted
@@ -404,7 +404,7 @@ def test_a_clearance_moved_to_a_booking_customs_never_saw_is_rejected(base_fixtu
     steps = sim_module.export_steps("p2p")
     cut = [s.name for s in steps].index("move_lcu") + 1
     z = sim_module.Simulation(sim_module.ScenarioScript("export", "p2p", steps[:cut], fz),
-                              world=world).run()
+                              world=world, interceptor=None).run()
     assert z.transcript.verdict == "PASS"
     assert all(ev.receiver != "customs-officer" for ev in z.transcript.sent_events())
     x_clearance = x.inbound["clearance_terminal"][1]
@@ -744,7 +744,8 @@ def test_a_key_overshared_to_a_non_reader_is_refused_at_the_first_receiver(
             sm.signatures, sm.sender,
         )
 
-    sim, _ = _export_unwraps(base_fixtures.with_values(DG="false"), overshare, at="delivery")
+    fixtures = base_fixtures.with_values(base_fixtures.run_tag, DG="false")
+    sim, _ = _export_unwraps(fixtures, overshare, at="delivery")
     assert _findings(sim, "delivery") == (
         "REJECT", [(FindingCode.REPRESENTATION_VIOLATION, "CNT_C", detail)]
     )

@@ -175,7 +175,7 @@ def test_a_target_the_scenario_lacks_is_refused_before_either_mode_runs(
 def test_an_attack_that_never_strikes_is_refused(base_fixtures, spec, match):
     # a strike that never happens is no attack: it must not be reported
     # as one the receivers missed
-    fixtures = base_fixtures.with_values(DG="false", CNT_W="18400 kg")
+    fixtures = base_fixtures.with_values(base_fixtures.run_tag, DG="false", CNT_W="18400 kg")
     with pytest.raises(TargetUnresolved, match=match):
         inject_attack(fixtures, "export", spec, "p2p")
 

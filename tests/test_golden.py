@@ -45,7 +45,7 @@ def artefacts() -> list[tuple[str, ...]]:
     for scenario in ("export", "import"):
         for mode in ("p2p", "ledger"):
             for dg in ("false", "true"):
-                sim = run_scenario(fx.with_values(DG=dg), scenario, mode)
+                sim = run_scenario(fx.with_values(fx.run_tag, DG=dg), scenario, mode)
                 out.append(("DIG", scenario, mode, dg, determinism_digest(sim.transcript).hex()))
                 if mode == "ledger":
                     chain = hashlib.sha256(export_chain(sim.net)).hexdigest()

@@ -1,6 +1,7 @@
 """Ledger net: chaincode gates, endorsement, chain integrity, replay."""
 
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -895,7 +896,7 @@ def _recorded(net, head):
     """Subjects of ``head``'s certificates whose signature check the net's
     record holds."""
     return [c.subject for c in head.certs.values()
-            if ledger._link_check(c, head.certs[c.issuer]) in net._passed]
+            if pki.link_check(c, head.certs[c.issuer]) in net._passed]
 
 
 def _live_head(net):
@@ -949,9 +950,8 @@ def test_only_a_valid_verify_empties_the_record(world, net):
 
 def _chain_links(net):
     """The record entry of each certificate link on each chain of the
-    trust view."""
-    return {ledger._link_check(*link) for chain in net.trust.chains.values()
-            for link in net.trust.check(chain).links}
+    trust view: the checks each chain's validation verified."""
+    return {link for chain in net.trust.chains.values() for link in net.trust.check(chain).links}
 
 
 def test_every_recorded_check_verifies_again(world, net):
@@ -1034,7 +1034,7 @@ def test_a_grown_head_checks_its_new_certificates(world, net, checked_signatures
     the earlier blocks are not checked again."""
     old, head = _gain_an_identity(world, net)
     gained = [c for c in head.certs.values() if c.subject not in old.certs]
-    net._passed -= {ledger._link_check(c, head.certs[c.issuer]) for c in gained}
+    net._passed -= {pki.link_check(c, head.certs[c.issuer]) for c in gained}
     checked_signatures.clear()
     assert verify_chain(net).valid
     assert checked_signatures == [c.signature for c in gained]
@@ -1394,7 +1394,7 @@ def test_warm_call_sees_an_in_place_directory_swap(world, net, edit):
     old, *chain = net.trust.chains["sl1-clerk"]
     edited = DIRECTORY_EDITS[edit](world, old)
     assert edited != old and edited.subject == old.subject
-    net._passed.add(ledger._link_check(edited, _trust_cert(net, edited.issuer)))
+    net._passed.add(pki.link_check(edited, _trust_cert(net, edited.issuer)))
     net.trust.chains["sl1-clerk"] = (edited, *chain)
     res = verify_chain(net)
     assert (res.valid, res.first_bad_block, res.reason) == (
@@ -2084,14 +2084,17 @@ SPLITS = {
 def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite, case):
     """Split between this process and one child, an offline verify gives
     the inline verdict, a failure in either half included, and leaves no
-    child behind. When this process's half passes, the verdict is the
-    child's: this process checks none of the child's blocks. The child
-    checks the last block's orderer signature, so this process checks its
-    own blocks' only when the child reports a failure."""
+    child behind. When this process's half passes, the child's exit status
+    decides: on an honest chain this process checks none of the child's
+    blocks, and when the child fails one it checks them itself, making the
+    inline verify's checks. The child checks the last block's orderer
+    signature, so this process checks its own blocks' only after a
+    failure."""
     edit, verdict, side = SPLITS[case]
     edit(world, long_net)
     data = export_chain(long_net)
-    inline = verify_exported(parse_chain(data))  # far below FORK_MIN_BLOCKS
+    inline, inline_verifies = _verifies_during(  # far below FORK_MIN_BLOCKS
+        counting_suite, lambda: verify_exported(parse_chain(data)))
     with _forking() as pids:
         exported = parse_chain(data)
         k = ledger._split_point(exported.blocks)
@@ -2100,7 +2103,7 @@ def test_a_split_verify_gives_the_inline_verdict(world, long_net, counting_suite
     if side is not None:
         assert (verdict[1] >= k) == (side == "child")
     if side == "child":
-        assert verifies == len(exported.certs) + _block_verifies(exported.blocks[:k])
+        assert verifies == inline_verifies
     elif side is None:
         assert verifies == len(exported.certs) + _txn_verifies(exported.blocks[:k])
     for res in (inline, split):
@@ -2158,7 +2161,7 @@ def test_a_failure_before_the_childs_range_kills_the_child(world, long_net, fork
 
 
 def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_suite, forked):
-    """A child that fails before it writes gives no verdict: this process
+    """A child that raises exits 1, which proves nothing: this process
     checks the child's blocks, and the forged block there fails inline.
     The walk admits block 7 before block 8's link breaks; then the orderer
     signatures of blocks 0-7 are checked, the child's first."""
@@ -2177,24 +2180,17 @@ def test_a_child_that_exits_non_zero_proves_nothing(world, long_net, counting_su
 
 
 @pytest.mark.parametrize("forged", [None, 7])
-def test_a_short_write_gives_no_verdict(world, long_net, counting_suite, forked, monkeypatch,
-                                        forged):
-    """A child that exits 0 after writing all of its verdict but the last
-    byte gives none: this process checks the child's blocks itself, up to
-    block 8, whose link to the forged block 7 breaks, or to the end."""
+def test_a_child_killed_mid_check_proves_nothing(world, long_net, counting_suite, forked,
+                                                 forged):
+    """A child killed by SIGKILL at its first signature check exits by no
+    status of its own: this process checks the child's blocks itself, up
+    to block 8, whose link to the forged block 7 breaks, or to the end,
+    making the inline verify's checks and giving its verdict."""
     if forged is not None:
         _flipped_orderer_signature(forged)(world, long_net)
     exported = parse_chain(export_chain(long_net))
-    parent, write, exit_ = os.getpid(), os.write, os._exit
-
-    def short(fd, data):
-        if os.getpid() == parent:
-            return write(fd, data)
-        write(fd, bytes(data[:-1]))
-        exit_(0)
-
-    monkeypatch.setattr(os, "write", short)
-    res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
+    with _in_the_child(lambda *check: os.kill(os.getpid(), signal.SIGKILL)):
+        res, verifies = _verifies_during(counting_suite, lambda: verify_exported(exported))
     assert len(forked) == 1
     if forged is None:
         assert res.valid, res.reason

@@ -27,6 +27,12 @@ import private names.
 A suite check reads the syntax tree too: no function in ``src/portsec``
 takes a ``suite`` and no class stores one, outside ``KEPT_SUITES``. There
 is one suite, ``envelope.DEFAULT_SUITE``, read where it is used.
+
+Two memo checks read it as well: every ``functools`` cache in
+``src/portsec`` is in ``CACHES`` with its reason, and the raw signature
+primitives, ``DEFAULT_SUITE.verify`` and ``DEFAULT_SUITE.sign``, are
+reached only from the functions ``PRIMITIVE_CALLERS`` names, so every
+signature check reads the verify memo or a record of passed checks.
 """
 
 import ast
@@ -151,7 +157,9 @@ def _passes(call: ast.Call, positional: list[str], name: str) -> bool:
     )
 
 
-def _unset_options():
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/portsec`` and ``perfbench``, by the bare name
+    called."""
     calls: dict[str, list[ast.Call]] = {}
     for path in SEARCHED:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -159,10 +167,26 @@ def _unset_options():
                 func = node.func
                 called = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(called, []).append(node)
+    return calls
+
+
+def _unset_options():
+    calls = _calls()
     return {
         qualified
         for qualified, called, positional, name in _options()
         if not any(_passes(call, positional, name) for call in calls.get(called, ()))
+    }
+
+
+def _overridden_options():
+    """Options that some call reaches and every call passes: a default
+    that only tests fall back on."""
+    calls = _calls()
+    return {
+        qualified
+        for qualified, called, positional, name in _options()
+        if calls.get(called) and all(_passes(call, positional, name) for call in calls[called])
     }
 
 
@@ -173,6 +197,11 @@ def test_every_option_has_a_caller():
 
 def test_option_allowlist_names_only_unset_options():
     assert set(ALLOWED_OPTIONS) - _unset_options() == set()
+
+
+def test_every_default_has_a_caller():
+    overridden = sorted(_overridden_options())
+    assert not overridden, f"defaults every workflow call overrides: {', '.join(overridden)}"
 
 
 def _imports(tree):
@@ -251,3 +280,107 @@ def test_no_function_takes_and_no_class_stores_a_suite():
 
 def test_suite_allowlist_names_only_kept_suites():
     assert set(KEPT_SUITES) - set(_suites()) == set()
+
+
+#: Each ``functools.lru_cache`` or ``functools.cache`` in ``src/portsec``,
+#: as ``module.function``, with its reason.
+CACHES = {
+    "envelope._ecdsa": "one object, built on first use, so a process that meets no P-256 key "
+                       "never loads cryptography's OpenSSL backend module (~0.5 MB of RSS)",
+    "envelope._load_public": "parses and type-checks each DER public key once; key objects "
+                             "are immutable, a pure function of the bytes",
+    "envelope.wrapping_key": "build_world asks once per certificate: 2.8-3.3 us per world "
+                             "build cached against 19.9-21.2 us uncached (18 certificates of "
+                             "tests/data/golden.psf, timeit min of 7 x 2,000 on a 2-vCPU "
+                             "host), about 1% of a ~1.7 ms desk_compare op",
+    "envelope.sign": "the signing memo (SIGN_MEMO_SIZE): a signature is a function of key and "
+                     "payload; per-owner signing waits for ROADMAP item 15's counts",
+    "envelope.verify": "the one verify memo, of multi-signatures and certificate links "
+                       "(VERIFY_MEMO_SIZE); per-owner records are ROADMAP item 22",
+    "fixtures._load_private_cached": "loading validates a key (~70 ms for RSA-2048), once per "
+                                     "fixture key however many worlds share it",
+    "policy.default_matrix": "the default policy, parsed once and shared read-only",
+}
+
+#: The functions that may reach each raw signature primitive of
+#: ``DEFAULT_SUITE``: the memos and a record's check.
+PRIMITIVE_CALLERS = {
+    "verify": {"envelope.verify", "ledger._signed"},
+    "sign": {"envelope.sign"},
+}
+
+
+def _is_cache(node) -> bool:
+    """Is ``node`` ``lru_cache`` or ``cache``, bare or as an attribute, or
+    a call of one?"""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in ("lru_cache", "cache")
+
+
+def _caches():
+    """``module.function`` of each function a cache wraps, as a decorator
+    or by a call."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_cache(d) for d in node.decorator_list):
+                    yield f"{path.stem}.{node.name}"
+            elif isinstance(node, ast.Call) and _is_cache(node.func) and node.args:
+                yield f"{path.stem}.{ast.unparse(node.args[0])}"
+
+
+def test_every_cache_has_a_reason():
+    assert sorted(set(_caches()) - set(CACHES)) == []
+
+
+def test_cache_allowlist_names_only_caches():
+    assert set(CACHES) - set(_caches()) == set()
+
+
+def _suite_names(tree) -> set[str]:
+    """``DEFAULT_SUITE`` and each name a module binds to it, alone or in a
+    tuple assignment."""
+    names = {"DEFAULT_SUITE"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and getattr(v, "id", None) == "DEFAULT_SUITE"}
+    return names
+
+
+def _primitive_uses():
+    """(primitive, ``module.function``) for each read of ``verify`` or
+    ``sign`` off ``DEFAULT_SUITE`` in ``src/portsec``, called or bound; a
+    read outside any function is ``module.``."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        suites = _suite_names(tree)
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from visit(child, f"{path.stem}.{child.name}")
+                    continue
+                if (isinstance(child, ast.Attribute) and child.attr in PRIMITIVE_CALLERS
+                        and getattr(child.value, "id", None) in suites):
+                    yield child.attr, where
+                yield from visit(child, where)
+
+        yield from visit(tree, f"{path.stem}.")
+
+
+def test_only_the_memos_and_a_record_reach_a_signature_primitive():
+    strays = sorted(f"{where}: DEFAULT_SUITE.{primitive}" for primitive, where in _primitive_uses()
+                    if where not in PRIMITIVE_CALLERS[primitive])
+    assert strays == []
+
+
+def test_primitive_allowlist_names_only_callers():
+    named = {(primitive, where) for primitive, callers in PRIMITIVE_CALLERS.items()
+             for where in callers}
+    assert named - set(_primitive_uses()) == set()

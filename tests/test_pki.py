@@ -15,6 +15,7 @@ from portsec.pki import (
     cert_to_wire,
     create_root,
     create_subordinate,
+    link_check,
     validate_chain,
 )
 
@@ -186,7 +187,7 @@ def cached_chain(counting_suite):
         return validate_chain(cert, [ca.cert], root.cert, at=at, ca_registry=registry)
 
     assert check().valid
-    return {"check": check, "leaf": leaf, "ca": ca, "counts": counting_suite}
+    return {"check": check, "leaf": leaf, "ca": ca, "root": root, "counts": counting_suite}
 
 
 def test_cached_chain_sees_revocation(cached_chain):
@@ -211,3 +212,17 @@ def test_second_validation_does_no_rsa_verify(cached_chain):
     assert counts.verifies == 3  # leaf, CA and root links
     assert cached_chain["check"]().valid
     assert counts.verifies == 3
+
+
+def test_a_link_is_remembered_as_its_check(cached_chain):
+    """The validation above made one verify per distinct link. The memo
+    holds each link as the check ``link_check`` forms, which a valid
+    result lists: an equal copy of the leaf, its body digest hashed
+    afresh, is the same check, so validating it verifies nothing again."""
+    leaf, ca, root = cached_chain["leaf"], cached_chain["ca"].cert, cached_chain["root"].cert
+    copy = dataclasses.replace(leaf)
+    assert copy == leaf and copy._digest is None
+    res = cached_chain["check"](copy)
+    assert res.valid and cached_chain["counts"].verifies == 3
+    assert copy._digest == leaf._digest and copy._digest is not leaf._digest
+    assert res.links == (link_check(leaf, ca), link_check(ca, root), link_check(root, root))

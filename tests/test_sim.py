@@ -224,7 +224,7 @@ def test_audit_recomputes_from_parsed_transcript(honest_sims):
 
 
 def test_dangerous_goods_widen_routing(base_fixtures):
-    dg = base_fixtures.with_values(DG="true")
+    dg = base_fixtures.with_values(base_fixtures.run_tag, DG="true")
     by_scenario = {
         "export": {"arrival_pa", "move_pa"},
         "import": {"port_order_pa"},
@@ -248,7 +248,7 @@ def test_each_sender_signs_what_its_role_may_write_and_the_booking(base_fixtures
     """A message built from fields ends with its sender's signature, over
     B_NO plus each attribute the sender's role may write, in message
     order; a forwarded message carries no signature of its forwarder."""
-    sim = run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p")
+    sim = run_scenario(base_fixtures.with_values(base_fixtures.run_tag, DG=dg), scenario, "p2p")
     assert sim.transcript.verdict == "PASS"
     matrix, signed = sim.world.matrix, 0
     for step in sim.script.steps:
@@ -317,7 +317,7 @@ def test_a_sealed_field_is_held_by_the_parties_the_script_delivers_it_to(
     read it: customs and the booking's own shipping line in export,
     customs alone in import. sl2-clerk, a shipping line that takes no part,
     holds no key anywhere."""
-    sim = run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p")
+    sim = run_scenario(base_fixtures.with_values(base_fixtures.run_tag, DG=dg), scenario, "p2p")
     assert sim.transcript.verdict == "PASS"
     sealed = [
         (ev.step, name, set(value.wrapped_keys))
@@ -335,7 +335,8 @@ def test_field_reach_follows_forwards_and_only_the_copies_that_run(base_fixtures
     authority only when its dangerous-goods copies run. Reach counts later
     steps only, so no step reaches its own receiver by itself."""
     for dg, copies in (("false", set()), ("true", {"pa-officer"})):
-        reach = field_reach(make_script(base_fixtures.with_values(DG=dg), "export", "p2p"))
+        fixtures = base_fixtures.with_values(base_fixtures.run_tag, DG=dg)
+        reach = field_reach(make_script(fixtures, "export", "p2p"))
         assert reach["delivery"]["CNT_C"] == {"pcs-op", "sl1-clerk", "customs-officer"} | copies
         assert reach["move_lcu"]["CNT_LOC"] == {"customs-officer"}
         assert reach["clearance"]["CLR"] == {"t1-op", "sl1-clerk"}
@@ -374,7 +375,7 @@ def test_under_any_matrix_a_sealed_field_is_held_by_its_derived_readers(
     role may read it. When the run passes, those are also the receivers of
     the hops that carry the sealed value and whose role may read it."""
     matrix = load_policy(policy)
-    fixtures = base_fixtures.with_values(DG=str(dg).lower())
+    fixtures = base_fixtures.with_values(base_fixtures.run_tag, DG=str(dg).lower())
     for scenario in ("export", "import"):
         world = build_world(fixtures)
         world.matrix = matrix
@@ -556,7 +557,7 @@ def test_ledger_denials_are_recorded_not_raised(base_fixtures):
         Step("early_load", "ledger", sender="t1-op", action="LOAD", endorser="pcs-op"),
         Step("verify", "verify"),
     )
-    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures)).run()
+    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures), None, None).run()
     assert [(a, who, outcome) for a, who, outcome, _ in _ledger_records(sim)] == [
         ("CREATE", "sl1-clerk", "COMMITTED"),
         ("ACKNOWLEDGE_DELIVERY", "t1-op", "InsufficientEndorsements"),
@@ -571,7 +572,7 @@ def test_a_create_without_an_endorser_names_no_terminal(base_fixtures):
     # the terminal argument comes from the endorser alone; with none, the
     # chaincode's own gate refuses the transaction
     steps = (Step("create", "ledger", sender="sl1-clerk", action="CREATE"),)
-    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures)).run()
+    sim = Simulation(ScenarioScript("export", "ledger", steps, base_fixtures), None, None).run()
     assert _ledger_records(sim) == [
         ("CREATE", "sl1-clerk", "MalformedTransaction", "CREATE requires a terminal argument"),
     ]

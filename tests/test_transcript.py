@@ -105,7 +105,7 @@ def test_masking_hides_only_sealing_randomness(base_fixtures):
 
 def test_digest_sees_plaintext_changes(base_fixtures):
     a = run_scenario(base_fixtures, "export", "p2p").transcript
-    other = base_fixtures.with_values(CNT_W="99 kg")
+    other = base_fixtures.with_values(base_fixtures.run_tag, CNT_W="99 kg")
     b = run_scenario(other, "export", "p2p").transcript
     assert determinism_digest(a) != determinism_digest(b)
 
@@ -510,7 +510,8 @@ def p2p_wires(base_fixtures):
     with and without dangerous goods."""
     return {
         (scenario, dg): transcript_to_wire(
-            run_scenario(base_fixtures.with_values(DG=dg), scenario, "p2p").transcript)
+            run_scenario(base_fixtures.with_values(base_fixtures.run_tag, DG=dg), scenario,
+                         "p2p").transcript)
         for scenario in ("export", "import") for dg in ("false", "true")
     }
 
